@@ -100,6 +100,11 @@ type breaker struct {
 type BreakerSet struct {
 	cfg BreakerConfig
 	gen atomic.Uint64 // bumped on every state change; sessions re-sync on mismatch
+	// unsettled is false while every circuit is closed with a zero failure
+	// count: the healthy state, in which Poll, Acquire and a successful
+	// Record have nothing to change and return on this one load, without
+	// the clock or mu. Written under mu.
+	unsettled atomic.Bool
 
 	mu sync.Mutex
 	br [2][]breaker // indexed by Kind, then predicate
@@ -117,8 +122,7 @@ func NewBreakerSet(m int, cfg BreakerConfig) *BreakerSet {
 func (b *BreakerSet) M() int { return len(b.br[SortedAccess]) }
 
 // Generation returns a counter that increments on every state change.
-// Sessions cache it and refresh their capability view only when it moves,
-// keeping the closed-circuit fast path to one atomic load.
+// Sessions cache it and refresh their capability view only when it moves.
 func (b *BreakerSet) Generation() uint64 { return b.gen.Load() }
 
 // State returns the current state of one capability's circuit.
@@ -131,6 +135,9 @@ func (b *BreakerSet) State(kind Kind, pred int) BreakerState {
 // Poll advances time-based transitions: every open circuit whose cooldown
 // has elapsed becomes half-open. It returns the transitions it caused.
 func (b *BreakerSet) Poll() []BreakerTransition {
+	if !b.unsettled.Load() {
+		return nil
+	}
 	now := b.cfg.Now()
 	b.mu.Lock()
 	var trs []BreakerTransition
@@ -156,6 +163,9 @@ func (b *BreakerSet) Poll() []BreakerTransition {
 // grants exactly one probe at a time. Grants must be paired with a Record
 // call reporting the outcome.
 func (b *BreakerSet) Acquire(kind Kind, pred int) bool {
+	if !b.unsettled.Load() {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	br := &b.br[kind][pred]
@@ -187,6 +197,9 @@ func (b *BreakerSet) Release(kind Kind, pred int) {
 // circuit, a failed probe re-opens a half-open one, a successful probe
 // closes it.
 func (b *BreakerSet) Record(kind Kind, pred int, ok bool) []BreakerTransition {
+	if ok && !b.unsettled.Load() {
+		return nil
+	}
 	now := b.cfg.Now()
 	b.mu.Lock()
 	br := &b.br[kind][pred]
@@ -216,8 +229,22 @@ func (b *BreakerSet) Record(kind Kind, pred int, ok bool) []BreakerTransition {
 	if len(trs) > 0 {
 		b.gen.Add(1)
 	}
+	b.unsettled.Store(!ok || !b.settledLocked())
 	b.mu.Unlock()
 	return trs
+}
+
+// settledLocked reports whether every circuit is closed with no failure
+// counted (mu held).
+func (b *BreakerSet) settledLocked() bool {
+	for kind := range b.br {
+		for _, br := range b.br[kind] {
+			if br.state != BreakerClosed || br.failures != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Resilience attaches fault tolerance to a Session (WithResilience): a

@@ -217,7 +217,11 @@ type Session struct {
 	obs obs.Observer // nil unless WithObserver
 
 	// Fault tolerance (nil res = none; see WithResilience).
-	res      *Resilience
+	res *Resilience
+	// actx bounds accesses by res.AccessTimeout: built over ctx by the
+	// first access that needs it, re-armed by every one after, dropped
+	// when ctx changes or its deadline fires.
+	actx     *accessDeadline
 	resGen   uint64     // last breaker-set generation folded into current
 	orig     []PredCost // scenario capabilities before breaker degradation
 	degraded []string   // machine-readable degradation reasons, first-seen order
@@ -302,6 +306,8 @@ func NewSession(b Backend, scn Scenario, opts ...Option) (*Session, error) {
 func (s *Session) Reset(opts ...Option) error {
 	s.nwg = true
 	s.ctx = context.Background()
+	s.actx.retire()
+	s.actx = nil
 	clear(s.cursor)
 	for i := range s.probed {
 		clear(s.probed[i])
@@ -421,6 +427,8 @@ func (s *Session) Bind(ctx context.Context) {
 		ctx = context.Background()
 	}
 	s.ctx = ctx
+	s.actx.retire()
+	s.actx = nil
 }
 
 // Degraded returns the machine-readable degradation reasons accumulated so
@@ -488,7 +496,8 @@ func obsBreakerState(st BreakerState) obs.BreakerState {
 // capability view: it advances cooldown-elapsed circuits to half-open and,
 // when any session sharing the set changed a circuit, refreshes which
 // capabilities read as supported. With no resilience attached this is a
-// nil check; with all circuits closed it is one atomic load.
+// nil check; with every circuit closed and no failure counted it is two
+// atomic loads (BreakerSet.unsettled, then the generation).
 func (s *Session) syncBreakers() {
 	if s.res == nil || s.res.Breakers == nil {
 		return
@@ -532,6 +541,8 @@ func (s *Session) breakerTripped(kind Kind, i int) bool {
 // (open circuit, or a half-open circuit whose probe slot another session
 // holds) suppresses the capability locally so choice construction stops
 // proposing it until the set's state moves again.
+//
+//topklint:hotpath
 func (s *Session) acquireBreaker(kind Kind, i int) bool {
 	if s.res == nil || s.res.Breakers == nil {
 		return true
@@ -548,6 +559,8 @@ func (s *Session) acquireBreaker(kind Kind, i int) bool {
 }
 
 // recordBreaker reports an access outcome to the breaker set.
+//
+//topklint:hotpath
 func (s *Session) recordBreaker(kind Kind, i int, ok bool) {
 	if s.res == nil || s.res.Breakers == nil {
 		return
@@ -555,13 +568,33 @@ func (s *Session) recordBreaker(kind Kind, i int, ok bool) {
 	s.noteTransitions(s.res.Breakers.Record(kind, s.res.breakerIndex(i), ok))
 }
 
-// accessCtx bounds one backend access with the per-access deadline. The
-// returned cancel must be called as soon as the access returns.
-func (s *Session) accessCtx() (context.Context, context.CancelFunc) {
-	if s.res != nil && s.res.AccessTimeout > 0 {
-		return context.WithTimeout(s.ctx, s.res.AccessTimeout)
+// arm returns the context for one backend access: the session's own, or
+// under an AccessTimeout the session's deadline context with its clock
+// started. Every arm is paired with a disarm as soon as the access returns.
+//
+//topklint:hotpath
+func (s *Session) arm() context.Context {
+	if s.res == nil || s.res.AccessTimeout <= 0 {
+		return s.ctx
 	}
-	return s.ctx, func() {}
+	if s.actx == nil {
+		//topklint:allow hotpathalloc once per bound context (and after a fired deadline), then re-armed per access
+		s.actx = newAccessDeadline(s.ctx, s.res.AccessTimeout)
+	}
+	s.actx.arm()
+	return s.actx
+}
+
+// disarm stops the access clock. A deadline that fired — even one firing
+// as the access returned — spends its context: the next access arms a
+// fresh one, so the expiry cannot leak into it.
+//
+//topklint:hotpath
+func (s *Session) disarm() {
+	if s.actx != nil && !s.actx.disarm() {
+		s.actx.retire()
+		s.actx = nil
+	}
 }
 
 // failAccess classifies a backend failure under resilience: a source-side
@@ -615,9 +648,8 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 		return 0, 0, fmt.Errorf("%w: sa on p%d (probe in flight)", ErrCircuitOpen, i+1)
 	}
 	rank := s.cursor[i]
-	actx, cancel := s.accessCtx()
-	obj, score, err = s.backend.Sorted(actx, i, rank)
-	cancel()
+	obj, score, err = s.backend.Sorted(s.arm(), i, rank)
+	s.disarm()
 	if err != nil {
 		s.observeFailure(SortedAccess, i, err)
 		return 0, 0, s.failAccess(SortedAccess, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, rank, err))
@@ -677,9 +709,8 @@ func (s *Session) Random(i, u int) (float64, error) {
 		s.observeDenied(RandomAccess, i, obs.DenyBreaker)
 		return 0, fmt.Errorf("%w: ra on p%d (probe in flight)", ErrCircuitOpen, i+1)
 	}
-	actx, cancel := s.accessCtx()
-	score, err := s.backend.Random(actx, i, u)
-	cancel()
+	score, err := s.backend.Random(s.arm(), i, u)
+	s.disarm()
 	if err != nil {
 		s.observeFailure(RandomAccess, i, err)
 		return 0, s.failAccess(RandomAccess, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, u, err))

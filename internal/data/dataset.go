@@ -21,9 +21,13 @@ import (
 // we adopt the paper's Example 9 convention that the higher OID wins.
 type Dataset struct {
 	name   string
-	scores [][]float64 // scores[obj][pred]
-	sorted [][]int     // sorted[pred] = object ids in descending score order
+	scores [][]float64 // scores[obj][column]
+	sorted [][]int     // sorted[column] = object ids in descending score order
 	labels []string    // optional human-readable object labels
+	// cols maps predicate i to its column of scores and sorted; nil is the
+	// identity. A projection (Project) is a Dataset sharing its parent's
+	// scores and sorted under a different cols.
+	cols []int
 }
 
 // New constructs a dataset from a score matrix. The matrix is copied.
@@ -58,7 +62,7 @@ func New(name string, scores [][]float64) (*Dataset, error) {
 }
 
 func (d *Dataset) buildSorted() {
-	m := d.M()
+	m := len(d.scores[0])
 	d.sorted = make([][]int, m)
 	for i := 0; i < m; i++ {
 		ids := make([]int, d.N())
@@ -86,21 +90,46 @@ func (d *Dataset) Name() string { return d.name }
 func (d *Dataset) N() int { return len(d.scores) }
 
 // M returns the number of predicates.
-func (d *Dataset) M() int { return len(d.scores[0]) }
+func (d *Dataset) M() int {
+	if d.cols != nil {
+		return len(d.cols)
+	}
+	return len(d.scores[0])
+}
 
 // Score returns p_i[u], the exact score of object u on predicate i.
-func (d *Dataset) Score(u, i int) float64 { return d.scores[u][i] }
+func (d *Dataset) Score(u, i int) float64 {
+	if d.cols != nil {
+		i = d.cols[i]
+	}
+	return d.scores[u][i]
+}
 
 // Scores returns a copy of object u's score vector.
 func (d *Dataset) Scores(u int) []float64 {
 	out := make([]float64, d.M())
-	copy(out, d.scores[u])
+	copy(out, d.row(u, out))
 	return out
+}
+
+// row returns object u's score vector: the stored row itself for an
+// unprojected dataset, else the projected columns gathered into buf.
+func (d *Dataset) row(u int, buf []float64) []float64 {
+	if d.cols == nil {
+		return d.scores[u]
+	}
+	for i, c := range d.cols {
+		buf[i] = d.scores[u][c]
+	}
+	return buf
 }
 
 // SortedAt returns the object at the given zero-based rank of predicate
 // i's descending sorted list, together with its score.
 func (d *Dataset) SortedAt(i, rank int) (obj int, s float64) {
+	if d.cols != nil {
+		i = d.cols[i]
+	}
 	obj = d.sorted[i][rank]
 	return obj, d.scores[obj][i]
 }
@@ -131,47 +160,41 @@ func Less(scoreA float64, a int, scoreB float64, b int) bool {
 	return a < b
 }
 
-// Project returns a dataset whose predicate columns are the given columns
-// of d, in order (reordering and subsetting; duplicates are rejected since
-// duplicate predicates make access bookkeeping ambiguous). Labels carry
-// over; an identity projection returns d itself.
+// Project returns a view of d whose predicates are the given columns of d,
+// in order (reordering and subsetting; duplicates are rejected since
+// duplicate predicates make access bookkeeping ambiguous). The view shares
+// d's score matrix and per-column sorted lists — the descending order of a
+// column never depended on which other columns sit beside it — so a
+// projection costs O(len(cols)) whatever N is. Labels carry over; an
+// identity projection returns d itself.
 func Project(d *Dataset, cols []int) (*Dataset, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("data: projection needs at least one column")
 	}
-	identity := len(cols) == d.M()
-	seen := make(map[int]bool, len(cols))
+	m := d.M()
+	identity := len(cols) == m
+	mapped := make([]int, len(cols))
 	for i, c := range cols {
-		if c < 0 || c >= d.M() {
-			return nil, fmt.Errorf("data: projection column %d out of range [0,%d)", c, d.M())
+		if c < 0 || c >= m {
+			return nil, fmt.Errorf("data: projection column %d out of range [0,%d)", c, m)
 		}
-		if seen[c] {
-			return nil, fmt.Errorf("data: projection repeats column %d", c)
+		for _, prev := range cols[:i] {
+			if prev == c {
+				return nil, fmt.Errorf("data: projection repeats column %d", c)
+			}
 		}
-		seen[c] = true
 		if c != i {
 			identity = false
+		}
+		mapped[i] = c
+		if d.cols != nil {
+			mapped[i] = d.cols[c]
 		}
 	}
 	if identity {
 		return d, nil
 	}
-	rows := make([][]float64, d.N())
-	for u := 0; u < d.N(); u++ {
-		row := make([]float64, len(cols))
-		for i, c := range cols {
-			row[i] = d.scores[u][c]
-		}
-		rows[u] = row
-	}
-	out, err := New(d.name+"/projected", rows)
-	if err != nil {
-		return nil, err
-	}
-	if d.labels != nil {
-		out.SetLabels(d.labels)
-	}
-	return out, nil
+	return &Dataset{name: d.name + "/projected", scores: d.scores, sorted: d.sorted, labels: d.labels, cols: mapped}, nil
 }
 
 // Ranked is one entry of an oracle ranking.
@@ -189,8 +212,9 @@ func (d *Dataset) TopK(eval func([]float64) float64, k int) []Ranked {
 		k = n
 	}
 	all := make([]Ranked, n)
+	buf := make([]float64, d.M())
 	for u := 0; u < n; u++ {
-		all[u] = Ranked{Obj: u, Score: eval(d.scores[u])}
+		all[u] = Ranked{Obj: u, Score: eval(d.row(u, buf))}
 	}
 	sort.Slice(all, func(a, b int) bool {
 		// Descending: b below a.

@@ -17,6 +17,13 @@ type datasetJSON struct {
 // WriteJSON serializes the dataset.
 func (d *Dataset) WriteJSON(w io.Writer) error {
 	payload := datasetJSON{Name: d.name, Scores: d.scores}
+	if d.cols != nil {
+		// A projection serializes as the matrix it presents, not its parent's.
+		payload.Scores = make([][]float64, d.N())
+		for u := range payload.Scores {
+			payload.Scores[u] = d.Scores(u)
+		}
+	}
 	if d.labels != nil {
 		payload.Labels = d.labels
 	}

@@ -62,8 +62,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,12 +146,17 @@ type Config struct {
 	// queries. The zero value uses the breaker defaults (3 consecutive
 	// failures open a circuit for 1s).
 	Breaker topk.BreakerConfig
-	// WrapBackend, when non-nil, wraps each query's projected backend
-	// (cols maps the projection's predicates to dataset predicates). The
-	// chaos tests use it to splice a fault injector into the service's
-	// own execution path. With sharing enabled the wrapper sits above the
-	// shared layer, so injected faults hit each query's session (and its
-	// breakers) without poisoning the shared caches.
+	// WrapBackend, when non-nil, wraps the backend of each column
+	// projection (cols maps the projection's predicates to dataset
+	// predicates). It runs once per projection, when the handler builds
+	// that projection's engine, and every query over the projection then
+	// goes through the returned backend — so a wrapper with state (a fault
+	// injector's access counters and seeded rng) carries it from query to
+	// query until the engine is evicted. The chaos tests use it to splice
+	// a fault injector into the service's own execution path. With sharing
+	// enabled the wrapper sits above the shared layer, so injected faults
+	// hit each query's session (and its breakers) without poisoning the
+	// shared caches.
 	WrapBackend func(b topk.Backend, cols []int) topk.Backend
 
 	// AdaptivePeriod, when > 0, runs every default-pipeline query with
@@ -227,9 +232,17 @@ type Handler struct {
 	plans *topk.PlanCache
 
 	// shared is the cross-query access-sharing layer over the full
-	// dataset (nil unless Config.EnableSharing); per-query backends are
-	// projected views into it.
+	// dataset (nil unless Config.EnableSharing); per-projection backends
+	// are views into it.
 	shared *topk.SharedAccess
+
+	// engines caches one projection (engine, labels, resilience) per
+	// column list, most recently used first, at most maxEngines of them.
+	// Everything a projection is built from — Config, breakers, plan
+	// cache, sharing layer — is fixed for the handler's life, so entries
+	// never go stale and eviction is the only removal.
+	engMu   sync.Mutex
+	engines []*projection
 
 	// Cursor registry: open server-side cursors by id, their pooled state
 	// alive between requests. curPrefix makes ids unguessable across
@@ -601,11 +614,8 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 // (openCursor) share. opts deliberately excludes the context — one-shot
 // runs attach the HTTP request's, cursors rebind a fresh deadline per page.
 type prepared struct {
-	pq *sqlq.Query
-	// label names answer objects; the projected dataset's labels locally,
-	// the synthesized u<id> form in cluster mode (shards hold scores, not
-	// row metadata).
-	label func(int) string
+	pq    *sqlq.Query
+	label func(int) string // the projection's
 	eng   *topk.Engine
 	opts  []topk.RunOption
 	o     obs.Observer
@@ -618,8 +628,8 @@ type prepared struct {
 func clusterLabel(u int) string { return fmt.Sprintf("u%d", u) }
 
 // prepare parses, binds, and configures one query request against the
-// configured database: projection, scenario, backend composition (sharing,
-// chaos wrapper), engine, resilience, and the algorithm/budget/epsilon/
+// configured database: the cached projection its columns select (backend
+// composition, engine, resilience) and the algorithm/budget/epsilon/
 // parallel options. The engine run always feeds the service metrics; when
 // traced, a per-query trace rides along.
 func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error) {
@@ -640,64 +650,11 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		return nil, http.StatusBadRequest, err
 	}
 	planStart := time.Now()
-	var (
-		backend topk.Backend
-		label   func(int) string
-	)
-	switch {
-	case h.cfg.Cluster != nil:
-		v, verr := h.cfg.Cluster.View(cols)
-		if verr != nil {
-			return nil, http.StatusBadRequest, verr
-		}
-		backend, label = v, clusterLabel
-	case h.cfg.Store != nil:
-		v, verr := h.cfg.Store.View(cols)
-		if verr != nil {
-			return nil, http.StatusBadRequest, verr
-		}
-		// The store carries scores only; objects answer under the same
-		// generic labels the cluster mode uses.
-		backend, label = v, clusterLabel
-	default:
-		ds, derr := data.Project(h.cfg.Dataset, cols)
-		if derr != nil {
-			return nil, http.StatusBadRequest, derr
-		}
-		backend, label = topk.DataBackend(ds), ds.Label
-	}
-	scn := topk.Scenario{Name: h.cfg.Scenario.Name, Preds: make([]topk.PredCost, len(cols))}
-	for i, c := range cols {
-		scn.Preds[i] = h.cfg.Scenario.Preds[c]
-	}
-	if h.shared != nil {
-		// The shared layer is keyed by database predicate; the view maps
-		// this query's projection onto it, so queries over different
-		// column subsets still share the predicates they have in common.
-		backend = h.shared.View(cols)
-	}
-	if h.cfg.WrapBackend != nil {
-		backend = h.cfg.WrapBackend(backend, cols)
-	}
-	engOpts := []topk.EngineOption{topk.WithPlanCache(h.plans)}
-	if h.cfg.Store != nil {
-		// Fingerprint the store identity and its measured calibration into
-		// the shared plan cache: a re-calibration re-keys every plan.
-		engOpts = append(engOpts, topk.WithStore(h.cfg.Store, h.cfg.StoreCalibration))
-	}
-	if h.cfg.ContractGuard {
-		engOpts = append(engOpts, topk.WithContractGuard())
-	}
-	eng, err := topk.NewEngine(backend, scn, engOpts...)
+	proj, status, err := h.projectionFor(cols)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, status, err
 	}
-
-	res := &topk.Resilience{Breakers: h.breakers, Map: cols}
-	if h.cfg.AccessTimeout > 0 {
-		res.AccessTimeout = h.cfg.AccessTimeout
-	}
-	opts := []topk.RunOption{topk.WithObserver(o), topk.WithResilience(res)}
+	opts := []topk.RunOption{topk.WithObserver(o), topk.WithResilience(proj.res)}
 	switch alg := req.Algorithm; {
 	case alg == "" || alg == "opt":
 		// The engine's plan cache (shared across queries via h.plans)
@@ -732,7 +689,125 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
 	o.PhaseDone(obs.PhasePlan, time.Since(planStart))
-	return &prepared{pq: pq, label: label, eng: eng, opts: opts, o: o, tr: tr}, http.StatusOK, nil
+	return &prepared{pq: pq, label: proj.label, eng: proj.eng, opts: opts, o: o, tr: tr}, http.StatusOK, nil
+}
+
+// maxEngines bounds the projection cache. A database of m columns has more
+// projections than this once m > 3, but a served workload names few of
+// them; past the bound the least recently used engine is dropped and built
+// again on demand.
+const maxEngines = 32
+
+// projection is everything the queries over one column list share: the
+// engine — whose pool keeps their session, score table, queue and cursor
+// scratch warm — and the request-independent values beside it.
+type projection struct {
+	cols []int
+	eng  *topk.Engine
+	// label names answer objects; the dataset's labels locally, the
+	// synthesized u<id> form in cluster and store mode (shards and store
+	// files hold scores, not row metadata).
+	label func(int) string
+	res   *topk.Resilience
+}
+
+// projectionFor returns the cached projection for cols, building it on
+// first use. An evicted projection stays valid for any cursor still holding its
+// engine; it just stops being handed to new queries.
+func (h *Handler) projectionFor(cols []int) (*projection, int, error) {
+	if p := h.cachedProjection(cols, nil); p != nil {
+		return p, http.StatusOK, nil
+	}
+	// Built outside the lock: WrapBackend is caller code.
+	p, status, err := h.buildProjection(cols)
+	if err != nil {
+		return nil, status, err
+	}
+	return h.cachedProjection(cols, p), http.StatusOK, nil
+}
+
+// cachedProjection looks cols up and moves the hit to the front. On a miss
+// it installs fresh (when non-nil) at the front, evicting the least
+// recently used entry past maxEngines; a concurrent builder that got there
+// first wins, so one projection never runs on two engines — the contract
+// guard's cross-query witness lives in the engine.
+func (h *Handler) cachedProjection(cols []int, fresh *projection) *projection {
+	h.engMu.Lock()
+	defer h.engMu.Unlock()
+	for i, p := range h.engines {
+		if slices.Equal(p.cols, cols) {
+			copy(h.engines[1:i+1], h.engines[:i])
+			h.engines[0] = p
+			return p
+		}
+	}
+	if fresh == nil {
+		return nil
+	}
+	if len(h.engines) < maxEngines {
+		h.engines = append(h.engines, nil)
+	}
+	copy(h.engines[1:], h.engines)
+	h.engines[0] = fresh
+	return fresh
+}
+
+// buildProjection composes the backend for cols — database view, sharing
+// view, chaos wrapper — and the engine over it (the contract guard wraps
+// last, inside NewEngine), with the scenario and breaker map sliced to the
+// same columns.
+func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
+	cols = slices.Clone(cols)
+	var (
+		backend topk.Backend
+		label   = clusterLabel
+		err     error
+	)
+	switch {
+	case h.cfg.Cluster != nil:
+		backend, err = h.cfg.Cluster.View(cols)
+	case h.cfg.Store != nil:
+		backend, err = h.cfg.Store.View(cols)
+	default:
+		var ds *data.Dataset
+		if ds, err = data.Project(h.cfg.Dataset, cols); err == nil {
+			backend, label = topk.DataBackend(ds), ds.Label
+		}
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	scn := topk.Scenario{Name: h.cfg.Scenario.Name, Preds: make([]topk.PredCost, len(cols))}
+	for i, c := range cols {
+		scn.Preds[i] = h.cfg.Scenario.Preds[c]
+	}
+	if h.shared != nil {
+		// The shared layer is keyed by database predicate; the view maps
+		// this projection onto it, so queries over different column subsets
+		// still share the predicates they have in common.
+		backend = h.shared.View(cols)
+	}
+	if h.cfg.WrapBackend != nil {
+		backend = h.cfg.WrapBackend(backend, cols)
+	}
+	engOpts := []topk.EngineOption{topk.WithPlanCache(h.plans)}
+	if h.cfg.Store != nil {
+		// Fingerprint the store identity and its measured calibration into
+		// the shared plan cache: a re-calibration re-keys every plan.
+		engOpts = append(engOpts, topk.WithStore(h.cfg.Store, h.cfg.StoreCalibration))
+	}
+	if h.cfg.ContractGuard {
+		engOpts = append(engOpts, topk.WithContractGuard())
+	}
+	eng, err := topk.NewEngine(backend, scn, engOpts...)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	res := &topk.Resilience{Breakers: h.breakers, Map: cols}
+	if h.cfg.AccessTimeout > 0 {
+		res.AccessTimeout = h.cfg.AccessTimeout
+	}
+	return &projection{cols: cols, eng: eng, label: label, res: res}, http.StatusOK, nil
 }
 
 // execute runs one query request to completion. The context (the HTTP
@@ -749,11 +824,7 @@ func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*
 	}
 	ans, err := p.eng.Run(topk.Query{F: p.pq.Func, K: p.pq.K}, append(p.opts, topk.WithContext(ctx))...)
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "unknown algorithm") {
-			status = http.StatusBadRequest
-		}
-		return nil, status, err
+		return nil, http.StatusBadRequest, err
 	}
 
 	resp := &QueryResponse{
