@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,6 +95,72 @@ func TestAdaptiveNeverCostsMoreThanFrozen(t *testing.T) {
 	// the matrix the drift must actually trigger a mid-query re-plan.
 	if replans == 0 {
 		t.Error("no adaptive run re-planned under heavy drift")
+	}
+}
+
+// TestAdaptiveCursorOracle is the paged counterpart: an adaptive cursor
+// over the same drifted matrix re-plans mid-page on preserved state, so
+// every emitted prefix must still be the exact top-j, the trace must equal
+// the ledger after every page, and — one-shot execution being the single
+// full page of a cursor — a one-page adaptive cursor must be byte-identical
+// (items, ledger, plan) to the adaptive Run.
+func TestAdaptiveCursorOracle(t *testing.T) {
+	const (
+		n      = 300
+		period = 16
+	)
+	pages := []int{2, 3, 5}
+	replans := 0
+	for _, gamma := range []float64{4, 6} {
+		for _, cell := range figure2Cells(3, 10) {
+			for _, seed := range []int64{3, 11} {
+				t.Run(fmt.Sprintf("g%g/%s/seed%d", gamma, cell.name, seed), func(t *testing.T) {
+					ds := driftedDataset(t, n, 3, seed, gamma)
+					eng, err := NewEngine(DataBackend(ds), cell.scn)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cur, err := eng.Open(Query{F: Min(), K: 5}, WithAdaptive(period), WithTrace())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cur.Close()
+					var emitted []Item
+					for i, delta := range pages {
+						page, err := cur.Next(delta)
+						if err != nil {
+							t.Fatalf("page %d: %v", i, err)
+						}
+						emitted = append(emitted, page.Items...)
+						prefix := &Answer{Items: emitted, Ledger: page.Ledger, Trace: cur.Trace()}
+						assertExactTopK(t, ds, Min(), len(emitted), prefix)
+						checkConservation(t, fmt.Sprintf("page %d", i), prefix)
+					}
+					replans += len(cur.Trace().AdaptiveReplans)
+
+					run, err := eng.Run(Query{F: Min(), K: 5}, WithAdaptive(period))
+					if err != nil {
+						t.Fatal(err)
+					}
+					one, err := eng.Open(Query{F: Min(), K: 5}, WithAdaptive(period))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer one.Close()
+					page, err := one.Next(5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(page.Items, run.Items) || !reflect.DeepEqual(page.Ledger, run.Ledger) || !reflect.DeepEqual(page.Plan, run.Plan) {
+						t.Errorf("one-page adaptive cursor differs from adaptive Run:\n cursor %+v %+v %+v\n run    %+v %+v %+v",
+							page.Items, page.Ledger, page.Plan, run.Items, run.Ledger, run.Plan)
+					}
+				})
+			}
+		}
+	}
+	if replans == 0 {
+		t.Error("no adaptive cursor re-planned under heavy drift")
 	}
 }
 

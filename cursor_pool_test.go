@@ -13,13 +13,14 @@ import (
 )
 
 // TestCursorAllocGate bounds the steady-state cost of a full
-// open/page/close cycle on pooled state. The measured figure is ~15
-// allocations (facade cursor + page assembly + option closures); the gate
-// doubles it so machine noise never trips CI while an accidental
-// per-cycle table or queue rebuild (hundreds of allocations) always does.
+// open/page/close cycle on pooled state. Run is open → next(k) → close on
+// the same execution, so the cycle costs what a one-shot run does plus the
+// facade Cursor and Page (15 here); allocation counts are deterministic, so
+// the gate is the one-shot ceiling of BENCH_perf.json
+// (max_allocs_per_op_fixed), not a multiple of it.
 func TestCursorAllocGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc gate needs steady-state measurement")
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc gate needs steady-state measurement on a pool that keeps what it is given")
 	}
 	ds := mustGenerateDataset(t, "uniform", 100, 2, 5)
 	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 2))
@@ -37,8 +38,8 @@ func TestCursorAllocGate(t *testing.T) {
 		cur.Close()
 	}
 	cycle() // warm the pool to steady state
-	if got := testing.AllocsPerRun(100, cycle); got > 30 {
-		t.Errorf("open/page/close cycle allocates %.1f/op, gate is 30", got)
+	if got := testing.AllocsPerRun(100, cycle); got > 16 {
+		t.Errorf("open/page/close cycle allocates %.1f/op, gate is 16", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -366,6 +367,18 @@ func (s *Session) CurrentScenario() Scenario {
 	preds := make([]PredCost, len(s.current))
 	copy(preds, s.current)
 	return Scenario{Name: s.scn.Name + "/current", Preds: preds}
+}
+
+// RefreshPreds is CurrentScenario's change detector: it reports whether
+// the capabilities and unit costs currently in force differ from snap (an
+// earlier refresh) and, when they do, overwrites snap with them. Unlike
+// CurrentScenario it copies nothing while the scenario stands still.
+func (s *Session) RefreshPreds(snap []PredCost) ([]PredCost, bool) {
+	s.syncBreakers()
+	if slices.Equal(s.current, snap) {
+		return snap, false
+	}
+	return append(snap[:0], s.current...), true
 }
 
 // Costs returns the unit costs currently in force for predicate i. With

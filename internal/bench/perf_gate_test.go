@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	topk "repro"
+	"repro/internal/bench"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
 )
@@ -44,8 +45,8 @@ func loadPerfBaseline(t *testing.T) perfBaseline {
 }
 
 func TestServeAllocGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc gate needs steady-state measurement")
+	if testing.Short() || bench.RaceEnabled {
+		t.Skip("alloc gate needs steady-state measurement on a pool that keeps what it is given")
 	}
 	pb := loadPerfBaseline(t)
 	ds := datatest.MustGenerate(data.Uniform, 1000, 2, 42)

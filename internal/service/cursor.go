@@ -11,10 +11,8 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -68,9 +66,6 @@ func (h *Handler) nextCursorID() string {
 // it, and serves the first page (the query's "stop after k" answers).
 // Cursors always carry a trace so any later page may ask for ?trace=1.
 func (h *Handler) openCursor(req QueryRequest, traced bool) (*QueryResponse, int, error) {
-	if req.Parallel > 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("service: cursors are sequential; \"parallel\" applies to one-shot queries")
-	}
 	p, status, err := h.prepare(req, true)
 	if err != nil {
 		return nil, status, err
@@ -85,44 +80,33 @@ func (h *Handler) openCursor(req QueryRequest, traced bool) (*QueryResponse, int
 		_ = cur.Close()
 		return nil, http.StatusServiceUnavailable, err
 	}
-	page, pageNo, err := lc.produce(h, p.pq.K, nil)
+	resp, err := lc.produce(h, p.pq.K, nil, traced)
 	if err != nil {
 		h.unregister(lc, h.cursorClosed)
 		return nil, http.StatusInternalServerError, err
 	}
-	return lc.response(h, page, pageNo, traced), http.StatusOK, nil
+	return resp, http.StatusOK, nil
 }
 
 // handleNext serves POST /query/next: deepen an open cursor by k answers,
 // page it by score threshold, or close it. Pages run under the same
 // shedding, latency, and slow-query accounting as one-shot queries.
 func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errPayload{Error: "POST required"})
-		return
-	}
 	var req NextRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		h.queryKO.Inc()
-		writeJSON(w, http.StatusBadRequest, errPayload{Error: "bad request: " + err.Error()})
+	if !h.decodePost(w, r, &req) {
 		return
 	}
 	if req.Cursor == "" {
-		h.queryKO.Inc()
-		writeJSON(w, http.StatusBadRequest, errPayload{Error: "cursor id required"})
+		h.reject(w, http.StatusBadRequest, "cursor id required")
 		return
 	}
 	if req.K < 0 {
-		h.queryKO.Inc()
-		writeJSON(w, http.StatusBadRequest, errPayload{Error: "k must be >= 0"})
+		h.reject(w, http.StatusBadRequest, "k must be >= 0")
 		return
 	}
 	lc := h.lookup(req.Cursor)
 	if lc == nil {
-		h.queryKO.Inc()
-		writeJSON(w, http.StatusNotFound, errPayload{Error: "unknown cursor (closed, expired, or never opened): " + req.Cursor})
+		h.reject(w, http.StatusNotFound, "unknown cursor (closed, expired, or never opened): "+req.Cursor)
 		return
 	}
 	if req.Close {
@@ -131,42 +115,23 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, &QueryResponse{Query: lc.query, Cursor: lc.id, Closed: true})
 		return
 	}
-	if max := h.cfg.MaxInflight; max > 0 {
-		if h.inflight.Add(1) > int64(max) {
-			h.inflight.Add(-1)
-			h.metrics.RequestShed()
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errPayload{Error: "service overloaded; retry later"})
-			return
-		}
-		defer h.inflight.Add(-1)
-	}
-	start := time.Now()
-	page, pageNo, err := lc.produce(h, req.K, req.Tau)
-	elapsed := time.Since(start)
-	h.querySec.Observe(elapsed.Seconds())
-	if t := h.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
-		h.slowTotal.Inc()
-		h.logger.Printf("service: slow cursor page (%v >= %v): %.120q", elapsed, t, lc.query)
-	}
-	if err != nil {
-		h.queryKO.Inc()
-		status := http.StatusBadRequest
+	h.serve(w, r, "cursor page", lc.query, func(traced bool) (*QueryResponse, int, error) {
+		resp, err := lc.produce(h, req.K, req.Tau, traced)
 		if errors.Is(err, topk.ErrCursorClosed) {
 			// The reaper or a concurrent close won the race after lookup.
-			status = http.StatusNotFound
+			return nil, http.StatusNotFound, err
 		}
-		writeJSON(w, status, errPayload{Error: err.Error()})
-		return
-	}
-	h.queryOK.Inc()
-	writeJSON(w, http.StatusOK, lc.response(h, page, pageNo, r.URL.Query().Get("trace") == "1"))
+		return resp, http.StatusBadRequest, err
+	})
 }
 
-// produce runs one page under its own deadline. The session — and the
-// paid-for state behind it — survives between requests, so each page binds
-// a fresh QueryTimeout context for just the duration of the call.
-func (lc *liveCursor) produce(h *Handler, k int, tau *float64) (*topk.Page, int, error) {
+// produce runs one page under its own deadline and assembles its response:
+// the page's new answers, the cursor's cumulative bill, and — when asked —
+// the cumulative trace tagged with the cursor's identity. The session —
+// and the paid-for state behind it — survives between requests, so each
+// page binds a fresh QueryTimeout context for just the duration of the
+// call.
+func (lc *liveCursor) produce(h *Handler, k int, tau *float64, traced bool) (*QueryResponse, error) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.touch()
@@ -186,54 +151,21 @@ func (lc *liveCursor) produce(h *Handler, k int, tau *float64) (*topk.Page, int,
 	lc.cur.Bind(nil)
 	cancel()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	lc.page++
 	h.cursorPages.Inc()
 	lc.touch()
-	return page, lc.page, nil
-}
-
-// response assembles a paged QueryResponse: the page's new answers, the
-// cursor's cumulative bill, and — when asked — the cumulative trace tagged
-// with the cursor's identity.
-func (lc *liveCursor) response(h *Handler, page *topk.Page, pageNo int, traced bool) *QueryResponse {
-	resp := &QueryResponse{
-		Query:          lc.query,
-		Cost:           page.Ledger.TotalCost.Units(),
-		Truncated:      page.Truncated,
-		SortedAccesses: page.Ledger.SortedCounts,
-		RandomAccesses: page.Ledger.RandomCounts,
-		Degraded:       page.Degraded,
-		Cursor:         lc.id,
-		Page:           pageNo,
-		Exhausted:      page.Exhausted,
+	tr := lc.tr
+	if !traced {
+		tr = nil
 	}
-	for _, it := range page.Items {
-		resp.Items = append(resp.Items, QueryItem{
-			Object: it.Obj,
-			Label:  lc.label(it.Obj),
-			Score:  it.Score,
-			Exact:  it.Exact,
-		})
+	resp := h.respond(lc.query, lc.label, page, tr)
+	resp.Cursor, resp.Page = lc.id, lc.page
+	if resp.Trace != nil {
+		resp.Trace.Cursor = &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}
 	}
-	if page.Plan != nil {
-		resp.Plan = &PlanPayload{H: page.Plan.H, Omega: page.Plan.Omega}
-	}
-	if traced && lc.tr != nil {
-		snap := lc.tr.Snapshot()
-		snap.Cursor = &obs.CursorTrace{ID: lc.id, Page: pageNo, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}
-		resp.Trace = &snap
-		if h.shared != nil {
-			s := h.shared.Stats()
-			resp.Share = &s
-		}
-		if h.cfg.Cluster != nil {
-			cs := h.cfg.Cluster.Stats()
-			resp.Cluster = &cs
-		}
-	}
-	return resp
+	return resp, nil
 }
 
 // register adds a cursor to the registry, enforcing the open-cursor cap,

@@ -559,19 +559,34 @@ func (h *Handler) handleMeta(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
+// decodePost is the front half of both POST endpoints: it enforces the
+// method and decodes the JSON body into req, answering the request itself
+// (and reporting false) when either fails.
+func (h *Handler) decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errPayload{Error: "POST required"})
-		return
+		return false
 	}
-	var req QueryRequest
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		h.queryKO.Inc()
-		writeJSON(w, http.StatusBadRequest, errPayload{Error: "bad request: " + err.Error()})
-		return
+	if err := dec.Decode(req); err != nil {
+		h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
+		return false
 	}
+	return true
+}
+
+// reject answers a failed request and counts it.
+func (h *Handler) reject(w http.ResponseWriter, status int, msg string) {
+	h.queryKO.Inc()
+	writeJSON(w, status, errPayload{Error: msg})
+}
+
+// serve is the back half of both POST endpoints: shed past MaxInflight,
+// run the engine work under the latency histogram and the slow-query log
+// (what names the unit of work, query the SQL it belongs to), count the
+// outcome and write the response.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, what, query string, run func(traced bool) (*QueryResponse, int, error)) {
 	if max := h.cfg.MaxInflight; max > 0 {
 		if h.inflight.Add(1) > int64(max) {
 			h.inflight.Add(-1)
@@ -583,30 +598,32 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer h.inflight.Add(-1)
 	}
 	start := time.Now()
-	traced := r.URL.Query().Get("trace") == "1"
-	var (
-		resp   *QueryResponse
-		status int
-		err    error
-	)
-	if req.Cursor {
-		resp, status, err = h.openCursor(req, traced)
-	} else {
-		resp, status, err = h.execute(r.Context(), req, traced)
-	}
+	resp, status, err := run(r.URL.Query().Get("trace") == "1")
 	elapsed := time.Since(start)
 	h.querySec.Observe(elapsed.Seconds())
 	if t := h.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
 		h.slowTotal.Inc()
-		h.logger.Printf("service: slow query (%v >= %v): %.120q", elapsed, t, req.SQL)
+		h.logger.Printf("service: slow %s (%v >= %v): %.120q", what, elapsed, t, query)
 	}
 	if err != nil {
-		h.queryKO.Inc()
-		writeJSON(w, status, errPayload{Error: err.Error()})
+		h.reject(w, status, err.Error())
 		return
 	}
 	h.queryOK.Inc()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !h.decodePost(w, r, &req) {
+		return
+	}
+	h.serve(w, r, "query", req.SQL, func(traced bool) (*QueryResponse, int, error) {
+		if req.Cursor {
+			return h.openCursor(req, traced)
+		}
+		return h.execute(r.Context(), req, traced)
+	})
 }
 
 // prepared is one parsed, bound, and configured query that has not run
@@ -618,7 +635,6 @@ type prepared struct {
 	label func(int) string // the projection's
 	eng   *topk.Engine
 	opts  []topk.RunOption
-	o     obs.Observer
 	tr    *obs.QueryTrace
 }
 
@@ -689,7 +705,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
 	o.PhaseDone(obs.PhasePlan, time.Since(planStart))
-	return &prepared{pq: pq, label: proj.label, eng: proj.eng, opts: opts, o: o, tr: tr}, http.StatusOK, nil
+	return &prepared{pq: pq, label: proj.label, eng: proj.eng, opts: opts, tr: tr}, http.StatusOK, nil
 }
 
 // maxEngines bounds the projection cache. A database of m columns has more
@@ -826,28 +842,39 @@ func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
+	// A one-shot answer is the single page of the cursor it never opened.
+	page := topk.Page{Items: ans.Items, Ledger: ans.Ledger, Truncated: ans.Truncated, Degraded: ans.Degraded, Plan: ans.Plan}
+	return h.respond(p.pq.String(), p.label, &page, p.tr), http.StatusOK, nil
+}
 
+// respond assembles the response every answering path shares: the page's
+// items under the projection's labels, the cumulative bill, the plan in
+// force and — when tr is non-nil — the trace with the sharing layer's and
+// the cluster's snapshots beside it. Cursor pages add their pagination
+// fields on top.
+func (h *Handler) respond(query string, label func(int) string, page *topk.Page, tr *obs.QueryTrace) *QueryResponse {
 	resp := &QueryResponse{
-		Query:          p.pq.String(),
-		Cost:           ans.TotalCost().Units(),
-		Truncated:      ans.Truncated,
-		SortedAccesses: ans.Ledger.SortedCounts,
-		RandomAccesses: ans.Ledger.RandomCounts,
-		Degraded:       ans.Degraded,
+		Query:          query,
+		Cost:           page.Ledger.TotalCost.Units(),
+		Truncated:      page.Truncated,
+		SortedAccesses: page.Ledger.SortedCounts,
+		RandomAccesses: page.Ledger.RandomCounts,
+		Degraded:       page.Degraded,
+		Exhausted:      page.Exhausted,
 	}
-	for _, it := range ans.Items {
+	for _, it := range page.Items {
 		resp.Items = append(resp.Items, QueryItem{
 			Object: it.Obj,
-			Label:  p.label(it.Obj),
+			Label:  label(it.Obj),
 			Score:  it.Score,
 			Exact:  it.Exact,
 		})
 	}
-	if ans.Plan != nil {
-		resp.Plan = &PlanPayload{H: ans.Plan.H, Omega: ans.Plan.Omega}
+	if page.Plan != nil {
+		resp.Plan = &PlanPayload{H: page.Plan.H, Omega: page.Plan.Omega}
 	}
-	if p.tr != nil {
-		snap := p.tr.Snapshot()
+	if tr != nil {
+		snap := tr.Snapshot()
 		resp.Trace = &snap
 		if h.shared != nil {
 			s := h.shared.Stats()
@@ -858,7 +885,7 @@ func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*
 			resp.Cluster = &cs
 		}
 	}
-	return resp, http.StatusOK, nil
+	return resp
 }
 
 // PlanCacheHits reports how many queries were answered with a cached plan

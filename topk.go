@@ -28,6 +28,7 @@ package topk
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -229,16 +230,22 @@ type Engine struct {
 	pool sync.Pool // of *queryState
 }
 
-// queryState is the per-query allocation unit the engine recycles.
+// queryState is the per-query allocation unit the engine recycles: the
+// access session, the framework scratch, and the execution assembled over
+// them — so neither Run nor Open allocates the pipeline itself.
 type queryState struct {
 	sess    *access.Session
-	scratch algo.Scratch //topklint:allow resetcomplete re-prepared from the plan by every RunScratch before use
+	scratch algo.Scratch //topklint:allow resetcomplete re-prepared from the plan by every Open before use
+	ex      execution
 }
 
 // Reset restores recycled state for a new query: the session re-arms its
-// budget and bookkeeping under the new options. The scratch needs no work
-// here — every RunScratch re-prepares it from the plan before use.
+// budget and bookkeeping under the new options and the previous execution
+// is dropped (only its scenario-snapshot buffer is kept for reuse). The
+// scratch needs no work here — every Open re-prepares it from the plan
+// before use.
 func (st *queryState) Reset(sessOpts []access.Option) error {
+	st.ex = execution{planScn: st.ex.planScn[:0]}
 	return st.sess.Reset(sessOpts...)
 }
 
@@ -264,15 +271,22 @@ func (e *Engine) acquire(sessOpts []access.Option) (*queryState, error) {
 	return &queryState{sess: sess}, nil
 }
 
-// optimize resolves a plan through the attached cache, or directly. With
-// a sharing layer attached, the scenario's expected costs are discounted
-// by the layer's observed (quantized) hit rates before planning — shared
+// shareDiscounts fills the optimizer's expected-cost discounts from the
+// attached sharing layer's observed (quantized) hit rates — shared
 // accesses never reach the sources, so the optimizer should not price
 // them at full cost. Explicit discounts in cfg win.
-func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
+func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
 	if e.share != nil && cfg.SortedDiscount == 0 && cfg.RandomDiscount == 0 {
 		cfg.SortedDiscount, cfg.RandomDiscount = e.share.Stats().Discounts()
 	}
+	return cfg
+}
+
+// optimize resolves a plan through the attached cache, or directly, priced
+// under the sharing discounts and keyed by the cluster membership and
+// storage calibration the engine runs against.
+func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
+	cfg = e.shareDiscounts(cfg)
 	if cfg.ClusterKey == "" {
 		cfg.ClusterKey = clusterKeyOf(e.backend)
 	}
@@ -283,6 +297,48 @@ func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n i
 		return e.planCache.Get(cfg, scn, f, k, n)
 	}
 	return opt.Optimize(cfg, scn, f, k, n)
+}
+
+// resolvePlan is the one plan-resolution step every entry point shares
+// (Run, Open, page-boundary re-plans, the live executor, Explain): the
+// fixed WithNC configuration, the optimizer's choice (through optimize, so
+// sharing discounts, fingerprint keys and the plan cache always apply), or
+// nothing for a named algorithm. The optimizer prices the scenario the
+// session currently sees — breaker degradation and cost shifts included —
+// or, without a session (Explain, the live executor), the engine's. It
+// returns the SR/G selector to execute and the optimizer's plan when one
+// was made.
+func (e *Engine) resolvePlan(spec *runSpec, o obs.Observer, sess *access.Session, q Query) (*algo.SRG, *Plan, error) {
+	if spec.algorithm != nil {
+		return nil, nil, nil
+	}
+	h, omega := spec.h, spec.omega
+	var plan *Plan
+	if h == nil {
+		cfg := spec.optCfg
+		cfg.DisableNWG = !e.nwg
+		if o != nil {
+			cfg.Observer = o
+		}
+		scn := e.scn
+		if sess != nil {
+			scn = sess.CurrentScenario()
+		}
+		start := time.Now()
+		p, err := e.optimize(cfg, scn, q.F, q.K, e.backend.N())
+		if o != nil {
+			o.PhaseDone(obs.PhaseOptimize, time.Since(start))
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		plan, h, omega = &p, p.H, p.Omega
+	}
+	sel, err := algo.NewSRG(h, omega)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sel, plan, nil
 }
 
 // membershipKeyed is the capability a distributed backend (the cluster
@@ -313,46 +369,40 @@ func clusterKeyOf(b Backend) string {
 	return ""
 }
 
-// newAdapter wires the adaptive layer's re-plan loop to this engine:
-// checkpoint re-plans go through optimize — so they get the sharing
-// discounts and hit the plan cache under the observation-extended key —
-// the scenario-change probe watches the live session, and apply installs
-// each new plan on the running execution.
-func (e *Engine) newAdapter(spec *runSpec, sess *access.Session, q Query, o obs.Observer, initial *Plan, apply func(Plan) error) *adapt.Adapter {
-	base := spec.optCfg
-	base.DisableNWG = !e.nwg
-	base.Observer = o
-	lastPreds := snapshotPreds(sess.CurrentScenario())
+// newAdapter wires the adaptive layer's monitor to an execution — the one
+// place a WithAdaptive run gets its checkpoint hook. On NC under the
+// default pipeline or WithNC the adapter re-plans: checkpoint re-plans go
+// through optimize (sharing discounts, plan cache under the
+// observation-extended key), the scenario-change probe is the execution's
+// own, and install swaps each new plan into the running cursor. TA and
+// MPro have no plan degrees of freedom, so their adapter stays
+// telemetry-only (divergence checkpoints, no re-plans).
+func (e *Engine) newAdapter(x *execution) *adapt.Adapter {
+	spec, sess, q := x.spec, x.st.sess, x.q
 	a := &adapt.Adapter{
-		Mon:  adapt.NewMonitor(adapt.Config{Period: spec.period}),
-		Base: base,
-		PlanFunc: func(cfg OptimizerConfig) (Plan, error) {
-			return e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
-		},
-		// EstimateFunc prices the incumbent plan under the re-plan's
-		// observation-warped model (same discounts as PlanFunc) so the
-		// adapter only swaps plans whose modelled advantage clears the
-		// switching cost.
-		EstimateFunc: func(cfg OptimizerConfig, h []float64, omega []int) (access.Cost, error) {
-			if e.share != nil && cfg.SortedDiscount == 0 && cfg.RandomDiscount == 0 {
-				cfg.SortedDiscount, cfg.RandomDiscount = e.share.Stats().Discounts()
-			}
-			return opt.EstimateConfiguration(cfg, sess.CurrentScenario(), q.F, q.K, sess.N(), h, omega)
-		},
-		ApplyFunc: apply,
-		Obs:       o,
-		Scenario:  sess.CurrentScenario,
-		ScenarioChanged: func() bool {
-			cur := sess.CurrentScenario()
-			if predsEqual(cur.Preds, lastPreds) {
-				return false
-			}
-			lastPreds = snapshotPreds(cur)
-			return true
-		},
+		Mon:             adapt.NewMonitor(adapt.Config{Period: spec.period}),
+		Base:            spec.optCfg,
+		Obs:             x.obsv,
+		Scenario:        sess.CurrentScenario,
+		ScenarioChanged: x.scenarioChanged,
 	}
-	if initial != nil {
-		a.Incumbent = *initial
+	a.Base.DisableNWG = !e.nwg
+	a.Base.Observer = x.obsv
+	if spec.algorithm != nil {
+		return a
+	}
+	a.PlanFunc = func(cfg OptimizerConfig) (Plan, error) {
+		return e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
+	}
+	// EstimateFunc prices the incumbent plan under the re-plan's
+	// observation-warped model (same discounts as PlanFunc) so the adapter
+	// only swaps plans whose modelled advantage clears the switching cost.
+	a.EstimateFunc = func(cfg OptimizerConfig, h []float64, omega []int) (access.Cost, error) {
+		return opt.EstimateConfiguration(e.shareDiscounts(cfg), sess.CurrentScenario(), q.F, q.K, sess.N(), h, omega)
+	}
+	a.ApplyFunc = x.install
+	if x.plan != nil {
+		a.Incumbent = *x.plan
 	}
 	return a
 }
@@ -475,7 +525,8 @@ func (e *Engine) GuardViolations() map[string]int {
 
 // runSpec captures the execution strategy chosen through RunOptions.
 type runSpec struct {
-	algorithm  algo.Algorithm // nil = optimize
+	algorithm  algo.Algorithm // nil = NC (optimized, or fixed by h)
+	err        error          // an option that could not be resolved (unknown algorithm name)
 	h          []float64      // fixed NC configuration
 	omega      []int
 	optCfg     OptimizerConfig
@@ -485,11 +536,112 @@ type runSpec struct {
 	liveB      int
 	epsilon    float64
 	budget     float64
+	budgetCost Cost // budget in fixed point, set by newSpec
 	hasBudget  bool
 	ctx        context.Context
 	observer   obs.Observer
 	trace      bool
 	resilience *access.Resilience
+}
+
+// mode is one bit per execution mode a run can select. The set a run
+// selects is checked against the incompatible table before anything is
+// acquired or billed.
+type mode uint16
+
+const (
+	modeResumable  mode = 1 << iota // WithAlgorithm naming TA or MPro
+	modeBatch                       // WithAlgorithm naming any other baseline
+	modeNC                          // WithNC
+	modeAdaptive                    // WithAdaptive
+	modeParallel                    // WithParallel
+	modeLive                        // WithLive
+	modeApprox                      // WithApproximation
+	modeBudget                      // WithBudget
+	modeResilience                  // WithResilience
+	modeShifts                      // engine built WithCostShifts
+	modeCursor                      // entered through Engine.Open
+
+	modeNamed = modeResumable | modeBatch
+)
+
+// modeNames spells each mode bit, in bit order, for error messages; a set of
+// several modes prints as its lowest bit.
+var modeNames = [...]string{
+	"WithAlgorithm (TA, MPro)", "WithAlgorithm (batch-only baseline)", "WithNC", "WithAdaptive",
+	"WithParallel", "WithLive", "WithApproximation", "WithBudget", "WithResilience",
+	"WithCostShifts", "Engine.Open",
+}
+
+func (m mode) String() string { return modeNames[bits.TrailingZeros16(uint16(m))] }
+
+// incompatible is the mode-compatibility table (DESIGN.md §10): a run
+// selecting mode a together with any mode in b is rejected; every pair not
+// listed composes. Run and Open consult the same table, so the two entry
+// points cannot drift.
+var incompatible = [...]struct {
+	a, b mode
+	why  string
+}{
+	{modeNC, modeNamed,
+		"a named baseline has no SR/G configuration to fix"},
+	{modeApprox, modeNamed | modeAdaptive | modeParallel | modeLive,
+		"approximation relaxes the emission rule of sequential NC under its initial plan only"},
+	{modeParallel, modeNamed | modeAdaptive,
+		"the simulated executor dispatches one frozen SR/G selector"},
+	{modeLive, modeNamed | modeAdaptive | modeParallel | modeBudget | modeResilience | modeShifts,
+		"the live executor drives one frozen SR/G selector and bypasses the access session that enforces budgets, breakers and simulated shifts"},
+	{modeAdaptive, modeBatch,
+		"a batch-only baseline exposes no per-access hook to monitor"},
+	{modeCursor, modeBatch | modeParallel | modeLive,
+		"only NC, TA and MPro suspend between pages"},
+}
+
+// newSpec folds the options into a runSpec and passes it through the single
+// gate every execution clears before any state is acquired or any access
+// billed: option values first, then the mode combination against the
+// incompatible table.
+func (e *Engine) newSpec(opts []RunOption, cursor bool) (*runSpec, error) {
+	r := &runSpec{}
+	for _, o := range opts {
+		o(r)
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.epsilon < 0 {
+		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", r.epsilon)
+	}
+	if r.hasBudget {
+		if r.budget <= 0 {
+			return nil, fmt.Errorf("topk: budget must be positive, got %g", r.budget)
+		}
+		var err error
+		if r.budgetCost, err = access.CostFromUnits(r.budget); err != nil {
+			return nil, fmt.Errorf("topk: budget: %w", err)
+		}
+	}
+	resumable := false
+	switch r.algorithm.(type) {
+	case algo.TA, algo.MPro:
+		resumable = true
+	}
+	var m mode
+	for i, on := range [...]bool{ // in bit order
+		resumable, r.algorithm != nil && !resumable, r.h != nil, r.adaptive,
+		r.parallelB > 0, r.liveB > 0, r.epsilon > 0, r.hasBudget, r.resilience != nil,
+		len(e.shifts) > 0, cursor,
+	} {
+		if on {
+			m |= 1 << i
+		}
+	}
+	for _, row := range incompatible {
+		if m&row.a != 0 && m&row.b != 0 {
+			return nil, fmt.Errorf("topk: %v cannot be combined with %v: %s", row.a, m&row.b, row.why)
+		}
+	}
+	return r, nil
 }
 
 // resolveObserver combines the user observer with the run's trace (when
@@ -507,27 +659,26 @@ func (r *runSpec) resolveObserver() (obs.Observer, *obs.QueryTrace) {
 	return obs.Multi(r.observer, tr), tr
 }
 
-func (r *runSpec) context() context.Context {
-	if r.ctx != nil {
-		return r.ctx
+// snapshotTrace renders a run's trace for its answer (nil without
+// WithTrace).
+func snapshotTrace(tr *obs.QueryTrace) *TraceSnapshot {
+	if tr == nil {
+		return nil
 	}
-	return context.Background()
+	snap := tr.Snapshot()
+	return &snap
 }
 
-// RunOption selects how a query is executed.
+// RunOption selects how a query is executed. Which options compose is one
+// table, in DESIGN.md §10 (the incompatible table in this file); Run and
+// Open both reject any other combination before billing an access.
 type RunOption func(*runSpec)
 
 // WithAlgorithm runs a named baseline: "FA", "TA", "CA", "NRA", "MPro",
-// "Upper", "Quick-Combine", or "Stream-Combine".
+// "Upper", "Quick-Combine", or "Stream-Combine". TA and MPro are
+// resumable (Open accepts them); the others are batch-only.
 func WithAlgorithm(name string) RunOption {
-	return func(r *runSpec) {
-		alg, err := algo.ByName(name)
-		if err != nil {
-			r.algorithm = errAlgorithm{err}
-			return
-		}
-		r.algorithm = alg
-	}
+	return func(r *runSpec) { r.algorithm, r.err = algo.ByName(name) }
 }
 
 // WithNC runs Framework NC with a fixed SR/G configuration: depths h (one
@@ -555,16 +706,15 @@ func WithOptimizer(cfg OptimizerConfig) RunOption {
 // extreme the estimator's sample is flagged stale and the re-plan routes
 // to the statistics-free greedy planner instead. Scenario changes (cost
 // shifts, breaker flips) also trigger checkpoint re-plans, subsuming the
-// earlier costs-only adaptivity. Applies to NC-based execution; on TA
-// cursors the monitor attaches telemetry-only (TA has no plan to change).
+// earlier costs-only adaptivity. On TA and MPro, which have no plan to
+// change, the monitor attaches telemetry-only.
 func WithAdaptive(period int) RunOption {
 	return func(r *runSpec) { r.adaptive, r.period = true, period }
 }
 
 // WithParallel executes under a bounded-concurrency simulated executor
-// with at most b concurrent accesses. Combines with WithNC or the
-// optimizer (the chosen plan's selector drives dispatch); not compatible
-// with named baselines.
+// with at most b concurrent accesses; the fixed or optimized plan's
+// selector drives dispatch.
 func WithParallel(b int) RunOption {
 	return func(r *runSpec) { r.parallelB = b }
 }
@@ -572,7 +722,6 @@ func WithParallel(b int) RunOption {
 // WithLive executes with real concurrent backend requests (goroutines)
 // bounded by b — for engines whose backend is a live source such as the
 // HTTP web-source client. The answer's Wall field reports measured time.
-// Not compatible with named baselines, WithAdaptive, or cost shifts.
 func WithLive(b int) RunOption {
 	return func(r *runSpec) { r.liveB = b }
 }
@@ -619,8 +768,7 @@ func WithTrace() RunOption {
 // best current candidates with Truncated set and the reasons in the
 // Answer's Degraded field — the same anytime contract as WithBudget.
 // Share one BreakerSet across runs so breaker state carries across
-// queries. Applies to session-based execution; not compatible with
-// WithLive.
+// queries.
 func WithResilience(r *Resilience) RunOption {
 	return func(spec *runSpec) { spec.resilience = r }
 }
@@ -629,37 +777,45 @@ func WithResilience(r *Resilience) RunOption {
 // returned object u is guaranteed (1+epsilon)*F(u) >= F(v) for every
 // object v left out, usually at a fraction of the exact cost.
 // Approximately-emitted items carry Exact=false and their final lower
-// bound as Score. Applies to NC-based execution (default, WithNC).
+// bound as Score.
 func WithApproximation(epsilon float64) RunOption {
 	return func(r *runSpec) { r.epsilon = epsilon }
 }
 
-type errAlgorithm struct{ err error }
+// execution is one query's pipeline, assembled once by begin from a
+// validated runSpec: pooled state, session, resolved plan, pager and
+// adaptive monitor. Run is begin → next(K) → close on it; Open hands the
+// same value out behind a Cursor. It lives inside its queryState, so
+// building one allocates nothing.
+type execution struct {
+	eng  *Engine
+	st   *queryState // pooled session and scratch the run executes on
+	q    Query
+	spec *runSpec
+	obsv Observer
+	tr   *obs.QueryTrace
 
-func (e errAlgorithm) Name() string                            { return "error" }
-func (e errAlgorithm) Run(*algo.Problem) (*algo.Result, error) { return nil, e.err }
+	// pager is the suspended run (NC, TA or MPro cursor); nc is the same
+	// cursor when it is NC-shaped (score-range paging, plan swaps). A
+	// batch-only run — a baseline without a resumable form, the simulated
+	// parallel executor — has no pager: batch is its single page.
+	pager algo.Pager
+	nc    *algo.Cursor
+	batch func() (*algo.Result, error)
 
-// Run executes a query. By default it runs the full cost-based pipeline:
-// optimize an SR/G configuration for this engine's scenario (HClimb over a
-// dummy sample unless configured otherwise), then execute Framework NC
-// with it.
-func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
-	var spec runSpec
-	for _, o := range opts {
-		o(&spec)
-	}
-	if spec.epsilon < 0 {
-		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", spec.epsilon)
-	}
-	if spec.epsilon > 0 && (spec.algorithm != nil || spec.adaptive || spec.parallelB > 0 || spec.liveB > 0) {
-		return nil, fmt.Errorf("topk: WithApproximation applies only to sequential NC execution")
-	}
-	if spec.liveB > 0 {
-		if spec.resilience != nil {
-			return nil, fmt.Errorf("topk: WithResilience is not compatible with WithLive (the live executor bypasses the session)")
-		}
-		return e.runLive(q, spec)
-	}
+	// plan is the optimizer's SR/G configuration in force (nil under WithNC
+	// until an adaptive re-plan, and for named algorithms); planScn is the
+	// scenario it was made against, for change detection.
+	plan    *Plan
+	planScn []PredCost
+	elapsed float64 // simulated elapsed time of a WithParallel run
+}
+
+// begin assembles the execution for a validated spec — the only place
+// session options are put together, state is acquired, the plan resolved,
+// the pager built and the adaptive monitor attached. Every failure returns
+// the pooled state.
+func (e *Engine) begin(q Query, spec *runSpec) (*execution, error) {
 	o, tr := spec.resolveObserver()
 	var sessOpts []access.Option
 	if !e.nwg {
@@ -672,14 +828,7 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 		sessOpts = append(sessOpts, access.WithResilience(spec.resilience))
 	}
 	if spec.hasBudget {
-		if spec.budget <= 0 {
-			return nil, fmt.Errorf("topk: budget must be positive, got %g", spec.budget)
-		}
-		budget, berr := access.CostFromUnits(spec.budget)
-		if berr != nil {
-			return nil, fmt.Errorf("topk: budget: %w", berr)
-		}
-		sessOpts = append(sessOpts, access.WithBudget(budget))
+		sessOpts = append(sessOpts, access.WithBudget(spec.budgetCost))
 	}
 	if spec.ctx != nil {
 		sessOpts = append(sessOpts, access.WithContext(spec.ctx))
@@ -687,130 +836,174 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 	if o != nil {
 		sessOpts = append(sessOpts, access.WithObserver(o))
 	}
-	// Sequential runs draw their session and framework scratch from the
-	// engine's pool; the concurrent executor manages its own lifecycle, so
-	// its session stays unpooled.
-	var (
-		sess *access.Session
-		st   *queryState
-	)
-	if spec.parallelB == 0 {
-		var aerr error
-		if st, aerr = e.acquire(sessOpts); aerr != nil {
-			return nil, aerr
-		}
-		sess = st.sess
-		defer e.pool.Put(st)
-	} else {
-		var serr error
-		if sess, serr = access.NewSession(e.backend, e.scn, sessOpts...); serr != nil {
-			return nil, serr
-		}
-	}
-	prob, err := algo.NewProblem(q.F, q.K, sess)
+	st, err := e.acquire(sessOpts)
 	if err != nil {
 		return nil, err
 	}
-
-	ans := &Answer{}
-	attachTrace := func() {
-		if tr != nil {
-			snap := tr.Snapshot()
-			ans.Trace = &snap
-		}
+	x := &st.ex
+	x.eng, x.st, x.q, x.spec, x.obsv, x.tr = e, st, q, spec, o, tr
+	if err := x.build(); err != nil {
+		x.close()
+		return nil, err
 	}
+	return x, nil
+}
 
-	// Resolve the SR/G configuration when one is needed (fixed, optimized,
-	// or none for named baselines).
-	needPlan := spec.algorithm == nil && spec.h == nil
-	if spec.parallelB > 0 && spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithParallel cannot run named baseline algorithms")
+// build resolves the plan and constructs the pager over the session.
+func (x *execution) build() error {
+	spec, sess := x.spec, x.st.sess
+	prob, err := algo.NewProblem(x.q.F, x.q.K, sess)
+	if err != nil {
+		return err
 	}
-	var h []float64
-	var omega []int
-	if spec.h != nil {
-		h, omega = spec.h, spec.omega
-	} else if needPlan {
-		cfg := spec.optCfg
-		cfg.DisableNWG = !e.nwg
-		cfg.Observer = o
-		optStart := time.Now()
-		plan, err := e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
-		if o != nil {
-			o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-		}
-		if err != nil {
-			return nil, err
-		}
-		ans.Plan = &plan
-		h, omega = plan.H, plan.Omega
+	sel, plan, err := x.eng.resolvePlan(spec, x.obsv, sess, x.q)
+	if err != nil {
+		return err
 	}
-
-	execStart := time.Now()
-	execDone := func() {
-		if o != nil {
-			o.PhaseDone(obs.PhaseExecute, time.Since(execStart))
-		}
+	x.plan = plan
+	x.scenarioChanged() // anchors planScn to the scenario the plan was made against
+	var mon algo.AccessObserver
+	if spec.adaptive {
+		mon = x.eng.newAdapter(x)
 	}
-
-	if spec.parallelB > 0 {
-		if spec.adaptive {
-			return nil, fmt.Errorf("topk: WithParallel cannot be combined with WithAdaptive")
-		}
-		sel, err := algo.NewSRG(h, omega)
-		if err != nil {
-			return nil, err
-		}
-		res, err := (&parallel.Executor{B: spec.parallelB, Sel: sel, Obs: o}).Run(spec.context(), prob)
-		execDone()
-		if err != nil {
-			return nil, err
-		}
-		ans.Items, ans.Ledger, ans.Elapsed = res.Items, res.Ledger, res.Elapsed
-		attachTrace()
-		return ans, nil
-	}
-
-	var alg algo.Algorithm
-	switch {
-	case spec.algorithm != nil:
-		alg = spec.algorithm
-	case spec.adaptive:
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return nil, serr
-		}
-		nc := &algo.NC{Sel: sel, Obs: o}
-		nc.Monitor = e.newAdapter(&spec, sess, q, o, ans.Plan, func(p Plan) error {
-			s2, aerr := algo.NewSRG(p.H, p.Omega)
-			if aerr != nil {
-				return aerr
+	switch alg := spec.algorithm.(type) {
+	case nil:
+		if spec.parallelB > 0 {
+			ex := &parallel.Executor{B: spec.parallelB, Sel: sel, Obs: x.obsv}
+			x.batch = func() (*algo.Result, error) {
+				res, err := ex.Run(spec.ctx, prob)
+				if err != nil {
+					return nil, err
+				}
+				x.elapsed = res.Elapsed
+				return &algo.Result{Items: res.Items, Ledger: res.Ledger}, nil
 			}
-			nc.Sel = s2
-			ans.Plan = &p
 			return nil
-		})
-		alg = nc
-	default:
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return nil, serr
 		}
-		alg = &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: o}
+		nc := &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: x.obsv, Monitor: mon}
+		x.nc, err = nc.Open(prob, &x.st.scratch)
+	case algo.TA:
+		var cur *algo.TACursor
+		if cur, err = alg.Open(prob); err == nil {
+			cur.Monitor = mon
+			x.pager = cur
+		}
+	case algo.MPro:
+		alg.Monitor = mon
+		x.nc, err = alg.Open(prob, &x.st.scratch)
+	default:
+		x.batch = func() (*algo.Result, error) { return alg.Run(prob) }
 	}
-	var res *algo.Result
-	if nc, ok := alg.(*algo.NC); ok && st != nil {
-		res, err = nc.RunScratch(prob, &st.scratch)
-	} else {
-		res, err = alg.Run(prob)
+	if x.nc != nil {
+		x.pager = x.nc
 	}
-	execDone()
+	return err
+}
+
+// next produces one page: it re-plans first if the scenario moved since
+// the plan was made, then resumes the pager for delta more answers — or,
+// when ranged, for every remaining answer scoring at least tau.
+func (x *execution) next(delta int, tau float64, ranged bool) (res *algo.Result, err error) {
+	x.replan()
+	start := time.Now()
+	switch {
+	case ranged:
+		res, err = x.nc.NextUntil(tau)
+	case x.batch != nil:
+		res, err = x.batch()
+	default:
+		res, err = x.pager.Next(delta)
+	}
+	if x.obsv != nil {
+		x.obsv.PhaseDone(obs.PhaseExecute, time.Since(start))
+	}
+	return res, err
+}
+
+// scenarioChanged reports, once per change, that the access scenario moved
+// (breaker flips, cost shifts) since the plan in force was made. The
+// page-boundary re-plan and the adaptive monitor's checkpoints share it, so
+// one change is re-planned once.
+func (x *execution) scenarioChanged() (changed bool) {
+	x.planScn, changed = x.st.sess.RefreshPreds(x.planScn)
+	return changed
+}
+
+// replan re-optimizes an optimizer-planned NC execution when the access
+// scenario changed since the plan was made (the mid-query scenario-change
+// machinery, applied at page boundaries) — through the plan cache, which
+// keys on the scenario and so re-keys automatically. The preserved score
+// state stays valid — which access to perform next is pure policy — so the
+// run continues under the new plan without repeating work. A scenario that
+// can no longer be planned keeps the old selector; the framework's own
+// degradation absorbs it.
+func (x *execution) replan() {
+	if x.nc == nil || x.spec.h != nil || x.spec.algorithm != nil || !x.scenarioChanged() {
+		return
+	}
+	sel, plan, err := x.eng.resolvePlan(x.spec, x.obsv, x.st.sess, x.q)
+	if err != nil || x.nc.SetSelector(sel) != nil {
+		return
+	}
+	x.plan = plan
+	if x.obsv != nil {
+		x.obsv.DegradedReplan("scenario_change")
+	}
+}
+
+// install swaps an adaptive checkpoint's plan into the running cursor; all
+// paid-for state carries over.
+func (x *execution) install(p Plan) error {
+	sel, err := algo.NewSRG(p.H, p.Omega)
+	if err != nil {
+		return err
+	}
+	if err := x.nc.SetSelector(sel); err != nil {
+		return err
+	}
+	x.plan = &p
+	return nil
+}
+
+// close ends the run and returns the pooled state to the engine.
+func (x *execution) close() {
+	if x.pager != nil {
+		x.pager.Close()
+	}
+	x.eng.pool.Put(x.st)
+}
+
+// Run executes a query. By default it runs the full cost-based pipeline:
+// optimize an SR/G configuration for this engine's scenario (HClimb over a
+// dummy sample unless configured otherwise), then execute Framework NC
+// with it. Whatever the options select, a run is the single full page of
+// the execution Open would suspend.
+func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
+	spec, err := e.newSpec(opts, false)
 	if err != nil {
 		return nil, err
 	}
-	ans.Items, ans.Ledger, ans.Truncated, ans.Degraded = res.Items, res.Ledger, res.Truncated, res.Degraded
-	attachTrace()
-	return ans, nil
+	if spec.liveB > 0 {
+		return e.runLive(q, spec)
+	}
+	x, err := e.begin(q, spec)
+	if err != nil {
+		return nil, err
+	}
+	defer x.close()
+	res, err := x.next(q.K, 0, false)
+	if err != nil {
+		return nil, err
+	}
+	return &Answer{
+		Items:     res.Items,
+		Ledger:    res.Ledger,
+		Plan:      x.plan,
+		Elapsed:   x.elapsed,
+		Truncated: res.Truncated,
+		Degraded:  res.Degraded,
+		Trace:     snapshotTrace(x.tr),
+	}, nil
 }
 
 // ErrCursorClosed reports a page request on a closed cursor.
@@ -845,173 +1038,34 @@ type Page struct {
 // table, candidate queue, access session ledger — stays alive between
 // pages, so deepening k -> k+delta resumes exactly where the last page
 // stopped and never re-pays for accesses already performed. Cursors draw
-// their state from the engine's pool; Close returns it. A Cursor is safe
-// for serialized use from multiple goroutines (an internal mutex orders
-// pages) but pages cannot be produced concurrently.
+// their state from the engine's pool; Close returns it, after which pages
+// fail and the accessors report zero values. A Cursor is safe for
+// serialized use from multiple goroutines (an internal mutex orders pages)
+// but pages cannot be produced concurrently.
 type Cursor struct {
-	mu    sync.Mutex
-	eng   *Engine
-	pager algo.Pager
-	nc    *algo.Cursor // non-nil for NC-shaped cursors (score-range, re-planning)
-	sess  *access.Session
-	st    *queryState
-	q     Query
-
-	// Re-planning state: when the plan came from the optimizer, a scenario
-	// change between pages (breaker flips, cost shifts) re-optimizes
-	// against the current scenario — through the plan cache, which keys on
-	// the scenario and so re-keys automatically.
-	planned bool
-	planScn []PredCost
-	optCfg  OptimizerConfig
-	plan    *Plan
-
-	obsv   Observer
-	tr     *obs.QueryTrace
-	closed bool
+	mu sync.Mutex
+	x  *execution // nil once closed: the pooled state is back with the engine
+	tr *obs.QueryTrace
 }
 
 // Open suspends a query as a resumable cursor: the first Next(k) performs
 // exactly the accesses Run with K=k would, and each further Next(delta)
 // deepens to k+delta at only the marginal cost. The query's K sizes the
 // optimizer's plan (how deep the configuration expects to go); paging may
-// run past it. Supported options: WithNC, WithOptimizer, WithAdaptive
-// (checkpoint re-plans on NC-shaped cursors; telemetry-only on TA/MPro),
-// WithAlgorithm ("TA", "MPro"), WithApproximation, WithBudget,
-// WithResilience, WithObserver, WithTrace, WithContext (rebind per page
-// with Bind); the concurrent executors and other named baselines are
-// batch-only.
+// run past it. Open takes the options Run takes and validates them
+// against the same table (DESIGN.md §10); the concurrent executors and
+// baselines other than TA and MPro are batch-only. Rebind WithContext per
+// page with Bind.
 func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
-	var spec runSpec
-	for _, o := range opts {
-		o(&spec)
-	}
-	if spec.parallelB > 0 || spec.liveB > 0 {
-		return nil, fmt.Errorf("topk: Open supports only sequential execution (NC, TA, MPro)")
-	}
-	if spec.epsilon < 0 {
-		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", spec.epsilon)
-	}
-	if spec.epsilon > 0 && spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithApproximation applies only to NC-based cursors")
-	}
-	o, tr := spec.resolveObserver()
-	var sessOpts []access.Option
-	if !e.nwg {
-		sessOpts = append(sessOpts, access.WithoutNoWildGuesses())
-	}
-	if len(e.shifts) > 0 {
-		sessOpts = append(sessOpts, access.WithShifts(e.shifts...))
-	}
-	if spec.resilience != nil {
-		sessOpts = append(sessOpts, access.WithResilience(spec.resilience))
-	}
-	if spec.hasBudget {
-		if spec.budget <= 0 {
-			return nil, fmt.Errorf("topk: budget must be positive, got %g", spec.budget)
-		}
-		budget, berr := access.CostFromUnits(spec.budget)
-		if berr != nil {
-			return nil, fmt.Errorf("topk: budget: %w", berr)
-		}
-		sessOpts = append(sessOpts, access.WithBudget(budget))
-	}
-	if spec.ctx != nil {
-		sessOpts = append(sessOpts, access.WithContext(spec.ctx))
-	}
-	if o != nil {
-		sessOpts = append(sessOpts, access.WithObserver(o))
-	}
-	st, err := e.acquire(sessOpts)
+	spec, err := e.newSpec(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	sess := st.sess
-	fail := func(err error) (*Cursor, error) {
-		e.pool.Put(st)
+	x, err := e.begin(q, spec)
+	if err != nil {
 		return nil, err
 	}
-	prob, err := algo.NewProblem(q.F, q.K, sess)
-	if err != nil {
-		return fail(err)
-	}
-	c := &Cursor{eng: e, sess: sess, st: st, q: q, optCfg: spec.optCfg, obsv: o, tr: tr}
-	switch alg := spec.algorithm.(type) {
-	case nil:
-		h, omega := spec.h, spec.omega
-		if h == nil {
-			cfg := spec.optCfg
-			cfg.DisableNWG = !e.nwg
-			cfg.Observer = o
-			optStart := time.Now()
-			plan, perr := e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
-			if o != nil {
-				o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-			}
-			if perr != nil {
-				return fail(perr)
-			}
-			c.plan = &plan
-			c.planned = true
-			c.planScn = snapshotPreds(sess.CurrentScenario())
-			h, omega = plan.H, plan.Omega
-		}
-		sel, serr := algo.NewSRG(h, omega)
-		if serr != nil {
-			return fail(serr)
-		}
-		ncAlg := &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: o}
-		cur, cerr := ncAlg.Open(prob, &st.scratch)
-		if cerr != nil {
-			return fail(cerr)
-		}
-		c.nc, c.pager = cur, cur
-		if spec.adaptive {
-			// Checkpoint re-plans swap the suspended cursor's selector in
-			// place (all paid-for state carries over) and re-anchor the
-			// page-boundary scenario snapshot so one change is not
-			// re-planned twice.
-			ncAlg.Monitor = e.newAdapter(&spec, sess, q, o, c.plan, func(p Plan) error {
-				s2, aerr := algo.NewSRG(p.H, p.Omega)
-				if aerr != nil {
-					return aerr
-				}
-				if serr := cur.SetSelector(s2); serr != nil {
-					return serr
-				}
-				c.plan = &p
-				c.planScn = snapshotPreds(sess.CurrentScenario())
-				return nil
-			})
-		}
-	case algo.TA:
-		cur, cerr := algo.TA{}.Open(prob)
-		if cerr != nil {
-			return fail(cerr)
-		}
-		c.pager = cur
-		if spec.adaptive {
-			// TA has no plan degrees of freedom: the monitor attaches
-			// telemetry-only (divergence checkpoints, no re-plans).
-			cur.Monitor = e.newAdapter(&spec, sess, q, o, nil, nil)
-		}
-	case algo.MPro:
-		if spec.adaptive {
-			// MPro's configuration is derived from the scenario, not
-			// planned: telemetry-only, like TA.
-			alg.Monitor = e.newAdapter(&spec, sess, q, o, nil, nil)
-		}
-		cur, cerr := alg.Open(prob, &st.scratch)
-		if cerr != nil {
-			return fail(cerr)
-		}
-		c.nc, c.pager = cur, cur
-	case errAlgorithm:
-		return fail(alg.err)
-	default:
-		return fail(fmt.Errorf("topk: Open supports NC, TA, and MPro; %s is batch-only", alg.Name()))
-	}
-	return c, nil
+	return &Cursor{x: x, tr: x.tr}, nil
 }
 
 // Next deepens the query by delta answers: the cursor resumes where the
@@ -1021,19 +1075,7 @@ func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
 // since the last page — a breaker flipped mid- or between pages — an
 // optimizer-planned cursor first re-plans against the current scenario on
 // the preserved state.
-func (c *Cursor) Next(delta int) (*Page, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, algo.ErrCursorClosed
-	}
-	c.replan()
-	res, err := c.pager.Next(delta)
-	if err != nil {
-		return nil, err
-	}
-	return c.page(res), nil
-}
+func (c *Cursor) Next(delta int) (*Page, error) { return c.page(delta, 0, false) }
 
 // NextUntil is score-range paging: it emits every remaining answer
 // provably scoring at least tau, best first, and suspends — without
@@ -1041,64 +1083,31 @@ func (c *Cursor) Next(delta int) (*Page, error) {
 // tau. Ordinal paging (Next) and further NextUntil calls with lower
 // thresholds continue from exactly that point. Only NC-shaped cursors
 // (default, WithNC, MPro) support it.
-func (c *Cursor) NextUntil(tau float64) (*Page, error) {
+func (c *Cursor) NextUntil(tau float64) (*Page, error) { return c.page(0, tau, true) }
+
+// page produces one page and assembles the public Page from it.
+func (c *Cursor) page(delta int, tau float64, ranged bool) (*Page, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	x := c.x
+	if x == nil {
 		return nil, algo.ErrCursorClosed
 	}
-	if c.nc == nil {
+	if ranged && x.nc == nil {
 		return nil, fmt.Errorf("topk: score-range paging requires an NC-based cursor (default, WithNC, or MPro)")
 	}
-	c.replan()
-	res, err := c.nc.NextUntil(tau)
+	res, err := x.next(delta, tau, ranged)
 	if err != nil {
 		return nil, err
 	}
-	return c.page(res), nil
-}
-
-// replan re-optimizes the SR/G configuration when the access scenario
-// changed since the plan was made (PR 3's mid-query scenario-change
-// machinery, applied at page boundaries). The preserved score state stays
-// valid — which access to perform next is pure policy — so the cursor
-// continues under the new plan without repeating work. A scenario that can
-// no longer be planned keeps the old selector; the framework's own
-// degradation absorbs it.
-func (c *Cursor) replan() {
-	if c.nc == nil || !c.planned {
-		return
-	}
-	cur := c.sess.CurrentScenario()
-	if predsEqual(cur.Preds, c.planScn) {
-		return
-	}
-	c.planScn = snapshotPreds(cur)
-	cfg := c.optCfg
-	cfg.DisableNWG = !c.eng.nwg
-	cfg.Observer = c.obsv
-	plan, err := c.eng.optimize(cfg, cur, c.q.F, c.q.K, c.sess.N())
-	if err != nil {
-		return
-	}
-	if sel, serr := algo.NewSRG(plan.H, plan.Omega); serr == nil && c.nc.SetSelector(sel) == nil {
-		c.plan = &plan
-		if c.obsv != nil {
-			c.obsv.DegradedReplan("scenario_change")
-		}
-	}
-}
-
-// page assembles the public Page from an algo page.
-func (c *Cursor) page(res *algo.Result) *Page {
 	return &Page{
 		Items:     res.Items,
 		Ledger:    res.Ledger,
 		Truncated: res.Truncated,
 		Degraded:  res.Degraded,
-		Exhausted: c.pager.Exhausted(),
-		Plan:      c.plan,
-	}
+		Exhausted: x.pager.Exhausted(),
+		Plan:      x.plan,
+	}, nil
 }
 
 // Bind re-points the cursor's context for subsequent pages: each page of
@@ -1108,24 +1117,26 @@ func (c *Cursor) page(res *algo.Result) *Page {
 func (c *Cursor) Bind(ctx context.Context) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return
+	if c.x != nil {
+		c.x.st.sess.Bind(ctx)
 	}
-	c.sess.Bind(ctx)
 }
 
 // Emitted reports the total answers produced across all pages.
 func (c *Cursor) Emitted() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pager.Emitted()
+	if c.x == nil {
+		return 0
+	}
+	return c.x.pager.Emitted()
 }
 
 // Exhausted reports whether every object has been emitted.
 func (c *Cursor) Exhausted() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pager.Exhausted()
+	return c.x != nil && c.x.pager.Exhausted()
 }
 
 // Cost reports the access cost accrued so far.
@@ -1135,10 +1146,10 @@ func (c *Cursor) Cost() Cost { return c.Ledger().TotalCost }
 func (c *Cursor) Ledger() Ledger {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.x == nil {
 		return Ledger{}
 	}
-	return c.pager.Ledger()
+	return c.x.pager.Ledger()
 }
 
 // Plan returns the SR/G configuration currently in force (nil under
@@ -1146,19 +1157,16 @@ func (c *Cursor) Ledger() Ledger {
 func (c *Cursor) Plan() *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.plan
+	if c.x == nil {
+		return nil
+	}
+	return c.x.plan
 }
 
 // Trace snapshots the cursor's cumulative execution trace (nil unless
 // opened with WithTrace). Successive snapshots grow with each page; the
 // access counts always match the cumulative Ledger.
-func (c *Cursor) Trace() *TraceSnapshot {
-	if c.tr == nil {
-		return nil
-	}
-	snap := c.tr.Snapshot()
-	return &snap
-}
+func (c *Cursor) Trace() *TraceSnapshot { return snapshotTrace(c.tr) }
 
 // Close ends the execution and returns the cursor's pooled state (session
 // and framework scratch) to the engine. Idempotent; pages after Close fail
@@ -1166,40 +1174,19 @@ func (c *Cursor) Trace() *TraceSnapshot {
 func (c *Cursor) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.pager.Close()
-	if c.st != nil {
-		st := c.st
-		c.st = nil
-		c.eng.pool.Put(st)
+	if c.x != nil {
+		c.x.close()
+		c.x = nil
 	}
 	return nil
 }
 
-// snapshotPreds copies a scenario's per-predicate capability/cost entries
-// for later change detection.
-func snapshotPreds(scn Scenario) []PredCost { return append([]PredCost(nil), scn.Preds...) }
-
-// predsEqual reports whether two capability/cost snapshots are identical.
-func predsEqual(a, b []PredCost) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Explain runs the cost-based optimizer for a query without executing it:
-// the query-planning API. It returns the chosen SR/G configuration and its
-// estimated total access cost under the engine's scenario. No source
-// access is performed (the estimator works on samples).
+// the query-planning API. It returns the SR/G configuration Run would
+// execute on this engine right now — priced under the same sharing
+// discounts and storage calibration, through the same plan cache — and
+// its estimated total access cost. No source access is performed (the
+// estimator works on samples).
 func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 	if err := score.Validate(q.F, e.scn.M()); err != nil {
 		return Plan{}, err
@@ -1207,61 +1194,33 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 	if q.K <= 0 {
 		return Plan{}, fmt.Errorf("topk: retrieval size must be positive, got %d", q.K)
 	}
-	cfg.DisableNWG = !e.nwg
-	return opt.Optimize(cfg, e.scn, q.F, q.K, e.backend.N())
+	_, plan, err := e.resolvePlan(&runSpec{optCfg: cfg}, nil, nil, q)
+	if err != nil {
+		return Plan{}, err
+	}
+	return *plan, nil
 }
 
-// runLive executes the query with real concurrent backend requests.
-func (e *Engine) runLive(q Query, spec runSpec) (*Answer, error) {
-	if spec.algorithm != nil {
-		return nil, fmt.Errorf("topk: WithLive cannot run named baseline algorithms")
-	}
-	if spec.adaptive {
-		return nil, fmt.Errorf("topk: WithLive cannot be combined with WithAdaptive")
-	}
-	if spec.parallelB > 0 {
-		return nil, fmt.Errorf("topk: WithLive and WithParallel are mutually exclusive")
-	}
-	if len(e.shifts) > 0 {
-		return nil, fmt.Errorf("topk: live execution does not support simulated cost shifts")
-	}
+// runLive executes the query with real concurrent backend requests. It is
+// the one execution that does not go through begin — the live executor
+// keeps its own bookkeeping instead of an access session — but it is
+// validated by the same table and planned by the same resolvePlan.
+func (e *Engine) runLive(q Query, spec *runSpec) (*Answer, error) {
 	o, tr := spec.resolveObserver()
-	ans := &Answer{}
-	h, omega := spec.h, spec.omega
-	if h == nil {
-		cfg := spec.optCfg
-		cfg.DisableNWG = !e.nwg
-		cfg.Observer = o
-		optStart := time.Now()
-		plan, err := e.optimize(cfg, e.scn, q.F, q.K, e.backend.N())
-		if o != nil {
-			o.PhaseDone(obs.PhaseOptimize, time.Since(optStart))
-		}
-		if err != nil {
-			return nil, err
-		}
-		ans.Plan = &plan
-		h, omega = plan.H, plan.Omega
-	}
-	sel, err := algo.NewSRG(h, omega)
+	sel, plan, err := e.resolvePlan(spec, o, nil, q)
 	if err != nil {
 		return nil, err
 	}
 	live := &parallel.Live{B: spec.liveB, Sel: sel, Scn: e.scn, DisableNWG: !e.nwg, Obs: o}
-	execStart := time.Now()
-	res, err := live.Run(spec.context(), e.backend, q.F, q.K)
+	start := time.Now()
+	res, err := live.Run(spec.ctx, e.backend, q.F, q.K)
 	if o != nil {
-		o.PhaseDone(obs.PhaseExecute, time.Since(execStart))
+		o.PhaseDone(obs.PhaseExecute, time.Since(start))
 	}
 	if err != nil {
 		return nil, err
 	}
-	ans.Items, ans.Ledger, ans.Wall = res.Items, res.Ledger, res.Wall
-	if tr != nil {
-		snap := tr.Snapshot()
-		ans.Trace = &snap
-	}
-	return ans, nil
+	return &Answer{Items: res.Items, Ledger: res.Ledger, Plan: plan, Wall: res.Wall, Trace: snapshotTrace(tr)}, nil
 }
 
 // TopKOracle computes the exact answer by brute force over a dataset —

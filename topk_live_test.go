@@ -32,25 +32,6 @@ func TestEngineLiveRun(t *testing.T) {
 	}
 }
 
-func TestEngineLiveRejectsIncompatibleOptions(t *testing.T) {
-	ds := exampleDataset(t)
-	eng, _ := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1))
-	if _, err := eng.Run(Query{F: Min(), K: 2}, WithLive(2), WithAlgorithm("TA")); err == nil {
-		t.Error("live + baseline should fail")
-	}
-	if _, err := eng.Run(Query{F: Min(), K: 2}, WithLive(2), WithAdaptive(5)); err == nil {
-		t.Error("live + adaptive should fail")
-	}
-	if _, err := eng.Run(Query{F: Min(), K: 2}, WithLive(2), WithParallel(2)); err == nil {
-		t.Error("live + parallel should fail")
-	}
-	shifted, _ := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1),
-		WithCostShifts(CostShift{AfterAccesses: 5, Pred: 0, RandomFactor: 2}))
-	if _, err := shifted.Run(Query{F: Min(), K: 2}, WithLive(2)); err == nil {
-		t.Error("live + cost shifts should fail")
-	}
-}
-
 func TestEngineApproximation(t *testing.T) {
 	ds := exampleDataset(t)
 	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1))
@@ -88,12 +69,6 @@ func TestEngineApproximation(t *testing.T) {
 	// Validation.
 	if _, err := eng.Run(Query{F: Avg(), K: 2}, WithApproximation(-1)); err == nil {
 		t.Error("negative epsilon should fail")
-	}
-	if _, err := eng.Run(Query{F: Avg(), K: 2}, WithApproximation(0.1), WithAlgorithm("TA")); err == nil {
-		t.Error("approximation + baseline should fail")
-	}
-	if _, err := eng.Run(Query{F: Avg(), K: 2}, WithApproximation(0.1), WithParallel(2)); err == nil {
-		t.Error("approximation + parallel should fail")
 	}
 }
 
@@ -160,7 +135,7 @@ func TestEngineOpenCursor(t *testing.T) {
 	if cur.Emitted() != 8 {
 		t.Errorf("Emitted = %d, want 8", cur.Emitted())
 	}
-	// TA is resumable through the facade; other baselines stay batch-only.
+	// TA is resumable through the facade.
 	ta, err := eng.Open(Query{F: Min(), K: 2}, WithAlgorithm("TA"))
 	if err != nil {
 		t.Fatalf("cursor + TA should work: %v", err)
@@ -172,12 +147,6 @@ func TestEngineOpenCursor(t *testing.T) {
 		t.Error("TA cursor should refuse score-range paging")
 	}
 	ta.Close()
-	if _, err := eng.Open(Query{F: Min(), K: 2}, WithAlgorithm("FA")); err == nil {
-		t.Error("cursor + FA should fail")
-	}
-	if _, err := eng.Open(Query{F: Min(), K: 2}, WithParallel(2)); err == nil {
-		t.Error("cursor + parallel should fail")
-	}
 	// Adaptive cursors are supported: the divergence monitor attaches to
 	// the suspended execution and re-plans between checkpoints.
 	if adc, err := eng.Open(Query{F: Min(), K: 2}, WithAdaptive(5)); err != nil {

@@ -123,13 +123,6 @@ func TestEngineParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	scoresMatchOracle(t, ds, Min(), 5, ans2.Items)
-	// Parallel refuses named baselines and adaptive mode.
-	if _, err := eng.Run(Query{F: Min(), K: 5}, WithParallel(2), WithAlgorithm("TA")); err == nil {
-		t.Error("parallel + named baseline should fail")
-	}
-	if _, err := eng.Run(Query{F: Min(), K: 5}, WithParallel(2), WithAdaptive(10)); err == nil {
-		t.Error("parallel + adaptive should fail")
-	}
 }
 
 func TestEngineAdaptiveWithShifts(t *testing.T) {
