@@ -15,7 +15,7 @@ import (
 // TestCursorAllocGate bounds the steady-state cost of a full
 // open/page/close cycle on pooled state. Run is open → next(k) → close on
 // the same execution, so the cycle costs what a one-shot run does plus the
-// facade Cursor and Page (15 here); allocation counts are deterministic, so
+// facade Cursor and Page (14 here); allocation counts are deterministic, so
 // the gate is the one-shot ceiling of BENCH_perf.json
 // (max_allocs_per_op_fixed), not a multiple of it.
 func TestCursorAllocGate(t *testing.T) {

@@ -95,3 +95,44 @@ func TestSessionResetDropsOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestResetScenarioMatchesFresh re-prices one session under a second
+// scenario and checks it is observationally a session freshly built under
+// it — capabilities, costs, empty ledger — while a scenario the backend's
+// predicate count rejects leaves the session as it was.
+func TestResetScenarioMatchesFresh(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 20, 2, 4)
+	s, err := NewSession(DatasetBackend{DS: ds}, Uniform(2, 1, 3), WithBudget(UnitCost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.SortedNext(1); err != nil {
+		t.Fatal(err)
+	}
+	probeOnly := MatrixCell(2, Impossible, Expensive, 10)
+	if err := s.ResetScenario(probeOnly); err != nil {
+		t.Fatal(err)
+	}
+	if s.TotalCost() != 0 || s.SeenCount() != 0 || s.Scenario().Name != probeOnly.Name {
+		t.Fatalf("re-priced session not fresh: cost %v, seen %d, scenario %q", s.TotalCost(), s.SeenCount(), s.Scenario().Name)
+	}
+	if _, _, err := s.SortedNext(1); err == nil {
+		t.Error("sorted access on p2 should be unsupported under the new scenario")
+	}
+	obj, _, err := s.SortedNext(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Random(1, obj); err != nil {
+		t.Fatal(err)
+	}
+	if want := UnitCost + CostOf(10); s.TotalCost() != want || s.Ledger().TotalCost != want {
+		t.Errorf("billed %v under the new scenario (budget of the old run must be gone), want %v", s.TotalCost(), want)
+	}
+	if err := s.ResetScenario(Uniform(3, 1, 1)); err == nil {
+		t.Fatal("a scenario of the wrong arity should be rejected")
+	}
+	if s.Scenario().Name != probeOnly.Name || s.TotalCost() == 0 {
+		t.Error("a rejected scenario must leave the session as it was")
+	}
+}

@@ -195,7 +195,7 @@ func WithResilience(r *Resilience) Option {
 //topklint:pooled
 type Session struct {
 	backend Backend  //topklint:allow resetcomplete identity: a recycled session serves the same backend
-	scn     Scenario //topklint:allow resetcomplete identity: a recycled session keeps its scenario; Reset re-derives current from it
+	scn     Scenario //topklint:allow resetcomplete identity: a recycled session keeps its scenario (ResetScenario swaps it); Reset re-derives current from it
 	nwg     bool
 	ctx     context.Context
 
@@ -345,6 +345,19 @@ func (s *Session) Reset(opts ...Option) error {
 		s.syncBreakers()
 	}
 	return nil
+}
+
+// ResetScenario is Reset under a different cost scenario over the same
+// backend. The optimizer's planning arena keeps one session over its
+// sample and re-prices it under whatever scenario the query being planned
+// runs against; a scenario the backend's predicate count rejects leaves
+// the session as it was.
+func (s *Session) ResetScenario(scn Scenario, opts ...Option) error {
+	if err := scn.Validate(s.backend.M()); err != nil {
+		return err
+	}
+	s.scn = scn
+	return s.Reset(opts...)
 }
 
 // N returns the object count.
@@ -741,6 +754,10 @@ func (s *Session) Random(i, u int) (float64, error) {
 	}
 	return score, nil
 }
+
+// TotalCost returns the cost accrued so far — Ledger().TotalCost without
+// the snapshot's per-predicate count copies.
+func (s *Session) TotalCost() Cost { return s.cost }
 
 // Ledger returns a snapshot of accrued accesses and total cost.
 func (s *Session) Ledger() Ledger {

@@ -46,13 +46,26 @@ func (p *Problem) Begin() error {
 
 // NewProblem validates and bundles a query with its session.
 func NewProblem(f score.Func, k int, sess *access.Session) (*Problem, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("algo: retrieval size k must be positive, got %d", k)
-	}
-	if err := score.Validate(f, sess.M()); err != nil {
+	p := &Problem{Session: sess}
+	if err := p.Rearm(f, k); err != nil {
 		return nil, err
 	}
-	return &Problem{F: f, K: k, Session: sess}, nil
+	return p, nil
+}
+
+// Rearm readies the problem for one more run of a new (f, k) query over
+// its session, under NewProblem's validation; the caller must have Reset
+// the session. It is how the optimizer's simulation runs recycle one
+// Problem; a rejected query leaves the problem as it was.
+func (p *Problem) Rearm(f score.Func, k int) error {
+	if k <= 0 {
+		return fmt.Errorf("algo: retrieval size k must be positive, got %d", k)
+	}
+	if err := score.Validate(f, p.Session.M()); err != nil {
+		return err
+	}
+	p.F, p.K, p.started = f, k, false
+	return nil
 }
 
 // Item is one returned answer. Exact reports whether Score is the true

@@ -169,27 +169,61 @@ func (c *Cursor) Next(delta int) (*Result, error) {
 	}
 	items := make([]Item, 0, delta)
 	for len(items) < delta {
-		if c.truncated {
-			it, ok := c.drainOne()
-			if !ok {
-				break
-			}
-			items = append(items, it)
-			continue
-		}
-		it, ok, err := c.advance(math.Inf(-1), false)
+		it, ok, err := c.nextItem()
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			items = append(items, it)
-			continue
+		if !ok {
+			break
 		}
-		if !c.truncated {
-			break // exhausted: fewer than requested objects exist
-		}
+		items = append(items, it)
 	}
 	return c.page(items), nil
+}
+
+// Skip is Next for callers that want the run's bill and not its answers:
+// it resumes the framework until delta more answers are proven and
+// reports how many were, performing exactly the accesses Next(delta)
+// would while building no page. The optimizer's simulation runs are Skips
+// read back through Session.TotalCost.
+//
+//topklint:hotpath
+func (c *Cursor) Skip(delta int) (int, error) {
+	if c.closed {
+		return 0, ErrCursorClosed
+	}
+	if c.err != nil {
+		return 0, c.err
+	}
+	n := 0
+	for n < delta {
+		_, ok, err := c.nextItem()
+		if err != nil {
+			return n, err
+		}
+		if !ok {
+			break
+		}
+		n++
+	}
+	c.emittedN += n
+	return n, nil
+}
+
+// nextItem proves the next answer or, once the run truncated, drains the
+// next best-effort candidate; false means the database is exhausted or
+// the truncated run's candidate queue is empty.
+func (c *Cursor) nextItem() (Item, bool, error) {
+	for {
+		if c.truncated {
+			it, ok := c.drainOne()
+			return it, ok, nil
+		}
+		it, ok, err := c.advance(math.Inf(-1), false)
+		if err != nil || ok || !c.truncated {
+			return it, ok, err
+		}
+	}
 }
 
 // NextUntil is the score-range sibling of Next: it resumes the framework

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/state"
@@ -35,36 +36,61 @@ type SRG struct {
 // NewSRG validates and builds an SR/G selector for m predicates. A nil
 // Omega defaults to index order.
 func NewSRG(h []float64, omega []int) (*SRG, error) {
+	s := &SRG{}
+	if err := s.Reconfigure(h, omega); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reconfigure re-points the selector at a new (H, Omega) in place, under
+// NewSRG's validation, reusing its backing arrays: the optimizer prices
+// hundreds of configurations through one selector. The inputs are copied;
+// a rejected configuration leaves the selector as it was.
+func (s *SRG) Reconfigure(h []float64, omega []int) error {
 	m := len(h)
 	if m == 0 {
-		return nil, fmt.Errorf("algo: SRG requires at least one depth")
+		return fmt.Errorf("algo: SRG requires at least one depth")
 	}
 	for i, x := range h {
 		if x < 0 || x > 1 || x != x {
-			return nil, fmt.Errorf("algo: SRG depth h_%d = %v outside [0,1]", i+1, x)
+			return fmt.Errorf("algo: SRG depth h_%d = %v outside [0,1]", i+1, x)
 		}
 	}
-	if omega == nil {
-		omega = make([]int, m)
-		for i := range omega {
-			omega[i] = i
+	if omega != nil && len(omega) != m {
+		return fmt.Errorf("algo: SRG schedule length %d != %d predicates", len(omega), m)
+	}
+	if !s.setRank(omega, m) {
+		s.setRank(s.Omega, len(s.Omega))
+		return fmt.Errorf("algo: SRG schedule %v is not a permutation of 0..%d", omega, m-1)
+	}
+	s.H = append(s.H[:0], h...)
+	s.Omega = slices.Grow(s.Omega[:0], m)[:m]
+	for pred, pos := range s.rank {
+		s.Omega[pos] = pred
+	}
+	return nil
+}
+
+// setRank derives rank (the inverse of the schedule) for m predicates,
+// nil meaning index order, and reports whether omega is a permutation of
+// 0..m-1; on false rank is left partially written.
+func (s *SRG) setRank(omega []int, m int) bool {
+	s.rank = slices.Grow(s.rank[:0], m)[:m]
+	for i := range s.rank {
+		s.rank[i] = -1
+	}
+	for pos := range s.rank {
+		pred := pos
+		if omega != nil {
+			pred = omega[pos]
 		}
-	}
-	if len(omega) != m {
-		return nil, fmt.Errorf("algo: SRG schedule length %d != %d predicates", len(omega), m)
-	}
-	rank := make([]int, m)
-	for i := range rank {
-		rank[i] = -1
-	}
-	for pos, pred := range omega {
-		if pred < 0 || pred >= m || rank[pred] != -1 {
-			return nil, fmt.Errorf("algo: SRG schedule %v is not a permutation of 0..%d", omega, m-1)
+		if pred < 0 || pred >= m || s.rank[pred] != -1 {
+			return false
 		}
-		rank[pred] = pos
+		s.rank[pred] = pos
 	}
-	s := &SRG{H: append([]float64(nil), h...), Omega: append([]int(nil), omega...), rank: rank}
-	return s, nil
+	return true
 }
 
 // Name describes the configuration.

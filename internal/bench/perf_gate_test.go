@@ -22,9 +22,10 @@ type perfBaseline struct {
 		AllocsPerOp float64 `json:"allocs_per_op"`
 	} `json:"baseline"`
 	Gate struct {
-		MaxAllocsFixed     float64 `json:"max_allocs_per_op_fixed"`
-		MaxAllocsCachedOpt float64 `json:"max_allocs_per_op_cached_opt"`
-		MinReduction       float64 `json:"min_alloc_reduction_factor"`
+		MaxAllocsFixed       float64 `json:"max_allocs_per_op_fixed"`
+		MaxAllocsCachedOpt   float64 `json:"max_allocs_per_op_cached_opt"`
+		MaxAllocsUncachedOpt float64 `json:"max_allocs_per_op_uncached_opt"`
+		MinReduction         float64 `json:"min_alloc_reduction_factor"`
 	} `json:"gate"`
 }
 
@@ -38,7 +39,7 @@ func loadPerfBaseline(t *testing.T) perfBaseline {
 	if err := json.Unmarshal(raw, &pb); err != nil {
 		t.Fatalf("BENCH_perf.json unparseable: %v", err)
 	}
-	if pb.Baseline.AllocsPerOp == 0 || pb.Gate.MaxAllocsFixed == 0 || pb.Gate.MaxAllocsCachedOpt == 0 {
+	if pb.Baseline.AllocsPerOp == 0 || pb.Gate.MaxAllocsFixed == 0 || pb.Gate.MaxAllocsCachedOpt == 0 || pb.Gate.MaxAllocsUncachedOpt == 0 {
 		t.Fatal("BENCH_perf.json gate values incomplete")
 	}
 	return pb
@@ -74,13 +75,26 @@ func TestServeAllocGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	optimized := topk.WithOptimizer(topk.OptimizerConfig{})
 	runOpt := func() {
-		if _, err := cached.Run(q, topk.WithOptimizer(topk.OptimizerConfig{})); err != nil {
+		if _, err := cached.Run(q, optimized); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runOpt() // first run misses and pays the HClimb search; the rest hit
 	if got := testing.AllocsPerRun(50, runOpt); got > pb.Gate.MaxAllocsCachedOpt {
 		t.Errorf("cached optimizer serve path allocates %.1f/op, gate is %.0f", got, pb.Gate.MaxAllocsCachedOpt)
+	}
+
+	// Without a plan cache every run pays the full HClimb search, on the
+	// optimizer's pooled planning arena.
+	runCold := func() {
+		if _, err := eng.Run(q, optimized); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runCold() // warm the arena pool
+	if got := testing.AllocsPerRun(50, runCold); got > pb.Gate.MaxAllocsUncachedOpt {
+		t.Errorf("uncached optimizer serve path allocates %.1f/op, gate is %.0f", got, pb.Gate.MaxAllocsUncachedOpt)
 	}
 }

@@ -3,7 +3,7 @@ package opt
 import (
 	"container/list"
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/access"
@@ -16,6 +16,8 @@ const DefaultPlanCacheCapacity = 128
 // CacheStats is a point-in-time snapshot of plan-cache effectiveness.
 // Hits include singleflight followers: a query that waited for a
 // concurrent identical optimization still avoided an estimator run.
+// Followers of an optimization that failed count as misses — they got no
+// plan — so hits + misses is always the number of lookups.
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
 }
@@ -81,11 +83,13 @@ func NewPlanCache(capacity int) *PlanCache {
 // caller's to own (defensive copies of the cached entry). Lookup outcomes
 // and evictions are emitted on cfg.Observer; errors are never cached.
 func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, error) {
-	norm := cfg.withDefaults()
-	key := cacheKey(scn, f, k, n, norm)
+	// The key is built on the stack and looked up as string(key), which
+	// the compiler does not materialize: a hit allocates nothing here.
+	var buf [256]byte
+	key := appendCacheKey(buf[:0], scn, f, k, n, cfg.withDefaults())
 
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[string(key)]; ok {
 		c.lru.MoveToFront(el)
 		plan := copyPlan(el.Value.(*cacheEntry).plan)
 		c.hits++
@@ -95,22 +99,27 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 		}
 		return plan, nil
 	}
-	if call, ok := c.inflight[key]; ok {
+	if call, ok := c.inflight[string(key)]; ok {
 		c.mu.Unlock()
 		<-call.done
-		if call.err != nil {
-			return Plan{}, call.err
-		}
 		c.mu.Lock()
-		c.hits++
+		if call.err == nil {
+			c.hits++
+		} else {
+			c.misses++
+		}
 		c.mu.Unlock()
 		if cfg.Observer != nil {
-			cfg.Observer.PlanCache(true)
+			cfg.Observer.PlanCache(call.err == nil)
+		}
+		if call.err != nil {
+			return Plan{}, call.err
 		}
 		return copyPlan(call.plan), nil
 	}
 	call := &planCall{done: make(chan struct{})}
-	c.inflight[key] = call
+	skey := string(key)
+	c.inflight[skey] = call
 	c.misses++
 	c.mu.Unlock()
 	if cfg.Observer != nil {
@@ -121,10 +130,10 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 	close(call.done)
 
 	c.mu.Lock()
-	delete(c.inflight, key)
+	delete(c.inflight, skey)
 	evicted := 0
 	if call.err == nil {
-		evicted = c.insert(key, call.plan)
+		evicted = c.insert(skey, call.plan)
 	}
 	c.mu.Unlock()
 	for i := 0; i < evicted; i++ {
@@ -189,47 +198,72 @@ func copyPlan(p Plan) Plan {
 	return p
 }
 
-// cacheKey fingerprints a planning problem. cfg must already be
-// normalized (withDefaults) so a zero Config and an explicit default
-// Config share an entry. The scenario contributes capabilities and exact
-// costs per predicate; its display name is excluded on purpose (session
-// scenario names mutate — "/current", "/degraded" — without changing the
-// planning problem, and vice versa).
-func cacheKey(scn access.Scenario, f score.Func, k, n int, cfg Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "f=%s k=%d n=%d m=%d", f.Name(), k, n, scn.M())
-	for _, pc := range scn.Preds {
-		fmt.Fprintf(&b, "|s:%t:%d r:%t:%d", pc.SortedOK, int64(pc.Sorted), pc.RandomOK, int64(pc.Random))
+// appendCacheKey appends the fingerprint of a planning problem to dst.
+// cfg must already be normalized (withDefaults) so a zero Config and an
+// explicit default Config share an entry. The scenario contributes
+// capabilities and exact costs per predicate; its display name is
+// excluded on purpose (session scenario names mutate — "/current",
+// "/degraded" — without changing the planning problem, and vice versa).
+func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg Config) []byte {
+	field := func(sep string, v int64) {
+		dst = append(dst, sep...)
+		dst = strconv.AppendInt(dst, v, 10)
 	}
-	fmt.Fprintf(&b, "|cfg=%d:%d:%d:%d:%d:%d:%t:%t", cfg.Scheme, cfg.Grid, cfg.SampleSize,
-		cfg.Restarts, cfg.MaxEvals, cfg.Seed, cfg.DisableNWG, cfg.RefineOmega)
+	flag := func(sep string, v bool) {
+		dst = append(dst, sep...)
+		dst = strconv.AppendBool(dst, v)
+	}
+	dst = append(dst, "f="...)
+	dst = append(dst, f.Name()...)
+	field(" k=", int64(k))
+	field(" n=", int64(n))
+	field(" m=", int64(scn.M()))
+	for _, pc := range scn.Preds {
+		flag("|s:", pc.SortedOK)
+		field(":", int64(pc.Sorted))
+		flag(" r:", pc.RandomOK)
+		field(":", int64(pc.Random))
+	}
+	field("|cfg=", int64(cfg.Scheme))
+	field(":", int64(cfg.Grid))
+	field(":", int64(cfg.SampleSize))
+	field(":", int64(cfg.Restarts))
+	field(":", int64(cfg.MaxEvals))
+	field(":", cfg.Seed)
+	flag(":", cfg.DisableNWG)
+	flag(":", cfg.RefineOmega)
 	if cfg.SortedDiscount > 0 || cfg.RandomDiscount > 0 {
 		// Sharing discounts reshape the scenario Optimize plans against;
 		// quantized rates keep the key space small.
-		fmt.Fprintf(&b, " disc=%g:%g", cfg.SortedDiscount, cfg.RandomDiscount)
+		dst = append(dst, " disc="...)
+		dst = strconv.AppendFloat(dst, cfg.SortedDiscount, 'g', -1, 64)
+		dst = append(dst, ':')
+		dst = strconv.AppendFloat(dst, cfg.RandomDiscount, 'g', -1, 64)
 	}
 	if cfg.ClusterKey != "" {
 		// Cluster membership reshapes which backend serves the accesses a
 		// plan schedules; epoch-keyed so fences and recoveries re-key.
-		fmt.Fprintf(&b, " cluster=%s", cfg.ClusterKey)
+		dst = append(dst, " cluster="...)
+		dst = append(dst, cfg.ClusterKey...)
 	}
 	if cfg.StorageKey != "" {
 		// Disk-backed sources carry their measured calibration in the key:
 		// a re-calibration that moves the quantized costs re-keys every
 		// plan priced under the old physics.
-		fmt.Fprintf(&b, " storage=%s", cfg.StorageKey)
+		dst = append(dst, " storage="...)
+		dst = append(dst, cfg.StorageKey...)
 	}
 	if fp := cfg.Observed.Key(); fp != "" {
 		// Mid-query observations reshape the sample Optimize plans against,
 		// exactly like the sharing discounts reshape costs; quantized values
 		// keep the key space small and make repeat re-plans cache hits.
-		b.WriteByte(' ')
-		b.WriteString(fp)
+		dst = append(dst, ' ')
+		dst = append(dst, fp...)
 	}
 	if cfg.Sample != nil {
 		// A caller-supplied sample changes the estimator's input; identity
 		// (not content) is the practical discriminator for shared datasets.
-		fmt.Fprintf(&b, " sample=%p", cfg.Sample)
+		dst = fmt.Appendf(dst, " sample=%p", cfg.Sample)
 	}
-	return b.String()
+	return dst
 }

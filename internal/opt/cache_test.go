@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/obs"
@@ -167,5 +168,62 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	if st := c.Stats(); st.Misses != 4 {
 		t.Errorf("re-fetching the evicted plan should miss; stats = %+v", st)
+	}
+}
+
+// gateObs is a leader's observer: it parks the leader in its PlanCache
+// miss event, before the optimization starts, until released.
+type gateObs struct {
+	countingObs
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *gateObs) PlanCache(hit bool) {
+	g.countingObs.PlanCache(hit)
+	close(g.parked)
+	<-g.release
+}
+
+// TestPlanCacheFailedLeaderFollowersAreObserved: lookups that wait on an
+// in-flight optimization that then fails got no plan, and each must say
+// so — one PlanCache(false) event and one counted miss per lookup, like
+// every other outcome — so a request's trace agrees with the metrics.
+func TestPlanCacheFailedLeaderFollowersAreObserved(t *testing.T) {
+	c := NewPlanCache(8)
+	scn, bad := access.Uniform(2, 1, 5), score.Weighted(1, 2, 3) // arity 3 over 2 predicates: Optimize fails
+	leader := &gateObs{parked: make(chan struct{}), release: make(chan struct{})}
+	var wg sync.WaitGroup
+	get := func(o obs.Observer) {
+		defer wg.Done()
+		if _, err := c.Get(quickCfg(o), scn, bad, 5, 500); err == nil {
+			t.Error("arity mismatch should fail")
+		}
+	}
+	wg.Add(1)
+	go get(leader)
+	<-leader.parked
+
+	const followers = 4
+	shared := &countingObs{}
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go get(shared)
+	}
+	// Give the followers time to find the in-flight call. The assertions
+	// hold either way — a late follower leads a failing optimization of its
+	// own — the pause only makes them exercise the follower path.
+	time.Sleep(20 * time.Millisecond)
+	close(leader.release)
+	wg.Wait()
+
+	if got := shared.misses.Load(); got != followers || shared.hits.Load() != 0 {
+		t.Errorf("followers' observer saw %d misses / %d hits, want %d / 0", got, shared.hits.Load(), followers)
+	}
+	if st := c.Stats(); st.Misses != followers+1 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want %d misses / 0 hits", st, followers+1)
+	}
+	if c.Len() != 0 {
+		t.Errorf("a failed optimization was cached: Len = %d", c.Len())
 	}
 }

@@ -22,11 +22,9 @@ package opt
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/access"
-	"repro/internal/algo"
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/score"
@@ -35,16 +33,15 @@ import (
 // Estimator prices SR/G configurations by simulation runs on a sample.
 // It memoizes estimates per configuration, so search schemes can revisit
 // grid points for free; Evals counts distinct simulation runs, the
-// optimization-overhead measure of the paper's appendix experiment.
+// optimization-overhead measure of the paper's appendix experiment. An
+// Estimator is the handle of the arena its runs execute on, and like it
+// is not safe for concurrent use.
 type Estimator struct {
-	sample *data.Dataset
-	scn    access.Scenario
+	a      *arena
 	f      score.Func
 	kPrime int
 	scale  float64 // n / |sample|
-	nwg    bool
 
-	cache map[string]access.Cost
 	evals int
 	obs   obs.Observer // nil unless SetObserver
 }
@@ -57,31 +54,11 @@ func (e *Estimator) SetObserver(o obs.Observer) { e.obs = o }
 // under the given scenario, using the provided sample dataset. The sample
 // must have the scenario's predicate count.
 func NewEstimator(sample *data.Dataset, scn access.Scenario, f score.Func, k, n int, nwg bool) (*Estimator, error) {
-	if err := scn.Validate(sample.M()); err != nil {
+	a := &arena{}
+	if err := a.Reset(Config{Sample: sample, DisableNWG: !nwg}, scn, f, k, n); err != nil {
 		return nil, err
 	}
-	if err := score.Validate(f, sample.M()); err != nil {
-		return nil, err
-	}
-	if k <= 0 || n <= 0 {
-		return nil, fmt.Errorf("opt: estimator requires positive k and n, got k=%d n=%d", k, n)
-	}
-	kPrime := int(math.Round(float64(k) * float64(sample.N()) / float64(n)))
-	if kPrime < 1 {
-		kPrime = 1
-	}
-	if kPrime > sample.N() {
-		kPrime = sample.N()
-	}
-	return &Estimator{
-		sample: sample,
-		scn:    scn,
-		f:      f,
-		kPrime: kPrime,
-		scale:  float64(n) / float64(sample.N()),
-		nwg:    nwg,
-		cache:  make(map[string]access.Cost),
-	}, nil
+	return &a.est, nil
 }
 
 // Evals returns the number of distinct simulation runs performed so far.
@@ -90,26 +67,15 @@ func (e *Estimator) Evals() int { return e.evals }
 // KPrime returns the scaled retrieval size used in simulation runs.
 func (e *Estimator) KPrime() int { return e.kPrime }
 
-func cfgKey(h []float64, omega []int) string {
-	var b strings.Builder
-	for _, x := range h {
-		b.WriteString(strconv.FormatFloat(x, 'f', 6, 64))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	for _, p := range omega {
-		b.WriteString(strconv.Itoa(p))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
+// m returns the predicate count of the sample (and so of every
+// configuration the estimator can price).
+func (e *Estimator) m() int { return e.a.sample.M() }
 
 // Estimate returns the estimated total access cost of NC with SR/G
 // configuration (h, omega) on the full database: the simulation run's cost
 // scaled by n/|sample|.
 func (e *Estimator) Estimate(h []float64, omega []int) (access.Cost, error) {
-	key := cfgKey(h, omega)
-	if c, ok := e.cache[key]; ok {
+	if c, ok := e.a.memo.lookup(h, omega); ok {
 		if e.obs != nil {
 			e.obs.EstimatorEval(true)
 		}
@@ -118,30 +84,44 @@ func (e *Estimator) Estimate(h []float64, omega []int) (access.Cost, error) {
 	if e.obs != nil {
 		e.obs.EstimatorEval(false)
 	}
-	var opts []access.Option
-	if !e.nwg {
-		opts = append(opts, access.WithoutNoWildGuesses())
-	}
-	sess, err := access.NewSession(access.DatasetBackend{DS: e.sample}, e.scn, opts...)
+	cost, err := e.simulate(h, omega)
 	if err != nil {
 		return 0, err
 	}
-	alg, err := algo.NewNC(h, omega)
-	if err != nil {
+	e.a.memo.insert(cost)
+	e.evals++
+	return cost, nil
+}
+
+// simulate is one simulation run: NC under SR/G(h, omega) proves the top
+// k' of the sample and the session's bill is scaled up to the database.
+// Selector, session and problem are re-armed in place and the run builds
+// no answer, so a run allocates nothing; a rejected configuration or a
+// failed run leaves nothing behind that the next run does not re-arm.
+//
+//topklint:hotpath
+func (e *Estimator) simulate(h []float64, omega []int) (access.Cost, error) {
+	a := e.a
+	if len(h) != e.m() {
+		return 0, fmt.Errorf("opt: configuration has %d depths, the sample has %d predicates", len(h), e.m())
+	}
+	if err := a.srg.Reconfigure(h, omega); err != nil {
 		return 0, err
 	}
-	prob, err := algo.NewProblem(e.f, e.kPrime, sess)
-	if err != nil {
+	if err := a.sess.Reset(a.sessOpts...); err != nil {
 		return 0, err
 	}
-	res, err := alg.Run(prob)
+	if err := a.prob.Rearm(e.f, e.kPrime); err != nil {
+		return 0, err
+	}
+	cur, err := a.nc.Open(&a.prob, &a.scratch)
+	if err == nil {
+		_, err = cur.Skip(e.kPrime)
+	}
 	if err != nil {
 		return 0, fmt.Errorf("opt: simulation run failed for H=%v Omega=%v: %w", h, omega, err)
 	}
-	cost := access.Cost(math.Round(float64(res.Cost()) * e.scale))
-	e.cache[key] = cost
-	e.evals++
-	return cost, nil
+	return access.Cost(math.Round(float64(a.sess.TotalCost()) * e.scale)), nil
 }
 
 // OptimizeOmega computes a global probe schedule following MPro's
@@ -152,48 +132,57 @@ func (e *Estimator) Estimate(h []float64, omega []int) (access.Cost, error) {
 // when the probe lands); predicates without random access go last, in
 // index order, since they can only be resolved by sorted access anyway.
 func OptimizeOmega(sample *data.Dataset, scn access.Scenario) []int {
-	m := sample.M()
-	means := make([]float64, m)
-	for i := 0; i < m; i++ {
+	return scheduleByGain(appendProbeGains(nil, appendMeans(nil, sample), scn))
+}
+
+// appendMeans appends the sample's per-predicate mean scores to dst.
+func appendMeans(dst []float64, sample *data.Dataset) []float64 {
+	dst = slices.Grow(dst, sample.M())
+	for i := 0; i < sample.M(); i++ {
 		sum := 0.0
 		for u := 0; u < sample.N(); u++ {
 			sum += sample.Score(u, i)
 		}
-		means[i] = sum / float64(sample.N())
+		dst = append(dst, sum/float64(sample.N()))
 	}
-	type ranked struct {
-		pred int
-		gain float64
-	}
-	rs := make([]ranked, m)
-	for i := 0; i < m; i++ {
+	return dst
+}
+
+// appendProbeGains appends each predicate's expected bound reduction per
+// unit of probe cost, -Inf where the scenario forbids the probe.
+func appendProbeGains(dst, means []float64, scn access.Scenario) []float64 {
+	dst = slices.Grow(dst, len(means))
+	for i, mean := range means {
 		pc := scn.Preds[i]
 		if !pc.RandomOK {
-			rs[i] = ranked{pred: i, gain: math.Inf(-1)}
+			dst = append(dst, math.Inf(-1))
 			continue
 		}
 		cost := pc.Random.Units()
 		if cost <= 0 {
 			cost = 1e-9
 		}
-		rs[i] = ranked{pred: i, gain: (1 - means[i]) / cost}
+		dst = append(dst, (1-mean)/cost)
 	}
-	// Stable selection sort by gain descending, index ascending on ties:
-	// m is tiny, clarity over cleverness.
-	omega := make([]int, 0, m)
-	used := make([]bool, m)
-	for len(omega) < m {
+	return dst
+}
+
+// scheduleByGain orders the predicates by gain descending, index
+// ascending on ties (a stable selection sort: m is tiny, clarity over
+// cleverness). The schedule is freshly allocated — it leaves in the Plan.
+func scheduleByGain(gain []float64) []int {
+	omega := make([]int, 0, len(gain))
+	for len(omega) < len(gain) {
 		best := -1
-		for i := 0; i < m; i++ {
-			if used[i] {
+		for i := range gain {
+			if slices.Contains(omega, i) {
 				continue
 			}
-			if best == -1 || rs[i].gain > rs[best].gain {
+			if best == -1 || gain[i] > gain[best] {
 				best = i
 			}
 		}
-		used[best] = true
-		omega = append(omega, rs[best].pred)
+		omega = append(omega, best)
 	}
 	return omega
 }
@@ -205,7 +194,7 @@ func OptimizeOmega(sample *data.Dataset, scn access.Scenario) []int {
 // "significantly reduc[es] the complexity" without hurting quality) and is
 // practical only for small m; it refuses m > maxExhaustiveOmega.
 func OptimizeOmegaExhaustive(e *Estimator, h []float64) ([]int, access.Cost, error) {
-	m := e.sample.M()
+	m := e.m()
 	const maxExhaustiveOmega = 6
 	if m > maxExhaustiveOmega {
 		return nil, 0, fmt.Errorf("opt: exhaustive Omega search refuses m=%d (> %d): %d! schedules", m, maxExhaustiveOmega, m)

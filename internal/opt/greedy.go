@@ -140,23 +140,27 @@ func (o *ObservedStats) Key() string {
 	return b.String()
 }
 
-// warpSample pushes the sample's per-predicate scores through the observed
-// power law (v -> v^c_i), so simulation runs price configurations against
-// streams shaped like the ones actually being served. Returns the input
-// unchanged when every exponent is 1.
-func warpSample(sample *data.Dataset, o *ObservedStats) (*data.Dataset, error) {
-	n, m := sample.N(), sample.M()
-	exps := make([]float64, m)
+// appendWarp appends the power-law exponents that warp an m-predicate
+// dummy sample to match the observations, or nothing when every exponent
+// is 1 and the sample stands as it is.
+func (o *ObservedStats) appendWarp(dst []float64, m int) []float64 {
 	identity := true
-	for i := range exps {
-		exps[i] = o.Exponent(i)
-		if exps[i] != 1 {
-			identity = false
-		}
+	for i := 0; i < m; i++ {
+		c := o.Exponent(i)
+		dst = append(dst, c)
+		identity = identity && c == 1
 	}
 	if identity {
-		return sample, nil
+		return dst[:len(dst)-m]
 	}
+	return dst
+}
+
+// warpSample pushes the sample's per-predicate scores through the observed
+// power law (v -> v^exps[i]), so simulation runs price configurations
+// against streams shaped like the ones actually being served.
+func warpSample(sample *data.Dataset, exps []float64) (*data.Dataset, error) {
+	n, m := sample.N(), sample.M()
 	scores := make([][]float64, n)
 	for u := 0; u < n; u++ {
 		row := make([]float64, m)

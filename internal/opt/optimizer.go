@@ -129,35 +129,28 @@ func discountScenario(scn access.Scenario, sd, rd float64) access.Scenario {
 // Optimize searches the SR/G space for a low-cost configuration for a
 // (F, k) query over n objects under the given cost scenario. It first
 // fixes Omega (global probe scheduling, following MPro), then runs the
-// configured H-scheme against a fresh estimator, per Section 7.2's
-// two-stage approximation.
+// configured H-scheme against the estimator of a pooled planning arena,
+// per Section 7.2's two-stage approximation.
 func Optimize(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, error) {
 	cfg = cfg.withDefaults()
 	scn = discountScenario(scn, cfg.SortedDiscount, cfg.RandomDiscount)
 	if cfg.Scheme == SchemeGreedy {
 		return Greedy(scn, f, k, n, cfg.Observed)
 	}
-	sample := cfg.Sample
-	if sample == nil {
-		var err error
-		sample, err = data.DummySample(cfg.SampleSize, scn.M(), cfg.Seed)
-		if err != nil {
-			return Plan{}, fmt.Errorf("opt: synthesizing dummy sample: %w", err)
-		}
-		if cfg.Observed != nil {
-			sample, err = warpSample(sample, cfg.Observed)
-			if err != nil {
-				return Plan{}, fmt.Errorf("opt: warping dummy sample: %w", err)
-			}
-		}
-	}
-	omega := OptimizeOmega(sample, scn)
-	est, err := NewEstimator(sample, scn, f, k, n, !cfg.DisableNWG)
+	a, err := acquireArena(cfg, scn, f, k, n)
 	if err != nil {
 		return Plan{}, err
 	}
-	est.SetObserver(cfg.Observer)
+	defer a.release()
+	return a.search(cfg, scn, f)
+}
+
+// search runs the configured H-scheme, then the optional exhaustive
+// Omega refinement, against the problem the arena is bound to.
+func (a *arena) search(cfg Config, scn access.Scenario, f score.Func) (Plan, error) {
+	est, omega := &a.est, a.omega(scn)
 	var plan Plan
+	var err error
 	switch cfg.Scheme {
 	case SchemeNaive:
 		plan, err = Naive(est, omega, cfg.Grid, cfg.MaxEvals)
@@ -197,26 +190,12 @@ func Optimize(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, er
 func EstimateConfiguration(cfg Config, scn access.Scenario, f score.Func, k, n int, h []float64, omega []int) (access.Cost, error) {
 	cfg = cfg.withDefaults()
 	scn = discountScenario(scn, cfg.SortedDiscount, cfg.RandomDiscount)
-	sample := cfg.Sample
-	if sample == nil {
-		var err error
-		sample, err = data.DummySample(cfg.SampleSize, scn.M(), cfg.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("opt: synthesizing dummy sample: %w", err)
-		}
-		if cfg.Observed != nil {
-			sample, err = warpSample(sample, cfg.Observed)
-			if err != nil {
-				return 0, fmt.Errorf("opt: warping dummy sample: %w", err)
-			}
-		}
-	}
-	est, err := NewEstimator(sample, scn, f, k, n, !cfg.DisableNWG)
+	a, err := acquireArena(cfg, scn, f, k, n)
 	if err != nil {
 		return 0, err
 	}
-	est.SetObserver(cfg.Observer)
-	return est.Estimate(h, omega)
+	defer a.release()
+	return a.est.Estimate(h, omega)
 }
 
 // Optimized is an algo.Algorithm that optimizes before executing: the

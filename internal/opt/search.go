@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/score"
@@ -64,22 +65,59 @@ func SchemeByName(name string) (Scheme, error) {
 }
 
 // gridValues returns g evenly spaced depth values spanning [0,1].
-func gridValues(g int) []float64 {
-	if g < 2 {
-		g = 2
+func gridValues(g int) []float64 { return appendGrid(nil, g) }
+
+// appendGrid is gridValues into a caller-owned buffer.
+func appendGrid(dst []float64, g int) []float64 {
+	g = max(g, 2)
+	dst = slices.Grow(dst, g)
+	for i := 0; i < g; i++ {
+		dst = append(dst, float64(i)/float64(g-1))
 	}
-	vs := make([]float64, g)
-	for i := range vs {
-		vs[i] = float64(i) / float64(g-1)
+	return dst
+}
+
+// lattice readies the arena's search work space: the g grid values, and
+// a depth vector and a zeroed grid-index vector for m predicates.
+func (a *arena) lattice(g, m int) (vs, h []float64, idx []int) {
+	a.vs = appendGrid(a.vs[:0], g)
+	a.h = slices.Grow(a.h[:0], m)[:m]
+	a.idx = slices.Grow(a.idx[:0], m)[:m]
+	clear(a.idx)
+	return a.vs, a.h, a.idx
+}
+
+// incumbent tracks a scheme's best configuration so far in the arena's
+// buffer: candidates are priced in place and only the winner is copied
+// out, into the Plan.
+type incumbent struct {
+	e    *Estimator
+	cost access.Cost
+}
+
+func newIncumbent(e *Estimator) incumbent {
+	e.a.bestH = e.a.bestH[:0]
+	return incumbent{e: e, cost: -1}
+}
+
+// offer keeps h when it is strictly cheaper than the incumbent.
+func (b *incumbent) offer(h []float64, c access.Cost) {
+	if b.cost < 0 || c < b.cost {
+		b.cost = c
+		b.e.a.bestH = append(b.e.a.bestH[:0], h...)
 	}
-	return vs
+}
+
+// plan copies the incumbent out.
+func (b *incumbent) plan(omega []int) Plan {
+	return Plan{H: slices.Clone(b.e.a.bestH), Omega: omega, EstimatedCost: b.cost, Evals: b.e.Evals()}
 }
 
 // Naive exhaustively evaluates the full g^m mesh and returns the minimum.
 // It refuses meshes larger than maxEvals points (Section 7.2 notes the
 // space "explodes for large m"; that explosion is the point of E6).
 func Naive(e *Estimator, omega []int, g, maxEvals int) (Plan, error) {
-	m := e.sample.M()
+	a, m := e.a, e.m()
 	points := 1
 	for i := 0; i < m; i++ {
 		points *= g
@@ -87,10 +125,8 @@ func Naive(e *Estimator, omega []int, g, maxEvals int) (Plan, error) {
 			return Plan{}, fmt.Errorf("opt: Naive mesh %d^%d exceeds the %d-evaluation budget", g, m, maxEvals)
 		}
 	}
-	vs := gridValues(g)
-	h := make([]float64, m)
-	idx := make([]int, m)
-	best := Plan{EstimatedCost: -1}
+	vs, h, idx := a.lattice(g, m)
+	best := newIncumbent(e)
 	for {
 		for i, j := range idx {
 			h[i] = vs[j]
@@ -99,9 +135,7 @@ func Naive(e *Estimator, omega []int, g, maxEvals int) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		if best.EstimatedCost < 0 || c < best.EstimatedCost {
-			best = Plan{H: append([]float64(nil), h...), Omega: omega, EstimatedCost: c}
-		}
+		best.offer(h, c)
 		// Odometer increment.
 		i := 0
 		for ; i < m; i++ {
@@ -115,44 +149,54 @@ func Naive(e *Estimator, omega []int, g, maxEvals int) (Plan, error) {
 			break
 		}
 	}
-	best.Evals = e.Evals()
-	return best, nil
+	return best.plan(omega), nil
 }
 
 // Strategies evaluates only configurations suiting the scoring function's
 // shape (Example 11's observation: focused for min, parallel for avg),
 // falling back to the union of both families for unclassified functions.
 func Strategies(e *Estimator, f score.Func, omega []int, g int) (Plan, error) {
-	m := e.sample.M()
-	vs := gridValues(g)
-	var candidates [][]float64
+	a, m := e.a, e.m()
+	vs, h, _ := a.lattice(g, m)
+	best := newIncumbent(e)
+	try := func() error {
+		c, err := e.Estimate(h, omega)
+		if err == nil {
+			best.offer(h, c)
+		}
+		return err
+	}
 
-	addFocused := func() {
+	focused := func() error {
 		// Deep on one predicate, none on the rest.
 		for i := 0; i < m; i++ {
 			for _, t := range vs {
-				h := make([]float64, m)
 				for j := range h {
 					h[j] = 1
 				}
 				h[i] = t
-				candidates = append(candidates, h)
+				if err := try(); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	addDiagonal := func(lo float64) {
+	diagonal := func(lo float64) error {
 		for _, t := range vs {
 			if t < lo {
 				continue
 			}
-			h := make([]float64, m)
 			for j := range h {
 				h[j] = t
 			}
-			candidates = append(candidates, h)
+			if err := try(); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	addWeighted := func(w []float64) {
+	weighted := func(w []float64) error {
 		// Depths proportional to weights: heavier predicates deeper.
 		maxW := 0.0
 		for _, x := range w {
@@ -161,69 +205,70 @@ func Strategies(e *Estimator, f score.Func, omega []int, g int) (Plan, error) {
 			}
 		}
 		if maxW == 0 {
-			return
+			return nil
 		}
 		for _, t := range vs {
-			h := make([]float64, m)
 			for j := range h {
 				h[j] = 1 - (1-t)*(w[j]/maxW)
 			}
-			candidates = append(candidates, h)
+			if err := try(); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 
+	var err error
 	switch f.Shape() {
 	case score.ShapeMinLike:
-		addFocused()
-		addDiagonal(0) // keep the symmetric family as a safety net
+		if err = focused(); err == nil {
+			err = diagonal(0) // keep the symmetric family as a safety net
+		}
 	case score.ShapeMeanLike:
-		addDiagonal(0)
-		if w, ok := f.(score.Weighter); ok {
-			addWeighted(w.Weights())
+		err = diagonal(0)
+		if w, ok := f.(score.Weighter); ok && err == nil {
+			err = weighted(w.Weights())
 		}
 	case score.ShapeMaxLike:
-		addDiagonal(0.5) // shallow parallel depths
-		addFocused()
+		if err = diagonal(0.5); err == nil { // shallow parallel depths
+			err = focused()
+		}
 	default:
-		addFocused()
-		addDiagonal(0)
-	}
-
-	best := Plan{EstimatedCost: -1}
-	for _, h := range candidates {
-		c, err := e.Estimate(h, omega)
-		if err != nil {
-			return Plan{}, err
-		}
-		if best.EstimatedCost < 0 || c < best.EstimatedCost {
-			best = Plan{H: h, Omega: omega, EstimatedCost: c}
+		if err = focused(); err == nil {
+			err = diagonal(0)
 		}
 	}
-	best.Evals = e.Evals()
-	return best, nil
+	if err != nil {
+		return Plan{}, err
+	}
+	return best.plan(omega), nil
 }
 
 // HClimb performs steepest-descent hill climbing on the grid lattice from
 // several random starting points, the scheme the paper adopts for its
 // experiments. Neighbors differ by one grid step in one dimension.
 func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error) {
-	m := e.sample.M()
-	vs := gridValues(g)
-	rng := rand.New(rand.NewSource(seed))
+	a, m := e.a, e.m()
+	vs, h, idx := a.lattice(g, m)
+	// Re-seeding the arena's generator replays rand.NewSource(seed)'s
+	// sequence without its 4.8 KiB of state per plan.
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(seed))
+	} else {
+		a.rng.Seed(seed)
+	}
 	if restarts < 1 {
 		restarts = 1
 	}
-	best := Plan{EstimatedCost: -1}
+	best := newIncumbent(e)
 
-	idxToH := func(idx []int) []float64 {
-		h := make([]float64, m)
+	at := func() (access.Cost, error) {
 		for i, j := range idx {
 			h[i] = vs[j]
 		}
-		return h
+		return e.Estimate(h, omega)
 	}
 	for r := 0; r < restarts; r++ {
-		idx := make([]int, m)
 		if r == 0 {
 			// First start at the all-max-depth corner's midpoint, a
 			// deterministic anchor that keeps single-restart runs stable.
@@ -232,15 +277,14 @@ func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error
 			}
 		} else {
 			for i := range idx {
-				idx[i] = rng.Intn(g)
+				idx[i] = a.rng.Intn(g)
 			}
 		}
-		cur, err := e.Estimate(idxToH(idx), omega)
+		cur, err := at()
 		if err != nil {
 			return Plan{}, err
 		}
 		for {
-			improved := false
 			bestN, bestNCost := -1, cur
 			var bestDir int
 			for i := 0; i < m; i++ {
@@ -250,7 +294,7 @@ func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error
 						continue
 					}
 					idx[i] = j
-					c, err := e.Estimate(idxToH(idx), omega)
+					c, err := at()
 					idx[i] = j - d
 					if err != nil {
 						return Plan{}, err
@@ -260,19 +304,16 @@ func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error
 					}
 				}
 			}
-			if bestN >= 0 {
-				idx[bestN] += bestDir
-				cur = bestNCost
-				improved = true
-			}
-			if !improved {
+			if bestN < 0 {
 				break
 			}
+			idx[bestN] += bestDir
+			cur = bestNCost
 		}
-		if best.EstimatedCost < 0 || cur < best.EstimatedCost {
-			best = Plan{H: idxToH(idx), Omega: omega, EstimatedCost: cur}
+		for i, j := range idx {
+			h[i] = vs[j]
 		}
+		best.offer(h, cur)
 	}
-	best.Evals = e.Evals()
-	return best, nil
+	return best.plan(omega), nil
 }
