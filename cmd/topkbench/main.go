@@ -173,20 +173,21 @@ func runServeBench(queries int) error {
 	q := topk.Query{F: topk.Avg(), K: 10}
 	fixed := topk.WithNC([]float64{0.5, 0.5}, nil)
 	optimized := topk.WithOptimizer(topk.OptimizerConfig{})
-	shared := topk.NewSharedAccess(topk.DataBackend(ds), topk.SharingOptions{})
+	base := topk.DataBackend(ds)
 	cases := []struct {
-		name string
-		opts []topk.EngineOption
-		run  []topk.RunOption
+		name    string
+		backend topk.Backend
+		opts    []topk.EngineOption
+		run     []topk.RunOption
 	}{
-		{"fixed-plan", nil, []topk.RunOption{fixed}},
-		{"optimizer/no-cache", nil, []topk.RunOption{optimized}},
-		{"optimizer/plan-cache", []topk.EngineOption{topk.WithPlanCache(topk.NewPlanCache(0))}, []topk.RunOption{optimized}},
-		{"optimizer/shared", []topk.EngineOption{topk.WithPlanCache(topk.NewPlanCache(0)), topk.WithSharing(shared)}, []topk.RunOption{optimized}},
+		{"fixed-plan", base, nil, []topk.RunOption{fixed}},
+		{"optimizer/no-cache", base, nil, []topk.RunOption{optimized}},
+		{"optimizer/plan-cache", base, []topk.EngineOption{topk.WithPlanCache(topk.NewPlanCache(0))}, []topk.RunOption{optimized}},
+		{"optimizer/shared", topk.NewSharedAccess(base, topk.SharingOptions{}), []topk.EngineOption{topk.WithPlanCache(topk.NewPlanCache(0))}, []topk.RunOption{optimized}},
 	}
 	fmt.Printf("serve-path throughput (%d queries per case, E1 workload)\n", queries)
 	for _, c := range cases {
-		eng, err := topk.NewEngine(topk.DataBackend(ds), topk.UniformScenario(2, 1, 1), c.opts...)
+		eng, err := topk.NewEngine(c.backend, topk.UniformScenario(2, 1, 1), c.opts...)
 		if err != nil {
 			return err
 		}

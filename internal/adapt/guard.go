@@ -96,10 +96,9 @@ func NewGuard(inner access.Backend, opts ...GuardOption) *Guard {
 	return g
 }
 
-// Backend returns the wrapped backend, so callers can unwrap the guard
-// when probing for optional capabilities (e.g. distributed-membership
-// fingerprints) the guard forwards no interface for.
-func (g *Guard) Backend() access.Backend { return g.inner }
+// Unwrap returns the wrapped backend (the access.As convention), so the
+// layers and capabilities below the guard stay discoverable.
+func (g *Guard) Unwrap() access.Backend { return g.inner }
 
 // N returns the object count.
 func (g *Guard) N() int { return g.inner.N() }

@@ -172,6 +172,8 @@ func (t *node) serve(entries int) {
 	t.served.Add(int64(entries))
 }
 
+func (t *node) Unwrap() access.Backend { return t.inner }
+
 func (t *node) N() int      { return t.inner.N() }
 func (t *node) M() int      { return t.inner.M() }
 func (t *node) LocalN() int { return t.inner.LocalN() }
@@ -188,9 +190,7 @@ func (t *node) Random(ctx context.Context, pred, obj int) (float64, error) {
 
 func (t *node) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error) {
 	t.serve(len(objs))
-	return t.inner.(interface {
-		BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error)
-	}).BatchRandom(ctx, preds, objs)
+	return t.inner.(access.BatchBackend).BatchRandom(ctx, preds, objs)
 }
 
 // SortedPage forwards one prefetch page, charging per entry: paging

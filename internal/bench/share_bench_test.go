@@ -44,9 +44,8 @@ func BenchmarkSharedThroughput(b *testing.B) {
 	})
 	b.Run("shared/parallel", func(b *testing.B) {
 		ds := datatest.MustGenerate(data.Uniform, 1000, 2, 42)
-		backend := topk.DataBackend(ds)
-		layer := topk.NewSharedAccess(backend, topk.SharingOptions{})
-		eng, err := topk.NewEngine(backend, topk.UniformScenario(2, 1, 1), topk.WithSharing(layer))
+		layer := topk.NewSharedAccess(topk.DataBackend(ds), topk.SharingOptions{})
+		eng, err := topk.NewEngine(layer, topk.UniformScenario(2, 1, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -102,6 +102,7 @@ func (b routed) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 		return 0, 0, fmt.Errorf("catalog: predicate %d out of range", pred)
 	}
 	r := b.regs[pred]
+	//topklint:allow billedaccess routes to several backends, one per predicate: there is no single layer below for Unwrap to return
 	return r.Backend.Sorted(ctx, r.LocalPred, rank)
 }
 
@@ -239,8 +240,10 @@ func (c *Catalog) CalibrateIO(ctx context.Context, name string, opts store.Measu
 		var cal store.Calibration
 		measured := false
 		if r.Sorted && r.SortedCost <= 0 || r.Random && r.RandomCost <= 0 {
-			var err error
-			cal, err = store.MeasurePred(ctx, r.Backend, r.LocalPred, opts)
+			one, err := access.Project(r.Backend, []int{r.LocalPred})
+			if err == nil {
+				cal, err = store.Measure(ctx, one, opts)
+			}
 			if err != nil {
 				return access.Scenario{}, "", fmt.Errorf("catalog: calibrating %q: %w", r.PredName, err)
 			}

@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/data/datatest"
 	"repro/internal/score"
+	"repro/internal/store"
 )
 
 type slowBackend struct {
@@ -204,5 +206,56 @@ func TestEmptyCatalog(t *testing.T) {
 	}
 	if _, err := c.Calibrate(context.Background(), "x", 1); err == nil {
 		t.Error("empty calibrate should fail")
+	}
+}
+
+// predCounter counts accesses per predicate and cache drops.
+type predCounter struct {
+	access.DatasetBackend
+	touched map[int]int
+	drops   int
+}
+
+func (b *predCounter) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	b.touched[pred]++
+	return b.DatasetBackend.Sorted(ctx, pred, rank)
+}
+
+func (b *predCounter) Random(ctx context.Context, pred, obj int) (float64, error) {
+	b.touched[pred]++
+	return b.DatasetBackend.Random(ctx, pred, obj)
+}
+
+func (b *predCounter) DropCaches() { b.drops++ }
+
+// TestCalibrateIOMeasuresOnePredicate: IO calibration times exactly the
+// registered predicate of a multi-predicate source — through a
+// one-column projection — and cold mode still reaches the source's caches
+// below that projection.
+func TestCalibrateIOMeasuresOnePredicate(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 64, 3, 9)
+	src := &predCounter{DatasetBackend: access.DatasetBackend{DS: ds}, touched: map[int]int{}}
+	c := New()
+	if err := c.Register(Registration{Source: "disk", PredName: "measured", Backend: src, LocalPred: 1, Sorted: true, Random: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Register(Registration{Source: "disk", PredName: "declared", Backend: src, LocalPred: 2, Sorted: true, SortedCost: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	scn, key, err := c.CalibrateIO(context.Background(), "io", store.MeasureOptions{Probes: 16, Batches: 3, Seed: 4, Cold: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src.touched) != 1 || src.touched[1] != 2*3*16 {
+		t.Errorf("calibration touched %v, want %d accesses on predicate 1 only", src.touched, 2*3*16)
+	}
+	if src.drops != 2*3 {
+		t.Errorf("cold mode dropped caches %d times, want once per batch (%d)", src.drops, 2*3)
+	}
+	if p := scn.Preds[0]; !p.SortedOK || !p.RandomOK || p.Sorted <= 0 || p.Random <= 0 {
+		t.Errorf("measured predicate priced %+v", p)
+	}
+	if !strings.HasPrefix(key, "io(cs=") || !strings.HasSuffix(key, ",cold),-") {
+		t.Errorf("calibration key %q, want one io(...) clause then \"-\" for the declared predicate", key)
 	}
 }

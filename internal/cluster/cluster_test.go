@@ -21,6 +21,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/websim"
@@ -281,7 +282,7 @@ func TestWrapShardFacade(t *testing.T) {
 	if _, ok := wrapped.(PageBackend); ok {
 		t.Error("facade leaks the PageBackend capability past the wrapper")
 	}
-	if _, ok := wrapped.(batchBackend); ok {
+	if _, ok := wrapped.(access.BatchBackend); ok {
 		t.Error("facade leaks the batch capability past the wrapper")
 	}
 }
@@ -704,73 +705,6 @@ func TestCoordinatorCancellationDoesNotFence(t *testing.T) {
 		t.Fatalf("cancellation billed as failure: %+v", st)
 	}
 	drainSorted(t, c, ds, 0)
-}
-
-func TestView(t *testing.T) {
-	ds := uniformDataset(t, 100, 3, 41)
-	c := localCluster(t, ds, 3, Options{})
-	ctx := context.Background()
-
-	if _, err := c.View(nil); err == nil {
-		t.Error("empty view accepted")
-	}
-	if _, err := c.View([]int{0, 3}); err == nil {
-		t.Error("out-of-range view predicate accepted")
-	}
-	if _, err := c.View([]int{1, 1}); err == nil {
-		t.Error("duplicate view predicate accepted")
-	}
-	if ident, err := c.View([]int{0, 1, 2}); err != nil || ident != interface{}(c) {
-		t.Errorf("identity projection returned %T, %v", ident, err)
-	}
-
-	b, err := c.View([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := b.(*View)
-	if v.Coordinator() != c || v.N() != ds.N() || v.M() != 2 {
-		t.Fatalf("view surface: N=%d M=%d", v.N(), v.M())
-	}
-	if v.MembershipKey() != c.MembershipKey() {
-		t.Error("view membership key diverges from the coordinator's")
-	}
-
-	// Every access on view predicate j lands on global predicate preds[j].
-	obj, score, err := v.Sorted(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wObj, wScore, _ := c.Sorted(ctx, 2, 0); obj != wObj || score != wScore {
-		t.Errorf("view sorted (%d, %g), coordinator p2 (%d, %g)", obj, score, wObj, wScore)
-	}
-	got, err := v.Random(ctx, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ds.Score(5, 0); got != want {
-		t.Errorf("view random %g, want p0 score %g", got, want)
-	}
-	scores, err := v.BatchRandom(ctx, []int{0, 1}, []int{7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[0] != ds.Score(7, 2) || scores[1] != ds.Score(9, 0) {
-		t.Errorf("view batch %v", scores)
-	}
-	if v.UnseenBound(0) != c.UnseenBound(2) {
-		t.Error("view bound diverges from the projected predicate's")
-	}
-
-	if _, _, err := v.Sorted(ctx, 2, 0); err == nil {
-		t.Error("view predicate beyond projection accepted by Sorted")
-	}
-	if _, err := v.Random(ctx, -1, 0); err == nil {
-		t.Error("negative view predicate accepted by Random")
-	}
-	if _, err := v.BatchRandom(ctx, []int{2}, []int{0}); err == nil {
-		t.Error("view predicate beyond projection accepted by BatchRandom")
-	}
 }
 
 func TestCoordinatorMetrics(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/obs"
 )
 
@@ -450,14 +451,7 @@ func (c *Coordinator) Random(ctx context.Context, pred, obj int) (float64, error
 	return score, nil
 }
 
-// batchBackend is the optional batch capability a shard may offer
-// (structurally share.BatchBackend, redeclared to keep the dependency
-// arrow pointing share → cluster only if ever needed, not both ways).
-type batchBackend interface {
-	BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error)
-}
-
-// BatchRandom implements share.BatchBackend over the cluster: probes
+// BatchRandom implements access.BatchBackend over the cluster: probes
 // group by owning shard (group commit per shard), the groups fan out
 // concurrently, and each shard serves its group in one round trip when
 // it speaks batch, else probe by probe. The batch fails as a unit, like
@@ -520,7 +514,7 @@ func (c *Coordinator) shardBatch(ctx context.Context, s int, preds, objs, idx []
 		return fmt.Errorf("%w: shard %d fenced, batched probes refused", ErrShardDown, s)
 	}
 	sh := c.shards[s]
-	if bb, ok := sh.(batchBackend); ok {
+	if bb, ok := sh.(access.BatchBackend); ok {
 		sp := make([]int, len(idx))
 		so := make([]int, len(idx))
 		for j, orig := range idx {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 
+	"repro/internal/access"
 	"repro/internal/websim"
 )
 
@@ -47,7 +48,7 @@ func (s *RemoteShard) SortedPage(ctx context.Context, pred, rank, count int) ([]
 }
 
 var (
-	_ Shard        = (*RemoteShard)(nil)
-	_ PageBackend  = (*RemoteShard)(nil)
-	_ batchBackend = (*RemoteShard)(nil)
+	_ Shard               = (*RemoteShard)(nil)
+	_ PageBackend         = (*RemoteShard)(nil)
+	_ access.BatchBackend = (*RemoteShard)(nil)
 )

@@ -95,6 +95,9 @@ func Wrap(inner access.Backend, cfg Config) *Backend {
 	}
 }
 
+// Unwrap returns the wrapped backend (the access.As convention).
+func (b *Backend) Unwrap() access.Backend { return b.inner }
+
 // N returns the object count of the wrapped backend.
 func (b *Backend) N() int { return b.inner.N() }
 

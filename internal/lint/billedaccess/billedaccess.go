@@ -8,12 +8,16 @@
 //
 // The analyzer flags call sites of Sorted, Random (on any type
 // implementing access.Backend) and BatchRandom (on any type implementing
-// share.BatchBackend) outside the ledgered packages — internal/access,
+// access.BatchBackend) outside the ledgered packages — internal/access,
 // internal/share, internal/fault. Forwarding is exempt: a call made
 // inside a same-named method of a type that itself implements the
 // interface is one composed backend delegating to another (the catalog's
 // router, fault wrappers), not an unbilled access — the outermost wrapper
-// is still driven through a session.
+// is still driven through a session. Such a forwarder owes the stack one
+// thing in return: when what it forwards to is held as an interface, it
+// must declare Unwrap() access.Backend, or everything access.As looks for
+// below it — the sharing layer's planning discounts, the shard membership
+// in the plan-cache key, cache eviction — silently disappears.
 //
 // Legitimate out-of-ledger traffic exists — cost calibration probes,
 // readiness checks, the live executor's own-ledgered accesses — and each
@@ -62,7 +66,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	backend := lookupIface(pass.Pkg, "repro/internal/access", "Backend")
-	batch := lookupIface(pass.Pkg, "repro/internal/share", "BatchBackend")
+	batch := lookupIface(pass.Pkg, "repro/internal/access", "BatchBackend")
 	if backend == nil && batch == nil {
 		return nil // cannot name the interfaces, cannot hold a value of them
 	}
@@ -75,13 +79,15 @@ func run(pass *analysis.Pass) error {
 		}
 		return nil
 	}
+	opaque := map[string]bool{} // forwarders already reported for lacking Unwrap
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			forwarder := implementsEither(receiverType(pass, fd), backend, batch)
+			self := receiverType(pass, fd)
+			forwarder := implementsEither(self, backend, batch)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -100,7 +106,12 @@ func run(pass *analysis.Pass) error {
 					return true
 				}
 				if forwarder && fd.Name.Name == sel.Sel.Name {
-					return true // one composed backend delegating to another
+					// One composed backend delegating to another.
+					if types.IsInterface(recv) && !opaque[self.String()] && !hasMethod(self, pass.Pkg, "Unwrap") {
+						opaque[self.String()] = true
+						pass.Reportf(call.Pos(), "wrapper %s forwards to a backend it does not expose: without Unwrap() access.Backend the layers below it are invisible to access.As (declare it, or annotate //topklint:allow billedaccess <reason>)", self)
+					}
+					return true
 				}
 				pass.Reportf(call.Pos(), "unbilled %s access: a raw backend call bypasses the session ledger, so its cost never reaches the model (route it through access.Session, or annotate //topklint:allow billedaccess <reason>)", sel.Sel.Name)
 				return true
@@ -117,6 +128,13 @@ func receiverType(pass *analysis.Pass, fd *ast.FuncDecl) types.Type {
 		return nil
 	}
 	return pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+}
+
+// hasMethod reports whether t (or *t) has a method of the given name.
+func hasMethod(t types.Type, pkg *types.Package, name string) bool {
+	obj, _, _ := types.LookupFieldOrMethod(t, true, pkg, name)
+	_, ok := obj.(*types.Func)
+	return ok
 }
 
 func implementsEither(t types.Type, a, b *types.Interface) bool {

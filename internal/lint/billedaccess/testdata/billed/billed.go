@@ -6,7 +6,6 @@ import (
 	"context"
 
 	"repro/internal/access"
-	"repro/internal/share"
 )
 
 // Probe performs a raw sorted access: invisible to any ledger.
@@ -21,13 +20,15 @@ func ProbeRandom(ctx context.Context, b access.Backend) (float64, error) {
 }
 
 // Batch performs a raw batched access.
-func Batch(ctx context.Context, b share.BatchBackend) ([]float64, error) {
+func Batch(ctx context.Context, b access.BatchBackend) ([]float64, error) {
 	return b.BatchRandom(ctx, nil, nil) // want "unbilled BatchRandom access"
 }
 
 // wrapper composes a backend: same-named delegation is forwarding, not an
-// unbilled access.
+// unbilled access, and Unwrap keeps the stack below it discoverable.
 type wrapper struct{ inner access.Backend }
+
+func (w wrapper) Unwrap() access.Backend { return w.inner }
 
 func (w wrapper) N() int { return w.inner.N() }
 func (w wrapper) M() int { return w.inner.M() }
@@ -47,6 +48,21 @@ func (w wrapper) Random(ctx context.Context, pred, obj int) (float64, error) {
 		}
 	}
 	return w.inner.Random(ctx, pred, obj)
+}
+
+// opaque forwards like wrapper but hides what it wraps: reported once, at
+// its first forwarding call.
+type opaque struct{ inner access.Backend }
+
+func (o opaque) N() int { return o.inner.N() }
+func (o opaque) M() int { return o.inner.M() }
+
+func (o opaque) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	return o.inner.Sorted(ctx, pred, rank) // want "without Unwrap"
+}
+
+func (o opaque) Random(ctx context.Context, pred, obj int) (float64, error) {
+	return o.inner.Random(ctx, pred, obj)
 }
 
 // Health documents its out-of-ledger probe with an allow directive.

@@ -240,18 +240,12 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 		dst = append(dst, ':')
 		dst = strconv.AppendFloat(dst, cfg.RandomDiscount, 'g', -1, 64)
 	}
-	if cfg.ClusterKey != "" {
-		// Cluster membership reshapes which backend serves the accesses a
-		// plan schedules; epoch-keyed so fences and recoveries re-key.
-		dst = append(dst, " cluster="...)
-		dst = append(dst, cfg.ClusterKey...)
-	}
-	if cfg.StorageKey != "" {
-		// Disk-backed sources carry their measured calibration in the key:
-		// a re-calibration that moves the quantized costs re-keys every
-		// plan priced under the old physics.
-		dst = append(dst, " storage="...)
-		dst = append(dst, cfg.StorageKey...)
+	if cfg.BackendKey != "" {
+		// Shard membership and storage calibration decide which backend
+		// serves a plan's accesses and at what measured price; fences,
+		// recoveries and re-calibrations re-key.
+		dst = append(dst, " backend="...)
+		dst = append(dst, cfg.BackendKey...)
 	}
 	if fp := cfg.Observed.Key(); fp != "" {
 		// Mid-query observations reshape the sample Optimize plans against,

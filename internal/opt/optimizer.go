@@ -53,24 +53,18 @@ type Config struct {
 	// warped: real samples are ground truth, observations only correct
 	// the dummy uniform assumption.
 	Observed *ObservedStats
-	// ClusterKey fingerprints distributed-backend membership (see
-	// cluster.Coordinator.MembershipKey): plans chosen while one shard
-	// set was live must not be replayed against another, so the key joins
-	// the plan-cache fingerprint. Empty for single-node backends. It does
-	// not change the optimization itself — membership shifts surface to
-	// the optimizer as breaker-driven capability changes, which re-key the
-	// scenario on their own; ClusterKey covers the window before breakers
-	// trip and the recovery after they close.
-	ClusterKey string
-	// StorageKey fingerprints a disk-backed source's identity and its
-	// IO-measured calibration (see store.Calibration.Key): plans priced
-	// under one measured (cs, cr) must not be replayed after a
-	// re-calibration moved the costs — new hardware, cold vs warm cache
-	// mode — even though n, m, and the capability flags are unchanged.
-	// Calibrated costs are quantized to two significant figures before
-	// they reach this key, so repeat calibrations of unchanged physics
-	// stay cache hits. Empty for declared-cost scenarios.
-	StorageKey string
+	// BackendKey fingerprints what the plan's accesses will actually run
+	// against beyond the scenario: live shard membership
+	// (cluster.Coordinator.MembershipKey — plans chosen while one shard set
+	// was live must not be replayed against another; breakers re-key the
+	// scenario on their own, this covers the window before they trip and
+	// the recovery after they close) and a disk store's identity with its
+	// IO-measured calibration (store.Calibration.Key, quantized to two
+	// significant figures so repeat calibrations of unchanged physics stay
+	// cache hits). The engine composes it from its backend stack; it joins
+	// the plan-cache key and does not change the optimization itself.
+	// Empty for single-node backends under declared costs.
+	BackendKey string
 	// Observer, when non-nil, receives optimizer events: one
 	// EstimatorEval per priced configuration (memoized or simulated).
 	Observer obs.Observer

@@ -24,12 +24,11 @@ import (
 )
 
 // liveCursor is one registered server-side cursor: the engine cursor plus
-// the request-independent context a page response needs (labels, trace,
+// the request-independent context a page response needs (trace,
 // pagination counters).
 type liveCursor struct {
 	id    string
 	query string
-	label func(int) string
 	tr    *obs.QueryTrace
 
 	// mu serializes pages — concurrent /query/next calls on the same id
@@ -74,7 +73,7 @@ func (h *Handler) openCursor(req QueryRequest, traced bool) (*QueryResponse, int
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-	lc := &liveCursor{id: h.nextCursorID(), query: p.pq.String(), label: p.label, tr: p.tr, cur: cur}
+	lc := &liveCursor{id: h.nextCursorID(), query: p.pq.String(), tr: p.tr, cur: cur}
 	lc.touch()
 	if err := h.register(lc); err != nil {
 		_ = cur.Close()
@@ -160,7 +159,7 @@ func (lc *liveCursor) produce(h *Handler, k int, tau *float64, traced bool) (*Qu
 	if !traced {
 		tr = nil
 	}
-	resp := h.respond(lc.query, lc.label, page, tr)
+	resp := h.respond(lc.query, page, tr)
 	resp.Cursor, resp.Page = lc.id, lc.page
 	if resp.Trace != nil {
 		resp.Trace.Cursor = &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}

@@ -69,6 +69,7 @@ import (
 	"time"
 
 	topk "repro"
+	"repro/internal/access"
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/obs"
@@ -82,7 +83,7 @@ type Config struct {
 	// per query). Exactly one of Dataset and Cluster must be set.
 	Dataset *data.Dataset
 	// Cluster, when non-nil, fronts a shard cluster instead of a local
-	// dataset: per-query backends are predicate views into the
+	// dataset: per-query backends are column projections of the
 	// coordinator's scatter-gather Backend, so every algorithm, breaker,
 	// and sharing feature runs unchanged over the distributed sources.
 	// The coordinator's topk_cluster_* series register on the service's
@@ -90,7 +91,7 @@ type Config struct {
 	// counters.
 	Cluster *cluster.Coordinator
 	// Store, when non-nil, fronts a disk store directory instead of an
-	// in-memory dataset: per-query backends are predicate views into the
+	// in-memory dataset: per-query backends are column projections of the
 	// store, so sorted accesses run as block scans and random accesses as
 	// point reads while every algorithm, breaker, and sharing feature
 	// runs unchanged. Exactly one of Dataset, Cluster, and Store must be
@@ -156,7 +157,10 @@ type Config struct {
 	// a fault injector into the service's own execution path. With sharing
 	// enabled the wrapper sits above the shared layer, so injected faults
 	// hit each query's session (and its breakers) without poisoning the
-	// shared caches.
+	// shared caches. A wrapper should declare Unwrap() topk.Backend
+	// returning b: the engine finds the sharing layer (for its planning
+	// discounts) and the cluster membership (for the plan-cache key) by
+	// walking the stack, and a wrapper without it hides both.
 	WrapBackend func(b topk.Backend, cols []int) topk.Backend
 
 	// AdaptivePeriod, when > 0, runs every default-pipeline query with
@@ -231,12 +235,18 @@ type Handler struct {
 	// Concurrent identical queries dedup to a single optimization.
 	plans *topk.PlanCache
 
-	// shared is the cross-query access-sharing layer over the full
-	// dataset (nil unless Config.EnableSharing); per-projection backends
-	// are views into it.
+	// base is the stack every projection starts from, picked once: the
+	// coordinator, the store or the dataset backend, under shared — the
+	// cross-query access-sharing layer over the full database — when
+	// Config.EnableSharing. label names answer objects: the dataset's
+	// labels locally, the synthesized u<id> form in cluster and store mode
+	// (shards and store files hold scores, not row metadata). Projection
+	// never renumbers objects, so one label function serves every query.
+	base   topk.Backend
 	shared *topk.SharedAccess
+	label  func(int) string
 
-	// engines caches one projection (engine, labels, resilience) per
+	// engines caches one projection (engine, resilience) per
 	// column list, most recently used first, at most maxEngines of them.
 	// Everything a projection is built from — Config, breakers, plan
 	// cache, sharing layer — is fixed for the handler's life, so entries
@@ -265,19 +275,20 @@ type Handler struct {
 
 // NewHandler validates the configuration and builds the service.
 func NewHandler(cfg Config) (*Handler, error) {
+	var base topk.Backend
+	label := clusterLabel
 	sources := 0
-	m := 0
 	if cfg.Dataset != nil {
 		sources++
-		m = cfg.Dataset.M()
+		base, label = topk.DataBackend(cfg.Dataset), cfg.Dataset.Label
 	}
 	if cfg.Cluster != nil {
 		sources++
-		m = cfg.Cluster.M()
+		base = cfg.Cluster
 	}
 	if cfg.Store != nil {
 		sources++
-		m = cfg.Store.M()
+		base = cfg.Store
 	}
 	if sources == 0 {
 		return nil, fmt.Errorf("service: config requires a dataset, a cluster coordinator, or a disk store")
@@ -285,6 +296,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 	if sources > 1 {
 		return nil, fmt.Errorf("service: config names more than one of dataset, cluster coordinator, and disk store")
 	}
+	m := base.M()
 	if len(cfg.Columns) != m {
 		return nil, fmt.Errorf("service: %d column names for %d predicates", len(cfg.Columns), m)
 	}
@@ -317,6 +329,8 @@ func NewHandler(cfg Config) (*Handler, error) {
 	h := &Handler{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
+		base:      base,
+		label:     label,
 		reg:       reg,
 		metrics:   obs.NewMetrics(reg),
 		logger:    logger,
@@ -341,25 +355,15 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cfg.Cluster.AttachMetrics(reg)
 	}
 	if cfg.EnableSharing {
-		var base topk.Backend
-		switch {
-		case cfg.Cluster != nil:
-			// The sharing layer sits above the coordinator: shared cursor
-			// prefixes and probed scores absorb accesses before they fan
-			// out to the shards.
-			base = cfg.Cluster
-		case cfg.Store != nil:
-			// Likewise above the store: a shared cursor prefix hit or a
-			// cached probe never reaches the disk.
-			base = cfg.Store
-		default:
-			base = topk.DataBackend(cfg.Dataset)
-		}
+		// The sharing layer sits above the whole database: a shared cursor
+		// prefix hit or a cached probe never fans out to the shards or
+		// reaches the disk.
 		h.shared = topk.NewSharedAccess(base, topk.SharingOptions{
 			ScoreCapacity: cfg.ShareScoreCapacity,
 			Breakers:      h.breakers,
 			Metrics:       reg,
 		})
+		h.base = h.shared
 	}
 	h.mux.HandleFunc("/meta", h.handleMeta)
 	h.mux.HandleFunc("/healthz", h.handleHealth)
@@ -542,18 +546,9 @@ type metaPayload struct {
 }
 
 func (h *Handler) handleMeta(w http.ResponseWriter, r *http.Request) {
-	var n, m func() int
-	switch {
-	case h.cfg.Cluster != nil:
-		n, m = h.cfg.Cluster.N, h.cfg.Cluster.M
-	case h.cfg.Store != nil:
-		n, m = h.cfg.Store.N, h.cfg.Store.M
-	default:
-		n, m = h.cfg.Dataset.N, h.cfg.Dataset.M
-	}
 	writeJSON(w, http.StatusOK, metaPayload{
-		N:        n(),
-		M:        m(),
+		N:        h.base.N(),
+		M:        h.base.M(),
 		Columns:  h.cfg.Columns,
 		Scenario: h.cfg.Scenario.Name,
 	})
@@ -631,11 +626,10 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 // (openCursor) share. opts deliberately excludes the context — one-shot
 // runs attach the HTTP request's, cursors rebind a fresh deadline per page.
 type prepared struct {
-	pq    *sqlq.Query
-	label func(int) string // the projection's
-	eng   *topk.Engine
-	opts  []topk.RunOption
-	tr    *obs.QueryTrace
+	pq   *sqlq.Query
+	eng  *topk.Engine
+	opts []topk.RunOption
+	tr   *obs.QueryTrace
 }
 
 // clusterLabel names objects when no local dataset carries labels — the
@@ -675,15 +669,10 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 	case alg == "" || alg == "opt":
 		// The engine's plan cache (shared across queries via h.plans)
 		// resolves the plan; hit/miss lands on the observer from inside
-		// the cache, so the trace and metrics see the real outcome.
-		ocfg := topk.OptimizerConfig(h.cfg.Optimizer)
-		if h.shared != nil {
-			// Shared accesses never reach the sources; discount the
-			// optimizer's expected costs by the observed (quantized) hit
-			// rates. Quantization keeps the plan-cache key space small.
-			ocfg.SortedDiscount, ocfg.RandomDiscount = h.shared.Stats().Discounts()
-		}
-		opts = append(opts, topk.WithOptimizer(ocfg))
+		// the cache, so the trace and metrics see the real outcome. With
+		// sharing on, the engine finds the layer in its stack and discounts
+		// the expected costs by the observed hit rates itself.
+		opts = append(opts, topk.WithOptimizer(h.cfg.Optimizer))
 		if h.cfg.AdaptivePeriod > 0 && req.Parallel == 0 && req.Epsilon == 0 {
 			opts = append(opts, topk.WithAdaptive(h.cfg.AdaptivePeriod))
 		}
@@ -705,7 +694,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
 	o.PhaseDone(obs.PhasePlan, time.Since(planStart))
-	return &prepared{pq: pq, label: proj.label, eng: proj.eng, opts: opts, tr: tr}, http.StatusOK, nil
+	return &prepared{pq: pq, eng: proj.eng, opts: opts, tr: tr}, http.StatusOK, nil
 }
 
 // maxEngines bounds the projection cache. A database of m columns has more
@@ -720,11 +709,7 @@ const maxEngines = 32
 type projection struct {
 	cols []int
 	eng  *topk.Engine
-	// label names answer objects; the dataset's labels locally, the
-	// synthesized u<id> form in cluster and store mode (shards and store
-	// files hold scores, not row metadata).
-	label func(int) string
-	res   *topk.Resilience
+	res  *topk.Resilience
 }
 
 // projectionFor returns the cached projection for cols, building it on
@@ -768,27 +753,28 @@ func (h *Handler) cachedProjection(cols []int, fresh *projection) *projection {
 	return fresh
 }
 
-// buildProjection composes the backend for cols — database view, sharing
-// view, chaos wrapper — and the engine over it (the contract guard wraps
-// last, inside NewEngine), with the scenario and breaker map sliced to the
-// same columns.
+// buildProjection composes the backend for cols — the handler's base under
+// one projection, then the chaos wrapper — and the engine over it (the
+// contract guard wraps last, inside NewEngine), with the scenario and
+// breaker map sliced to the same columns (DESIGN.md "Backend stack").
 func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
 	cols = slices.Clone(cols)
 	var (
 		backend topk.Backend
-		label   = clusterLabel
 		err     error
 	)
-	switch {
-	case h.cfg.Cluster != nil:
-		backend, err = h.cfg.Cluster.View(cols)
-	case h.cfg.Store != nil:
-		backend, err = h.cfg.Store.View(cols)
-	default:
+	if h.cfg.Dataset != nil && h.shared == nil {
+		// A bare dataset is its own projection: a zero-hop column map
+		// instead of a wrapper per access.
 		var ds *data.Dataset
 		if ds, err = data.Project(h.cfg.Dataset, cols); err == nil {
-			backend, label = topk.DataBackend(ds), ds.Label
+			backend = topk.DataBackend(ds)
 		}
+	} else {
+		// The shared layer, the coordinator and the store are keyed by
+		// database predicate, so queries over different column subsets
+		// still share the state of the predicates they have in common.
+		backend, err = access.Project(h.base, cols)
 	}
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -796,12 +782,6 @@ func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
 	scn := topk.Scenario{Name: h.cfg.Scenario.Name, Preds: make([]topk.PredCost, len(cols))}
 	for i, c := range cols {
 		scn.Preds[i] = h.cfg.Scenario.Preds[c]
-	}
-	if h.shared != nil {
-		// The shared layer is keyed by database predicate; the view maps
-		// this projection onto it, so queries over different column subsets
-		// still share the predicates they have in common.
-		backend = h.shared.View(cols)
 	}
 	if h.cfg.WrapBackend != nil {
 		backend = h.cfg.WrapBackend(backend, cols)
@@ -823,7 +803,7 @@ func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
 	if h.cfg.AccessTimeout > 0 {
 		res.AccessTimeout = h.cfg.AccessTimeout
 	}
-	return &projection{cols: cols, eng: eng, label: label, res: res}, http.StatusOK, nil
+	return &projection{cols: cols, eng: eng, res: res}, http.StatusOK, nil
 }
 
 // execute runs one query request to completion. The context (the HTTP
@@ -844,15 +824,15 @@ func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*
 	}
 	// A one-shot answer is the single page of the cursor it never opened.
 	page := topk.Page{Items: ans.Items, Ledger: ans.Ledger, Truncated: ans.Truncated, Degraded: ans.Degraded, Plan: ans.Plan}
-	return h.respond(p.pq.String(), p.label, &page, p.tr), http.StatusOK, nil
+	return h.respond(p.pq.String(), &page, p.tr), http.StatusOK, nil
 }
 
 // respond assembles the response every answering path shares: the page's
-// items under the projection's labels, the cumulative bill, the plan in
+// items under the database's labels, the cumulative bill, the plan in
 // force and — when tr is non-nil — the trace with the sharing layer's and
 // the cluster's snapshots beside it. Cursor pages add their pagination
 // fields on top.
-func (h *Handler) respond(query string, label func(int) string, page *topk.Page, tr *obs.QueryTrace) *QueryResponse {
+func (h *Handler) respond(query string, page *topk.Page, tr *obs.QueryTrace) *QueryResponse {
 	resp := &QueryResponse{
 		Query:          query,
 		Cost:           page.Ledger.TotalCost.Units(),
@@ -865,7 +845,7 @@ func (h *Handler) respond(query string, label func(int) string, page *topk.Page,
 	for _, it := range page.Items {
 		resp.Items = append(resp.Items, QueryItem{
 			Object: it.Obj,
-			Label:  label(it.Obj),
+			Label:  h.label(it.Obj),
 			Score:  it.Score,
 			Exact:  it.Exact,
 		})

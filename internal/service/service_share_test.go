@@ -10,9 +10,11 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
+	topk "repro"
 	"repro/internal/access"
 	"repro/internal/data"
 )
@@ -128,5 +130,48 @@ func TestSharedAccessGate(t *testing.T) {
 		unsharedBackend, sharedBackend, factor, st)
 	if factor < sb.Gate.MinAccessReduction {
 		t.Errorf("access reduction = %.2fx, gate is >=%.1fx", factor, sb.Gate.MinAccessReduction)
+	}
+}
+
+// TestServedPlanMatchesExplainUnderSharing extends the facade's
+// TestExplainMatchesRunOnSharingEngine to the service: there is one
+// discount site — the engine, which finds the sharing layer below the
+// projection — so once the layer is warm, Explain on a projection's engine
+// and a served "opt" query over it resolve the same plan-cache entry, and
+// report the same plan. The layer is warmed by fixed-plan queries, which
+// never plan, so the only entry in the cache is the one Explain puts there.
+func TestServedPlanMatchesExplainUnderSharing(t *testing.T) {
+	ts, h := startColumnService(t, 1000, 3, func(c *Config) {
+		c.EnableSharing = true
+		c.Scenario = access.Uniform(3, 1, 10)
+	})
+	cols := []int{2, 0}
+	sql := columnSQL("avg", 10, cols...)
+	for i := 0; i < 4; i++ {
+		if _, resp := postQuery(t, ts, QueryRequest{SQL: sql, Algorithm: "nc", H: []float64{0.5, 0.5}}); resp.StatusCode != 200 {
+			t.Fatalf("warm-up query %d: HTTP %d", i, resp.StatusCode)
+		}
+	}
+	if s, r := h.ShareStats().Discounts(); s == 0 && r == 0 {
+		t.Fatalf("sharing layer not warm (%+v): the test would not exercise the discounts", h.ShareStats())
+	}
+	proj, _, err := h.projectionFor(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := proj.eng.Explain(topk.Query{F: topk.Avg(), K: 10}, topk.OptimizerConfig(h.cfg.Optimizer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, resp := postQuery(t, ts, QueryRequest{SQL: sql})
+	if resp.StatusCode != 200 || served.Plan == nil {
+		t.Fatalf("served query: HTTP %d, plan %v", resp.StatusCode, served.Plan)
+	}
+	if got := h.PlanCacheStats(); got.Misses != 1 || got.Hits != 1 {
+		t.Errorf("plan cache %+v: the served query must hit the entry Explain resolved (a second miss means the two priced different discounts)", got)
+	}
+	if !reflect.DeepEqual(served.Plan.H, plan.H) || !reflect.DeepEqual(served.Plan.Omega, plan.Omega) {
+		t.Errorf("served plan H=%v Omega=%v, Explain on the same projection H=%v Omega=%v",
+			served.Plan.H, served.Plan.Omega, plan.H, plan.Omega)
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"repro/internal/share"
 )
 
-// gatedBatchBackend implements share.BatchBackend over a dataset backend
+// gatedBatchBackend implements access.BatchBackend over a dataset backend
 // and lets tests hold the first batch round trip open so later probes
 // demonstrably queue behind it.
 type gatedBatchBackend struct {
 	inner   access.Backend
-	batch   share.BatchBackend // nil: answer from inner.Random
-	gate    chan struct{}      // when non-nil, BatchRandom waits for it
-	started chan struct{}      // closed when the first BatchRandom begins
+	batch   access.BatchBackend // nil: answer from inner.Random
+	gate    chan struct{}       // when non-nil, BatchRandom waits for it
+	started chan struct{}       // closed when the first BatchRandom begins
 	once    sync.Once
 
 	batches atomic.Int64

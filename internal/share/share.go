@@ -19,10 +19,10 @@
 //     (predicate, object) with singleflight on concurrent identical
 //     probes, so a score probed by one query is free for every later one.
 //   - Batched random access: when the wrapped backend advertises the
-//     BatchBackend capability (the websim client does, via POST /batch),
-//     cache misses from concurrent queries coalesce into one round trip
-//     of up to MaxBatch probes, amortizing per-request latency across
-//     queries the way the parallel executor amortizes it within one.
+//     access.BatchBackend capability (the websim client does, via POST
+//     /batch), cache misses from concurrent queries coalesce into one
+//     round trip of up to MaxBatch probes, amortizing per-request latency
+//     across queries the way the parallel executor amortizes it within one.
 //
 // Billing is deliberately untouched: the layer sits below access.Session,
 // so every query's ledger still prices its logical accesses exactly as if
@@ -46,16 +46,6 @@ import (
 	"repro/internal/obs"
 )
 
-// BatchBackend is the optional capability a backend may advertise to
-// receive coalesced random accesses: one call resolves every (preds[i],
-// objs[i]) probe, in order, into the returned scores. A batch maps to one
-// round trip, which succeeds or fails as a unit; partial results are not
-// modeled.
-type BatchBackend interface {
-	access.Backend
-	BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error)
-}
-
 // DefaultScoreCapacity bounds the score cache when Options.ScoreCapacity
 // is zero: entries, across all shards.
 const DefaultScoreCapacity = 1 << 16
@@ -67,8 +57,8 @@ type Options struct {
 	ScoreCapacity int
 	// MaxBatch enables batched random access: up to MaxBatch concurrent
 	// cache misses are coalesced into one BatchRandom round trip. Values
-	// <= 1 disable batching, as does a backend without the BatchBackend
-	// capability.
+	// <= 1 disable batching, as does a backend without the
+	// access.BatchBackend capability.
 	MaxBatch int
 	// Breakers, when non-nil, ties shared state to the circuit breakers:
 	// a breaker opening for (kind, predicate) invalidates that predicate's
@@ -86,7 +76,7 @@ type Options struct {
 // own predicate space) and share it across queries.
 type Layer struct {
 	backend access.Backend
-	batch   BatchBackend // nil unless enabled and supported
+	batch   access.BatchBackend // nil unless enabled and supported
 	n, m    int
 
 	cursors []cursor
@@ -103,8 +93,10 @@ type Layer struct {
 }
 
 // New builds a sharing layer over the backend. The returned Layer is the
-// Backend queries should run against (directly, or through a View for
-// column-projected queries).
+// Backend queries should run against — directly, or under access.Project
+// for column-projected queries, which then share the layer's cursors and
+// caches for the predicates they have in common: the keying is (backend,
+// backend predicate), exactly the granularity the sources see.
 func New(b access.Backend, opts Options) *Layer {
 	l := &Layer{
 		backend:  b,
@@ -120,7 +112,7 @@ func New(b access.Backend, opts Options) *Layer {
 		}
 		l.scores = newScoreCache(capacity)
 	}
-	if bb, ok := b.(BatchBackend); ok && opts.MaxBatch > 1 {
+	if bb, ok := b.(access.BatchBackend); ok && opts.MaxBatch > 1 {
 		l.batch = bb
 		l.batcher = newBatcher(l, opts.MaxBatch)
 	}
@@ -145,8 +137,8 @@ func (l *Layer) N() int { return l.n }
 // M returns the predicate count of the wrapped backend.
 func (l *Layer) M() int { return l.m }
 
-// Backend returns the wrapped backend.
-func (l *Layer) Backend() access.Backend { return l.backend }
+// Unwrap returns the wrapped backend (the access.As convention).
+func (l *Layer) Unwrap() access.Backend { return l.backend }
 
 // Batching reports whether batched random access is active.
 func (l *Layer) Batching() bool { return l.batcher != nil }
@@ -362,55 +354,3 @@ func (l *Layer) Depth(pred int) int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
-
-// View returns an access.Backend exposing the layer under a column
-// projection: view predicate i maps to layer predicate preds[i]. Views
-// share the layer's cursors and caches, so queries selecting different
-// column subsets still amortize accesses to the predicates they have in
-// common — the cursor keying is (backend, backend predicate), exactly the
-// granularity the sources see.
-func (l *Layer) View(preds []int) access.Backend {
-	identity := len(preds) == l.m
-	for i, p := range preds {
-		if p != i {
-			identity = false
-			break
-		}
-	}
-	if identity {
-		return l
-	}
-	return &View{layer: l, preds: append([]int(nil), preds...)}
-}
-
-// View is a column-projected window onto a Layer. It implements
-// access.Backend with the projection's predicate numbering.
-type View struct {
-	layer *Layer
-	preds []int
-}
-
-// N returns the object count.
-func (v *View) N() int { return v.layer.n }
-
-// M returns the projected predicate count.
-func (v *View) M() int { return len(v.preds) }
-
-// Layer returns the shared layer behind the view.
-func (v *View) Layer() *Layer { return v.layer }
-
-// Sorted implements access.Backend through the shared cursor of the
-// mapped predicate.
-func (v *View) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	return v.layer.Sorted(ctx, v.preds[pred], rank)
-}
-
-// Random implements access.Backend through the shared score cache of the
-// mapped predicate.
-func (v *View) Random(ctx context.Context, pred, obj int) (float64, error) {
-	return v.layer.Random(ctx, v.preds[pred], obj)
-}
-
-// Stats reports the layer's cumulative counters (sharing is global to
-// the layer, so a view's stats are the layer's).
-func (v *View) Stats() Stats { return v.layer.Stats() }

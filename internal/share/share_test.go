@@ -180,7 +180,7 @@ func TestLedgerOracle(t *testing.T) {
 		wg.Add(1)
 		go func(i int, h []float64) {
 			defer wg.Done()
-			eng, err := topk.NewEngine(topk.DataBackend(ds), scn, topk.WithSharing(layer))
+			eng, err := topk.NewEngine(layer, scn)
 			if err != nil {
 				errs[i] = err
 				return
@@ -254,38 +254,5 @@ func TestBreakerInvalidation(t *testing.T) {
 	// never invalidated by predicate 0's random trip.
 	if sc, err := layer.Random(ctx, 1, 2); err != nil || sc != 0.3 {
 		t.Fatalf("random(1,2) = %g, %v", sc, err)
-	}
-}
-
-// TestViewMapping checks that column-projected views share the layer's
-// state under the dataset's own predicate numbering.
-func TestViewMapping(t *testing.T) {
-	ds := e1Dataset(t)
-	backend := &countingBackend{inner: access.DatasetBackend{DS: ds}}
-	layer := share.New(backend, share.Options{})
-	ctx := context.Background()
-
-	v := layer.View([]int{1}) // projection selecting only predicate 1
-	if v.M() != 1 || v.N() != ds.N() {
-		t.Fatalf("view dims = (%d, %d)", v.N(), v.M())
-	}
-	obj, sc, err := v.Sorted(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantObj, wantSc := ds.SortedAt(1, 0)
-	if obj != wantObj || sc != wantSc {
-		t.Fatalf("view sorted = (%d, %g), want (%d, %g)", obj, sc, wantObj, wantSc)
-	}
-	// The same rank through the layer directly is a hit: one backend access.
-	if _, _, err := layer.Sorted(ctx, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := backend.sorted.Load(); got != 1 {
-		t.Errorf("backend sorted accesses = %d, want 1 (view and layer share the cursor)", got)
-	}
-	// The identity projection is the layer itself — no wrapper allocation.
-	if id := layer.View([]int{0, 1}); id != access.Backend(layer) {
-		t.Error("identity view should return the layer")
 	}
 }

@@ -52,8 +52,8 @@ func TestInvalidateAndMetrics(t *testing.T) {
 	layer := share.New(access.DatasetBackend{DS: ds}, share.Options{Metrics: reg})
 	ctx := context.Background()
 
-	if layer.Backend().N() != ds.N() {
-		t.Fatal("Backend() should expose the wrapped backend")
+	if layer.Unwrap().N() != ds.N() {
+		t.Fatal("Unwrap() should expose the wrapped backend")
 	}
 	if _, _, err := layer.Sorted(ctx, 0, 0); err != nil {
 		t.Fatal(err)
@@ -85,33 +85,5 @@ func TestInvalidateAndMetrics(t *testing.T) {
 		if !strings.Contains(exposition, series) {
 			t.Errorf("registry exposition missing %s", series)
 		}
-	}
-}
-
-// TestViewRandomAndStats covers the projected window's random-access and
-// stats passthrough.
-func TestViewRandomAndStats(t *testing.T) {
-	ds := e1Dataset(t)
-	layer := share.New(access.DatasetBackend{DS: ds}, share.Options{})
-	ctx := context.Background()
-
-	v, ok := layer.View([]int{1}).(*share.View)
-	if !ok {
-		t.Fatal("projection should return a *share.View")
-	}
-	if v.Layer() != layer {
-		t.Error("view should expose its layer")
-	}
-	sc, err := v.Random(ctx, 0, 9)
-	if err != nil || sc != ds.Score(9, 1) {
-		t.Fatalf("view random = %g, %v", sc, err)
-	}
-	// The same probe through the layer is a hit: views share the cache.
-	if _, err := layer.Random(ctx, 1, 9); err != nil {
-		t.Fatal(err)
-	}
-	st := v.Stats()
-	if st.RandomHits != 1 || st.RandomMisses != 1 {
-		t.Errorf("view stats = %+v, want one hit one miss", st)
 	}
 }

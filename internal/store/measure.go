@@ -29,7 +29,8 @@ type MeasureOptions struct {
 }
 
 // CacheDropper is implemented by backends whose caches cold-mode
-// measurement can evict (the Store's decoded-block cache).
+// measurement can evict (the Store's decoded-block cache); it is found
+// anywhere below the measured backend (access.As).
 type CacheDropper interface{ DropCaches() }
 
 // Calibration is a measured access cost model: milliseconds per sorted
@@ -77,8 +78,8 @@ func (o MeasureOptions) mode() string {
 
 // Measure times sorted and random accesses against a backend and returns
 // the quantized per-access costs. It works on any access.Backend — the
-// catalog calls it for declared sources too — but it is only as honest
-// as the backend is physical. Measurement probes are raw, unbilled
+// catalog calls it on one-predicate projections of declared sources too —
+// but it is only as honest as the backend is physical. Measurement probes are raw, unbilled
 // accesses by design: they are the instrument, not the query. The
 // context bounds the probes (they may hit real sources).
 func Measure(ctx context.Context, b access.Backend, opts MeasureOptions) (Calibration, error) {
@@ -96,37 +97,6 @@ func Measure(ctx context.Context, b access.Backend, opts MeasureOptions) (Calibr
 		Mode:     opts.mode(),
 		Probes:   opts.probes(),
 	}, nil
-}
-
-// MeasurePred measures a single predicate of b — the granularity the
-// catalog calibrates heterogeneous sources at.
-func MeasurePred(ctx context.Context, b access.Backend, pred int, opts MeasureOptions) (Calibration, error) {
-	if pred < 0 || pred >= b.M() {
-		return Calibration{}, fmt.Errorf("store: MeasurePred(%d) out of range (m=%d)", pred, b.M())
-	}
-	return Measure(ctx, singlePred{b: b, pred: pred}, opts)
-}
-
-// singlePred restricts a backend to one predicate for measurement.
-type singlePred struct {
-	b    access.Backend
-	pred int
-}
-
-func (s singlePred) N() int { return s.b.N() }
-func (s singlePred) M() int { return 1 }
-func (s singlePred) Sorted(ctx context.Context, _, rank int) (int, float64, error) {
-	return s.b.Sorted(ctx, s.pred, rank)
-}
-func (s singlePred) Random(ctx context.Context, _, obj int) (float64, error) {
-	return s.b.Random(ctx, s.pred, obj)
-}
-
-// DropCaches forwards cold-mode eviction to the underlying backend.
-func (s singlePred) DropCaches() {
-	if d, ok := s.b.(CacheDropper); ok {
-		d.DropCaches()
-	}
 }
 
 // MeasureSorted times batches of consecutive sorted accesses — the sa_i
@@ -187,7 +157,7 @@ func dropCaches(b access.Backend, opts MeasureOptions) {
 	if !opts.Cold {
 		return
 	}
-	if d, ok := b.(CacheDropper); ok {
+	if d, ok := access.As[CacheDropper](b); ok {
 		d.DropCaches()
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"os"
 	"sync/atomic"
 
-	"repro/internal/access"
 	"repro/internal/data"
 )
 
@@ -394,64 +393,6 @@ func (s *Store) SeekScore(pred int, v float64) int {
 	}
 	return rank
 }
-
-// View projects the store onto a predicate subset, implementing the same
-// access.Backend projection the share and cluster layers expose. The
-// identity projection returns the store itself; otherwise the view maps
-// predicate indexes and forwards, so the block cache, counters, and file
-// handles stay shared with the base store.
-func (s *Store) View(preds []int) (access.Backend, error) {
-	identity := len(preds) == s.man.M
-	for i, p := range preds {
-		if p < 0 || p >= s.man.M {
-			return nil, fmt.Errorf("store: view predicate %d out of range (m=%d)", p, s.man.M)
-		}
-		if p != i {
-			identity = false
-		}
-	}
-	if identity {
-		return s, nil
-	}
-	return &View{store: s, preds: append([]int(nil), preds...)}, nil
-}
-
-// View is a predicate projection of a Store (see Store.View).
-type View struct {
-	store *Store
-	preds []int
-}
-
-// Store returns the base store behind the view.
-func (v *View) Store() *Store { return v.store }
-
-// N returns the object count.
-func (v *View) N() int { return v.store.N() }
-
-// M returns the projected predicate count.
-func (v *View) M() int { return len(v.preds) }
-
-// Sorted implements access.Backend on the mapped predicate.
-func (v *View) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	return v.store.Sorted(ctx, v.preds[pred], rank)
-}
-
-// Random implements access.Backend on the mapped predicate.
-func (v *View) Random(ctx context.Context, pred, obj int) (float64, error) {
-	return v.store.Random(ctx, v.preds[pred], obj)
-}
-
-// BatchRandom maps the batch's predicates and forwards.
-func (v *View) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error) {
-	mapped := make([]int, len(preds))
-	for i, p := range preds {
-		mapped[i] = v.preds[p]
-	}
-	return v.store.BatchRandom(ctx, mapped, objs)
-}
-
-// Stats reports the base store's counters (physical IO is shared).
-func (v *View) Stats() Stats { return v.store.Stats() }
 
 // Row reads one object's full score row (one sequential pread).
 func (s *Store) Row(obj int, dst []float64) ([]float64, error) {

@@ -118,45 +118,6 @@ func TestStoreBatchRandom(t *testing.T) {
 	}
 }
 
-// TestStoreView checks predicate projection: identity returns the store
-// itself, a subset maps indexes, and physical counters stay shared.
-func TestStoreView(t *testing.T) {
-	ds, s := buildSmall(t, data.Uniform, 30, 3, 5, WriterOptions{BlockEntries: 8})
-	ident, err := s.View([]int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, ok := ident.(*Store); !ok || st != s {
-		t.Fatalf("identity view: got %T, want the store itself", ident)
-	}
-	v, err := s.View([]int{2, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.M() != 2 || v.N() != 30 {
-		t.Fatalf("view dims %dx%d", v.N(), v.M())
-	}
-	ctx := context.Background()
-	obj, score, err := v.Sorted(ctx, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantObj, wantScore := ds.SortedAt(2, 0)
-	if obj != wantObj || score != wantScore {
-		t.Fatalf("view Sorted(0,0) = (u%d,%v), want (u%d,%v)", obj, score, wantObj, wantScore)
-	}
-	got, err := v.Random(ctx, 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ds.Score(9, 0); got != want {
-		t.Fatalf("view Random(1,9) = %v, want %v", got, want)
-	}
-	if _, err := s.View([]int{0, 5}); err == nil {
-		t.Fatal("out-of-range view predicate: want error")
-	}
-}
-
 // TestStoreContextAndBounds checks the context-first discipline and
 // range validation.
 func TestStoreContextAndBounds(t *testing.T) {
@@ -400,16 +361,6 @@ func TestMeasureSmoke(t *testing.T) {
 	}
 	if cold.Mode != "cold" {
 		t.Fatalf("cold mode = %q", cold.Mode)
-	}
-	perPred, err := MeasurePred(ctx, s, 1, MeasureOptions{Probes: 32, Batches: 3, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perPred.SortedMS <= 0 || perPred.RandomMS <= 0 {
-		t.Fatalf("non-positive per-pred calibration: %+v", perPred)
-	}
-	if _, err := MeasurePred(ctx, s, 9, MeasureOptions{}); err == nil {
-		t.Fatal("out-of-range MeasurePred: want error")
 	}
 }
 

@@ -324,7 +324,7 @@ func (c *Client) Random(ctx context.Context, pred, obj int) (float64, error) {
 	return p.Score, nil
 }
 
-// BatchRandom implements the share.BatchBackend capability: every
+// BatchRandom implements the access.BatchBackend capability: every
 // (preds[i], objs[i]) probe is resolved, in order, into the returned
 // scores. Probes are grouped by source so each routed server receives one
 // POST /batch round trip, amortizing per-request latency across however

@@ -174,8 +174,7 @@ func TestAdaptiveOnNamedAlgorithmsIsTelemetryOnly(t *testing.T) {
 func TestExplainMatchesRunOnSharingEngine(t *testing.T) {
 	ds := exampleDataset(t)
 	layer := NewSharedAccess(DataBackend(ds), SharingOptions{})
-	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 10),
-		WithSharing(layer), WithPlanCache(NewPlanCache(0)))
+	eng, err := NewEngine(layer, UniformScenario(2, 1, 10), WithPlanCache(NewPlanCache(0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,271 @@
+package topk
+
+// Backend-stack tests (DESIGN.md "Backend stack"): whatever layers are
+// stacked between a base and the engine, in whatever order, the query
+// layer must not be able to tell — and what the engine resolves from the
+// stack (sharing layer, shard membership) must survive every wrapper that
+// declares Unwrap.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/access"
+	"repro/internal/cluster"
+	"repro/internal/data"
+	"repro/internal/fault"
+	"repro/internal/share"
+)
+
+// unplugShard fails every probe once down is set, so one routed probe
+// fences it (FailureThreshold 1).
+type unplugShard struct {
+	cluster.Shard
+	down atomic.Bool
+}
+
+func (s *unplugShard) Random(ctx context.Context, pred, obj int) (float64, error) {
+	if s.down.Load() {
+		return 0, errors.New("shard unplugged")
+	}
+	return s.Shard.Random(ctx, pred, obj)
+}
+
+// bareWrapper is the least a stack layer can be: it forwards everything by
+// embedding and declares Unwrap.
+type bareWrapper struct{ Backend }
+
+func (w bareWrapper) Unwrap() Backend { return w.Backend }
+
+func mustProject(t *testing.T, b Backend, cols []int) Backend {
+	t.Helper()
+	p, err := access.Project(b, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestClusterPlanCacheKeying is the cluster sibling of
+// TestStorePlanCacheKeying: a plan chosen against one shard membership
+// must not be replayed against another, however the coordinator is reached.
+// Per row: a run misses, a repeat hits, a shard is fenced, and the next
+// lookup must miss under the new membership key. The last lookup is an
+// Explain — same cache, same key, no source access — because the fenced
+// shard would refuse the accesses of a run.
+func TestClusterPlanCacheKeying(t *testing.T) {
+	ds := mustGenerateDataset(t, "uniform", 90, 3, 17)
+	rows := []struct {
+		name  string
+		m     int
+		stack func(c *cluster.Coordinator) Backend
+		opts  []EngineOption
+	}{
+		{"direct", 3, func(c *cluster.Coordinator) Backend { return c }, nil},
+		{"projected", 2, func(c *cluster.Coordinator) Backend { return mustProject(t, c, []int{2, 0}) }, nil},
+		{"shared", 3, func(c *cluster.Coordinator) Backend { return NewSharedAccess(c, SharingOptions{}) }, nil},
+		{"guarded", 3, func(c *cluster.Coordinator) Backend { return c }, []EngineOption{WithContractGuard()}},
+		{"fault-wrapped", 3, func(c *cluster.Coordinator) Backend { return fault.Wrap(c, fault.Config{}) }, nil},
+		{"bare-wrapper", 3, func(c *cluster.Coordinator) Backend { return bareWrapper{c} }, nil},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			parts, err := cluster.Partition(ds, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := &unplugShard{Shard: cluster.NewLocalShard(parts[1])}
+			coord, err := cluster.New([]cluster.Shard{cluster.NewLocalShard(parts[0]), victim, cluster.NewLocalShard(parts[2])},
+				cluster.Options{FailureThreshold: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache := NewPlanCache(0)
+			eng, err := NewEngine(row.stack(coord), UniformScenario(row.m, 1, 8), append(row.opts, WithPlanCache(cache))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An explicit discount pins the one other part of the key a stack
+			// can move (the sharing layer's observed hit rates).
+			q, cfg := Query{F: Avg(), K: 5}, OptimizerConfig{SortedDiscount: 0.1}
+			for i := 0; i < 2; i++ {
+				if _, err := eng.Run(q, WithOptimizer(cfg)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := cache.Stats(); got.Misses != 1 || got.Hits != 1 {
+				t.Fatalf("stable membership: %+v, want one miss then one hit", got)
+			}
+			before := coord.MembershipKey()
+			victim.down.Store(true)
+			if _, err := coord.Random(context.Background(), 0, parts[1].Global[0]); err == nil {
+				t.Fatal("probe of the unplugged shard succeeded")
+			}
+			if after := coord.MembershipKey(); after == before {
+				t.Fatalf("membership key %q did not move on the fence", after)
+			}
+			if _, err := eng.Explain(q, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := cache.Stats(); got.Misses != 2 || got.Hits != 1 {
+				t.Errorf("after the fence: %+v, want a second miss (a hit replays a plan chosen for the old membership)", got)
+			}
+		})
+	}
+}
+
+// TestStackCompositionOracle is the seed corpus of the every-composition
+// oracle: every stack of {base} × {projection} × {sharing, under or over
+// the projection} × {zero-fault injector} × {contract guard} answers
+// byte-identically to single-node memory over the same columns — items,
+// ledger, and every prefix a cursor emits on the way (the any-k criterion:
+// each prefix is itself a correct answer) — with trace == ledger, and from
+// the top of every stack access.As still finds the base, the sharing layer
+// and the shard membership.
+func TestStackCompositionOracle(t *testing.T) {
+	const n, m, page = 60, 3, 3
+	ds := mustGenerateDataset(t, "uniform", n, m, 29)
+	dir := t.TempDir()
+	if err := BuildStoreFromDataset(dir, ds, StoreWriterOptions{BlockEntries: 16}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	coord := newTestCluster(t, ds, 3)
+
+	bases := []struct {
+		name string
+		b    Backend
+	}{{"memory", DataBackend(ds)}, {"store", st}, {"cluster", coord}}
+	projections := []struct {
+		name string
+		cols []int
+	}{{"identity", []int{0, 1, 2}}, {"reordered", []int{2, 0}}}
+
+	for _, proj := range projections {
+		pds, err := data.Project(ds, proj.cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scn := UniformScenario(len(proj.cols), 1, 4)
+		h := make([]float64, len(proj.cols))
+		for i := range h {
+			h[i] = 0.5
+		}
+		for _, f := range []ScoreFunc{Avg(), Min()} {
+			q := Query{F: f, K: 2 * page}
+			ref, err := NewEngine(DataBackend(pds), scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := stackRun(t, ref, q, h, page)
+
+			for _, base := range bases {
+				for _, sharing := range []string{"", "share-under", "share-over"} {
+					for _, faulted := range []bool{false, true} {
+						for _, guarded := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%s/%s/%s/fault=%v/guard=%v", base.name, proj.name, f.Name(), sharing, faulted, guarded)
+							t.Run(name, func(t *testing.T) {
+								b := base.b
+								if sharing == "share-under" { // the service's order
+									b = NewSharedAccess(b, SharingOptions{})
+								}
+								b = mustProject(t, b, proj.cols)
+								if sharing == "share-over" {
+									b = NewSharedAccess(b, SharingOptions{})
+								}
+								if faulted {
+									b = fault.Wrap(b, fault.Config{})
+								}
+								var opts []EngineOption
+								if guarded {
+									opts = append(opts, WithContractGuard())
+								}
+								eng, err := NewEngine(b, scn, opts...)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if got := stackRun(t, eng, q, h, page); !reflect.DeepEqual(got, want) {
+									t.Errorf("stack diverges from single-node memory:\n got  %+v\n want %+v", got, want)
+								}
+
+								top := eng.backend
+								if found, ok := access.As[Backend](top); !ok || found != top {
+									t.Error("As does not find the top of the stack itself")
+								}
+								switch base.name {
+								case "memory":
+									if _, ok := access.As[access.DatasetBackend](top); !ok {
+										t.Error("As lost the dataset backend")
+									}
+								case "store":
+									if found, ok := access.As[*Store](top); !ok || found != st {
+										t.Error("As lost the store")
+									}
+								case "cluster":
+									if found, ok := access.As[*cluster.Coordinator](top); !ok || found != coord {
+										t.Error("As lost the coordinator")
+									}
+									if eng.members == nil || eng.members.MembershipKey() == "" {
+										t.Error("engine resolved no membership key below the stack")
+									}
+								}
+								if _, ok := access.As[*share.Layer](top); ok != (sharing != "") {
+									t.Errorf("As finds a sharing layer = %v, stack has one = %v", ok, sharing != "")
+								}
+								if (eng.share != nil) != (sharing != "") {
+									t.Errorf("engine resolved a sharing layer = %v, stack has one = %v", eng.share != nil, sharing != "")
+								}
+							})
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// stackResult is everything one engine shows the query layer for a query:
+// the one-shot answer and each page of the same query paged in two.
+type stackResult struct {
+	Items  []Item
+	Ledger Ledger
+	Pages  [2]Page
+}
+
+// stackRun runs q under the fixed plan h both ways — Run, and Open /
+// Next(page) ×2 / Close — checking trace == ledger on each.
+func stackRun(t *testing.T, eng *Engine, q Query, h []float64, page int) stackResult {
+	t.Helper()
+	ans, err := eng.Run(q, WithNC(h, nil), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, "run", ans)
+	res := stackResult{Items: ans.Items, Ledger: ans.Ledger}
+
+	cur, err := eng.Open(q, WithNC(h, nil), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	for i := range res.Pages {
+		p, err := cur.Next(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Pages[i] = *p
+		checkConservation(t, fmt.Sprintf("page %d", i), &Answer{Ledger: p.Ledger, Trace: cur.Trace()})
+	}
+	if !reflect.DeepEqual(res.Pages[1].Ledger, res.Ledger) {
+		t.Errorf("paged ledger %+v != one-shot ledger %+v", res.Pages[1].Ledger, res.Ledger)
+	}
+	return res
+}

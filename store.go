@@ -80,7 +80,7 @@ func CalibratedScenario(m int, cal StoreCalibration) Scenario {
 
 // WithStore declares the engine serves a disk store priced by the given
 // calibration: the store's identity and the quantized measured costs join
-// the plan-cache fingerprint (OptimizerConfig.StorageKey), so plans
+// the plan-cache fingerprint (OptimizerConfig.BackendKey), so plans
 // priced under one calibration are not replayed after a re-calibration —
 // new hardware, warm vs cold mode — moves the physics, while repeat
 // calibrations of unchanged physics stay cache hits. It does not replace

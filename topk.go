@@ -89,7 +89,7 @@ type (
 	Resilience = access.Resilience
 	// SharedAccess is the cross-query access-sharing layer: shared sorted
 	// cursors, a score cache, and batched random access over any Backend
-	// (see WithSharing).
+	// (see NewSharedAccess).
 	SharedAccess = share.Layer
 	// SharingOptions tunes a SharedAccess layer.
 	SharingOptions = share.Options
@@ -97,7 +97,7 @@ type (
 	SharingStats = share.Stats
 	// BatchBackend is the capability a backend advertises to receive
 	// coalesced random accesses (the websim client implements it).
-	BatchBackend = share.BatchBackend
+	BatchBackend = access.BatchBackend
 )
 
 // Observability constructors, re-exported so callers wire metrics without
@@ -116,9 +116,16 @@ var (
 	// NewPlanCache builds a bounded optimizer plan cache (capacity <= 0
 	// selects the default), to be shared across engines via WithPlanCache.
 	NewPlanCache = opt.NewPlanCache
-	// NewSharedAccess builds a cross-query sharing layer over a backend,
-	// to be attached to engines via WithSharing (or viewed per projection
-	// with its View method).
+	// NewSharedAccess builds a cross-query sharing layer over a backend.
+	// The layer is itself the Backend to hand NewEngine: sorted accesses hit
+	// its shared per-predicate cursors, random accesses its score cache,
+	// and — when the wrapped backend batches — cache misses coalesce into
+	// batched round trips. Share one layer across engines (and services)
+	// to amortize accesses across all their queries; per-query ledgers are
+	// unaffected, sharing only reduces the accesses that reach the sources.
+	// An engine that finds a layer anywhere in its backend stack discounts
+	// the optimizer's expected costs by the layer's observed hit rates (see
+	// OptimizerConfig.SortedDiscount).
 	NewSharedAccess = share.New
 )
 
@@ -216,10 +223,14 @@ type Engine struct {
 	nwg       bool
 	shifts    []CostShift
 	planCache *PlanCache
-	share     *share.Layer
 	guard     *adapt.Guard
-	// storageKey fingerprints a disk store and its IO calibration into
-	// the plan-cache key (see WithStore).
+	// share and members are what NewEngine found in the backend stack
+	// (access.As): the sharing layer whose hit rates discount planning,
+	// and the holder of a live shard-membership fingerprint. storageKey
+	// fingerprints a disk store and its IO calibration (see WithStore).
+	// Together the last two make the plan cache's BackendKey.
+	share      *share.Layer
+	members    interface{ MembershipKey() string }
 	storageKey string
 	guardOpts  []GuardOption
 	useGuard   bool
@@ -272,7 +283,7 @@ func (e *Engine) acquire(sessOpts []access.Option) (*queryState, error) {
 }
 
 // shareDiscounts fills the optimizer's expected-cost discounts from the
-// attached sharing layer's observed (quantized) hit rates — shared
+// stack's sharing layer's observed (quantized) hit rates — shared
 // accesses never reach the sources, so the optimizer should not price
 // them at full cost. Explicit discounts in cfg win.
 func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
@@ -287,11 +298,14 @@ func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
 // storage calibration the engine runs against.
 func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
 	cfg = e.shareDiscounts(cfg)
-	if cfg.ClusterKey == "" {
-		cfg.ClusterKey = clusterKeyOf(e.backend)
-	}
-	if cfg.StorageKey == "" {
-		cfg.StorageKey = e.storageKey
+	if cfg.BackendKey == "" {
+		cfg.BackendKey = e.storageKey
+		if e.members != nil {
+			cfg.BackendKey = e.members.MembershipKey()
+			if e.storageKey != "" {
+				cfg.BackendKey += "|" + e.storageKey
+			}
+		}
 	}
 	if e.planCache != nil {
 		return e.planCache.Get(cfg, scn, f, k, n)
@@ -341,34 +355,6 @@ func (e *Engine) resolvePlan(spec *runSpec, o obs.Observer, sess *access.Session
 	return sel, plan, nil
 }
 
-// membershipKeyed is the capability a distributed backend (the cluster
-// coordinator, or a view of it) advertises to fingerprint its live shard
-// membership.
-type membershipKeyed interface{ MembershipKey() string }
-
-// clusterKeyOf probes the backend — unwrapping the guard and sharing
-// layers the engine may have stacked over it — for a cluster membership
-// fingerprint to fold into the plan-cache key. Single-node backends key
-// empty, at the cost of a few type assertions per optimization.
-func clusterKeyOf(b Backend) string {
-	for b != nil {
-		if mk, ok := b.(membershipKeyed); ok {
-			return mk.MembershipKey()
-		}
-		switch w := b.(type) {
-		case *share.Layer:
-			b = w.Backend()
-		case *share.View:
-			b = w.Layer().Backend()
-		case *adapt.Guard:
-			b = w.Backend()
-		default:
-			return ""
-		}
-	}
-	return ""
-}
-
 // newAdapter wires the adaptive layer's monitor to an execution — the one
 // place a WithAdaptive run gets its checkpoint hook. On NC under the
 // default pipeline or WithNC the adapter re-plans: checkpoint re-plans go
@@ -407,8 +393,8 @@ func (e *Engine) newAdapter(x *execution) *adapt.Adapter {
 	return a
 }
 
-// SharingStats reports the attached sharing layer's cumulative counters
-// (the zero Stats when no layer is attached).
+// SharingStats reports the cumulative counters of the sharing layer in the
+// engine's backend stack (the zero Stats when there is none).
 func (e *Engine) SharingStats() SharingStats {
 	if e.share == nil {
 		return SharingStats{}
@@ -427,24 +413,6 @@ func WithoutNoWildGuesses() EngineOption { return func(e *Engine) { e.nwg = fals
 // studies; each Run replays them afresh).
 func WithCostShifts(shifts ...CostShift) EngineOption {
 	return func(e *Engine) { e.shifts = append(e.shifts, shifts...) }
-}
-
-// WithSharing routes the engine's accesses through a cross-query sharing
-// layer: sorted accesses hit its shared per-predicate cursors, random
-// accesses its score cache, and — when the layer's wrapped backend
-// supports batching — cache misses coalesce into batched round trips.
-// The layer must wrap a backend over the same predicate space as the
-// engine's (typically the very backend passed to NewEngine); it replaces
-// that backend for every Run. Share one layer across engines (and
-// services) to amortize accesses across all their queries; per-query
-// ledgers are unaffected, sharing only reduces the accesses that reach
-// the sources. The optimizer's expected costs are discounted by the
-// layer's observed hit rates (see OptimizerConfig.SortedDiscount).
-func WithSharing(l *SharedAccess) EngineOption {
-	return func(e *Engine) {
-		e.backend = l
-		e.share = l
-	}
 }
 
 // WithPlanCache attaches a plan cache: Runs that would invoke the
@@ -471,9 +439,8 @@ var (
 	GuardFailFast   = adapt.WithFailFast
 )
 
-// WithContractGuard wraps the engine's backend (after all other engine
-// options, so it also covers a sharing layer) with the source contract
-// guard: every response is vetted — descending sorted order, finite
+// WithContractGuard wraps the engine's backend — whatever stack it was
+// handed, a sharing layer included — with the source contract guard: every response is vetted — descending sorted order, finite
 // scores in [0,1], distinct ids per stream, random results consistent with
 // sorted sightings — before it can reach any session. Violating accesses
 // fail without being billed; under WithResilience the breakers quarantine
@@ -497,18 +464,16 @@ func NewEngine(b Backend, scn Scenario, opts ...EngineOption) (*Engine, error) {
 	for _, o := range opts {
 		o(e)
 	}
-	// The guard wraps last so it vets whatever the engine will actually
-	// talk to — including a sharing layer installed by WithSharing.
-	if e.useGuard {
-		e.guard = adapt.NewGuard(e.backend, e.guardOpts...)
-		e.backend = e.guard
-	}
-	// Validate after options: WithSharing may have replaced the backend,
-	// and the scenario must match whatever the engine will actually run
-	// against.
-	if err := scn.Validate(e.backend.M()); err != nil {
+	if err := scn.Validate(b.M()); err != nil {
 		return nil, err
 	}
+	if e.useGuard {
+		e.guard = adapt.NewGuard(b, e.guardOpts...)
+		e.backend = e.guard
+	}
+	// Resolved once: the stack below an engine never changes.
+	e.share, _ = access.As[*share.Layer](b)
+	e.members, _ = access.As[interface{ MembershipKey() string }](b)
 	return e, nil
 }
 
