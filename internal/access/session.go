@@ -26,6 +26,15 @@ type Backend interface {
 	Random(ctx context.Context, pred, obj int) (float64, error)
 }
 
+// Entry is one element of a predicate's descending sorted list: what one
+// sorted access returns. It is the one entry type of every layer that
+// keeps or ships sorted results (the sharing layer's prefix, the cluster
+// merge and its shard pages, the websim wire format).
+type Entry struct {
+	Obj   int     `json:"obj"`
+	Score float64 `json:"score"`
+}
+
 // DatasetBackend adapts a data.Dataset to the Backend interface.
 type DatasetBackend struct{ DS *data.Dataset }
 

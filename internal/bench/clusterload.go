@@ -195,7 +195,7 @@ func (t *node) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, e
 
 // SortedPage forwards one prefetch page, charging per entry: paging
 // saves round trips, never service time.
-func (t *node) SortedPage(ctx context.Context, pred, rank, count int) ([]cluster.Entry, error) {
+func (t *node) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
 	t.serve(count)
 	return t.pages.SortedPage(ctx, pred, rank, count)
 }

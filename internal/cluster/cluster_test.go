@@ -555,7 +555,7 @@ func (f *flakyShard) Sorted(ctx context.Context, pred, rank int) (int, float64, 
 	return f.LocalShard.Sorted(ctx, pred, rank)
 }
 
-func (f *flakyShard) SortedPage(ctx context.Context, pred, rank, count int) ([]Entry, error) {
+func (f *flakyShard) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
 	if f.fail.Load() {
 		return nil, errFlaky
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/kit"
 	"repro/internal/obs"
 )
 
@@ -79,15 +80,14 @@ type shardHealth struct {
 }
 
 // mergeState is one predicate's scatter-gather merge: the globally
-// sorted prefix materialized so far, one cursor head per shard, and the
-// singleflight slot serializing frontier extension. merged is append-only
-// under mu; heads are owned exclusively by the pending driver.
+// sorted prefix materialized so far — a kit.Prefix (DESIGN.md §4, "Shared
+// state") whose frontier fetch is the merge step, advance — and one
+// cursor head per shard. heads are touched only inside that fetch, which
+// the prefix runs one driver at a time, so they need no lock.
 type mergeState struct {
-	mu      sync.Mutex
-	merged  []Entry
-	heads   []headState
-	pending *mergeFetch
-	bound   atomic.Uint64 // float64 bits of the unseen-score bound
+	merged *kit.Prefix[access.Entry]
+	heads  []headState
+	bound  atomic.Uint64 // float64 bits of the unseen-score bound
 }
 
 // headState is one shard's cursor into its local sorted stream for one
@@ -96,18 +96,11 @@ type mergeState struct {
 // the most recently seen entry — the shard's contribution to the global
 // unseen-score bound while its page is dry.
 type headState struct {
-	buf  []Entry
+	buf  []access.Entry
 	pos  int
 	next int
 	last float64
 	eof  bool
-}
-
-// mergeFetch is the singleflight handle a frontier-extending driver
-// publishes; waiters block on done and re-check the merged prefix.
-type mergeFetch struct {
-	done chan struct{}
-	err  error
 }
 
 // New builds a coordinator over the shards. Every shard must agree on
@@ -157,14 +150,16 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 		c.health[i].healthy.Store(true)
 	}
 	c.up.Store(int64(len(shards)))
-	one := math.Float64bits(1)
 	for p := range c.merges {
 		ms := &c.merges[p]
+		ms.merged = kit.NewPrefix(func(ctx context.Context, from, want int, buf []access.Entry) ([]access.Entry, error) {
+			return c.advance(ctx, p, ms, from, want, buf)
+		})
 		ms.heads = make([]headState, len(shards))
 		for i := range ms.heads {
 			ms.heads[i].last = 1
 		}
-		ms.bound.Store(one)
+		ms.bound.Store(math.Float64bits(1))
 	}
 	if opts.Metrics != nil {
 		c.metrics = newClusterMetrics(opts.Metrics)
@@ -195,50 +190,23 @@ func (c *Coordinator) Sorted(ctx context.Context, pred, rank int) (int, float64,
 	if rank < 0 || rank >= c.n {
 		return 0, 0, fmt.Errorf("cluster: rank %d out of range [0,%d)", rank, c.n)
 	}
-	ms := &c.merges[pred]
-	for {
-		ms.mu.Lock()
-		if rank < len(ms.merged) {
-			e := ms.merged[rank]
-			ms.mu.Unlock()
-			c.count(&c.stats.mergeHits, metricClusterMergeHits)
-			return e.Obj, e.Score, nil
-		}
-		if f := ms.pending; f != nil {
-			ms.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return 0, 0, ctx.Err()
-			}
-			// Re-check: the fetch may have covered our rank, erred, or
-			// stopped short — in the latter cases this caller drives its
-			// own round and reports its own error.
-			continue
-		}
-		//topklint:allow hotpathalloc frontier miss pays a shard round trip; one fetch handle is noise against it
-		f := &mergeFetch{done: make(chan struct{})}
-		ms.pending = f
-		ms.mu.Unlock()
-		err := c.advance(ctx, pred, ms, rank)
-		ms.mu.Lock()
-		ms.pending = nil
-		ms.mu.Unlock()
-		f.err = err
-		close(f.done)
-		if err != nil {
-			return 0, 0, err
-		}
+	e, hit, err := c.merges[pred].merged.At(ctx, rank)
+	if err != nil {
+		return 0, 0, err
 	}
+	if hit {
+		c.count(&c.stats.mergeHits, metricClusterMergeHits)
+	}
+	return e.Obj, e.Score, nil
 }
 
-// advance extends pred's merged prefix through rank: refill dry shard
-// cursors (concurrently when several are dry), then pop the maximum head
-// into the prefix until the rank is covered. Only the singleflight
-// driver runs here, so heads need no locking; merged is appended under
-// the merge mutex because readers scan it concurrently.
-func (c *Coordinator) advance(ctx context.Context, pred int, ms *mergeState, rank int) error {
-	for {
+// advance is the merge step, pred's kit.Fetch: it appends the merged
+// rows of ranks from..rank to buf — refill dry shard cursors
+// (concurrently when several are dry), then pop the maximum head until
+// the rank is covered. Rows popped before a failed refill are returned
+// with the error, so the prefix keeps what was paid for.
+func (c *Coordinator) advance(ctx context.Context, pred int, ms *mergeState, from, rank int, buf []access.Entry) ([]access.Entry, error) {
+	for from+len(buf) <= rank {
 		var needs []int
 		for i := range ms.heads {
 			h := &ms.heads[i]
@@ -248,14 +216,15 @@ func (c *Coordinator) advance(ctx context.Context, pred int, ms *mergeState, ran
 		}
 		if len(needs) > 0 {
 			if err := c.refill(ctx, pred, ms, needs); err != nil {
-				return err
+				return buf, err
 			}
 		}
-		done, err := c.pop(ms, rank)
-		if err != nil || done {
-			return err
+		var err error
+		if buf, err = c.pop(ms, buf, from, rank); err != nil {
+			return buf, err
 		}
 	}
+	return buf, nil
 }
 
 // refill pulls the next page for each listed shard cursor, fanning out
@@ -300,18 +269,11 @@ func (c *Coordinator) fill(ctx context.Context, pred int, ms *mergeState, i int)
 	if count > remaining {
 		count = remaining
 	}
-	if h.buf == nil {
-		h.buf = make([]Entry, 0, c.prefetch)
-	}
-	h.buf = h.buf[:0]
-	h.pos = 0
+	h.buf, h.pos = h.buf[:0], 0
 	var err error
 	if pager, ok := sh.(PageBackend); ok {
-		var page []Entry
-		page, err = pager.SortedPage(ctx, pred, h.next, count)
-		if err == nil {
-			h.buf = append(h.buf, page...)
-		}
+		// The page is the caller's to keep: it becomes the cursor head.
+		h.buf, err = pager.SortedPage(ctx, pred, h.next, count)
 	} else {
 		// No page capability (e.g. a fault-injected shard): pull entry by
 		// entry so every prefetched row passes the wrapper's gate.
@@ -322,7 +284,7 @@ func (c *Coordinator) fill(ctx context.Context, pred int, ms *mergeState, i int)
 			if err != nil {
 				break
 			}
-			h.buf = append(h.buf, Entry{Obj: obj, Score: score})
+			h.buf = append(h.buf, access.Entry{Obj: obj, Score: score})
 		}
 	}
 	h.next += len(h.buf)
@@ -349,16 +311,14 @@ func (c *Coordinator) fill(ctx context.Context, pred int, ms *mergeState, i int)
 	return nil
 }
 
-// pop merges available heads into the prefix until rank is covered
-// (done), a dry non-eof head blocks further popping (needs a refill), or
-// every stream is exhausted.
+// pop merges available heads into out, which starts at rank from, until
+// rank is covered, a dry non-eof head blocks further popping (needs a
+// refill), or every stream is exhausted (an error).
 //
 //topklint:hotpath
-func (c *Coordinator) pop(ms *mergeState, rank int) (bool, error) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
+func (c *Coordinator) pop(ms *mergeState, out []access.Entry, from, rank int) ([]access.Entry, error) {
 	defer c.updateBound(ms)
-	for len(ms.merged) <= rank {
+	for from+len(out) <= rank {
 		best := -1
 		for i := range ms.heads {
 			h := &ms.heads[i]
@@ -369,18 +329,18 @@ func (c *Coordinator) pop(ms *mergeState, rank int) (bool, error) {
 			} else if !h.eof {
 				// A dry head might hold the true maximum: stop and refill
 				// before committing any more rows.
-				return false, nil
+				return out, nil
 			}
 		}
 		if best < 0 {
-			return false, fmt.Errorf("cluster: merge exhausted at rank %d of %d", len(ms.merged), c.n)
+			return out, fmt.Errorf("cluster: merge exhausted at rank %d of %d", from+len(out), c.n)
 		}
 		h := &ms.heads[best]
-		ms.merged = append(ms.merged, h.buf[h.pos])
+		out = append(out, h.buf[h.pos])
 		h.pos++
 		c.count(&c.stats.mergedRows, metricClusterMergedRows)
 	}
-	return true, nil
+	return out, nil
 }
 
 // entryLess orders merge candidates: a loses to b when b scores higher,
@@ -388,7 +348,7 @@ func (c *Coordinator) pop(ms *mergeState, rank int) (bool, error) {
 // sorted list, which is what makes the merged stream byte-identical.
 //
 //topklint:hotpath
-func entryLess(a, b Entry) bool {
+func entryLess(a, b access.Entry) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
@@ -398,9 +358,10 @@ func entryLess(a, b Entry) bool {
 // updateBound recomputes pred's unseen-score bound: the maximum over
 // shards of the next entry each could still contribute — the page head
 // when one is buffered, else ℓ_i, the last score seen from that shard.
-// Rows at ranks beyond the merged prefix are guaranteed to score at or
-// below this bound, which is what lets NRA-style consumers stop before
-// draining the shard streams.
+// Rows the merge has not popped yet are guaranteed to score at or below
+// this bound — every row beyond the merged prefix once the popping
+// driver has published — which is what lets NRA-style consumers stop
+// before draining the shard streams.
 //
 //topklint:hotpath
 func (c *Coordinator) updateBound(ms *mergeState) {

@@ -10,7 +10,9 @@ import (
 
 // RemoteShard speaks the websim shard protocol to one topkd -shard node:
 // a websim.Client whose routes all point at the shard's base URL, plus
-// the Shard-contract surface (LocalN, paged sorted refills).
+// the Shard-contract surface — LocalN, and the client's own SortedPage as
+// the PageBackend capability: one shard round trip per cursor refill
+// instead of one per entry.
 type RemoteShard struct {
 	*websim.Client
 }
@@ -31,20 +33,6 @@ func DialShard(ctx context.Context, baseURL string, m int, httpc *http.Client, o
 		return nil, err
 	}
 	return &RemoteShard{Client: c}, nil
-}
-
-// SortedPage implements PageBackend: one shard round trip per cursor
-// refill instead of one per entry.
-func (s *RemoteShard) SortedPage(ctx context.Context, pred, rank, count int) ([]Entry, error) {
-	page, err := s.Client.SortedPage(ctx, pred, rank, count)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Entry, len(page))
-	for i, e := range page {
-		out[i] = Entry{Obj: e.Obj, Score: e.Score}
-	}
-	return out, nil
 }
 
 var (

@@ -8,13 +8,6 @@ import (
 	"repro/internal/data"
 )
 
-// Entry is one element of a shard's descending sorted stream, in global
-// object ids.
-type Entry struct {
-	Obj   int
-	Score float64
-}
-
 // Shard is the coordinator-facing contract of one shard node. It is an
 // access.Backend whose object ids are *global* — N() returns the full
 // cluster's object count, Sorted returns global ids, Random and
@@ -31,11 +24,12 @@ type Shard interface {
 
 // PageBackend is the optional capability a shard may advertise to serve
 // one prefetch page — count consecutive entries of a predicate's local
-// descending list starting at rank — in a single round trip. Shards
-// without it (e.g. a fault-injector-wrapped shard) are paged entry by
-// entry through Sorted.
+// descending list starting at rank, in global object ids — in a single
+// round trip. The returned page is the caller's to keep. Shards without
+// it (e.g. a fault-injector-wrapped shard) are paged entry by entry
+// through Sorted.
 type PageBackend interface {
-	SortedPage(ctx context.Context, pred, rank, count int) ([]Entry, error)
+	SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error)
 }
 
 // ShardData is one shard's slice of a partitioned dataset: the local
@@ -153,17 +147,17 @@ func (s *LocalShard) Sorted(ctx context.Context, pred, rank int) (int, float64, 
 }
 
 // SortedPage serves one prefetch page of the local descending list.
-func (s *LocalShard) SortedPage(ctx context.Context, pred, rank, count int) ([]Entry, error) {
+func (s *LocalShard) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if rank < 0 || count <= 0 || rank+count > len(s.d.Global) {
 		return nil, fmt.Errorf("cluster: shard %d page [%d,%d) beyond local list of %d", s.d.Index, rank, rank+count, len(s.d.Global))
 	}
-	page := make([]Entry, count)
+	page := make([]access.Entry, count)
 	for i := range page {
 		local, score := s.d.Local.SortedAt(pred, rank+i)
-		page[i] = Entry{Obj: s.d.Global[local], Score: score}
+		page[i] = access.Entry{Obj: s.d.Global[local], Score: score}
 	}
 	return page, nil
 }

@@ -1,12 +1,12 @@
 package opt
 
 import (
-	"container/list"
 	"fmt"
 	"strconv"
 	"sync"
 
 	"repro/internal/access"
+	"repro/internal/kit"
 	"repro/internal/score"
 )
 
@@ -45,17 +45,10 @@ type CacheStats struct {
 // or observer emissions.
 type PlanCache struct {
 	mu       sync.Mutex
-	capacity int
-	entries  map[string]*list.Element
-	lru      *list.List // of *cacheEntry, front = most recent
+	lru      *kit.LRU[string, Plan]
 	inflight map[string]*planCall
 
 	hits, misses, evictions uint64
-}
-
-type cacheEntry struct {
-	key  string
-	plan Plan
 }
 
 type planCall struct {
@@ -71,9 +64,7 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity = DefaultPlanCacheCapacity
 	}
 	return &PlanCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
+		lru:      kit.NewLRU[string, Plan](capacity),
 		inflight: make(map[string]*planCall),
 	}
 }
@@ -83,15 +74,14 @@ func NewPlanCache(capacity int) *PlanCache {
 // caller's to own (defensive copies of the cached entry). Lookup outcomes
 // and evictions are emitted on cfg.Observer; errors are never cached.
 func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, error) {
-	// The key is built on the stack and looked up as string(key), which
-	// the compiler does not materialize: a hit allocates nothing here.
+	// The key is built on the stack and looked up through kit.GetBytes,
+	// which never materializes it as a string: a hit allocates nothing here.
 	var buf [256]byte
 	key := appendCacheKey(buf[:0], scn, f, k, n, cfg.withDefaults())
 
 	c.mu.Lock()
-	if el, ok := c.entries[string(key)]; ok {
-		c.lru.MoveToFront(el)
-		plan := copyPlan(el.Value.(*cacheEntry).plan)
+	if cached, ok := kit.GetBytes(c.lru, key); ok {
+		plan := copyPlan(cached)
 		c.hits++
 		c.mu.Unlock()
 		if cfg.Observer != nil {
@@ -133,7 +123,8 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 	delete(c.inflight, skey)
 	evicted := 0
 	if call.err == nil {
-		evicted = c.insert(skey, call.plan)
+		evicted = c.lru.Put(skey, copyPlan(call.plan))
+		c.evictions += uint64(evicted)
 	}
 	c.mu.Unlock()
 	for i := 0; i < evicted; i++ {
@@ -145,26 +136,6 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 		return Plan{}, call.err
 	}
 	return copyPlan(call.plan), nil
-}
-
-// insert stores the plan under key and trims to capacity, returning how
-// many entries were evicted. Caller holds c.mu.
-func (c *PlanCache) insert(key string, p Plan) int {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = copyPlan(p)
-		c.lru.MoveToFront(el)
-		return 0
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, plan: copyPlan(p)})
-	evicted := 0
-	for c.lru.Len() > c.capacity {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*cacheEntry).key)
-		c.evictions++
-		evicted++
-	}
-	return evicted
 }
 
 // Stats returns cumulative hit/miss/eviction counts.
@@ -188,8 +159,7 @@ func (c *PlanCache) Len() int {
 func (c *PlanCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
+	c.lru.Purge()
 }
 
 func copyPlan(p Plan) Plan {

@@ -1,8 +1,9 @@
 package share
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/kit"
 )
 
 // numShards splits the score cache to keep concurrent queries off one
@@ -25,18 +26,18 @@ type scoreCache struct {
 	shards [numShards]scoreShard
 }
 
+// newScoreCache spreads capacity over the shards so their bounds sum to
+// exactly the configured value: the first capacity%numShards shards take
+// one entry more, and below numShards entries the rest cache nothing.
 func newScoreCache(capacity int) *scoreCache {
-	per := capacity / numShards
-	if per < 1 {
-		per = 1
-	}
 	c := &scoreCache{}
 	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.capacity = per
-		sh.entries = make(map[uint64]*list.Element)
-		sh.lru = list.New()
-		sh.inflight = make(map[uint64]*probeCall)
+		per := capacity / numShards
+		if i < capacity%numShards {
+			per++
+		}
+		c.shards[i].lru = kit.NewLRU[uint64, float64](per)
+		c.shards[i].inflight = make(map[uint64]*probeCall)
 	}
 	return c
 }
@@ -45,22 +46,15 @@ func (c *scoreCache) shard(key uint64) *scoreShard {
 	return &c.shards[shardIndex(key)&(numShards-1)]
 }
 
-// invalidatePred drops every cached score of one predicate and bumps each
-// affected shard's generation so in-flight probes started before the
-// invalidation cannot re-insert stale values.
-func (c *scoreCache) invalidatePred(pred int) {
-	for i := range c.shards {
-		c.shards[i].invalidatePred(pred)
-	}
-}
-
-func (c *scoreCache) invalidateAll() {
+// invalidate drops every cached score del selects and bumps each shard's
+// generation so in-flight probes started before the invalidation cannot
+// re-insert stale values.
+func (c *scoreCache) invalidate(del func(key uint64, score float64) bool) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		sh.gen++
-		sh.entries = make(map[uint64]*list.Element)
-		sh.lru.Init()
+		sh.lru.DeleteFunc(del)
 		sh.mu.Unlock()
 	}
 }
@@ -73,21 +67,15 @@ type probeCall struct {
 	err   error
 }
 
-// scoreEntry is one cached (predicate, object) score.
-type scoreEntry struct {
-	key   uint64
-	score float64
-}
-
-// scoreShard is one LRU shard. The mutex is never held across a backend
-// access: begin registers the in-flight call and releases, commit
-// publishes after the access returns.
+// scoreShard is one LRU shard: a kit.LRU of (predicate, object) scores
+// under the mutex that also guards the shard's generation and in-flight
+// probes. The mutex is never held across a backend access: begin
+// registers the in-flight call and releases, commit publishes after the
+// access returns.
 type scoreShard struct {
 	mu       sync.Mutex
 	gen      uint64 // bumped on invalidation; guards late commits
-	capacity int
-	entries  map[uint64]*list.Element
-	lru      *list.List // of *scoreEntry, front = most recent
+	lru      *kit.LRU[uint64, float64]
 	inflight map[uint64]*probeCall
 }
 
@@ -95,15 +83,9 @@ type scoreShard struct {
 // allocates nothing.
 func (s *scoreShard) get(key uint64) (float64, bool) {
 	s.mu.Lock()
-	el, ok := s.entries[key]
-	if !ok {
-		s.mu.Unlock()
-		return 0, false
-	}
-	s.lru.MoveToFront(el)
-	score := el.Value.(*scoreEntry).score
+	score, ok := s.lru.Get(key)
 	s.mu.Unlock()
-	return score, true
+	return score, ok
 }
 
 // begin opens a probe: a concurrent insert since the caller's miss is
@@ -113,9 +95,7 @@ func (s *scoreShard) get(key uint64) (float64, bool) {
 // back so a value fetched before an invalidation is not cached after it.
 func (s *scoreShard) begin(key uint64) (score float64, cached bool, call *probeCall, gen uint64) {
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		score = el.Value.(*scoreEntry).score
+	if score, ok := s.lru.Get(key); ok {
 		s.mu.Unlock()
 		return score, true, nil, 0
 	}
@@ -138,7 +118,7 @@ func (s *scoreShard) commit(key uint64, gen uint64, score float64, err error) {
 	call := s.inflight[key]
 	delete(s.inflight, key)
 	if err == nil && gen == s.gen {
-		s.insert(key, score)
+		s.lru.Put(key, score)
 	}
 	s.mu.Unlock()
 	if call != nil {
@@ -153,7 +133,7 @@ func (s *scoreShard) commit(key uint64, gen uint64, score float64, err error) {
 func (s *scoreShard) put(key uint64, gen uint64, score float64) {
 	s.mu.Lock()
 	if gen == s.gen {
-		s.insert(key, score)
+		s.lru.Put(key, score)
 	}
 	s.mu.Unlock()
 }
@@ -164,36 +144,4 @@ func (s *scoreShard) generation() uint64 {
 	g := s.gen
 	s.mu.Unlock()
 	return g
-}
-
-// insert stores the score and trims to capacity. Caller holds s.mu.
-func (s *scoreShard) insert(key uint64, score float64) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*scoreEntry).score = score
-		s.lru.MoveToFront(el)
-		return
-	}
-	s.entries[key] = s.lru.PushFront(&scoreEntry{key: key, score: score})
-	for s.lru.Len() > s.capacity {
-		back := s.lru.Back()
-		s.lru.Remove(back)
-		delete(s.entries, back.Value.(*scoreEntry).key)
-	}
-}
-
-// invalidatePred removes this shard's entries for one predicate and bumps
-// the generation.
-func (s *scoreShard) invalidatePred(pred int) {
-	s.mu.Lock()
-	s.gen++
-	for el := s.lru.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*scoreEntry)
-		if int(e.key>>32) == pred {
-			s.lru.Remove(el)
-			delete(s.entries, e.key)
-		}
-		el = next
-	}
-	s.mu.Unlock()
 }

@@ -39,10 +39,12 @@ package share
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/access"
+	"repro/internal/kit"
 	"repro/internal/obs"
 )
 
@@ -79,7 +81,7 @@ type Layer struct {
 	batch   access.BatchBackend // nil unless enabled and supported
 	n, m    int
 
-	cursors []cursor
+	cursors []*kit.Prefix[access.Entry]
 	scores  *scoreCache // nil when disabled
 	batcher *batcher    // nil unless batching enabled
 
@@ -102,8 +104,20 @@ func New(b access.Backend, opts Options) *Layer {
 		backend:  b,
 		n:        b.N(),
 		m:        b.M(),
-		cursors:  make([]cursor, b.M()),
+		cursors:  make([]*kit.Prefix[access.Entry], b.M()),
 		breakers: opts.Breakers,
+	}
+	for pred := range l.cursors {
+		// The shared stream of one predicate is a kit.Prefix (DESIGN.md §4,
+		// "Shared state") whose frontier fetch is one backend sorted access.
+		l.cursors[pred] = kit.NewPrefix(func(ctx context.Context, from, _ int, buf []access.Entry) ([]access.Entry, error) {
+			obj, score, err := b.Sorted(ctx, pred, from)
+			l.stats.backendSorted.Add(1)
+			if err != nil {
+				return buf, err
+			}
+			return append(buf, access.Entry{Obj: obj, Score: score}), nil
+		})
 	}
 	if opts.ScoreCapacity >= 0 {
 		capacity := opts.ScoreCapacity
@@ -143,87 +157,28 @@ func (l *Layer) Unwrap() access.Backend { return l.backend }
 // Batching reports whether batched random access is active.
 func (l *Layer) Batching() bool { return l.batcher != nil }
 
-// entry is one fetched element of a predicate's descending list.
-type entry struct {
-	obj   int
-	score float64
-}
-
-// cursor is the shared sorted-access stream of one predicate: the prefix
-// of its descending list fetched so far, plus the singleflight state for
-// the fetch extending the frontier. The mutex is never held across a
-// backend access — the fetching query releases it, fetches, relocks to
-// publish, and waiters block on the fetch's done channel instead. gen
-// detects invalidation racing an in-flight fetch: a fetch started against
-// a since-dropped prefix must not publish into the fresh one.
-type cursor struct {
-	mu      sync.Mutex
-	gen     uint64
-	entries []entry
-	pending *frontierFetch // non-nil while a frontier fetch is in flight
-}
-
-type frontierFetch struct {
-	done  chan struct{}
-	obj   int
-	score float64
-	err   error
-}
-
 // Sorted implements access.Backend: ranks inside the shared prefix are
 // served without a source access; a rank at the frontier drives (or waits
-// on) exactly one backend access shared by every query needing it.
+// on) exactly one backend access shared by every query needing it. A rank
+// deeper than the frontier (possible after an invalidation dropped the
+// prefix mid-session) extends it entry by entry until covered.
 //
 //topklint:hotpath
 func (l *Layer) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	l.syncBreakers()
-	c := &l.cursors[pred]
-	for {
-		c.mu.Lock()
-		if rank < len(c.entries) {
-			e := c.entries[rank]
-			c.mu.Unlock()
-			l.count(&l.stats.sortedHits, l.metrics, metricSortedHits)
-			return e.obj, e.score, nil
-		}
-		if f := c.pending; f != nil {
-			// Another query is extending the frontier: wait for its result
-			// and re-check, without charging the source twice.
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return 0, 0, ctx.Err()
-			}
-			continue
-		}
-		//topklint:allow hotpathalloc frontier miss pays a source round trip; one fetch handle is noise against it
-		f := &frontierFetch{done: make(chan struct{})}
-		c.pending = f
-		fetchRank := len(c.entries)
-		fetchGen := c.gen
-		c.mu.Unlock()
-
-		f.obj, f.score, f.err = l.backend.Sorted(ctx, pred, fetchRank)
-		l.stats.backendSorted.Add(1)
-		c.mu.Lock()
-		c.pending = nil
-		if f.err == nil && c.gen == fetchGen {
-			c.entries = append(c.entries, entry{obj: f.obj, score: f.score})
-		}
-		c.mu.Unlock()
-		close(f.done)
-		if f.err != nil {
-			return 0, 0, f.err
-		}
-		l.count(&l.stats.sortedMisses, l.metrics, metricSortedMisses)
-		if rank == fetchRank {
-			return f.obj, f.score, nil
-		}
-		// rank sits deeper than the frontier just fetched (possible after
-		// an invalidation dropped the prefix mid-session): keep extending
-		// until the prefix covers it.
+	if pred < 0 || pred >= l.m || rank < 0 || rank >= l.n {
+		return 0, 0, fmt.Errorf("share: Sorted(pred=%d, rank=%d) out of range (n=%d, m=%d)", pred, rank, l.n, l.m)
 	}
+	l.syncBreakers()
+	e, hit, err := l.cursors[pred].At(ctx, rank)
+	if err != nil {
+		return 0, 0, err
+	}
+	if hit {
+		l.count(&l.stats.sortedHits, l.metrics, metricSortedHits)
+	} else {
+		l.count(&l.stats.sortedMisses, l.metrics, metricSortedMisses)
+	}
+	return e.Obj, e.Score, nil
 }
 
 // Random implements access.Backend: cached scores are served without a
@@ -307,50 +262,36 @@ func (l *Layer) syncBreakers() {
 	for pred := 0; pred < l.m; pred++ {
 		if st := l.breakers.State(access.SortedAccess, pred); st != l.brState[access.SortedAccess][pred] {
 			l.brState[access.SortedAccess][pred] = st
-			l.invalidateCursor(pred)
+			// An in-flight frontier fetch cannot publish into the fresh prefix.
+			l.cursors[pred].Drop()
+			l.count(&l.stats.invalidations, l.metrics, metricInvalidations)
 		}
 		if st := l.breakers.State(access.RandomAccess, pred); st != l.brState[access.RandomAccess][pred] {
 			l.brState[access.RandomAccess][pred] = st
 			if l.scores != nil {
-				l.scores.invalidatePred(pred)
+				l.scores.invalidate(func(key uint64, _ float64) bool { return int(key>>32) == pred })
 				l.count(&l.stats.invalidations, l.metrics, metricInvalidations)
 			}
 		}
 	}
 }
 
-// invalidateCursor drops one predicate's shared prefix and bumps its
-// generation so an in-flight frontier fetch cannot publish stale entries
-// into the fresh stream.
-func (l *Layer) invalidateCursor(pred int) {
-	c := &l.cursors[pred]
-	c.mu.Lock()
-	c.gen++
-	c.entries = nil
-	c.mu.Unlock()
-	l.count(&l.stats.invalidations, l.metrics, metricInvalidations)
-}
-
 // Invalidate drops every shared cursor and cached score. Operational
 // escape hatch (the breaker hook handles degradation automatically).
 func (l *Layer) Invalidate() {
-	for pred := 0; pred < l.m; pred++ {
-		c := &l.cursors[pred]
-		c.mu.Lock()
-		c.gen++
-		c.entries = nil
-		c.mu.Unlock()
+	for _, c := range l.cursors {
+		c.Drop()
 	}
 	if l.scores != nil {
-		l.scores.invalidateAll()
+		l.scores.invalidate(func(uint64, float64) bool { return true })
 	}
 }
 
 // Depth reports how many entries of predicate pred's descending list the
-// shared cursor currently holds.
+// shared cursor currently holds (0 for a predicate out of range).
 func (l *Layer) Depth(pred int) int {
-	c := &l.cursors[pred]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	if pred < 0 || pred >= l.m {
+		return 0
+	}
+	return l.cursors[pred].Len()
 }

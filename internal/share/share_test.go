@@ -256,3 +256,53 @@ func TestBreakerInvalidation(t *testing.T) {
 		t.Fatalf("random(1,2) = %g, %v", sc, err)
 	}
 }
+
+// TestSortedRangeChecks: a raw caller (no session in front) handing the
+// layer an out-of-range predicate or rank gets an error, as from every
+// other backend — never an index panic.
+func TestSortedRangeChecks(t *testing.T) {
+	ds := e1Dataset(t)
+	layer := share.New(access.DatasetBackend{DS: ds}, share.Options{})
+	ctx := context.Background()
+	for _, pred := range []int{-1, 0, ds.M()} {
+		for _, rank := range []int{-1, 0, ds.N()} {
+			_, _, err := layer.Sorted(ctx, pred, rank)
+			if valid := pred == 0 && rank == 0; (err == nil) != valid {
+				t.Errorf("Sorted(pred=%d, rank=%d): err = %v", pred, rank, err)
+			}
+		}
+		want := 0
+		if pred == 0 {
+			want = 1 // the one valid access above
+		}
+		if got := layer.Depth(pred); got != want {
+			t.Errorf("Depth(%d) = %d, want %d", pred, got, want)
+		}
+	}
+}
+
+// TestScoreCapacityIsExact: ScoreCapacity bounds the cached scores across
+// all shards together, whatever its remainder modulo the shard count.
+// Probing every key once and then again in reverse hits exactly what is
+// cached: each shard's most recent keys come first and hit in place, and
+// every miss after them evicts only keys the pass has already counted.
+func TestScoreCapacityIsExact(t *testing.T) {
+	ds := e1Dataset(t)
+	for _, capacity := range []int{1, 15, 16, 100} {
+		layer := share.New(access.DatasetBackend{DS: ds}, share.Options{ScoreCapacity: capacity})
+		ctx := context.Background()
+		for key := 0; key < ds.N()*ds.M(); key++ {
+			if _, err := layer.Random(ctx, key%ds.M(), key/ds.M()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for key := ds.N()*ds.M() - 1; key >= 0; key-- {
+			if _, err := layer.Random(ctx, key%ds.M(), key/ds.M()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if hits := layer.Stats().RandomHits; hits != uint64(capacity) {
+			t.Errorf("ScoreCapacity %d cached %d scores", capacity, hits)
+		}
+	}
+}

@@ -1,33 +1,23 @@
 package store
 
 import (
-	"container/list"
 	"sync"
+
+	"repro/internal/kit"
 )
 
-// blockCache is a mutex-guarded LRU of raw segment blocks keyed by
+// blockCache is a mutex-guarded kit.LRU of raw segment blocks keyed by
 // (predicate, block). Values are the immutable on-disk bytes; Sorted
 // decodes the 12-byte entry it needs in place, so a cache hit allocates
 // nothing. One cache serves the whole store — predicates share the
 // budget the way they share the disk.
 type blockCache struct {
 	mu  sync.Mutex
-	cap int
-	ll  *list.List
-	idx map[blockKey]*list.Element
+	lru *kit.LRU[blockKey, []byte]
 }
 
 type blockKey struct {
 	pred, block int
-}
-
-type blockVal struct {
-	key blockKey
-	raw []byte
-}
-
-func newBlockCache(cap int) *blockCache {
-	return &blockCache{cap: cap, ll: list.New(), idx: make(map[blockKey]*list.Element, cap)}
 }
 
 // get returns the cached block, or nil on a miss.
@@ -35,41 +25,21 @@ func newBlockCache(cap int) *blockCache {
 //topklint:hotpath
 func (c *blockCache) get(pred, block int) []byte {
 	c.mu.Lock()
-	e, ok := c.idx[blockKey{pred, block}]
-	if ok {
-		c.ll.MoveToFront(e)
-	}
+	raw, _ := c.lru.Get(blockKey{pred, block})
 	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return e.Value.(*blockVal).raw
+	return raw
 }
 
 // put inserts a block, evicting the least recently used past capacity.
-//
-//topklint:allow hotpathalloc miss path: one list element per cached block, bounded by the cache capacity
 func (c *blockCache) put(pred, block int, raw []byte) {
-	k := blockKey{pred, block}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.idx[k]; ok {
-		c.ll.MoveToFront(e)
-		e.Value.(*blockVal).raw = raw
-		return
-	}
-	c.idx[k] = c.ll.PushFront(&blockVal{key: k, raw: raw})
-	for c.ll.Len() > c.cap {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.idx, last.Value.(*blockVal).key)
-	}
+	c.lru.Put(blockKey{pred, block}, raw)
+	c.mu.Unlock()
 }
 
 // drop empties the cache.
 func (c *blockCache) drop() {
 	c.mu.Lock()
-	c.ll.Init()
-	c.idx = make(map[blockKey]*list.Element, c.cap)
+	c.lru.Purge()
 	c.mu.Unlock()
 }

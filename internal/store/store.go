@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/kit"
 )
 
 // ErrCorrupt reports a store directory that fails validation: missing or
@@ -139,7 +140,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		cap = DefaultCacheBlocks
 	}
 	if cap > 0 {
-		s.cache = newBlockCache(cap)
+		s.cache = &blockCache{lru: kit.NewLRU[blockKey, []byte](cap)}
 	}
 	ok = true
 	return s, nil

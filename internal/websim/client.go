@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/obs"
 )
 
@@ -268,7 +269,7 @@ func (c *Client) Sorted(ctx context.Context, pred, rank int) (int, float64, erro
 	rt := c.routes[pred]
 	u := fmt.Sprintf("%s/sorted?pred=%s&rank=%s", rt.BaseURL,
 		url.QueryEscape(fmt.Sprint(rt.Pred)), url.QueryEscape(fmt.Sprint(rank)))
-	var p sortedPayload
+	var p access.Entry
 	if err := c.get(ctx, u, &p); err != nil {
 		return 0, 0, err
 	}
@@ -278,15 +279,9 @@ func (c *Client) Sorted(ctx context.Context, pred, rank int) (int, float64, erro
 	return p.Obj, p.Score, nil
 }
 
-// SortedEntry is one row of a sorted page.
-type SortedEntry struct {
-	Obj   int
-	Score float64
-}
-
 // SortedPage fetches count consecutive entries of the predicate's
 // descending list starting at rank, in one round trip.
-func (c *Client) SortedPage(ctx context.Context, pred, rank, count int) ([]SortedEntry, error) {
+func (c *Client) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
 	if pred < 0 || pred >= len(c.routes) {
 		return nil, fmt.Errorf("websim: predicate %d out of range", pred)
 	}
@@ -299,14 +294,12 @@ func (c *Client) SortedPage(ctx context.Context, pred, rank, count int) ([]Sorte
 	if len(p.Entries) != count {
 		return nil, fmt.Errorf("websim: source returned %d entries for a page of %d", len(p.Entries), count)
 	}
-	out := make([]SortedEntry, count)
-	for i, e := range p.Entries {
+	for _, e := range p.Entries {
 		if e.Obj < 0 || e.Obj >= c.n {
 			return nil, fmt.Errorf("websim: source returned out-of-universe object %d", e.Obj)
 		}
-		out[i] = SortedEntry{Obj: e.Obj, Score: e.Score}
 	}
-	return out, nil
+	return p.Entries, nil
 }
 
 // Random fetches the exact score of one object on one predicate.

@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/data"
 )
 
@@ -289,11 +290,6 @@ type metaPayload struct {
 	LocalN int `json:"local_n,omitempty"`
 }
 
-type sortedPayload struct {
-	Obj   int     `json:"obj"`
-	Score float64 `json:"score"`
-}
-
 type randomPayload struct {
 	Score float64 `json:"score"`
 }
@@ -316,7 +312,7 @@ type batchPayload struct {
 }
 
 type sortedPagePayload struct {
-	Entries []sortedPayload `json:"entries"`
+	Entries []access.Entry `json:"entries"`
 }
 
 // maxBatchProbes bounds one batch request, keeping a single round trip
@@ -380,7 +376,7 @@ func (s *Server) handleSorted(w http.ResponseWriter, r *http.Request) {
 	}
 	obj, sc := s.ds.SortedAt(pred, rank)
 	obj, sc = s.lieSorted(pred, rank, obj, sc)
-	writeJSON(w, http.StatusOK, sortedPayload{Obj: s.globalID(obj), Score: s.warp(sc)})
+	writeJSON(w, http.StatusOK, access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)})
 }
 
 // handleSortedPage serves count consecutive entries of the sorted list in
@@ -410,11 +406,11 @@ func (s *Server) handleSortedPage(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorPayload{Error: fmt.Sprintf("page [%d,%d) beyond list end", rank, rank+count)})
 		return
 	}
-	entries := make([]sortedPayload, count)
+	entries := make([]access.Entry, count)
 	for i := range entries {
 		obj, sc := s.ds.SortedAt(pred, rank+i)
 		obj, sc = s.lieSorted(pred, rank+i, obj, sc)
-		entries[i] = sortedPayload{Obj: s.globalID(obj), Score: s.warp(sc)}
+		entries[i] = access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)}
 	}
 	writeJSON(w, http.StatusOK, sortedPagePayload{Entries: entries})
 }

@@ -13,7 +13,7 @@
 #	./scripts/escapes.sh > ESCAPES_baseline.txt
 set -e
 cd "$(dirname "$0")/.."
-for pkg in internal/state internal/access internal/algo internal/opt internal/share internal/cluster internal/store .; do
+for pkg in internal/state internal/access internal/algo internal/opt internal/kit internal/share internal/cluster internal/store .; do
 	go build -gcflags='-m -m' "./$pkg" 2>&1 |
 		grep -E 'escapes to heap$|moved to heap' |
 		grep -v '^/' |
