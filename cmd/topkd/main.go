@@ -84,7 +84,7 @@ func run() error {
 		adaptive = flag.Int("adaptive", 0, "re-plan queries mid-flight when sources diverge from the plan's statistics, checkpointing every this many accesses (0 disables)")
 		guardOn  = flag.Bool("contract-guard", false, "vet every source response against the access contract; lying sources are quarantined via the circuit breakers (topk_contract_violations_total in /metrics)")
 
-		shardIdx    = flag.Int("shard", -1, "serve one shard of the database over the websim source protocol: this node's index in [0,-shards)")
+		shardIdx    = flag.Int("shard", -1, "serve one shard of the database for a -coordinator to dial (shard wire on /wire, websim JSON beside it): this node's index in [0,-shards)")
 		shardCount  = flag.Int("shards", 0, "total shard count for -shard mode (every node must build the database from identical flags)")
 		coordinator = flag.String("coordinator", "", "comma-separated shard base URLs: front them as one scatter-gather database (-m sets the predicate count; no local database flags apply)")
 	)
@@ -259,7 +259,8 @@ func dialCluster(urls string, m int) (*cluster.Coordinator, error) {
 
 // serveShard partitions the database the same way every peer node does
 // (consistent hashing is deterministic in the shard count) and serves this
-// node's slice over the websim source protocol for a coordinator to dial.
+// node's slice for a coordinator to dial: the shard wire on /wire, the
+// websim JSON protocol beside it.
 func serveShard(addr string, ds *data.Dataset, idx, count int) error {
 	if count < 1 {
 		return fmt.Errorf("-shard requires -shards >= 1")
@@ -275,7 +276,9 @@ func serveShard(addr string, ds *data.Dataset, idx, count int) error {
 	if sd.LocalN() == 0 {
 		return fmt.Errorf("shard %d of %d owns no objects of %s; use fewer shards", idx, count, ds.Name())
 	}
-	srv, err := websim.NewServer(sd.Local, websim.WithShardObjects(sd.Global, ds.N()))
+	// Refused frames are logged with the frame id the coordinator chose, so
+	// its error line for an access can be matched to this node's.
+	srv, err := websim.NewServer(sd.Local, websim.WithShardObjects(sd.Global, ds.N()), websim.WithLogf(log.Printf))
 	if err != nil {
 		return err
 	}

@@ -8,31 +8,29 @@ import (
 	"repro/internal/websim"
 )
 
-// RemoteShard speaks the websim shard protocol to one topkd -shard node:
-// a websim.Client whose routes all point at the shard's base URL, plus
-// the Shard-contract surface — LocalN, and the client's own SortedPage as
-// the PageBackend capability: one shard round trip per cursor refill
-// instead of one per entry.
+// RemoteShard is one topkd -shard node behind the shard wire: a
+// websim.Wire — binary frames over a small pool of persistent connections
+// upgraded on the node's HTTP port (DESIGN.md §15, "The shard wire") —
+// which already is the Shard contract: global object ids, local ranks,
+// LocalN, one round trip per cursor refill (PageBackend) and per probe
+// group (access.BatchBackend). Close it to release its connections.
 type RemoteShard struct {
-	*websim.Client
+	*websim.Wire
 }
 
-// DialShard connects to a shard node serving m predicates at baseURL,
-// validating its /meta. The node must run in shard mode (topkd -shard),
-// so its sorted streams carry global object ids and its meta reports the
-// universe size alongside the local slice size; a whole-universe node
-// degenerates to a 1-shard cluster. Client options (retries, attempt
-// timeouts, observers) pass through to the underlying websim client.
+// DialShard connects to a shard node serving m predicates at baseURL. The
+// node must run in shard mode (topkd -shard), so its sorted streams carry
+// global object ids and its handshake reports the universe size alongside
+// the local slice size; a whole-universe node degenerates to a 1-shard
+// cluster. A node that refuses the upgrade is a dial error: there is no
+// second protocol to fall back to. Client options (retries, attempt
+// timeouts, observers) configure the wire's retry policy.
 func DialShard(ctx context.Context, baseURL string, m int, httpc *http.Client, opts ...websim.ClientOption) (*RemoteShard, error) {
-	routes := make([]websim.Route, m)
-	for i := range routes {
-		routes[i] = websim.Route{BaseURL: baseURL, Pred: i}
-	}
-	c, err := websim.NewClient(ctx, httpc, routes, opts...)
+	w, err := websim.DialWire(ctx, httpc, baseURL, m, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteShard{Client: c}, nil
+	return &RemoteShard{Wire: w}, nil
 }
 
 var (

@@ -18,7 +18,8 @@
 //   - Shard: the coordinator-facing contract of one shard node —
 //     access.Backend in *global* object ids plus the size of the local
 //     slice. LocalShard serves an in-process partition; RemoteShard
-//     (remote.go) speaks the websim HTTP protocol to a topkd -shard node.
+//     (remote.go) speaks the shard wire — websim's frame protocol over
+//     pooled upgraded connections — to a topkd -shard node.
 //   - Coordinator: the scatter-gather access.Backend. Sorted accesses
 //     are served from a per-predicate k-way merge of the shard streams
 //     with pooled, prefetching per-shard cursors; random and batched

@@ -6,15 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/access"
-	"repro/internal/obs"
 )
 
 // Route maps one middleware query predicate to a source: the server's base
@@ -31,50 +27,11 @@ type Route struct {
 // exponential backoff up to the configured limit, since real Web sources
 // drop requests under load.
 type Client struct {
-	routes         []Route
-	n              int
-	localN         int
-	httpc          *http.Client
-	retries        int
-	backoff        time.Duration
-	attemptTimeout time.Duration
-	obs            obs.Observer // nil unless WithObserver
-
-	jmu    sync.Mutex
-	jitter *rand.Rand // nil unless WithJitterSeed
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithRetries sets how many times a failed request is retried (default 2)
-// and the initial backoff between attempts (default 10ms, doubling).
-func WithRetries(n int, backoff time.Duration) ClientOption {
-	return func(c *Client) { c.retries, c.backoff = n, backoff }
-}
-
-// WithAttemptTimeout bounds each individual request attempt (default 5s),
-// so a source that hangs mid-request turns into a retryable failure
-// instead of stalling the access until the query's own deadline. d <= 0
-// disables the bound.
-func WithAttemptTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.attemptTimeout = d }
-}
-
-// WithJitterSeed randomizes each retry's backoff sleep uniformly within
-// [backoff/2, backoff] from a private seeded generator, de-synchronizing
-// the retry storms of concurrent clients hammering a recovering source.
-// Equal seeds reproduce equal jitter sequences.
-func WithJitterSeed(seed int64) ClientOption {
-	return func(c *Client) { c.jitter = rand.New(rand.NewSource(seed)) }
-}
-
-// WithObserver streams the client's retry storms and terminal request
-// failures into an observer (SourceRetry per backoff sleep,
-// SourceFailure per request given up on). The observer must be safe for
-// concurrent use — live executors issue requests from many goroutines.
-func WithObserver(o obs.Observer) ClientOption {
-	return func(c *Client) { c.obs = o }
+	retrier
+	routes []Route
+	n      int
+	localN int
+	httpc  *http.Client
 }
 
 // NewClient dials every routed source, validates that all sources serve
@@ -88,10 +45,8 @@ func NewClient(ctx context.Context, httpc *http.Client, routes []Route, opts ...
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	c := &Client{routes: append([]Route(nil), routes...), httpc: httpc, retries: 2, backoff: 10 * time.Millisecond, attemptTimeout: 5 * time.Second}
-	for _, o := range opts {
-		o(c)
-	}
+	c := &Client{routes: append([]Route(nil), routes...), httpc: httpc}
+	c.configure(opts)
 	for i, rt := range routes {
 		var meta metaPayload
 		if err := c.get(ctx, rt.BaseURL+"/meta", &meta); err != nil {
@@ -117,7 +72,7 @@ func NewClient(ctx context.Context, httpc *http.Client, routes []Route, opts ...
 }
 
 func (c *Client) get(ctx context.Context, rawURL string, into interface{}) error {
-	return c.do(ctx, http.MethodGet, rawURL, nil, into)
+	return c.do(ctx, &jsonRequest{c: c, method: http.MethodGet, url: rawURL, into: into})
 }
 
 // post sends the payload as JSON, with the same retry policy as get. The
@@ -127,82 +82,41 @@ func (c *Client) post(ctx context.Context, rawURL string, payload, into interfac
 	if err != nil {
 		return fmt.Errorf("websim: encoding request: %w", err)
 	}
-	return c.do(ctx, http.MethodPost, rawURL, body, into)
+	return c.do(ctx, &jsonRequest{c: c, method: http.MethodPost, url: rawURL, body: body, into: into})
 }
 
-func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, into interface{}) error {
-	backoff := c.backoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err, retryable, retryAfter := c.doOnce(ctx, method, rawURL, body, into)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !retryable || attempt >= c.retries {
-			if c.obs != nil {
-				c.obs.SourceFailure()
-			}
-			return lastErr
-		}
-		sleep := c.retrySleep(backoff, retryAfter)
-		if c.obs != nil {
-			c.obs.SourceRetry(sleep)
-		}
-		t := time.NewTimer(sleep)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			if c.obs != nil {
-				c.obs.SourceFailure()
-			}
-			return fmt.Errorf("websim: %w (last attempt: %v)", ctx.Err(), lastErr)
-		case <-t.C:
-		}
-		backoff *= 2
-	}
+// jsonRequest is one JSON-protocol request, the retry loop's attempter.
+type jsonRequest struct {
+	c      *Client
+	method string
+	url    string
+	body   []byte
+	into   interface{}
 }
 
-// retrySleep computes the pause before the next attempt: the (optionally
-// jittered) exponential backoff, but never less than the server's
-// Retry-After hint — an overloaded source knows best when it will
-// recover, and hammering it earlier only prolongs the outage.
-func (c *Client) retrySleep(backoff, retryAfter time.Duration) time.Duration {
-	d := backoff
-	if c.jitter != nil && backoff > 1 {
-		c.jmu.Lock()
-		d = backoff/2 + time.Duration(c.jitter.Int63n(int64(backoff-backoff/2)+1))
-		c.jmu.Unlock()
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
-}
-
-// doOnce performs one request, bounded by the per-attempt timeout; the
-// second result reports whether the failure is transient (transport error,
-// attempt timeout, or 5xx) and worth retrying, and retryAfter carries the
-// server's Retry-After hint from a 503 (zero when absent).
-func (c *Client) doOnce(ctx context.Context, method, rawURL string, body []byte, into interface{}) (err error, retryable bool, retryAfter time.Duration) {
+// attempt performs one request, bounded by the per-attempt timeout: a
+// transport error, an attempt timeout or a 5xx is transient, and
+// retryAfter carries the server's Retry-After hint from a 503 (zero when
+// absent).
+func (q *jsonRequest) attempt(ctx context.Context) (err error, retryable bool, retryAfter time.Duration) {
 	actx := ctx
-	if c.attemptTimeout > 0 {
+	if q.c.attemptTimeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.attemptTimeout)
+		actx, cancel = context.WithTimeout(ctx, q.c.attemptTimeout)
 		defer cancel()
 	}
 	var reader io.Reader
-	if body != nil {
-		reader = bytes.NewReader(body)
+	if q.body != nil {
+		reader = bytes.NewReader(q.body)
 	}
-	req, err := http.NewRequestWithContext(actx, method, rawURL, reader)
+	req, err := http.NewRequestWithContext(actx, q.method, q.url, reader)
 	if err != nil {
 		return err, false, 0
 	}
-	if body != nil {
+	if q.body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpc.Do(req)
+	resp, err := q.c.httpc.Do(req)
 	if err != nil {
 		// Retryable as long as the caller's own context is alive: a
 		// per-attempt timeout converts a hung source into a retryable
@@ -226,7 +140,7 @@ func (c *Client) doOnce(ctx context.Context, method, rawURL string, body []byte,
 		}
 		return err, resp.StatusCode >= 500, retryAfter
 	}
-	return json.Unmarshal(respBody, into), false, 0
+	return json.Unmarshal(respBody, q.into), false, 0
 }
 
 // parseRetryAfter reads an HTTP Retry-After header value (delta-seconds or
@@ -261,14 +175,26 @@ func (c *Client) LocalN() int { return c.localN }
 // M returns the number of routed predicates.
 func (c *Client) M() int { return len(c.routes) }
 
+// accessURL starts one access's URL — the route's base and the endpoint
+// up to and including its predicate — and intParam appends one more
+// "&name=" with its integer. Integers need no escaping.
+func accessURL(rt Route, endpoint string) []byte {
+	b := make([]byte, 0, len(rt.BaseURL)+len(endpoint)+48)
+	b = append(append(b, rt.BaseURL...), endpoint...)
+	return strconv.AppendInt(b, int64(rt.Pred), 10)
+}
+
+func intParam(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
+}
+
 // Sorted fetches the rank-th entry of the predicate's descending list.
 func (c *Client) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	if pred < 0 || pred >= len(c.routes) {
 		return 0, 0, fmt.Errorf("websim: predicate %d out of range", pred)
 	}
 	rt := c.routes[pred]
-	u := fmt.Sprintf("%s/sorted?pred=%s&rank=%s", rt.BaseURL,
-		url.QueryEscape(fmt.Sprint(rt.Pred)), url.QueryEscape(fmt.Sprint(rank)))
+	u := string(intParam(accessURL(rt, "/sorted?pred="), "&rank=", rank))
 	var p access.Entry
 	if err := c.get(ctx, u, &p); err != nil {
 		return 0, 0, err
@@ -286,7 +212,7 @@ func (c *Client) SortedPage(ctx context.Context, pred, rank, count int) ([]acces
 		return nil, fmt.Errorf("websim: predicate %d out of range", pred)
 	}
 	rt := c.routes[pred]
-	u := fmt.Sprintf("%s/sortedpage?pred=%d&rank=%d&count=%d", rt.BaseURL, rt.Pred, rank, count)
+	u := string(intParam(intParam(accessURL(rt, "/sortedpage?pred="), "&rank=", rank), "&count=", count))
 	var p sortedPagePayload
 	if err := c.get(ctx, u, &p); err != nil {
 		return nil, err
@@ -308,8 +234,7 @@ func (c *Client) Random(ctx context.Context, pred, obj int) (float64, error) {
 		return 0, fmt.Errorf("websim: predicate %d out of range", pred)
 	}
 	rt := c.routes[pred]
-	u := fmt.Sprintf("%s/random?pred=%s&obj=%s", rt.BaseURL,
-		url.QueryEscape(fmt.Sprint(rt.Pred)), url.QueryEscape(fmt.Sprint(obj)))
+	u := string(intParam(accessURL(rt, "/random?pred="), "&obj=", obj))
 	var p randomPayload
 	if err := c.get(ctx, u, &p); err != nil {
 		return 0, err

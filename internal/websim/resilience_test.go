@@ -55,7 +55,7 @@ func TestAttemptTimeoutConvertsHang(t *testing.T) {
 // stays within [backoff/2, backoff].
 func TestJitterDeterministic(t *testing.T) {
 	draw := func(seed int64) []time.Duration {
-		c := &Client{backoff: 16 * time.Millisecond}
+		c := &retrier{backoff: 16 * time.Millisecond}
 		WithJitterSeed(seed)(c)
 		var out []time.Duration
 		b := c.backoff
@@ -84,7 +84,7 @@ func TestJitterDeterministic(t *testing.T) {
 // TestRetrySleepHonorsRetryAfter checks the server's hint floors the
 // backoff sleep.
 func TestRetrySleepHonorsRetryAfter(t *testing.T) {
-	c := &Client{backoff: time.Millisecond}
+	c := &retrier{backoff: time.Millisecond}
 	if got := c.retrySleep(time.Millisecond, 50*time.Millisecond); got != 50*time.Millisecond {
 		t.Fatalf("retrySleep = %v, want Retry-After floor of 50ms", got)
 	}

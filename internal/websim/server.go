@@ -31,6 +31,17 @@
 // slice, /meta reports the global object count plus the slice size as
 // local_n, sorted responses carry global object ids, and random/batch
 // probes address objects by global id.
+//
+// A shard is a node the middleware owns, not a third-party source, and a
+// coordinator does not pay HTTP + JSON per access to reach it: the same
+// port serves one more route,
+//
+//	GET /wire  (Connection: Upgrade, Upgrade: topk-wire/1) -> 101
+//
+// after which the connection carries the binary frame protocol of
+// wire.go — the same four operations, resolved by the same server
+// functions as the JSON endpoints, with the latency and fault gate
+// applied per frame. DialWire is its client.
 package websim
 
 import (
@@ -66,9 +77,10 @@ type Server struct {
 	unsorted   float64       // fraction of sorted responses served out of order
 	dupRate    float64       // fraction of sorted responses replaying the previous rank
 	mu         sync.Mutex
-	requests   uint64     // request counter for deterministic failure injection
-	rng        *rand.Rand // nil unless WithFailRate; guarded by mu
-	lieRng     *rand.Rand // nil unless WithUnsortedRate/WithDupRate; guarded by mu
+	requests   uint64                                   // request counter for deterministic failure injection
+	rng        *rand.Rand                               // nil unless WithFailRate; guarded by mu
+	lieRng     *rand.Rand                               // nil unless WithUnsortedRate/WithDupRate; guarded by mu
+	logf       func(format string, args ...interface{}) // nil unless WithLogf
 	mux        *http.ServeMux
 }
 
@@ -247,20 +259,33 @@ func (s *Server) localID(global int) int {
 	return int(s.toLocal[global])
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. Every JSON request passes the
+// latency and fault gate once; the upgrade route does not — on an upgraded
+// connection the gate applies to each frame instead.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.latency > 0 {
-		time.Sleep(s.latency)
+	if r.URL.Path == WirePath {
+		s.handleWire(w, r)
+		return
 	}
-	if s.failRequest() {
+	if s.gate() {
 		if s.retryAfter > 0 {
 			secs := int64((s.retryAfter + time.Second - 1) / time.Second)
 			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 		}
-		writeJSON(w, http.StatusServiceUnavailable, errorPayload{Error: "source temporarily overloaded"})
+		writeError(w, errBusy)
 		return
 	}
 	s.mux.ServeHTTP(w, r)
+}
+
+// gate is the price and the hazard of one operation, whichever protocol
+// carried it: the simulated latency, then the fault injector's verdict
+// (true = this operation fails as "temporarily overloaded").
+func (s *Server) gate() bool {
+	if s.latency > 0 {
+		time.Sleep(s.latency)
+	}
+	return s.failRequest()
 }
 
 // failRequest advances the request counter and decides whether this
@@ -281,6 +306,168 @@ func (s *Server) failRequest() bool {
 	}
 	return s.failRate > 0 && s.rng.Float64() < s.failRate
 }
+
+// status is how an operation ended. It is the frame protocol's status
+// byte and maps onto the JSON protocol's HTTP status, so both protocols
+// report one verdict reached by one function.
+type status uint8
+
+const (
+	statusOK         status = iota
+	statusBadRequest        // malformed or out-of-range request: permanent
+	statusNotFound          // rank beyond the list, object not held: permanent
+	statusBusy              // the fault gate refused the operation: retryable
+)
+
+func (st status) String() string {
+	switch st {
+	case statusOK:
+		return "ok"
+	case statusBadRequest:
+		return "bad request"
+	case statusNotFound:
+		return "not found"
+	case statusBusy:
+		return "busy"
+	}
+	return "status " + strconv.Itoa(int(st))
+}
+
+func (st status) httpStatus() int {
+	switch st {
+	case statusOK:
+		return http.StatusOK
+	case statusNotFound:
+		return http.StatusNotFound
+	case statusBusy:
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
+// opError is a refused operation: the verdict plus the text both
+// protocols send back. Operations return it as a concrete pointer (nil =
+// served), never boxed in an error interface.
+type opError struct {
+	st  status
+	msg string
+}
+
+func refuse(st status, format string, args ...interface{}) *opError {
+	return &opError{st: st, msg: fmt.Sprintf(format, args...)}
+}
+
+var errBusy = &opError{st: statusBusy, msg: "source temporarily overloaded"}
+
+// The operations. Each is the single implementation of one access —
+// validation, local/global id mapping, contract-violating chaos and score
+// drift included — that the JSON handlers and the frame loop both call,
+// addressed by the server's local predicate index.
+
+// dsPred resolves a local predicate index to the dataset's.
+func (s *Server) dsPred(local int) (int, *opError) {
+	if local < 0 || local >= len(s.preds) {
+		return 0, refuse(statusBadRequest, "predicate %d out of range [0,%d)", local, len(s.preds))
+	}
+	return s.preds[local], nil
+}
+
+// entryAt serves one rank of a validated predicate's sorted list.
+func (s *Server) entryAt(dsPred, rank int) access.Entry {
+	obj, sc := s.ds.SortedAt(dsPred, rank)
+	obj, sc = s.lieSorted(dsPred, rank, obj, sc)
+	return access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)}
+}
+
+// sorted is one sorted access.
+func (s *Server) sorted(pred, rank int) (access.Entry, *opError) {
+	dsPred, oe := s.dsPred(pred)
+	if oe != nil {
+		return access.Entry{}, oe
+	}
+	if rank < 0 || rank >= s.ds.N() {
+		return access.Entry{}, refuse(statusNotFound, "rank %d beyond list end", rank)
+	}
+	return s.entryAt(dsPred, rank), nil
+}
+
+// page validates one prefetch window — count consecutive ranks from rank
+// — and returns the dataset predicate to read it from with entryAt.
+func (s *Server) page(pred, rank, count int) (int, *opError) {
+	dsPred, oe := s.dsPred(pred)
+	if oe != nil {
+		return 0, oe
+	}
+	if count <= 0 || count > maxBatchProbes {
+		return 0, refuse(statusBadRequest, "page of %d entries outside limit [1,%d]", count, maxBatchProbes)
+	}
+	if rank < 0 || rank > s.ds.N()-count {
+		return 0, refuse(statusNotFound, "page [%d,%d) beyond list end", rank, rank+count)
+	}
+	return dsPred, nil
+}
+
+// random is one random access, and one probe of a batch.
+func (s *Server) random(pred, obj int) (float64, *opError) {
+	dsPred, oe := s.dsPred(pred)
+	if oe != nil {
+		return 0, oe
+	}
+	local := s.localID(obj)
+	if local < 0 {
+		return 0, refuse(statusNotFound, "object %d unknown", obj)
+	}
+	return s.warp(s.ds.Score(local, dsPred)), nil
+}
+
+// batchSize validates a batch's probe count; its probes are random
+// accesses, and the batch fails as a unit on the first one refused.
+func batchSize(n int) *opError {
+	if n == 0 {
+		return refuse(statusBadRequest, "batch requires at least one probe")
+	}
+	if n > maxBatchProbes {
+		return refuse(statusBadRequest, "batch of %d probes exceeds limit %d", n, maxBatchProbes)
+	}
+	return nil
+}
+
+// inBatch names the probe a batch was refused at.
+func (e *opError) inBatch(i int) *opError {
+	return &opError{st: e.st, msg: fmt.Sprintf("probe %d: %s", i, e.msg)}
+}
+
+// warp applies the configured score drift (identity when unset).
+func (s *Server) warp(sc float64) float64 {
+	if s.drift <= 0 || s.drift == 1 {
+		return sc
+	}
+	return math.Pow(sc, s.drift)
+}
+
+// lieSorted applies the configured contract-violating chaos modes to one
+// sorted response: an inflated out-of-order score (WithUnsortedRate) or a
+// replay of the previous rank's entry (WithDupRate). Rank 0 has no
+// previous entry and is always served honestly.
+func (s *Server) lieSorted(pred, rank, obj int, sc float64) (int, float64) {
+	if (s.unsorted <= 0 && s.dupRate <= 0) || rank == 0 {
+		return obj, sc
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.unsorted > 0 && s.lieRng.Float64() < s.unsorted {
+		_, prev := s.ds.SortedAt(pred, rank-1)
+		return obj, math.Min(1, prev*1.05+0.01) // jumps above the previous rank
+	}
+	if s.dupRate > 0 && s.lieRng.Float64() < s.dupRate {
+		prevObj, prevSc := s.ds.SortedAt(pred, rank-1)
+		return prevObj, prevSc // the previous entry again: duplicate id
+	}
+	return obj, sc
+}
+
+// The JSON protocol: parameter parsing and payload shapes around the
+// operations above.
 
 type metaPayload struct {
 	N int `json:"n"`
@@ -315,8 +502,8 @@ type sortedPagePayload struct {
 	Entries []access.Entry `json:"entries"`
 }
 
-// maxBatchProbes bounds one batch request, keeping a single round trip
-// from turning into an unbounded table scan.
+// maxBatchProbes bounds one batch request or sorted page, keeping a
+// single round trip from turning into an unbounded table scan.
 const maxBatchProbes = 4096
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -328,27 +515,26 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) intParam(r *http.Request, name string) (int, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return v, nil
+func writeError(w http.ResponseWriter, oe *opError) {
+	writeJSON(w, oe.st.httpStatus(), errorPayload{Error: oe.msg})
 }
 
-func (s *Server) resolvePred(r *http.Request) (int, error) {
-	local, err := s.intParam(r, "pred")
-	if err != nil {
-		return 0, err
+// intParams reads the named integer query parameters, in order.
+func intParams(r *http.Request, names ...string) ([]int, *opError) {
+	q := r.URL.Query()
+	out := make([]int, len(names))
+	for i, name := range names {
+		raw := q.Get(name)
+		if raw == "" {
+			return nil, refuse(statusBadRequest, "missing parameter %q", name)
+		}
+		v, err := strconv.Atoi(raw)
+		if err != nil {
+			return nil, refuse(statusBadRequest, "parameter %q: %v", name, err)
+		}
+		out[i] = v
 	}
-	if local < 0 || local >= len(s.preds) {
-		return 0, fmt.Errorf("predicate %d out of range [0,%d)", local, len(s.preds))
-	}
-	return s.preds[local], nil
+	return out, nil
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
@@ -360,107 +546,53 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSorted(w http.ResponseWriter, r *http.Request) {
-	pred, err := s.resolvePred(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
+	v, oe := intParams(r, "pred", "rank")
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
-	rank, err := s.intParam(r, "rank")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
+	e, oe := s.sorted(v[0], v[1])
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
-	if rank < 0 || rank >= s.ds.N() {
-		writeJSON(w, http.StatusNotFound, errorPayload{Error: fmt.Sprintf("rank %d beyond list end", rank)})
-		return
-	}
-	obj, sc := s.ds.SortedAt(pred, rank)
-	obj, sc = s.lieSorted(pred, rank, obj, sc)
-	writeJSON(w, http.StatusOK, access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)})
+	writeJSON(w, http.StatusOK, e)
 }
 
 // handleSortedPage serves count consecutive entries of the sorted list in
 // one round trip: the whole page passes the fault-injection gate (and
 // pays the simulated latency) once, like a batched probe.
 func (s *Server) handleSortedPage(w http.ResponseWriter, r *http.Request) {
-	pred, err := s.resolvePred(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
+	v, oe := intParams(r, "pred", "rank", "count")
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
-	rank, err := s.intParam(r, "rank")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
-		return
-	}
-	count, err := s.intParam(r, "count")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
-		return
-	}
-	if count <= 0 || count > maxBatchProbes {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: fmt.Sprintf("page of %d entries outside limit [1,%d]", count, maxBatchProbes)})
-		return
-	}
-	if rank < 0 || rank+count > s.ds.N() {
-		writeJSON(w, http.StatusNotFound, errorPayload{Error: fmt.Sprintf("page [%d,%d) beyond list end", rank, rank+count)})
+	rank, count := v[1], v[2]
+	dsPred, oe := s.page(v[0], rank, count)
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
 	entries := make([]access.Entry, count)
 	for i := range entries {
-		obj, sc := s.ds.SortedAt(pred, rank+i)
-		obj, sc = s.lieSorted(pred, rank+i, obj, sc)
-		entries[i] = access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)}
+		entries[i] = s.entryAt(dsPred, rank+i)
 	}
 	writeJSON(w, http.StatusOK, sortedPagePayload{Entries: entries})
 }
 
-// warp applies the configured score drift (identity when unset).
-func (s *Server) warp(sc float64) float64 {
-	if s.drift <= 0 || s.drift == 1 {
-		return sc
-	}
-	return math.Pow(sc, s.drift)
-}
-
-// lieSorted applies the configured contract-violating chaos modes to one
-// sorted response: an inflated out-of-order score (WithUnsortedRate) or a
-// replay of the previous rank's entry (WithDupRate). Rank 0 has no
-// previous entry and is always served honestly.
-func (s *Server) lieSorted(pred, rank, obj int, sc float64) (int, float64) {
-	if (s.unsorted <= 0 && s.dupRate <= 0) || rank == 0 {
-		return obj, sc
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.unsorted > 0 && s.lieRng.Float64() < s.unsorted {
-		_, prev := s.ds.SortedAt(pred, rank-1)
-		return obj, math.Min(1, prev*1.05+0.01) // jumps above the previous rank
-	}
-	if s.dupRate > 0 && s.lieRng.Float64() < s.dupRate {
-		prevObj, prevSc := s.ds.SortedAt(pred, rank-1)
-		return prevObj, prevSc // the previous entry again: duplicate id
-	}
-	return obj, sc
-}
-
 func (s *Server) handleRandom(w http.ResponseWriter, r *http.Request) {
-	pred, err := s.resolvePred(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
+	v, oe := intParams(r, "pred", "obj")
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
-	obj, err := s.intParam(r, "obj")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: err.Error()})
+	score, oe := s.random(v[0], v[1])
+	if oe != nil {
+		writeError(w, oe)
 		return
 	}
-	local := s.localID(obj)
-	if local < 0 {
-		writeJSON(w, http.StatusNotFound, errorPayload{Error: fmt.Sprintf("object %d unknown", obj)})
-		return
-	}
-	writeJSON(w, http.StatusOK, randomPayload{Score: s.warp(s.ds.Score(local, pred))})
+	writeJSON(w, http.StatusOK, randomPayload{Score: score})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -470,29 +602,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req batchRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: fmt.Sprintf("batch body: %v", err)})
+		writeError(w, refuse(statusBadRequest, "batch body: %v", err))
 		return
 	}
-	if len(req.Probes) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: "batch requires at least one probe"})
-		return
-	}
-	if len(req.Probes) > maxBatchProbes {
-		writeJSON(w, http.StatusBadRequest, errorPayload{Error: fmt.Sprintf("batch of %d probes exceeds limit %d", len(req.Probes), maxBatchProbes)})
+	if oe := batchSize(len(req.Probes)); oe != nil {
+		writeError(w, oe)
 		return
 	}
 	scores := make([]float64, len(req.Probes))
 	for i, p := range req.Probes {
-		if p.Pred < 0 || p.Pred >= len(s.preds) {
-			writeJSON(w, http.StatusBadRequest, errorPayload{Error: fmt.Sprintf("probe %d: predicate %d out of range [0,%d)", i, p.Pred, len(s.preds))})
+		var oe *opError
+		if scores[i], oe = s.random(p.Pred, p.Obj); oe != nil {
+			writeError(w, oe.inBatch(i))
 			return
 		}
-		local := s.localID(p.Obj)
-		if local < 0 {
-			writeJSON(w, http.StatusNotFound, errorPayload{Error: fmt.Sprintf("probe %d: object %d unknown", i, p.Obj)})
-			return
-		}
-		scores[i] = s.warp(s.ds.Score(local, s.preds[p.Pred]))
 	}
 	writeJSON(w, http.StatusOK, batchPayload{Scores: scores})
 }
