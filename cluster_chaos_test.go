@@ -258,10 +258,10 @@ func TestChaosShardWire(t *testing.T) {
 	}
 	for _, tc := range absorbed {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.NewQueryTrace()
+			tr, reg := obs.NewQueryTrace(), obs.NewRegistry()
 			coord, nodes := newRemoteTestCluster(t, ds, 3, cluster.Options{},
 				func(int) []websim.ServerOption { return tc.serverOpts },
-				websim.WithRetries(6, 4*time.Millisecond), websim.WithObserver(tr))
+				websim.WithRetries(6, 4*time.Millisecond), websim.WithObserver(obs.Multi(tr, obs.NewMetrics(reg))))
 			before := coord.MembershipKey()
 			eng, err := NewEngine(&tripwire{Backend: coord, at: tc.wound(nodes)}, scn)
 			if err != nil {
@@ -278,8 +278,13 @@ func TestChaosShardWire(t *testing.T) {
 				t.Errorf("wounded run diverges from the undisturbed one:\n wounded     %v %+v\n undisturbed %v %+v",
 					ans.Items, ans.Ledger, undisturbed.Items, undisturbed.Ledger)
 			}
-			if s := tr.Snapshot(); s.SourceRetries == 0 || s.SourceFailures != 0 {
+			s := tr.Snapshot()
+			if s.SourceRetries == 0 || s.SourceFailures != 0 {
 				t.Errorf("observed %d retries and %d failed accesses, want retries and no failure", s.SourceRetries, s.SourceFailures)
+			}
+			// The same retries, as a coordinator's /metrics reports them.
+			if got := reg.Counter("topk_source_retries_total", "").Value(); got != int64(s.SourceRetries) {
+				t.Errorf("topk_source_retries_total = %d on the coordinator's registry, the wires retried %d times", got, s.SourceRetries)
 			}
 			if after := coord.MembershipKey(); after != before {
 				t.Errorf("an absorbed fault moved the membership from %s to %s", before, after)

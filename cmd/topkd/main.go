@@ -41,6 +41,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/cluster"
 	"repro/internal/data"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/websim"
 )
@@ -97,9 +98,12 @@ func run() error {
 		cal     topk.StoreCalibration
 		columns []string
 		err     error
+		// reg backs /metrics. It exists before the database does so that a
+		// coordinator's shard wires report their retries into it.
+		reg = obs.NewRegistry()
 	)
 	if *coordinator != "" {
-		coord, err = dialCluster(*coordinator, *m)
+		coord, err = dialCluster(*coordinator, *m, reg)
 		if err != nil {
 			return err
 		}
@@ -204,6 +208,7 @@ func run() error {
 		StoreCalibration:   cal,
 		Columns:            columns,
 		Scenario:           scn,
+		Metrics:            reg,
 		SlowQueryThreshold: *slowQ,
 		EnablePprof:        *pprofOn,
 		HealthBackend:      health,
@@ -235,17 +240,19 @@ func run() error {
 }
 
 // dialCluster connects to every shard node in the comma-separated URL
-// list and fronts them with a scatter-gather coordinator.
-func dialCluster(urls string, m int) (*cluster.Coordinator, error) {
+// list and fronts them with a scatter-gather coordinator. Every wire's
+// retries and terminal failures land on reg (topk_source_*).
+func dialCluster(urls string, m int, reg *obs.Registry) (*cluster.Coordinator, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	wireObs := websim.WithObserver(obs.NewMetrics(reg))
 	var shards []cluster.Shard
 	for _, u := range strings.Split(urls, ",") {
 		u = strings.TrimSpace(u)
 		if u == "" {
 			continue
 		}
-		rs, err := cluster.DialShard(ctx, u, m, http.DefaultClient)
+		rs, err := cluster.DialShard(ctx, u, m, http.DefaultClient, wireObs)
 		if err != nil {
 			return nil, fmt.Errorf("dialing shard %s: %w", u, err)
 		}

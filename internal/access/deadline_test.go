@@ -175,12 +175,14 @@ func TestFiredDeadlineNeverLeaksIntoNextAccess(t *testing.T) {
 
 // denials records refused accesses by reason.
 type denials struct {
-	obs.Nop
 	reasons []obs.DenyReason
 }
 
-func (d *denials) AccessDenied(_ obs.AccessKind, _ int, r obs.DenyReason) {
-	d.reasons = append(d.reasons, r)
+func (d *denials) Observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.AccessDenied:
+		d.reasons = append(d.reasons, obs.DenyReason(ev.Code))
+	}
 }
 
 // TestParentCancelUnderAccessTimeoutStaysTerminal: cancelling the session's

@@ -240,7 +240,7 @@ type Session struct {
 // observeDenied reports a refused or failed access to the observer.
 func (s *Session) observeDenied(kind Kind, pred int, reason obs.DenyReason) {
 	if s.obs != nil {
-		s.obs.AccessDenied(obsKind(kind), pred, reason)
+		s.obs.Observe(obs.Event{Kind: obs.AccessDenied, Access: obsKind(kind), Pred: pred, Code: uint8(reason)})
 	}
 }
 
@@ -275,7 +275,7 @@ func (s *Session) observeFailure(kind Kind, pred int, err error) {
 	if s.obs != nil {
 		var cve *ContractViolationError
 		if errors.As(err, &cve) {
-			s.obs.ContractViolation(obsKind(kind), pred, cve.Reason)
+			s.obs.Observe(obs.Event{Kind: obs.ContractViolation, Access: obsKind(kind), Pred: pred, Label: cve.Reason})
 		}
 	}
 	s.observeDenied(kind, pred, s.denyReason(err))
@@ -506,7 +506,8 @@ func (s *Session) noteTransitions(trs []BreakerTransition) {
 	}
 	for _, tr := range trs {
 		if s.obs != nil {
-			s.obs.BreakerTransition(obsKind(tr.Kind), tr.Pred, obsBreakerState(tr.From), obsBreakerState(tr.To))
+			s.obs.Observe(obs.Event{Kind: obs.BreakerTransition, Access: obsKind(tr.Kind), Pred: tr.Pred,
+				Code: obs.Transition(obsBreakerState(tr.From), obsBreakerState(tr.To))})
 		}
 		if tr.To == BreakerOpen {
 			s.noteDegraded(fmt.Sprintf("circuit_open:%s:p%d", tr.Kind, tr.Pred+1))
@@ -702,7 +703,7 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 		s.trace = append(s.trace, Record{Kind: SortedAccess, Pred: i, Obj: obj, Score: score, Cost: s.current[i].Sorted})
 	}
 	if s.obs != nil {
-		s.obs.AccessDone(obs.Sorted, i, s.current[i].Sorted.Units())
+		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Sorted, Pred: i, Value: s.current[i].Sorted.Units()})
 	}
 	return obj, score, nil
 }
@@ -759,7 +760,7 @@ func (s *Session) Random(i, u int) (float64, error) {
 		s.trace = append(s.trace, Record{Kind: RandomAccess, Pred: i, Obj: u, Score: score, Cost: s.current[i].Random})
 	}
 	if s.obs != nil {
-		s.obs.AccessDone(obs.Random, i, s.current[i].Random.Units())
+		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Random, Pred: i, Value: s.current[i].Random.Units()})
 	}
 	return score, nil
 }

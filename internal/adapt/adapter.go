@@ -151,7 +151,7 @@ func (a *Adapter) ObserveAccess(t *state.Table, ch algo.Choice, obj int, score f
 	a.Incumbent = p
 	a.Mon.Rebase(stats)
 	if a.Obs != nil {
-		a.Obs.AdaptiveReplan(trigger, v.Score)
+		a.Obs.Observe(obs.Event{Kind: obs.AdaptiveReplan, Label: trigger, Value: v.Score})
 	}
 }
 

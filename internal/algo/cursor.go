@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/access"
+	"repro/internal/obs"
 	"repro/internal/state"
 )
 
@@ -304,7 +305,7 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 	tab, q, sess := c.tab, c.q, c.sess
 	for {
 		if c.nc.Obs != nil {
-			c.nc.Obs.LoopIteration(q.Len())
+			c.nc.Obs.Observe(obs.Event{Kind: obs.LoopIteration, Value: float64(q.Len())})
 		}
 		top, ok := q.Peek()
 		if !ok {
@@ -348,7 +349,7 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 				// to anytime draining — the outage is a scenario change,
 				// not a bug.
 				if c.nc.Obs != nil {
-					c.nc.Obs.DegradedReplan("no_legal_plan")
+					c.nc.Obs.Observe(obs.Event{Kind: obs.DegradedReplan, Label: "no_legal_plan"})
 				}
 				c.beginTruncation(append(sess.Degraded(), "no_legal_plan"))
 				return Item{}, false, nil
@@ -373,7 +374,7 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 			// re-plan instead of failing the query.
 			c.consecFail++
 			if c.nc.Obs != nil {
-				c.nc.Obs.DegradedReplan(replanReason(err))
+				c.nc.Obs.Observe(obs.Event{Kind: obs.DegradedReplan, Label: replanReason(err)})
 			}
 			if c.consecFail > c.failBudget {
 				c.beginTruncation(append(sess.Degraded(), "failure_budget_exhausted"))

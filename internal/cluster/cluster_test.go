@@ -11,10 +11,12 @@ package cluster
 // cooldowns, the prefetch defaults) that black-box tests cannot reach.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -707,10 +709,31 @@ func TestCoordinatorCancellationDoesNotFence(t *testing.T) {
 	drainSorted(t, c, ds, 0)
 }
 
+// scrape renders reg and returns each unlabeled series' value by name.
+func scrape(t *testing.T, reg *obs.Registry) map[string]uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint64)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			v, err := strconv.ParseUint(value, 10, 64)
+			if err != nil {
+				t.Fatalf("series line %q: %v", line, err)
+			}
+			out[name] = v
+		}
+	}
+	return out
+}
+
 func TestCoordinatorMetrics(t *testing.T) {
 	ds := uniformDataset(t, 80, 2, 43)
 	reg := obs.NewRegistry()
-	c := localCluster(t, ds, 3, Options{Metrics: reg})
+	c := localCluster(t, ds, 3, Options{})
+	c.AttachMetrics(reg)
 	ctx := context.Background()
 
 	drainSorted(t, c, ds, 0)
@@ -722,8 +745,12 @@ func TestCoordinatorMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The registry mirrors are the internal counters, name for name.
+	// The scrape reads the coordinator's own counters, name for name.
 	st := c.Stats()
+	if st.MergeHits == 0 || st.RandomRouted == 0 || st.BatchGroups == 0 {
+		t.Fatalf("traffic left counters at zero: %+v", st)
+	}
+	got := scrape(t, reg)
 	for name, want := range map[string]uint64{
 		"topk_cluster_merged_rows_total":     st.MergedRows,
 		"topk_cluster_merge_hits_total":      st.MergeHits,
@@ -732,27 +759,29 @@ func TestCoordinatorMetrics(t *testing.T) {
 		"topk_cluster_random_routed_total":   st.RandomRouted,
 		"topk_cluster_batch_groups_total":    st.BatchGroups,
 		"topk_cluster_shard_failures_total":  st.ShardFailures,
+		"topk_cluster_shards_up":             3,
 	} {
-		if got := reg.Counter(name, "").Value(); got != int64(want) {
-			t.Errorf("%s = %d, stats say %d", name, got, want)
+		if got[name] != want {
+			t.Errorf("%s = %d, stats say %d", name, got[name], want)
 		}
 	}
-	if up := reg.Gauge("topk_cluster_shards_up", "").Value(); up != 3 {
-		t.Errorf("topk_cluster_shards_up = %d, want 3", up)
-	}
 
-	// AttachMetrics wires a bare coordinator to a registry after the fact.
-	reg2 := obs.NewRegistry()
+	// A second coordinator on the same registry aggregates into the scrape
+	// while each Stats() stays its own.
 	c2 := localCluster(t, ds, 2, Options{})
-	c2.AttachMetrics(reg2)
+	c2.AttachMetrics(reg)
 	if _, err := c2.Random(ctx, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Counter("topk_cluster_random_routed_total", "").Value(); got != 1 {
-		t.Errorf("attached registry counted %d routed probes, want 1", got)
+	got = scrape(t, reg)
+	if want := st.RandomRouted + 1; got["topk_cluster_random_routed_total"] != want {
+		t.Errorf("two coordinators scrape %d routed probes, want %d", got["topk_cluster_random_routed_total"], want)
 	}
-	if up := reg2.Gauge("topk_cluster_shards_up", "").Value(); up != 2 {
-		t.Errorf("attached topk_cluster_shards_up = %d, want 2", up)
+	if got["topk_cluster_shards_up"] != 5 {
+		t.Errorf("two coordinators scrape %d shards up, want 5", got["topk_cluster_shards_up"])
+	}
+	if c.Stats().RandomRouted != st.RandomRouted || c2.Stats().RandomRouted != 1 {
+		t.Errorf("Stats() leaked across coordinators: %+v / %+v", c.Stats(), c2.Stats())
 	}
 }
 

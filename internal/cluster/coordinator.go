@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/kit"
-	"repro/internal/obs"
 )
 
 // ErrShardDown marks an access refused because the owning shard is
@@ -36,9 +35,6 @@ type Options struct {
 	// Cooldown is how long a fenced shard stays fenced before a single
 	// half-open probe is let through. Defaults to 1s.
 	Cooldown time.Duration
-	// Metrics, when set, registers the topk_cluster_* series on the
-	// registry and mirrors the coordinator's counters into them.
-	Metrics *obs.Registry
 }
 
 // Coordinator presents a set of shards as one access.Backend in global
@@ -62,8 +58,7 @@ type Coordinator struct {
 
 	merges []mergeState
 
-	stats   stats
-	metrics *clusterMetrics
+	stats stats
 }
 
 // shardHealth is one shard's failure-fencing state. The healthy flag is
@@ -161,10 +156,6 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 		}
 		ms.bound.Store(math.Float64bits(1))
 	}
-	if opts.Metrics != nil {
-		c.metrics = newClusterMetrics(opts.Metrics)
-		c.metrics.shardsUp.Set(int64(len(shards)))
-	}
 	return c, nil
 }
 
@@ -195,7 +186,7 @@ func (c *Coordinator) Sorted(ctx context.Context, pred, rank int) (int, float64,
 		return 0, 0, err
 	}
 	if hit {
-		c.count(&c.stats.mergeHits, metricClusterMergeHits)
+		c.stats.mergeHits.Add(1)
 	}
 	return e.Obj, e.Score, nil
 }
@@ -290,11 +281,8 @@ func (c *Coordinator) fill(ctx context.Context, pred int, ms *mergeState, i int)
 	h.next += len(h.buf)
 	if len(h.buf) > 0 {
 		h.last = h.buf[len(h.buf)-1].Score
-		c.count(&c.stats.shardFetches, metricClusterShardFetches)
+		c.stats.shardFetches.Add(1)
 		c.stats.fetchedEntries.Add(uint64(len(h.buf)))
-		if c.metrics != nil {
-			c.metrics.counters[metricClusterFetchedEntries].Add(int64(len(h.buf)))
-		}
 	}
 	if err != nil {
 		// Mirror the session's failAccess rule: a caller-cancelled access
@@ -338,7 +326,7 @@ func (c *Coordinator) pop(ms *mergeState, out []access.Entry, from, rank int) ([
 		h := &ms.heads[best]
 		out = append(out, h.buf[h.pos])
 		h.pos++
-		c.count(&c.stats.mergedRows, metricClusterMergedRows)
+		c.stats.mergedRows.Add(1)
 	}
 	return out, nil
 }
@@ -408,7 +396,7 @@ func (c *Coordinator) Random(ctx context.Context, pred, obj int) (float64, error
 		return 0, fmt.Errorf("cluster: shard %d random p%d obj %d: %w", i, pred, obj, err)
 	}
 	c.recordSuccess(i)
-	c.count(&c.stats.randomRouted, metricClusterRandomRouted)
+	c.stats.randomRouted.Add(1)
 	return score, nil
 }
 
@@ -462,9 +450,6 @@ func (c *Coordinator) BatchRandom(ctx context.Context, preds, objs []int) ([]flo
 		}
 	}
 	c.stats.batchGroups.Add(uint64(groups))
-	if c.metrics != nil {
-		c.metrics.counters[metricClusterBatchGroups].Add(int64(groups))
-	}
 	return out, nil
 }
 
@@ -545,16 +530,13 @@ func (c *Coordinator) recordSuccess(i int) {
 	if wasDown {
 		c.epoch.Add(1)
 		c.up.Add(1)
-		if c.metrics != nil {
-			c.metrics.shardsUp.Add(1)
-		}
 	}
 }
 
 // recordFailure counts one failed access against shard i, fencing it at
 // the threshold (and restarting the cooldown while it stays fenced).
 func (c *Coordinator) recordFailure(i int) {
-	c.count(&c.stats.shardFailures, metricClusterShardFailures)
+	c.stats.shardFailures.Add(1)
 	h := &c.health[i]
 	h.mu.Lock()
 	h.healthy.Store(false)
@@ -572,9 +554,6 @@ func (c *Coordinator) recordFailure(i int) {
 	if wentDown {
 		c.epoch.Add(1)
 		c.up.Add(-1)
-		if c.metrics != nil {
-			c.metrics.shardsUp.Add(-1)
-		}
 	}
 }
 

@@ -56,56 +56,18 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Metric indices into clusterMetrics.counters, so the hot path's mirror
-// increment is an array index away from the internal counter.
-const (
-	metricClusterMergedRows = iota
-	metricClusterMergeHits
-	metricClusterShardFetches
-	metricClusterFetchedEntries
-	metricClusterRandomRouted
-	metricClusterBatchGroups
-	metricClusterShardFailures
-	numClusterMetrics
-)
-
-// clusterMetrics mirrors the coordinator's counters into an obs.Registry
-// under the topk_cluster_* names; every series is registered up front so
-// hot-path delivery is one atomic increment.
-type clusterMetrics struct {
-	counters [numClusterMetrics]*obs.Counter
-	shardsUp *obs.Gauge
-}
-
-func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
-	m := &clusterMetrics{}
-	m.counters[metricClusterMergedRows] = reg.Counter("topk_cluster_merged_rows_total", "Rows appended to coordinator merge prefixes.")
-	m.counters[metricClusterMergeHits] = reg.Counter("topk_cluster_merge_hits_total", "Sorted accesses served from an already-merged prefix.")
-	m.counters[metricClusterShardFetches] = reg.Counter("topk_cluster_shard_fetches_total", "Shard cursor page fetches.")
-	m.counters[metricClusterFetchedEntries] = reg.Counter("topk_cluster_fetched_entries_total", "Entries prefetched from shard sorted streams.")
-	m.counters[metricClusterRandomRouted] = reg.Counter("topk_cluster_random_routed_total", "Random probes routed to their owning shard.")
-	m.counters[metricClusterBatchGroups] = reg.Counter("topk_cluster_batch_groups_total", "Per-shard groups fanned out by batched probes.")
-	m.counters[metricClusterShardFailures] = reg.Counter("topk_cluster_shard_failures_total", "Shard accesses that failed.")
-	m.shardsUp = reg.Gauge("topk_cluster_shards_up", "Shards currently unfenced.")
-	return m
-}
-
-// AttachMetrics mirrors the coordinator's counters into reg under the
-// topk_cluster_* names and publishes the shards-up gauge. Call it once,
-// before the coordinator serves traffic: the hot path reads the metrics
-// pointer without synchronization, so attaching mid-flight would race.
-// Counters registered earlier under the same names are reused (the
-// registry get-or-creates), so sharing reg across handlers is safe.
+// AttachMetrics exposes the coordinator's counters and its shards-up
+// gauge as the topk_cluster_* series of reg. The registry reads them at
+// scrape time, so the hot path counts each fact once; coordinators sharing
+// a registry are summed per series, so attach each one once.
 func (c *Coordinator) AttachMetrics(reg *obs.Registry) {
-	c.metrics = newClusterMetrics(reg)
-	c.metrics.shardsUp.Set(c.up.Load())
-}
-
-// count bumps an internal counter and, when metrics are attached, its
-// registry mirror.
-func (c *Coordinator) count(ctr *atomic.Uint64, idx int) {
-	ctr.Add(1)
-	if c.metrics != nil {
-		c.metrics.counters[idx].Inc()
-	}
+	s := &c.stats
+	reg.CounterFunc("topk_cluster_merged_rows_total", "Rows appended to coordinator merge prefixes.", s.mergedRows.Load)
+	reg.CounterFunc("topk_cluster_merge_hits_total", "Sorted accesses served from an already-merged prefix.", s.mergeHits.Load)
+	reg.CounterFunc("topk_cluster_shard_fetches_total", "Shard cursor page fetches.", s.shardFetches.Load)
+	reg.CounterFunc("topk_cluster_fetched_entries_total", "Entries prefetched from shard sorted streams.", s.fetchedEntries.Load)
+	reg.CounterFunc("topk_cluster_random_routed_total", "Random probes routed to their owning shard.", s.randomRouted.Load)
+	reg.CounterFunc("topk_cluster_batch_groups_total", "Per-shard groups fanned out by batched probes.", s.batchGroups.Load)
+	reg.CounterFunc("topk_cluster_shard_failures_total", "Shard accesses that failed.", s.shardFailures.Load)
+	reg.GaugeFunc("topk_cluster_shards_up", "Shards currently unfenced.", c.up.Load)
 }

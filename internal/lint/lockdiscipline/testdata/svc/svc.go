@@ -106,14 +106,14 @@ type emitter struct {
 func (e *emitter) badEmit() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.o.RequestShed() // want "observer emission \(RequestShed\) while holding e\.mu"
+	e.o.Observe(obs.Event{Kind: obs.RequestShed}) // want "observer emission \(Observe\) while holding e\.mu"
 }
 
 func (e *emitter) badEmitInBranch(open bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if open {
-		e.o.BreakerTransition(obs.Sorted, 0, obs.BreakerClosed, obs.BreakerOpen) // want "observer emission \(BreakerTransition\) while holding e\.mu"
+		e.o.Observe(obs.Event{Kind: obs.BreakerTransition, Code: obs.Transition(obs.BreakerClosed, obs.BreakerOpen)}) // want "observer emission \(Observe\) while holding e\.mu"
 	}
 }
 
@@ -124,7 +124,7 @@ func (e *emitter) goodEmitAfterUnlock() {
 	shed := true
 	e.mu.Unlock()
 	if shed {
-		e.o.RequestShed()
+		e.o.Observe(obs.Event{Kind: obs.RequestShed})
 	}
 }
 
@@ -133,7 +133,7 @@ func (e *emitter) goodEmitAfterUnlock() {
 func (e *emitter) goodConcreteCall(tr *obs.QueryTrace) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tr.RequestShed()
+	tr.Observe(obs.Event{Kind: obs.RequestShed})
 }
 
 // twoLocks reports one diagnostic per held mutex.

@@ -1,21 +1,17 @@
 package obs
 
-import "time"
-
 // Metrics is an Observer that folds engine events into a Registry under
 // the middleware's standard metric names (all prefixed topk_). Every
-// series is registered up front, so event delivery is a handful of atomic
-// operations with no registry lookups — safe and cheap on the access hot
-// path.
+// series is registered up front, so event delivery is one switch and a
+// handful of atomic operations with no registry lookups — safe and cheap
+// on the access hot path.
 type Metrics struct {
 	accesses   [2]*Counter // by AccessKind
 	accessCost *Histogram  // per-access cost units
 	denied     [numDenyReasons]*Counter
-	phases     map[Phase]*Histogram
-	otherPhase *Histogram
+	phases     map[string]*Histogram // by Phase, plus "other"
 
-	estimatorRuns *Counter
-	estimatorMemo *Counter
+	estimator [2]*Counter // by Miss/Hit: simulation runs, memo hits
 
 	iterations *Counter
 	candidates *Gauge
@@ -27,8 +23,7 @@ type Metrics struct {
 	failures *Counter
 	backoff  *Histogram
 
-	planHits      *Counter
-	planMisses    *Counter
+	planCache     [2]*Counter // by Miss/Hit
 	planEvictions *Counter
 
 	breakerTo       [3]*Counter // transitions by resulting state
@@ -36,10 +31,8 @@ type Metrics struct {
 	degradedReplans *Counter
 	shedRequests    *Counter
 
-	replans      map[string]*Counter // adaptive re-plans by trigger
-	otherReplan  *Counter
-	contract     map[string]*Counter // contract violations by reason
-	otherViolate *Counter
+	replans  map[string]*Counter // adaptive re-plans by trigger, plus "other"
+	contract map[string]*Counter // contract violations by reason, plus "other"
 }
 
 // NewMetrics registers the engine metric set on the registry and returns
@@ -49,22 +42,27 @@ func NewMetrics(reg *Registry) *Metrics {
 	m := &Metrics{
 		accessCost: reg.Histogram("topk_access_cost_units", "Per-access billed cost in cost units.",
 			[]float64{0.5, 1, 2, 5, 10, 20, 50, 100}),
-		estimatorRuns: reg.Counter("topk_estimator_evals_total", "Optimizer cost estimates by result.", L("result", "run")),
-		estimatorMemo: reg.Counter("topk_estimator_evals_total", "Optimizer cost estimates by result.", L("result", "memo")),
-		iterations:    reg.Counter("topk_nc_iterations_total", "Framework NC scheduling iterations."),
-		candidates:    reg.Gauge("topk_nc_candidates", "Candidate queue size (K_P working set) at the last iteration."),
-		inflight:      reg.Gauge("topk_executor_inflight", "Concurrent accesses currently in flight."),
-		stalls:        reg.Counter("topk_executor_dispatch_stalls_total", "Executor rounds with free slots but no dispatchable access."),
-		retries:       reg.Counter("topk_source_retries_total", "Web-source request retries."),
-		failures:      reg.Counter("topk_source_failures_total", "Web-source requests that failed for good."),
+		iterations: reg.Counter("topk_nc_iterations_total", "Framework NC scheduling iterations."),
+		candidates: reg.Gauge("topk_nc_candidates", "Candidate queue size (K_P working set) at the last iteration."),
+		inflight:   reg.Gauge("topk_executor_inflight", "Concurrent accesses currently in flight."),
+		stalls:     reg.Counter("topk_executor_dispatch_stalls_total", "Executor rounds with free slots but no dispatchable access."),
+		retries:    reg.Counter("topk_source_retries_total", "Web-source request retries."),
+		failures:   reg.Counter("topk_source_failures_total", "Web-source requests that failed for good."),
 		backoff: reg.Histogram("topk_source_backoff_seconds", "Retry backoff sleeps.",
 			[]float64{.001, .01, .05, .1, .5, 1, 5}),
-		planHits:        reg.Counter("topk_plan_cache_requests_total", "Plan-cache lookups by result.", L("result", "hit")),
-		planMisses:      reg.Counter("topk_plan_cache_requests_total", "Plan-cache lookups by result.", L("result", "miss")),
 		planEvictions:   reg.Counter("topk_plan_cache_evictions_total", "Plan-cache entries discarded (LRU capacity or scenario invalidation)."),
 		breakerOpen:     reg.Gauge("topk_breaker_open", "Capability circuit breakers currently open."),
 		degradedReplans: reg.Counter("topk_degraded_replans_total", "Engine re-plans around a degraded scenario."),
 		shedRequests:    reg.Counter("topk_requests_shed_total", "Queries refused at admission (load shedding)."),
+		phases:          make(map[string]*Histogram),
+		replans:         make(map[string]*Counter),
+		contract:        make(map[string]*Counter),
+	}
+	for code, result := range [2]string{Miss: "run", Hit: "memo"} {
+		m.estimator[code] = reg.Counter("topk_estimator_evals_total", "Optimizer cost estimates by result.", L("result", result))
+	}
+	for code, result := range [2]string{Miss: "miss", Hit: "hit"} {
+		m.planCache[code] = reg.Counter("topk_plan_cache_requests_total", "Plan-cache lookups by result.", L("result", result))
 	}
 	for _, st := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
 		m.breakerTo[st] = reg.Counter("topk_breaker_transitions_total", "Circuit-breaker state transitions by resulting state.", L("to", st.String()))
@@ -75,125 +73,80 @@ func NewMetrics(reg *Registry) *Metrics {
 	for _, d := range DenyReasons() {
 		m.denied[d] = reg.Counter("topk_access_denied_total", "Refused or failed accesses by reason.", L("reason", d.String()))
 	}
-	m.phases = make(map[Phase]*Histogram, 4)
-	for _, p := range []Phase{PhaseParse, PhasePlan, PhaseOptimize, PhaseExecute} {
-		m.phases[p] = reg.Histogram("topk_phase_seconds", "Query execution phase latency.", nil, L("phase", string(p)))
+	for _, p := range []Phase{PhaseParse, PhasePlan, PhaseOptimize, PhaseExecute, other} {
+		m.phases[string(p)] = reg.Histogram("topk_phase_seconds", "Query execution phase latency.", nil, L("phase", string(p)))
 	}
-	m.otherPhase = reg.Histogram("topk_phase_seconds", "Query execution phase latency.", nil, L("phase", "other"))
-	m.replans = make(map[string]*Counter, len(ReplanTriggers()))
-	for _, tr := range ReplanTriggers() {
+	for _, tr := range append(ReplanTriggers(), other) {
 		m.replans[tr] = reg.Counter("topk_replan_total", "Mid-query adaptive re-plans by trigger.", L("trigger", tr))
 	}
-	m.otherReplan = reg.Counter("topk_replan_total", "Mid-query adaptive re-plans by trigger.", L("trigger", "other"))
-	m.contract = make(map[string]*Counter, len(ViolationReasons()))
-	for _, v := range ViolationReasons() {
+	for _, v := range append(ViolationReasons(), other) {
 		m.contract[v] = reg.Counter("topk_contract_violations_total", "Source contract violations caught by the guard, by reason.", L("reason", v))
 	}
-	m.otherViolate = reg.Counter("topk_contract_violations_total", "Source contract violations caught by the guard, by reason.", L("reason", "other"))
 	return m
 }
 
-var _ Observer = (*Metrics)(nil)
+// other is the label of the series that absorbs any phase, trigger or
+// reason outside its static vocabulary.
+const other = "other"
 
-// AccessDone implements Observer.
-func (m *Metrics) AccessDone(kind AccessKind, pred int, costUnits float64) {
-	if int(kind) < len(m.accesses) {
-		m.accesses[kind].Inc()
+// labeled picks a vocabulary's series by label.
+func labeled[T any](series map[string]*T, label string) *T {
+	if s, ok := series[label]; ok {
+		return s
 	}
-	m.accessCost.Observe(costUnits)
+	return series[other]
 }
 
-// AccessDenied implements Observer.
-func (m *Metrics) AccessDenied(kind AccessKind, pred int, reason DenyReason) {
-	if int(reason) < numDenyReasons {
-		m.denied[reason].Inc()
+// Observe implements Observer.
+func (m *Metrics) Observe(ev Event) {
+	switch ev.Kind {
+	case AccessDone:
+		if int(ev.Access) < len(m.accesses) {
+			m.accesses[ev.Access].Inc()
+		}
+		m.accessCost.Observe(ev.Value)
+	case AccessDenied:
+		if int(ev.Code) < numDenyReasons {
+			m.denied[ev.Code].Inc()
+		}
+	case PhaseDone:
+		labeled(m.phases, ev.Label).Observe(ev.Value)
+	case EstimatorEval:
+		m.estimator[ev.Code&Hit].Inc()
+	case LoopIteration:
+		m.iterations.Inc()
+		m.candidates.Set(int64(ev.Value))
+	case InflightChange:
+		m.inflight.Add(int64(ev.Value))
+	case DispatchStall:
+		m.stalls.Inc()
+	case SourceRetry:
+		m.retries.Inc()
+		m.backoff.Observe(ev.Value)
+	case SourceFailure:
+		m.failures.Inc()
+	case PlanCache:
+		m.planCache[ev.Code&Hit].Inc()
+	case PlanCacheEvict:
+		m.planEvictions.Inc()
+	case BreakerTransition:
+		from, to := ev.Breaker()
+		if int(to) < len(m.breakerTo) {
+			m.breakerTo[to].Inc()
+		}
+		if to == BreakerOpen && from != BreakerOpen {
+			m.breakerOpen.Add(1)
+		}
+		if from == BreakerOpen && to != BreakerOpen {
+			m.breakerOpen.Add(-1)
+		}
+	case DegradedReplan:
+		m.degradedReplans.Inc()
+	case AdaptiveReplan:
+		labeled(m.replans, ev.Label).Inc()
+	case ContractViolation:
+		labeled(m.contract, ev.Label).Inc()
+	case RequestShed:
+		m.shedRequests.Inc()
 	}
 }
-
-// PhaseDone implements Observer.
-func (m *Metrics) PhaseDone(phase Phase, d time.Duration) {
-	h, ok := m.phases[phase]
-	if !ok {
-		h = m.otherPhase
-	}
-	h.Observe(d.Seconds())
-}
-
-// EstimatorEval implements Observer.
-func (m *Metrics) EstimatorEval(memoHit bool) {
-	if memoHit {
-		m.estimatorMemo.Inc()
-	} else {
-		m.estimatorRuns.Inc()
-	}
-}
-
-// LoopIteration implements Observer.
-func (m *Metrics) LoopIteration(candidates int) {
-	m.iterations.Inc()
-	m.candidates.Set(int64(candidates))
-}
-
-// InflightChange implements Observer.
-func (m *Metrics) InflightChange(delta int) { m.inflight.Add(int64(delta)) }
-
-// DispatchStall implements Observer.
-func (m *Metrics) DispatchStall() { m.stalls.Inc() }
-
-// SourceRetry implements Observer.
-func (m *Metrics) SourceRetry(backoff time.Duration) {
-	m.retries.Inc()
-	m.backoff.Observe(backoff.Seconds())
-}
-
-// SourceFailure implements Observer.
-func (m *Metrics) SourceFailure() { m.failures.Inc() }
-
-// PlanCache implements Observer.
-func (m *Metrics) PlanCache(hit bool) {
-	if hit {
-		m.planHits.Inc()
-	} else {
-		m.planMisses.Inc()
-	}
-}
-
-// PlanCacheEvict implements Observer.
-func (m *Metrics) PlanCacheEvict() { m.planEvictions.Inc() }
-
-// BreakerTransition implements Observer.
-func (m *Metrics) BreakerTransition(kind AccessKind, pred int, from, to BreakerState) {
-	if int(to) < len(m.breakerTo) {
-		m.breakerTo[to].Inc()
-	}
-	if to == BreakerOpen && from != BreakerOpen {
-		m.breakerOpen.Add(1)
-	}
-	if from == BreakerOpen && to != BreakerOpen {
-		m.breakerOpen.Add(-1)
-	}
-}
-
-// DegradedReplan implements Observer.
-func (m *Metrics) DegradedReplan(string) { m.degradedReplans.Inc() }
-
-// AdaptiveReplan implements Observer.
-func (m *Metrics) AdaptiveReplan(trigger string, divergence float64) {
-	c, ok := m.replans[trigger]
-	if !ok {
-		c = m.otherReplan
-	}
-	c.Inc()
-}
-
-// ContractViolation implements Observer.
-func (m *Metrics) ContractViolation(kind AccessKind, pred int, reason string) {
-	c, ok := m.contract[reason]
-	if !ok {
-		c = m.otherViolate
-	}
-	c.Inc()
-}
-
-// RequestShed implements Observer.
-func (m *Metrics) RequestShed() { m.shedRequests.Inc() }

@@ -8,11 +8,12 @@
 //   - Registry: a metrics registry of atomic counters, gauges, and
 //     histograms with Prometheus text exposition (lock-free on the update
 //     hot path; registration and exposition take a registry lock).
-//   - Observer: the event interface the engine emits into — accesses
-//     performed and refused, execution phases, optimizer estimator
-//     evaluations, framework-loop progress, executor concurrency, and
-//     web-source retries. Nop is the zero-allocation default; Multi fans
-//     out to several observers.
+//   - Observer: the one-method event sink the engine emits into. An Event
+//     is a small value whose Kind names the fact — accesses performed and
+//     refused, execution phases, optimizer estimator evaluations,
+//     framework-loop progress, executor concurrency, web-source retries.
+//     Nop is the zero-allocation default; Multi fans out to several
+//     observers.
 //   - QueryTrace: an Observer that accumulates one query's events into a
 //     JSON-serializable snapshot — the per-query analogue of the ledger,
 //     returned by the HTTP service under ?trace=1.
@@ -21,8 +22,6 @@
 // (access, algo, opt, parallel, websim, service) can emit into it without
 // cycles; access kinds and phases are mirrored here as their own types.
 package obs
-
-import "time"
 
 // AccessKind mirrors the two access types of the paper's Section 3.2
 // (access.Kind) without importing the access package.
@@ -154,68 +153,113 @@ const (
 	PhaseExecute Phase = "execute"
 )
 
-// Observer receives engine execution events. Implementations used with the
-// concurrent executors (parallel.Executor, parallel.Live) or shared across
-// HTTP requests must be safe for concurrent use; Nop, Registry-backed
-// observers, and QueryTrace all are.
-//
-// Every method must be cheap and non-blocking: events fire on the access
-// hot path, and a stalled observer stalls the query.
-type Observer interface {
-	// AccessDone fires after each performed (billed) access.
-	AccessDone(kind AccessKind, pred int, costUnits float64)
-	// AccessDenied fires when an access is refused or fails; nothing was
-	// billed for it.
-	AccessDenied(kind AccessKind, pred int, reason DenyReason)
-	// PhaseDone records a completed execution phase.
-	PhaseDone(phase Phase, d time.Duration)
-	// EstimatorEval fires per optimizer cost estimate; memoHit reports
-	// whether the configuration was already priced (no simulation run).
-	EstimatorEval(memoHit bool)
-	// LoopIteration fires once per framework scheduling iteration with the
+// Kind names one engine fact. The set is closed: every sink is one switch
+// over it, and a new fact costs a constant here and a case per sink that
+// cares (the exhaustiveness test in this package fails for a Kind a sink
+// neither reacts to nor lists as ignored). Each constant documents which
+// Event fields carry its payload; the others stay zero.
+type Kind uint8
+
+const (
+	// AccessDone: one performed (billed) access. Access, Pred; Value is the
+	// billed cost in cost units.
+	AccessDone Kind = iota
+	// AccessDenied: an access was refused or failed; nothing was billed for
+	// it. Access, Pred; Code is the DenyReason.
+	AccessDenied
+	// PhaseDone: an execution phase completed. Label is the Phase; Value its
+	// duration in seconds.
+	PhaseDone
+	// EstimatorEval: one optimizer cost estimate. Code is Hit when the
+	// configuration was already priced (no simulation run), Miss otherwise.
+	EstimatorEval
+	// LoopIteration: one framework scheduling iteration. Value is the
 	// current candidate-queue size (the K_P working set).
-	LoopIteration(candidates int)
-	// InflightChange reports a concurrent executor starting (+1) or
-	// finishing (-1) an access.
-	InflightChange(delta int)
-	// DispatchStall fires when a concurrent executor has free slots but no
+	LoopIteration
+	// InflightChange: a concurrent executor started (Value > 0) or finished
+	// (Value < 0) that many accesses.
+	InflightChange
+	// DispatchStall: a concurrent executor has free slots but no
 	// dispatchable necessary access (it must wait for completions).
-	DispatchStall()
-	// SourceRetry fires before a web-source client backs off to retry a
-	// failed request.
-	SourceRetry(backoff time.Duration)
-	// SourceFailure fires when a web-source request fails for good
-	// (retries exhausted or non-retryable).
-	SourceFailure()
-	// PlanCache reports a plan-cache lookup outcome.
-	PlanCache(hit bool)
-	// PlanCacheEvict fires when the plan cache discards an entry, either
-	// to make room (LRU capacity) or because its scenario fingerprint was
+	DispatchStall
+	// SourceRetry: a web-source client is about to back off and retry a
+	// failed request. Value is the backoff in seconds.
+	SourceRetry
+	// SourceFailure: a web-source request failed for good (retries
+	// exhausted or non-retryable).
+	SourceFailure
+	// PlanCache: a plan-cache lookup. Code is Hit or Miss.
+	PlanCache
+	// PlanCacheEvict: the plan cache discarded an entry, either to make
+	// room (LRU capacity) or because its scenario fingerprint was
 	// invalidated.
-	PlanCacheEvict()
-	// BreakerTransition fires when a capability's circuit breaker changes
-	// state (open on consecutive failures, half-open after the cooldown,
-	// closed on a successful probe).
-	BreakerTransition(kind AccessKind, pred int, from, to BreakerState)
-	// DegradedReplan fires when the engine re-plans around a degraded
-	// scenario instead of failing: a faulted or breaker-refused access was
-	// absorbed and the framework re-derived its choices. The reason is a
-	// machine-readable label ("circuit_open", "source_failure", ...).
-	DegradedReplan(reason string)
-	// AdaptiveReplan fires when the divergence monitor swaps the plan
-	// mid-query: the observed source behavior drifted past the checkpoint
-	// threshold (trigger "divergence"), far enough to distrust the
-	// estimator's sample entirely ("stale_sample"), or the cost scenario
-	// itself changed ("scenario_change"). The divergence score that
-	// triggered the swap rides along (ReplanTriggers lists the labels).
-	AdaptiveReplan(trigger string, divergence float64)
-	// ContractViolation fires when the contract guard rejects a source
-	// response before it can corrupt the threshold math; reason is one of
-	// ViolationReasons ("unsorted", "nan", "range", "dup", "inconsistent").
-	ContractViolation(kind AccessKind, pred int, reason string)
-	// RequestShed fires when the service refuses a query at admission
-	// because the inflight cap is reached (load shedding).
-	RequestShed()
+	PlanCacheEvict
+	// BreakerTransition: a capability's circuit breaker changed state (open
+	// on consecutive failures, half-open after the cooldown, closed on a
+	// successful probe). Access, Pred; Code is Transition(from, to).
+	BreakerTransition
+	// DegradedReplan: the engine re-planned around a degraded scenario
+	// instead of failing — a faulted or breaker-refused access was absorbed
+	// and the framework re-derived its choices. Label is a machine-readable
+	// reason ("circuit_open", "source_failure", ...).
+	DegradedReplan
+	// AdaptiveReplan: the divergence monitor swapped the plan mid-query.
+	// Label is the trigger (ReplanTriggers: observed behavior drifted past
+	// the checkpoint threshold, far enough to distrust the estimator's
+	// sample entirely, or the cost scenario itself changed); Value the
+	// divergence score that triggered the swap.
+	AdaptiveReplan
+	// ContractViolation: the contract guard rejected a source response
+	// before it could corrupt the threshold math. Access, Pred; Label is
+	// one of ViolationReasons.
+	ContractViolation
+	// RequestShed: the service refused a query at admission because the
+	// inflight cap is reached (load shedding).
+	RequestShed
+
+	numKinds = int(RequestShed) + 1
+)
+
+// Hit and Miss are the Event codes of EstimatorEval and PlanCache.
+const (
+	Miss uint8 = iota
+	Hit
+)
+
+// Event is one engine fact, passed by value so delivery never allocates.
+// Kind says which fact; the Kind constants say which other fields it fills.
+type Event struct {
+	Kind   Kind
+	Access AccessKind
+	// Code is the event's small enumerated payload: a DenyReason, Hit/Miss,
+	// or a packed breaker Transition.
+	Code  uint8
+	Pred  int
+	Value float64
+	// Label is drawn from a static vocabulary (a Phase, ReplanTriggers,
+	// ViolationReasons, the engine's degradation reasons), never built per
+	// event.
+	Label string
+}
+
+// Transition packs a breaker state change into a BreakerTransition event's
+// Code.
+func Transition(from, to BreakerState) uint8 { return uint8(from)<<4 | uint8(to) }
+
+// Breaker unpacks a BreakerTransition event's Code.
+func (e Event) Breaker() (from, to BreakerState) {
+	return BreakerState(e.Code >> 4), BreakerState(e.Code & 0xf)
+}
+
+// Observer receives engine events. Implementations used with the
+// concurrent executors (parallel.Executor, parallel.Live) or shared across
+// HTTP requests must be safe for concurrent use; Nop, Metrics and
+// QueryTrace all are.
+//
+// Observe must be cheap and non-blocking: events fire on the access hot
+// path, and a stalled observer stalls the query.
+type Observer interface {
+	Observe(Event)
 }
 
 // ReplanTriggers lists every AdaptiveReplan label, for observers that
@@ -230,141 +274,19 @@ func ViolationReasons() []string {
 	return []string{"unsorted", "nan", "range", "dup", "inconsistent"}
 }
 
-// Nop is the zero-allocation no-op Observer: every method returns
-// immediately. It is the default wherever an Observer is optional.
+// Nop is the zero-allocation no-op Observer. It is the default wherever an
+// Observer is optional.
 type Nop struct{}
 
-// AccessDone implements Observer.
-func (Nop) AccessDone(AccessKind, int, float64) {}
-
-// AccessDenied implements Observer.
-func (Nop) AccessDenied(AccessKind, int, DenyReason) {}
-
-// PhaseDone implements Observer.
-func (Nop) PhaseDone(Phase, time.Duration) {}
-
-// EstimatorEval implements Observer.
-func (Nop) EstimatorEval(bool) {}
-
-// LoopIteration implements Observer.
-func (Nop) LoopIteration(int) {}
-
-// InflightChange implements Observer.
-func (Nop) InflightChange(int) {}
-
-// DispatchStall implements Observer.
-func (Nop) DispatchStall() {}
-
-// SourceRetry implements Observer.
-func (Nop) SourceRetry(time.Duration) {}
-
-// SourceFailure implements Observer.
-func (Nop) SourceFailure() {}
-
-// PlanCache implements Observer.
-func (Nop) PlanCache(bool) {}
-
-// PlanCacheEvict implements Observer.
-func (Nop) PlanCacheEvict() {}
-
-// BreakerTransition implements Observer.
-func (Nop) BreakerTransition(AccessKind, int, BreakerState, BreakerState) {}
-
-// DegradedReplan implements Observer.
-func (Nop) DegradedReplan(string) {}
-
-// AdaptiveReplan implements Observer.
-func (Nop) AdaptiveReplan(string, float64) {}
-
-// ContractViolation implements Observer.
-func (Nop) ContractViolation(AccessKind, int, string) {}
-
-// RequestShed implements Observer.
-func (Nop) RequestShed() {}
-
-var _ Observer = Nop{}
+// Observe implements Observer.
+func (Nop) Observe(Event) {}
 
 // multi fans every event out to each member in order.
 type multi []Observer
 
-func (m multi) AccessDone(k AccessKind, p int, c float64) {
+func (m multi) Observe(ev Event) {
 	for _, o := range m {
-		o.AccessDone(k, p, c)
-	}
-}
-func (m multi) AccessDenied(k AccessKind, p int, r DenyReason) {
-	for _, o := range m {
-		o.AccessDenied(k, p, r)
-	}
-}
-func (m multi) PhaseDone(ph Phase, d time.Duration) {
-	for _, o := range m {
-		o.PhaseDone(ph, d)
-	}
-}
-func (m multi) EstimatorEval(hit bool) {
-	for _, o := range m {
-		o.EstimatorEval(hit)
-	}
-}
-func (m multi) LoopIteration(n int) {
-	for _, o := range m {
-		o.LoopIteration(n)
-	}
-}
-func (m multi) InflightChange(d int) {
-	for _, o := range m {
-		o.InflightChange(d)
-	}
-}
-func (m multi) DispatchStall() {
-	for _, o := range m {
-		o.DispatchStall()
-	}
-}
-func (m multi) SourceRetry(b time.Duration) {
-	for _, o := range m {
-		o.SourceRetry(b)
-	}
-}
-func (m multi) SourceFailure() {
-	for _, o := range m {
-		o.SourceFailure()
-	}
-}
-func (m multi) PlanCache(hit bool) {
-	for _, o := range m {
-		o.PlanCache(hit)
-	}
-}
-func (m multi) PlanCacheEvict() {
-	for _, o := range m {
-		o.PlanCacheEvict()
-	}
-}
-func (m multi) BreakerTransition(k AccessKind, p int, from, to BreakerState) {
-	for _, o := range m {
-		o.BreakerTransition(k, p, from, to)
-	}
-}
-func (m multi) DegradedReplan(reason string) {
-	for _, o := range m {
-		o.DegradedReplan(reason)
-	}
-}
-func (m multi) AdaptiveReplan(trigger string, divergence float64) {
-	for _, o := range m {
-		o.AdaptiveReplan(trigger, divergence)
-	}
-}
-func (m multi) ContractViolation(k AccessKind, p int, reason string) {
-	for _, o := range m {
-		o.ContractViolation(k, p, reason)
-	}
-}
-func (m multi) RequestShed() {
-	for _, o := range m {
-		o.RequestShed()
+		o.Observe(ev)
 	}
 }
 

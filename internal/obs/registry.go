@@ -120,6 +120,24 @@ type metric struct {
 	counter   *Counter
 	gauge     *Gauge
 	histogram *Histogram
+	// reads are the series' scrape-time sources (CounterFunc, GaugeFunc),
+	// summed onto the stored value when the series is exposed.
+	reads []func() int64
+}
+
+// value is a counter's or gauge's exposed value: what was stored through
+// its handle plus what its scrape-time sources report now.
+func (m *metric) value() int64 {
+	var v int64
+	if m.kind == kindCounter {
+		v = m.counter.Value()
+	} else {
+		v = m.gauge.Value()
+	}
+	for _, read := range m.reads {
+		v += read()
+	}
+	return v
 }
 
 // Registry holds named metrics and renders them in the Prometheus text
@@ -127,7 +145,7 @@ type metric struct {
 // lock-free; registration and exposition synchronize on an internal
 // mutex (both are off the access hot path).
 type Registry struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	byKey  map[string]*metric
 	sorted bool
 	all    []*metric
@@ -181,28 +199,19 @@ func escapeLabelValue(b *strings.Builder, v string) {
 // path; tests catch such collisions via the golden exposition.
 func (r *Registry) lookup(name, help string, labels []Label, kind metricKind, buckets []float64) *metric {
 	key := name + renderLabels(labels)
-	r.mu.RLock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	m := r.byKey[key]
-	r.mu.RUnlock()
 	if m != nil && m.kind == kind {
 		return m
 	}
-	if m != nil { // kind collision: detached series
-		return newMetric(name, help, labels, kind, buckets)
+	fresh := newMetric(name, help, labels, kind, buckets)
+	if m == nil { // a kind collision stays detached
+		r.byKey[key] = fresh
+		r.all = append(r.all, fresh)
+		r.sorted = false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m = r.byKey[key]; m != nil { // lost the registration race
-		if m.kind == kind {
-			return m
-		}
-		return newMetric(name, help, labels, kind, buckets)
-	}
-	m = newMetric(name, help, labels, kind, buckets)
-	r.byKey[key] = m
-	r.all = append(r.all, m)
-	r.sorted = false
-	return m
+	return fresh
 }
 
 func newMetric(name, help string, labels []Label, kind metricKind, buckets []float64) *metric {
@@ -256,10 +265,34 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return r.lookup(name, help, labels, kindHistogram, buckets).histogram
 }
 
-// snapshot returns the registered series sorted by (name, labels). The
-// lock is released before any value is read or written out, so a slow
-// scrape never blocks registration or updates.
-func (r *Registry) snapshot() []*metric {
+// CounterFunc adds read as a scrape-time source of the counter registered
+// under the name and label set (created on first use): the exposition
+// reports the stored count plus what every source reads at that moment. A
+// layer that already keeps its own atomic counter registers its Load here
+// and so counts each fact once, not a second time into the registry on the
+// hot path; several layers registering on one series are summed. read must
+// be safe for concurrent use and, for a counter, never decrease.
+func (r *Registry) CounterFunc(name, help string, read func() uint64, labels ...Label) {
+	r.addRead(name, help, labels, kindCounter, func() int64 { return int64(read()) })
+}
+
+// GaugeFunc is CounterFunc for a gauge.
+func (r *Registry) GaugeFunc(name, help string, read func() int64, labels ...Label) {
+	r.addRead(name, help, labels, kindGauge, read)
+}
+
+func (r *Registry) addRead(name, help string, labels []Label, kind metricKind, read func() int64) {
+	m := r.lookup(name, help, labels, kind, nil)
+	r.mu.Lock()
+	m.reads = append(m.reads, read)
+	r.mu.Unlock()
+}
+
+// snapshot returns a copy of the registered series sorted by (name,
+// labels) — copies, so a source registered mid-scrape never races the
+// scrape's walk over reads. The lock is released before any value is read
+// or written out, so a slow scrape never blocks registration or updates.
+func (r *Registry) snapshot() []metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.sorted {
@@ -271,7 +304,11 @@ func (r *Registry) snapshot() []*metric {
 		})
 		r.sorted = true
 	}
-	return append([]*metric(nil), r.all...)
+	out := make([]metric, len(r.all))
+	for i, m := range r.all {
+		out[i] = *m
+	}
+	return out
 }
 
 func formatFloat(v float64) string {
@@ -298,13 +335,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
 			lastName = m.name
 		}
-		switch m.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "%s%s %d\n", m.name, m.labels, m.counter.Value())
-		case kindGauge:
-			fmt.Fprintf(bw, "%s%s %d\n", m.name, m.labels, m.gauge.Value())
-		case kindHistogram:
+		if m.kind == kindHistogram {
 			writeHistogram(bw, m)
+		} else {
+			fmt.Fprintf(bw, "%s%s %d\n", m.name, m.labels, m.value())
 		}
 	}
 	return bw.Flush()
@@ -313,7 +347,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeHistogram renders cumulative le buckets, sum, and count. The
 // per-bucket atomic loads happen once, so the cumulative counts are
 // internally consistent even under concurrent observation.
-func writeHistogram(b io.Writer, m *metric) {
+func writeHistogram(b io.Writer, m metric) {
 	h := m.histogram
 	inner := strings.TrimSuffix(strings.TrimPrefix(m.labels, "{"), "}")
 	withLe := func(le string) string {

@@ -2,10 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestWritePrometheusGolden pins the full text exposition of a small
@@ -170,27 +171,31 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 }
 
-// TestMetricsObserver drives every Observer method through the registry
-// adapter and checks the series it maintains.
+// TestMetricsObserver drives events through the registry observer and
+// checks the series it maintains.
 func TestMetricsObserver(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
-	m.AccessDone(Sorted, 0, 1)
-	m.AccessDone(Sorted, 1, 2)
-	m.AccessDone(Random, 0, 10)
-	m.AccessDenied(Random, 0, DenyBudget)
-	m.PhaseDone(PhaseExecute, 10*time.Millisecond)
-	m.PhaseDone(Phase("weird"), time.Millisecond)
-	m.EstimatorEval(false)
-	m.EstimatorEval(true)
-	m.LoopIteration(5)
-	m.InflightChange(+2)
-	m.InflightChange(-1)
-	m.DispatchStall()
-	m.SourceRetry(time.Millisecond)
-	m.SourceFailure()
-	m.PlanCache(true)
-	m.PlanCache(false)
+	for _, ev := range []Event{
+		{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 1, Value: 2},
+		{Kind: AccessDone, Access: Random, Pred: 0, Value: 10},
+		{Kind: AccessDenied, Access: Random, Pred: 0, Code: uint8(DenyBudget)},
+		{Kind: PhaseDone, Label: string(PhaseExecute), Value: 0.010},
+		{Kind: PhaseDone, Label: "weird", Value: 0.001},
+		{Kind: EstimatorEval, Code: Miss},
+		{Kind: EstimatorEval, Code: Hit},
+		{Kind: LoopIteration, Value: 5},
+		{Kind: InflightChange, Value: +2},
+		{Kind: InflightChange, Value: -1},
+		{Kind: DispatchStall},
+		{Kind: SourceRetry, Value: 0.001},
+		{Kind: SourceFailure},
+		{Kind: PlanCache, Code: Hit},
+		{Kind: PlanCache, Code: Miss},
+	} {
+		m.Observe(ev)
+	}
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -220,4 +225,52 @@ func TestMetricsObserver(t *testing.T) {
 		!strings.Contains(out, `topk_phase_seconds_count{phase="other"} 1`) {
 		t.Errorf("phase histograms missing:\n%s", out)
 	}
+}
+
+// TestScrapeTimeSources: a series exposes what was stored through its
+// handle plus what every registered source reads at scrape time, so a layer
+// keeps one counter and two layers on one registry aggregate — while
+// sources registered mid-scrape race nothing.
+func TestScrapeTimeSources(t *testing.T) {
+	reg := NewRegistry()
+	var layerA, layerB atomic.Uint64
+	var up atomic.Int64
+	reg.CounterFunc("layer_hits_total", "Hits.", layerA.Load, L("result", "hit"))
+	reg.CounterFunc("layer_hits_total", "Hits.", layerB.Load, L("result", "hit"))
+	reg.GaugeFunc("layer_up", "Members up.", up.Load)
+	reg.Counter("layer_hits_total", "Hits.", L("result", "hit")).Add(5)
+	layerA.Add(2)
+	layerB.Add(40)
+	up.Store(3)
+	up.Add(-1)
+
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP layer_hits_total Hits.
+# TYPE layer_hits_total counter
+layer_hits_total{result="hit"} 47
+# HELP layer_up Members up.
+# TYPE layer_up gauge
+layer_up 2
+`
+	if b.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				reg.CounterFunc("layer_hits_total", "Hits.", layerA.Load, L("result", "hit"))
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"slices"
 	"sync"
-	"time"
 )
 
 // PhaseSpan is one completed execution phase of a query.
@@ -112,44 +112,24 @@ type BreakerEvent struct {
 	To       string `json:"to"`
 }
 
-// QueryTrace is an Observer that accumulates one query's events. It is
-// safe for concurrent use (the live executor emits from its coordinating
-// goroutine while web-source clients emit retries from request
-// goroutines); a single short mutex guards all state.
+// QueryTrace is an Observer that accumulates one query's events straight
+// into the TraceSnapshot it reports. It is safe for concurrent use (the
+// live executor emits from its coordinating goroutine while web-source
+// clients emit retries from request goroutines); a single short mutex
+// guards all state.
 type QueryTrace struct {
 	mu sync.Mutex
+	s  TraceSnapshot // Denied and PlanCacheHit are filled in by Snapshot
 
-	phases         []PhaseSpan
-	sorted, random []int
-	costUnits      float64
-	denied         [numDenyReasons]int
-
-	estimatorEvals, memoHits int
-	iterations, candidatesHW int
-
-	inflight, inflightHW int
-	stalls               int
-
-	retries, failures int
-	backoff           time.Duration
-
+	denied          [numDenyReasons]int
+	inflight        int
 	planCacheHit    bool
 	planCacheLooked bool
-	planEvictions   int
-
-	breakerEvents   []BreakerEvent
-	degradedReplans int
-	degradedReasons []string
-
-	replanEvents   []ReplanEvent
-	contractEvents []ContractEvent
 }
 
 // NewQueryTrace returns an empty trace. Per-predicate slices grow on
 // demand, so one trace works for any predicate count.
 func NewQueryTrace() *QueryTrace { return &QueryTrace{} }
-
-var _ Observer = (*QueryTrace)(nil)
 
 func growTo(s []int, i int) []int {
 	for len(s) <= i {
@@ -158,177 +138,91 @@ func growTo(s []int, i int) []int {
 	return s
 }
 
-// AccessDone implements Observer.
-func (t *QueryTrace) AccessDone(kind AccessKind, pred int, costUnits float64) {
+// Observe implements Observer.
+func (t *QueryTrace) Observe(ev Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if kind == Sorted {
-		t.sorted = growTo(t.sorted, pred)
-		t.sorted[pred]++
-	} else {
-		t.random = growTo(t.random, pred)
-		t.random[pred]++
-	}
-	t.costUnits += costUnits
-}
-
-// AccessDenied implements Observer.
-func (t *QueryTrace) AccessDenied(kind AccessKind, pred int, reason DenyReason) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if int(reason) < numDenyReasons {
-		t.denied[reason]++
-	}
-	// Keep the per-predicate slices wide enough that a trace of a refused-
-	// only predicate still reports it with zero billed accesses.
-	t.sorted = growTo(t.sorted, pred)
-	t.random = growTo(t.random, pred)
-}
-
-// PhaseDone implements Observer.
-func (t *QueryTrace) PhaseDone(phase Phase, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.phases = append(t.phases, PhaseSpan{Phase: phase, Seconds: d.Seconds()})
-}
-
-// EstimatorEval implements Observer.
-func (t *QueryTrace) EstimatorEval(memoHit bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if memoHit {
-		t.memoHits++
-	} else {
-		t.estimatorEvals++
-	}
-}
-
-// LoopIteration implements Observer.
-func (t *QueryTrace) LoopIteration(candidates int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.iterations++
-	if candidates > t.candidatesHW {
-		t.candidatesHW = candidates
-	}
-}
-
-// InflightChange implements Observer.
-func (t *QueryTrace) InflightChange(delta int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.inflight += delta
-	if t.inflight > t.inflightHW {
-		t.inflightHW = t.inflight
-	}
-}
-
-// DispatchStall implements Observer.
-func (t *QueryTrace) DispatchStall() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.stalls++
-}
-
-// SourceRetry implements Observer.
-func (t *QueryTrace) SourceRetry(backoff time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.retries++
-	t.backoff += backoff
-}
-
-// SourceFailure implements Observer.
-func (t *QueryTrace) SourceFailure() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failures++
-}
-
-// PlanCache implements Observer.
-func (t *QueryTrace) PlanCache(hit bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.planCacheLooked = true
-	t.planCacheHit = hit
-}
-
-// PlanCacheEvict implements Observer.
-func (t *QueryTrace) PlanCacheEvict() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.planEvictions++
-}
-
-// BreakerTransition implements Observer.
-func (t *QueryTrace) BreakerTransition(kind AccessKind, pred int, from, to BreakerState) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.breakerEvents = append(t.breakerEvents, BreakerEvent{
-		Kind: kind, KindName: kind.String(), Pred: pred,
-		From: from.String(), To: to.String(),
-	})
-}
-
-// DegradedReplan implements Observer.
-func (t *QueryTrace) DegradedReplan(reason string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.degradedReplans++
-	for _, r := range t.degradedReasons {
-		if r == reason {
-			return
+	switch ev.Kind {
+	case AccessDone:
+		if ev.Access == Sorted {
+			t.s.SortedAccesses = growTo(t.s.SortedAccesses, ev.Pred)
+			t.s.SortedAccesses[ev.Pred]++
+		} else {
+			t.s.RandomAccesses = growTo(t.s.RandomAccesses, ev.Pred)
+			t.s.RandomAccesses[ev.Pred]++
 		}
+		t.s.CostUnits += ev.Value
+	case AccessDenied:
+		if int(ev.Code) < numDenyReasons {
+			t.denied[ev.Code]++
+		}
+		// Keep the per-predicate slices wide enough that a trace of a
+		// refused-only predicate still reports it with zero billed accesses.
+		t.s.SortedAccesses = growTo(t.s.SortedAccesses, ev.Pred)
+		t.s.RandomAccesses = growTo(t.s.RandomAccesses, ev.Pred)
+	case PhaseDone:
+		t.s.Phases = append(t.s.Phases, PhaseSpan{Phase: Phase(ev.Label), Seconds: ev.Value})
+	case EstimatorEval:
+		if ev.Code == Hit {
+			t.s.EstimatorMemoHits++
+		} else {
+			t.s.EstimatorEvals++
+		}
+	case LoopIteration:
+		t.s.Iterations++
+		t.s.CandidatesHighWater = max(t.s.CandidatesHighWater, int(ev.Value))
+	case InflightChange:
+		t.inflight += int(ev.Value)
+		t.s.InflightHighWater = max(t.s.InflightHighWater, t.inflight)
+	case DispatchStall:
+		t.s.DispatchStalls++
+	case SourceRetry:
+		t.s.SourceRetries++
+		t.s.BackoffSeconds += ev.Value
+	case SourceFailure:
+		t.s.SourceFailures++
+	case PlanCache:
+		t.planCacheLooked = true
+		t.planCacheHit = ev.Code == Hit
+	case PlanCacheEvict:
+		t.s.PlanCacheEvictions++
+	case BreakerTransition:
+		from, to := ev.Breaker()
+		t.s.BreakerTransitions = append(t.s.BreakerTransitions, BreakerEvent{
+			Kind: ev.Access, KindName: ev.Access.String(), Pred: ev.Pred,
+			From: from.String(), To: to.String(),
+		})
+	case DegradedReplan:
+		t.s.DegradedReplans++
+		if !slices.Contains(t.s.DegradedReasons, ev.Label) {
+			t.s.DegradedReasons = append(t.s.DegradedReasons, ev.Label)
+		}
+	case AdaptiveReplan:
+		t.s.AdaptiveReplans = append(t.s.AdaptiveReplans, ReplanEvent{Trigger: ev.Label, Divergence: ev.Value})
+	case ContractViolation:
+		t.s.ContractViolations = append(t.s.ContractViolations, ContractEvent{
+			Kind: ev.Access, KindName: ev.Access.String(), Pred: ev.Pred, Reason: ev.Label,
+		})
+	case RequestShed:
+		// Shed requests never execute, so a per-query trace cannot observe
+		// one; the event only feeds metrics.
 	}
-	t.degradedReasons = append(t.degradedReasons, reason)
 }
-
-// AdaptiveReplan implements Observer.
-func (t *QueryTrace) AdaptiveReplan(trigger string, divergence float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.replanEvents = append(t.replanEvents, ReplanEvent{Trigger: trigger, Divergence: divergence})
-}
-
-// ContractViolation implements Observer.
-func (t *QueryTrace) ContractViolation(kind AccessKind, pred int, reason string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.contractEvents = append(t.contractEvents, ContractEvent{
-		Kind: kind, KindName: kind.String(), Pred: pred, Reason: reason,
-	})
-}
-
-// RequestShed implements Observer. Shed requests never execute, so a
-// per-query trace cannot observe one; the event only feeds metrics.
-func (t *QueryTrace) RequestShed() {}
 
 // Snapshot returns a consistent copy of everything accumulated so far.
 func (t *QueryTrace) Snapshot() TraceSnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := TraceSnapshot{
-		Phases:              append([]PhaseSpan(nil), t.phases...),
-		SortedAccesses:      append([]int{}, t.sorted...),
-		RandomAccesses:      append([]int{}, t.random...),
-		CostUnits:           t.costUnits,
-		EstimatorEvals:      t.estimatorEvals,
-		EstimatorMemoHits:   t.memoHits,
-		Iterations:          t.iterations,
-		CandidatesHighWater: t.candidatesHW,
-		InflightHighWater:   t.inflightHW,
-		DispatchStalls:      t.stalls,
-		SourceRetries:       t.retries,
-		SourceFailures:      t.failures,
-		BackoffSeconds:      t.backoff.Seconds(),
-		PlanCacheEvictions:  t.planEvictions,
-		BudgetExhausted:     t.denied[DenyBudget] > 0,
-		BreakerTransitions:  append([]BreakerEvent(nil), t.breakerEvents...),
-		DegradedReplans:     t.degradedReplans,
-		DegradedReasons:     append([]string(nil), t.degradedReasons...),
-		AdaptiveReplans:     append([]ReplanEvent(nil), t.replanEvents...),
-		ContractViolations:  append([]ContractEvent(nil), t.contractEvents...),
-	}
+	s := t.s
+	s.Phases = slices.Clone(s.Phases)
+	// The per-predicate counts are always rendered, as [] before any access.
+	s.SortedAccesses = append([]int{}, s.SortedAccesses...)
+	s.RandomAccesses = append([]int{}, s.RandomAccesses...)
+	s.BreakerTransitions = slices.Clone(s.BreakerTransitions)
+	s.DegradedReasons = slices.Clone(s.DegradedReasons)
+	s.AdaptiveReplans = slices.Clone(s.AdaptiveReplans)
+	s.ContractViolations = slices.Clone(s.ContractViolations)
+	s.BudgetExhausted = t.denied[DenyBudget] > 0
 	for reason, n := range t.denied {
 		if n > 0 {
 			if s.Denied == nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/kit"
+	"repro/internal/obs"
 	"repro/internal/score"
 )
 
@@ -85,7 +86,7 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 		c.hits++
 		c.mu.Unlock()
 		if cfg.Observer != nil {
-			cfg.Observer.PlanCache(true)
+			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: obs.Hit})
 		}
 		return plan, nil
 	}
@@ -93,14 +94,16 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 		c.mu.Unlock()
 		<-call.done
 		c.mu.Lock()
+		outcome := obs.Hit
 		if call.err == nil {
 			c.hits++
 		} else {
 			c.misses++
+			outcome = obs.Miss
 		}
 		c.mu.Unlock()
 		if cfg.Observer != nil {
-			cfg.Observer.PlanCache(call.err == nil)
+			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome})
 		}
 		if call.err != nil {
 			return Plan{}, call.err
@@ -113,7 +116,7 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 	c.misses++
 	c.mu.Unlock()
 	if cfg.Observer != nil {
-		cfg.Observer.PlanCache(false)
+		cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: obs.Miss})
 	}
 
 	call.plan, call.err = Optimize(cfg, scn, f, k, n)
@@ -129,7 +132,7 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 	c.mu.Unlock()
 	for i := 0; i < evicted; i++ {
 		if cfg.Observer != nil {
-			cfg.Observer.PlanCacheEvict()
+			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCacheEvict})
 		}
 	}
 	if call.err != nil {

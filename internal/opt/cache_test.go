@@ -15,27 +15,29 @@ import (
 // countingObs counts estimator evaluations and plan-cache outcomes; safe
 // for concurrent use so singleflight tests can share one instance.
 type countingObs struct {
-	obs.Nop
 	evals, memo  atomic.Int64
 	hits, misses atomic.Int64
 	evictions    atomic.Int64
 }
 
-func (c *countingObs) EstimatorEval(memoHit bool) {
-	if memoHit {
-		c.memo.Add(1)
-	} else {
-		c.evals.Add(1)
+func (c *countingObs) Observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EstimatorEval:
+		if ev.Code == obs.Hit {
+			c.memo.Add(1)
+		} else {
+			c.evals.Add(1)
+		}
+	case obs.PlanCache:
+		if ev.Code == obs.Hit {
+			c.hits.Add(1)
+		} else {
+			c.misses.Add(1)
+		}
+	case obs.PlanCacheEvict:
+		c.evictions.Add(1)
 	}
 }
-func (c *countingObs) PlanCache(hit bool) {
-	if hit {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-}
-func (c *countingObs) PlanCacheEvict() { c.evictions.Add(1) }
 
 func quickCfg(o obs.Observer) Config {
 	return Config{Grid: 5, SampleSize: 20, Restarts: 2, Observer: o}
@@ -179,15 +181,17 @@ type gateObs struct {
 	release chan struct{}
 }
 
-func (g *gateObs) PlanCache(hit bool) {
-	g.countingObs.PlanCache(hit)
-	close(g.parked)
-	<-g.release
+func (g *gateObs) Observe(ev obs.Event) {
+	g.countingObs.Observe(ev)
+	if ev.Kind == obs.PlanCache {
+		close(g.parked)
+		<-g.release
+	}
 }
 
 // TestPlanCacheFailedLeaderFollowersAreObserved: lookups that wait on an
 // in-flight optimization that then fails got no plan, and each must say
-// so — one PlanCache(false) event and one counted miss per lookup, like
+// so — one PlanCache miss event and one counted miss per lookup, like
 // every other outcome — so a request's trace agrees with the metrics.
 func TestPlanCacheFailedLeaderFollowersAreObserved(t *testing.T) {
 	c := NewPlanCache(8)

@@ -77,12 +77,12 @@ func (e *Estimator) m() int { return e.a.sample.M() }
 func (e *Estimator) Estimate(h []float64, omega []int) (access.Cost, error) {
 	if c, ok := e.a.memo.lookup(h, omega); ok {
 		if e.obs != nil {
-			e.obs.EstimatorEval(true)
+			e.obs.Observe(obs.Event{Kind: obs.EstimatorEval, Code: obs.Hit})
 		}
 		return c, nil
 	}
 	if e.obs != nil {
-		e.obs.EstimatorEval(false)
+		e.obs.Observe(obs.Event{Kind: obs.EstimatorEval, Code: obs.Miss})
 	}
 	cost, err := e.simulate(h, omega)
 	if err != nil {

@@ -20,19 +20,21 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/plans.golden from the current optimizer")
 
-// evalStream digests the EstimatorEval(memoized) sequence of one planning
-// call: how many events were simulations, how many memo hits, and an FNV
-// hash of their order.
+// evalStream digests the EstimatorEval sequence of one planning call: how
+// many events were simulations, how many memo hits, and an FNV hash of
+// their order.
 type evalStream struct {
-	obs.Nop
 	seq []byte
 }
 
-func (s *evalStream) EstimatorEval(memoized bool) {
-	if memoized {
-		s.seq = append(s.seq, 'm')
-	} else {
-		s.seq = append(s.seq, 's')
+func (s *evalStream) Observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.EstimatorEval:
+		if ev.Code == obs.Hit {
+			s.seq = append(s.seq, 'm')
+		} else {
+			s.seq = append(s.seq, 's')
+		}
 	}
 }
 

@@ -130,6 +130,14 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 		seq      int
 		maxUsed  int
 	)
+	// Flights still out when the run returns — the top-k is proven, a
+	// dispatch failed, the context ended — are never reported finished one
+	// by one; settle them once so the inflight gauge returns to zero.
+	defer func() {
+		if ex.Obs != nil && len(inflight) > 0 {
+			ex.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: -float64(len(inflight))})
+		}
+	}()
 
 	// dispatchOne scans K_P in rank order and launches the first task's
 	// chosen access. It reports whether a dispatch happened.
@@ -222,7 +230,7 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 				break
 			}
 			if ex.Obs != nil {
-				ex.Obs.InflightChange(+1)
+				ex.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: +1})
 			}
 		}
 		if len(inflight) > maxUsed {
@@ -232,14 +240,14 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 			return nil, fmt.Errorf("parallel: stuck with no dispatchable access and %d/%d answers", len(items), p.K)
 		}
 		if ex.Obs != nil && len(inflight) < ex.B {
-			ex.Obs.DispatchStall()
+			ex.Obs.Observe(obs.Event{Kind: obs.DispatchStall})
 		}
 		// Advance simulated time to the earliest completion and apply it.
 		f := heap.Pop(&inflight).(flight)
 		clock = f.done
 		delete(taskBusy, f.task)
 		if ex.Obs != nil {
-			ex.Obs.InflightChange(-1)
+			ex.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: -1})
 		}
 		switch f.kind {
 		case access.SortedAccess:

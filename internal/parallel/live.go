@@ -154,10 +154,19 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 	// Buffered so that in-flight goroutines can always deliver and exit
 	// even if Run has already returned (e.g. on error).
 	results := make(chan completion, l.B)
+	inflight := 0
+	// Requests still out when the run returns — the top-k is proven, a
+	// completion failed, the context ended — are never reported finished
+	// one by one; settle them once so the inflight gauge returns to zero.
+	// Registered before the lock so it runs after the unlock.
+	defer func() {
+		if l.Obs != nil && inflight > 0 {
+			l.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: -float64(inflight)})
+		}
+	}()
 	var mu sync.Mutex
 	mu.Lock()
 	defer mu.Unlock()
-	inflight := 0
 
 	launch := func(c completion) {
 		go func() {
@@ -207,7 +216,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 				st.ns[ch.Pred]++
 				st.cost += st.scn.Preds[ch.Pred].Sorted
 				if l.Obs != nil {
-					l.Obs.AccessDone(obs.Sorted, ch.Pred, st.scn.Preds[ch.Pred].Sorted.Units())
+					l.Obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Sorted, Pred: ch.Pred, Value: st.scn.Preds[ch.Pred].Sorted.Units()})
 				}
 			case access.RandomAccess:
 				c.obj = cand.ID
@@ -215,7 +224,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 				st.nr[ch.Pred]++
 				st.cost += st.scn.Preds[ch.Pred].Random
 				if l.Obs != nil {
-					l.Obs.AccessDone(obs.Random, ch.Pred, st.scn.Preds[ch.Pred].Random.Units())
+					l.Obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Random, Pred: ch.Pred, Value: st.scn.Preds[ch.Pred].Random.Units()})
 				}
 			}
 			taskBusy[cand.ID] = true
@@ -223,7 +232,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 			launch(c)
 			inflight++
 			if l.Obs != nil {
-				l.Obs.InflightChange(+1)
+				l.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: +1})
 			}
 			return true
 		}
@@ -281,7 +290,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 		// finish.
 		mu.Unlock()
 		if stalled {
-			l.Obs.DispatchStall()
+			l.Obs.Observe(obs.Event{Kind: obs.DispatchStall})
 		}
 		var c completion
 		select {
@@ -291,9 +300,9 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 			return nil, fmt.Errorf("parallel: live run cancelled: %w", ctx.Err())
 		}
 		if l.Obs != nil {
-			l.Obs.InflightChange(-1)
+			l.Obs.Observe(obs.Event{Kind: obs.InflightChange, Value: -1})
 			if c.err != nil {
-				l.Obs.AccessDenied(liveObsKind(c.kind), c.pred, liveDenyReason(ctx, c.err))
+				l.Obs.Observe(obs.Event{Kind: obs.AccessDenied, Access: liveObsKind(c.kind), Pred: c.pred, Code: uint8(liveDenyReason(ctx, c.err))})
 			}
 		}
 		mu.Lock()

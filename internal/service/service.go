@@ -94,8 +94,9 @@ type Config struct {
 	// in-memory dataset: per-query backends are column projections of the
 	// store, so sorted accesses run as block scans and random accesses as
 	// point reads while every algorithm, breaker, and sharing feature
-	// runs unchanged. Exactly one of Dataset, Cluster, and Store must be
-	// set.
+	// runs unchanged. The store's topk_store_* series register on the
+	// service's metrics registry. Exactly one of Dataset, Cluster, and Store
+	// must be set.
 	Store *topk.Store
 	// StoreCalibration carries the store's IO-measured (cs, cr) — it
 	// fingerprints every store-mode plan into the shared plan cache
@@ -349,10 +350,13 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cursorExpired: reg.Counter("topk_cursor_expired_total", "Idle cursors expired by the TTL reaper."),
 		cursorOpenG:   reg.Gauge("topk_cursor_open", "Server-side cursors currently open."),
 	}
+	// The base layer's own counters join the service's scrape, read when
+	// it is scraped rather than written a second time per access.
 	if cfg.Cluster != nil {
-		// The coordinator's scatter-gather counters join the service's
-		// scrape; safe here because the handler is built before serving.
 		cfg.Cluster.AttachMetrics(reg)
+	}
+	if cfg.Store != nil {
+		cfg.Store.AttachMetrics(reg)
 	}
 	if cfg.EnableSharing {
 		// The sharing layer sits above the whole database: a shared cursor
@@ -585,7 +589,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, what, query stri
 	if max := h.cfg.MaxInflight; max > 0 {
 		if h.inflight.Add(1) > int64(max) {
 			h.inflight.Add(-1)
-			h.metrics.RequestShed()
+			h.metrics.Observe(obs.Event{Kind: obs.RequestShed})
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable, errPayload{Error: "service overloaded; retry later"})
 			return
@@ -655,7 +659,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		return nil, http.StatusBadRequest, err
 	}
 	cols, err := sqlq.Bind(pq, h.cfg.Columns)
-	o.PhaseDone(obs.PhaseParse, time.Since(parseStart))
+	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseParse), Value: time.Since(parseStart).Seconds()})
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -693,7 +697,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 	if req.Parallel > 0 {
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
-	o.PhaseDone(obs.PhasePlan, time.Since(planStart))
+	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
 	return &prepared{pq: pq, eng: proj.eng, opts: opts, tr: tr}, http.StatusOK, nil
 }
 

@@ -47,7 +47,7 @@ func (b *batcher) probe(ctx context.Context, pred, obj int) (float64, error) {
 		}
 		if score, ok := sh.get(key); ok {
 			// Resolved by a batch that completed between the miss and here.
-			b.l.count(&b.l.stats.coalesced, b.l.metrics, metricCoalesced)
+			b.l.stats.coalesced.Add(1)
 			return score, nil
 		}
 		gen := sh.generation()
@@ -65,7 +65,7 @@ func (b *batcher) probe(ctx context.Context, pred, obj int) (float64, error) {
 		}
 		b.mu.Unlock()
 		if joined {
-			b.l.count(&b.l.stats.coalesced, b.l.metrics, metricCoalesced)
+			b.l.stats.coalesced.Add(1)
 		}
 		if flush {
 			b.drain(ctx)
@@ -115,7 +115,7 @@ func (b *batcher) drain(ctx context.Context) {
 		}
 		b.l.stats.backendRandom.Add(uint64(n))
 		b.l.stats.batchedProbes.Add(uint64(n))
-		b.l.count(&b.l.stats.batches, b.l.metrics, metricBatches)
+		b.l.stats.batches.Add(1)
 
 		b.mu.Lock()
 		for _, p := range batch {

@@ -67,8 +67,8 @@ type Options struct {
 	// shared cursor (sorted) or cached scores (random). Share the same set
 	// the queries' Resilience attachments use.
 	Breakers *access.BreakerSet
-	// Metrics, when non-nil, registers the topk_share_* metric set on the
-	// registry and feeds it from the hot path (atomic increments only).
+	// Metrics, when non-nil, exposes the layer's counters as the
+	// topk_share_* series of the registry, read at scrape time.
 	Metrics *obs.Registry
 }
 
@@ -90,8 +90,7 @@ type Layer struct {
 	brGen    atomic.Uint64            // last breaker generation folded into the caches
 	brState  [2][]access.BreakerState // last observed state per (kind, pred); guarded by brMu
 
-	stats   stats
-	metrics *shareMetrics // nil unless Options.Metrics
+	stats stats
 }
 
 // New builds a sharing layer over the backend. The returned Layer is the
@@ -131,7 +130,7 @@ func New(b access.Backend, opts Options) *Layer {
 		l.batcher = newBatcher(l, opts.MaxBatch)
 	}
 	if opts.Metrics != nil {
-		l.metrics = newShareMetrics(opts.Metrics)
+		l.stats.register(opts.Metrics)
 	}
 	if l.breakers != nil {
 		l.brGen.Store(l.breakers.Generation())
@@ -174,9 +173,9 @@ func (l *Layer) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 		return 0, 0, err
 	}
 	if hit {
-		l.count(&l.stats.sortedHits, l.metrics, metricSortedHits)
+		l.stats.sortedHits.Add(1)
 	} else {
-		l.count(&l.stats.sortedMisses, l.metrics, metricSortedMisses)
+		l.stats.sortedMisses.Add(1)
 	}
 	return e.Obj, e.Score, nil
 }
@@ -189,17 +188,17 @@ func (l *Layer) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 func (l *Layer) Random(ctx context.Context, pred, obj int) (float64, error) {
 	l.syncBreakers()
 	if l.scores == nil {
-		l.count(&l.stats.randomMisses, l.metrics, metricRandomMisses)
+		l.stats.randomMisses.Add(1)
 		l.stats.backendRandom.Add(1)
 		return l.backend.Random(ctx, pred, obj)
 	}
 	key := probeKey(pred, obj)
 	shard := l.scores.shard(key)
 	if score, ok := shard.get(key); ok {
-		l.count(&l.stats.randomHits, l.metrics, metricRandomHits)
+		l.stats.randomHits.Add(1)
 		return score, nil
 	}
-	l.count(&l.stats.randomMisses, l.metrics, metricRandomMisses)
+	l.stats.randomMisses.Add(1)
 	if l.batcher != nil {
 		return l.batcher.probe(ctx, pred, obj)
 	}
@@ -212,7 +211,7 @@ func (l *Layer) probeDirect(ctx context.Context, sh *scoreShard, key uint64, pre
 	for {
 		score, cached, call, gen := sh.begin(key)
 		if cached {
-			l.count(&l.stats.coalesced, l.metrics, metricCoalesced)
+			l.stats.coalesced.Add(1)
 			return score, nil
 		}
 		if call == nil {
@@ -229,7 +228,7 @@ func (l *Layer) probeDirect(ctx context.Context, sh *scoreShard, key uint64, pre
 			return 0, ctx.Err()
 		}
 		if call.err == nil {
-			l.count(&l.stats.coalesced, l.metrics, metricCoalesced)
+			l.stats.coalesced.Add(1)
 			return call.score, nil
 		}
 		// The driving probe failed; retry (and possibly become the driver)
@@ -264,13 +263,13 @@ func (l *Layer) syncBreakers() {
 			l.brState[access.SortedAccess][pred] = st
 			// An in-flight frontier fetch cannot publish into the fresh prefix.
 			l.cursors[pred].Drop()
-			l.count(&l.stats.invalidations, l.metrics, metricInvalidations)
+			l.stats.invalidations.Add(1)
 		}
 		if st := l.breakers.State(access.RandomAccess, pred); st != l.brState[access.RandomAccess][pred] {
 			l.brState[access.RandomAccess][pred] = st
 			if l.scores != nil {
 				l.scores.invalidate(func(key uint64, _ float64) bool { return int(key>>32) == pred })
-				l.count(&l.stats.invalidations, l.metrics, metricInvalidations)
+				l.stats.invalidations.Add(1)
 			}
 		}
 	}

@@ -104,43 +104,15 @@ func (l *Layer) Stats() Stats {
 	}
 }
 
-// Metric indices into shareMetrics.counters, so the hot path's mirror
-// increment is an array index away from the internal counter.
-const (
-	metricSortedHits = iota
-	metricSortedMisses
-	metricRandomHits
-	metricRandomMisses
-	metricCoalesced
-	metricBatches
-	metricInvalidations
-	numShareMetrics
-)
-
-// shareMetrics mirrors the layer's counters into an obs.Registry under
-// the topk_share_* names; every series is registered up front so hot-path
-// delivery is one atomic increment.
-type shareMetrics struct {
-	counters [numShareMetrics]*obs.Counter
-}
-
-func newShareMetrics(reg *obs.Registry) *shareMetrics {
-	m := &shareMetrics{}
-	m.counters[metricSortedHits] = reg.Counter("topk_share_sorted_total", "Sorted accesses through the sharing layer by outcome.", obs.L("result", "hit"))
-	m.counters[metricSortedMisses] = reg.Counter("topk_share_sorted_total", "Sorted accesses through the sharing layer by outcome.", obs.L("result", "miss"))
-	m.counters[metricRandomHits] = reg.Counter("topk_share_random_total", "Random accesses through the sharing layer by outcome.", obs.L("result", "hit"))
-	m.counters[metricRandomMisses] = reg.Counter("topk_share_random_total", "Random accesses through the sharing layer by outcome.", obs.L("result", "miss"))
-	m.counters[metricCoalesced] = reg.Counter("topk_share_coalesced_total", "Probes that joined a concurrent identical in-flight probe.")
-	m.counters[metricBatches] = reg.Counter("topk_share_batches_total", "Batched random-access round trips.")
-	m.counters[metricInvalidations] = reg.Counter("topk_share_invalidations_total", "Shared-state drops on breaker transitions.")
-	return m
-}
-
-// count bumps an internal counter and, when metrics are attached, its
-// registry mirror.
-func (l *Layer) count(c *atomic.Uint64, m *shareMetrics, idx int) {
-	c.Add(1)
-	if m != nil {
-		m.counters[idx].Inc()
-	}
+// register exposes the layer's counters as the topk_share_* series of reg.
+// The registry reads them at scrape time, so the hot path counts each fact
+// once; layers sharing a registry are summed per series.
+func (s *stats) register(reg *obs.Registry) {
+	reg.CounterFunc("topk_share_sorted_total", "Sorted accesses through the sharing layer by outcome.", s.sortedHits.Load, obs.L("result", "hit"))
+	reg.CounterFunc("topk_share_sorted_total", "Sorted accesses through the sharing layer by outcome.", s.sortedMisses.Load, obs.L("result", "miss"))
+	reg.CounterFunc("topk_share_random_total", "Random accesses through the sharing layer by outcome.", s.randomHits.Load, obs.L("result", "hit"))
+	reg.CounterFunc("topk_share_random_total", "Random accesses through the sharing layer by outcome.", s.randomMisses.Load, obs.L("result", "miss"))
+	reg.CounterFunc("topk_share_coalesced_total", "Probes that joined a concurrent identical in-flight probe.", s.coalesced.Load)
+	reg.CounterFunc("topk_share_batches_total", "Batched random-access round trips.", s.batches.Load)
+	reg.CounterFunc("topk_share_invalidations_total", "Shared-state drops on breaker transitions.", s.invalidations.Load)
 }

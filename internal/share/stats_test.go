@@ -3,6 +3,7 @@ package share_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -44,8 +45,8 @@ func TestDiscountQuantization(t *testing.T) {
 }
 
 // TestInvalidateAndMetrics drives the operational surface: the Invalidate
-// escape hatch drops all shared state, and an attached registry mirrors
-// the layer's counters as topk_share_* series.
+// escape hatch drops all shared state, and an attached registry reads the
+// layer's counters as topk_share_* series.
 func TestInvalidateAndMetrics(t *testing.T) {
 	ds := e1Dataset(t)
 	reg := obs.NewRegistry()
@@ -76,14 +77,28 @@ func TestInvalidateAndMetrics(t *testing.T) {
 		t.Errorf("post-invalidate probe should miss: %+v", st)
 	}
 
+	// A second layer on the same registry: the scrape reads both layers'
+	// own counters and sums them, while each Stats() stays its own.
+	other := share.New(access.DatasetBackend{DS: ds}, share.Options{Metrics: reg})
+	if _, err := other.Random(ctx, 0, 5); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	exposition := buf.String()
-	for _, series := range []string{"topk_share_sorted_total", "topk_share_random_total", "topk_share_invalidations_total"} {
-		if !strings.Contains(exposition, series) {
-			t.Errorf("registry exposition missing %s", series)
+	st, st2 := layer.Stats(), other.Stats()
+	for _, line := range []string{
+		fmt.Sprintf(`topk_share_sorted_total{result="miss"} %d`, st.SortedMisses),
+		fmt.Sprintf(`topk_share_random_total{result="miss"} %d`, st.RandomMisses+st2.RandomMisses),
+		fmt.Sprintf(`topk_share_invalidations_total %d`, st.Invalidations),
+	} {
+		if !strings.Contains(exposition, line+"\n") {
+			t.Errorf("registry exposition missing %q:\n%s", line, exposition)
 		}
+	}
+	if st.RandomMisses != 2 || st2.RandomMisses != 1 || st.SortedMisses != 1 {
+		t.Errorf("Stats() = %+v / %+v, want each layer's own counts", st, st2)
 	}
 }

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/kit"
+	"repro/internal/obs"
 )
 
 // ErrCorrupt reports a store directory that fails validation: missing or
@@ -56,10 +57,10 @@ type Store struct {
 	blockEntries int
 	cache        *blockCache
 
-	sortedReads atomic.Int64
-	randomReads atomic.Int64
-	blockReads  atomic.Int64
-	blockHits   atomic.Int64
+	sortedReads atomic.Uint64
+	randomReads atomic.Uint64
+	blockReads  atomic.Uint64
+	blockHits   atomic.Uint64
 }
 
 // Stats is a snapshot of a store's physical counters. BlockReads vs
@@ -250,11 +251,22 @@ func (s *Store) M() int { return s.man.M }
 // Stats returns a snapshot of the physical counters.
 func (s *Store) Stats() Stats {
 	return Stats{
-		SortedReads: s.sortedReads.Load(),
-		RandomReads: s.randomReads.Load(),
-		BlockReads:  s.blockReads.Load(),
-		BlockHits:   s.blockHits.Load(),
+		SortedReads: int64(s.sortedReads.Load()),
+		RandomReads: int64(s.randomReads.Load()),
+		BlockReads:  int64(s.blockReads.Load()),
+		BlockHits:   int64(s.blockHits.Load()),
 	}
+}
+
+// AttachMetrics exposes the physical counters as the topk_store_* series
+// of reg. The registry reads them at scrape time, so the access path
+// counts each fact once; stores sharing a registry are summed per series,
+// so attach each one once.
+func (s *Store) AttachMetrics(reg *obs.Registry) {
+	reg.CounterFunc("topk_store_sorted_reads_total", "Sorted accesses served by the disk store.", s.sortedReads.Load)
+	reg.CounterFunc("topk_store_random_reads_total", "Random-access point reads issued by the disk store (batched probes included).", s.randomReads.Load)
+	reg.CounterFunc("topk_store_block_reads_total", "Segment blocks fetched from disk.", s.blockReads.Load)
+	reg.CounterFunc("topk_store_block_hits_total", "Sorted accesses served from the decoded-block cache.", s.blockHits.Load)
 }
 
 // DropCaches empties the decoded-block cache, so the next sorted access

@@ -49,9 +49,9 @@ func WithJitterSeed(seed int64) ClientOption {
 }
 
 // WithObserver streams the client's retry storms and terminal request
-// failures into an observer (SourceRetry per backoff sleep,
-// SourceFailure per request given up on). The observer must be safe for
-// concurrent use — live executors issue requests from many goroutines.
+// failures into an observer (a SourceRetry event per backoff sleep, a
+// SourceFailure event per request given up on). The observer must be safe
+// for concurrent use — live executors issue requests from many goroutines.
 func WithObserver(o obs.Observer) ClientOption {
 	return func(r *retrier) { r.obs = o }
 }
@@ -84,20 +84,20 @@ func (r *retrier) do(ctx context.Context, a attempter) error {
 		}
 		if !retryable || attempt >= r.retries {
 			if r.obs != nil {
-				r.obs.SourceFailure()
+				r.obs.Observe(obs.Event{Kind: obs.SourceFailure})
 			}
 			return err
 		}
 		sleep := r.retrySleep(backoff, retryAfter)
 		if r.obs != nil {
-			r.obs.SourceRetry(sleep)
+			r.obs.Observe(obs.Event{Kind: obs.SourceRetry, Value: sleep.Seconds()})
 		}
 		t := time.NewTimer(sleep)
 		select {
 		case <-ctx.Done():
 			t.Stop()
 			if r.obs != nil {
-				r.obs.SourceFailure()
+				r.obs.Observe(obs.Event{Kind: obs.SourceFailure})
 			}
 			return fmt.Errorf("websim: %w (last attempt: %v)", ctx.Err(), err)
 		case <-t.C:

@@ -1,12 +1,15 @@
 package topk
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/access"
 	"repro/internal/algo"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -176,6 +179,53 @@ func TestParallelTrace(t *testing.T) {
 	}
 	if ans.Trace.InflightHighWater > 4 {
 		t.Errorf("inflight high water %d exceeds the bound B=4", ans.Trace.InflightHighWater)
+	}
+}
+
+// TestExecutorInflightSettles: a concurrent run that ends with accesses
+// still in flight — out of budget, cancelled, failed by its backend —
+// returns the executor-inflight gauge to zero. The gauge is shared by every
+// query of a service, so a run that leaked its outstanding flights skewed
+// it for good.
+func TestExecutorInflightSettles(t *testing.T) {
+	ds := mustGenerateDataset(t, "uniform", 1000, 2, 42)
+	q := Query{F: Avg(), K: 10}
+	nc := WithNC([]float64{0.5, 0.5}, nil)
+	hang := fault.PredFault{HangRate: 1}
+	for _, tc := range []struct {
+		name    string
+		backend func(cancel context.CancelFunc) Backend
+		opts    []RunOption
+		wantErr error
+	}{
+		{"parallel-out-of-budget", func(context.CancelFunc) Backend { return DataBackend(ds) },
+			[]RunOption{WithParallel(8), WithBudget(20)}, access.ErrBudgetExhausted},
+		{"live-cancelled", func(cancel context.CancelFunc) Backend {
+			// The first access cancels the run as it starts, then hangs on
+			// the cancelled context like every access after it.
+			hung := fault.Wrap(DataBackend(ds), fault.Config{Preds: map[int]fault.PredFault{0: hang, 1: hang}})
+			return &tripwire{Backend: hung, at: map[int64]func(){1: cancel}}
+		}, []RunOption{WithLive(4)}, context.Canceled},
+		{"live-backend-fails", func(context.CancelFunc) Backend {
+			return fault.Wrap(DataBackend(ds), fault.Config{Preds: map[int]fault.PredFault{0: {OutageFrom: 3, OutageTo: -1}}})
+		}, []RunOption{WithLive(4)}, fault.ErrInjected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			eng, err := NewEngine(tc.backend(cancel), UniformScenario(2, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := NewMetricsRegistry()
+			opts := append([]RunOption{nc, WithContext(ctx), WithObserver(NewMetricsObserver(reg)), WithTrace()}, tc.opts...)
+			if _, err := eng.Run(q, opts...); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := reg.Gauge("topk_executor_inflight", "").Value(); got != 0 {
+				t.Errorf("topk_executor_inflight = %d after the run returned, want 0", got)
+			}
+		})
 	}
 }
 

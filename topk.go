@@ -341,7 +341,7 @@ func (e *Engine) resolvePlan(spec *runSpec, o obs.Observer, sess *access.Session
 		start := time.Now()
 		p, err := e.optimize(cfg, scn, q.F, q.K, e.backend.N())
 		if o != nil {
-			o.PhaseDone(obs.PhaseOptimize, time.Since(start))
+			o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseOptimize), Value: time.Since(start).Seconds()})
 		}
 		if err != nil {
 			return nil, nil, err
@@ -880,7 +880,7 @@ func (x *execution) next(delta int, tau float64, ranged bool) (res *algo.Result,
 		res, err = x.pager.Next(delta)
 	}
 	if x.obsv != nil {
-		x.obsv.PhaseDone(obs.PhaseExecute, time.Since(start))
+		x.obsv.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseExecute), Value: time.Since(start).Seconds()})
 	}
 	return res, err
 }
@@ -912,7 +912,7 @@ func (x *execution) replan() {
 	}
 	x.plan = plan
 	if x.obsv != nil {
-		x.obsv.DegradedReplan("scenario_change")
+		x.obsv.Observe(obs.Event{Kind: obs.DegradedReplan, Label: "scenario_change"})
 	}
 }
 
@@ -1180,7 +1180,7 @@ func (e *Engine) runLive(q Query, spec *runSpec) (*Answer, error) {
 	start := time.Now()
 	res, err := live.Run(spec.ctx, e.backend, q.F, q.K)
 	if o != nil {
-		o.PhaseDone(obs.PhaseExecute, time.Since(start))
+		o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseExecute), Value: time.Since(start).Seconds()})
 	}
 	if err != nil {
 		return nil, err
