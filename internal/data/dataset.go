@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Dataset holds n objects with m predicate scores each, all in [0,1].
@@ -135,12 +136,32 @@ func (d *Dataset) SortedAt(i, rank int) (obj int, s float64) {
 }
 
 // Label returns the human-readable label of object u, or "u<id>" if none
-// was set.
+// was set. Like AttachedLabel it takes a nil dataset.
 func (d *Dataset) Label(u int) string {
-	if d.labels != nil && d.labels[u] != "" {
-		return d.labels[u]
+	if l := d.AttachedLabel(u); l != "" {
+		return l
 	}
-	return fmt.Sprintf("u%d", u)
+	var b [24]byte
+	return string(AppendDefaultLabel(b[:0], u))
+}
+
+// AttachedLabel returns the label SetLabels gave object u, or "" when u
+// carries the default form — as every object of a nil dataset does, so a
+// deployment whose rows live elsewhere names its answers through the same
+// two methods.
+func (d *Dataset) AttachedLabel(u int) string {
+	if d == nil || d.labels == nil {
+		return ""
+	}
+	return d.labels[u]
+}
+
+// AppendDefaultLabel appends the label of an object nobody named — "u<id>"
+// — to dst. It is the one spelling of the form: datasets without labels
+// and deployments whose rows live elsewhere (shards, store files) name
+// their answers through it, so they look alike across modes.
+func AppendDefaultLabel(dst []byte, u int) []byte {
+	return strconv.AppendInt(append(dst, 'u'), int64(u), 10)
 }
 
 // SetLabels attaches human-readable labels (copied; may be shorter than N,

@@ -8,6 +8,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -60,39 +61,47 @@ func (h *Handler) nextCursorID() string {
 	return h.curPrefix + "-" + strconv.FormatUint(h.curSeq.Add(1), 10)
 }
 
-// openCursor handles POST /query with "cursor":true: it prepares the query
-// exactly like a one-shot run, suspends it as an engine cursor, registers
-// it, and serves the first page (the query's "stop after k" answers).
-// Cursors always carry a trace so any later page may ask for ?trace=1.
-func (h *Handler) openCursor(req QueryRequest, traced bool) (*QueryResponse, int, error) {
-	p, status, err := h.prepare(req, true)
+// openCursor handles POST /query with "cursor":true: it prepares the
+// statement exactly like a one-shot run, suspends it as an engine cursor,
+// registers it, and serves the first page (the query's "stop after k"
+// answers) into buf. Cursors always carry a trace so any later page may ask
+// for ?trace=1.
+func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int, error) {
+	var scratch [maxRunOptions]topk.RunOption
+	eng, opts, tr, status, err := h.prepare(scratch[:0], st, true)
 	if err != nil {
-		return nil, status, err
+		return status, err
 	}
-	cur, err := p.eng.Open(topk.Query{F: p.pq.Func, K: p.pq.K}, p.opts...)
+	cur, err := eng.Open(topk.Query{F: st.pq.Func, K: st.pq.K}, opts...)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
-	lc := &liveCursor{id: h.nextCursorID(), query: p.pq.String(), tr: p.tr, cur: cur}
+	lc := &liveCursor{id: h.nextCursorID(), query: st.query, tr: tr, cur: cur}
 	lc.touch()
 	if err := h.register(lc); err != nil {
 		_ = cur.Close()
-		return nil, http.StatusServiceUnavailable, err
+		return http.StatusServiceUnavailable, err
 	}
-	resp, err := lc.produce(h, p.pq.K, nil, traced)
-	if err != nil {
+	if err := lc.produce(h, buf, st.pq.K, nil, traced); err != nil {
 		h.unregister(lc, h.cursorClosed)
-		return nil, http.StatusInternalServerError, err
+		return http.StatusInternalServerError, err
 	}
-	return resp, http.StatusOK, nil
+	return http.StatusOK, nil
 }
 
 // handleNext serves POST /query/next: deepen an open cursor by k answers,
 // page it by score threshold, or close it. Pages run under the same
 // shedding, latency, and slow-query accounting as one-shot queries.
 func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putBuf(buf)
+	if !h.readPost(w, r, buf) {
+		return
+	}
 	var req NextRequest
-	if !h.decodePost(w, r, &req) {
+	if err := decodeStrict(buf.Bytes(), &req); err != nil {
+		h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if req.Cursor == "" {
@@ -111,26 +120,30 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 	if req.Close {
 		h.unregister(lc, h.cursorClosed)
 		h.queryOK.Inc()
-		writeJSON(w, http.StatusOK, &QueryResponse{Query: lc.query, Cursor: lc.id, Closed: true})
+		// The acknowledgement is an empty page that says so.
+		buf.Reset()
+		h.answer(buf, lc.query, &topk.Page{}, pagination{cursor: lc.id, closed: true}, nil, nil)
+		writeBody(w, http.StatusOK, buf.Bytes())
 		return
 	}
-	h.serve(w, r, "cursor page", lc.query, func(traced bool) (*QueryResponse, int, error) {
-		resp, err := lc.produce(h, req.K, req.Tau, traced)
+	h.serve(w, r, buf, "cursor page", lc.query, func(traced bool) (int, error) {
+		err := lc.produce(h, buf, req.K, req.Tau, traced)
 		if errors.Is(err, topk.ErrCursorClosed) {
 			// The reaper or a concurrent close won the race after lookup.
-			return nil, http.StatusNotFound, err
+			return http.StatusNotFound, err
 		}
-		return resp, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	})
 }
 
-// produce runs one page under its own deadline and assembles its response:
-// the page's new answers, the cursor's cumulative bill, and — when asked —
-// the cumulative trace tagged with the cursor's identity. The session —
-// and the paid-for state behind it — survives between requests, so each
-// page binds a fresh QueryTimeout context for just the duration of the
-// call.
-func (lc *liveCursor) produce(h *Handler, k int, tau *float64, traced bool) (*QueryResponse, error) {
+// produce runs one page under its own deadline and encodes its response
+// into buf: the page's new answers, the cursor's cumulative bill, and —
+// when asked — the cumulative trace tagged with the cursor's identity. The
+// session — and the paid-for state behind it — survives between requests,
+// so each page binds a fresh QueryTimeout context for just the duration of
+// the call. The page is encoded before the lock is released: nothing the
+// next page may reuse is read after it.
+func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64, traced bool) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.touch()
@@ -150,21 +163,18 @@ func (lc *liveCursor) produce(h *Handler, k int, tau *float64, traced bool) (*Qu
 	lc.cur.Bind(nil)
 	cancel()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lc.page++
 	h.cursorPages.Inc()
 	lc.touch()
-	tr := lc.tr
-	if !traced {
-		tr = nil
+	pg := pagination{cursor: lc.id, page: lc.page}
+	if traced {
+		h.answer(buf, lc.query, page, pg, lc.tr, &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted})
+	} else {
+		h.answer(buf, lc.query, page, pg, nil, nil)
 	}
-	resp := h.respond(lc.query, page, tr)
-	resp.Cursor, resp.Page = lc.id, lc.page
-	if resp.Trace != nil {
-		resp.Trace.Cursor = &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted}
-	}
-	return resp, nil
+	return nil
 }
 
 // register adds a cursor to the registry, enforcing the open-cursor cap,

@@ -410,15 +410,19 @@ func TestServiceCursorOpenExpireCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	req := QueryRequest{
+	// One statement, prepared by its first open and reused by the rest, as
+	// a repeated body would be.
+	st := &statement{req: QueryRequest{
 		SQL:       "select name from db order by min(p1, p2) stop after 2",
 		Algorithm: "nc", H: []float64{0.5, 0.5},
 		Cursor: true,
-	}
+	}}
+	var buf bytes.Buffer
 	goroutinesBefore := runtime.NumGoroutine()
 	const cycles = 10_000
 	for i := 0; i < cycles; i++ {
-		if _, status, err := h.openCursor(req, false); err != nil {
+		buf.Reset()
+		if status, err := h.openCursor(&buf, st, false); err != nil {
 			t.Fatalf("cycle %d: open failed (%d): %v", i, status, err)
 		}
 		// Expire in batches so the registry sometimes holds several
@@ -440,7 +444,7 @@ func TestServiceCursorOpenExpireCycles(t *testing.T) {
 	if after := runtime.NumGoroutine(); after > goroutinesBefore+3 {
 		t.Errorf("goroutines grew %d -> %d across churn", goroutinesBefore, after)
 	}
-	if _, status, err := h.openCursor(req, false); err != nil || status != 200 {
+	if status, err := h.openCursor(&buf, st, false); err != nil || status != 200 {
 		t.Errorf("handler unhealthy after churn: %d %v", status, err)
 	}
 }

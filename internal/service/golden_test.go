@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -23,10 +22,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the 
 // goldenModes are the four deployment shapes of a Handler. Each builds its
 // Config over the same dataset, columns and scenario, so the goldens differ
 // only by what the mode itself adds to /metrics and ?trace=1.
-var goldenModes = []struct {
-	name  string
-	setup func(t *testing.T, ds *data.Dataset, cfg *Config)
-}{
+var goldenModes = []goldenMode{
 	{"memory", func(t *testing.T, ds *data.Dataset, cfg *Config) { cfg.Dataset = ds }},
 	{"sharing", func(t *testing.T, ds *data.Dataset, cfg *Config) {
 		cfg.Dataset = ds
@@ -63,57 +59,98 @@ var goldenModes = []struct {
 // goldenScript is the fixed traffic every mode serves before its scrape:
 // both plan-cache outcomes, an explicit NC plan, a baseline, a budget
 // cutoff, a simulated-parallel run, a cursor's whole life, and a rejected
-// request — one query per family of series the handler exposes.
-func goldenScript(t *testing.T, ts goldenServer) {
-	t.Helper()
+// request — one query per family of series the handler exposes. It reports
+// the first exchange that did not go as scripted.
+func goldenScript(ts goldenServer) error {
 	const q = "select name from db order by min(p1, p2) stop after 5"
-	mustOK := func(path string, req any) []byte {
-		t.Helper()
+	expect := func(want int, path string, req any) ([]byte, error) {
 		code, body := ts.post(path, req)
-		if code != 200 {
-			t.Fatalf("%s %+v: status %d: %s", path, req, code, body)
+		if code != want {
+			return nil, fmt.Errorf("%s %+v: status %d, want %d: %s", path, req, code, want, body)
 		}
-		return body
+		return body, nil
 	}
-	mustOK("/query", QueryRequest{SQL: q})
-	mustOK("/query", QueryRequest{SQL: q})
-	mustOK("/query", QueryRequest{SQL: q, Algorithm: "nc", H: []float64{0.5, 0.5}, Omega: []int{0, 1}})
-	mustOK("/query", QueryRequest{SQL: "select name from db order by avg(p1, p3) stop after 4", Algorithm: "TA"})
-	mustOK("/query", QueryRequest{SQL: q, Budget: 12})
-	mustOK("/query", QueryRequest{SQL: "select name from db order by avg(p2, p3) stop after 6", Parallel: 4})
-
+	for _, req := range []QueryRequest{
+		{SQL: q},
+		{SQL: q},
+		{SQL: q, Algorithm: "nc", H: []float64{0.5, 0.5}, Omega: []int{0, 1}},
+		{SQL: "select name from db order by avg(p1, p3) stop after 4", Algorithm: "TA"},
+		{SQL: q, Budget: 12},
+		{SQL: "select name from db order by avg(p2, p3) stop after 6", Parallel: 4},
+	} {
+		if _, err := expect(200, "/query", req); err != nil {
+			return err
+		}
+	}
+	body, err := expect(200, "/query", QueryRequest{SQL: "select name from db order by wsum(p1, p2, p3) stop after 3", Cursor: true})
+	if err != nil {
+		return err
+	}
 	var opened QueryResponse
-	if err := json.Unmarshal(mustOK("/query", QueryRequest{SQL: "select name from db order by wsum(p1, p2, p3) stop after 3", Cursor: true}), &opened); err != nil {
+	if err := json.Unmarshal(body, &opened); err != nil {
+		return err
+	}
+	if _, err := expect(200, "/query/next", NextRequest{Cursor: opened.Cursor, K: 4}); err != nil {
+		return err
+	}
+	if _, err := expect(200, "/query/next", NextRequest{Cursor: opened.Cursor, Close: true}); err != nil {
+		return err
+	}
+	_, err = expect(400, "/query", QueryRequest{SQL: "not sql"})
+	return err
+}
+
+type goldenMode struct {
+	name  string
+	setup func(t *testing.T, ds *data.Dataset, cfg *Config)
+}
+
+// newGoldenHandler builds mode's handler over a uniform n x 3 dataset under
+// columns p1..p3. Cursor ids carry a per-handler random prefix; it is
+// pinned so recorded bodies repeat.
+func newGoldenHandler(t *testing.T, mode goldenMode, n int) *Handler {
+	t.Helper()
+	ds, err := data.Generate(data.Uniform, n, 3, 17)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mustOK("/query/next", NextRequest{Cursor: opened.Cursor, K: 4})
-	mustOK("/query/next", NextRequest{Cursor: opened.Cursor, Close: true})
-
-	if code, _ := ts.post("/query", QueryRequest{SQL: "not sql"}); code != 400 {
-		t.Fatalf("malformed SQL: status %d, want 400", code)
+	cfg := Config{
+		Columns:  []string{"p1", "p2", "p3"},
+		Scenario: access.Uniform(3, 1, 2),
 	}
+	mode.setup(t, ds, &cfg)
+	h, err := NewHandler(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	h.curPrefix = "golden"
+	return h
 }
 
 type goldenServer struct {
-	t *testing.T
 	h *Handler
+	// rec, when non-nil, receives every exchange as the client saw it: the
+	// request line and body, then the status and the response body verbatim.
+	rec *bytes.Buffer
 }
 
 // post drives the handler in process (no listener): the goldens pin what
 // the handler writes, not the transport.
 func (s goldenServer) post(path string, req any) (int, []byte) {
-	s.t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
-		s.t.Fatal(err)
+		return 0, []byte(err.Error())
 	}
-	return s.do("POST", path, bytes.NewReader(body))
+	return s.do("POST", path, body)
 }
 
-func (s goldenServer) do(method, path string, body io.Reader) (int, []byte) {
-	s.t.Helper()
+func (s goldenServer) do(method, path string, body []byte) (int, []byte) {
 	w := httptest.NewRecorder()
-	s.h.ServeHTTP(w, httptest.NewRequest(method, path, body))
+	s.h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if s.rec != nil {
+		fmt.Fprintf(s.rec, "> %s %s %s\n< %d %s", method, path, body, w.Code, w.Body.Bytes())
+	}
 	return w.Code, w.Body.Bytes()
 }
 
@@ -209,31 +246,21 @@ func lineDiff(want, got string) string {
 	return b.String()
 }
 
-// TestServedGoldens pins what an operator reads: the full /metrics
-// exposition after a fixed query script and one ?trace=1 body, in each of
-// the handler's four deployment modes. Every HELP/TYPE line, series name,
-// label set and counter value is compared byte for byte; wall-clock values
-// are masked.
+// TestServedGoldens pins what a client and an operator read: every plain
+// response body of a fixed query script, the full /metrics exposition after
+// it and one ?trace=1 body, in each of the handler's four deployment modes.
+// Bodies, every HELP/TYPE line, series name, label set and counter value
+// are compared byte for byte; wall-clock values are masked.
 func TestServedGoldens(t *testing.T) {
 	for _, mode := range goldenModes {
 		t.Run(mode.name, func(t *testing.T) {
-			ds, err := data.Generate(data.Uniform, 300, 3, 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{
-				Columns:  []string{"p1", "p2", "p3"},
-				Scenario: access.Uniform(3, 1, 2),
-			}
-			mode.setup(t, ds, &cfg)
-			h, err := NewHandler(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(h.Close)
-			srv := goldenServer{t: t, h: h}
+			srv := goldenServer{h: newGoldenHandler(t, mode, 300), rec: new(bytes.Buffer)}
 
-			goldenScript(t, srv)
+			if err := goldenScript(srv); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, mode.name+".bodies", srv.rec.Bytes())
+			srv.rec = nil
 			code, body := srv.post("/query?trace=1", QueryRequest{SQL: "select name from db order by avg(p1, p2, p3) stop after 3"})
 			if code != 200 {
 				t.Fatalf("traced query: status %d: %s", code, body)

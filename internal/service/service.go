@@ -43,6 +43,12 @@
 // accesses, and optimizer statistics. On cursor pages the trace is
 // cumulative and carries a "cursor" identity block.
 //
+// A repeated POST /query body is a prepared statement: the handler looks
+// the body's bytes up in a bounded statement cache and, on a hit, skips
+// JSON decoding, SQL parsing and binding; plain answers are written by a
+// direct encoder whose bytes equal encoding/json's (DESIGN.md §10, "The
+// served request, front to back"). Bodies over 1 MiB are refused with 413.
+//
 // The service is fault-tolerant by construction: every query runs under a
 // deadline (Config.QueryTimeout) with per-access timeouts and shared
 // circuit breakers (one per dataset predicate and access kind), so a
@@ -72,6 +78,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/cluster"
 	"repro/internal/data"
+	"repro/internal/kit"
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/sqlq"
@@ -239,13 +246,28 @@ type Handler struct {
 	// base is the stack every projection starts from, picked once: the
 	// coordinator, the store or the dataset backend, under shared — the
 	// cross-query access-sharing layer over the full database — when
-	// Config.EnableSharing. label names answer objects: the dataset's
-	// labels locally, the synthesized u<id> form in cluster and store mode
-	// (shards and store files hold scores, not row metadata). Projection
-	// never renumbers objects, so one label function serves every query.
+	// Config.EnableSharing. Answers are named by Config.Dataset's labels —
+	// a nil dataset, in cluster and store mode (shards and store files hold
+	// scores, not row metadata), labels every object u<id>. Projection never
+	// renumbers objects, so one label source serves every query.
 	base   topk.Backend
 	shared *topk.SharedAccess
-	label  func(int) string
+
+	// stmts caches prepared statements by the request body that spelled
+	// them, most recently used first: a repeated POST /query finds its
+	// decoded request, parsed and bound query, canonical string and run
+	// options in one lookup. Everything a statement is built from — the
+	// body, Config.Columns, Config.Optimizer, Config.AdaptivePeriod — is
+	// fixed for the handler's life, so entries never go stale and eviction
+	// is the only removal. stmtHits and stmtMisses count lookups, read at
+	// scrape.
+	stmtMu     sync.Mutex
+	stmts      *kit.LRU[string, *statement]
+	stmtHits   atomic.Uint64
+	stmtMisses atomic.Uint64
+	// observed streams an untraced run's events into metrics: one option
+	// value shared by every such run instead of a closure per request.
+	observed topk.RunOption
 
 	// engines caches one projection (engine, resilience) per
 	// column list, most recently used first, at most maxEngines of them.
@@ -277,11 +299,10 @@ type Handler struct {
 // NewHandler validates the configuration and builds the service.
 func NewHandler(cfg Config) (*Handler, error) {
 	var base topk.Backend
-	label := clusterLabel
 	sources := 0
 	if cfg.Dataset != nil {
 		sources++
-		base, label = topk.DataBackend(cfg.Dataset), cfg.Dataset.Label
+		base = topk.DataBackend(cfg.Dataset)
 	}
 	if cfg.Cluster != nil {
 		sources++
@@ -331,7 +352,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		base:      base,
-		label:     label,
+		stmts:     kit.NewLRU[string, *statement](maxStatements),
 		reg:       reg,
 		metrics:   obs.NewMetrics(reg),
 		logger:    logger,
@@ -350,6 +371,15 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cursorExpired: reg.Counter("topk_cursor_expired_total", "Idle cursors expired by the TTL reaper."),
 		cursorOpenG:   reg.Gauge("topk_cursor_open", "Server-side cursors currently open."),
 	}
+	h.observed = topk.WithObserver(h.metrics)
+	const stmtHelp = "POST /query bodies by prepared-statement cache outcome."
+	reg.CounterFunc("topk_statement_cache_total", stmtHelp, h.stmtHits.Load, obs.L("result", "hit"))
+	reg.CounterFunc("topk_statement_cache_total", stmtHelp, h.stmtMisses.Load, obs.L("result", "miss"))
+	reg.GaugeFunc("topk_statement_cache_entries", "Prepared statements currently cached.", func() int64 {
+		h.stmtMu.Lock()
+		defer h.stmtMu.Unlock()
+		return int64(h.stmts.Len())
+	})
 	// The base layer's own counters join the service's scrape, read when
 	// it is scraped rather than written a second time per access.
 	if cfg.Cluster != nil {
@@ -481,11 +511,11 @@ type errPayload struct {
 	Error string `json:"error"`
 }
 
-// bufPool recycles response buffers across requests: JSON answers and
-// metric expositions are encoded into a pooled buffer and written with a
-// single syscall-sized Write, instead of allocating an encoder stream per
-// response. Buffers that grew beyond maxPooledBuf are dropped rather than
-// pinned in the pool.
+// bufPool recycles request-sized buffers: a POST's body is read into one,
+// looked up, and the same buffer then takes the encoded answer, written
+// with a single syscall-sized Write; metric expositions stream through one
+// too. Buffers that grew beyond maxPooledBuf are dropped rather than pinned
+// in the pool.
 var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
 const maxPooledBuf = 1 << 20
@@ -496,14 +526,28 @@ func putBuf(b *bytes.Buffer) {
 	}
 }
 
+// jsonContentType is the Content-Type value of every JSON response, one
+// slice shared by all of them: net/http copies header values out when the
+// status line is written and never writes into them.
+var jsonContentType = []string{"application/json"}
+
+// writeBody sends a finished JSON body in one Write with an exact
+// Content-Length.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	hdr := w.Header()
+	hdr["Content-Type"] = jsonContentType
+	hdr["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
+// writeJSON answers with v through encoding/json: errors, /meta and every
+// other body off the query path.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	_ = json.NewEncoder(buf).Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, status, buf.Bytes())
 	putBuf(buf)
 }
 
@@ -558,21 +602,42 @@ func (h *Handler) handleMeta(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodePost is the front half of both POST endpoints: it enforces the
-// method and decodes the JSON body into req, answering the request itself
-// (and reporting false) when either fails.
-func (h *Handler) decodePost(w http.ResponseWriter, r *http.Request, req any) bool {
+// maxBody caps a POST body.
+const maxBody = 1 << 20
+
+// readPost is the front half of both POST endpoints: it enforces the method
+// and reads the body into buf, answering the request itself (and reporting
+// false) when the method is wrong, the read fails or the body is over
+// maxBody.
+func (h *Handler) readPost(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errPayload{Error: "POST required"})
 		return false
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
-		return false
+	// Read one byte past the cap, so a body at it and one over it differ.
+	for buf.Len() <= maxBody {
+		buf.Grow(bytes.MinRead)
+		b := buf.AvailableBuffer()
+		n, err := r.Body.Read(b[:min(cap(b), maxBody+1-buf.Len())])
+		buf.Write(b[:n])
+		if err == io.EOF {
+			return true
+		}
+		if err != nil {
+			h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
+			return false
+		}
 	}
-	return true
+	h.reject(w, http.StatusRequestEntityTooLarge, "request body too large")
+	return false
+}
+
+// decodeStrict decodes the JSON value at the front of body into req,
+// refusing fields req does not declare.
+func decodeStrict(body []byte, req any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(req)
 }
 
 // reject answers a failed request and counts it.
@@ -582,10 +647,10 @@ func (h *Handler) reject(w http.ResponseWriter, status int, msg string) {
 }
 
 // serve is the back half of both POST endpoints: shed past MaxInflight,
-// run the engine work under the latency histogram and the slow-query log
-// (what names the unit of work, query the SQL it belongs to), count the
-// outcome and write the response.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, what, query string, run func(traced bool) (*QueryResponse, int, error)) {
+// run the engine work — which leaves the encoded answer in buf — under the
+// latency histogram and the slow-query log (what names the unit of work,
+// query the SQL it belongs to), count the outcome and write the response.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, what, query string, run func(traced bool) (int, error)) {
 	if max := h.cfg.MaxInflight; max > 0 {
 		if h.inflight.Add(1) > int64(max) {
 			h.inflight.Add(-1)
@@ -597,7 +662,9 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, what, query stri
 		defer h.inflight.Add(-1)
 	}
 	start := time.Now()
-	resp, status, err := run(r.URL.Query().Get("trace") == "1")
+	buf.Reset()
+	// Most requests carry no query string: skip building its url.Values.
+	status, err := run(r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1")
 	elapsed := time.Since(start)
 	h.querySec.Observe(elapsed.Seconds())
 	if t := h.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
@@ -609,66 +676,142 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, what, query stri
 		return
 	}
 	h.queryOK.Inc()
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !h.decodePost(w, r, &req) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putBuf(buf)
+	if !h.readPost(w, r, buf) {
 		return
 	}
-	h.serve(w, r, "query", req.SQL, func(traced bool) (*QueryResponse, int, error) {
-		if req.Cursor {
-			return h.openCursor(req, traced)
+	st := h.cachedStatement(buf.Bytes())
+	if st == nil {
+		// A body not seen before (or not cacheable): decode it here, where
+		// a malformed one is refused before it counts as a query; prepare
+		// parses and binds it inside serve, where a bad query is counted
+		// and timed like any other, and caches what it made.
+		st = new(statement)
+		if err := decodeStrict(buf.Bytes(), &st.req); err != nil {
+			h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
+			return
 		}
-		return h.execute(r.Context(), req, traced)
+		if buf.Len() <= maxStatementBody {
+			st.key = buf.String()
+		}
+	}
+	h.serve(w, r, buf, "query", st.req.SQL, func(traced bool) (int, error) {
+		if st.req.Cursor {
+			return h.openCursor(buf, st, traced)
+		}
+		return h.execute(r.Context(), buf, st, traced)
 	})
 }
 
-// prepared is one parsed, bound, and configured query that has not run
-// yet: everything the one-shot path (execute) and the cursor path
-// (openCursor) share. opts deliberately excludes the context — one-shot
-// runs attach the HTTP request's, cursors rebind a fresh deadline per page.
-type prepared struct {
-	pq   *sqlq.Query
-	eng  *topk.Engine
-	opts []topk.RunOption
-	tr   *obs.QueryTrace
+// maxStatements bounds the statement cache; bodies over maxStatementBody
+// are served but not cached, so the cache holds at most their product in
+// keys. An application asks few statements many times: past the bound the
+// least recently used one is dropped and prepared again on demand.
+const (
+	maxStatements    = 1024
+	maxStatementBody = 2048
+)
+
+// statement is one POST /query body decoded, parsed and bound — a pure
+// function of the body and the handler's fixed configuration, so a cached
+// one is exactly what decoding the same bytes again would produce. It
+// holds cols, not the projection they select: projectionFor stays the
+// per-request lookup that keeps one projection on one engine. A statement
+// fresh from decoding has only req and key set; prepare fills in the rest
+// and publishes it, after which nothing writes to it.
+type statement struct {
+	key   string // the body, to cache it under ("" when over maxStatementBody)
+	req   QueryRequest
+	pq    *sqlq.Query
+	cols  []int
+	query string           // pq.String(): the response's "query" field
+	opts  []topk.RunOption // what the request fixes of a run: algorithm, budget, epsilon, parallel
 }
 
-// clusterLabel names objects when no local dataset carries labels — the
-// same default form data.Dataset falls back to, so answers look alike
-// across deployment modes.
-func clusterLabel(u int) string { return fmt.Sprintf("u%d", u) }
+// cachedStatement looks body up among the prepared statements, counting
+// the outcome.
+func (h *Handler) cachedStatement(body []byte) *statement {
+	h.stmtMu.Lock()
+	st, ok := kit.GetBytes(h.stmts, body)
+	h.stmtMu.Unlock()
+	if !ok {
+		h.stmtMisses.Add(1)
+		return nil
+	}
+	h.stmtHits.Add(1)
+	return st
+}
 
-// prepare parses, binds, and configures one query request against the
-// configured database: the cached projection its columns select (backend
-// composition, engine, resilience) and the algorithm/budget/epsilon/
-// parallel options. The engine run always feeds the service metrics; when
-// traced, a per-query trace rides along.
-func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error) {
+// maxRunOptions is the most options a served run carries: observer,
+// resilience and context around a statement's own, which are at most
+// optimizer, budget, epsilon and parallel together. Callers of prepare
+// hand it a stack array of this size to assemble them in.
+const maxRunOptions = 8
+
+// prepare configures one statement to run against the configured database
+// — everything the one-shot path (execute) and the cursor path (openCursor)
+// share: a fresh statement is first parsed, bound and, once all of that
+// succeeded, cached for the requests that repeat its body; a cached one
+// skips straight to the projection its columns select (backend composition,
+// engine, resilience). Either way the parse and plan phases are reported,
+// so phase counts stay one per query. It returns the engine to run on, the
+// run options appended to dst — without the context: one-shot runs attach
+// the HTTP request's, cursors rebind a fresh deadline per page — and, when
+// traced, the per-query trace riding along beside the service metrics every
+// run feeds. (Separate results, not a struct: the engine escapes into its
+// run, and a struct would drag dst's stack array to the heap with it.)
+func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (eng *topk.Engine, opts []topk.RunOption, tr *obs.QueryTrace, status int, err error) {
 	var o obs.Observer = h.metrics
-	var tr *obs.QueryTrace
+	observed := h.observed
 	if traced {
 		tr = obs.NewQueryTrace()
 		o = obs.Multi(h.metrics, tr)
+		observed = topk.WithObserver(o)
 	}
 	parseStart := time.Now()
-	pq, err := sqlq.Parse(req.SQL)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
+	fresh := st.pq == nil
+	if fresh {
+		if st.pq, err = sqlq.Parse(st.req.SQL); err != nil {
+			return nil, nil, nil, http.StatusBadRequest, err
+		}
+		st.cols, err = sqlq.Bind(st.pq, h.cfg.Columns)
 	}
-	cols, err := sqlq.Bind(pq, h.cfg.Columns)
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseParse), Value: time.Since(parseStart).Seconds()})
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, nil, nil, http.StatusBadRequest, err
 	}
 	planStart := time.Now()
-	proj, status, err := h.projectionFor(cols)
+	proj, status, err := h.projectionFor(st.cols)
 	if err != nil {
-		return nil, status, err
+		return nil, nil, nil, status, err
 	}
-	opts := []topk.RunOption{topk.WithObserver(o), topk.WithResilience(proj.res)}
+	if fresh {
+		if st.opts, err = h.requestOptions(&st.req); err != nil {
+			return nil, nil, nil, http.StatusBadRequest, err
+		}
+		st.query = st.pq.String()
+		if st.key != "" {
+			h.stmtMu.Lock()
+			h.stmts.Put(st.key, st)
+			h.stmtMu.Unlock()
+		}
+	}
+	opts = append(append(dst, observed, proj.resilient), st.opts...)
+	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
+	return proj.eng, opts, tr, http.StatusOK, nil
+}
+
+// requestOptions assembles the run options a request's own fields fix:
+// algorithm, budget, epsilon and parallel. Observer, resilience and context
+// belong to the run, not the statement, and are added around these.
+func (h *Handler) requestOptions(req *QueryRequest) ([]topk.RunOption, error) {
+	opts := make([]topk.RunOption, 0, 4)
 	switch alg := req.Algorithm; {
 	case alg == "" || alg == "opt":
 		// The engine's plan cache (shared across queries via h.plans)
@@ -682,7 +825,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 		}
 	case alg == "nc":
 		if req.H == nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("service: algorithm \"nc\" requires h")
+			return nil, fmt.Errorf("service: algorithm \"nc\" requires h")
 		}
 		opts = append(opts, topk.WithNC(req.H, req.Omega))
 	default:
@@ -697,8 +840,7 @@ func (h *Handler) prepare(req QueryRequest, traced bool) (*prepared, int, error)
 	if req.Parallel > 0 {
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
-	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
-	return &prepared{pq: pq, eng: proj.eng, opts: opts, tr: tr}, http.StatusOK, nil
+	return opts, nil
 }
 
 // maxEngines bounds the projection cache. A database of m columns has more
@@ -713,7 +855,9 @@ const maxEngines = 32
 type projection struct {
 	cols []int
 	eng  *topk.Engine
-	res  *topk.Resilience
+	// resilient attaches the projection's breaker map and access timeout
+	// to a run: built once here, not as a closure per request.
+	resilient topk.RunOption
 }
 
 // projectionFor returns the cached projection for cols, building it on
@@ -807,36 +951,62 @@ func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
 	if h.cfg.AccessTimeout > 0 {
 		res.AccessTimeout = h.cfg.AccessTimeout
 	}
-	return &projection{cols: cols, eng: eng, res: res}, http.StatusOK, nil
+	return &projection{cols: cols, eng: eng, resilient: topk.WithResilience(res)}, http.StatusOK, nil
 }
 
-// execute runs one query request to completion. The context (the HTTP
-// request's) cancels the run when the client goes away.
-func (h *Handler) execute(ctx context.Context, req QueryRequest, traced bool) (*QueryResponse, int, error) {
+// execute runs one statement to completion, leaving the encoded answer in
+// buf. The context (the HTTP request's) cancels the run when the client
+// goes away.
+func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement, traced bool) (int, error) {
 	if t := h.cfg.QueryTimeout; t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	p, status, err := h.prepare(req, traced)
+	var scratch [maxRunOptions]topk.RunOption
+	eng, opts, tr, status, err := h.prepare(scratch[:0], st, traced)
 	if err != nil {
-		return nil, status, err
+		return status, err
 	}
-	ans, err := p.eng.Run(topk.Query{F: p.pq.Func, K: p.pq.K}, append(p.opts, topk.WithContext(ctx))...)
+	ans, err := eng.Run(topk.Query{F: st.pq.Func, K: st.pq.K}, append(opts, topk.WithContext(ctx))...)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
 	// A one-shot answer is the single page of the cursor it never opened.
 	page := topk.Page{Items: ans.Items, Ledger: ans.Ledger, Truncated: ans.Truncated, Degraded: ans.Degraded, Plan: ans.Plan}
-	return h.respond(p.pq.String(), &page, p.tr), http.StatusOK, nil
+	h.answer(buf, st.query, &page, pagination{}, tr, nil)
+	return http.StatusOK, nil
 }
 
-// respond assembles the response every answering path shares: the page's
-// items under the database's labels, the cumulative bill, the plan in
-// force and — when tr is non-nil — the trace with the sharing layer's and
-// the cluster's snapshots beside it. Cursor pages add their pagination
-// fields on top.
-func (h *Handler) respond(query string, page *topk.Page, tr *obs.QueryTrace) *QueryResponse {
+// answer encodes the response every answering path shares into buf. A
+// plain request (tr nil) goes through the direct encoder; a traced one
+// builds the QueryResponse and adds the trace — tagged with cur on cursor
+// pages — and the sharing layer's and the cluster's snapshots beside it,
+// through encoding/json.
+func (h *Handler) answer(buf *bytes.Buffer, query string, page *topk.Page, pg pagination, tr *obs.QueryTrace, cur *obs.CursorTrace) {
+	if tr == nil {
+		buf.Write(appendQueryResponse(buf.AvailableBuffer(), h.cfg.Dataset, query, page, pg))
+		return
+	}
+	resp := newQueryResponse(h.cfg.Dataset, query, page, pg)
+	snap := tr.Snapshot()
+	snap.Cursor = cur
+	resp.Trace = &snap
+	if h.shared != nil {
+		s := h.shared.Stats()
+		resp.Share = &s
+	}
+	if h.cfg.Cluster != nil {
+		cs := h.cfg.Cluster.Stats()
+		resp.Cluster = &cs
+	}
+	_ = json.NewEncoder(buf).Encode(resp)
+}
+
+// newQueryResponse assembles the untraced QueryResponse for page: what
+// appendQueryResponse writes without building, kept for the traced path
+// and as the encoder's reference.
+func newQueryResponse(labels *data.Dataset, query string, page *topk.Page, pg pagination) *QueryResponse {
 	resp := &QueryResponse{
 		Query:          query,
 		Cost:           page.Ledger.TotalCost.Units(),
@@ -844,30 +1014,21 @@ func (h *Handler) respond(query string, page *topk.Page, tr *obs.QueryTrace) *Qu
 		SortedAccesses: page.Ledger.SortedCounts,
 		RandomAccesses: page.Ledger.RandomCounts,
 		Degraded:       page.Degraded,
+		Cursor:         pg.cursor,
+		Page:           pg.page,
 		Exhausted:      page.Exhausted,
+		Closed:         pg.closed,
 	}
 	for _, it := range page.Items {
 		resp.Items = append(resp.Items, QueryItem{
 			Object: it.Obj,
-			Label:  h.label(it.Obj),
+			Label:  labels.Label(it.Obj),
 			Score:  it.Score,
 			Exact:  it.Exact,
 		})
 	}
 	if page.Plan != nil {
 		resp.Plan = &PlanPayload{H: page.Plan.H, Omega: page.Plan.Omega}
-	}
-	if tr != nil {
-		snap := tr.Snapshot()
-		resp.Trace = &snap
-		if h.shared != nil {
-			s := h.shared.Stats()
-			resp.Share = &s
-		}
-		if h.cfg.Cluster != nil {
-			cs := h.cfg.Cluster.Stats()
-			resp.Cluster = &cs
-		}
 	}
 	return resp
 }

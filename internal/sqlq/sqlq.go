@@ -44,10 +44,30 @@ type Query struct {
 	K int
 }
 
-// String reassembles the canonical form of the query.
+// String reassembles the canonical form of the query, which Parse accepts
+// and maps back to an equivalent Query. A weighted sum prints each weight
+// in front of its predicate, in plain decimal notation (the only one the
+// grammar's number token has).
 func (q *Query) String() string {
-	return fmt.Sprintf("select %s from %s order by %s(%s) stop after %d",
-		q.Select, q.From, q.Func.Name(), strings.Join(q.Predicates, ", "), q.K)
+	var b strings.Builder
+	fmt.Fprintf(&b, "select %s from %s order by ", q.Select, q.From)
+	if w, ok := q.Func.(score.Weighter); ok {
+		b.WriteString("wsum(")
+		for i, wi := range w.Weights() {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(strconv.FormatFloat(wi, 'f', -1, 64))
+			b.WriteByte('*')
+			b.WriteString(q.Predicates[i])
+		}
+	} else {
+		b.WriteString(q.Func.Name())
+		b.WriteByte('(')
+		b.WriteString(strings.Join(q.Predicates, ", "))
+	}
+	fmt.Fprintf(&b, ") stop after %d", q.K)
+	return b.String()
 }
 
 type tokenKind int

@@ -44,6 +44,11 @@ func TestParseWeightedSum(t *testing.T) {
 	if math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("weight binding wrong: F(1,0) = %g", got)
 	}
+	// The canonical form carries each weight on its predicate, as the
+	// grammar takes it — not inside the function name.
+	if want := "select id from t order by wsum(0.3*a, 0.7*b) stop after 10"; q.String() != want {
+		t.Errorf("canonical form = %q, want %q", q.String(), want)
+	}
 	// Unweighted args inside wsum default to weight 1.
 	q, err = Parse("select id from t order by wsum(a, 2*b) stop after 1")
 	if err != nil {
