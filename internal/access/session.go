@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/data"
+	"repro/internal/kit"
 	"repro/internal/obs"
 )
 
@@ -208,9 +209,14 @@ type Session struct {
 	nwg     bool
 	ctx     context.Context
 
-	cursor  []int    // next rank per predicate
-	probed  [][]bool // probed[pred][obj]
-	seen    []bool
+	cursor []int // next rank per predicate
+	// Per-object history lives behind an object index, in slot arrays that
+	// grow with the objects the run has seen or probed: 4 bytes per object
+	// of the universe, everything else per object touched. Reset leaves the
+	// slot arrays alone; touch zeroes a slot when it hands it out.
+	idx     kit.ObjIndex
+	probed  []bool //topklint:allow resetcomplete slot fact (slot*m+pred): unreachable once Reset empties the index, zeroed by touch on reuse
+	seen    []bool //topklint:allow resetcomplete slot fact: unreachable once Reset empties the index, zeroed by touch on reuse
 	nseen   int
 	ns, nr  []int
 	cost    Cost
@@ -291,15 +297,12 @@ func NewSession(b Backend, scn Scenario, opts ...Option) (*Session, error) {
 		backend: b,
 		scn:     scn,
 		cursor:  make([]int, m),
-		probed:  make([][]bool, m),
-		seen:    make([]bool, n),
+		idx:     kit.NewObjIndex(n),
 		ns:      make([]int, m),
 		nr:      make([]int, m),
 		current: make([]PredCost, m),
 	}
-	for i := range s.probed {
-		s.probed[i] = make([]bool, n)
-	}
+	s.grow()
 	if err := s.Reset(opts...); err != nil {
 		return nil, err
 	}
@@ -319,10 +322,7 @@ func (s *Session) Reset(opts ...Option) error {
 	s.actx.retire()
 	s.actx = nil
 	clear(s.cursor)
-	for i := range s.probed {
-		clear(s.probed[i])
-	}
-	clear(s.seen)
+	s.idx.Reset()
 	s.nseen = 0
 	clear(s.ns)
 	clear(s.nr)
@@ -354,6 +354,38 @@ func (s *Session) Reset(opts ...Option) error {
 		s.syncBreakers()
 	}
 	return nil
+}
+
+// grow resizes the slot arrays to the index's next capacity (cold path: a
+// pooled session stops growing once it has served its widest query).
+func (s *Session) grow() {
+	slots := s.idx.Grow()
+	m := s.backend.M()
+	probed := make([]bool, slots*m)
+	copy(probed, s.probed)
+	seen := make([]bool, slots)
+	copy(seen, s.seen)
+	s.probed, s.seen = probed, seen
+}
+
+// touch returns u's slot, assigning and zeroing one on first touch. u must
+// be in [0, N): ids from a backend are range-checked before they get here.
+//
+//topklint:hotpath
+func (s *Session) touch(u int) int {
+	if slot, ok := s.idx.Slot(u); ok {
+		return slot
+	}
+	if s.idx.Len() == s.idx.Cap() {
+		//topklint:allow hotpathalloc lazy slot growth: a pooled session stops growing at its widest query, every later touch reuses slots
+		s.grow()
+	}
+	slot := s.idx.Add(u)
+	for i, m := 0, len(s.cursor); i < m; i++ { // m is small: cheaper than a memclr call
+		s.probed[slot*m+i] = false
+	}
+	s.seen[slot] = false
+	return slot
 }
 
 // ResetScenario is Reset under a different cost scenario over the same
@@ -412,7 +444,10 @@ func (s *Session) Costs(i int) PredCost { return s.current[i] }
 func (s *Session) NoWildGuesses() bool { return s.nwg }
 
 // Seen reports whether object u has been returned by any sorted access.
-func (s *Session) Seen(u int) bool { return s.seen[u] }
+func (s *Session) Seen(u int) bool {
+	slot, ok := s.idx.Slot(u)
+	return ok && s.seen[slot]
+}
 
 // SeenCount returns how many distinct objects have been seen.
 func (s *Session) SeenCount() int { return s.nseen }
@@ -425,7 +460,10 @@ func (s *Session) SortedDepth(i int) int { return s.cursor[i] }
 func (s *Session) SortedExhausted(i int) bool { return s.cursor[i] >= s.backend.N() }
 
 // Probed reports whether ra_i(u) has already been performed.
-func (s *Session) Probed(i, u int) bool { return s.probed[i][u] }
+func (s *Session) Probed(i, u int) bool {
+	slot, ok := s.idx.Slot(u)
+	return ok && s.probed[slot*len(s.cursor)+i]
+}
 
 func (s *Session) applyShifts() {
 	for _, sh := range s.shifts {
@@ -652,6 +690,16 @@ func (s *Session) failAccess(kind Kind, i int, err error) error {
 	return err
 }
 
+// rangeViolation is the refusal of a sorted answer naming an object outside
+// the universe: nothing the session keeps per object can hold it, so it is
+// turned away unbilled like any other broken contract.
+func rangeViolation(pred, obj, n int) error {
+	return &ContractViolationError{
+		Kind: SortedAccess, Pred: pred, Reason: "range",
+		Detail: fmt.Sprintf("returned object %d outside universe [0,%d)", obj, n),
+	}
+}
+
 // SortedNext performs sa_i: it returns the next object in descending p_i
 // order along with its score, accruing cs_i. It fails with ErrExhausted at
 // the end of the list and ErrSortedUnsupported if the scenario forbids it.
@@ -686,6 +734,10 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 	rank := s.cursor[i]
 	obj, score, err = s.backend.Sorted(s.arm(), i, rank)
 	s.disarm()
+	if err == nil && (obj < 0 || obj >= s.idx.N()) {
+		//topklint:allow hotpathalloc error construction: the access is refused, which is off the billed path
+		err = rangeViolation(i, obj, s.idx.N())
+	}
 	if err != nil {
 		s.observeFailure(SortedAccess, i, err)
 		return 0, 0, s.failAccess(SortedAccess, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, rank, err))
@@ -695,8 +747,8 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 	s.ns[i]++
 	s.nAccess++
 	s.cost += s.current[i].Sorted
-	if !s.seen[obj] {
-		s.seen[obj] = true
+	if slot := s.touch(obj); !s.seen[slot] {
+		s.seen[slot] = true
 		s.nseen++
 	}
 	if s.traceOn {
@@ -728,11 +780,11 @@ func (s *Session) Random(i, u int) (float64, error) {
 		s.observeDenied(RandomAccess, i, obs.DenyUnsupported)
 		return 0, fmt.Errorf("%w: p%d", ErrRandomUnsupported, i+1)
 	}
-	if s.nwg && !s.seen[u] {
+	if s.nwg && !s.Seen(u) {
 		s.observeDenied(RandomAccess, i, obs.DenyWildGuess)
 		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrWildGuess, i+1, u)
 	}
-	if s.probed[i][u] {
+	if s.Probed(i, u) {
 		s.observeDenied(RandomAccess, i, obs.DenyRepeatedProbe)
 		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrRepeatedProbe, i+1, u)
 	}
@@ -752,7 +804,7 @@ func (s *Session) Random(i, u int) (float64, error) {
 		return 0, s.failAccess(RandomAccess, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, u, err))
 	}
 	s.recordBreaker(RandomAccess, i, true)
-	s.probed[i][u] = true
+	s.probed[s.touch(u)*len(s.cursor)+i] = true
 	s.nr[i]++
 	s.nAccess++
 	s.cost += s.current[i].Random

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/kit"
 )
 
 func fig3Dataset() *data.Dataset {
@@ -313,5 +315,169 @@ func TestWithContextCancellation(t *testing.T) {
 	// Nothing is charged for a refused access.
 	if got := s.Ledger().TotalCost; got != UnitCost {
 		t.Errorf("ledger after cancellation = %v, want %v", got, UnitCost)
+	}
+}
+
+// strayBackend answers one rank of one list with an object id outside the
+// universe, as a remote shard or a caller's own Backend is free to do.
+type strayBackend struct {
+	DatasetBackend
+	pred, rank, obj int
+}
+
+func (b strayBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	obj, s, err := b.DatasetBackend.Sorted(ctx, pred, rank)
+	if pred == b.pred && rank == b.rank {
+		obj = b.obj
+	}
+	return obj, s, err
+}
+
+// TestSortedObjectOutsideUniverse: an object id the backend made up is a
+// broken contract, refused before the ledger moves — not an index into the
+// session's own state. Without resilience the refusal is terminal; with it
+// the failure lands on the capability's breaker like any other.
+func TestSortedObjectOutsideUniverse(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 10, 2, 3)
+	for _, stray := range []int{ds.N(), ds.N() + 7, -1, math.MinInt32} {
+		for _, resilient := range []bool{false, true} {
+			var opts []Option
+			if resilient {
+				opts = append(opts, WithResilience(&Resilience{Breakers: NewBreakerSet(2, BreakerConfig{})}))
+			}
+			s, err := NewSession(strayBackend{DatasetBackend{DS: ds}, 0, 2, stray}, Uniform(2, 1, 1), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < 2; r++ {
+				if _, _, err := s.SortedNext(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := s.Ledger()
+			_, _, err = s.SortedNext(0)
+			var cve *ContractViolationError
+			if !errors.As(err, &cve) || cve.Reason != "range" || cve.Kind != SortedAccess || cve.Pred != 0 {
+				t.Fatalf("stray object %d (resilient=%v): got %v, want a range contract violation on sa1", stray, resilient, err)
+			}
+			if errors.Is(err, ErrAccessFailed) != resilient {
+				t.Errorf("stray object %d (resilient=%v): ErrAccessFailed wrap = %v", stray, resilient, !resilient)
+			}
+			after := s.Ledger()
+			if after.TotalCost != before.TotalCost || after.TotalAccesses() != before.TotalAccesses() ||
+				s.SortedDepth(0) != 2 || s.SeenCount() != 2 {
+				t.Errorf("stray object %d (resilient=%v): refused access moved the ledger: %+v -> %+v, depth %d, seen %d",
+					stray, resilient, before, after, s.SortedDepth(0), s.SeenCount())
+			}
+			// The list's other entries are still there to be had.
+			if _, _, err := s.SortedNext(1); err != nil {
+				t.Errorf("stray object %d (resilient=%v): the honest list stopped serving: %v", stray, resilient, err)
+			}
+		}
+	}
+}
+
+// TestSessionMatchesDenseReference drives random access sequences, across
+// Resets and both wild-guess modes, through a session and through the
+// dense probed/seen arrays it kept before the object index, comparing
+// every per-object answer and every legality verdict.
+func TestSessionMatchesDenseReference(t *testing.T) {
+	for _, n := range []int{1, 9, kit.MinSlots + 50} {
+		m := 3
+		ds := datatest.MustGenerate(data.Uniform, n, m, int64(n))
+		s, err := NewSession(DatasetBackend{DS: ds}, Uniform(m, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n) + 1))
+		nwg := true
+		probed := make([][]bool, m)
+		for i := range probed {
+			probed[i] = make([]bool, n)
+		}
+		seen := make([]bool, n)
+		nseen := 0
+		for step := 0; step < 6000; step++ {
+			i, u := rng.Intn(m), rng.Intn(n)
+			switch op := rng.Intn(100); {
+			case op < 45:
+				obj, _, err := s.SortedNext(i)
+				if errors.Is(err, ErrExhausted) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !seen[obj] {
+					seen[obj] = true
+					nseen++
+				}
+			case op < 98:
+				_, err := s.Random(i, u)
+				switch {
+				case nwg && !seen[u]:
+					if !errors.Is(err, ErrWildGuess) {
+						t.Fatalf("n=%d step %d: ra%d(u%d) on an unseen object returned %v", n, step, i+1, u, err)
+					}
+				case probed[i][u]:
+					if !errors.Is(err, ErrRepeatedProbe) {
+						t.Fatalf("n=%d step %d: repeated ra%d(u%d) returned %v", n, step, i+1, u, err)
+					}
+				case err != nil:
+					t.Fatalf("n=%d step %d: legal ra%d(u%d) refused: %v", n, step, i+1, u, err)
+				default:
+					probed[i][u] = true
+				}
+			default:
+				nwg = rng.Intn(2) == 0
+				var opts []Option
+				if !nwg {
+					opts = append(opts, WithoutNoWildGuesses())
+				}
+				if err := s.Reset(opts...); err != nil {
+					t.Fatal(err)
+				}
+				for i := range probed {
+					clear(probed[i])
+				}
+				clear(seen)
+				nseen = 0
+			}
+			if s.SeenCount() != nseen {
+				t.Fatalf("n=%d step %d: SeenCount = %d, dense reference says %d", n, step, s.SeenCount(), nseen)
+			}
+			for _, v := range []int{u, rng.Intn(n)} {
+				if s.Seen(v) != seen[v] {
+					t.Fatalf("n=%d step %d: Seen(u%d) = %v, dense reference says %v", n, step, v, s.Seen(v), seen[v])
+				}
+				for j := 0; j < m; j++ {
+					if s.Probed(j, v) != probed[j][v] {
+						t.Fatalf("n=%d step %d: Probed(p%d, u%d) = %v, dense reference says %v", n, step, j+1, v, s.Probed(j, v), probed[j][v])
+					}
+				}
+			}
+		}
+		// Walk one list to its end, so the largest universe outgrows the
+		// slots a session starts with, probing every object as it surfaces.
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			obj, _, err := s.SortedNext(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Probed(1, obj) || !s.Seen(obj) || s.SeenCount() != r+1 {
+				t.Fatalf("n=%d rank %d: u%d reads probed=%v seen=%v of %d seen", n, r, obj, s.Probed(1, obj), s.Seen(obj), s.SeenCount())
+			}
+			if _, err := s.Random(1, obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for u := 0; u < n; u++ {
+			if !s.Seen(u) || !s.Probed(1, u) || s.Probed(0, u) || s.Probed(2, u) {
+				t.Fatalf("n=%d: after the full walk u%d reads seen=%v probed=%v,%v,%v", n, u, s.Seen(u), s.Probed(0, u), s.Probed(1, u), s.Probed(2, u))
+			}
+		}
 	}
 }

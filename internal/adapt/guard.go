@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/access"
+	"repro/internal/kit"
 )
 
 // orderSlack absorbs float formatting round-trips (websim serves scores
@@ -41,15 +42,31 @@ func WithViolationCallback(fn func(kind access.Kind, pred int, reason string)) G
 	return func(g *Guard) { g.onViolation = fn }
 }
 
-// guardStream is the per-predicate witness state: everything the source
-// has claimed so far, indexed both by rank and by object, so each new
-// claim can be checked against every earlier one in O(1).
+// guardStream is the rank-indexed half of a predicate's witness state:
+// what the source served at each rank, as deep as any rank served so far.
+// With the guard's object-indexed half it lets each new claim be checked
+// against every earlier one in O(1).
 type guardStream struct {
 	rankScore []float64 // score served at each rank; NaN = not yet served
 	rankObj   []int32   // object served at each rank; -1 = not yet served
-	seenRank  []int32   // rank each object appeared at; -1 = not yet seen
-	value     []float64 // score attributed to each object; NaN = unknown
 	poisoned  bool      // fail-fast tripped: stream is quarantined
+}
+
+// at returns what was served at rank: (-1, NaN) if nothing was.
+func (st *guardStream) at(rank int) (obj int32, score float64) {
+	if rank < 0 || rank >= len(st.rankObj) {
+		return -1, math.NaN()
+	}
+	return st.rankObj[rank], st.rankScore[rank]
+}
+
+// record notes that rank served (obj, score).
+func (st *guardStream) record(rank, obj int, score float64) {
+	for len(st.rankObj) <= rank {
+		st.rankObj = append(st.rankObj, -1)
+		st.rankScore = append(st.rankScore, math.NaN())
+	}
+	st.rankObj[rank], st.rankScore[rank] = int32(obj), score
 }
 
 // Guard wraps an access.Backend and enforces the source contract on every
@@ -76,8 +93,15 @@ type Guard struct {
 	failFast    bool
 	onViolation func(kind access.Kind, pred int, reason string)
 
-	mu         sync.Mutex
-	streams    []guardStream // sized lazily per predicate
+	mu      sync.Mutex
+	streams []guardStream
+	// The object-indexed half of the witness: one slot per object any
+	// source has mentioned, holding one entry per predicate (slot*m+pred).
+	// The guard outlives queries, so it costs 4 bytes per object of the
+	// universe plus this, not four n-sized arrays per predicate.
+	idx        kit.ObjIndex
+	seenRank   []int32   // rank the object appeared at in pred's stream; -1 = not yet seen
+	value      []float64 // score attributed to the object on pred; NaN = unknown
 	violations map[string]int
 }
 
@@ -88,6 +112,7 @@ func NewGuard(inner access.Backend, opts ...GuardOption) *Guard {
 	g := &Guard{
 		inner:      inner,
 		streams:    make([]guardStream, inner.M()),
+		idx:        kit.NewObjIndex(inner.N()),
 		violations: make(map[string]int),
 	}
 	for _, o := range opts {
@@ -118,24 +143,19 @@ func (g *Guard) Violations() map[string]int {
 	return out
 }
 
-// stream returns pred's witness state, sizing it on first use. Caller
-// holds g.mu.
-func (g *Guard) stream(pred int) *guardStream {
-	st := &g.streams[pred]
-	if st.seenRank == nil {
-		n := g.inner.N()
-		st.rankScore = make([]float64, n)
-		st.rankObj = make([]int32, n)
-		st.seenRank = make([]int32, n)
-		st.value = make([]float64, n)
-		for i := 0; i < n; i++ {
-			st.rankScore[i] = math.NaN()
-			st.rankObj[i] = -1
-			st.seenRank[i] = -1
-			st.value[i] = math.NaN()
+// witness returns the position in seenRank and value of what the sources
+// have said about obj on pred, giving obj a slot at its first mention.
+// Caller holds g.mu and has checked obj against the universe.
+func (g *Guard) witness(pred, obj int) int {
+	slot, ok := g.idx.Slot(obj)
+	if !ok {
+		slot = g.idx.Add(obj)
+		for range g.streams {
+			g.seenRank = append(g.seenRank, -1)
+			g.value = append(g.value, math.NaN())
 		}
 	}
-	return st
+	return slot*len(g.streams) + pred
 }
 
 // reject records the violation and builds the error; the callback fires
@@ -166,17 +186,16 @@ func (g *Guard) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 	}
 
 	g.mu.Lock()
-	st := g.stream(pred)
+	st := &g.streams[pred]
 	if g.clampRange && !math.IsNaN(s) && !math.IsInf(s, 0) && (s < 0 || s > 1) {
 		g.violations["range"]++ // soft: counted, served clamped
 		s = math.Min(1, math.Max(0, s))
 	}
-	verr := g.vetSorted(st, pred, rank, obj, s)
+	w, verr := g.vetSorted(st, pred, rank, obj, s)
 	if verr == nil {
-		st.rankScore[rank] = s
-		st.rankObj[rank] = int32(obj)
-		st.seenRank[obj] = int32(rank)
-		st.value[obj] = s
+		st.record(rank, obj, s)
+		g.seenRank[w] = int32(rank)
+		g.value[w] = s
 	} else if g.failFast {
 		st.poisoned = true
 	}
@@ -189,46 +208,47 @@ func (g *Guard) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 	return obj, s, nil
 }
 
-// vetSorted checks one sorted response against the witness state. Caller
-// holds g.mu and has already applied the WithClampRange soft clamp, so an
-// out-of-range score reaching the range check here is always a hard
-// violation.
-func (g *Guard) vetSorted(st *guardStream, pred, rank, obj int, s float64) error {
+// vetSorted checks one sorted response against the witness state and
+// returns the object's witness position. Caller holds g.mu and has already
+// applied the WithClampRange soft clamp, so an out-of-range score reaching
+// the range check here is always a hard violation.
+func (g *Guard) vetSorted(st *guardStream, pred, rank, obj int, s float64) (int, error) {
 	if math.IsNaN(s) || math.IsInf(s, 0) {
-		return g.reject(access.SortedAccess, pred, "nan",
+		return 0, g.reject(access.SortedAccess, pred, "nan",
 			fmt.Sprintf("rank %d returned non-finite score %v", rank, s))
 	}
 	if s < 0 || s > 1 {
-		return g.reject(access.SortedAccess, pred, "range",
+		return 0, g.reject(access.SortedAccess, pred, "range",
 			fmt.Sprintf("rank %d returned score %g outside [0,1]", rank, s))
 	}
-	if obj < 0 || obj >= len(st.seenRank) {
-		return g.reject(access.SortedAccess, pred, "range",
-			fmt.Sprintf("rank %d returned object %d outside universe [0,%d)", rank, obj, len(st.seenRank)))
+	if n := g.idx.N(); obj < 0 || obj >= n {
+		return 0, g.reject(access.SortedAccess, pred, "range",
+			fmt.Sprintf("rank %d returned object %d outside universe [0,%d)", rank, obj, n))
 	}
-	if prev := st.seenRank[obj]; prev >= 0 && int(prev) != rank {
-		return g.reject(access.SortedAccess, pred, "dup",
+	w := g.witness(pred, obj)
+	if prev := g.seenRank[w]; prev >= 0 && int(prev) != rank {
+		return 0, g.reject(access.SortedAccess, pred, "dup",
 			fmt.Sprintf("object %d served at rank %d after rank %d", obj, rank, prev))
 	}
-	if prevObj := st.rankObj[rank]; prevObj >= 0 {
-		if int(prevObj) != obj || math.Abs(st.rankScore[rank]-s) > orderSlack {
-			return g.reject(access.SortedAccess, pred, "inconsistent",
-				fmt.Sprintf("rank %d replayed as (u%d,%g) after (u%d,%g)", rank, obj, s, prevObj, st.rankScore[rank]))
+	if prevObj, prevScore := st.at(rank); prevObj >= 0 {
+		if int(prevObj) != obj || math.Abs(prevScore-s) > orderSlack {
+			return 0, g.reject(access.SortedAccess, pred, "inconsistent",
+				fmt.Sprintf("rank %d replayed as (u%d,%g) after (u%d,%g)", rank, obj, s, prevObj, prevScore))
 		}
 	}
-	if rank > 0 && !math.IsNaN(st.rankScore[rank-1]) && s > st.rankScore[rank-1]+orderSlack {
-		return g.reject(access.SortedAccess, pred, "unsorted",
-			fmt.Sprintf("rank %d score %g above rank %d score %g", rank, s, rank-1, st.rankScore[rank-1]))
+	if _, above := st.at(rank - 1); !math.IsNaN(above) && s > above+orderSlack {
+		return 0, g.reject(access.SortedAccess, pred, "unsorted",
+			fmt.Sprintf("rank %d score %g above rank %d score %g", rank, s, rank-1, above))
 	}
-	if rank+1 < len(st.rankScore) && !math.IsNaN(st.rankScore[rank+1]) && s+orderSlack < st.rankScore[rank+1] {
-		return g.reject(access.SortedAccess, pred, "unsorted",
-			fmt.Sprintf("rank %d score %g below rank %d score %g", rank, s, rank+1, st.rankScore[rank+1]))
+	if _, below := st.at(rank + 1); !math.IsNaN(below) && s+orderSlack < below {
+		return 0, g.reject(access.SortedAccess, pred, "unsorted",
+			fmt.Sprintf("rank %d score %g below rank %d score %g", rank, s, rank+1, below))
 	}
-	if !math.IsNaN(st.value[obj]) && math.Abs(st.value[obj]-s) > orderSlack {
-		return g.reject(access.SortedAccess, pred, "inconsistent",
-			fmt.Sprintf("object %d sorted score %g contradicts recorded %g", obj, s, st.value[obj]))
+	if v := g.value[w]; !math.IsNaN(v) && math.Abs(v-s) > orderSlack {
+		return 0, g.reject(access.SortedAccess, pred, "inconsistent",
+			fmt.Sprintf("object %d sorted score %g contradicts recorded %g", obj, s, v))
 	}
-	return nil
+	return w, nil
 }
 
 // Random fetches p_pred[obj] and vets it: finite, in [0,1] (clamped under
@@ -241,28 +261,11 @@ func (g *Guard) Random(ctx context.Context, pred, obj int) (float64, error) {
 	}
 
 	g.mu.Lock()
-	st := g.stream(pred)
 	if g.clampRange && !math.IsNaN(v) && !math.IsInf(v, 0) && (v < 0 || v > 1) {
 		g.violations["range"]++ // soft: counted, served clamped
 		v = math.Min(1, math.Max(0, v))
 	}
-	var verr error
-	switch {
-	case math.IsNaN(v) || math.IsInf(v, 0):
-		verr = g.reject(access.RandomAccess, pred, "nan",
-			fmt.Sprintf("probe of object %d returned non-finite score %v", obj, v))
-	case obj < 0 || obj >= len(st.value):
-		verr = g.reject(access.RandomAccess, pred, "range",
-			fmt.Sprintf("probe target %d outside universe [0,%d)", obj, len(st.value)))
-	case v < 0 || v > 1:
-		verr = g.reject(access.RandomAccess, pred, "range",
-			fmt.Sprintf("probe of object %d returned score %g outside [0,1]", obj, v))
-	case !math.IsNaN(st.value[obj]) && math.Abs(st.value[obj]-v) > orderSlack:
-		verr = g.reject(access.RandomAccess, pred, "inconsistent",
-			fmt.Sprintf("probe of object %d returned %g but sorted stream claimed %g", obj, v, st.value[obj]))
-	default:
-		st.value[obj] = v
-	}
+	verr := g.vetRandom(pred, obj, v)
 	g.mu.Unlock()
 
 	if verr != nil {
@@ -270,6 +273,30 @@ func (g *Guard) Random(ctx context.Context, pred, obj int) (float64, error) {
 		return 0, verr
 	}
 	return v, nil
+}
+
+// vetRandom checks one probe result against the witness state and, when it
+// holds up, records it. Caller holds g.mu and has applied the soft clamp.
+func (g *Guard) vetRandom(pred, obj int, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return g.reject(access.RandomAccess, pred, "nan",
+			fmt.Sprintf("probe of object %d returned non-finite score %v", obj, v))
+	}
+	if n := g.idx.N(); obj < 0 || obj >= n {
+		return g.reject(access.RandomAccess, pred, "range",
+			fmt.Sprintf("probe target %d outside universe [0,%d)", obj, n))
+	}
+	if v < 0 || v > 1 {
+		return g.reject(access.RandomAccess, pred, "range",
+			fmt.Sprintf("probe of object %d returned score %g outside [0,1]", obj, v))
+	}
+	w := g.witness(pred, obj)
+	if claimed := g.value[w]; !math.IsNaN(claimed) && math.Abs(claimed-v) > orderSlack {
+		return g.reject(access.RandomAccess, pred, "inconsistent",
+			fmt.Sprintf("probe of object %d returned %g but sorted stream claimed %g", obj, v, claimed))
+	}
+	g.value[w] = v
+	return nil
 }
 
 // fire invokes the violation callback (outside the lock).

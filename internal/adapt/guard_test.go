@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/access"
@@ -246,4 +247,49 @@ func TestGuardRejectsForeignObject(t *testing.T) {
 		}})
 	_, _, err := g.Sorted(context.Background(), 0, 0)
 	wantViolation(t, err, "range")
+}
+
+// identityBackend serves n objects it does not hold: every list is the
+// identity permutation scored 1 - rank/n.
+type identityBackend struct{ n, m int }
+
+func (b identityBackend) N() int { return b.n }
+func (b identityBackend) M() int { return b.m }
+func (b identityBackend) Sorted(_ context.Context, _, rank int) (int, float64, error) {
+	return rank, 1 - float64(rank)/float64(b.n), nil
+}
+func (b identityBackend) Random(_ context.Context, _, obj int) (float64, error) {
+	return 1 - float64(obj)/float64(b.n), nil
+}
+
+// TestGuardWitnessSizedByWhatSourcesSaid: the witness costs one object
+// index for the universe plus what the sources have actually claimed — not
+// four arrays of n per predicate, filled before the first answer is vetted.
+func TestGuardWitnessSizedByWhatSourcesSaid(t *testing.T) {
+	const n, m = 1_000_000, 3
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewGuard(identityBackend{n, m})
+	for pred := 0; pred < m; pred++ {
+		for rank := 0; rank < 200; rank++ {
+			if _, _, err := g.Sorted(ctx, pred, rank); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.Random(ctx, (pred+1)%m, n-1-rank); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*n+(1<<20) {
+		t.Errorf("vetting %d claims over %d objects allocated %d bytes, want the 4n-byte index and little else", 2*200*m, n, got)
+	}
+	// The witness still bites across predicates and kinds.
+	lying := NewGuard(&lyingBackend{Backend: identityBackend{n, m}, random: func(pred, obj int, v float64) float64 { return v / 2 }})
+	if _, _, err := lying.Sorted(ctx, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	_, err := lying.Random(ctx, 0, 5)
+	wantViolation(t, err, "inconsistent")
 }

@@ -130,7 +130,6 @@ func (QuickCombine) Run(p *Problem) (*Result, error) {
 	}
 	steer := newCombineSteer(sess.M())
 	var done []Item
-	processed := make([]bool, sess.N())
 	var scratch []int
 
 	for {
@@ -151,10 +150,10 @@ func (QuickCombine) Run(p *Problem) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		processed := tab.Seen(obj) // fully probed at its first sighting
 		tab.ObserveSorted(i, obj, s)
 		steer.observe(i, s)
-		if !processed[obj] {
-			processed[obj] = true
+		if !processed {
 			scratch = tab.UnknownPreds(obj, scratch[:0])
 			for _, j := range scratch {
 				v, err := sess.Random(j, obj)

@@ -37,7 +37,7 @@ type Pager interface {
 }
 
 // Cursor is the suspended form of Framework NC: the per-query score state
-// (table, candidate queue, emitted bitmap) plus the loop's fault-absorption
+// (table, candidate queue) plus the loop's fault-absorption
 // counters, kept alive between pages. A Cursor lives inside its Scratch, so
 // opening one on pooled scratch performs no additional allocation and
 // closing it returns the whole working set to the pool at once.
@@ -53,12 +53,11 @@ type Cursor struct {
 	// nc is read live on every iteration — not copied — so callers that
 	// swap nc.Sel mid-run (the adaptive re-planner's OnAccess hook, the
 	// facade's between-page re-planning) steer the very next access.
-	nc      *NC
-	sess    *access.Session
-	sc      *Scratch
-	tab     *state.Table
-	q       *state.Queue
-	emitted []bool
+	nc   *NC
+	sess *access.Session
+	sc   *Scratch
+	tab  *state.Table
+	q    *state.Queue
 
 	emittedN   int
 	consecFail int
@@ -96,7 +95,7 @@ func (nc *NC) Open(p *Problem, sc *Scratch) (*Cursor, error) {
 		sc = &Scratch{}
 	}
 	sess := p.Session
-	tab, q, emitted, err := sc.prepare(sess.N(), sess.M(), p.F, sess.NoWildGuesses())
+	tab, q, err := sc.prepare(sess.N(), sess.M(), p.F, sess.NoWildGuesses())
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +106,6 @@ func (nc *NC) Open(p *Problem, sc *Scratch) (*Cursor, error) {
 		sc:         sc,
 		tab:        tab,
 		q:          q,
-		emitted:    emitted,
 		failBudget: sess.FailureBudget(),
 	}
 	return c, nil
@@ -323,7 +321,7 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 			// dominates every remaining candidate's bound, so it is the
 			// next answer (Theorem 1, condition 2, applied incrementally).
 			q.Pop()
-			c.emitted[top.ID] = true
+			q.Retire(top.ID)
 			exact, _ := tab.Exact(top.ID)
 			return Item{Obj: top.ID, Score: exact, Exact: true}, true, nil
 		}
@@ -334,7 +332,7 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 			// bound must additionally prove tau.
 			if lo := tab.Lower(top.ID); top.Upper <= (1+c.nc.Epsilon)*lo && (!haveTau || lo >= tau) {
 				q.Pop()
-				c.emitted[top.ID] = true
+				q.Retire(top.ID)
 				return Item{Obj: top.ID, Score: lo, Exact: false}, true, nil
 			}
 		}
@@ -391,8 +389,8 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 			c.err = err
 			return Item{}, false, err
 		}
-		if err == nil && ch.Kind == access.SortedAccess && !c.emitted[obj] && !q.Contains(obj) {
-			q.Add(obj)
+		if ch.Kind == access.SortedAccess {
+			q.Add(obj) // a no-op if obj is already a candidate or was emitted
 		}
 		if c.nc.OnAccess != nil {
 			c.nc.OnAccess(tab, ch)

@@ -105,16 +105,15 @@ type NC struct {
 func (nc *NC) Name() string { return "NC/" + nc.Sel.Name() }
 
 // Scratch holds the reusable per-run working state of Framework NC: the
-// score-state table, the candidate queue, the emitted bitmap, and the
-// necessary-choice buffer. A zero Scratch is ready to use; passing the
-// same Scratch to successive RunScratch calls recycles every backing
-// array, which removes the dominant per-query allocations. A Scratch is
-// owned by one run at a time (not safe for concurrent use); answer Items
-// are never pooled — they escape to the caller.
+// score-state table, the candidate queue, and the necessary-choice buffer.
+// A zero Scratch is ready to use; passing the same Scratch to successive
+// RunScratch calls recycles every backing array, which removes the
+// dominant per-query allocations. A Scratch is owned by one run at a time
+// (not safe for concurrent use); answer Items are never pooled — they
+// escape to the caller.
 type Scratch struct {
 	tab     *state.Table
 	q       *state.Queue
-	emitted []bool
 	choices []Choice
 	// cur is the suspended-execution view of this scratch: NC.Open hands
 	// out &sc.cur, so opening a cursor on pooled scratch allocates nothing
@@ -124,28 +123,22 @@ type Scratch struct {
 
 // prepare readies the scratch for a run of size n×m, reallocating only on
 // first use or a shape change.
-func (sc *Scratch) prepare(n, m int, f score.Func, nwg bool) (*state.Table, *state.Queue, []bool, error) {
+func (sc *Scratch) prepare(n, m int, f score.Func, nwg bool) (*state.Table, *state.Queue, error) {
 	if sc.tab == nil || sc.tab.N() != n || sc.tab.M() != m {
 		t, err := state.NewTable(n, m, f)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		sc.tab = t
 	} else if err := sc.tab.Reset(f); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if sc.q == nil {
 		sc.q = state.NewQueue(sc.tab, nwg)
 	} else {
 		sc.q.Reset(sc.tab, nwg)
 	}
-	if cap(sc.emitted) < n {
-		sc.emitted = make([]bool, n)
-	} else {
-		sc.emitted = sc.emitted[:n]
-		clear(sc.emitted)
-	}
-	return sc.tab, sc.q, sc.emitted, nil
+	return sc.tab, sc.q, nil
 }
 
 // Run executes the framework until the top-k is determined.

@@ -39,17 +39,16 @@ func (TA) Run(p *Problem) (*Result, error) {
 // because the stop test proves the current top-target is final before
 // emitting).
 type TACursor struct {
-	sess      *access.Session
-	tab       *state.Table
-	preds     []int
-	processed []bool
-	probeBuf  []int
-	done      []Item
-	emittedN  int
-	drained   bool
-	closed    bool
-	err       error
-	release   func()
+	sess     *access.Session
+	tab      *state.Table
+	preds    []int
+	probeBuf []int
+	done     []Item
+	emittedN int
+	drained  bool
+	closed   bool
+	err      error
+	release  func()
 
 	// Monitor, when non-nil, receives every performed access — the same
 	// checkpoint hook NC cursors fire, so one divergence monitor covers
@@ -73,10 +72,9 @@ func (TA) Open(p *Problem) (*TACursor, error) {
 		return nil, err
 	}
 	return &TACursor{
-		sess:      sess,
-		tab:       tab,
-		preds:     roundRobinPreds(sess),
-		processed: make([]bool, sess.N()),
+		sess:  sess,
+		tab:   tab,
+		preds: roundRobinPreds(sess),
 	}, nil
 }
 
@@ -123,14 +121,16 @@ func (tc *TACursor) round() error {
 			return err
 		}
 		advanced = true
+		// TA fully probes an object at its first sighting, so an object
+		// seen before this access has already been processed.
+		processed := tc.tab.Seen(obj)
 		tc.tab.ObserveSorted(i, obj, s)
 		if tc.Monitor != nil {
 			tc.Monitor.ObserveAccess(tc.tab, Choice{Kind: access.SortedAccess, Pred: i}, obj, s)
 		}
-		if tc.processed[obj] {
+		if processed {
 			continue
 		}
-		tc.processed[obj] = true
 		tc.probeBuf = tc.tab.UnknownPreds(obj, tc.probeBuf[:0])
 		for _, j := range tc.probeBuf {
 			v, err := tc.sess.Random(j, obj)

@@ -1,13 +1,20 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/data"
 	"repro/internal/websim"
@@ -249,5 +256,124 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
+	}
+}
+
+// understate serves a shard's handler with the universe size in its wire
+// handshake rewritten to n: a node that announces fewer objects than the
+// ids it goes on to serve.
+type understate struct {
+	http.Handler
+	n int
+}
+
+func (u understate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	u.Handler.ServeHTTP(understatedWriter{w, u.n}, r)
+}
+
+type understatedWriter struct {
+	http.ResponseWriter
+	n int
+}
+
+// Hijack hands the server a buffered writer that edits the handshake; the
+// frames that follow are written to the connection itself.
+func (w understatedWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
+	conn, brw, err := w.ResponseWriter.(http.Hijacker).Hijack()
+	if err == nil {
+		brw.Writer = bufio.NewWriter(understatedConn{conn, w.n})
+	}
+	return conn, brw, err
+}
+
+type understatedConn struct {
+	net.Conn
+	n int
+}
+
+func (c understatedConn) Write(p []byte) (int, error) {
+	lie := bytes.Replace(p, []byte(fmt.Sprintf("Topk-N: %d\r\n", c.n+1)), []byte(fmt.Sprintf("Topk-N: %d\r\n", c.n)), 1)
+	if _, err := c.Conn.Write(lie); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestLyingShardObjectOutsideUniverse: a shard that serves an object id
+// outside the universe it announced costs the query that access — refused,
+// and billed nothing — and nothing else: the id never reaches the session
+// state it would have indexed, and the entries before it are billed as
+// ever. An in-process shard's stray id gets as far as the session, which
+// refuses it as a range violation; a shard node's is stopped at the wire.
+func TestLyingShardObjectOutsideUniverse(t *testing.T) {
+	ds := uniformDataset(t, 400, 2, 9)
+	parts := partitioned(t, ds, 3)
+	// Shard 0 serves its fourth-best object on p1 under an id one past the
+	// universe.
+	stray, _ := parts[0].Local.SortedAt(0, 3)
+	parts[0].Global[stray] = ds.N()
+
+	local := make([]Shard, len(parts))
+	remote := make([]Shard, len(parts))
+	for i, sd := range parts {
+		local[i] = NewLocalShard(sd)
+		srv, err := websim.NewServer(sd.Local, websim.WithShardObjects(sd.Global, ds.N()+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := clustertest.Start(t, understate{srv, ds.N()})
+		sh, err := DialShard(context.Background(), node.URL, ds.M(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		remote[i] = sh
+	}
+	for _, tc := range []struct {
+		name    string
+		shards  []Shard
+		refused func(error) bool
+	}{
+		{"in process", local, func(err error) bool {
+			var cve *access.ContractViolationError
+			return errors.As(err, &cve) && cve.Reason == "range"
+		}},
+		{"shard nodes", remote, func(err error) bool {
+			return strings.Contains(err.Error(), fmt.Sprintf("out-of-universe object %d", ds.N()))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.shards, Options{Prefetch: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.N() != ds.N() {
+				t.Fatalf("coordinator sees a universe of %d, the shards were to announce %d", c.N(), ds.N())
+			}
+			sess, err := access.NewSession(c, access.Uniform(ds.M(), 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			billed := 0
+			for {
+				obj, _, err := sess.SortedNext(0)
+				if err != nil {
+					if !tc.refused(err) {
+						t.Fatalf("sa1 at depth %d: got %v, want the stray object refused", billed, err)
+					}
+					break
+				}
+				if obj < 0 || obj >= ds.N() {
+					t.Fatalf("sa1 returned object %d of a universe of %d", obj, ds.N())
+				}
+				billed++
+			}
+			if l := sess.Ledger(); l.TotalAccesses() != billed || l.TotalCost != access.Cost(billed)*access.UnitCost || sess.SortedDepth(0) != billed {
+				t.Errorf("ledger after the refusal: %+v at depth %d, want the %d accesses served before it", l, sess.SortedDepth(0), billed)
+			}
+			if billed == 0 || billed >= ds.N()-1 {
+				t.Errorf("%d accesses billed before the refusal, want a few", billed)
+			}
+		})
 	}
 }

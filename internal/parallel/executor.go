@@ -110,7 +110,6 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 		return nil, err
 	}
 	q := state.NewQueue(tab, sess.NoWildGuesses())
-	emitted := make([]bool, sess.N())
 	// taskBusy limits each unsatisfied task to one in-flight access:
 	// concurrency comes from servicing *distinct* tasks (the paper's
 	// observation that any incomplete member of K_P is equally necessary).
@@ -192,9 +191,7 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 			delete(sortedBuf[f.pred], applyRank[f.pred])
 			applyRank[f.pred]++
 			tab.ObserveSorted(g.pred, g.obj, g.score)
-			if !emitted[g.obj] && !q.Contains(g.obj) {
-				q.Add(g.obj)
-			}
+			q.Add(g.obj) // a no-op if g.obj is already a candidate or was emitted
 		}
 	}
 
@@ -210,7 +207,7 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem) (*Result, error) {
 				break
 			}
 			q.Pop()
-			emitted[top.ID] = true
+			q.Retire(top.ID)
 			exact, _ := tab.Exact(top.ID)
 			items = append(items, algo.Item{Obj: top.ID, Score: exact, Exact: true})
 		}

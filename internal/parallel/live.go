@@ -75,19 +75,21 @@ func (r *LiveResult) Cost() access.Cost { return r.Ledger.TotalCost }
 type liveState struct {
 	scn    access.Scenario
 	nwg    bool
-	n      int
+	tab    *state.Table
 	cursor []int
-	probed [][]bool
-	seen   []bool
+	probed map[probe]bool // dispatched random accesses
 	ns, nr []int
 	cost   access.Cost
 }
 
+// probe names one random access.
+type probe struct{ pred, obj int }
+
 func (s *liveState) M() int                      { return len(s.scn.Preds) }
 func (s *liveState) Costs(i int) access.PredCost { return s.scn.Preds[i] }
-func (s *liveState) SortedExhausted(i int) bool  { return s.cursor[i] >= s.n }
-func (s *liveState) Probed(i, u int) bool        { return s.probed[i][u] }
-func (s *liveState) Seen(u int) bool             { return s.seen[u] }
+func (s *liveState) SortedExhausted(i int) bool  { return s.cursor[i] >= s.tab.N() }
+func (s *liveState) Probed(i, u int) bool        { return s.probed[probe{i, u}] }
+func (s *liveState) Seen(u int) bool             { return s.tab.Seen(u) }
 func (s *liveState) NoWildGuesses() bool         { return s.nwg }
 
 var _ algo.AccessContext = (*liveState)(nil)
@@ -131,18 +133,13 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 	st := &liveState{
 		scn:    l.Scn,
 		nwg:    !l.DisableNWG,
-		n:      n,
+		tab:    tab,
 		cursor: make([]int, m),
-		probed: make([][]bool, m),
-		seen:   make([]bool, n),
+		probed: make(map[probe]bool),
 		ns:     make([]int, m),
 		nr:     make([]int, m),
 	}
-	for i := range st.probed {
-		st.probed[i] = make([]bool, n)
-	}
 	q := state.NewQueue(tab, st.nwg)
-	emitted := make([]bool, n)
 	taskBusy := make(map[int]bool, l.B)
 	predInFlight := make([]int, m)
 	applyRank := make([]int, m)
@@ -220,7 +217,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 				}
 			case access.RandomAccess:
 				c.obj = cand.ID
-				st.probed[ch.Pred][cand.ID] = true
+				st.probed[probe{ch.Pred, cand.ID}] = true
 				st.nr[ch.Pred]++
 				st.cost += st.scn.Preds[ch.Pred].Random
 				if l.Obs != nil {
@@ -249,12 +246,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 			delete(sortedBuf[c.pred], applyRank[c.pred])
 			applyRank[c.pred]++
 			tab.ObserveSorted(g.pred, g.obj, g.score)
-			if !st.seen[g.obj] {
-				st.seen[g.obj] = true
-			}
-			if !emitted[g.obj] && !q.Contains(g.obj) {
-				q.Add(g.obj)
-			}
+			q.Add(g.obj) // a no-op if g.obj is already a candidate or was emitted
 		}
 	}
 
@@ -266,7 +258,7 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 				break
 			}
 			q.Pop()
-			emitted[top.ID] = true
+			q.Retire(top.ID)
 			exact, _ := tab.Exact(top.ID)
 			items = append(items, algo.Item{Obj: top.ID, Score: exact, Exact: true})
 		}
@@ -311,6 +303,10 @@ func (l *Live) Run(ctx context.Context, b access.Backend, f score.Func, k int) (
 		predInFlight[c.pred]--
 		if c.err != nil {
 			return nil, fmt.Errorf("parallel: live %v access on p%d failed: %w", c.kind, c.pred+1, c.err)
+		}
+		if c.obj < 0 || c.obj >= n {
+			return nil, fmt.Errorf("parallel: live %v access on p%d returned object %d outside universe [0,%d): %w",
+				c.kind, c.pred+1, c.obj, n, access.ErrContractViolation)
 		}
 		switch c.kind {
 		case access.SortedAccess:

@@ -40,15 +40,33 @@ func (e Entry) Before(o Entry) bool {
 // All queue operations are allocation-free once the backing arrays have
 // grown to their high-water mark.
 //
+// Membership is one byte per touched object, kept in the table's slots
+// (slotMeta.mark), so a queue costs nothing per object it never held. A
+// table serves one queue at a time.
+//
 //topklint:pooled
 type Queue struct {
 	t        *Table
-	h        []Entry
-	inQueue  []bool // indexed by id+1 so UnseenID (-1) maps to slot 0
+	h        []node
 	hasUnsn  bool
 	nwgStart bool
 	scratch  []Entry // TopN result buffer, reused across calls
 }
+
+// node is a heap entry: an Entry plus the object's table slot, so that
+// revalidating the root — the queue's inner loop — reads the table's slot
+// arrays directly instead of going through its object index. It is sixteen
+// bytes, like Entry: ids and slots are int32, which NewTable's bound on n
+// guarantees they fit.
+type node struct {
+	upper float64
+	id    int32
+	slot  int32 // unused by the UnseenID entry
+}
+
+func (a node) entry() Entry { return Entry{ID: int(a.id), Upper: a.upper} }
+
+func (a node) before(b node) bool { return a.entry().Before(b.entry()) }
 
 // NewQueue builds the candidate queue. If nwg is true, only the virtual
 // unseen object is enqueued initially; otherwise every object is.
@@ -64,11 +82,10 @@ func NewQueue(t *Table, nwg bool) *Queue {
 func (q *Queue) Reset(t *Table, nwg bool) {
 	q.t = t
 	q.h = q.h[:0]
-	if cap(q.inQueue) < t.N()+1 {
-		q.inQueue = make([]bool, t.N()+1)
-	} else {
-		q.inQueue = q.inQueue[:t.N()+1]
-		clear(q.inQueue)
+	// O(1) after the usual Table.Reset; over a table still in use, forget
+	// what an earlier queue marked.
+	for s := range t.meta[:t.idx.Len()] {
+		t.meta[s].mark = absent
 	}
 	q.hasUnsn = false
 	q.nwgStart = nwg
@@ -90,7 +107,7 @@ func (q *Queue) siftUp(i int) {
 	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.Before(h[parent]) {
+		if !e.before(h[parent]) {
 			break
 		}
 		h[i] = h[parent]
@@ -113,10 +130,10 @@ func (q *Queue) siftDown(i int) {
 			break
 		}
 		best := l
-		if r := l + 1; r < n && h[r].Before(h[l]) {
+		if r := l + 1; r < n && h[r].before(h[l]) {
 			best = r
 		}
-		if !h[best].Before(e) {
+		if !h[best].before(e) {
 			break
 		}
 		h[i] = h[best]
@@ -125,23 +142,59 @@ func (q *Queue) siftDown(i int) {
 	h[i] = e
 }
 
+// Membership marks of a real object.
+const (
+	absent uint8 = iota
+	queued
+	retired
+)
+
+// claim marks id as enqueued and returns its table slot, reporting false —
+// and changing nothing — if it already is, or was retired.
+//
+//topklint:hotpath
+func (q *Queue) claim(id int) (slot int, ok bool) {
+	if id == UnseenID {
+		if q.hasUnsn {
+			return 0, false
+		}
+		q.hasUnsn = true
+		return 0, true
+	}
+	slot = q.t.touch(id)
+	mark := &q.t.meta[slot].mark
+	if *mark != absent {
+		return slot, false
+	}
+	*mark = queued
+	return slot, true
+}
+
+// push adds a claimed entry to the heap. A full heap doubles: append's
+// 1.25x steps would copy it some twenty-five times on the way to a deep
+// query's high-water mark.
+//
+//topklint:hotpath
+func (q *Queue) push(id, slot int, upper float64) {
+	if len(q.h) == cap(q.h) {
+		//topklint:allow hotpathalloc lazy growth: a pooled queue stops growing at its deepest query
+		q.h = append(make([]node, 0, max(2*cap(q.h), 64)), q.h...)
+	}
+	q.h = append(q.h, node{upper: upper, id: int32(id), slot: int32(slot)})
+	q.siftUp(len(q.h) - 1)
+}
+
 //topklint:hotpath
 func (q *Queue) pushRaw(e Entry) {
-	if q.inQueue[e.ID+1] {
-		return
+	if slot, ok := q.claim(e.ID); ok {
+		q.push(e.ID, slot, e.Upper)
 	}
-	q.inQueue[e.ID+1] = true
-	if e.ID == UnseenID {
-		q.hasUnsn = true
-	}
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
 }
 
 // popTop removes and returns the heap root without validation.
 //
 //topklint:hotpath
-func (q *Queue) popTop() Entry {
+func (q *Queue) popTop() node {
 	h := q.h
 	e := h[0]
 	last := len(h) - 1
@@ -150,15 +203,16 @@ func (q *Queue) popTop() Entry {
 	if last > 0 {
 		q.siftDown(0)
 	}
-	q.inQueue[e.ID+1] = false
-	if e.ID == UnseenID {
+	if e.id == UnseenID {
 		q.hasUnsn = false
+	} else {
+		q.t.meta[e.slot].mark = absent
 	}
 	return e
 }
 
 // Add enqueues object u (typically when it is first seen). Adding an
-// object already present is a no-op.
+// object already present, or retired, is a no-op.
 //
 //topklint:hotpath
 func (q *Queue) Add(u int) {
@@ -166,14 +220,29 @@ func (q *Queue) Add(u int) {
 		//topklint:allow nopanic caller contract: UnseenID is a package-internal sentinel no algorithm receives from an access
 		panic("state: Add(UnseenID); the unseen entry is managed internally")
 	}
-	q.pushRaw(Entry{ID: u, Upper: q.t.Upper(u)})
+	if slot, ok := q.claim(u); ok {
+		q.push(u, slot, q.t.upperAt(slot))
+	}
 }
 
 // Len returns the number of candidates currently enqueued.
 func (q *Queue) Len() int { return len(q.h) }
 
 // Contains reports whether id is in the queue.
-func (q *Queue) Contains(id int) bool { return q.inQueue[id+1] }
+func (q *Queue) Contains(id int) bool {
+	if id == UnseenID {
+		return q.hasUnsn
+	}
+	s, ok := q.t.idx.Slot(id)
+	return ok && q.t.meta[s].mark == queued
+}
+
+// Retire bars object u, already popped, from the queue for good: a later
+// Add(u) is a no-op. Algorithms retire an object when they emit it as an
+// answer, so a sorted access returning it again does not re-enqueue it.
+//
+//topklint:hotpath
+func (q *Queue) Retire(u int) { q.t.meta[q.t.touch(u)].mark = retired }
 
 // revalidateTop restores the invariant that the heap root carries its
 // current (not stale) upper bound, dropping the unseen entry once all
@@ -183,13 +252,17 @@ func (q *Queue) Contains(id int) bool { return q.inQueue[id+1] }
 func (q *Queue) revalidateTop() bool {
 	for len(q.h) > 0 {
 		top := q.h[0]
-		if top.ID == UnseenID && q.t.AllSeen() {
+		var cur float64
+		if top.id != UnseenID {
+			cur = q.t.upperAt(int(top.slot))
+		} else if q.t.AllSeen() {
 			q.popTop()
 			continue
+		} else {
+			cur = q.t.UnseenUpper()
 		}
-		cur := q.t.UpperOf(top.ID)
-		if cur < top.Upper {
-			q.h[0].Upper = cur
+		if cur < top.upper {
+			q.h[0].upper = cur
 			q.siftDown(0)
 			continue
 		}
@@ -205,7 +278,7 @@ func (q *Queue) Peek() (Entry, bool) {
 	if !q.revalidateTop() {
 		return Entry{}, false
 	}
-	return q.h[0], true
+	return q.h[0].entry(), true
 }
 
 // Pop removes and returns the current best candidate.
@@ -215,7 +288,7 @@ func (q *Queue) Pop() (Entry, bool) {
 	if !q.revalidateTop() {
 		return Entry{}, false
 	}
-	return q.popTop(), true
+	return q.popTop().entry(), true
 }
 
 // TopN returns the current best n candidates in order without disturbing

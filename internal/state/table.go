@@ -9,7 +9,9 @@ package state
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/kit"
 	"repro/internal/score"
 )
 
@@ -23,20 +25,38 @@ const UnseenID = -1
 // ObserveRandom. Not safe for concurrent use. Tables are recycled across
 // queries inside the pooled algo.Scratch.
 //
+// Memory contract: the table holds 4 bytes per object of the universe (its
+// object index) and everything else in proportion to the objects the query
+// has touched — per-object facts live in slot-indexed arrays behind the
+// index, a slot being assigned the first time an object is observed or
+// enqueued. An untouched object reads as the virtual unseen object does:
+// nothing known, not seen, Upper equal to UnseenUpper.
+//
 //topklint:pooled
 type Table struct {
 	f    score.Func //topklint:allow resetcomplete Reset(nil) deliberately keeps the scoring function; non-nil swaps it
 	n, m int        //topklint:allow resetcomplete identity: a recycled table serves the same n-by-m shape
 
-	val      []float64 //topklint:allow resetcomplete stale values are unreachable: known gates every read and is cleared
-	known    []bool
-	nknown   []int // per-object count of known predicates
+	idx kit.ObjIndex // object id -> slot
+
+	// Slot-indexed facts, grown together by grow. Reset leaves them alone:
+	// a slot is zeroed when touch hands it out.
+	val   []float64  //topklint:allow resetcomplete slot fact (slot*m+pred): stale values are unreachable, known gates every read
+	known []bool     //topklint:allow resetcomplete slot fact (slot*m+pred): unreachable once Reset empties the index, zeroed by touch on reuse
+	meta  []slotMeta //topklint:allow resetcomplete slot fact: unreachable once Reset empties the index, zeroed by touch on reuse
+
 	lastSeen []float64
 	depth    []int // sorted accesses performed per predicate
-	seen     []bool
 	nseen    int
 
 	buf []float64 //topklint:allow resetcomplete Eval scratch, fully overwritten before every read
+}
+
+// slotMeta is what a slot holds besides its m scores.
+type slotMeta struct {
+	nknown int32 // how many of the m predicates are known
+	seen   bool
+	mark   uint8 // the table's Queue keeps its membership here: absent, queued or retired
 }
 
 // NewTable creates an empty table for n objects, m predicates, and scoring
@@ -45,6 +65,9 @@ func NewTable(n, m int, f score.Func) (*Table, error) {
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("state: table requires positive sizes, got n=%d m=%d", n, m)
 	}
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("state: table holds object ids in 32 bits, got n=%d", n)
+	}
 	if err := score.Validate(f, m); err != nil {
 		return nil, err
 	}
@@ -52,14 +75,12 @@ func NewTable(n, m int, f score.Func) (*Table, error) {
 		f:        f,
 		n:        n,
 		m:        m,
-		val:      make([]float64, n*m),
-		known:    make([]bool, n*m),
-		nknown:   make([]int, n),
+		idx:      kit.NewObjIndex(n),
 		lastSeen: make([]float64, m),
 		depth:    make([]int, m),
-		seen:     make([]bool, n),
 		buf:      make([]float64, m),
 	}
+	t.grow()
 	for i := range t.lastSeen {
 		t.lastSeen[i] = 1
 	}
@@ -69,8 +90,8 @@ func NewTable(n, m int, f score.Func) (*Table, error) {
 // Reset restores the table to its as-new state for a fresh run over the
 // same n and m, optionally swapping the scoring function (nil keeps the
 // current one). It reuses every backing array, so pooled tables make a
-// query execution allocation-free; val does not need clearing because
-// known gates every read.
+// query execution allocation-free, and it costs O(m) whatever the previous
+// run touched: emptying the index orphans every slot at once.
 func (t *Table) Reset(f score.Func) error {
 	if f != nil {
 		if err := score.Validate(f, t.m); err != nil {
@@ -78,15 +99,46 @@ func (t *Table) Reset(f score.Func) error {
 		}
 		t.f = f
 	}
-	clear(t.known)
-	clear(t.nknown)
+	t.idx.Reset()
 	clear(t.depth)
-	clear(t.seen)
 	t.nseen = 0
 	for i := range t.lastSeen {
 		t.lastSeen[i] = 1
 	}
 	return nil
+}
+
+// grow resizes the slot arrays to the index's next capacity in one
+// struct-of-arrays step (cold path: a pooled table stops growing once it
+// has served its widest query).
+func (t *Table) grow() {
+	slots := t.idx.Grow()
+	val := make([]float64, slots*t.m)
+	copy(val, t.val)
+	known := make([]bool, slots*t.m)
+	copy(known, t.known)
+	meta := make([]slotMeta, slots)
+	copy(meta, t.meta)
+	t.val, t.known, t.meta = val, known, meta
+}
+
+// touch returns u's slot, assigning and zeroing one on first touch.
+//
+//topklint:hotpath
+func (t *Table) touch(u int) int {
+	if s, ok := t.idx.Slot(u); ok {
+		return s
+	}
+	if t.idx.Len() == t.idx.Cap() {
+		//topklint:allow hotpathalloc lazy slot growth: a pooled table stops growing at its widest query, every later touch reuses slots
+		t.grow()
+	}
+	s := t.idx.Add(u)
+	for i := 0; i < t.m; i++ { // m is small: cheaper than a memclr call
+		t.known[s*t.m+i] = false
+	}
+	t.meta[s] = slotMeta{}
+	return s
 }
 
 // N returns the object count.
@@ -104,11 +156,12 @@ func (t *Table) Func() score.Func { return t.f }
 //
 //topklint:hotpath
 func (t *Table) ObserveSorted(i, u int, s float64) {
-	t.setKnown(i, u, s)
+	slot := t.touch(u)
+	t.setKnown(slot, i, s)
 	t.lastSeen[i] = s
 	t.depth[i]++
-	if !t.seen[u] {
-		t.seen[u] = true
+	if !t.meta[slot].seen {
+		t.meta[slot].seen = true
 		t.nseen++
 	}
 }
@@ -120,47 +173,56 @@ func (t *Table) ObserveSorted(i, u int, s float64) {
 //
 //topklint:hotpath
 func (t *Table) ObserveRandom(i, u int, s float64) {
-	t.setKnown(i, u, s)
+	t.setKnown(t.touch(u), i, s)
 }
 
 //topklint:hotpath
-func (t *Table) setKnown(i, u int, s float64) {
-	idx := u*t.m + i
+func (t *Table) setKnown(slot, i int, s float64) {
+	idx := slot*t.m + i
 	if !t.known[idx] {
 		t.known[idx] = true
-		t.nknown[u]++
+		t.meta[slot].nknown++
 	}
 	t.val[idx] = s
 }
 
 // Known reports whether p_i[u] has been determined.
-func (t *Table) Known(u, i int) bool { return t.known[u*t.m+i] }
+func (t *Table) Known(u, i int) bool {
+	slot, ok := t.idx.Slot(u)
+	return ok && t.known[slot*t.m+i]
+}
 
 // Value returns the known score p_i[u]; it panics if unknown (callers must
 // check Known), since silently returning a bound here would corrupt exact
 // score reporting.
 func (t *Table) Value(u, i int) float64 {
-	idx := u*t.m + i
-	if !t.known[idx] {
+	slot, ok := t.idx.Slot(u)
+	if !ok || !t.known[slot*t.m+i] {
 		//topklint:allow nopanic caller contract: Known(u,i) must be checked first; a silent bound here would corrupt exact score reporting
 		panic(fmt.Sprintf("state: Value(u%d, p%d) is not known", u, i+1))
 	}
-	return t.val[idx]
+	return t.val[slot*t.m+i]
 }
 
 // Complete reports whether object u has been fully evaluated on all
 // predicates (the completeness notion of Definition 1, case 1).
-func (t *Table) Complete(u int) bool { return t.nknown[u] == t.m }
+func (t *Table) Complete(u int) bool { return t.KnownCount(u) == t.m }
 
 // KnownCount returns how many of u's predicates are determined.
-func (t *Table) KnownCount(u int) int { return t.nknown[u] }
+func (t *Table) KnownCount(u int) int {
+	slot, ok := t.idx.Slot(u)
+	if !ok {
+		return 0
+	}
+	return int(t.meta[slot].nknown)
+}
 
 // UnknownPreds appends the indices of u's undetermined predicates to dst
 // and returns it. Pass a reusable slice to avoid allocation.
 func (t *Table) UnknownPreds(u int, dst []int) []int {
-	base := u * t.m
+	slot, ok := t.idx.Slot(u)
 	for i := 0; i < t.m; i++ {
-		if !t.known[base+i] {
+		if !ok || !t.known[slot*t.m+i] {
 			dst = append(dst, i)
 		}
 	}
@@ -175,7 +237,10 @@ func (t *Table) LastSeen(i int) float64 { return t.lastSeen[i] }
 func (t *Table) Depth(i int) int { return t.depth[i] }
 
 // Seen reports whether u has been returned by any sorted access.
-func (t *Table) Seen(u int) bool { return t.seen[u] }
+func (t *Table) Seen(u int) bool {
+	slot, ok := t.idx.Slot(u)
+	return ok && t.meta[slot].seen
+}
 
 // SeenCount returns the number of distinct seen objects.
 func (t *Table) SeenCount() int { return t.nseen }
@@ -191,7 +256,18 @@ func (t *Table) AllSeen() bool { return t.nseen == t.n }
 //
 //topklint:hotpath
 func (t *Table) Upper(u int) float64 {
-	base := u * t.m
+	slot, ok := t.idx.Slot(u)
+	if !ok {
+		return t.UnseenUpper()
+	}
+	return t.upperAt(slot)
+}
+
+// upperAt is Upper for the object in slot.
+//
+//topklint:hotpath
+func (t *Table) upperAt(slot int) float64 {
+	base := slot * t.m
 	for i := 0; i < t.m; i++ {
 		if t.known[base+i] {
 			t.buf[i] = t.val[base+i]
@@ -208,9 +284,10 @@ func (t *Table) Upper(u int) float64 {
 //
 //topklint:hotpath
 func (t *Table) Lower(u int) float64 {
-	base := u * t.m
+	slot, ok := t.idx.Slot(u)
+	base := slot * t.m
 	for i := 0; i < t.m; i++ {
-		if t.known[base+i] {
+		if ok && t.known[base+i] {
 			t.buf[i] = t.val[base+i]
 		} else {
 			t.buf[i] = 0
@@ -221,10 +298,11 @@ func (t *Table) Lower(u int) float64 {
 
 // Exact returns F(u) if u is complete.
 func (t *Table) Exact(u int) (float64, bool) {
-	if !t.Complete(u) {
+	slot, ok := t.idx.Slot(u)
+	if !ok || int(t.meta[slot].nknown) != t.m {
 		return 0, false
 	}
-	base := u * t.m
+	base := slot * t.m
 	copy(t.buf, t.val[base:base+t.m])
 	return t.f.Eval(t.buf), true
 }

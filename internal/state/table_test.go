@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/kit"
 	"repro/internal/score"
 )
 
@@ -188,4 +189,313 @@ func TestBoundInvariantsProperty(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rng}); err != nil {
 		t.Error(err)
 	}
+}
+
+// denseTable is the table as it stood before the object index: every
+// per-object fact in an array dense in n, cleared by Reset. It is kept as
+// the reference the sparse Table is driven against.
+type denseTable struct {
+	f        score.Func
+	n, m     int
+	val      []float64
+	known    []bool
+	nknown   []int
+	lastSeen []float64
+	depth    []int
+	seen     []bool
+	nseen    int
+	buf      []float64
+}
+
+func newDenseTable(n, m int, f score.Func) *denseTable {
+	t := &denseTable{
+		f: f, n: n, m: m,
+		val:      make([]float64, n*m),
+		known:    make([]bool, n*m),
+		nknown:   make([]int, n),
+		lastSeen: make([]float64, m),
+		depth:    make([]int, m),
+		seen:     make([]bool, n),
+		buf:      make([]float64, m),
+	}
+	for i := range t.lastSeen {
+		t.lastSeen[i] = 1
+	}
+	return t
+}
+
+func (t *denseTable) Reset(f score.Func) {
+	t.f = f
+	clear(t.known)
+	clear(t.nknown)
+	clear(t.depth)
+	clear(t.seen)
+	t.nseen = 0
+	for i := range t.lastSeen {
+		t.lastSeen[i] = 1
+	}
+}
+
+func (t *denseTable) setKnown(i, u int, s float64) {
+	idx := u*t.m + i
+	if !t.known[idx] {
+		t.known[idx] = true
+		t.nknown[u]++
+	}
+	t.val[idx] = s
+}
+
+func (t *denseTable) ObserveSorted(i, u int, s float64) {
+	t.setKnown(i, u, s)
+	t.lastSeen[i] = s
+	t.depth[i]++
+	if !t.seen[u] {
+		t.seen[u] = true
+		t.nseen++
+	}
+}
+
+func (t *denseTable) ObserveRandom(i, u int, s float64) { t.setKnown(i, u, s) }
+
+func (t *denseTable) bound(u int, unknown func(i int) float64) float64 {
+	for i := 0; i < t.m; i++ {
+		if t.known[u*t.m+i] {
+			t.buf[i] = t.val[u*t.m+i]
+		} else {
+			t.buf[i] = unknown(i)
+		}
+	}
+	return t.f.Eval(t.buf)
+}
+
+func (t *denseTable) Upper(u int) float64 {
+	return t.bound(u, func(i int) float64 { return t.lastSeen[i] })
+}
+
+func (t *denseTable) Lower(u int) float64 {
+	return t.bound(u, func(int) float64 { return 0 })
+}
+
+func (t *denseTable) UnseenUpper() float64 {
+	copy(t.buf, t.lastSeen)
+	return t.f.Eval(t.buf)
+}
+
+func (t *denseTable) Exact(u int) (float64, bool) {
+	if t.nknown[u] != t.m {
+		return 0, false
+	}
+	return t.Lower(u), true
+}
+
+func (t *denseTable) UnknownPreds(u int, dst []int) []int {
+	for i := 0; i < t.m; i++ {
+		if !t.known[u*t.m+i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// denseQueue is the reference candidate queue: membership dense in n and
+// the head found by scanning every member's current bound, which is what
+// lazy revalidation must agree with.
+type denseQueue struct {
+	t       *denseTable
+	in      []bool
+	retired []bool
+	unseen  bool
+}
+
+func newDenseQueue(t *denseTable, nwg bool) *denseQueue {
+	q := &denseQueue{t: t, in: make([]bool, t.n), retired: make([]bool, t.n), unseen: nwg}
+	if !nwg {
+		for u := range q.in {
+			q.in[u] = true
+		}
+	}
+	return q
+}
+
+func (q *denseQueue) Add(u int) {
+	if !q.retired[u] {
+		q.in[u] = true
+	}
+}
+
+// Len counts the real objects enqueued.
+func (q *denseQueue) Len() int {
+	n := 0
+	for _, in := range q.in {
+		if in {
+			n++
+		}
+	}
+	return n
+}
+
+// Peek returns the member with the highest current bound. Once every
+// object has been seen the unseen entry no longer competes; when the real
+// queue gets round to dropping it is its own business.
+func (q *denseQueue) Peek() (Entry, bool) {
+	var best Entry
+	found := false
+	consider := func(e Entry) {
+		if !found || e.Before(best) {
+			best, found = e, true
+		}
+	}
+	for u, in := range q.in {
+		if in {
+			consider(Entry{ID: u, Upper: q.t.Upper(u)})
+		}
+	}
+	if q.unseen && q.t.nseen < q.t.n {
+		consider(Entry{ID: UnseenID, Upper: q.t.UnseenUpper()})
+	}
+	return best, found
+}
+
+func (q *denseQueue) Pop() (Entry, bool) {
+	e, ok := q.Peek()
+	if !ok {
+		return e, false
+	}
+	if e.ID == UnseenID {
+		q.unseen = false
+	} else {
+		q.in[e.ID] = false
+	}
+	return e, true
+}
+
+// tableOps interprets ops as a program over a sparse Table and Queue and
+// their dense references, failing on the first observable difference. Every
+// byte pair is one operation; sorted observations walk a real dataset's
+// lists so bounds only ever fall, as the queue requires.
+func tableOps(t *testing.T, n, m int, ops []byte) {
+	t.Helper()
+	funcs := []score.Func{score.Min(), score.Avg(), score.Max(), score.Product()}
+	ds := datatest.MustGenerate(data.Uniform, n, m, int64(n*31+m))
+	tab := MustNewTable(n, m, funcs[0])
+	ref := newDenseTable(n, m, funcs[0])
+	q, rq := NewQueue(tab, true), newDenseQueue(ref, true)
+	cursor := make([]int, m)
+
+	same := func(what string, got, want any) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s = %v, dense reference says %v", what, got, want)
+		}
+	}
+	check := func(u int) {
+		t.Helper()
+		same("Upper", tab.Upper(u), ref.Upper(u))
+		same("Lower", tab.Lower(u), ref.Lower(u))
+		same("Seen", tab.Seen(u), ref.seen[u])
+		same("KnownCount", tab.KnownCount(u), ref.nknown[u])
+		same("Complete", tab.Complete(u), ref.nknown[u] == m)
+		ex, ok := tab.Exact(u)
+		rex, rok := ref.Exact(u)
+		same("Exact", ex, rex)
+		same("Exact ok", ok, rok)
+		got, want := tab.UnknownPreds(u, nil), ref.UnknownPreds(u, nil)
+		same("len(UnknownPreds)", len(got), len(want))
+		for j := range got {
+			same("UnknownPreds[j]", got[j], want[j])
+			same("Known", tab.Known(u, got[j]), false)
+		}
+		same("Contains", q.Contains(u), rq.in[u])
+	}
+	for pc := 0; pc+1 < len(ops); pc += 2 {
+		op, arg := ops[pc], int(ops[pc+1])
+		u, i := (arg*7+int(op))%n, arg%m
+		switch op % 8 {
+		case 0, 1: // sorted access on list i: observe, then enqueue as NC does
+			if cursor[i] == n {
+				continue
+			}
+			obj, s := ds.SortedAt(i, cursor[i])
+			cursor[i]++
+			tab.ObserveSorted(i, obj, s)
+			ref.ObserveSorted(i, obj, s)
+			q.Add(obj)
+			rq.Add(obj)
+			check(obj)
+		case 2: // probe, of a possibly untouched object
+			tab.ObserveRandom(i, u, ds.Score(u, i))
+			ref.ObserveRandom(i, u, ds.Score(u, i))
+		case 3:
+			e, ok := q.Peek()
+			re, rok := rq.Peek()
+			same("Peek", e, re)
+			same("Peek ok", ok, rok)
+		case 4: // emit the head: pop and retire
+			e, ok := q.Pop()
+			re, rok := rq.Pop()
+			same("Pop", e, re)
+			same("Pop ok", ok, rok)
+			if ok && e.ID != UnseenID {
+				q.Retire(e.ID)
+				rq.retired[e.ID] = true
+			}
+		case 5:
+			q.Add(u)
+			rq.Add(u)
+		case 6: // recycle both under another function and queue mode
+			f, nwg := funcs[arg%len(funcs)], arg&4 == 0
+			if err := tab.Reset(f); err != nil {
+				t.Fatal(err)
+			}
+			ref.Reset(f)
+			q.Reset(tab, nwg)
+			rq = newDenseQueue(ref, nwg)
+			clear(cursor)
+		}
+		check(u)
+		same("UnseenUpper", tab.UnseenUpper(), ref.UnseenUpper())
+		same("SeenCount", tab.SeenCount(), ref.nseen)
+		same("AllSeen", tab.AllSeen(), ref.nseen == n)
+		same("Depth", tab.Depth(i), ref.depth[i])
+		same("LastSeen", tab.LastSeen(i), ref.lastSeen[i])
+		if q.Contains(UnseenID) {
+			same("Len", q.Len()-1, rq.Len())
+		} else {
+			same("Len", q.Len(), rq.Len())
+		}
+		if !tab.AllSeen() {
+			same("Contains(unseen)", q.Contains(UnseenID), rq.unseen)
+		}
+	}
+}
+
+// TestTableMatchesDenseReference drives random programs through the sparse
+// table and queue and their dense references, over universes small enough
+// to be held whole and one large enough that an all-objects queue (nwg off)
+// has to grow the slot arrays.
+func TestTableMatchesDenseReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, shape := range []struct{ n, m, rounds int }{{1, 1, 10}, {7, 2, 10}, {40, 3, 10}, {kit.MinSlots + 90, 3, 3}} {
+		for round := 0; round < shape.rounds; round++ {
+			ops := make([]byte, 2*(200+rng.Intn(2000)))
+			rng.Read(ops)
+			tableOps(t, shape.n, shape.m, ops)
+		}
+	}
+}
+
+// FuzzTableOps is the same differential check with the fuzzer writing the
+// program; the first two bytes pick the shape.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{5, 2, 0, 1, 0, 2, 3, 0, 4, 0, 6, 3, 0, 1, 4, 0})
+	f.Add([]byte{200, 3, 6, 4, 3, 0, 4, 0, 4, 0, 2, 9, 5, 9, 6, 0, 0, 0})
+	f.Add([]byte{0, 0, 2, 0, 2, 0, 4, 0, 5, 0, 3, 0})
+	f.Add([]byte{255, 1, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 6, 1, 0, 0, 4, 0, 4, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) < 2 {
+			return
+		}
+		n, m := 1+2*int(prog[0]), 1+int(prog[1])%4
+		tableOps(t, n, m, prog[2:])
+	})
 }
