@@ -144,7 +144,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		res, err := (&parallel.Executor{B: *par, Sel: sel}).Run(context.Background(), prob)
+		res, err := (&parallel.Executor{B: *par, Sel: sel}).Run(context.Background(), prob, nil)
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,8 @@ const deadlineFired = math.MaxUint64
 // flight it behaves like that child — Done closes and Err reports
 // DeadlineExceeded once the access has run past timeout, parent
 // cancellation shows through — and between accesses it is a view of its
-// parent.
+// parent. An access admitted while another is still running under it gets
+// an accessDeadline of its own, used once (Session.arm).
 //
 // An access pays one atomic store on entry and one compare-and-swap on
 // exit, and never reads the clock: a watchdog timer samples the in-flight

@@ -198,9 +198,10 @@ func WithResilience(r *Resilience) Option {
 
 // Session mediates all accesses of one query execution: it enforces
 // legality, walks sorted lists in order, accrues costs, and records
-// traces. A Session is single-use and not safe for concurrent use; the
-// parallel executor serializes its bookkeeping. The engine facade pools
-// sessions through sync.Pool (see Reset).
+// traces. A Session is single-use and not safe for concurrent use: the
+// bounded-concurrency executor admits and settles on one goroutine and only
+// performs on others (see Pending). The engine facade pools sessions through
+// sync.Pool (see Reset).
 //
 //topklint:pooled
 type Session struct {
@@ -220,7 +221,10 @@ type Session struct {
 	nseen   int
 	ns, nr  []int
 	cost    Cost
-	nAccess int
+	nAccess int // accesses admitted and not failed: the clock cost shifts fire on
+	// reserved is the cost of accesses admitted and not yet settled; admit
+	// counts it against the budget.
+	reserved Cost
 
 	shifts    []CostShift
 	current   []PredCost // costs currently in force
@@ -326,7 +330,7 @@ func (s *Session) Reset(opts ...Option) error {
 	s.nseen = 0
 	clear(s.ns)
 	clear(s.nr)
-	s.cost = 0
+	s.cost, s.reserved = 0, 0
 	s.nAccess = 0
 	s.shifts = s.shifts[:0]
 	copy(s.current, s.scn.Preds)
@@ -642,35 +646,6 @@ func (s *Session) recordBreaker(kind Kind, i int, ok bool) {
 	s.noteTransitions(s.res.Breakers.Record(kind, s.res.breakerIndex(i), ok))
 }
 
-// arm returns the context for one backend access: the session's own, or
-// under an AccessTimeout the session's deadline context with its clock
-// started. Every arm is paired with a disarm as soon as the access returns.
-//
-//topklint:hotpath
-func (s *Session) arm() context.Context {
-	if s.res == nil || s.res.AccessTimeout <= 0 {
-		return s.ctx
-	}
-	if s.actx == nil {
-		//topklint:allow hotpathalloc once per bound context (and after a fired deadline), then re-armed per access
-		s.actx = newAccessDeadline(s.ctx, s.res.AccessTimeout)
-	}
-	s.actx.arm()
-	return s.actx
-}
-
-// disarm stops the access clock. A deadline that fired — even one firing
-// as the access returned — spends its context: the next access arms a
-// fresh one, so the expiry cannot leak into it.
-//
-//topklint:hotpath
-func (s *Session) disarm() {
-	if s.actx != nil && !s.actx.disarm() {
-		s.actx.retire()
-		s.actx = nil
-	}
-}
-
 // failAccess classifies a backend failure under resilience: a source-side
 // failure (including a per-access timeout) is recorded against the breaker
 // and wrapped in ErrAccessFailed so fault-tolerant algorithms absorb it; a
@@ -700,64 +675,51 @@ func rangeViolation(pred, obj, n int) error {
 	}
 }
 
+// Pending is an access between admission and settlement: what Admit hands
+// the caller to perform, and — once Perform has run — the source's answer.
+// An access is three steps, and SortedNext/Random are exactly the three in
+// sequence:
+//
+//   - Admit runs every legality check, prices the access at the costs in
+//     force, reserves that cost against the budget, acquires the breaker,
+//     and hands out the list rank or marks the probe, so a second Admit
+//     cannot duplicate the access;
+//   - Perform is the one raw backend call, under the per-access deadline. It
+//     reads only the Pending and the backend, so it may run on any
+//     goroutine;
+//   - Settle turns the reservation into a bill — ledger, seen set, trace,
+//     AccessDone, breaker success — or, for a failed access, releases it:
+//     the rank or probe is handed back, nothing is billed, AccessDenied is
+//     emitted once and the failure is recorded against the breaker.
+//
+// Admit and Settle touch session state and belong to the one goroutine that
+// owns the session; any number of admitted accesses may be out at once.
+type Pending struct {
+	Kind  Kind
+	Pred  int
+	Rank  int     // sorted: the list rank handed out
+	Obj   int     // random: the target; sorted: the object returned, once performed
+	Score float64 // the score returned, once performed
+	Err   error   // the backend's failure, once performed
+	Cost  Cost    // the unit cost in force at admission: reserved then, billed at settle
+
+	ctx   context.Context // what Perform hands the backend
+	dl    *accessDeadline // ctx's access clock, nil without an AccessTimeout
+	fired bool            // dl expired before the access returned
+}
+
 // SortedNext performs sa_i: it returns the next object in descending p_i
 // order along with its score, accruing cs_i. It fails with ErrExhausted at
 // the end of the list and ErrSortedUnsupported if the scenario forbids it.
 //
 //topklint:hotpath
 func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
-	if i < 0 || i >= s.M() {
-		return 0, 0, fmt.Errorf("access: predicate %d out of range", i)
+	var p Pending
+	if err := s.Admit(&p, SortedAccess, i, 0); err != nil {
+		return 0, 0, err
 	}
-	s.syncBreakers()
-	if !s.current[i].SortedOK {
-		if s.breakerTripped(SortedAccess, i) {
-			s.observeDenied(SortedAccess, i, obs.DenyBreaker)
-			return 0, 0, fmt.Errorf("%w: sa on p%d", ErrCircuitOpen, i+1)
-		}
-		s.observeDenied(SortedAccess, i, obs.DenyUnsupported)
-		return 0, 0, fmt.Errorf("%w: p%d", ErrSortedUnsupported, i+1)
-	}
-	if s.SortedExhausted(i) {
-		s.observeDenied(SortedAccess, i, obs.DenyExhausted)
-		return 0, 0, fmt.Errorf("%w: p%d", ErrExhausted, i+1)
-	}
-	s.applyShifts()
-	if s.hasBudget && s.cost+s.current[i].Sorted > s.budget {
-		s.observeDenied(SortedAccess, i, obs.DenyBudget)
-		return 0, 0, fmt.Errorf("%w: sa%d would cost %v with %v left", ErrBudgetExhausted, i+1, s.current[i].Sorted, s.budget-s.cost)
-	}
-	if !s.acquireBreaker(SortedAccess, i) {
-		s.observeDenied(SortedAccess, i, obs.DenyBreaker)
-		return 0, 0, fmt.Errorf("%w: sa on p%d (probe in flight)", ErrCircuitOpen, i+1)
-	}
-	rank := s.cursor[i]
-	obj, score, err = s.backend.Sorted(s.arm(), i, rank)
-	s.disarm()
-	if err == nil && (obj < 0 || obj >= s.idx.N()) {
-		//topklint:allow hotpathalloc error construction: the access is refused, which is off the billed path
-		err = rangeViolation(i, obj, s.idx.N())
-	}
-	if err != nil {
-		s.observeFailure(SortedAccess, i, err)
-		return 0, 0, s.failAccess(SortedAccess, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, rank, err))
-	}
-	s.recordBreaker(SortedAccess, i, true)
-	s.cursor[i]++
-	s.ns[i]++
-	s.nAccess++
-	s.cost += s.current[i].Sorted
-	if slot := s.touch(obj); !s.seen[slot] {
-		s.seen[slot] = true
-		s.nseen++
-	}
-	if s.traceOn {
-		s.trace = append(s.trace, Record{Kind: SortedAccess, Pred: i, Obj: obj, Score: score, Cost: s.current[i].Sorted})
-	}
-	if s.obs != nil {
-		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Sorted, Pred: i, Value: s.current[i].Sorted.Units()})
-	}
-	return obj, score, nil
+	s.Perform(&p)
+	return s.Settle(&p)
 }
 
 // Random performs ra_i(u), accruing cr_i. Under no-wild-guesses the object
@@ -765,56 +727,173 @@ func (s *Session) SortedNext(i int) (obj int, score float64, err error) {
 //
 //topklint:hotpath
 func (s *Session) Random(i, u int) (float64, error) {
-	if i < 0 || i >= s.M() {
-		return 0, fmt.Errorf("access: predicate %d out of range", i)
+	var p Pending
+	if err := s.Admit(&p, RandomAccess, i, u); err != nil {
+		return 0, err
 	}
-	if u < 0 || u >= s.N() {
-		return 0, fmt.Errorf("access: object %d out of range", u)
+	s.Perform(&p)
+	_, score, err := s.Settle(&p)
+	return score, err
+}
+
+// Admit checks that sa_i — or ra_i(u); u is ignored for a sorted access —
+// is legal and affordable right now and, if so, commits the session to it
+// and fills p: the caller owes p one Perform and one Settle. A refusal
+// changes nothing.
+//
+//topklint:hotpath
+func (s *Session) Admit(p *Pending, kind Kind, i, u int) error {
+	if i < 0 || i >= s.M() {
+		return fmt.Errorf("access: predicate %d out of range", i)
+	}
+	if kind == RandomAccess && (u < 0 || u >= s.N()) {
+		return fmt.Errorf("access: object %d out of range", u)
 	}
 	s.syncBreakers()
-	if !s.current[i].RandomOK {
-		if s.breakerTripped(RandomAccess, i) {
-			s.observeDenied(RandomAccess, i, obs.DenyBreaker)
-			return 0, fmt.Errorf("%w: ra on p%d", ErrCircuitOpen, i+1)
+	pc := &s.current[i]
+	if kind == SortedAccess && !pc.SortedOK || kind == RandomAccess && !pc.RandomOK {
+		if s.breakerTripped(kind, i) {
+			s.observeDenied(kind, i, obs.DenyBreaker)
+			return fmt.Errorf("%w: %v on p%d", ErrCircuitOpen, kind, i+1)
 		}
-		s.observeDenied(RandomAccess, i, obs.DenyUnsupported)
-		return 0, fmt.Errorf("%w: p%d", ErrRandomUnsupported, i+1)
+		s.observeDenied(kind, i, obs.DenyUnsupported)
+		if kind == SortedAccess {
+			return fmt.Errorf("%w: p%d", ErrSortedUnsupported, i+1)
+		}
+		return fmt.Errorf("%w: p%d", ErrRandomUnsupported, i+1)
 	}
-	if s.nwg && !s.Seen(u) {
-		s.observeDenied(RandomAccess, i, obs.DenyWildGuess)
-		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrWildGuess, i+1, u)
-	}
-	if s.Probed(i, u) {
-		s.observeDenied(RandomAccess, i, obs.DenyRepeatedProbe)
-		return 0, fmt.Errorf("%w: ra%d(u%d)", ErrRepeatedProbe, i+1, u)
+	switch {
+	case kind == SortedAccess:
+		if s.SortedExhausted(i) {
+			s.observeDenied(kind, i, obs.DenyExhausted)
+			return fmt.Errorf("%w: p%d", ErrExhausted, i+1)
+		}
+	case s.nwg && !s.Seen(u):
+		s.observeDenied(kind, i, obs.DenyWildGuess)
+		return fmt.Errorf("%w: ra%d(u%d)", ErrWildGuess, i+1, u)
+	case s.Probed(i, u):
+		s.observeDenied(kind, i, obs.DenyRepeatedProbe)
+		return fmt.Errorf("%w: ra%d(u%d)", ErrRepeatedProbe, i+1, u)
 	}
 	s.applyShifts()
-	if s.hasBudget && s.cost+s.current[i].Random > s.budget {
-		s.observeDenied(RandomAccess, i, obs.DenyBudget)
-		return 0, fmt.Errorf("%w: ra%d would cost %v with %v left", ErrBudgetExhausted, i+1, s.current[i].Random, s.budget-s.cost)
+	cost := pc.Sorted
+	if kind == RandomAccess {
+		cost = pc.Random
 	}
-	if !s.acquireBreaker(RandomAccess, i) {
-		s.observeDenied(RandomAccess, i, obs.DenyBreaker)
-		return 0, fmt.Errorf("%w: ra on p%d (probe in flight)", ErrCircuitOpen, i+1)
+	// Accesses admitted and not yet settled count against the budget, so
+	// what is billed never exceeds it however many are out at once.
+	if s.hasBudget && s.cost+s.reserved+cost > s.budget {
+		s.observeDenied(kind, i, obs.DenyBudget)
+		return fmt.Errorf("%w: %v%d would cost %v with %v left", ErrBudgetExhausted, kind, i+1, cost, s.budget-s.cost-s.reserved)
 	}
-	score, err := s.backend.Random(s.arm(), i, u)
-	s.disarm()
-	if err != nil {
-		s.observeFailure(RandomAccess, i, err)
-		return 0, s.failAccess(RandomAccess, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, u, err))
+	if !s.acquireBreaker(kind, i) {
+		s.observeDenied(kind, i, obs.DenyBreaker)
+		return fmt.Errorf("%w: %v on p%d (probe in flight)", ErrCircuitOpen, kind, i+1)
 	}
-	s.recordBreaker(RandomAccess, i, true)
-	s.probed[s.touch(u)*len(s.cursor)+i] = true
-	s.nr[i]++
+	// Field by field: a composite literal is built aside and copied in.
+	p.Kind, p.Pred, p.Rank, p.Obj, p.Cost = kind, i, 0, u, cost
+	p.Score, p.Err = 0, nil
+	p.ctx, p.dl, p.fired = s.ctx, nil, false
+	if kind == SortedAccess {
+		p.Rank = s.cursor[i]
+		s.cursor[i]++
+	} else {
+		s.probed[s.touch(u)*len(s.cursor)+i] = true
+	}
+	s.reserved += cost
 	s.nAccess++
-	s.cost += s.current[i].Random
+	if s.res != nil && s.res.AccessTimeout > 0 {
+		s.arm(p)
+	}
+	return nil
+}
+
+// arm starts the access clock of an admitted access. The session's own
+// re-armable deadline serves it when no other access is running under it;
+// accesses that overlap one get a deadline of their own.
+//
+//topklint:hotpath
+func (s *Session) arm(p *Pending) {
+	d := s.actx
+	if d == nil || d.armed.Load() != 0 {
+		//topklint:allow hotpathalloc once per bound context (and after a fired deadline) when accesses run one at a time, then re-armed per access
+		d = newAccessDeadline(s.ctx, s.res.AccessTimeout)
+		if s.actx == nil {
+			s.actx = d
+		}
+	}
+	d.arm()
+	p.dl, p.ctx = d, d
+}
+
+// Perform makes the backend call of an admitted access and stops its access
+// clock. It reads nothing of the session but the backend, so the executor
+// may run it off the goroutine that admits and settles.
+//
+//topklint:hotpath
+func (s *Session) Perform(p *Pending) {
+	if p.Kind == SortedAccess {
+		p.Obj, p.Score, p.Err = s.backend.Sorted(p.ctx, p.Pred, p.Rank)
+	} else {
+		p.Score, p.Err = s.backend.Random(p.ctx, p.Pred, p.Obj)
+	}
+	if p.dl != nil {
+		p.fired = !p.dl.disarm()
+	}
+}
+
+// Settle closes a performed access: a successful one is billed and
+// returned, a failed one is released — its rank or probe handed back,
+// nothing billed — and classified (see failAccess). A sorted list whose
+// access fails is rewound to the failed rank; later ranks already out are
+// the caller's to abandon.
+//
+//topklint:hotpath
+func (s *Session) Settle(p *Pending) (obj int, score float64, err error) {
+	kind, i := p.Kind, p.Pred
+	s.reserved -= p.Cost
+	// A deadline that fired — even one firing as the access returned — is
+	// spent, and one made for an overlapping access is done: only the
+	// session's own, unfired, is armed again.
+	if d := p.dl; d != nil && (p.fired || d != s.actx) {
+		d.retire()
+		if d == s.actx {
+			s.actx = nil
+		}
+	}
+	err = p.Err
+	if err == nil && kind == SortedAccess && (p.Obj < 0 || p.Obj >= s.idx.N()) {
+		//topklint:allow hotpathalloc error construction: the access is refused, which is off the billed path
+		err = rangeViolation(i, p.Obj, s.idx.N())
+	}
+	if err != nil {
+		s.nAccess--
+		s.observeFailure(kind, i, err)
+		if kind == SortedAccess {
+			s.cursor[i] = min(s.cursor[i], p.Rank)
+			return 0, 0, s.failAccess(kind, i, fmt.Errorf("access: backend sorted(p%d, rank %d): %w", i+1, p.Rank, err))
+		}
+		s.probed[s.touch(p.Obj)*len(s.cursor)+i] = false
+		return 0, 0, s.failAccess(kind, i, fmt.Errorf("access: backend random(p%d, u%d): %w", i+1, p.Obj, err))
+	}
+	s.recordBreaker(kind, i, true)
+	s.cost += p.Cost
+	if kind == SortedAccess {
+		s.ns[i]++
+		if slot := s.touch(p.Obj); !s.seen[slot] {
+			s.seen[slot] = true
+			s.nseen++
+		}
+	} else {
+		s.nr[i]++
+	}
 	if s.traceOn {
-		s.trace = append(s.trace, Record{Kind: RandomAccess, Pred: i, Obj: u, Score: score, Cost: s.current[i].Random})
+		s.trace = append(s.trace, Record{Kind: kind, Pred: i, Obj: p.Obj, Score: p.Score, Cost: p.Cost})
 	}
 	if s.obs != nil {
-		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obs.Random, Pred: i, Value: s.current[i].Random.Units()})
+		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obsKind(kind), Pred: i, Value: p.Cost.Units()})
 	}
-	return score, nil
+	return p.Obj, p.Score, nil
 }
 
 // TotalCost returns the cost accrued so far — Ledger().TotalCost without

@@ -95,7 +95,7 @@ func (nc *NC) Open(p *Problem, sc *Scratch) (*Cursor, error) {
 		sc = &Scratch{}
 	}
 	sess := p.Session
-	tab, q, err := sc.prepare(sess.N(), sess.M(), p.F, sess.NoWildGuesses())
+	tab, q, err := sc.Prepare(sess.N(), sess.M(), p.F, sess.NoWildGuesses())
 	if err != nil {
 		return nil, err
 	}
@@ -266,23 +266,32 @@ func (c *Cursor) page(items []Item) *Result {
 	return res
 }
 
-// drainOne pops the next best-effort candidate after truncation: exact if
-// complete, otherwise the lower bound with Exact=false — the same fill
-// NC.Run's anytime drain produces.
+// drainOne pops the next best-effort candidate after truncation.
 func (c *Cursor) drainOne() (Item, bool) {
+	it, ok := DrainOne(c.tab, c.q)
+	if !ok {
+		c.exhausted = true
+	}
+	return it, ok
+}
+
+// DrainOne pops the queue's next best-effort candidate, the anytime fill of
+// a run that stopped before proving its answer: exact if complete,
+// otherwise the lower bound with Exact=false. False means the queue is
+// empty.
+func DrainOne(tab *state.Table, q *state.Queue) (Item, bool) {
 	for {
-		e, ok := c.q.Pop()
+		e, ok := q.Pop()
 		if !ok {
-			c.exhausted = true
 			return Item{}, false
 		}
 		if e.ID == state.UnseenID {
 			continue
 		}
-		if exact, done := c.tab.Exact(e.ID); done {
+		if exact, done := tab.Exact(e.ID); done {
 			return Item{Obj: e.ID, Score: exact, Exact: true}, true
 		}
-		return Item{Obj: e.ID, Score: c.tab.Lower(e.ID), Exact: false}, true
+		return Item{Obj: e.ID, Score: tab.Lower(e.ID), Exact: false}, true
 	}
 }
 

@@ -109,7 +109,7 @@ func TestQueryStateFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sc Scratch
-		if _, _, err := sc.prepare(s.N(), s.M(), score.Avg(), true); err != nil {
+		if _, _, err := sc.Prepare(s.N(), s.M(), score.Avg(), true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -136,7 +136,7 @@ func BenchmarkStateReset(b *testing.B) {
 				if err := sess.Reset(); err != nil {
 					b.Fatal(err)
 				}
-				tab, q, err := sc.prepare(n, back.M(), score.Avg(), true)
+				tab, q, err := sc.Prepare(n, back.M(), score.Avg(), true)
 				if err != nil {
 					b.Fatal(err)
 				}

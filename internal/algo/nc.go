@@ -20,22 +20,6 @@ type Choice struct {
 	Pred int
 }
 
-// AccessContext is the read-only view of a middleware access runtime that
-// choice construction and selection need: capabilities and current costs,
-// sorted-list progress, probe history, and visibility. *access.Session
-// implements it; so does the live concurrent executor, which keeps its own
-// bookkeeping while issuing real requests.
-type AccessContext interface {
-	M() int
-	Costs(i int) access.PredCost
-	SortedExhausted(i int) bool
-	Probed(i, u int) bool
-	Seen(u int) bool
-	NoWildGuesses() bool
-}
-
-var _ AccessContext = (*access.Session)(nil)
-
 // AccessObserver receives every performed access with the updated table
 // and the observed result — the checkpoint hook of the adaptive layer
 // (internal/adapt). One implementation covers all three executors: NC
@@ -59,7 +43,7 @@ type Selector interface {
 	// unsatisfied task of object target. target is state.UnseenID for the
 	// virtual unseen object, in which case all choices are sorted
 	// accesses.
-	Choose(t *state.Table, ctx AccessContext, target int, choices []Choice) Choice
+	Choose(t *state.Table, sess *access.Session, target int, choices []Choice) Choice
 }
 
 // NC is Framework NC (Figure 6): it maintains the current top-k objects by
@@ -121,9 +105,9 @@ type Scratch struct {
 	cur Cursor
 }
 
-// prepare readies the scratch for a run of size n×m, reallocating only on
-// first use or a shape change.
-func (sc *Scratch) prepare(n, m int, f score.Func, nwg bool) (*state.Table, *state.Queue, error) {
+// Prepare readies the scratch for a run of size n×m and hands out its table
+// and queue, reallocating only on first use or a shape change.
+func (sc *Scratch) Prepare(n, m int, f score.Func, nwg bool) (*state.Table, *state.Queue, error) {
 	if sc.tab == nil || sc.tab.N() != n || sc.tab.M() != m {
 		t, err := state.NewTable(n, m, f)
 		if err != nil {
@@ -178,7 +162,7 @@ func deadlineReason(err error) string {
 // object (Definition 2): every supported access that can return exact or
 // bounding scores about the object's undetermined predicates. For the
 // virtual unseen object only sorted accesses apply (Figure 10).
-func NecessaryChoices(tab *state.Table, sess AccessContext, id int) []Choice {
+func NecessaryChoices(tab *state.Table, sess *access.Session, id int) []Choice {
 	return AppendNecessaryChoices(nil, tab, sess, id)
 }
 
@@ -187,7 +171,7 @@ func NecessaryChoices(tab *state.Table, sess AccessContext, id int) []Choice {
 // pass a recycled slice to keep choice construction allocation-free.
 //
 //topklint:hotpath
-func AppendNecessaryChoices(dst []Choice, tab *state.Table, sess AccessContext, id int) []Choice {
+func AppendNecessaryChoices(dst []Choice, tab *state.Table, sess *access.Session, id int) []Choice {
 	out := dst
 	if id == state.UnseenID {
 		for i := 0; i < sess.M(); i++ {

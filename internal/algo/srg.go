@@ -97,7 +97,7 @@ func (s *SRG) setRank(omega []int, m int) bool {
 func (s *SRG) Name() string { return fmt.Sprintf("SR/G(H=%v,Omega=%v)", s.H, s.Omega) }
 
 // Choose implements Selector per Figure 9.
-func (s *SRG) Choose(t *state.Table, sess AccessContext, target int, choices []Choice) Choice {
+func (s *SRG) Choose(t *state.Table, sess *access.Session, target int, choices []Choice) Choice {
 	best := -1
 	// Rule 1: sorted access still above its depth, earliest in Omega.
 	for idx, ch := range choices {
@@ -154,7 +154,7 @@ type UpperSelector struct {
 func (u *UpperSelector) Name() string { return "Upper" }
 
 // Choose implements Selector.
-func (u *UpperSelector) Choose(t *state.Table, sess AccessContext, target int, choices []Choice) Choice {
+func (u *UpperSelector) Choose(t *state.Table, sess *access.Session, target int, choices []Choice) Choice {
 	if target == state.UnseenID {
 		best := 0
 		for idx, ch := range choices[1:] {

@@ -71,7 +71,7 @@ type rsSelector struct{}
 
 func (rsSelector) Name() string { return "RS (random-first)" }
 
-func (rsSelector) Choose(tab *state.Table, sess algo.AccessContext, target int, choices []algo.Choice) algo.Choice {
+func (rsSelector) Choose(tab *state.Table, sess *access.Session, target int, choices []algo.Choice) algo.Choice {
 	for _, ch := range choices {
 		if ch.Kind == access.RandomAccess {
 			return ch

@@ -62,7 +62,7 @@ func RunE7(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := (&parallel.Executor{B: b, Sel: sel}).Run(context.Background(), prob)
+		res, err := (&parallel.Executor{B: b, Sel: sel}).Run(context.Background(), prob, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -20,7 +20,7 @@
 // in the plan-cache key, cache eviction — silently disappears.
 //
 // Legitimate out-of-ledger traffic exists — cost calibration probes,
-// readiness checks, the live executor's own-ledgered accesses — and each
+// readiness checks — and each
 // such site carries `//topklint:allow billedaccess <reason>`, so the
 // exceptions are enumerable: grep for the directive and you have the
 // complete audit of unbilled access in the codebase.

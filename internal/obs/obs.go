@@ -251,9 +251,9 @@ func (e Event) Breaker() (from, to BreakerState) {
 	return BreakerState(e.Code >> 4), BreakerState(e.Code & 0xf)
 }
 
-// Observer receives engine events. Implementations used with the
-// concurrent executors (parallel.Executor, parallel.Live) or shared across
-// HTTP requests must be safe for concurrent use; Nop, Metrics and
+// Observer receives engine events. Implementations shared across HTTP
+// requests must be safe for concurrent use (parallel.Executor emits from
+// its one coordinating goroutine, also on a live run); Nop, Metrics and
 // QueryTrace all are.
 //
 // Observe must be cheap and non-blocking: events fire on the access hot

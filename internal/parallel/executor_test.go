@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,9 +15,10 @@ import (
 	"repro/internal/score"
 )
 
-func runParallel(t *testing.T, b int, ds *data.Dataset, scn access.Scenario, f score.Func, k int, h []float64) *Result {
+// newProblem opens a session over the backend and bundles the query.
+func newProblem(t *testing.T, b access.Backend, scn access.Scenario, f score.Func, k int, opts ...access.Option) *algo.Problem {
 	t.Helper()
-	sess, err := access.NewSession(access.DatasetBackend{DS: ds}, scn)
+	sess, err := access.NewSession(b, scn, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,12 +26,23 @@ func runParallel(t *testing.T, b int, ds *data.Dataset, scn access.Scenario, f s
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &Executor{B: b, Sel: algotest.MustSRG(h, nil)}
-	res, err := ex.Run(context.Background(), prob)
+	return prob
+}
+
+// runOn executes one query under the executor, simulated or live.
+func runOn(t *testing.T, live bool, b int, backend access.Backend, scn access.Scenario, f score.Func, k int, h []float64, opts ...access.Option) *Result {
+	t.Helper()
+	ex := &Executor{B: b, Sel: algotest.MustSRG(h, nil), Live: live}
+	res, err := ex.Run(context.Background(), newProblem(t, backend, scn, f, k, opts...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+func runParallel(t *testing.T, b int, ds *data.Dataset, scn access.Scenario, f score.Func, k int, h []float64) *Result {
+	t.Helper()
+	return runOn(t, false, b, access.DatasetBackend{DS: ds}, scn, f, k, h)
 }
 
 func assertOracle(t *testing.T, ds *data.Dataset, f score.Func, k int, items []algo.Item) {
@@ -58,31 +71,51 @@ func assertOracle(t *testing.T, ds *data.Dataset, f score.Func, k int, items []a
 	}
 }
 
+// TestSequentialEquivalence: B = 1 is sequential NC under either completion
+// source — the same accesses in the same order (the session's trace), the
+// same answers, and under simulated time elapsed == cost — in every legal
+// cell of the Figure-2 matrix for min, avg and a weighted sum.
 func TestSequentialEquivalence(t *testing.T) {
-	// B = 1 must behave exactly like the sequential NC run: same answers,
-	// same total cost, elapsed == cost.
 	ds := datatest.MustGenerate(data.Uniform, 200, 2, 13)
-	scn := access.Uniform(2, 1, 2)
+	backend := access.DatasetBackend{DS: ds}
 	h := []float64{0.4, 0.6}
-
-	res := runParallel(t, 1, ds, scn, score.Min(), 5, h)
-	assertOracle(t, ds, score.Min(), 5, res.Items)
-
-	sess, _ := access.NewSession(access.DatasetBackend{DS: ds}, scn)
-	prob, _ := algo.NewProblem(score.Min(), 5, sess)
-	alg, _ := algo.NewNC(h, nil)
-	seq, err := alg.Run(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ledger.TotalCost != seq.Cost() {
-		t.Errorf("B=1 cost %v != sequential cost %v", res.Ledger.TotalCost, seq.Cost())
-	}
-	if math.Abs(res.Elapsed-res.Ledger.TotalCost.Units()) > 1e-6 {
-		t.Errorf("B=1 elapsed %g != total cost %g", res.Elapsed, res.Ledger.TotalCost.Units())
-	}
-	if res.MaxUsed != 1 {
-		t.Errorf("B=1 used %d slots", res.MaxUsed)
+	caps := []access.Capability{access.Cheap, access.Expensive, access.Impossible}
+	for _, sc := range caps {
+		for _, rc := range caps {
+			scn := access.MatrixCell(2, sc, rc, 10)
+			if scn.Validate(2) != nil {
+				continue // the cell with no legal access at all
+			}
+			for _, f := range []score.Func{score.Min(), score.Avg(), score.Weighted(0.7, 0.3)} {
+				label := scn.Name + "/" + f.Name()
+				seqProb := newProblem(t, backend, scn, f, 5, access.WithTrace())
+				alg, _ := algo.NewNC(h, nil)
+				seq, err := alg.Run(seqProb)
+				if err != nil {
+					t.Fatalf("%s: sequential NC: %v", label, err)
+				}
+				for _, live := range []bool{false, true} {
+					prob := newProblem(t, backend, scn, f, 5, access.WithTrace())
+					ex := &Executor{B: 1, Sel: algotest.MustSRG(h, nil), Live: live}
+					res, err := ex.Run(context.Background(), prob, nil)
+					if err != nil {
+						t.Fatalf("%s live=%v: %v", label, live, err)
+					}
+					if !slices.Equal(prob.Session.Trace(), seqProb.Session.Trace()) {
+						t.Errorf("%s live=%v: B=1 trace differs from sequential NC's:\n%v\n%v", label, live, prob.Session.Trace(), seqProb.Session.Trace())
+					}
+					if !slices.Equal(res.Items, seq.Items) {
+						t.Errorf("%s live=%v: B=1 answers %v, sequential %v", label, live, res.Items, seq.Items)
+					}
+					if res.MaxUsed != 1 {
+						t.Errorf("%s live=%v: B=1 used %d slots", label, live, res.MaxUsed)
+					}
+					if !live && math.Abs(res.Elapsed-res.Cost().Units()) > 1e-6 {
+						t.Errorf("%s: B=1 elapsed %g != total cost %g", label, res.Elapsed, res.Cost().Units())
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -139,12 +172,11 @@ func TestParallelKLargerThanN(t *testing.T) {
 
 func TestParallelValidation(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 5, 2, 1)
-	sess, _ := access.NewSession(access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 1))
-	prob, _ := algo.NewProblem(score.Avg(), 2, sess)
-	if _, err := (&Executor{B: 0, Sel: algotest.MustSRG([]float64{1, 1}, nil)}).Run(context.Background(), prob); err == nil {
+	prob := newProblem(t, access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 1), score.Avg(), 2)
+	if _, err := (&Executor{B: 0, Sel: algotest.MustSRG([]float64{1, 1}, nil)}).Run(context.Background(), prob, nil); err == nil {
 		t.Error("B=0 should fail")
 	}
-	if _, err := (&Executor{B: 2}).Run(context.Background(), prob); err == nil {
+	if _, err := (&Executor{B: 2}).Run(context.Background(), prob, nil); err == nil {
 		t.Error("nil selector should fail")
 	}
 }
@@ -159,6 +191,89 @@ func TestParallelDeterminism(t *testing.T) {
 	for i := range a.Items {
 		if a.Items[i] != b.Items[i] {
 			t.Fatal("items differ across identical runs")
+		}
+	}
+}
+
+// scripted is a completion source with a hand-written delivery order: it
+// performs each access as it starts, like the simulated source, and
+// completes them first-started first — except that, with swap set, a sorted
+// access whose successor on the same list is also out is delivered after
+// that successor: rank r+1 before rank r, on every list. It counts the
+// accesses started for a task whose result it has delivered and the table
+// cannot have been told yet.
+type scripted struct {
+	sess     *access.Session
+	out      []flight
+	swap     bool
+	buffered map[int]bool // tasks whose result went out ahead of its predecessor
+	redone   int          // accesses started for a buffered task
+}
+
+func (s *scripted) start(f flight) {
+	if s.buffered[f.task] {
+		s.redone++
+	}
+	s.sess.Perform(&f.Pending)
+	s.out = append(s.out, f)
+}
+
+func (s *scripted) next(context.Context) (flight, error) {
+	pick := 0
+	if head := s.out[0]; s.swap && head.Kind == access.SortedAccess {
+		for i, g := range s.out {
+			if g.Kind == access.SortedAccess && g.Pred == head.Pred && g.Rank == head.Rank+1 {
+				pick = i
+			}
+		}
+	}
+	f := s.out[pick]
+	s.out = append(s.out[:pick], s.out[pick+1:]...)
+	if pick > 0 {
+		s.buffered[f.task] = true
+	} else {
+		clear(s.buffered) // the head's rank lets everything delivered ahead of it apply
+	}
+	return f, nil
+}
+
+// TestOutOfOrderCompletionBillsLikeInOrder: a task is busy until its result
+// is applied, not until its request returns. A sorted result that comes
+// back ahead of its predecessor waits in the reorder buffer having told the
+// table nothing; were its task free to dispatch again it would buy the
+// same information twice — the second executor used to, billing 112–235
+// where the sequential plan bills 99. With rank r+1 delivered before rank r
+// on every list, no task is dispatched while its result waits, and the run
+// bills what in-order delivery bills. (To within the couple of accesses by
+// which any two dispatch orders differ: the early result frees its slot, so
+// the window refills one completion sooner than in order.)
+func TestOutOfOrderCompletionBillsLikeInOrder(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 300, 2, 42)
+	scn := access.Uniform(2, 1, 1)
+	for _, b := range []int{2, 3, 8} {
+		run := func(swap bool) (*Result, *scripted) {
+			prob := newProblem(t, access.DatasetBackend{DS: ds}, scn, score.Avg(), 5)
+			tab, q, err := new(algo.Scratch).Prepare(ds.N(), ds.M(), score.Avg(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := &scripted{sess: prob.Session, swap: swap, buffered: map[int]bool{}}
+			ex := &Executor{B: b, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil)}
+			res, err := ex.run(context.Background(), prob, tab, q, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOracle(t, ds, score.Avg(), 5, res.Items)
+			return res, src
+		}
+		inOrder, _ := run(false)
+		swapped, src := run(true)
+		if src.redone != 0 {
+			t.Errorf("B=%d: %d accesses dispatched for a task whose result sat in the reorder buffer", b, src.redone)
+		}
+		got, want := swapped.Ledger.TotalAccesses(), inOrder.Ledger.TotalAccesses()
+		if got > want+want/50 || got < want-want/50 {
+			t.Errorf("B=%d: out-of-order completion billed %d accesses, in-order %d", b, got, want)
 		}
 	}
 }

@@ -64,7 +64,6 @@ func TestModeCompatibilityTable(t *testing.T) {
 		{"TA", "NC"}, {"FA", "NC"},
 		{"TA", "parallel"}, {"FA", "parallel"}, {"adaptive", "parallel"},
 		{"TA", "live"}, {"FA", "live"}, {"adaptive", "live"}, {"parallel", "live"},
-		{"live", "budget"}, {"live", "resilience"}, {"live", "shifts"},
 		{"TA", "approx"}, {"FA", "approx"}, {"adaptive", "approx"}, {"parallel", "approx"}, {"live", "approx"},
 		{"FA", "adaptive"},
 	} {

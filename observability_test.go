@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/access"
@@ -44,7 +45,8 @@ func checkConservation(t *testing.T, label string, ans *Answer) {
 }
 
 // TestTraceConservesLedger runs every registry algorithm (plus fixed and
-// optimized NC) across the Figure 2 scenario matrix and checks that the
+// optimized NC, and fixed NC under the bounded-concurrency executor against
+// simulated and real time) across the Figure 2 scenario matrix and checks that the
 // per-query trace conserves the ledger in every cell the algorithm
 // supports. Cells an algorithm cannot run in (capability mismatch) error
 // out before completing and are skipped — conservation is a property of
@@ -60,6 +62,8 @@ func TestTraceConservesLedger(t *testing.T) {
 	runs := []run{
 		{"NC-fixed", []RunOption{WithNC([]float64{0.5, 0.5}, nil)}},
 		{"NC-opt", nil},
+		{"NC-parallel", []RunOption{WithNC([]float64{0.5, 0.5}, nil), WithParallel(3)}},
+		{"NC-live", []RunOption{WithNC([]float64{0.5, 0.5}, nil), WithLive(3)}},
 	}
 	for _, name := range algo.Names() {
 		runs = append(runs, run{name, []RunOption{WithAlgorithm(name)}})
@@ -183,8 +187,9 @@ func TestParallelTrace(t *testing.T) {
 }
 
 // TestExecutorInflightSettles: a concurrent run that ends with accesses
-// still in flight — out of budget, cancelled, failed by its backend —
-// returns the executor-inflight gauge to zero. The gauge is shared by every
+// still in flight — out of budget (which answers Truncated, not an error),
+// cancelled, failed by its backend — returns the executor-inflight gauge to
+// zero. The gauge is shared by every
 // query of a service, so a run that leaked its outstanding flights skewed
 // it for good.
 func TestExecutorInflightSettles(t *testing.T) {
@@ -199,7 +204,7 @@ func TestExecutorInflightSettles(t *testing.T) {
 		wantErr error
 	}{
 		{"parallel-out-of-budget", func(context.CancelFunc) Backend { return DataBackend(ds) },
-			[]RunOption{WithParallel(8), WithBudget(20)}, access.ErrBudgetExhausted},
+			[]RunOption{WithParallel(8), WithBudget(20)}, nil},
 		{"live-cancelled", func(cancel context.CancelFunc) Backend {
 			// The first access cancels the run as it starts, then hangs on
 			// the cancelled context like every access after it.
@@ -224,6 +229,76 @@ func TestExecutorInflightSettles(t *testing.T) {
 			}
 			if got := reg.Gauge("topk_executor_inflight", "").Value(); got != 0 {
 				t.Errorf("topk_executor_inflight = %d after the run returned, want 0", got)
+			}
+		})
+	}
+}
+
+// outcomes counts what the backend beneath it answered.
+type outcomes struct {
+	Backend
+	ok, failed atomic.Int64
+}
+
+func (o *outcomes) count(err error) {
+	if err != nil {
+		o.failed.Add(1)
+	} else {
+		o.ok.Add(1)
+	}
+}
+
+func (o *outcomes) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	obj, s, err := o.Backend.Sorted(ctx, pred, rank)
+	o.count(err)
+	return obj, s, err
+}
+
+func (o *outcomes) Random(ctx context.Context, pred, obj int) (float64, error) {
+	s, err := o.Backend.Random(ctx, pred, obj)
+	o.count(err)
+	return s, err
+}
+
+// TestFailedConcurrentAccessCountedOnce: an access the source fails is
+// reported once, as denied, and never billed — under the executor as in a
+// sequential run. The live executor used to bill at dispatch and deny at
+// completion, so a failing run's trace counted the access on both sides.
+func TestFailedConcurrentAccessCountedOnce(t *testing.T) {
+	ds := mustGenerateDataset(t, "uniform", 1000, 2, 42)
+	for _, tc := range []struct {
+		name string
+		opt  RunOption
+	}{{"live-1", WithLive(1)}, {"live-4", WithLive(4)}, {"parallel-4", WithParallel(4)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			faulty := fault.Wrap(DataBackend(ds), fault.Config{Seed: 7, Preds: map[int]fault.PredFault{0: {OutageFrom: 3, OutageTo: -1}}})
+			backend := &outcomes{Backend: faulty}
+			eng, err := NewEngine(backend, UniformScenario(2, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewQueryTrace()
+			_, err = eng.Run(Query{F: Avg(), K: 10}, WithNC([]float64{0.5, 0.5}, nil), tc.opt, WithObserver(tr))
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("err = %v, want the injected outage", err)
+			}
+			snap := tr.Snapshot()
+			billed := 0
+			for i := 0; i < 2; i++ {
+				billed += traceAt(snap.SortedAccesses, i) + traceAt(snap.RandomAccesses, i)
+			}
+			// The failure is terminal: the first one settled ends the run, and
+			// whatever else was out is abandoned — neither billed nor denied.
+			if got := snap.Denied["backend"]; got != 1 {
+				t.Errorf("failed access denied %d times, want once (denials: %v)", got, snap.Denied)
+			}
+			if ok := int(backend.ok.Load()); billed > ok {
+				t.Errorf("trace bills %d accesses, the sources answered %d", billed, ok)
+			} else if tc.name == "live-1" && billed != ok {
+				t.Errorf("one access at a time: trace bills %d accesses, the sources answered %d", billed, ok)
+			}
+			if math.Abs(snap.CostUnits-float64(billed)) > 1e-9 {
+				t.Errorf("trace cost %g for %d unit-cost accesses: the failed access was charged", snap.CostUnits, billed)
 			}
 		})
 	}

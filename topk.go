@@ -314,12 +314,12 @@ func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n i
 }
 
 // resolvePlan is the one plan-resolution step every entry point shares
-// (Run, Open, page-boundary re-plans, the live executor, Explain): the
+// (Run, Open, page-boundary re-plans, Explain): the
 // fixed WithNC configuration, the optimizer's choice (through optimize, so
 // sharing discounts, fingerprint keys and the plan cache always apply), or
 // nothing for a named algorithm. The optimizer prices the scenario the
 // session currently sees — breaker degradation and cost shifts included —
-// or, without a session (Explain, the live executor), the engine's. It
+// or, without a session (Explain), the engine's. It
 // returns the SR/G selector to execute and the optimizer's plan when one
 // was made.
 func (e *Engine) resolvePlan(spec *runSpec, o obs.Observer, sess *access.Session, q Query) (*algo.SRG, *Plan, error) {
@@ -552,10 +552,10 @@ var incompatible = [...]struct {
 		"a named baseline has no SR/G configuration to fix"},
 	{modeApprox, modeNamed | modeAdaptive | modeParallel | modeLive,
 		"approximation relaxes the emission rule of sequential NC under its initial plan only"},
-	{modeParallel, modeNamed | modeAdaptive,
-		"the simulated executor dispatches one frozen SR/G selector"},
-	{modeLive, modeNamed | modeAdaptive | modeParallel | modeBudget | modeResilience | modeShifts,
-		"the live executor drives one frozen SR/G selector and bypasses the access session that enforces budgets, breakers and simulated shifts"},
+	{modeParallel | modeLive, modeNamed | modeAdaptive,
+		"the bounded-concurrency executor dispatches one frozen SR/G selector"},
+	{modeParallel, modeLive,
+		"one executor runs against simulated time or real time, not both"},
 	{modeAdaptive, modeBatch,
 		"a batch-only baseline exposes no per-access hook to monitor"},
 	{modeCursor, modeBatch | modeParallel | modeLive,
@@ -603,7 +603,7 @@ func (e *Engine) newSpec(opts []RunOption, cursor bool) (*runSpec, error) {
 	}
 	for _, row := range incompatible {
 		if m&row.a != 0 && m&row.b != 0 {
-			return nil, fmt.Errorf("topk: %v cannot be combined with %v: %s", row.a, m&row.b, row.why)
+			return nil, fmt.Errorf("topk: %v cannot be combined with %v: %s", m&row.a, m&row.b, row.why)
 		}
 	}
 	return r, nil
@@ -677,16 +677,20 @@ func WithAdaptive(period int) RunOption {
 	return func(r *runSpec) { r.adaptive, r.period = true, period }
 }
 
-// WithParallel executes under a bounded-concurrency simulated executor
-// with at most b concurrent accesses; the fixed or optimized plan's
-// selector drives dispatch.
+// WithParallel executes under the bounded-concurrency executor with at most
+// b concurrent accesses against simulated time — each access occupies a
+// slot for its unit cost, and the answer's Elapsed field reports the
+// simulated clock; the fixed or optimized plan's selector drives dispatch.
 func WithParallel(b int) RunOption {
 	return func(r *runSpec) { r.parallelB = b }
 }
 
-// WithLive executes with real concurrent backend requests (goroutines)
-// bounded by b — for engines whose backend is a live source such as the
-// HTTP web-source client. The answer's Wall field reports measured time.
+// WithLive is WithParallel against real time: the same executor over the
+// same access session — so budgets, resilience and cost shifts compose with
+// it — performing up to b backend requests at once in goroutines, for
+// engines whose backend is a live source such as the HTTP web-source
+// client (it must be safe for concurrent use). The answer's Wall field
+// reports measured time.
 func WithLive(b int) RunOption {
 	return func(r *runSpec) { r.liveB = b }
 }
@@ -762,8 +766,8 @@ type execution struct {
 
 	// pager is the suspended run (NC, TA or MPro cursor); nc is the same
 	// cursor when it is NC-shaped (score-range paging, plan swaps). A
-	// batch-only run — a baseline without a resumable form, the simulated
-	// parallel executor — has no pager: batch is its single page.
+	// batch-only run — a baseline without a resumable form, the
+	// bounded-concurrency executor — has no pager: batch is its single page.
 	pager algo.Pager
 	nc    *algo.Cursor
 	batch func() (*algo.Result, error)
@@ -773,7 +777,8 @@ type execution struct {
 	// scenario it was made against, for change detection.
 	plan    *Plan
 	planScn []PredCost
-	elapsed float64 // simulated elapsed time of a WithParallel run
+	elapsed float64       // simulated elapsed time of a WithParallel run
+	wall    time.Duration // measured elapsed time of a WithLive run
 }
 
 // begin assembles the execution for a validated spec — the only place
@@ -833,15 +838,20 @@ func (x *execution) build() error {
 	}
 	switch alg := spec.algorithm.(type) {
 	case nil:
-		if spec.parallelB > 0 {
-			ex := &parallel.Executor{B: spec.parallelB, Sel: sel, Obs: x.obsv}
+		if b := max(spec.parallelB, spec.liveB); b > 0 {
+			ex := &parallel.Executor{B: b, Sel: sel, Live: spec.liveB > 0, Obs: x.obsv}
 			x.batch = func() (*algo.Result, error) {
-				res, err := ex.Run(spec.ctx, prob)
+				start := time.Now()
+				res, err := ex.Run(spec.ctx, prob, &x.st.scratch)
 				if err != nil {
 					return nil, err
 				}
-				x.elapsed = res.Elapsed
-				return &algo.Result{Items: res.Items, Ledger: res.Ledger}, nil
+				if ex.Live {
+					x.wall = time.Since(start)
+				} else {
+					x.elapsed = res.Elapsed
+				}
+				return &res.Result, nil
 			}
 			return nil
 		}
@@ -948,9 +958,6 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.liveB > 0 {
-		return e.runLive(q, spec)
-	}
 	x, err := e.begin(q, spec)
 	if err != nil {
 		return nil, err
@@ -965,6 +972,7 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 		Ledger:    res.Ledger,
 		Plan:      x.plan,
 		Elapsed:   x.elapsed,
+		Wall:      x.wall,
 		Truncated: res.Truncated,
 		Degraded:  res.Degraded,
 		Trace:     snapshotTrace(x.tr),
@@ -1164,28 +1172,6 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 		return Plan{}, err
 	}
 	return *plan, nil
-}
-
-// runLive executes the query with real concurrent backend requests. It is
-// the one execution that does not go through begin — the live executor
-// keeps its own bookkeeping instead of an access session — but it is
-// validated by the same table and planned by the same resolvePlan.
-func (e *Engine) runLive(q Query, spec *runSpec) (*Answer, error) {
-	o, tr := spec.resolveObserver()
-	sel, plan, err := e.resolvePlan(spec, o, nil, q)
-	if err != nil {
-		return nil, err
-	}
-	live := &parallel.Live{B: spec.liveB, Sel: sel, Scn: e.scn, DisableNWG: !e.nwg, Obs: o}
-	start := time.Now()
-	res, err := live.Run(spec.ctx, e.backend, q.F, q.K)
-	if o != nil {
-		o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseExecute), Value: time.Since(start).Seconds()})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Items: res.Items, Ledger: res.Ledger, Plan: plan, Wall: res.Wall, Trace: snapshotTrace(tr)}, nil
 }
 
 // TopKOracle computes the exact answer by brute force over a dataset —

@@ -32,6 +32,63 @@ func TestEngineLiveRun(t *testing.T) {
 	}
 }
 
+// TestLiveBillsNearSequential: real concurrency must not buy speculation.
+// Requests complete in whatever order the scheduler likes, and the executor
+// still services only necessary tasks — each at most once at a time, until
+// its result is applied — so the bill stays near the sequential plan's
+// (the simulated executor's 100–104 against 99 here). The second executor
+// freed a task when its request returned and billed 112–235.
+func TestLiveBillsNearSequential(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := Query{F: Avg(), K: 5}
+	seq, err := eng.Run(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []int{2, 3, 8} {
+		for i := 0; i < 20; i++ {
+			ans, err := eng.Run(q, WithLive(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertExactTopK(t, ds, q.F, q.K, ans)
+			if got, limit := ans.TotalCost().Units(), 1.15*seq.TotalCost().Units(); got > limit {
+				t.Errorf("WithLive(%d) run %d billed %g, sequential plan %g", b, i, got, seq.TotalCost().Units())
+			}
+		}
+	}
+}
+
+// TestExecutorBudgetTruncates: a tight budget under the executor answers
+// Truncated within budget, as the same query does without it — it used to
+// be an error under WithParallel and a rejected combination under WithLive.
+func TestExecutorBudgetTruncates(t *testing.T) {
+	ds := exampleDataset(t)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []RunOption
+	}{{"sequential", nil}, {"parallel", []RunOption{WithParallel(3)}}, {"live", []RunOption{WithLive(3)}}} {
+		ans, err := eng.Run(Query{F: Avg(), K: 5}, append(tc.opts, WithBudget(6))...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !ans.Truncated || len(ans.Items) != 5 {
+			t.Errorf("%s: truncated=%v with %d items, want a best-effort answer of 5", tc.name, ans.Truncated, len(ans.Items))
+		}
+		if ans.TotalCost().Units() > 6 {
+			t.Errorf("%s: billed %v on a budget of 6", tc.name, ans.TotalCost())
+		}
+	}
+}
+
 func TestEngineApproximation(t *testing.T) {
 	ds := exampleDataset(t)
 	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1))
