@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/kit"
@@ -134,65 +135,85 @@ func (l Ledger) TotalAccesses() int {
 	return t
 }
 
-// Option configures a Session.
-type Option func(*Session)
-
-// WithTrace enables access-trace recording (off by default; traces are
-// useful for tests and debugging but cost memory).
-func WithTrace() Option { return func(s *Session) { s.traceOn = true } }
-
-// WithoutNoWildGuesses disables the no-wild-guesses rule, allowing random
-// access to objects never seen by sorted access. The paper's framework
-// "can generally work with or without" the rule (Section 8); middleware
-// over Web sources normally enforce it.
-func WithoutNoWildGuesses() Option { return func(s *Session) { s.nwg = false } }
-
-// WithShifts installs dynamic cost shifts (adaptivity experiments).
-func WithShifts(shifts ...CostShift) Option {
-	return func(s *Session) { s.shifts = append(s.shifts, shifts...) }
+// Option configures a session run. It is a plain value, not a closure: the
+// engine fills one in per run without allocating, and NewSession, Reset and
+// ResetScenario fold the Options they are given in order — a field left at
+// its zero value changes nothing, Shifts append. The With* helpers build
+// one-field Options for call sites that compose a few.
+type Option struct {
+	// Trace records the access trace (off by default; traces are useful for
+	// tests and debugging but cost memory).
+	Trace bool
+	// AllowWildGuesses lifts the no-wild-guesses rule, allowing random
+	// access to objects never seen by sorted access. The paper's framework
+	// "can generally work with or without" the rule (Section 8); middleware
+	// over Web sources normally enforce it.
+	AllowWildGuesses bool
+	// Shifts are dynamic mid-run cost changes (adaptivity experiments).
+	Shifts []CostShift
+	// Budget, when Budgeted, caps the session's total access cost: an
+	// access that would exceed it fails with ErrBudgetExhausted (and is not
+	// charged). Budgets turn exact algorithms into anytime ones — Framework
+	// NC returns its best current answer when the budget runs dry.
+	Budget   Cost
+	Budgeted bool
+	// Context bounds every backend access the session performs: cancelling
+	// it aborts in-flight source requests and fails subsequent accesses.
+	// Nil means context.Background().
+	Context context.Context
+	// Observer receives the session's access events (performed and refused
+	// accesses with their costs). Nil is a no-op at zero overhead;
+	// obs.QueryTrace and obs.Metrics are the standard sinks.
+	Observer obs.Observer
+	// Resilience attaches fault tolerance: per-capability circuit breakers
+	// and a per-access deadline. Source failures are recorded against the
+	// breakers; when a circuit opens, the session flips that capability off
+	// in CurrentScenario() — degradation becomes a scenario change the
+	// engine re-plans around instead of an error it aborts on.
+	Resilience *Resilience
 }
 
-// WithBudget caps the session's total access cost: an access that would
-// exceed the budget fails with ErrBudgetExhausted (and is not charged).
-// Budgets turn exact algorithms into anytime ones — Framework NC returns
-// its best current answer when the budget runs dry.
-func WithBudget(budget Cost) Option {
-	return func(s *Session) { s.budget = budget; s.hasBudget = true }
-}
+// WithTrace is Option{Trace: true}.
+func WithTrace() Option { return Option{Trace: true} }
 
-// WithContext attaches a context to every backend access the session
-// performs: cancelling it aborts in-flight source requests and fails
-// subsequent accesses. The default is context.Background().
-func WithContext(ctx context.Context) Option {
-	return func(s *Session) {
-		if ctx != nil {
-			s.ctx = ctx
-		}
+// WithoutNoWildGuesses is Option{AllowWildGuesses: true}.
+func WithoutNoWildGuesses() Option { return Option{AllowWildGuesses: true} }
+
+// WithShifts is Option{Shifts: shifts}.
+func WithShifts(shifts ...CostShift) Option { return Option{Shifts: shifts} }
+
+// WithBudget is Option{Budget: budget, Budgeted: true}.
+func WithBudget(budget Cost) Option { return Option{Budget: budget, Budgeted: true} }
+
+// WithContext is Option{Context: ctx}.
+func WithContext(ctx context.Context) Option { return Option{Context: ctx} }
+
+// WithObserver is Option{Observer: o}.
+func WithObserver(o obs.Observer) Option { return Option{Observer: o} }
+
+// WithResilience is Option{Resilience: r}.
+func WithResilience(r *Resilience) Option { return Option{Resilience: r} }
+
+// apply folds one Option into the session's run configuration.
+func (s *Session) apply(o Option) {
+	if o.Trace {
+		s.traceOn = true
 	}
-}
-
-// WithObserver streams the session's access events (performed and
-// refused accesses with their costs) into an observer. The default is a
-// nil observer with zero overhead; obs.QueryTrace and obs.Metrics are
-// the standard sinks.
-func WithObserver(o obs.Observer) Option {
-	return func(s *Session) {
-		if o != nil {
-			s.obs = o
-		}
+	if o.AllowWildGuesses {
+		s.nwg = false
 	}
-}
-
-// WithResilience attaches fault tolerance to the session: per-capability
-// circuit breakers and a per-access deadline. Source failures are recorded
-// against the breakers; when a circuit opens, the session flips that
-// capability off in CurrentScenario() — degradation becomes a scenario
-// change the engine re-plans around instead of an error it aborts on.
-func WithResilience(r *Resilience) Option {
-	return func(s *Session) {
-		if r != nil {
-			s.res = r
-		}
+	s.shifts = append(s.shifts, o.Shifts...)
+	if o.Budgeted {
+		s.budget, s.hasBudget = o.Budget, true
+	}
+	if o.Context != nil {
+		s.ctx = o.Context
+	}
+	if o.Observer != nil {
+		s.obs = o.Observer
+	}
+	if o.Resilience != nil {
+		s.res = o.Resilience
 	}
 }
 
@@ -239,9 +260,10 @@ type Session struct {
 	// Fault tolerance (nil res = none; see WithResilience).
 	res *Resilience
 	// actx bounds accesses by res.AccessTimeout: built over ctx by the
-	// first access that needs it, re-armed by every one after, dropped
-	// when ctx changes or its deadline fires.
-	actx     *accessDeadline
+	// first access that needs it, re-armed by every one after, re-pointed
+	// at the new ctx by Reset and Bind, and dropped only once it is spent
+	// (see Deadline).
+	actx     *Deadline  //topklint:allow resetcomplete owned for the session's life: Reset re-points it at the new context (bindDeadline) instead of dropping it
 	resGen   uint64     // last breaker-set generation folded into current
 	orig     []PredCost // scenario capabilities before breaker degradation
 	degraded []string   // machine-readable degradation reasons, first-seen order
@@ -323,8 +345,6 @@ func NewSession(b Backend, scn Scenario, opts ...Option) (*Session, error) {
 func (s *Session) Reset(opts ...Option) error {
 	s.nwg = true
 	s.ctx = context.Background()
-	s.actx.retire()
-	s.actx = nil
 	clear(s.cursor)
 	s.idx.Reset()
 	s.nseen = 0
@@ -343,8 +363,9 @@ func (s *Session) Reset(opts ...Option) error {
 	s.orig = s.orig[:0]
 	s.degraded = s.degraded[:0]
 	for _, o := range opts {
-		o(s)
+		s.apply(o)
 	}
+	s.bindDeadline()
 	if s.res != nil {
 		m := s.backend.M()
 		if err := s.res.validate(m); err != nil {
@@ -498,14 +519,32 @@ func (s *Session) Err() error { return s.ctx.Err() }
 // cursors use it to give every page its own deadline: a page's timeout
 // must not outlive the request that asked for the page, yet the session —
 // and the paid-for state behind it — survives between requests. A nil ctx
-// resets to context.Background().
+// resets to context.Background(). The session's access deadline is
+// re-pointed at ctx, not rebuilt.
 func (s *Session) Bind(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.ctx = ctx
-	s.actx.retire()
-	s.actx = nil
+	s.bindDeadline()
+}
+
+// bindDeadline re-points the session's access deadline at its context and
+// current access timeout (Reset, Bind). A deadline that cannot be
+// re-pointed — spent, or still out with an abandoned access — is retired,
+// and the next access that needs one builds it afresh.
+func (s *Session) bindDeadline() {
+	if s.actx == nil {
+		return
+	}
+	var timeout time.Duration
+	if s.res != nil {
+		timeout = s.res.AccessTimeout
+	}
+	if !s.actx.bind(s.ctx, timeout) {
+		s.actx.retire()
+		s.actx = nil
+	}
 }
 
 // Degraded returns the machine-readable degradation reasons accumulated so
@@ -704,7 +743,7 @@ type Pending struct {
 	Cost  Cost    // the unit cost in force at admission: reserved then, billed at settle
 
 	ctx   context.Context // what Perform hands the backend
-	dl    *accessDeadline // ctx's access clock, nil without an AccessTimeout
+	dl    *Deadline       // ctx's access clock, nil without an AccessTimeout
 	fired bool            // dl expired before the access returned
 }
 
@@ -816,7 +855,7 @@ func (s *Session) Admit(p *Pending, kind Kind, i, u int) error {
 func (s *Session) arm(p *Pending) {
 	d := s.actx
 	if d == nil || d.armed.Load() != 0 {
-		//topklint:allow hotpathalloc once per bound context (and after a fired deadline) when accesses run one at a time, then re-armed per access
+		//topklint:allow hotpathalloc once per session life (and after a deadline is spent) when accesses run one at a time, then re-armed per access
 		d = newAccessDeadline(s.ctx, s.res.AccessTimeout)
 		if s.actx == nil {
 			s.actx = d
@@ -900,16 +939,15 @@ func (s *Session) Settle(p *Pending) (obj int, score float64, err error) {
 // the snapshot's per-predicate count copies.
 func (s *Session) TotalCost() Cost { return s.cost }
 
-// Ledger returns a snapshot of accrued accesses and total cost.
+// Ledger returns a snapshot of accrued accesses and total cost, the
+// caller's to keep: both count slices share one fresh backing array, each
+// capped at its own length.
 func (s *Session) Ledger() Ledger {
-	l := Ledger{
-		SortedCounts: make([]int, s.M()),
-		RandomCounts: make([]int, s.M()),
-		TotalCost:    s.cost,
-	}
-	copy(l.SortedCounts, s.ns)
-	copy(l.RandomCounts, s.nr)
-	return l
+	m := s.M()
+	counts := make([]int, 2*m)
+	copy(counts, s.ns)
+	copy(counts[m:], s.nr)
+	return Ledger{SortedCounts: counts[:m:m], RandomCounts: counts[m:], TotalCost: s.cost}
 }
 
 // Trace returns the recorded access trace (nil unless WithTrace was set).

@@ -117,7 +117,8 @@ func completeHalt(tab *state.Table, k int) ([]Item, bool) {
 		obj int
 		ex  float64
 	}
-	top := make([]cand, 0, k)
+	// k is the query's, and may exceed the database: size by what exists.
+	top := make([]cand, 0, min(k, tab.N()))
 	worse := func(a, b cand) bool { return data.Less(a.ex, a.obj, b.ex, b.obj) }
 	for u := 0; u < tab.N(); u++ {
 		if !tab.Complete(u) {

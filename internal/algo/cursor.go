@@ -19,15 +19,17 @@ var ErrCursorClosed = errors.New("algo: cursor closed")
 // The NC Cursor and the TACursor implement it; the facade exposes either
 // uniformly.
 type Pager interface {
-	// Next resumes the run until delta more answers are proven (fewer if
-	// the database, a budget, or degradation runs out first). The returned
-	// Result carries only the new page's Items; its Ledger is the
-	// cumulative session ledger, so successive pages show monotone cost.
-	Next(delta int) (*Result, error)
+	// Page resumes the run until delta more answers are proven (fewer if
+	// the database, a budget, or degradation runs out first) and writes the
+	// page into res: only the new page's Items, and the cumulative session
+	// Ledger, so successive pages show monotone cost. Items and Ledger are
+	// freshly allocated — the caller's to keep — so res itself may be
+	// recycled from page to page. On error res is left as it was.
+	Page(res *Result, delta int) error
 	// Emitted reports how many answers all pages together have produced.
 	Emitted() int
-	// Exhausted reports that every object has been emitted: further Next
-	// calls return empty pages without performing accesses.
+	// Exhausted reports that every object has been emitted: further pages
+	// are empty and perform no accesses.
 	Exhausted() bool
 	// Ledger snapshots the cumulative access ledger.
 	Ledger() access.Ledger
@@ -152,32 +154,44 @@ func (c *Cursor) Close() {
 	}
 }
 
-// Next resumes the framework until delta more answers are proven. The page
+// Next is Page into a fresh Result.
+func (c *Cursor) Next(delta int) (*Result, error) {
+	res := new(Result)
+	if err := c.Page(res, delta); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Page resumes the framework until delta more answers are proven. The page
 // is shorter than delta only when the database is exhausted or the run
 // (now or previously) truncated with an empty candidate queue. delta = 0
-// returns an empty page without performing accesses.
-func (c *Cursor) Next(delta int) (*Result, error) {
+// returns an empty page without performing accesses. The items are sized
+// by what can still be emitted, never by delta alone: a page request is
+// caller input.
+func (c *Cursor) Page(res *Result, delta int) error {
 	if c.closed {
-		return nil, ErrCursorClosed
+		return ErrCursorClosed
 	}
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if delta < 0 {
-		return nil, fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
+		return fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
 	}
-	items := make([]Item, 0, delta)
+	items := make([]Item, 0, min(delta, c.sess.N()-c.emittedN))
 	for len(items) < delta {
 		it, ok, err := c.nextItem()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		items = append(items, it)
 	}
-	return c.page(items), nil
+	c.page(res, items)
+	return nil
 }
 
 // Skip is Next for callers that want the run's bill and not its answers:
@@ -235,35 +249,44 @@ func (c *Cursor) nextItem() (Item, bool, error) {
 // degraded page: drained candidates carry no score proof, so a score-range
 // page cannot include them.
 func (c *Cursor) NextUntil(tau float64) (*Result, error) {
+	res := new(Result)
+	if err := c.PageUntil(res, tau); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// PageUntil is NextUntil writing into res, as Page is to Next.
+func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	if c.closed {
-		return nil, ErrCursorClosed
+		return ErrCursorClosed
 	}
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	var items []Item
 	for !c.truncated {
 		it, ok, err := c.advance(tau, true)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			break
 		}
 		items = append(items, it)
 	}
-	return c.page(items), nil
+	c.page(res, items)
+	return nil
 }
 
-// page assembles a Result for the newly emitted items.
-func (c *Cursor) page(items []Item) *Result {
+// page writes the Result for the newly emitted items into res.
+func (c *Cursor) page(res *Result, items []Item) {
 	c.emittedN += len(items)
-	res := &Result{Items: items, Ledger: c.sess.Ledger()}
+	*res = Result{Items: items, Ledger: c.sess.Ledger()}
 	if c.truncated {
 		res.Truncated = true
 		res.Degraded = c.degraded
 	}
-	return res
 }
 
 // drainOne pops the next best-effort candidate after truncation.

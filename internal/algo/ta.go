@@ -78,32 +78,43 @@ func (TA) Open(p *Problem) (*TACursor, error) {
 	}, nil
 }
 
-// Next resumes TA's sorted rounds until delta more answers clear the
+// Next is Page into a fresh Result.
+func (tc *TACursor) Next(delta int) (*Result, error) {
+	res := new(Result)
+	if err := tc.Page(res, delta); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Page resumes TA's sorted rounds until delta more answers clear the
 // threshold (fewer if the lists are exhausted first). The page carries
 // only the new answers; the ledger is cumulative.
-func (tc *TACursor) Next(delta int) (*Result, error) {
+func (tc *TACursor) Page(res *Result, delta int) error {
 	if tc.closed {
-		return nil, ErrCursorClosed
+		return ErrCursorClosed
 	}
 	if tc.err != nil {
-		return nil, tc.err
+		return tc.err
 	}
 	if delta < 0 {
-		return nil, fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
+		return fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
 	}
 	if delta == 0 {
-		return &Result{Items: []Item{}, Ledger: tc.sess.Ledger()}, nil
+		*res = Result{Items: []Item{}, Ledger: tc.sess.Ledger()}
+		return nil
 	}
 	target := tc.emittedN + delta
 	for !tc.drained && !(len(tc.done) >= target && kthBest(tc.done, target) >= tc.tab.UnseenUpper()) {
 		if err := tc.round(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	ranked := rankItems(append([]Item(nil), tc.done...), target)
 	page := ranked[min(tc.emittedN, len(ranked)):]
 	tc.emittedN += len(page)
-	return &Result{Items: page, Ledger: tc.sess.Ledger()}, nil
+	*res = Result{Items: page, Ledger: tc.sess.Ledger()}
+	return nil
 }
 
 // round performs one equal-depth sorted round with TA's exhaustive random

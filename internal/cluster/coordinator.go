@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +52,10 @@ type Coordinator struct {
 	cooldown  time.Duration
 	now       func() time.Time
 
-	health []shardHealth
-	epoch  atomic.Uint64
-	up     atomic.Int64
+	health    []shardHealth
+	epoch     atomic.Uint64
+	up        atomic.Int64
+	memberKey atomic.Pointer[string] // the last MembershipKey built
 
 	merges []mergeState
 
@@ -560,19 +561,29 @@ func (c *Coordinator) recordFailure(i int) {
 // MembershipKey fingerprints the cluster's live membership: the epoch
 // (bumped on every fence and recovery) plus the up/down mask. The
 // optimizer folds it into the plan-cache key so plans chosen against one
-// membership are never replayed against another.
+// membership are never replayed against another. The key is spelled into a
+// stack buffer and the last string built is kept, so while the membership
+// stands still — every plan-cache hit — reading it allocates nothing.
 func (c *Coordinator) MembershipKey() string {
-	var mask strings.Builder
+	var buf [64]byte
+	key := append(buf[:0], 'e')
+	key = strconv.AppendUint(key, c.epoch.Load(), 10)
+	key = append(key, ':')
 	for i := range c.health {
 		h := &c.health[i]
 		h.mu.Lock()
 		down := h.down
 		h.mu.Unlock()
 		if down {
-			mask.WriteByte('0')
+			key = append(key, '0')
 		} else {
-			mask.WriteByte('1')
+			key = append(key, '1')
 		}
 	}
-	return fmt.Sprintf("e%d:%s", c.epoch.Load(), mask.String())
+	if last := c.memberKey.Load(); last != nil && *last == string(key) {
+		return *last
+	}
+	s := string(key)
+	c.memberKey.Store(&s)
+	return s
 }

@@ -36,11 +36,11 @@ type arena struct {
 	sess   *access.Session //topklint:allow resetcomplete identity: the one session over sample; re-priced by Reset, reset by every run
 
 	// The simulation kit: nc runs srg over prob on scratch.
-	srg      algo.SRG        //topklint:allow resetcomplete reconfigured by every simulation run before use
-	nc       algo.NC         //topklint:allow resetcomplete constant: always {Sel: &srg}
-	prob     algo.Problem    //topklint:allow resetcomplete re-armed by every simulation run before use
-	scratch  algo.Scratch    //topklint:allow resetcomplete re-prepared by every simulation run before use
-	sessOpts []access.Option // the session options of the bound problem
+	srg     algo.SRG      //topklint:allow resetcomplete reconfigured by every simulation run before use
+	nc      algo.NC       //topklint:allow resetcomplete constant: always {Sel: &srg}
+	prob    algo.Problem  //topklint:allow resetcomplete re-armed by every simulation run before use
+	scratch algo.Scratch  //topklint:allow resetcomplete re-prepared by every simulation run before use
+	sessOpt access.Option // the session configuration of the bound problem
 
 	memo memo
 	est  Estimator
@@ -96,15 +96,12 @@ func (a *arena) release() {
 func (a *arena) Reset(cfg Config, scn access.Scenario, f score.Func, k, n int) error {
 	a.memo.Reset()
 	a.est = Estimator{}
-	a.sessOpts = a.sessOpts[:0]
-	if cfg.DisableNWG {
-		a.sessOpts = append(a.sessOpts, access.WithoutNoWildGuesses())
-	}
+	a.sessOpt = access.Option{AllowWildGuesses: cfg.DisableNWG}
 	if err := a.bindSample(cfg, scn); err != nil {
 		return err
 	}
 	// Validation runs in NewEstimator's order: scenario, function, sizes.
-	if err := a.sess.ResetScenario(scn, a.sessOpts...); err != nil {
+	if err := a.sess.ResetScenario(scn, a.sessOpt); err != nil {
 		return err
 	}
 	if err := score.Validate(f, a.sample.M()); err != nil {

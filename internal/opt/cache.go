@@ -71,10 +71,21 @@ func NewPlanCache(capacity int) *PlanCache {
 }
 
 // Get returns the plan for the planning problem, running Optimize on a
-// miss and caching the result. The returned plan's slices are the
-// caller's to own (defensive copies of the cached entry). Lookup outcomes
-// and evictions are emitted on cfg.Observer; errors are never cached.
+// miss and caching the result: Load into a fresh Plan, whose slices are the
+// caller's to own.
 func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, error) {
+	var p Plan
+	err := c.Load(&p, cfg, scn, f, k, n)
+	return p, err
+}
+
+// Load writes the plan for the planning problem into dst, running Optimize
+// on a miss and caching the result. The plan is copied once, into dst's own
+// backing arrays (grown only when too short), so a hit into a recycled dst
+// allocates nothing and dst never aliases the cached entry. Lookup outcomes
+// and evictions are emitted on cfg.Observer; errors are never cached, and
+// leave dst as it was.
+func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Func, k, n int) error {
 	// The key is built on the stack and looked up through kit.GetBytes,
 	// which never materializes it as a string: a hit allocates nothing here.
 	var buf [256]byte
@@ -82,13 +93,13 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 
 	c.mu.Lock()
 	if cached, ok := kit.GetBytes(c.lru, key); ok {
-		plan := copyPlan(cached)
+		dst.CopyFrom(&cached)
 		c.hits++
 		c.mu.Unlock()
 		if cfg.Observer != nil {
 			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: obs.Hit})
 		}
-		return plan, nil
+		return nil
 	}
 	if call, ok := c.inflight[string(key)]; ok {
 		c.mu.Unlock()
@@ -106,9 +117,10 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome})
 		}
 		if call.err != nil {
-			return Plan{}, call.err
+			return call.err
 		}
-		return copyPlan(call.plan), nil
+		dst.CopyFrom(&call.plan)
+		return nil
 	}
 	call := &planCall{done: make(chan struct{})}
 	skey := string(key)
@@ -126,7 +138,9 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 	delete(c.inflight, skey)
 	evicted := 0
 	if call.err == nil {
-		evicted = c.lru.Put(skey, copyPlan(call.plan))
+		var entry Plan // the cache's own copy: no caller can reach it
+		entry.CopyFrom(&call.plan)
+		evicted = c.lru.Put(skey, entry)
 		c.evictions += uint64(evicted)
 	}
 	c.mu.Unlock()
@@ -136,9 +150,10 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 		}
 	}
 	if call.err != nil {
-		return Plan{}, call.err
+		return call.err
 	}
-	return copyPlan(call.plan), nil
+	dst.CopyFrom(&call.plan)
+	return nil
 }
 
 // Stats returns cumulative hit/miss/eviction counts.
@@ -163,12 +178,6 @@ func (c *PlanCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lru.Purge()
-}
-
-func copyPlan(p Plan) Plan {
-	p.H = append([]float64(nil), p.H...)
-	p.Omega = append([]int(nil), p.Omega...)
-	return p
 }
 
 // appendCacheKey appends the fingerprint of a planning problem to dst.

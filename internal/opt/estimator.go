@@ -108,7 +108,7 @@ func (e *Estimator) simulate(h []float64, omega []int) (access.Cost, error) {
 	if err := a.srg.Reconfigure(h, omega); err != nil {
 		return 0, err
 	}
-	if err := a.sess.Reset(a.sessOpts...); err != nil {
+	if err := a.sess.Reset(a.sessOpt); err != nil {
 		return 0, err
 	}
 	if err := a.prob.Rearm(e.f, e.kPrime); err != nil {

@@ -18,6 +18,15 @@ type Plan struct {
 	Evals         int
 }
 
+// CopyFrom makes p a copy of src that shares no memory with it, reusing p's
+// own backing arrays when they are long enough: copying into a recycled
+// Plan allocates nothing, into a zero one exactly its two slices.
+func (p *Plan) CopyFrom(src *Plan) {
+	h, omega := append(p.H[:0], src.H...), append(p.Omega[:0], src.Omega...)
+	*p = *src
+	p.H, p.Omega = h, omega
+}
+
 // Scheme selects the H-search strategy of Section 7.2.
 type Scheme int
 

@@ -130,10 +130,12 @@ func (h *flightHeap) Pop() interface{} {
 	return f
 }
 
-// live performs each access in a goroutine of its own. results holds B, the
-// most that can be out, so a goroutine can always deliver and exit — also
-// after a failed or cancelled run has stopped listening.
+// live performs each access in a goroutine of its own. A goroutine whose
+// run has stopped listening — failed or cancelled, its context ended —
+// gives up delivering and exits, so results need only be sized for the
+// accesses that are usually out, not for every one that could be.
 type live struct {
+	ctx     context.Context // the run's own: ends when Run returns
 	sess    *access.Session
 	results chan flight
 	began   time.Time
@@ -142,7 +144,10 @@ type live struct {
 func (l *live) start(f flight) {
 	go func() {
 		l.sess.Perform(&f.Pending)
-		l.results <- f
+		select {
+		case l.results <- f:
+		case <-l.ctx.Done():
+		}
 	}()
 }
 
@@ -192,10 +197,16 @@ func (ex *Executor) Run(ctx context.Context, p *algo.Problem, sc *algo.Scratch) 
 	sess.Bind(ctx)
 	var src source = &simulated{sess: sess}
 	if ex.Live {
-		src = &live{sess: sess, results: make(chan flight, ex.B), began: time.Now()}
+		src = &live{ctx: ctx, sess: sess, results: make(chan flight, ex.busyHint(p)), began: time.Now()}
 	}
 	return ex.run(ctx, p, tab, q, src)
 }
+
+// busyHint sizes what scales with the accesses out at once. B is caller
+// input and may dwarf the query: only top-K candidates dispatch, so the
+// tasks busy together are what to size by — min(B, K+1), spelled so that
+// no K overflows it.
+func (ex *Executor) busyHint(p *algo.Problem) int { return 1 + min(ex.B-1, p.K) }
 
 // run is the one dispatch / settle / apply / emit loop.
 func (ex *Executor) run(ctx context.Context, p *algo.Problem, tab *state.Table, q *state.Queue, src source) (*Result, error) {
@@ -203,7 +214,7 @@ func (ex *Executor) run(ctx context.Context, p *algo.Problem, tab *state.Table, 
 	// busy limits each unsatisfied task to one access at a time:
 	// concurrency comes from servicing *distinct* tasks (the paper's
 	// observation that any incomplete member of K_P is equally necessary).
-	busy := make(map[int]bool, ex.B)
+	busy := make(map[int]bool, ex.busyHint(p))
 	// Sorted results apply in list order: applyRank is the next rank to
 	// apply per list, reorder holds settled results that came back early.
 	applyRank := make([]int, sess.M())

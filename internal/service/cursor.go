@@ -140,19 +140,19 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 // into buf: the page's new answers, the cursor's cumulative bill, and —
 // when asked — the cumulative trace tagged with the cursor's identity. The
 // session — and the paid-for state behind it — survives between requests,
-// so each page binds a fresh QueryTimeout context for just the duration of
-// the call. The page is encoded before the lock is released: nothing the
-// next page may reuse is read after it.
+// so each page binds a pooled QueryTimeout deadline for just the duration
+// of the call, and unbinds it before the deadline goes back. The page is
+// encoded before the lock is released: nothing the next page may reuse is
+// read after it.
 func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64, traced bool) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.touch()
-	ctx := context.Background()
-	cancel := func() {}
 	if t := h.cfg.QueryTimeout; t > 0 {
-		ctx, cancel = context.WithTimeout(ctx, t)
+		b := startBound(context.Background(), t)
+		defer b.stop()
+		lc.cur.Bind(b.dl)
 	}
-	lc.cur.Bind(ctx)
 	var page *topk.Page
 	var err error
 	if tau != nil {
@@ -161,7 +161,6 @@ func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64
 		page, err = lc.cur.Next(k)
 	}
 	lc.cur.Bind(nil)
-	cancel()
 	if err != nil {
 		return err
 	}

@@ -16,15 +16,17 @@ import (
 // through ServeHTTP into a fresh recorder (the recorder's own 7 included;
 // the race detector instruments allocations, so it runs in ordinary builds
 // only). A repeated body — statement cached, plan cached, engine pooled —
-// pays for the request-scoped deadline, the engine run and two header
-// values: the statement lookup, the projection lookup and the response
-// encoding contribute nothing. So the count sits at its ceiling over the
-// identity and a reordered projection alike, and deep answers cost what
-// shallow ones do, whether their labels are the dataset's own or the u<id>
-// form a cluster or store deployment falls back to.
+// pays for two header values and what the Answer owns (the answer with its
+// plan copy, items, one ledger array, the plan's two slices): the statement
+// lookup, the projection lookup, the pooled query deadline, the run's own
+// pipeline, the membership key of a cluster and the response encoding
+// contribute nothing. So the count is the same in every deployment mode,
+// over the identity and a reordered projection alike, and deep answers cost
+// what shallow ones do, whether their labels are the dataset's own or the
+// u<id> form a cluster or store deployment falls back to.
 func TestHandlerAllocGate(t *testing.T) {
 	const n = 1000
-	ceilings := map[string]float64{"memory": 42, "labelled": 42, "cluster": 45, "store": 42}
+	ceilings := map[string]float64{"memory": 15, "labelled": 15, "cluster": 15, "store": 15}
 	labelled := goldenMode{"labelled", func(t *testing.T, ds *data.Dataset, cfg *Config) {
 		names := make([]string, n)
 		for i := range names {

@@ -954,21 +954,61 @@ func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
 	return &projection{cols: cols, eng: eng, resilient: topk.WithResilience(res)}, http.StatusOK, nil
 }
 
+// bound is one request's deadline — the stack's one deadline mechanism,
+// access.Deadline — and the run option that attaches it, built once per
+// pooled value instead of a context.WithTimeout and a WithContext closure
+// per request. A bound whose deadline fired (or whose request was
+// cancelled) is dropped, never pooled: whoever still holds it keeps seeing
+// it expired.
+type bound struct { //topklint:allow resetcomplete nothing to restore: Deadline.Stop disarms and detaches the deadline before a bound goes back, and opt is fixed to it
+	dl  *access.Deadline
+	opt topk.RunOption
+}
+
+var bounds = sync.Pool{New: func() any {
+	b := &bound{dl: access.NewDeadline()}
+	b.opt = topk.WithContext(b.dl)
+	return b
+}}
+
+// startBound draws a bound and arms it over parent for one query or cursor
+// page of at most timeout.
+func startBound(parent context.Context, timeout time.Duration) *bound {
+	b := bounds.Get().(*bound)
+	if !b.dl.Start(parent, timeout) {
+		// Unreachable for a bound that Stop let back into the pool; a fresh
+		// one always starts.
+		b = bounds.New().(*bound)
+		b.dl.Start(parent, timeout)
+	}
+	return b
+}
+
+// stop ends the bound's unit and pools it again unless its deadline is
+// spent.
+func (b *bound) stop() {
+	if b.dl.Stop() {
+		bounds.Put(b)
+	}
+}
+
 // execute runs one statement to completion, leaving the encoded answer in
 // buf. The context (the HTTP request's) cancels the run when the client
-// goes away.
+// goes away; QueryTimeout bounds it through a pooled deadline.
 func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement, traced bool) (int, error) {
-	if t := h.cfg.QueryTimeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
 	var scratch [maxRunOptions]topk.RunOption
 	eng, opts, tr, status, err := h.prepare(scratch[:0], st, traced)
 	if err != nil {
 		return status, err
 	}
-	ans, err := eng.Run(topk.Query{F: st.pq.Func, K: st.pq.K}, append(opts, topk.WithContext(ctx))...)
+	if t := h.cfg.QueryTimeout; t > 0 {
+		b := startBound(ctx, t)
+		defer b.stop()
+		opts = append(opts, b.opt)
+	} else {
+		opts = append(opts, topk.WithContext(ctx))
+	}
+	ans, err := eng.Run(topk.Query{F: st.pq.Func, K: st.pq.K}, opts...)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}

@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/cluster"
@@ -40,6 +41,58 @@ func (s *unplugShard) Random(ctx context.Context, pred, obj int) (float64, error
 type bareWrapper struct{ Backend }
 
 func (w bareWrapper) Unwrap() Backend { return w.Backend }
+
+// ctxContract is the test-only top of every stack TestStackCompositionOracle
+// builds. It hands each access a child context of its own and records any
+// Err, Done, Deadline or Value call on it after the access returned — PR
+// 14's rule that a Backend must not use ctx past the access, which the
+// deadlines recycled across requests (access.Deadline) rely on: a layer that
+// broke it would read another request's deadline.
+type ctxContract struct {
+	Backend
+	broken *atomic.Value // the first violation's description (string)
+}
+
+func newCtxContract(b Backend) ctxContract { return ctxContract{b, new(atomic.Value)} }
+
+func (w ctxContract) Unwrap() Backend { return w.Backend }
+
+func (w ctxContract) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	c := &accessCtx{parent: ctx, broken: w.broken, access: fmt.Sprintf("sorted(p%d, rank %d)", pred+1, rank)}
+	defer c.returned.Store(true)
+	return w.Backend.Sorted(c, pred, rank)
+}
+
+func (w ctxContract) Random(ctx context.Context, pred, obj int) (float64, error) {
+	c := &accessCtx{parent: ctx, broken: w.broken, access: fmt.Sprintf("random(p%d, u%d)", pred+1, obj)}
+	defer c.returned.Store(true)
+	return w.Backend.Random(c, pred, obj)
+}
+
+// violation reports the first use of an access's context after it returned.
+func (w ctxContract) violation() string {
+	s, _ := w.broken.Load().(string)
+	return s
+}
+
+// accessCtx is one access's child context.
+type accessCtx struct {
+	parent   context.Context
+	broken   *atomic.Value
+	access   string
+	returned atomic.Bool
+}
+
+func (c *accessCtx) check(method string) {
+	if c.returned.Load() {
+		c.broken.CompareAndSwap(nil, fmt.Sprintf("ctx.%s() called after %s returned", method, c.access))
+	}
+}
+
+func (c *accessCtx) Deadline() (time.Time, bool) { c.check("Deadline"); return c.parent.Deadline() }
+func (c *accessCtx) Done() <-chan struct{}       { c.check("Done"); return c.parent.Done() }
+func (c *accessCtx) Err() error                  { c.check("Err"); return c.parent.Err() }
+func (c *accessCtx) Value(key any) any           { c.check("Value"); return c.parent.Value(key) }
 
 func mustProject(t *testing.T, b Backend, cols []int) Backend {
 	t.Helper()
@@ -184,6 +237,8 @@ func TestStackCompositionOracle(t *testing.T) {
 								if faulted {
 									b = fault.Wrap(b, fault.Config{})
 								}
+								contract := newCtxContract(b)
+								b = contract
 								var opts []EngineOption
 								if guarded {
 									opts = append(opts, WithContractGuard())
@@ -194,6 +249,9 @@ func TestStackCompositionOracle(t *testing.T) {
 								}
 								if got := stackRun(t, eng, q, h, page); !reflect.DeepEqual(got, want) {
 									t.Errorf("stack diverges from single-node memory:\n got  %+v\n want %+v", got, want)
+								}
+								if v := contract.violation(); v != "" {
+									t.Errorf("a layer broke the ctx contract: %s", v)
 								}
 
 								top := eng.backend

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -184,7 +185,10 @@ type Query struct {
 	K int
 }
 
-// Answer is a completed execution.
+// Answer is a completed execution. Everything it holds is the caller's:
+// items, ledger and plan are copied out of the engine's pooled query state
+// into memory of their own, so an Answer stays as it is however many runs
+// follow on the same engine.
 type Answer struct {
 	// Items are the top-k, best first. Exact is false when the algorithm
 	// (e.g. NRA) proves the set without learning exact scores.
@@ -232,49 +236,62 @@ type Engine struct {
 	share      *share.Layer
 	members    interface{ MembershipKey() string }
 	storageKey string
-	guardOpts  []GuardOption
-	useGuard   bool
+	// lastKey keeps the last membership-and-storage key beside the
+	// membership string it was built from (see backendKey).
+	lastKey   atomic.Pointer[membersKey]
+	guardOpts []GuardOption
+	useGuard  bool
 
-	// pool recycles per-query state (access session + framework scratch)
-	// across sequential Runs. Pooled state is fully reset before reuse;
-	// nothing in an Answer aliases it.
+	// pool recycles per-query state (access session, framework scratch and
+	// everything a run assembles over them) across Runs and Opens. Pooled
+	// state is reset before reuse; nothing an Answer or Page holds points
+	// into it.
 	pool sync.Pool // of *queryState
 }
 
+// membersKey pairs a membership key with the plan-cache backend key made
+// from it.
+type membersKey struct{ members, key string }
+
 // queryState is the per-query allocation unit the engine recycles: the
-// access session, the framework scratch, and the execution assembled over
-// them — so neither Run nor Open allocates the pipeline itself.
+// access session, the framework scratch, and everything begin assembles
+// per run over them — the validated spec, the SR/G selector, the problem,
+// the NC frame, the executor, the plan in force and the page result — so
+// neither Run nor Open allocates the pipeline itself. What a caller keeps
+// (items, ledger, plan) is copied out of it into fresh memory.
 type queryState struct {
-	sess    *access.Session
-	scratch algo.Scratch //topklint:allow resetcomplete re-prepared from the plan by every Open before use
+	sess    *access.Session   //topklint:allow resetcomplete configured by begin (Session.Reset under the run's options) once the spec validates
+	scratch algo.Scratch      //topklint:allow resetcomplete re-prepared from the plan by every Open before use
+	srg     algo.SRG          //topklint:allow resetcomplete reconfigured by resolvePlan before use
+	prob    algo.Problem      //topklint:allow resetcomplete re-armed by build before use
+	nc      algo.NC           //topklint:allow resetcomplete rebuilt by build before use
+	exec    parallel.Executor //topklint:allow resetcomplete rebuilt by build before use
+	plan    Plan              //topklint:allow resetcomplete written by resolvePlan or install before execution.plan points at it
+	res     algo.Result       //topklint:allow resetcomplete overwritten by every page before it is read
+	spec    runSpec
 	ex      execution
 }
 
-// Reset restores recycled state for a new query: the session re-arms its
-// budget and bookkeeping under the new options and the previous execution
-// is dropped (only its scenario-snapshot buffer is kept for reuse). The
-// scratch needs no work here — every Open re-prepares it from the plan
-// before use.
-func (st *queryState) Reset(sessOpts []access.Option) error {
+// Reset restores recycled state for a new query: the previous spec and
+// execution are dropped (only the scenario-snapshot buffer is kept for
+// reuse). Everything else is overwritten before it is read: the session is
+// reset under the run's options once they validate, the scratch, selector,
+// problem and frames by build.
+func (st *queryState) Reset() {
+	st.spec = runSpec{}
 	st.ex = execution{planScn: st.ex.planScn[:0]}
-	return st.sess.Reset(sessOpts...)
 }
 
 // acquire returns a reset pooled query state, or builds a fresh one.
 //
 //topklint:hotpath
-func (e *Engine) acquire(sessOpts []access.Option) (*queryState, error) {
+func (e *Engine) acquire() (*queryState, error) {
 	if st, ok := e.pool.Get().(*queryState); ok {
-		if err := st.Reset(sessOpts); err != nil {
-			// A failed Reset means bad options, not corrupt state; the
-			// state stays recyclable because the next Get resets again.
-			e.pool.Put(st)
-			return nil, err
-		}
+		st.Reset()
 		return st, nil
 	}
 	//topklint:allow hotpathalloc first-use miss: the fresh state is built once, then recycled
-	sess, err := access.NewSession(e.backend, e.scn, sessOpts...)
+	sess, err := access.NewSession(e.backend, e.scn)
 	if err != nil {
 		return nil, err
 	}
@@ -293,66 +310,80 @@ func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
 	return cfg
 }
 
-// optimize resolves a plan through the attached cache, or directly, priced
-// under the sharing discounts and keyed by the cluster membership and
-// storage calibration the engine runs against.
-func (e *Engine) optimize(cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) (Plan, error) {
+// optimize resolves a plan into dst through the attached cache, or
+// directly, priced under the sharing discounts and keyed by the cluster
+// membership and storage calibration the engine runs against. A cache hit
+// copies the plan into dst's own arrays; an error leaves dst as it was.
+func (e *Engine) optimize(dst *Plan, cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) error {
 	cfg = e.shareDiscounts(cfg)
 	if cfg.BackendKey == "" {
-		cfg.BackendKey = e.storageKey
-		if e.members != nil {
-			cfg.BackendKey = e.members.MembershipKey()
-			if e.storageKey != "" {
-				cfg.BackendKey += "|" + e.storageKey
-			}
-		}
+		cfg.BackendKey = e.backendKey()
 	}
 	if e.planCache != nil {
-		return e.planCache.Get(cfg, scn, f, k, n)
+		return e.planCache.Load(dst, cfg, scn, f, k, n)
 	}
-	return opt.Optimize(cfg, scn, f, k, n)
+	p, err := opt.Optimize(cfg, scn, f, k, n)
+	if err == nil {
+		*dst = p
+	}
+	return err
+}
+
+// backendKey is the plan-cache fingerprint of what serves a plan's
+// accesses and at what price: the shard membership, the storage
+// calibration, or both joined by "|". The coordinator keeps its membership
+// string until the membership moves, and the joined key is kept beside the
+// string it was made from, so a steady membership costs no allocation.
+func (e *Engine) backendKey() string {
+	if e.members == nil {
+		return e.storageKey
+	}
+	members := e.members.MembershipKey()
+	if e.storageKey == "" {
+		return members
+	}
+	if last := e.lastKey.Load(); last != nil && last.members == members {
+		return last.key
+	}
+	k := &membersKey{members: members, key: members + "|" + e.storageKey}
+	e.lastKey.Store(k)
+	return k.key
 }
 
 // resolvePlan is the one plan-resolution step every entry point shares
-// (Run, Open, page-boundary re-plans, Explain): the
-// fixed WithNC configuration, the optimizer's choice (through optimize, so
-// sharing discounts, fingerprint keys and the plan cache always apply), or
-// nothing for a named algorithm. The optimizer prices the scenario the
-// session currently sees — breaker degradation and cost shifts included —
-// or, without a session (Explain), the engine's. It
-// returns the SR/G selector to execute and the optimizer's plan when one
-// was made.
-func (e *Engine) resolvePlan(spec *runSpec, o obs.Observer, sess *access.Session, q Query) (*algo.SRG, *Plan, error) {
+// (Run, Open, page-boundary re-plans, Explain): it points sel at the fixed
+// WithNC configuration or at the optimizer's choice — written into dst
+// through optimize, so sharing discounts, fingerprint keys and the plan
+// cache always apply, and reported as planned — and does nothing for a
+// named algorithm. The optimizer prices preds: the capabilities and costs
+// the session currently sees — breaker degradation and cost shifts
+// included, refreshed into the execution's own buffer — or, without a
+// session (Explain), the engine's. An optimizer plan always passes
+// Reconfigure's validation; only a WithNC configuration can fail it.
+//
+//topklint:hotpath
+func (e *Engine) resolvePlan(dst *Plan, sel *algo.SRG, preds []PredCost, spec *runSpec, o obs.Observer, q Query) (planned bool, err error) {
 	if spec.algorithm != nil {
-		return nil, nil, nil
+		return false, nil
 	}
 	h, omega := spec.h, spec.omega
-	var plan *Plan
 	if h == nil {
 		cfg := spec.optCfg
 		cfg.DisableNWG = !e.nwg
 		if o != nil {
 			cfg.Observer = o
 		}
-		scn := e.scn
-		if sess != nil {
-			scn = sess.CurrentScenario()
-		}
 		start := time.Now()
-		p, err := e.optimize(cfg, scn, q.F, q.K, e.backend.N())
+		err := e.optimize(dst, cfg, Scenario{Name: e.scn.Name, Preds: preds}, q.F, q.K, e.backend.N())
 		if o != nil {
 			o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseOptimize), Value: time.Since(start).Seconds()})
 		}
 		if err != nil {
-			return nil, nil, err
+			return false, err
 		}
-		plan, h, omega = &p, p.H, p.Omega
+		h, omega, planned = dst.H, dst.Omega, true
 	}
-	sel, err := algo.NewSRG(h, omega)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sel, plan, nil
+	return planned, sel.Reconfigure(h, omega)
 }
 
 // newAdapter wires the adaptive layer's monitor to an execution — the one
@@ -378,7 +409,9 @@ func (e *Engine) newAdapter(x *execution) *adapt.Adapter {
 		return a
 	}
 	a.PlanFunc = func(cfg OptimizerConfig) (Plan, error) {
-		return e.optimize(cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
+		var p Plan
+		err := e.optimize(&p, cfg, sess.CurrentScenario(), q.F, q.K, sess.N())
+		return p, err
 	}
 	// EstimateFunc prices the incumbent plan under the re-plan's
 	// observation-warped model (same discounts as PlanFunc) so the adapter
@@ -388,7 +421,8 @@ func (e *Engine) newAdapter(x *execution) *adapt.Adapter {
 	}
 	a.ApplyFunc = x.install
 	if x.plan != nil {
-		a.Incumbent = *x.plan
+		// A copy: re-plans rewrite the state's plan in place.
+		a.Incumbent.CopyFrom(x.plan)
 	}
 	return a
 }
@@ -562,28 +596,27 @@ var incompatible = [...]struct {
 		"only NC, TA and MPro suspend between pages"},
 }
 
-// newSpec folds the options into a runSpec and passes it through the single
-// gate every execution clears before any state is acquired or any access
-// billed: option values first, then the mode combination against the
-// incompatible table.
-func (e *Engine) newSpec(opts []RunOption, cursor bool) (*runSpec, error) {
-	r := &runSpec{}
+// newSpec folds the options into r (a reset spec) and passes it through the
+// single gate every execution clears before its session is configured or
+// any access billed: option values first, then the mode combination
+// against the incompatible table.
+func (e *Engine) newSpec(r *runSpec, opts []RunOption, cursor bool) error {
 	for _, o := range opts {
 		o(r)
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.epsilon < 0 {
-		return nil, fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", r.epsilon)
+		return fmt.Errorf("topk: approximation epsilon must be >= 0, got %g", r.epsilon)
 	}
 	if r.hasBudget {
 		if r.budget <= 0 {
-			return nil, fmt.Errorf("topk: budget must be positive, got %g", r.budget)
+			return fmt.Errorf("topk: budget must be positive, got %g", r.budget)
 		}
 		var err error
 		if r.budgetCost, err = access.CostFromUnits(r.budget); err != nil {
-			return nil, fmt.Errorf("topk: budget: %w", err)
+			return fmt.Errorf("topk: budget: %w", err)
 		}
 	}
 	resumable := false
@@ -603,10 +636,24 @@ func (e *Engine) newSpec(opts []RunOption, cursor bool) (*runSpec, error) {
 	}
 	for _, row := range incompatible {
 		if m&row.a != 0 && m&row.b != 0 {
-			return nil, fmt.Errorf("topk: %v cannot be combined with %v: %s", m&row.a, m&row.b, row.why)
+			return fmt.Errorf("topk: %v cannot be combined with %v: %s", m&row.a, m&row.b, row.why)
 		}
 	}
-	return r, nil
+	return nil
+}
+
+// sessionOption is the session configuration a validated spec asks for:
+// one value, so configuring the pooled session allocates nothing.
+func (e *Engine) sessionOption(spec *runSpec, o obs.Observer) access.Option {
+	return access.Option{
+		AllowWildGuesses: !e.nwg,
+		Shifts:           e.shifts,
+		Budget:           spec.budgetCost,
+		Budgeted:         spec.hasBudget,
+		Context:          spec.ctx,
+		Observer:         o,
+		Resilience:       spec.resilience,
+	}
 }
 
 // resolveObserver combines the user observer with the run's trace (when
@@ -751,63 +798,59 @@ func WithApproximation(epsilon float64) RunOption {
 	return func(r *runSpec) { r.epsilon = epsilon }
 }
 
-// execution is one query's pipeline, assembled once by begin from a
-// validated runSpec: pooled state, session, resolved plan, pager and
-// adaptive monitor. Run is begin → next(K) → close on it; Open hands the
-// same value out behind a Cursor. It lives inside its queryState, so
-// building one allocates nothing.
+// execution is one query's pipeline, assembled once by begin: pooled
+// state, session, resolved plan, pager and adaptive monitor. Run is begin →
+// next(K) → close on it; Open hands the same value out behind a Cursor. It
+// lives inside its queryState, so building one allocates nothing.
 type execution struct {
 	eng  *Engine
-	st   *queryState // pooled session and scratch the run executes on
+	st   *queryState // pooled session, scratch and per-run values the run executes on
 	q    Query
-	spec *runSpec
+	spec *runSpec // &st.spec
 	obsv Observer
 	tr   *obs.QueryTrace
 
 	// pager is the suspended run (NC, TA or MPro cursor); nc is the same
 	// cursor when it is NC-shaped (score-range paging, plan swaps). A
 	// batch-only run — a baseline without a resumable form, the
-	// bounded-concurrency executor — has no pager: batch is its single page.
+	// bounded-concurrency executor — has no pager: runBatch is its single
+	// page.
 	pager algo.Pager
 	nc    *algo.Cursor
-	batch func() (*algo.Result, error)
 
-	// plan is the optimizer's SR/G configuration in force (nil under WithNC
-	// until an adaptive re-plan, and for named algorithms); planScn is the
-	// scenario it was made against, for change detection.
+	// plan is the optimizer's SR/G configuration in force: &st.plan once
+	// resolvePlan or an adaptive install wrote it, nil under WithNC until
+	// then and for named algorithms. planGen counts its changes, so a
+	// Cursor copies each plan out once. planScn is the scenario it was made
+	// against, for change detection.
 	plan    *Plan
+	planGen int
 	planScn []PredCost
 	elapsed float64       // simulated elapsed time of a WithParallel run
 	wall    time.Duration // measured elapsed time of a WithLive run
 }
 
-// begin assembles the execution for a validated spec — the only place
-// session options are put together, state is acquired, the plan resolved,
-// the pager built and the adaptive monitor attached. Every failure returns
-// the pooled state.
-func (e *Engine) begin(q Query, spec *runSpec) (*execution, error) {
-	o, tr := spec.resolveObserver()
-	var sessOpts []access.Option
-	if !e.nwg {
-		sessOpts = append(sessOpts, access.WithoutNoWildGuesses())
-	}
-	if len(e.shifts) > 0 {
-		sessOpts = append(sessOpts, access.WithShifts(e.shifts...))
-	}
-	if spec.resilience != nil {
-		sessOpts = append(sessOpts, access.WithResilience(spec.resilience))
-	}
-	if spec.hasBudget {
-		sessOpts = append(sessOpts, access.WithBudget(spec.budgetCost))
-	}
-	if spec.ctx != nil {
-		sessOpts = append(sessOpts, access.WithContext(spec.ctx))
-	}
-	if o != nil {
-		sessOpts = append(sessOpts, access.WithObserver(o))
-	}
-	st, err := e.acquire(sessOpts)
+// begin assembles the execution for a query — the only place the options
+// are validated, pooled state drawn and its session configured, the plan
+// resolved, the pager built and the adaptive monitor attached. Everything
+// it assembles lives in the pooled queryState. Every failure returns the
+// state.
+//
+//topklint:hotpath
+func (e *Engine) begin(q Query, opts []RunOption, cursor bool) (*execution, error) {
+	st, err := e.acquire()
 	if err != nil {
+		return nil, err
+	}
+	spec := &st.spec
+	if err := e.newSpec(spec, opts, cursor); err != nil {
+		e.pool.Put(st)
+		return nil, err
+	}
+	//topklint:allow hotpathalloc WithTrace runs only: the trace and its fan-out to the caller's observer
+	o, tr := spec.resolveObserver()
+	if err := st.sess.Reset(e.sessionOption(spec, o)); err != nil {
+		e.pool.Put(st)
 		return nil, err
 	}
 	x := &st.ex
@@ -819,19 +862,24 @@ func (e *Engine) begin(q Query, spec *runSpec) (*execution, error) {
 	return x, nil
 }
 
-// build resolves the plan and constructs the pager over the session.
+// build resolves the plan and constructs the pager over the session, on
+// the state's own selector, problem and frames.
+//
+//topklint:hotpath
 func (x *execution) build() error {
-	spec, sess := x.spec, x.st.sess
-	prob, err := algo.NewProblem(x.q.F, x.q.K, sess)
+	st, spec := x.st, x.spec
+	st.prob.Session = st.sess
+	if err := st.prob.Rearm(x.q.F, x.q.K); err != nil {
+		return err
+	}
+	x.scenarioChanged() // anchors planScn: the scenario the plan is made against
+	planned, err := x.eng.resolvePlan(&st.plan, &st.srg, x.planScn, spec, x.obsv, x.q)
 	if err != nil {
 		return err
 	}
-	sel, plan, err := x.eng.resolvePlan(spec, x.obsv, sess, x.q)
-	if err != nil {
-		return err
+	if planned {
+		x.plan = &st.plan
 	}
-	x.plan = plan
-	x.scenarioChanged() // anchors planScn to the scenario the plan was made against
 	var mon algo.AccessObserver
 	if spec.adaptive {
 		mon = x.eng.newAdapter(x)
@@ -839,35 +887,23 @@ func (x *execution) build() error {
 	switch alg := spec.algorithm.(type) {
 	case nil:
 		if b := max(spec.parallelB, spec.liveB); b > 0 {
-			ex := &parallel.Executor{B: b, Sel: sel, Live: spec.liveB > 0, Obs: x.obsv}
-			x.batch = func() (*algo.Result, error) {
-				start := time.Now()
-				res, err := ex.Run(spec.ctx, prob, &x.st.scratch)
-				if err != nil {
-					return nil, err
-				}
-				if ex.Live {
-					x.wall = time.Since(start)
-				} else {
-					x.elapsed = res.Elapsed
-				}
-				return &res.Result, nil
-			}
+			st.exec = parallel.Executor{B: b, Sel: &st.srg, Live: spec.liveB > 0, Obs: x.obsv}
 			return nil
 		}
-		nc := &algo.NC{Sel: sel, Epsilon: spec.epsilon, Obs: x.obsv, Monitor: mon}
-		x.nc, err = nc.Open(prob, &x.st.scratch)
+		st.nc = algo.NC{Sel: &st.srg, Epsilon: spec.epsilon, Obs: x.obsv, Monitor: mon}
+		x.nc, err = st.nc.Open(&st.prob, &st.scratch)
 	case algo.TA:
 		var cur *algo.TACursor
-		if cur, err = alg.Open(prob); err == nil {
+		if cur, err = alg.Open(&st.prob); err == nil {
 			cur.Monitor = mon
 			x.pager = cur
 		}
+		return err
 	case algo.MPro:
 		alg.Monitor = mon
-		x.nc, err = alg.Open(prob, &x.st.scratch)
+		x.nc, err = alg.Open(&st.prob, &st.scratch)
 	default:
-		x.batch = func() (*algo.Result, error) { return alg.Run(prob) }
+		return nil // a batch-only baseline: runBatch
 	}
 	if x.nc != nil {
 		x.pager = x.nc
@@ -875,24 +911,56 @@ func (x *execution) build() error {
 	return err
 }
 
-// next produces one page: it re-plans first if the scenario moved since
-// the plan was made, then resumes the pager for delta more answers — or,
-// when ranged, for every remaining answer scoring at least tau.
-func (x *execution) next(delta int, tau float64, ranged bool) (res *algo.Result, err error) {
+// next produces one page into the state's page result: it re-plans first
+// if the scenario moved since the plan was made, then resumes the pager for
+// delta more answers — or, when ranged, for every remaining answer scoring
+// at least tau.
+func (x *execution) next(delta int, tau float64, ranged bool) (*algo.Result, error) {
 	x.replan()
 	start := time.Now()
+	res := &x.st.res
+	var err error
 	switch {
 	case ranged:
-		res, err = x.nc.NextUntil(tau)
-	case x.batch != nil:
-		res, err = x.batch()
+		err = x.nc.PageUntil(res, tau)
+	case x.pager != nil:
+		err = x.pager.Page(res, delta)
 	default:
-		res, err = x.pager.Next(delta)
+		err = x.runBatch(res)
 	}
 	if x.obsv != nil {
 		x.obsv.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseExecute), Value: time.Since(start).Seconds()})
 	}
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runBatch runs a batch-only execution as its single page: a named
+// baseline without a resumable form, or the bounded-concurrency executor.
+func (x *execution) runBatch(res *algo.Result) error {
+	st := x.st
+	if alg := x.spec.algorithm; alg != nil {
+		r, err := alg.Run(&st.prob)
+		if err != nil {
+			return err
+		}
+		*res = *r
+		return nil
+	}
+	start := time.Now()
+	r, err := st.exec.Run(x.spec.ctx, &st.prob, &st.scratch)
+	if err != nil {
+		return err
+	}
+	if st.exec.Live {
+		x.wall = time.Since(start)
+	} else {
+		x.elapsed = r.Elapsed
+	}
+	*res = r.Result
+	return nil
 }
 
 // scenarioChanged reports, once per change, that the access scenario moved
@@ -909,42 +977,44 @@ func (x *execution) scenarioChanged() (changed bool) {
 // machinery, applied at page boundaries) — through the plan cache, which
 // keys on the scenario and so re-keys automatically. The preserved score
 // state stays valid — which access to perform next is pure policy — so the
-// run continues under the new plan without repeating work. A scenario that
-// can no longer be planned keeps the old selector; the framework's own
-// degradation absorbs it.
+// run continues under the new plan, which the cursor's selector now points
+// at, without repeating work. A scenario that can no longer be planned
+// keeps the old plan; the framework's own degradation absorbs it.
 func (x *execution) replan() {
 	if x.nc == nil || x.spec.h != nil || x.spec.algorithm != nil || !x.scenarioChanged() {
 		return
 	}
-	sel, plan, err := x.eng.resolvePlan(x.spec, x.obsv, x.st.sess, x.q)
-	if err != nil || x.nc.SetSelector(sel) != nil {
+	if _, err := x.eng.resolvePlan(&x.st.plan, &x.st.srg, x.planScn, x.spec, x.obsv, x.q); err != nil {
 		return
 	}
-	x.plan = plan
+	x.plan = &x.st.plan
+	x.planGen++
 	if x.obsv != nil {
 		x.obsv.Observe(obs.Event{Kind: obs.DegradedReplan, Label: "scenario_change"})
 	}
 }
 
-// install swaps an adaptive checkpoint's plan into the running cursor; all
-// paid-for state carries over.
+// install swaps an adaptive checkpoint's plan into the running cursor,
+// whose selector is the state's own; all paid-for state carries over.
 func (x *execution) install(p Plan) error {
-	sel, err := algo.NewSRG(p.H, p.Omega)
-	if err != nil {
+	if err := x.st.srg.Reconfigure(p.H, p.Omega); err != nil {
 		return err
 	}
-	if err := x.nc.SetSelector(sel); err != nil {
-		return err
-	}
-	x.plan = &p
+	x.st.plan.CopyFrom(&p)
+	x.plan = &x.st.plan
+	x.planGen++
 	return nil
 }
 
-// close ends the run and returns the pooled state to the engine.
+// close ends the run and returns the pooled state to the engine. The
+// session lets go of the run's context first — its access deadline is
+// re-pointed, not dropped — so nothing pooled stays tied to the caller's
+// request.
 func (x *execution) close() {
 	if x.pager != nil {
 		x.pager.Close()
 	}
+	x.st.sess.Bind(nil)
 	x.eng.pool.Put(x.st)
 }
 
@@ -954,11 +1024,7 @@ func (x *execution) close() {
 // with it. Whatever the options select, a run is the single full page of
 // the execution Open would suspend.
 func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
-	spec, err := e.newSpec(opts, false)
-	if err != nil {
-		return nil, err
-	}
-	x, err := e.begin(q, spec)
+	x, err := e.begin(q, opts, false)
 	if err != nil {
 		return nil, err
 	}
@@ -967,22 +1033,35 @@ func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{
+	// The answer and its plan copy share one allocation; with the items,
+	// the ledger's one count array and the plan's two slices that is all a
+	// run allocates (TestRunAllocGate).
+	box := new(struct {
+		ans  Answer
+		plan Plan
+	})
+	box.ans = Answer{
 		Items:     res.Items,
 		Ledger:    res.Ledger,
-		Plan:      x.plan,
 		Elapsed:   x.elapsed,
 		Wall:      x.wall,
 		Truncated: res.Truncated,
 		Degraded:  res.Degraded,
 		Trace:     snapshotTrace(x.tr),
-	}, nil
+	}
+	if x.plan != nil {
+		box.plan.CopyFrom(x.plan)
+		box.ans.Plan = &box.plan
+	}
+	return &box.ans, nil
 }
 
 // ErrCursorClosed reports a page request on a closed cursor.
 var ErrCursorClosed = algo.ErrCursorClosed
 
-// Page is one batch of answers from a resumable Cursor.
+// Page is one batch of answers from a resumable Cursor. Everything it holds
+// is the caller's: nothing points into the cursor's pooled state, so a
+// Page stays as it is after further pages and after Close.
 type Page struct {
 	// Items are the page's new answers, best first — only the answers this
 	// Next/NextUntil call proved, never earlier pages'.
@@ -1003,7 +1082,8 @@ type Page struct {
 	Exhausted bool
 	// Plan is the SR/G configuration in force while this page was
 	// produced (nil under WithNC or named algorithms). Re-planning on a
-	// scenario change between pages replaces it.
+	// scenario change between pages replaces it. Pages produced under one
+	// plan share one read-only copy of it, the one Cursor.Plan returns.
 	Plan *Plan
 }
 
@@ -1019,6 +1099,10 @@ type Cursor struct {
 	mu sync.Mutex
 	x  *execution // nil once closed: the pooled state is back with the engine
 	tr *obs.QueryTrace
+	// plan is the caller-owned copy of the plan in force, made once per
+	// plan generation (planGen) and never written after it is handed out.
+	plan    *Plan
+	planGen int
 }
 
 // Open suspends a query as a resumable cursor: the first Next(k) performs
@@ -1030,11 +1114,7 @@ type Cursor struct {
 // baselines other than TA and MPro are batch-only. Rebind WithContext per
 // page with Bind.
 func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
-	spec, err := e.newSpec(opts, true)
-	if err != nil {
-		return nil, err
-	}
-	x, err := e.begin(q, spec)
+	x, err := e.begin(q, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -1079,13 +1159,30 @@ func (c *Cursor) page(delta int, tau float64, ranged bool) (*Page, error) {
 		Truncated: res.Truncated,
 		Degraded:  res.Degraded,
 		Exhausted: x.pager.Exhausted(),
-		Plan:      x.plan,
+		Plan:      c.planCopy(),
 	}, nil
+}
+
+// planCopy returns the caller-owned copy of the plan in force, copying it
+// out of the pooled state the first time a plan is asked for (mu held,
+// cursor open).
+func (c *Cursor) planCopy() *Plan {
+	x := c.x
+	if x.plan == nil {
+		return nil
+	}
+	if c.plan == nil || c.planGen != x.planGen {
+		p := new(Plan)
+		p.CopyFrom(x.plan)
+		c.plan, c.planGen = p, x.planGen
+	}
+	return c.plan
 }
 
 // Bind re-points the cursor's context for subsequent pages: each page of
 // a server-side cursor gets its own deadline while the session — and the
-// paid-for state behind it — survives between requests. Nil resets to
+// paid-for state behind it — survives between requests. The session's
+// access deadline follows ctx without being rebuilt. Nil resets to
 // context.Background().
 func (c *Cursor) Bind(ctx context.Context) {
 	c.mu.Lock()
@@ -1126,14 +1223,16 @@ func (c *Cursor) Ledger() Ledger {
 }
 
 // Plan returns the SR/G configuration currently in force (nil under
-// WithNC or named algorithms).
+// WithNC or named algorithms, and once closed). The plan is the caller's
+// and never changes: it is the copy this plan's pages share, and a re-plan
+// hands out a new one.
 func (c *Cursor) Plan() *Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.x == nil {
 		return nil
 	}
-	return c.x.plan
+	return c.planCopy()
 }
 
 // Trace snapshots the cursor's cumulative execution trace (nil unless
@@ -1167,11 +1266,14 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 	if q.K <= 0 {
 		return Plan{}, fmt.Errorf("topk: retrieval size must be positive, got %d", q.K)
 	}
-	_, plan, err := e.resolvePlan(&runSpec{optCfg: cfg}, nil, nil, q)
-	if err != nil {
+	var (
+		plan Plan
+		sel  algo.SRG
+	)
+	if _, err := e.resolvePlan(&plan, &sel, e.scn.Preds, &runSpec{optCfg: cfg}, nil, q); err != nil {
 		return Plan{}, err
 	}
-	return *plan, nil
+	return plan, nil
 }
 
 // TopKOracle computes the exact answer by brute force over a dataset —
