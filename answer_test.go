@@ -65,6 +65,37 @@ func TestRunAllocGate(t *testing.T) {
 	}
 }
 
+// TestRunAllocGateAcrossColumns: one engine serves queries over any of its
+// columns from one pool, so warm runs that alternate column lists — and
+// widths — allocate only the 5 blocks each answer owns, as runs over fixed
+// columns do.
+func TestRunAllocGateAcrossColumns(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc gate needs steady-state measurement on a pool that keeps what it is given")
+	}
+	ds := mustGenerateDataset(t, "uniform", 1000, 3, 42)
+	eng, err := NewEngine(DataBackend(ds), UniformScenario(3, 1, 1), WithPlanCache(NewPlanCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{F: Min(), K: 10, Cols: []int{2, 0}}, {F: Avg(), K: 10}, {F: Min(), K: 10, Cols: []int{1}},
+		{F: Avg(), K: 10, Cols: []int{1, 2, 0}},
+	}
+	run := func() {
+		for _, q := range queries {
+			if _, err := eng.Run(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // the plan-cache misses and the pool's first state at every width
+	run()
+	if allocs := testing.AllocsPerRun(50, run); allocs > float64(5*len(queries)) {
+		t.Errorf("%d warm runs over alternating columns allocate %v, their answers own %d blocks", len(queries), allocs, 5*len(queries))
+	}
+}
+
 // TestAnswersOutliveTheirState takes an Answer and a Page, recycles their
 // pooled state, runs 100 more queries of other shapes on the same engine
 // and requires both unchanged, compared by deep equality against copies

@@ -124,6 +124,23 @@ func (s Scenario) Validate(m int) error {
 	return nil
 }
 
+// ProjectScenario returns the scenario of the predicates cols selects, in
+// cols' order: predicate i of the result is predicate cols[i] of s, under
+// the same name. Nil cols selects s itself.
+func ProjectScenario(s Scenario, cols []int) (Scenario, error) {
+	if cols == nil {
+		return s, nil
+	}
+	if err := checkCols(cols, len(s.Preds)); err != nil {
+		return Scenario{}, err
+	}
+	preds := make([]PredCost, len(cols))
+	for i, c := range cols {
+		preds[i] = s.Preds[c]
+	}
+	return Scenario{Name: s.Name, Preds: preds}, nil
+}
+
 // Uniform builds a scenario with identical sorted cost cs and random cost
 // cr on all m predicates (the diagonal of Figure 2 when cs == cr).
 // Invalid unit values surface from Scenario.Validate, which every session

@@ -3,6 +3,7 @@ package access
 import (
 	"context"
 	"fmt"
+	"slices"
 )
 
 // BatchBackend is the optional capability a backend may advertise to
@@ -59,25 +60,10 @@ type batchProjection struct {
 // when b has it, so batching callers never fall into a per-probe loop.
 // A predicate outside the projection is an error on every access.
 func Project(b Backend, cols []int) (Backend, error) {
-	if len(cols) == 0 {
-		return nil, fmt.Errorf("access: projection selects no predicates")
+	if err := checkCols(cols, b.M()); err != nil {
+		return nil, err
 	}
-	m := b.M()
-	identity := len(cols) == m
-	for i, c := range cols {
-		if c < 0 || c >= m {
-			return nil, fmt.Errorf("access: projection predicate %d out of range [0,%d)", c, m)
-		}
-		for _, prev := range cols[:i] {
-			if prev == c {
-				return nil, fmt.Errorf("access: projection selects predicate %d twice", c)
-			}
-		}
-		if c != i {
-			identity = false
-		}
-	}
-	if identity {
+	if len(cols) == b.M() && slices.IsSorted(cols) { // every predicate, in order
 		return b, nil
 	}
 	p := projection{inner: b, cols: append([]int(nil), cols...)}
@@ -85,6 +71,26 @@ func Project(b Backend, cols []int) (Backend, error) {
 		return &batchProjection{projection: p, batch: bb}, nil
 	}
 	return &p, nil
+}
+
+// checkCols is the one rule for a column selection over m predicates —
+// Project's, a session's (Option.Cols) and a scenario's (ProjectScenario):
+// non-empty, in range, no predicate twice.
+func checkCols(cols []int, m int) error {
+	if len(cols) == 0 {
+		return fmt.Errorf("access: projection selects no predicates")
+	}
+	for i, c := range cols {
+		if c < 0 || c >= m {
+			return fmt.Errorf("access: projection predicate %d out of range [0,%d)", c, m)
+		}
+		for _, prev := range cols[:i] {
+			if prev == c {
+				return fmt.Errorf("access: projection selects predicate %d twice", c)
+			}
+		}
+	}
+	return nil
 }
 
 // errProjectedPred formats the error of an access outside the projection.

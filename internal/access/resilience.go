@@ -13,7 +13,6 @@
 package access
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,44 +252,12 @@ func (b *BreakerSet) settledLocked() bool {
 // AccessTimeout leaves accesses unbounded.
 type Resilience struct {
 	// Breakers is the circuit-breaker set, usually shared across sessions
-	// so breaker state carries across queries.
+	// so breaker state carries across queries. It is keyed by the
+	// session's backend predicates, whatever columns a run selects
+	// (Option.Cols), so it must cover all of them.
 	Breakers *BreakerSet
-	// Map translates session predicate indices to Breakers indices (a
-	// service projects columns per query, so session predicate i is
-	// backend predicate Map[i]). Nil means identity.
-	Map []int
 	// AccessTimeout bounds each backend access: a source that hangs past
 	// it fails the access with a retryable error instead of stalling the
 	// query (0 = unbounded).
 	AccessTimeout time.Duration
-}
-
-// breakerIndex maps a session predicate to its breaker index.
-func (r *Resilience) breakerIndex(pred int) int {
-	if r.Map == nil {
-		return pred
-	}
-	return r.Map[pred]
-}
-
-// validate checks the attachment against the session's predicate count.
-func (r *Resilience) validate(m int) error {
-	if r.Breakers == nil {
-		return nil
-	}
-	if r.Map == nil {
-		if r.Breakers.M() < m {
-			return fmt.Errorf("access: breaker set covers %d predicates, session has %d", r.Breakers.M(), m)
-		}
-		return nil
-	}
-	if len(r.Map) != m {
-		return fmt.Errorf("access: resilience map covers %d predicates, session has %d", len(r.Map), m)
-	}
-	for i, b := range r.Map {
-		if b < 0 || b >= r.Breakers.M() {
-			return fmt.Errorf("access: resilience map entry %d -> %d outside breaker set [0,%d)", i, b, r.Breakers.M())
-		}
-	}
-	return nil
 }

@@ -271,12 +271,77 @@ func TestResilienceValidate(t *testing.T) {
 		WithResilience(&Resilience{Breakers: NewBreakerSet(1, BreakerConfig{})})); err == nil {
 		t.Fatal("undersized breaker set accepted")
 	}
+	// Breakers are keyed by backend predicate: a run over one column still
+	// needs the set to cover the backend.
 	if _, err := NewSession(DatasetBackend{DS: ds}, Uniform(2, 1, 1),
-		WithResilience(&Resilience{Breakers: NewBreakerSet(3, BreakerConfig{}), Map: []int{0, 5}})); err == nil {
-		t.Fatal("out-of-range map entry accepted")
+		Option{Cols: []int{1}, Resilience: &Resilience{Breakers: NewBreakerSet(1, BreakerConfig{})}}); err == nil {
+		t.Fatal("breaker set narrower than the backend accepted for a one-column run")
+	}
+	for _, cols := range [][]int{{}, {0, 5}, {-1}, {1, 1}} {
+		if _, err := NewSession(DatasetBackend{DS: ds}, Uniform(2, 1, 1), Option{Cols: cols}); err == nil {
+			t.Fatalf("column selection %v accepted", cols)
+		}
 	}
 	if _, err := NewSession(DatasetBackend{DS: ds}, Uniform(2, 1, 1),
-		WithResilience(&Resilience{Breakers: NewBreakerSet(3, BreakerConfig{}), Map: []int{2, 0}})); err != nil {
-		t.Fatalf("valid map rejected: %v", err)
+		Option{Cols: []int{1, 0}, Resilience: &Resilience{Breakers: NewBreakerSet(2, BreakerConfig{})}}); err != nil {
+		t.Fatalf("valid selection rejected: %v", err)
+	}
+}
+
+// TestSessionColumns pins the numbering split of a column selection: what
+// the session is configured with (scenario, shifts, breakers and their
+// circuit_open reasons) is in the backend's numbering, what it reports
+// (arguments, ledger, CurrentScenario) in the run's.
+func TestSessionColumns(t *testing.T) {
+	clk := newFakeClock()
+	ds, err := data.Generate(data.Uniform, 20, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &flakyBackend{DatasetBackend: DatasetBackend{DS: ds}, failPred: 2, failing: true}
+	scn := Scenario{Name: "cols", Preds: []PredCost{
+		{Sorted: UnitCost, SortedOK: true, Random: UnitCost, RandomOK: true},
+		{Sorted: 2 * UnitCost, SortedOK: true, Random: 2 * UnitCost, RandomOK: true},
+		{Sorted: 3 * UnitCost, SortedOK: true, Random: 3 * UnitCost, RandomOK: true},
+	}}
+	set := NewBreakerSet(3, testCfg(clk))
+	sess, err := NewSession(b, scn, Option{
+		Cols:       []int{2, 1},
+		Shifts:     []CostShift{{AfterAccesses: 0, Pred: 1, SortedFactor: 5}},
+		Resilience: &Resilience{Breakers: set},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.M() != 2 {
+		t.Fatalf("M = %d over two columns", sess.M())
+	}
+	// Column 1 is backend predicate 1: its sorted list, priced 2 and shifted
+	// x5 at the first access.
+	obj, s, err := sess.SortedNext(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantObj, wantScore := ds.SortedAt(1, 0); obj != wantObj || s != wantScore {
+		t.Fatalf("column 1 rank 0 = (%d, %v), backend predicate 1 has (%d, %v)", obj, s, wantObj, wantScore)
+	}
+	if got := sess.Ledger(); len(got.SortedCounts) != 2 || got.SortedCounts[1] != 1 || got.TotalCost != 10*UnitCost {
+		t.Fatalf("ledger %+v, want one sorted access on column 1 at 2x5", got)
+	}
+	// Column 0 is failing backend predicate 2: its breaker trips, and the
+	// reason names the breaker.
+	for i := 0; i < 3; i++ {
+		if _, _, err := sess.SortedNext(0); !errors.Is(err, ErrAccessFailed) {
+			t.Fatalf("failure %d: %v", i+1, err)
+		}
+	}
+	if set.State(SortedAccess, 2) != BreakerOpen || set.State(SortedAccess, 0) != BreakerClosed {
+		t.Fatal("column 0's failures were not recorded against backend predicate 2's breaker")
+	}
+	if deg := sess.Degraded(); len(deg) != 1 || deg[0] != "circuit_open:sa:p3" {
+		t.Fatalf("degraded reasons = %v", deg)
+	}
+	if cur := sess.CurrentScenario(); cur.Preds[0].SortedOK || !cur.Preds[1].SortedOK || cur.Preds[0].Random != 3*UnitCost {
+		t.Fatalf("current scenario %+v: column 0 must be backend predicate 2, sorted tripped", cur.Preds)
 	}
 }

@@ -149,7 +149,8 @@ type Option struct {
 	// "can generally work with or without" the rule (Section 8); middleware
 	// over Web sources normally enforce it.
 	AllowWildGuesses bool
-	// Shifts are dynamic mid-run cost changes (adaptivity experiments).
+	// Shifts are dynamic mid-run cost changes (adaptivity experiments), on
+	// backend predicates.
 	Shifts []CostShift
 	// Budget, when Budgeted, caps the session's total access cost: an
 	// access that would exceed it fails with ErrBudgetExhausted (and is not
@@ -171,6 +172,10 @@ type Option struct {
 	// in CurrentScenario() — degradation becomes a scenario change the
 	// engine re-plans around instead of an error it aborts on.
 	Resilience *Resilience
+	// Cols selects the backend predicates the run reads, in the query's
+	// order: the session's predicate i is backend predicate Cols[i]. Nil
+	// reads every backend predicate in order. The session copies it.
+	Cols []int
 }
 
 // WithTrace is Option{Trace: true}.
@@ -215,6 +220,9 @@ func (s *Session) apply(o Option) {
 	if o.Resilience != nil {
 		s.res = o.Resilience
 	}
+	if o.Cols != nil {
+		s.cols = append(s.cols[:0], o.Cols...)
+	}
 }
 
 // Session mediates all accesses of one query execution: it enforces
@@ -224,10 +232,17 @@ func (s *Session) apply(o Option) {
 // performs on others (see Pending). The engine facade pools sessions through
 // sync.Pool (see Reset).
 //
+// What a session is configured with is in the backend's predicate
+// numbering: the scenario, cost shifts and breakers. What it reports is in
+// the run's (Option.Cols): predicate arguments, ledger, trace, events and
+// CurrentScenario. The circuit_open degradation reasons name the breaker,
+// so they too are in the backend's numbering.
+//
 //topklint:pooled
 type Session struct {
 	backend Backend  //topklint:allow resetcomplete identity: a recycled session serves the same backend
 	scn     Scenario //topklint:allow resetcomplete identity: a recycled session keeps its scenario (ResetScenario swaps it); Reset re-derives current from it
+	cols    []int    // run predicate i is backend predicate cols[i]
 	nwg     bool
 	ctx     context.Context
 
@@ -322,6 +337,7 @@ func NewSession(b Backend, scn Scenario, opts ...Option) (*Session, error) {
 	s := &Session{
 		backend: b,
 		scn:     scn,
+		cols:    make([]int, m),
 		cursor:  make([]int, m),
 		idx:     kit.NewObjIndex(n),
 		ns:      make([]int, m),
@@ -341,19 +357,18 @@ func NewSession(b Backend, scn Scenario, opts ...Option) (*Session, error) {
 // that lets the facade and the HTTP service pool sessions through
 // sync.Pool instead of reallocating the probed/seen/ledger bookkeeping on
 // every query. Options from the previous run are discarded entirely; pass
-// the full set again.
+// the full set again. A column selection (Option.Cols) that is empty, out
+// of range or repeats a predicate, or whose slice of the scenario cannot
+// answer a query, is an error.
 func (s *Session) Reset(opts ...Option) error {
 	s.nwg = true
 	s.ctx = context.Background()
-	clear(s.cursor)
-	s.idx.Reset()
-	s.nseen = 0
-	clear(s.ns)
-	clear(s.nr)
-	s.cost, s.reserved = 0, 0
-	s.nAccess = 0
+	mb := s.backend.M()
+	s.cols = s.cols[:mb]
+	for i := range s.cols {
+		s.cols[i] = i
+	}
 	s.shifts = s.shifts[:0]
-	copy(s.current, s.scn.Preds)
 	s.budget, s.hasBudget = 0, false
 	s.traceOn = false
 	s.trace = nil
@@ -366,23 +381,44 @@ func (s *Session) Reset(opts ...Option) error {
 		s.apply(o)
 	}
 	s.bindDeadline()
+	if err := checkCols(s.cols, mb); err != nil {
+		return err
+	}
+	// The run's arrays are prefixes of the backend-sized ones: a valid
+	// selection is never wider than the backend.
+	m := len(s.cols)
+	s.cursor, s.ns, s.nr, s.current = s.cursor[:m], s.ns[:m], s.nr[:m], s.current[:m]
+	clear(s.cursor)
+	s.idx.Reset()
+	s.nseen = 0
+	clear(s.ns)
+	clear(s.nr)
+	s.cost, s.reserved = 0, 0
+	s.nAccess = 0
+	for i, c := range s.cols {
+		s.current[i] = s.scn.Preds[c]
+	}
+	if err := (Scenario{Name: s.scn.Name, Preds: s.current}).Validate(m); err != nil {
+		return err
+	}
 	if s.res != nil {
-		m := s.backend.M()
-		if err := s.res.validate(m); err != nil {
-			return err
+		if b := s.res.Breakers; b != nil && b.M() < mb {
+			return fmt.Errorf("access: breaker set covers %d predicates, backend has %d", b.M(), mb)
 		}
 		if cap(s.orig) < m {
 			s.orig = make([]PredCost, m)
 		}
 		s.orig = s.orig[:m]
-		copy(s.orig, s.scn.Preds)
+		copy(s.orig, s.current)
 		s.syncBreakers()
 	}
 	return nil
 }
 
 // grow resizes the slot arrays to the index's next capacity (cold path: a
-// pooled session stops growing once it has served its widest query).
+// pooled session stops growing once it has served its widest query). A
+// slot's probe facts are laid out at the run's width, within room for the
+// backend's.
 func (s *Session) grow() {
 	slots := s.idx.Grow()
 	m := s.backend.M()
@@ -429,10 +465,11 @@ func (s *Session) ResetScenario(scn Scenario, opts ...Option) error {
 // N returns the object count.
 func (s *Session) N() int { return s.backend.N() }
 
-// M returns the predicate count.
-func (s *Session) M() int { return s.backend.M() }
+// M returns the run's predicate count: the columns it selects.
+func (s *Session) M() int { return len(s.cols) }
 
-// Scenario returns the session's (initial) cost scenario.
+// Scenario returns the session's configured cost scenario, over the
+// backend's predicates.
 func (s *Session) Scenario() Scenario { return s.scn }
 
 // CurrentScenario snapshots the unit costs currently in force (they can
@@ -490,17 +527,21 @@ func (s *Session) Probed(i, u int) bool {
 	return ok && s.probed[slot*len(s.cursor)+i]
 }
 
+// applyShifts fires the cost shifts due at this access on the run's
+// columns; a shift names a backend predicate.
 func (s *Session) applyShifts() {
 	for _, sh := range s.shifts {
-		if s.nAccess == sh.AfterAccesses && sh.Pred >= 0 && sh.Pred < len(s.current) {
-			pc := s.current[sh.Pred]
+		for i, c := range s.cols {
+			if c != sh.Pred || s.nAccess != sh.AfterAccesses {
+				continue
+			}
+			pc := &s.current[i]
 			if sh.SortedFactor > 0 {
 				pc.Sorted = scaleCost(pc.Sorted, sh.SortedFactor)
 			}
 			if sh.RandomFactor > 0 {
 				pc.Random = scaleCost(pc.Random, sh.RandomFactor)
 			}
-			s.current[sh.Pred] = pc
 		}
 	}
 }
@@ -635,10 +676,9 @@ func (s *Session) refreshCapabilities() {
 	if set == nil {
 		return
 	}
-	for i := range s.current {
-		bi := s.res.breakerIndex(i)
-		s.current[i].SortedOK = s.orig[i].SortedOK && set.State(SortedAccess, bi) != BreakerOpen
-		s.current[i].RandomOK = s.orig[i].RandomOK && set.State(RandomAccess, bi) != BreakerOpen
+	for i, c := range s.cols {
+		s.current[i].SortedOK = s.orig[i].SortedOK && set.State(SortedAccess, c) != BreakerOpen
+		s.current[i].RandomOK = s.orig[i].RandomOK && set.State(RandomAccess, c) != BreakerOpen
 	}
 }
 
@@ -664,7 +704,7 @@ func (s *Session) acquireBreaker(kind Kind, i int) bool {
 	if s.res == nil || s.res.Breakers == nil {
 		return true
 	}
-	if s.res.Breakers.Acquire(kind, s.res.breakerIndex(i)) {
+	if s.res.Breakers.Acquire(kind, s.cols[i]) {
 		return true
 	}
 	if kind == SortedAccess {
@@ -682,7 +722,7 @@ func (s *Session) recordBreaker(kind Kind, i int, ok bool) {
 	if s.res == nil || s.res.Breakers == nil {
 		return
 	}
-	s.noteTransitions(s.res.Breakers.Record(kind, s.res.breakerIndex(i), ok))
+	s.noteTransitions(s.res.Breakers.Record(kind, s.cols[i], ok))
 }
 
 // failAccess classifies a backend failure under resilience: a source-side
@@ -699,7 +739,7 @@ func (s *Session) failAccess(kind Kind, i int, err error) error {
 	}
 	// Caller-side cancellation: no verdict on the source; free any probe.
 	if s.res.Breakers != nil {
-		s.res.Breakers.Release(kind, s.res.breakerIndex(i))
+		s.res.Breakers.Release(kind, s.cols[i])
 	}
 	return err
 }
@@ -865,16 +905,18 @@ func (s *Session) arm(p *Pending) {
 	p.dl, p.ctx = d, d
 }
 
-// Perform makes the backend call of an admitted access and stops its access
-// clock. It reads nothing of the session but the backend, so the executor
-// may run it off the goroutine that admits and settles.
+// Perform makes the backend call of an admitted access, on the backend
+// predicate the run's column selects, and stops its access clock. It reads
+// nothing of the session but the backend and the columns, both fixed for
+// the run, so the executor may run it off the goroutine that admits and
+// settles.
 //
 //topklint:hotpath
 func (s *Session) Perform(p *Pending) {
 	if p.Kind == SortedAccess {
-		p.Obj, p.Score, p.Err = s.backend.Sorted(p.ctx, p.Pred, p.Rank)
+		p.Obj, p.Score, p.Err = s.backend.Sorted(p.ctx, s.cols[p.Pred], p.Rank)
 	} else {
-		p.Score, p.Err = s.backend.Random(p.ctx, p.Pred, p.Obj)
+		p.Score, p.Err = s.backend.Random(p.ctx, s.cols[p.Pred], p.Obj)
 	}
 	if p.dl != nil {
 		p.fired = !p.dl.disarm()

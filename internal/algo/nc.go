@@ -106,15 +106,16 @@ type Scratch struct {
 }
 
 // Prepare readies the scratch for a run of size n×m and hands out its table
-// and queue, reallocating only on first use or a shape change.
+// and queue, reallocating the table only on first use or a change of n: a
+// change of m — a query over other columns — re-arms it in place.
 func (sc *Scratch) Prepare(n, m int, f score.Func, nwg bool) (*state.Table, *state.Queue, error) {
-	if sc.tab == nil || sc.tab.N() != n || sc.tab.M() != m {
+	if sc.tab == nil || sc.tab.N() != n {
 		t, err := state.NewTable(n, m, f)
 		if err != nil {
 			return nil, nil, err
 		}
 		sc.tab = t
-	} else if err := sc.tab.Reset(f); err != nil {
+	} else if err := sc.tab.Rearm(m, f); err != nil {
 		return nil, nil, err
 	}
 	if sc.q == nil {

@@ -68,11 +68,11 @@ func (h *Handler) nextCursorID() string {
 // for ?trace=1.
 func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int, error) {
 	var scratch [maxRunOptions]topk.RunOption
-	eng, opts, tr, status, err := h.prepare(scratch[:0], st, true)
+	opts, tr, err := h.prepare(scratch[:0], st, true)
 	if err != nil {
-		return status, err
+		return http.StatusBadRequest, err
 	}
-	cur, err := eng.Open(topk.Query{F: st.pq.Func, K: st.pq.K}, opts...)
+	cur, err := h.eng.Open(st.q, opts...)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -82,7 +82,7 @@ func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int
 		_ = cur.Close()
 		return http.StatusServiceUnavailable, err
 	}
-	if err := lc.produce(h, buf, st.pq.K, nil, traced); err != nil {
+	if err := lc.produce(h, buf, st.q.K, nil, traced); err != nil {
 		h.unregister(lc, h.cursorClosed)
 		return http.StatusInternalServerError, err
 	}

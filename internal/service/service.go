@@ -49,6 +49,11 @@
 // direct encoder whose bytes equal encoding/json's (DESIGN.md §10, "The
 // served request, front to back"). Bodies over 1 MiB are refused with 413.
 //
+// One engine serves every query, whatever columns its SQL names: the
+// columns ride on the query (topk.Query.Cols), so one pool of query state,
+// one contract guard and one breaker set — all keyed by database predicate
+// — are shared by every column list.
+//
 // The service is fault-tolerant by construction: every query runs under a
 // deadline (Config.QueryTimeout) with per-access timeouts and shared
 // circuit breakers (one per dataset predicate and access kind), so a
@@ -68,7 +73,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -86,24 +90,23 @@ import (
 
 // Config describes the database one service instance fronts.
 type Config struct {
-	// Dataset is the in-memory database (the service projects its columns
-	// per query). Exactly one of Dataset and Cluster must be set.
+	// Dataset is the in-memory database (each query reads the columns its
+	// SQL names). Exactly one of Dataset and Cluster must be set.
 	Dataset *data.Dataset
 	// Cluster, when non-nil, fronts a shard cluster instead of a local
-	// dataset: per-query backends are column projections of the
-	// coordinator's scatter-gather Backend, so every algorithm, breaker,
-	// and sharing feature runs unchanged over the distributed sources.
+	// dataset: queries read the coordinator's scatter-gather Backend, so
+	// every algorithm, breaker, and sharing feature runs unchanged over
+	// the distributed sources.
 	// The coordinator's topk_cluster_* series register on the service's
 	// metrics registry, and ?trace=1 responses carry its shard fan-out
 	// counters.
 	Cluster *cluster.Coordinator
 	// Store, when non-nil, fronts a disk store directory instead of an
-	// in-memory dataset: per-query backends are column projections of the
-	// store, so sorted accesses run as block scans and random accesses as
-	// point reads while every algorithm, breaker, and sharing feature
-	// runs unchanged. The store's topk_store_* series register on the
-	// service's metrics registry. Exactly one of Dataset, Cluster, and Store
-	// must be set.
+	// in-memory dataset: queries read the store, so sorted accesses run as
+	// block scans and random accesses as point reads while every algorithm,
+	// breaker, and sharing feature runs unchanged. The store's topk_store_*
+	// series register on the service's metrics registry. Exactly one of
+	// Dataset, Cluster, and Store must be set.
 	Store *topk.Store
 	// StoreCalibration carries the store's IO-measured (cs, cr) — it
 	// fingerprints every store-mode plan into the shared plan cache
@@ -155,21 +158,20 @@ type Config struct {
 	// queries. The zero value uses the breaker defaults (3 consecutive
 	// failures open a circuit for 1s).
 	Breaker topk.BreakerConfig
-	// WrapBackend, when non-nil, wraps the backend of each column
-	// projection (cols maps the projection's predicates to dataset
-	// predicates). It runs once per projection, when the handler builds
-	// that projection's engine, and every query over the projection then
-	// goes through the returned backend — so a wrapper with state (a fault
-	// injector's access counters and seeded rng) carries it from query to
-	// query until the engine is evicted. The chaos tests use it to splice
-	// a fault injector into the service's own execution path. With sharing
-	// enabled the wrapper sits above the shared layer, so injected faults
-	// hit each query's session (and its breakers) without poisoning the
-	// shared caches. A wrapper should declare Unwrap() topk.Backend
-	// returning b: the engine finds the sharing layer (for its planning
-	// discounts) and the cluster membership (for the plan-cache key) by
-	// walking the stack, and a wrapper without it hides both.
-	WrapBackend func(b topk.Backend, cols []int) topk.Backend
+	// WrapBackend, when non-nil, wraps the handler's base backend — every
+	// predicate of the database, in its own numbering. It runs once, when
+	// the handler builds its one engine, and every query goes through the
+	// returned backend, so a wrapper with state (a fault injector's access
+	// counters and seeded rng) carries it from query to query. The chaos
+	// tests use it to splice a fault injector into the service's own
+	// execution path. With sharing enabled the wrapper sits above the
+	// shared layer, so injected faults hit each query's session (and its
+	// breakers) without poisoning the shared caches. A wrapper should
+	// declare Unwrap() topk.Backend returning b: the engine finds the
+	// sharing layer (for its planning discounts) and the cluster membership
+	// (for the plan-cache key) by walking the stack, and a wrapper without
+	// it hides both.
+	WrapBackend func(b topk.Backend) topk.Backend
 
 	// AdaptivePeriod, when > 0, runs every default-pipeline query with
 	// mid-query adaptive re-planning: a divergence checkpoint every
@@ -243,15 +245,25 @@ type Handler struct {
 	// Concurrent identical queries dedup to a single optimization.
 	plans *topk.PlanCache
 
-	// base is the stack every projection starts from, picked once: the
+	// base is the database every query reads, picked once: the
 	// coordinator, the store or the dataset backend, under shared — the
 	// cross-query access-sharing layer over the full database — when
 	// Config.EnableSharing. Answers are named by Config.Dataset's labels —
 	// a nil dataset, in cluster and store mode (shards and store files hold
-	// scores, not row metadata), labels every object u<id>. Projection never
-	// renumbers objects, so one label source serves every query.
+	// scores, not row metadata), labels every object u<id>. A query's
+	// columns never renumber objects, so one label source serves every
+	// query.
 	base   topk.Backend
 	shared *topk.SharedAccess
+
+	// eng is the one engine, over Config.WrapBackend(base) under the full
+	// scenario: every query runs on it with its statement's columns, so one
+	// pool keeps every query's session, score table, queue and cursor
+	// scratch warm, and one contract guard witnesses every query's
+	// accesses. resilient attaches the breakers and access timeout to a
+	// run: built once, not as a closure per request.
+	eng       *topk.Engine
+	resilient topk.RunOption
 
 	// stmts caches prepared statements by the request body that spelled
 	// them, most recently used first: a repeated POST /query finds its
@@ -268,14 +280,6 @@ type Handler struct {
 	// observed streams an untraced run's events into metrics: one option
 	// value shared by every such run instead of a closure per request.
 	observed topk.RunOption
-
-	// engines caches one projection (engine, resilience) per
-	// column list, most recently used first, at most maxEngines of them.
-	// Everything a projection is built from — Config, breakers, plan
-	// cache, sharing layer — is fixed for the handler's life, so entries
-	// never go stale and eviction is the only removal.
-	engMu   sync.Mutex
-	engines []*projection
 
 	// Cursor registry: open server-side cursors by id, their pooled state
 	// alive between requests. curPrefix makes ids unguessable across
@@ -399,6 +403,31 @@ func NewHandler(cfg Config) (*Handler, error) {
 		})
 		h.base = h.shared
 	}
+	// The one engine (DESIGN.md "Backend stack"): the chaos wrapper over the
+	// base, then the contract guard inside NewEngine, all on database
+	// predicates.
+	backend := h.base
+	if cfg.WrapBackend != nil {
+		backend = cfg.WrapBackend(backend)
+	}
+	engOpts := []topk.EngineOption{topk.WithPlanCache(h.plans)}
+	if cfg.Store != nil {
+		// Fingerprint the store identity and its measured calibration into
+		// the plan cache: a re-calibration re-keys every plan.
+		engOpts = append(engOpts, topk.WithStore(cfg.Store, cfg.StoreCalibration))
+	}
+	if cfg.ContractGuard {
+		engOpts = append(engOpts, topk.WithContractGuard())
+	}
+	var err error
+	if h.eng, err = topk.NewEngine(backend, cfg.Scenario, engOpts...); err != nil {
+		return nil, err
+	}
+	res := &topk.Resilience{Breakers: h.breakers}
+	if cfg.AccessTimeout > 0 {
+		res.AccessTimeout = cfg.AccessTimeout
+	}
+	h.resilient = topk.WithResilience(res)
 	h.mux.HandleFunc("/meta", h.handleMeta)
 	h.mux.HandleFunc("/healthz", h.handleHealth)
 	h.mux.HandleFunc("/query", h.handleQuery)
@@ -720,17 +749,14 @@ const (
 
 // statement is one POST /query body decoded, parsed and bound — a pure
 // function of the body and the handler's fixed configuration, so a cached
-// one is exactly what decoding the same bytes again would produce. It
-// holds cols, not the projection they select: projectionFor stays the
-// per-request lookup that keeps one projection on one engine. A statement
-// fresh from decoding has only req and key set; prepare fills in the rest
-// and publishes it, after which nothing writes to it.
+// one is exactly what decoding the same bytes again would produce. A
+// statement fresh from decoding has only req and key set; prepare fills in
+// the rest and publishes it, after which nothing writes to it.
 type statement struct {
 	key   string // the body, to cache it under ("" when over maxStatementBody)
 	req   QueryRequest
-	pq    *sqlq.Query
-	cols  []int
-	query string           // pq.String(): the response's "query" field
+	q     topk.Query       // the bound query: F, k and the columns F reads
+	query string           // the parsed query's canonical string: the response's "query" field
 	opts  []topk.RunOption // what the request fixes of a run: algorithm, budget, epsilon, parallel
 }
 
@@ -754,19 +780,17 @@ func (h *Handler) cachedStatement(body []byte) *statement {
 // hand it a stack array of this size to assemble them in.
 const maxRunOptions = 8
 
-// prepare configures one statement to run against the configured database
-// — everything the one-shot path (execute) and the cursor path (openCursor)
+// prepare configures one statement to run on the handler's engine —
+// everything the one-shot path (execute) and the cursor path (openCursor)
 // share: a fresh statement is first parsed, bound and, once all of that
 // succeeded, cached for the requests that repeat its body; a cached one
-// skips straight to the projection its columns select (backend composition,
-// engine, resilience). Either way the parse and plan phases are reported,
-// so phase counts stay one per query. It returns the engine to run on, the
-// run options appended to dst — without the context: one-shot runs attach
-// the HTTP request's, cursors rebind a fresh deadline per page — and, when
+// skips straight to its run options. Either way the parse and plan phases
+// are reported, so phase counts stay one per query. It returns the run
+// options appended to dst — without the context: one-shot runs attach the
+// HTTP request's, cursors rebind a fresh deadline per page — and, when
 // traced, the per-query trace riding along beside the service metrics every
-// run feeds. (Separate results, not a struct: the engine escapes into its
-// run, and a struct would drag dst's stack array to the heap with it.)
-func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (eng *topk.Engine, opts []topk.RunOption, tr *obs.QueryTrace, status int, err error) {
+// run feeds.
+func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (opts []topk.RunOption, tr *obs.QueryTrace, err error) {
 	var o obs.Observer = h.metrics
 	observed := h.observed
 	if traced {
@@ -775,36 +799,33 @@ func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (eng
 		observed = topk.WithObserver(o)
 	}
 	parseStart := time.Now()
-	fresh := st.pq == nil
+	fresh := st.q.F == nil
 	if fresh {
-		if st.pq, err = sqlq.Parse(st.req.SQL); err != nil {
-			return nil, nil, nil, http.StatusBadRequest, err
+		pq, perr := sqlq.Parse(st.req.SQL)
+		if perr != nil {
+			return nil, nil, perr
 		}
-		st.cols, err = sqlq.Bind(st.pq, h.cfg.Columns)
+		st.q, st.query = topk.Query{F: pq.Func, K: pq.K}, pq.String()
+		st.q.Cols, err = sqlq.Bind(pq, h.cfg.Columns)
 	}
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseParse), Value: time.Since(parseStart).Seconds()})
 	if err != nil {
-		return nil, nil, nil, http.StatusBadRequest, err
+		return nil, nil, err
 	}
 	planStart := time.Now()
-	proj, status, err := h.projectionFor(st.cols)
-	if err != nil {
-		return nil, nil, nil, status, err
-	}
 	if fresh {
 		if st.opts, err = h.requestOptions(&st.req); err != nil {
-			return nil, nil, nil, http.StatusBadRequest, err
+			return nil, nil, err
 		}
-		st.query = st.pq.String()
 		if st.key != "" {
 			h.stmtMu.Lock()
 			h.stmts.Put(st.key, st)
 			h.stmtMu.Unlock()
 		}
 	}
-	opts = append(append(dst, observed, proj.resilient), st.opts...)
+	opts = append(append(dst, observed, h.resilient), st.opts...)
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
-	return proj.eng, opts, tr, http.StatusOK, nil
+	return opts, tr, nil
 }
 
 // requestOptions assembles the run options a request's own fields fix:
@@ -841,117 +862,6 @@ func (h *Handler) requestOptions(req *QueryRequest) ([]topk.RunOption, error) {
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
 	return opts, nil
-}
-
-// maxEngines bounds the projection cache. A database of m columns has more
-// projections than this once m > 3, but a served workload names few of
-// them; past the bound the least recently used engine is dropped and built
-// again on demand.
-const maxEngines = 32
-
-// projection is everything the queries over one column list share: the
-// engine — whose pool keeps their session, score table, queue and cursor
-// scratch warm — and the request-independent values beside it.
-type projection struct {
-	cols []int
-	eng  *topk.Engine
-	// resilient attaches the projection's breaker map and access timeout
-	// to a run: built once here, not as a closure per request.
-	resilient topk.RunOption
-}
-
-// projectionFor returns the cached projection for cols, building it on
-// first use. An evicted projection stays valid for any cursor still holding its
-// engine; it just stops being handed to new queries.
-func (h *Handler) projectionFor(cols []int) (*projection, int, error) {
-	if p := h.cachedProjection(cols, nil); p != nil {
-		return p, http.StatusOK, nil
-	}
-	// Built outside the lock: WrapBackend is caller code.
-	p, status, err := h.buildProjection(cols)
-	if err != nil {
-		return nil, status, err
-	}
-	return h.cachedProjection(cols, p), http.StatusOK, nil
-}
-
-// cachedProjection looks cols up and moves the hit to the front. On a miss
-// it installs fresh (when non-nil) at the front, evicting the least
-// recently used entry past maxEngines; a concurrent builder that got there
-// first wins, so one projection never runs on two engines — the contract
-// guard's cross-query witness lives in the engine.
-func (h *Handler) cachedProjection(cols []int, fresh *projection) *projection {
-	h.engMu.Lock()
-	defer h.engMu.Unlock()
-	for i, p := range h.engines {
-		if slices.Equal(p.cols, cols) {
-			copy(h.engines[1:i+1], h.engines[:i])
-			h.engines[0] = p
-			return p
-		}
-	}
-	if fresh == nil {
-		return nil
-	}
-	if len(h.engines) < maxEngines {
-		h.engines = append(h.engines, nil)
-	}
-	copy(h.engines[1:], h.engines)
-	h.engines[0] = fresh
-	return fresh
-}
-
-// buildProjection composes the backend for cols — the handler's base under
-// one projection, then the chaos wrapper — and the engine over it (the
-// contract guard wraps last, inside NewEngine), with the scenario and
-// breaker map sliced to the same columns (DESIGN.md "Backend stack").
-func (h *Handler) buildProjection(cols []int) (*projection, int, error) {
-	cols = slices.Clone(cols)
-	var (
-		backend topk.Backend
-		err     error
-	)
-	if h.cfg.Dataset != nil && h.shared == nil {
-		// A bare dataset is its own projection: a zero-hop column map
-		// instead of a wrapper per access.
-		var ds *data.Dataset
-		if ds, err = data.Project(h.cfg.Dataset, cols); err == nil {
-			backend = topk.DataBackend(ds)
-		}
-	} else {
-		// The shared layer, the coordinator and the store are keyed by
-		// database predicate, so queries over different column subsets
-		// still share the state of the predicates they have in common.
-		backend, err = access.Project(h.base, cols)
-	}
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
-	scn := topk.Scenario{Name: h.cfg.Scenario.Name, Preds: make([]topk.PredCost, len(cols))}
-	for i, c := range cols {
-		scn.Preds[i] = h.cfg.Scenario.Preds[c]
-	}
-	if h.cfg.WrapBackend != nil {
-		backend = h.cfg.WrapBackend(backend, cols)
-	}
-	engOpts := []topk.EngineOption{topk.WithPlanCache(h.plans)}
-	if h.cfg.Store != nil {
-		// Fingerprint the store identity and its measured calibration into
-		// the shared plan cache: a re-calibration re-keys every plan.
-		engOpts = append(engOpts, topk.WithStore(h.cfg.Store, h.cfg.StoreCalibration))
-	}
-	if h.cfg.ContractGuard {
-		engOpts = append(engOpts, topk.WithContractGuard())
-	}
-	eng, err := topk.NewEngine(backend, scn, engOpts...)
-	if err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	res := &topk.Resilience{Breakers: h.breakers, Map: cols}
-	if h.cfg.AccessTimeout > 0 {
-		res.AccessTimeout = h.cfg.AccessTimeout
-	}
-	return &projection{cols: cols, eng: eng, resilient: topk.WithResilience(res)}, http.StatusOK, nil
 }
 
 // bound is one request's deadline — the stack's one deadline mechanism,
@@ -997,9 +907,9 @@ func (b *bound) stop() {
 // goes away; QueryTimeout bounds it through a pooled deadline.
 func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement, traced bool) (int, error) {
 	var scratch [maxRunOptions]topk.RunOption
-	eng, opts, tr, status, err := h.prepare(scratch[:0], st, traced)
+	opts, tr, err := h.prepare(scratch[:0], st, traced)
 	if err != nil {
-		return status, err
+		return http.StatusBadRequest, err
 	}
 	if t := h.cfg.QueryTimeout; t > 0 {
 		b := startBound(ctx, t)
@@ -1008,7 +918,7 @@ func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement,
 	} else {
 		opts = append(opts, topk.WithContext(ctx))
 	}
-	ans, err := eng.Run(topk.Query{F: st.pq.Func, K: st.pq.K}, opts...)
+	ans, err := h.eng.Run(st.q, opts...)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}

@@ -113,7 +113,7 @@ func scrapeMetric(t *testing.T, ts *httptest.Server, name string) int64 {
 func TestServiceChaosDegradedAndObservable(t *testing.T) {
 	ts, _ := startFaultService(t, func(cfg *Config) {
 		cfg.Breaker = topk.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}
-		cfg.WrapBackend = func(b topk.Backend, cols []int) topk.Backend {
+		cfg.WrapBackend = func(b topk.Backend) topk.Backend {
 			return fault.Wrap(b, fault.Config{Seed: 1, Preds: map[int]fault.PredFault{
 				1: {OutageFrom: 0, OutageTo: -1},
 			}})
@@ -194,7 +194,7 @@ func TestServiceLoadShedding(t *testing.T) {
 	gate := make(chan struct{})
 	ts, h := startFaultService(t, func(cfg *Config) {
 		cfg.MaxInflight = 1
-		cfg.WrapBackend = func(b topk.Backend, cols []int) topk.Backend {
+		cfg.WrapBackend = func(b topk.Backend) topk.Backend {
 			return gatedBackend{Backend: b, gate: gate}
 		}
 	})
@@ -260,7 +260,7 @@ func (b slowBackend) Random(ctx context.Context, pred, obj int) (float64, error)
 func TestServiceQueryDeadlineDegrades(t *testing.T) {
 	ts, _ := startFaultService(t, func(cfg *Config) {
 		cfg.QueryTimeout = 60 * time.Millisecond
-		cfg.WrapBackend = func(b topk.Backend, cols []int) topk.Backend {
+		cfg.WrapBackend = func(b topk.Backend) topk.Backend {
 			return slowBackend{Backend: b, delay: 10 * time.Millisecond}
 		}
 	})

@@ -135,11 +135,12 @@ func TestSharedAccessGate(t *testing.T) {
 
 // TestServedPlanMatchesExplainUnderSharing extends the facade's
 // TestExplainMatchesRunOnSharingEngine to the service: there is one
-// discount site — the engine, which finds the sharing layer below the
-// projection — so once the layer is warm, Explain on a projection's engine
-// and a served "opt" query over it resolve the same plan-cache entry, and
-// report the same plan. The layer is warmed by fixed-plan queries, which
-// never plan, so the only entry in the cache is the one Explain puts there.
+// discount site — the handler's engine, which finds the sharing layer in
+// its stack — so once the layer is warm, Explain on that engine over the
+// query's columns and a served "opt" query resolve the same plan-cache
+// entry, and report the same plan. The layer is warmed by fixed-plan
+// queries, which never plan, so the only entry in the cache is the one
+// Explain puts there.
 func TestServedPlanMatchesExplainUnderSharing(t *testing.T) {
 	ts, h := startColumnService(t, 1000, 3, func(c *Config) {
 		c.EnableSharing = true
@@ -155,11 +156,7 @@ func TestServedPlanMatchesExplainUnderSharing(t *testing.T) {
 	if s, r := h.ShareStats().Discounts(); s == 0 && r == 0 {
 		t.Fatalf("sharing layer not warm (%+v): the test would not exercise the discounts", h.ShareStats())
 	}
-	proj, _, err := h.projectionFor(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := proj.eng.Explain(topk.Query{F: topk.Avg(), K: 10}, topk.OptimizerConfig(h.cfg.Optimizer))
+	plan, err := h.eng.Explain(topk.Query{F: topk.Avg(), K: 10, Cols: cols}, topk.OptimizerConfig(h.cfg.Optimizer))
 	if err != nil {
 		t.Fatal(err)
 	}

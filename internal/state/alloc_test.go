@@ -140,6 +140,50 @@ func TestTableResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestTableRearmAcrossWidths: one table re-armed between 3 and 2
+// predicates answers every bound exactly like a fresh table of each width
+// fed the same observations, and once it has been as wide as it gets,
+// switching widths allocates nothing.
+func TestTableRearmAcrossWidths(t *testing.T) {
+	const n = 10000 // touching half of it outgrows the first 4,096 slots at both widths
+	ds := datatest.MustGenerate(data.Uniform, n, 3, 9)
+	feed := func(tab *Table, m int) {
+		for r := 0; r < n/2; r++ {
+			for i := 0; i < m; i++ {
+				obj, s := ds.SortedAt(i, r)
+				tab.ObserveSorted(i, obj, s)
+			}
+		}
+		tab.ObserveRandom(m-1, 7, ds.Score(7, m-1))
+	}
+	used := MustNewTable(n, 3, score.Avg())
+	for _, m := range []int{3, 2, 3, 2} {
+		if err := used.Rearm(m, score.Min()); err != nil {
+			t.Fatal(err)
+		}
+		feed(used, m)
+		fresh := MustNewTable(n, m, score.Min())
+		feed(fresh, m)
+		for u := 0; u < n; u++ {
+			if used.Upper(u) != fresh.Upper(u) || used.Lower(u) != fresh.Lower(u) || used.KnownCount(u) != fresh.KnownCount(u) {
+				t.Fatalf("m=%d object %d: re-armed table diverges from a fresh one", m, u)
+			}
+		}
+		if used.M() != m || used.UnseenUpper() != fresh.UnseenUpper() || used.SeenCount() != fresh.SeenCount() {
+			t.Fatalf("m=%d: shape or seen bookkeeping diverges", m)
+		}
+	}
+	if err := used.Rearm(2, score.Weighted(1, 2, 3)); err == nil {
+		t.Fatal("Rearm with an arity-mismatched function should fail")
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		_ = used.Rearm(3, score.Min())
+		_ = used.Rearm(2, score.Min())
+	}); allocs != 0 {
+		t.Errorf("switching widths allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestQueueResetMatchesFresh(t *testing.T) {
 	tab := MustNewTable(8, 1, score.Min())
 	q := NewQueue(tab, false)

@@ -10,6 +10,7 @@ package state
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/kit"
 	"repro/internal/score"
@@ -35,7 +36,7 @@ const UnseenID = -1
 //topklint:pooled
 type Table struct {
 	f    score.Func //topklint:allow resetcomplete Reset(nil) deliberately keeps the scoring function; non-nil swaps it
-	n, m int        //topklint:allow resetcomplete identity: a recycled table serves the same n-by-m shape
+	n, m int        //topklint:allow resetcomplete identity: a recycled table serves the same n objects; Rearm changes m
 
 	idx kit.ObjIndex // object id -> slot
 
@@ -106,6 +107,25 @@ func (t *Table) Reset(f score.Func) error {
 		t.lastSeen[i] = 1
 	}
 	return nil
+}
+
+// Rearm is Reset for a run over m predicates of the same universe, with
+// scoring function f: one pooled table serves queries over any number of
+// columns. It keeps the widest arrays it has had and lays the slot facts
+// out at the new width — there are none to keep once the index is emptied.
+func (t *Table) Rearm(m int, f score.Func) error {
+	if err := score.Validate(f, m); err != nil {
+		return err
+	}
+	if m != t.m {
+		t.m = m
+		t.lastSeen = slices.Grow(t.lastSeen[:0], m)[:m]
+		t.depth = slices.Grow(t.depth[:0], m)[:m]
+		t.buf = slices.Grow(t.buf[:0], m)[:m]
+		w := len(t.meta) * m
+		t.val, t.known = slices.Grow(t.val[:0], w)[:w], slices.Grow(t.known[:0], w)[:w]
+	}
+	return t.Reset(f)
 }
 
 // grow resizes the slot arrays to the index's next capacity in one

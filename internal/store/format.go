@@ -47,10 +47,11 @@ const segmentHeaderSize = magicSize + 4 + 4 + 8
 // manifest, which Open refuses.
 const ManifestName = "MANIFEST.json"
 
-// Manifest records the store's identity and the exact byte size of every
-// data file. Open validates sizes against it, so any torn or truncated
-// file — a crash after the manifest was written, a bad copy — surfaces as
-// ErrCorrupt instead of an out-of-range read deep inside a query.
+// Manifest records the store's identity and the exact byte size and
+// CRC-32 of every data file. Open validates both against it, so any torn,
+// truncated or flipped file — a crash after the manifest was written, a
+// bad copy, a lying disk — surfaces as ErrCorrupt instead of an
+// out-of-range read or a wrong score deep inside a query.
 type Manifest struct {
 	FormatVersion    int           `json:"format_version"`
 	GeneratorVersion int           `json:"generator_version,omitempty"`

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -72,10 +73,12 @@ type Stats struct {
 	BlockHits   int64 // sorted accesses served from the block cache
 }
 
-// Open validates and opens a store directory. Every structural claim the
-// manifest makes — format version, file sizes, header contents, fence
+// Open validates and opens a store directory. Every claim the manifest
+// makes — format version, file sizes (against n, m and the block size
+// first, then on disk), whole-file checksums, header contents, fence
 // order — is checked up front; any mismatch returns ErrCorrupt and no
-// half-open store.
+// half-open store. Nothing sized by n is allocated before the manifest's
+// sizes agree with n, and the checksums stream through one bounded buffer.
 func Open(dir string, opts Options) (*Store, error) {
 	raw, err := os.ReadFile(manifestPath(dir))
 	if err != nil {
@@ -95,6 +98,15 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("%w: implausible manifest (n=%d m=%d block=%d segments=%d)",
 			ErrCorrupt, man.N, man.M, man.BlockEntries, len(man.Segments))
 	}
+	if man.N > math.MaxUint32 || man.ScoresSize != scoresSize(man.N, man.M) {
+		return nil, fmt.Errorf("%w: manifest scores size %d disagrees with n=%d m=%d", ErrCorrupt, man.ScoresSize, man.N, man.M)
+	}
+	for i, seg := range man.Segments {
+		if want := segmentSize(man.N, man.BlockEntries); seg.Size != want {
+			return nil, fmt.Errorf("%w: manifest segment %d size %d disagrees with n=%d block=%d (%d)",
+				ErrCorrupt, i, seg.Size, man.N, man.BlockEntries, want)
+		}
+	}
 
 	s := &Store{
 		dir:          dir,
@@ -110,7 +122,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}()
 
-	if s.scores, err = openChecked(scoresPath(dir), man.ScoresSize); err != nil {
+	buf := make([]byte, crcBufSize)
+	if s.scores, err = openChecked(scoresPath(dir), man.ScoresSize, man.ScoresCRC, buf); err != nil {
 		return nil, err
 	}
 	hdr := make([]byte, scoresHeaderSize)
@@ -128,7 +141,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 
 	for i := 0; i < man.M; i++ {
-		if s.segs[i], err = openChecked(segmentPath(dir, i), man.Segments[i].Size); err != nil {
+		if s.segs[i], err = openChecked(segmentPath(dir, i), man.Segments[i].Size, man.Segments[i].CRC, buf); err != nil {
 			return nil, err
 		}
 		if s.fences[i], err = readFences(s.segs[i], i, man.N, man.BlockEntries); err != nil {
@@ -147,9 +160,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openChecked opens a data file and verifies its exact size against the
-// manifest, converting truncation into ErrCorrupt before any read.
-func openChecked(path string, wantSize int64) (*os.File, error) {
+// crcBufSize bounds the buffer Open streams every data file through to
+// checksum it.
+const crcBufSize = 256 << 10
+
+// openChecked opens a data file and verifies its exact size, then its
+// CRC-32 (IEEE, over the whole file, as the writer folds it), against the
+// manifest, converting truncation and flipped bytes into ErrCorrupt before
+// any other read. The file streams through buf.
+func openChecked(path string, wantSize int64, wantCRC uint32, buf []byte) (*os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -166,6 +185,19 @@ func openChecked(path string, wantSize int64) (*os.File, error) {
 		f.Close()
 		return nil, fmt.Errorf("%w: %s is %d bytes, manifest says %d (torn or truncated write)",
 			ErrCorrupt, path, st.Size(), wantSize)
+	}
+	var crc uint32
+	for off := int64(0); off < wantSize; {
+		n, err := f.ReadAt(buf[:min(int64(len(buf)), wantSize-off)], off)
+		crc = crc32.Update(crc, crc32.IEEETable, buf[:n])
+		if off += int64(n); err != nil && off < wantSize {
+			f.Close()
+			return nil, fmt.Errorf("store: %s: %w", path, err)
+		}
+	}
+	if crc != wantCRC {
+		f.Close()
+		return nil, fmt.Errorf("%w: %s checksum %08x, manifest says %08x", ErrCorrupt, path, crc, wantCRC)
 	}
 	return f, nil
 }

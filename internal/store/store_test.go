@@ -2,11 +2,14 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/data"
@@ -226,8 +229,10 @@ func TestStoreRowAndSample(t *testing.T) {
 // store directory damaged in any of the ways a crash can produce —
 // missing manifest (died mid-build), truncated segment or scores file
 // (torn write after manifest... can't happen with manifest-last ordering,
-// but disks lie), corrupted fence order — must fail Open with ErrCorrupt,
-// never serve garbage.
+// but disks lie), corrupted fence order, a flipped byte anywhere the
+// checksums cover, a manifest whose n disagrees with its own file sizes —
+// must fail Open with ErrCorrupt, never serve garbage. A row with maxAlloc
+// also bounds what Open allocates before refusing.
 func TestStoreCrashConsistency(t *testing.T) {
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -237,42 +242,69 @@ func TestStoreCrashConsistency(t *testing.T) {
 		return dir
 	}
 	damage := []struct {
-		name string
-		hurt func(t *testing.T, dir string)
+		name     string
+		hurt     func(t *testing.T, dir string)
+		maxAlloc uint64
 	}{
-		{"missing-manifest", func(t *testing.T, dir string) {
+		{name: "flipped-score-byte", hurt: func(t *testing.T, dir string) {
+			// A mantissa byte of object 7's first score: still a valid score,
+			// just the wrong one.
+			flipByte(t, scoresPath(dir), scoresHeaderSize+7*2*8+3)
+		}},
+		{name: "flipped-entry-byte", hurt: func(t *testing.T, dir string) {
+			// The object id of rank 5, inside block 0: the fences still descend.
+			flipByte(t, segmentPath(dir, 1), segmentHeaderSize+5*entrySize)
+		}},
+		{name: "n-disagrees-with-sizes", maxAlloc: 1 << 20, hurt: func(t *testing.T, dir string) {
+			// n = 2^28 in the manifest and in every header, with the file sizes
+			// left as they are: only the sizes give the lie away, and the fence
+			// section n implies would take 128 MiB.
+			const n = 1 << 28
+			raw, err := os.ReadFile(manifestPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man Manifest
+			if err := json.Unmarshal(raw, &man); err != nil {
+				t.Fatal(err)
+			}
+			man.N = n
+			if err := writeManifest(dir, man); err != nil {
+				t.Fatal(err)
+			}
+			var hdr [8]byte
+			binary.LittleEndian.PutUint32(hdr[:], n)
+			writeAt(t, scoresPath(dir), magicSize, hdr[:4])
+			binary.LittleEndian.PutUint64(hdr[:], n)
+			for i := 0; i < man.M; i++ {
+				writeAt(t, segmentPath(dir, i), magicSize+8, hdr[:])
+			}
+		}},
+		{name: "missing-manifest", hurt: func(t *testing.T, dir string) {
 			os.Remove(manifestPath(dir))
 		}},
-		{"truncated-segment", func(t *testing.T, dir string) {
+		{name: "truncated-segment", hurt: func(t *testing.T, dir string) {
 			truncateTail(t, segmentPath(dir, 1), 5)
 		}},
-		{"truncated-scores", func(t *testing.T, dir string) {
+		{name: "truncated-scores", hurt: func(t *testing.T, dir string) {
 			truncateTail(t, scoresPath(dir), 1)
 		}},
-		{"missing-segment", func(t *testing.T, dir string) {
+		{name: "missing-segment", hurt: func(t *testing.T, dir string) {
 			os.Remove(segmentPath(dir, 0))
 		}},
-		{"garbage-manifest", func(t *testing.T, dir string) {
+		{name: "garbage-manifest", hurt: func(t *testing.T, dir string) {
 			if err := os.WriteFile(manifestPath(dir), []byte("{not json"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"fence-disorder", func(t *testing.T, dir string) {
+		{name: "fence-disorder", hurt: func(t *testing.T, dir string) {
 			// Overwrite the first fence (block 0 max score) with -Inf: a
 			// later fence is then necessarily larger, breaking descent.
-			path := segmentPath(dir, 0)
-			f, err := os.OpenFile(path, os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
 			buf := make([]byte, 8)
 			buf[7] = 0xFF // sign+exponent bits set: a huge negative float
-			if _, err := f.WriteAt(buf, segmentHeaderSize+int64(60)*entrySize); err != nil {
-				t.Fatal(err)
-			}
+			writeAt(t, segmentPath(dir, 0), segmentHeaderSize+int64(60)*entrySize, buf)
 		}},
-		{"wrong-format-version", func(t *testing.T, dir string) {
+		{name: "wrong-format-version", hurt: func(t *testing.T, dir string) {
 			raw, err := os.ReadFile(manifestPath(dir))
 			if err != nil {
 				t.Fatal(err)
@@ -287,13 +319,19 @@ func TestStoreCrashConsistency(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			dir := build(t)
 			d.hurt(t, dir)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			s, err := Open(dir, Options{})
+			runtime.ReadMemStats(&after)
 			if err == nil {
 				s.Close()
 				t.Fatal("Open accepted a damaged store")
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; d.maxAlloc > 0 && alloc >= d.maxAlloc {
+				t.Fatalf("Open allocated %d bytes before refusing, bound %d", alloc, d.maxAlloc)
 			}
 		})
 	}
@@ -386,6 +424,29 @@ func TestQuantizeUnits(t *testing.T) {
 	if s := fmt.Sprintf("%g", QuantizeUnits(0.000407)); s != "0.00041" {
 		t.Fatalf("quantized value prints as %q, want 0.00041", s)
 	}
+}
+
+// writeAt overwrites path's bytes at off with b.
+func writeAt(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flipByte inverts the low bit of path's byte at off.
+func flipByte(t *testing.T, path string, off int64) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeAt(t, path, off, []byte{raw[off] ^ 1})
 }
 
 func truncateTail(t *testing.T, path string, bytes int64) {

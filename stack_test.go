@@ -172,13 +172,16 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 }
 
 // TestStackCompositionOracle is the seed corpus of the every-composition
-// oracle: every stack of {base} × {projection} × {sharing, under or over
-// the projection} × {zero-fault injector} × {contract guard} answers
-// byte-identically to single-node memory over the same columns — items,
-// ledger, and every prefix a cursor emits on the way (the any-k criterion:
-// each prefix is itself a correct answer) — with trace == ledger, and from
-// the top of every stack access.As still finds the base, the sharing layer
-// and the shard membership.
+// oracle: every stack of {base} × {projection, as an access.Project layer
+// or on the query (Query.Cols)} × {sharing, under or over the projection}
+// × {zero-fault injector} × {contract guard} answers byte-identically to
+// single-node memory over the same columns — items, ledger, and every
+// prefix a cursor emits on the way (the any-k criterion: each prefix is
+// itself a correct answer) — with trace == ledger, and from the top of
+// every stack access.As still finds the base, the sharing layer and the
+// shard membership. A Query.Cols row therefore matches the access.Project
+// row over the same columns. With no projection layer in its stack, its
+// sharing layer sits over the base alone: only the service's order runs.
 func TestStackCompositionOracle(t *testing.T) {
 	const n, m, page = 60, 3, 3
 	ds := mustGenerateDataset(t, "uniform", n, m, 29)
@@ -198,9 +201,13 @@ func TestStackCompositionOracle(t *testing.T) {
 		b    Backend
 	}{{"memory", DataBackend(ds)}, {"store", st}, {"cluster", coord}}
 	projections := []struct {
-		name string
-		cols []int
-	}{{"identity", []int{0, 1, 2}}, {"reordered", []int{2, 0}}}
+		name    string
+		cols    []int
+		onQuery bool // Query.Cols selects them, not an access.Project layer
+	}{
+		{"identity", []int{0, 1, 2}, false}, {"reordered", []int{2, 0}, false},
+		{"cols-identity", []int{0, 1, 2}, true}, {"cols-reordered", []int{2, 0}, true},
+	}
 
 	for _, proj := range projections {
 		pds, err := data.Project(ds, proj.cols)
@@ -219,9 +226,16 @@ func TestStackCompositionOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := stackRun(t, ref, q, h, page)
+			engScn := scn
+			if proj.onQuery {
+				q.Cols, engScn = proj.cols, UniformScenario(m, 1, 4)
+			}
 
 			for _, base := range bases {
 				for _, sharing := range []string{"", "share-under", "share-over"} {
+					if proj.onQuery && sharing == "share-over" {
+						continue
+					}
 					for _, faulted := range []bool{false, true} {
 						for _, guarded := range []bool{false, true} {
 							name := fmt.Sprintf("%s/%s/%s/%s/fault=%v/guard=%v", base.name, proj.name, f.Name(), sharing, faulted, guarded)
@@ -230,7 +244,9 @@ func TestStackCompositionOracle(t *testing.T) {
 								if sharing == "share-under" { // the service's order
 									b = NewSharedAccess(b, SharingOptions{})
 								}
-								b = mustProject(t, b, proj.cols)
+								if !proj.onQuery {
+									b = mustProject(t, b, proj.cols)
+								}
 								if sharing == "share-over" {
 									b = NewSharedAccess(b, SharingOptions{})
 								}
@@ -243,7 +259,7 @@ func TestStackCompositionOracle(t *testing.T) {
 								if guarded {
 									opts = append(opts, WithContractGuard())
 								}
-								eng, err := NewEngine(b, scn, opts...)
+								eng, err := NewEngine(b, engScn, opts...)
 								if err != nil {
 									t.Fatal(err)
 								}

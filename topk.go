@@ -183,6 +183,12 @@ func DataBackend(ds *Dataset) Backend { return access.DatasetBackend{DS: ds} }
 type Query struct {
 	F ScoreFunc
 	K int
+	// Cols are the engine's predicates F reads, in F's argument order: F's
+	// predicate i is the backend's predicate Cols[i]. Nil means all of
+	// them, in order. What the engine is configured with — scenario, cost
+	// shifts, breakers, guard — stays in the backend's numbering; what a run
+	// reports — items, ledger, trace counts, plan — is in F's.
+	Cols []int
 }
 
 // Answer is a completed execution. Everything it holds is the caller's:
@@ -444,7 +450,8 @@ type EngineOption func(*Engine)
 func WithoutNoWildGuesses() EngineOption { return func(e *Engine) { e.nwg = false } }
 
 // WithCostShifts installs dynamic mid-query cost changes (for adaptivity
-// studies; each Run replays them afresh).
+// studies; each Run replays them afresh). A shift names a backend
+// predicate and fires on whichever column of a query reads it.
 func WithCostShifts(shifts ...CostShift) EngineOption {
 	return func(e *Engine) { e.shifts = append(e.shifts, shifts...) }
 }
@@ -642,9 +649,10 @@ func (e *Engine) newSpec(r *runSpec, opts []RunOption, cursor bool) error {
 	return nil
 }
 
-// sessionOption is the session configuration a validated spec asks for:
-// one value, so configuring the pooled session allocates nothing.
-func (e *Engine) sessionOption(spec *runSpec, o obs.Observer) access.Option {
+// sessionOption is the session configuration a validated spec asks for
+// over the query's columns: one value, so configuring the pooled session
+// allocates nothing.
+func (e *Engine) sessionOption(spec *runSpec, o obs.Observer, cols []int) access.Option {
 	return access.Option{
 		AllowWildGuesses: !e.nwg,
 		Shifts:           e.shifts,
@@ -653,6 +661,7 @@ func (e *Engine) sessionOption(spec *runSpec, o obs.Observer) access.Option {
 		Context:          spec.ctx,
 		Observer:         o,
 		Resilience:       spec.resilience,
+		Cols:             cols,
 	}
 }
 
@@ -849,7 +858,7 @@ func (e *Engine) begin(q Query, opts []RunOption, cursor bool) (*execution, erro
 	}
 	//topklint:allow hotpathalloc WithTrace runs only: the trace and its fan-out to the caller's observer
 	o, tr := spec.resolveObserver()
-	if err := st.sess.Reset(e.sessionOption(spec, o)); err != nil {
+	if err := st.sess.Reset(e.sessionOption(spec, o, q.Cols)); err != nil {
 		e.pool.Put(st)
 		return nil, err
 	}
@@ -1260,7 +1269,11 @@ func (c *Cursor) Close() error {
 // its estimated total access cost. No source access is performed (the
 // estimator works on samples).
 func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
-	if err := score.Validate(q.F, e.scn.M()); err != nil {
+	scn, err := access.ProjectScenario(e.scn, q.Cols)
+	if err != nil {
+		return Plan{}, err
+	}
+	if err := score.Validate(q.F, scn.M()); err != nil {
 		return Plan{}, err
 	}
 	if q.K <= 0 {
@@ -1270,7 +1283,7 @@ func (e *Engine) Explain(q Query, cfg OptimizerConfig) (Plan, error) {
 		plan Plan
 		sel  algo.SRG
 	)
-	if _, err := e.resolvePlan(&plan, &sel, e.scn.Preds, &runSpec{optCfg: cfg}, nil, q); err != nil {
+	if _, err := e.resolvePlan(&plan, &sel, scn.Preds, &runSpec{optCfg: cfg}, nil, q); err != nil {
 		return Plan{}, err
 	}
 	return plan, nil
