@@ -11,7 +11,7 @@ import (
 
 // doneBackend asks for ctx.Done on every access, the way network backends
 // do, so a session's access deadline links itself under its parent.
-type doneBackend struct{ DatasetBackend }
+type doneBackend struct{ Backend }
 
 func (b doneBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	select {
@@ -19,7 +19,7 @@ func (b doneBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, 
 		return 0, 0, ctx.Err()
 	default:
 	}
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 // TestDeadlineReuse runs the served cursor's pattern — a page deadline
@@ -83,7 +83,7 @@ func TestDeadlineReuse(t *testing.T) {
 // one when it is re-bound and builds a fresh one for the next access, while
 // a reference retained from the spent page keeps reporting it expired.
 func TestSpentDeadlineIsNeverReused(t *testing.T) {
-	b := hangBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
+	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
 	sess, err := NewSession(b, Uniform(2, 1, 1), WithResilience(&Resilience{AccessTimeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)

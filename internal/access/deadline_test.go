@@ -57,7 +57,7 @@ func TestResilientAccessesDoNotAllocate(t *testing.T) {
 
 // hangBackend blocks accesses on hangPred until their context ends.
 type hangBackend struct {
-	DatasetBackend
+	Backend  // a DatasetBackend, paged entry by entry through Sorted
 	hangPred int
 }
 
@@ -66,7 +66,7 @@ func (b hangBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, 
 		<-ctx.Done()
 		return 0, 0, ctx.Err()
 	}
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 // TestAccessTimeoutFeedsBreakerAndSparesNextAccess walks the whole chain on
@@ -77,7 +77,7 @@ func (b hangBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, 
 func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 	const timeout = 10 * time.Millisecond
 	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour})
-	b := hangBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
+	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
 	opts := servedOptions(context.Background(), set, timeout)
 	sess, err := NewSession(b, Uniform(2, 1, 1), opts...)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 // edgeBackend returns from p1 accesses right around the access deadline and
 // from p2 accesses at once; either way it reports what its context says.
 type edgeBackend struct {
-	DatasetBackend
+	Backend // a DatasetBackend, paged entry by entry through Sorted
 	timeout time.Duration
 	calls   int
 }
@@ -138,7 +138,7 @@ func (b *edgeBackend) Sorted(ctx context.Context, pred, rank int) (int, float64,
 		b.calls++
 		time.Sleep(b.timeout + time.Duration(b.calls%7-3)*b.timeout/20)
 	}
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 // TestFiredDeadlineNeverLeaksIntoNextAccess races the watchdog against
@@ -150,7 +150,7 @@ func TestFiredDeadlineNeverLeaksIntoNextAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &edgeBackend{DatasetBackend: DatasetBackend{DS: ds}, timeout: timeout}
+	b := &edgeBackend{Backend: DatasetBackend{DS: ds}, timeout: timeout}
 	// No breakers: every p1 access must be attempted.
 	sess, err := NewSession(b, Uniform(2, 1, 1), WithResilience(&Resilience{AccessTimeout: timeout}))
 	if err != nil {
@@ -194,7 +194,7 @@ func TestParentCancelUnderAccessTimeoutStaysTerminal(t *testing.T) {
 	defer cancel()
 	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 1})
 	var seen denials
-	sess, err := NewSession(hangBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}, Uniform(2, 1, 1),
+	sess, err := NewSession(hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}, Uniform(2, 1, 1),
 		append(servedOptions(ctx, set, time.Minute), WithObserver(&seen))...)
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func TestAdmitMarksProbe(t *testing.T) {
 // meanwhile on other goroutines, settle and bill normally.
 func TestOverlappingAccessesUnderAccessTimeout(t *testing.T) {
 	const timeout = 10 * time.Millisecond
-	b := hangBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
+	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
 	for _, hungFirst := range []bool{true, false} { // the hung access holds the shared deadline, or a fresh one
 		set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
 		sess, err := NewSession(b, Uniform(2, 1, 1), servedOptions(context.Background(), set, timeout)...)

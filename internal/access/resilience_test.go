@@ -112,7 +112,7 @@ func TestBreakerRelease(t *testing.T) {
 
 // flakyBackend fails accesses on the configured predicate until healed.
 type flakyBackend struct {
-	DatasetBackend
+	Backend  // a DatasetBackend, paged entry by entry through Sorted
 	failPred int
 	failing  bool
 	calls    int
@@ -128,7 +128,7 @@ func (b *flakyBackend) Sorted(ctx context.Context, pred, rank int) (int, float64
 		}
 		return 0, 0, fmt.Errorf("transient source error")
 	}
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b *flakyBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
@@ -140,7 +140,7 @@ func (b *flakyBackend) Random(ctx context.Context, pred, obj int) (float64, erro
 		}
 		return 0, fmt.Errorf("transient source error")
 	}
-	return b.DatasetBackend.Random(ctx, pred, obj)
+	return b.Backend.Random(ctx, pred, obj)
 }
 
 func testDataset(t *testing.T) *data.Dataset {
@@ -158,7 +158,7 @@ func testDataset(t *testing.T) *data.Dataset {
 // state — and nothing is ever billed for a failed access.
 func TestDegradationAsScenarioChange(t *testing.T) {
 	clk := newFakeClock()
-	b := &flakyBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, failPred: 1, failing: true}
+	b := &flakyBackend{Backend: DatasetBackend{DS: testDataset(t)}, failPred: 1, failing: true}
 	set := NewBreakerSet(2, testCfg(clk))
 	sess, err := NewSession(b, Uniform(2, 1, 1), WithResilience(&Resilience{Breakers: set}))
 	if err != nil {
@@ -220,7 +220,7 @@ func TestDegradationAsScenarioChange(t *testing.T) {
 // TestAccessTimeoutConvertsHang checks a hanging source fails the access
 // within the per-access deadline while the session stays usable.
 func TestAccessTimeoutConvertsHang(t *testing.T) {
-	b := &flakyBackend{DatasetBackend: DatasetBackend{DS: testDataset(t)}, failPred: 0, failing: true, hang: true}
+	b := &flakyBackend{Backend: DatasetBackend{DS: testDataset(t)}, failPred: 0, failing: true, hang: true}
 	set := NewBreakerSet(2, BreakerConfig{})
 	sess, err := NewSession(b, Uniform(2, 1, 1),
 		WithResilience(&Resilience{Breakers: set, AccessTimeout: 10 * time.Millisecond}))
@@ -298,7 +298,7 @@ func TestSessionColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &flakyBackend{DatasetBackend: DatasetBackend{DS: ds}, failPred: 2, failing: true}
+	b := &flakyBackend{Backend: DatasetBackend{DS: ds}, failPred: 2, failing: true}
 	scn := Scenario{Name: "cols", Preds: []PredCost{
 		{Sorted: UnitCost, SortedOK: true, Random: UnitCost, RandomOK: true},
 		{Sorted: 2 * UnitCost, SortedOK: true, Random: 2 * UnitCost, RandomOK: true},

@@ -16,11 +16,11 @@ import (
 // faultBackend wraps a DatasetBackend and fails accesses mid-query: by
 // global call ordinal (transient window) or permanently on one predicate.
 type faultBackend struct {
-	access.DatasetBackend
-	calls    int
-	failFrom int // fail calls with 1-based ordinal in (failFrom, failTo]
-	failTo   int
-	deadPred int // -1 = none; every access on this predicate fails
+	access.Backend // a DatasetBackend, paged entry by entry through Sorted
+	calls          int
+	failFrom       int // fail calls with 1-based ordinal in (failFrom, failTo]
+	failTo         int
+	deadPred       int // -1 = none; every access on this predicate fails
 }
 
 func (b *faultBackend) failNow(pred int) bool {
@@ -35,14 +35,14 @@ func (b *faultBackend) Sorted(ctx context.Context, pred, rank int) (int, float64
 	if b.failNow(pred) {
 		return 0, 0, errSource
 	}
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b *faultBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
 	if b.failNow(pred) {
 		return 0, errSource
 	}
-	return b.DatasetBackend.Random(ctx, pred, obj)
+	return b.Backend.Random(ctx, pred, obj)
 }
 
 var errSource = errors.New("transient source error")
@@ -87,7 +87,7 @@ func auditTrace(t *testing.T, sess *access.Session) {
 // top-k — with failed accesses never billed and no access charged twice.
 func TestNCResumesAfterTransientFailure(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 40, 3, 9)
-	b := &faultBackend{DatasetBackend: access.DatasetBackend{DS: ds}, failFrom: 4, failTo: 6, deadPred: -1}
+	b := &faultBackend{Backend: access.DatasetBackend{DS: ds}, failFrom: 4, failTo: 6, deadPred: -1}
 	sess, err := access.NewSession(b, access.Uniform(3, 1, 1),
 		access.WithTrace(),
 		access.WithResilience(&access.Resilience{Breakers: access.NewBreakerSet(3, access.BreakerConfig{})}))
@@ -129,7 +129,7 @@ func TestNCResumesAfterTransientFailure(t *testing.T) {
 // erroring. Nothing is ever billed on the dead predicate.
 func TestNCDegradesOnPredicateOutage(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 40, 3, 11)
-	b := &faultBackend{DatasetBackend: access.DatasetBackend{DS: ds}, deadPred: 2}
+	b := &faultBackend{Backend: access.DatasetBackend{DS: ds}, deadPred: 2}
 	sess, err := access.NewSession(b, access.Uniform(3, 1, 1),
 		access.WithTrace(),
 		access.WithResilience(&access.Resilience{
@@ -185,7 +185,7 @@ func TestNCDegradesOnPredicateOutage(t *testing.T) {
 // access unbilled, and the trace still equal to the ledger.
 func TestTAAbortsCleanlyOnMidQueryFailure(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 3)
-	b := &faultBackend{DatasetBackend: access.DatasetBackend{DS: ds}, failFrom: 5, failTo: 1 << 30, deadPred: -1}
+	b := &faultBackend{Backend: access.DatasetBackend{DS: ds}, failFrom: 5, failTo: 1 << 30, deadPred: -1}
 	sess, err := access.NewSession(b, access.Uniform(2, 1, 1), access.WithTrace())
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestTAAbortsCleanlyOnMidQueryFailure(t *testing.T) {
 // probe-only column's reference algorithm.
 func TestMProAbortsCleanlyOnMidQueryFailure(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 7)
-	b := &faultBackend{DatasetBackend: access.DatasetBackend{DS: ds}, failFrom: 4, failTo: 1 << 30, deadPred: -1}
+	b := &faultBackend{Backend: access.DatasetBackend{DS: ds}, failFrom: 4, failTo: 1 << 30, deadPred: -1}
 	sess, err := access.NewSession(b, access.MatrixCell(2, access.Impossible, access.Cheap, 10), access.WithTrace())
 	if err != nil {
 		t.Fatal(err)

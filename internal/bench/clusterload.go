@@ -133,8 +133,7 @@ func (r ClusterLoadResult) String() string {
 // an access.Backend for the single-node baseline, and behind the
 // coordinator for the sharded one.
 type node struct {
-	inner  cluster.Shard
-	pages  cluster.PageBackend // non-nil when inner serves pages
+	cluster.Shard
 	cost   time.Duration
 	mu     sync.Mutex
 	debt   time.Duration // accrued service time not yet slept off
@@ -149,11 +148,7 @@ type node struct {
 const throttleQuantum = time.Millisecond
 
 func newNode(inner cluster.Shard, cost time.Duration) *node {
-	n := &node{inner: inner, cost: cost}
-	if pb, ok := inner.(cluster.PageBackend); ok {
-		n.pages = pb
-	}
-	return n
+	return &node{Shard: inner, cost: cost}
 }
 
 // serve charges the node's serial capacity for entries: the lock is held
@@ -172,32 +167,28 @@ func (t *node) serve(entries int) {
 	t.served.Add(int64(entries))
 }
 
-func (t *node) Unwrap() access.Backend { return t.inner }
+func (t *node) Unwrap() access.Backend { return t.Shard }
 
-func (t *node) N() int      { return t.inner.N() }
-func (t *node) M() int      { return t.inner.M() }
-func (t *node) LocalN() int { return t.inner.LocalN() }
+// Page serves one entry per call, charging it: a coordinator's page fill
+// reads until full, so paging saves it round trips, never service time, and
+// a session reading the node directly is charged for what it consumes.
+func (t *node) Page(ctx context.Context, pred, from int, buf []access.Entry) (int, error) {
+	t.serve(1)
+	return t.Shard.Page(ctx, pred, from, buf[:1])
+}
 
 func (t *node) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	t.serve(1)
-	return t.inner.Sorted(ctx, pred, rank)
+	return access.Fields(access.SortedAt(ctx, t, pred, rank))
 }
 
 func (t *node) Random(ctx context.Context, pred, obj int) (float64, error) {
 	t.serve(1)
-	return t.inner.Random(ctx, pred, obj)
+	return t.Shard.Random(ctx, pred, obj)
 }
 
 func (t *node) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error) {
 	t.serve(len(objs))
-	return t.inner.(access.BatchBackend).BatchRandom(ctx, preds, objs)
-}
-
-// SortedPage forwards one prefetch page, charging per entry: paging
-// saves round trips, never service time.
-func (t *node) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
-	t.serve(count)
-	return t.pages.SortedPage(ctx, pred, rank, count)
+	return t.Shard.(access.BatchBackend).BatchRandom(ctx, preds, objs)
 }
 
 // RunClusterLoad builds the deployment and drives the workload, returning

@@ -16,18 +16,18 @@ import (
 )
 
 type slowBackend struct {
-	access.DatasetBackend
+	access.Backend // a DatasetBackend, paged entry by entry through Sorted
 	sorted, random time.Duration
 }
 
 func (b slowBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	time.Sleep(b.sorted)
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b slowBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
 	time.Sleep(b.random)
-	return b.DatasetBackend.Random(ctx, pred, obj)
+	return b.Backend.Random(ctx, pred, obj)
 }
 
 func twoSourceCatalog(t *testing.T, ds *data.Dataset) *Catalog {
@@ -152,8 +152,8 @@ func TestDeclaredScenarioRequiresCosts(t *testing.T) {
 
 func TestCalibrateOrdersLatencies(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 40, 2, 7)
-	fast := slowBackend{DatasetBackend: access.DatasetBackend{DS: ds}, sorted: time.Millisecond, random: time.Millisecond}
-	slow := slowBackend{DatasetBackend: access.DatasetBackend{DS: ds}, sorted: 6 * time.Millisecond, random: 12 * time.Millisecond}
+	fast := slowBackend{Backend: access.DatasetBackend{DS: ds}, sorted: time.Millisecond, random: time.Millisecond}
+	slow := slowBackend{Backend: access.DatasetBackend{DS: ds}, sorted: 6 * time.Millisecond, random: 12 * time.Millisecond}
 	c := New()
 	if err := c.Register(Registration{Source: "slow", PredName: "a", Backend: slow, LocalPred: 0, Sorted: true, Random: true}); err != nil {
 		t.Fatal(err)
@@ -211,19 +211,19 @@ func TestEmptyCatalog(t *testing.T) {
 
 // predCounter counts accesses per predicate and cache drops.
 type predCounter struct {
-	access.DatasetBackend
-	touched map[int]int
-	drops   int
+	access.Backend // a DatasetBackend, paged entry by entry through Sorted
+	touched        map[int]int
+	drops          int
 }
 
 func (b *predCounter) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	b.touched[pred]++
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b *predCounter) Random(ctx context.Context, pred, obj int) (float64, error) {
 	b.touched[pred]++
-	return b.DatasetBackend.Random(ctx, pred, obj)
+	return b.Backend.Random(ctx, pred, obj)
 }
 
 func (b *predCounter) DropCaches() { b.drops++ }
@@ -234,7 +234,7 @@ func (b *predCounter) DropCaches() { b.drops++ }
 // below that projection.
 func TestCalibrateIOMeasuresOnePredicate(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 64, 3, 9)
-	src := &predCounter{DatasetBackend: access.DatasetBackend{DS: ds}, touched: map[int]int{}}
+	src := &predCounter{Backend: access.DatasetBackend{DS: ds}, touched: map[int]int{}}
 	c := New()
 	if err := c.Register(Registration{Source: "disk", PredName: "measured", Backend: src, LocalPred: 1, Sorted: true, Random: true}); err != nil {
 		t.Fatal(err)

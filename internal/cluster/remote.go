@@ -12,8 +12,8 @@ import (
 // websim.Wire — binary frames over a small pool of persistent connections
 // upgraded on the node's HTTP port (DESIGN.md §15, "The shard wire") —
 // which already is the Shard contract: global object ids, local ranks,
-// LocalN, one round trip per cursor refill (PageBackend) and per probe
-// group (access.BatchBackend). Close it to release its connections.
+// LocalN, one round trip per page (a cursor refill) and per probe group
+// (access.BatchBackend). Close it to release its connections.
 type RemoteShard struct {
 	*websim.Wire
 }
@@ -35,6 +35,5 @@ func DialShard(ctx context.Context, baseURL string, m int, httpc *http.Client, o
 
 var (
 	_ Shard               = (*RemoteShard)(nil)
-	_ PageBackend         = (*RemoteShard)(nil)
 	_ access.BatchBackend = (*RemoteShard)(nil)
 )

@@ -166,9 +166,10 @@ func TestRemoteShardConcurrent(t *testing.T) {
 					}
 				case 1:
 					count := min(9, ds.N()-x)
-					page, err := sh.SortedPage(ctx, pred, x, count)
-					if err != nil || len(page) != count {
-						t.Errorf("page p%d [%d,%d): %d entries, %v", pred, x, x+count, len(page), err)
+					page := make([]access.Entry, count)
+					n, err := sh.Page(ctx, pred, x, page)
+					if err != nil || n != count {
+						t.Errorf("page p%d [%d,%d): %d entries, %v", pred, x, x+count, n, err)
 						continue
 					}
 					for i, e := range page {

@@ -19,7 +19,7 @@ func TestAllocGates(t *testing.T) {
 		}
 		return buf, nil
 	})
-	if _, _, err := p.At(ctx, 63); err != nil {
+	if _, _, err := at(p, ctx, 63); err != nil {
 		t.Fatal(err)
 	}
 	byString := NewLRU[string, int](4)
@@ -35,9 +35,10 @@ func TestAllocGates(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"Prefix.At hit", 0, func() {
-			if _, hit, _ := p.At(ctx, 17); !hit {
-				t.Fatal("miss inside the prefix")
+		{"Prefix.Read hit", 0, func() {
+			var buf [8]int
+			if n, hit, _ := p.Read(ctx, 17, buf[:]); !hit || n != len(buf) {
+				t.Fatalf("read %d entries inside the prefix, hit %v", n, hit)
 			}
 		}},
 		{"LRU.Get", 0, func() {

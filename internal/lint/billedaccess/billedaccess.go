@@ -7,17 +7,20 @@
 // repo makes about "cost" silently understates reality.
 //
 // The analyzer flags call sites of Sorted, Random (on any type
-// implementing access.Backend) and BatchRandom (on any type implementing
-// access.BatchBackend) outside the ledgered packages — internal/access,
-// internal/share, internal/fault. Forwarding is exempt: a call made
-// inside a same-named method of a type that itself implements the
-// interface is one composed backend delegating to another (the catalog's
-// router, fault wrappers), not an unbilled access — the outermost wrapper
-// is still driven through a session. Such a forwarder owes the stack one
-// thing in return: when what it forwards to is held as an interface, it
-// must declare Unwrap() access.Backend, or everything access.As looks for
-// below it — the sharing layer's planning discounts, the shard membership
-// in the plan-cache key, cache eviction — silently disappears.
+// implementing access.Backend), Page (on any access.Pager) and BatchRandom
+// (on any type implementing access.BatchBackend) outside the ledgered
+// packages — internal/access, internal/share, internal/fault. Forwarding
+// is exempt: a call made inside a same-named method of a type that itself
+// implements the interface is one composed backend delegating to another
+// (the catalog's router, fault wrappers), not an unbilled access — the
+// outermost wrapper is still driven through a session. Such a forwarder
+// owes the stack two things in return. When what it forwards to is held as
+// an interface, it must declare Unwrap() access.Backend, or everything
+// access.As looks for below it — the sharing layer's planning discounts,
+// the shard membership in the plan-cache key, cache eviction — silently
+// disappears. And a wrapper that forwards Sorted must forward Page too:
+// the session reads pages, so a wrapper without Page is read one entry per
+// call through access.Pages' adapter, whatever the layers below it serve.
 //
 // Legitimate out-of-ledger traffic exists — cost calibration probes,
 // readiness checks — and each
@@ -36,7 +39,7 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "billedaccess",
-	Doc:  "raw Backend.Sorted/Random/BatchRandom calls outside the ledgered layers bypass cost accounting",
+	Doc:  "raw Backend.Sorted/Random, Pager.Page and BatchRandom calls outside the ledgered layers bypass cost accounting",
 	Run:  run,
 }
 
@@ -66,6 +69,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	backend := lookupIface(pass.Pkg, "repro/internal/access", "Backend")
+	pager := lookupIface(pass.Pkg, "repro/internal/access", "Pager")
 	batch := lookupIface(pass.Pkg, "repro/internal/access", "BatchBackend")
 	if backend == nil && batch == nil {
 		return nil // cannot name the interfaces, cannot hold a value of them
@@ -74,12 +78,23 @@ func run(pass *analysis.Pass) error {
 		switch method {
 		case "Sorted", "Random":
 			return backend
+		case "Page":
+			return pager
 		case "BatchRandom":
 			return batch
 		}
 		return nil
 	}
 	opaque := map[string]bool{} // forwarders already reported for lacking Unwrap
+	// The forwarding wrappers' first Sorted forwarding calls, in file
+	// order, and the wrappers that forward Page as well.
+	type forward struct {
+		wrapper string
+		call    *ast.CallExpr
+	}
+	var sortedFwd []forward
+	forwardsSorted := map[string]bool{}
+	forwardsPage := map[string]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -107,6 +122,13 @@ func run(pass *analysis.Pass) error {
 				}
 				if forwarder && fd.Name.Name == sel.Sel.Name {
 					// One composed backend delegating to another.
+					switch name := baseName(self); {
+					case sel.Sel.Name == "Page":
+						forwardsPage[name] = true
+					case sel.Sel.Name == "Sorted" && !forwardsSorted[name]:
+						forwardsSorted[name] = true
+						sortedFwd = append(sortedFwd, forward{name, call})
+					}
 					if types.IsInterface(recv) && !opaque[self.String()] && !hasMethod(self, pass.Pkg, "Unwrap") {
 						opaque[self.String()] = true
 						pass.Reportf(call.Pos(), "wrapper %s forwards to a backend it does not expose: without Unwrap() access.Backend the layers below it are invisible to access.As (declare it, or annotate //topklint:allow billedaccess <reason>)", self)
@@ -116,6 +138,11 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Pos(), "unbilled %s access: a raw backend call bypasses the session ledger, so its cost never reaches the model (route it through access.Session, or annotate //topklint:allow billedaccess <reason>)", sel.Sel.Name)
 				return true
 			})
+		}
+	}
+	for _, fw := range sortedFwd {
+		if !forwardsPage[fw.wrapper] {
+			pass.Reportf(fw.call.Pos(), "wrapper %s forwards Sorted but not Page: a session reads it one entry per call through access.Pages' adapter, whatever the layers below it serve (forward Page to the wrapped backend's pages, or annotate //topklint:allow billedaccess <reason>)", fw.wrapper)
 		}
 	}
 	return nil
@@ -128,6 +155,15 @@ func receiverType(pass *analysis.Pass, fd *ast.FuncDecl) types.Type {
 		return nil
 	}
 	return pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+}
+
+// baseName names a receiver type without its pointer: a wrapper's methods
+// may mix value and pointer receivers.
+func baseName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return t.String()
 }
 
 // hasMethod reports whether t (or *t) has a method of the given name.

@@ -18,18 +18,18 @@ import (
 // sleepBackend adds a fixed latency to every access of an in-memory
 // backend, standing in for network time deterministically.
 type sleepBackend struct {
-	access.DatasetBackend
-	delay time.Duration
+	access.Backend // a DatasetBackend, paged entry by entry through Sorted
+	delay          time.Duration
 }
 
 func (b sleepBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
 	time.Sleep(b.delay)
-	return b.DatasetBackend.Sorted(ctx, pred, rank)
+	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b sleepBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
 	time.Sleep(b.delay)
-	return b.DatasetBackend.Random(ctx, pred, obj)
+	return b.Backend.Random(ctx, pred, obj)
 }
 
 // failingBackend errors on every random access.
@@ -55,7 +55,7 @@ func TestLiveMatchesOracle(t *testing.T) {
 
 func TestLiveWallClockSpeedup(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 80, 2, 52)
-	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
+	backend := sleepBackend{Backend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
 	run := func(b int) *Result {
 		res := runOn(t, true, b, backend, access.Uniform(2, 1, 1), score.Avg(), 5, []float64{0.5, 0.5})
 		assertOracle(t, ds, score.Avg(), 5, res.Items)
@@ -117,7 +117,7 @@ func TestLiveKLargerThanN(t *testing.T) {
 
 func TestLiveCancellation(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 200, 2, 9)
-	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
+	backend := sleepBackend{Backend: access.DatasetBackend{DS: ds}, delay: 2 * time.Millisecond}
 	ex := &Executor{B: 3, Sel: algotest.MustSRG([]float64{0.5, 0.5}, nil), Live: true}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -175,7 +175,7 @@ func TestExecutorBudgetTruncates(t *testing.T) {
 // awaited before it returns, so no goroutine it started outlives it.
 func TestExecutorNoGoroutineLeak(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 200, 2, 9)
-	backend := sleepBackend{DatasetBackend: access.DatasetBackend{DS: ds}, delay: 200 * time.Microsecond}
+	backend := sleepBackend{Backend: access.DatasetBackend{DS: ds}, delay: 200 * time.Microsecond}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		runOn(t, true, 8, backend, access.Uniform(2, 1, 2), score.Min(), 5, []float64{0.5, 0.5})

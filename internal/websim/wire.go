@@ -25,11 +25,11 @@ import (
 // payload is read. One frame is in flight per connection. Integers are
 // u32, scores are math.Float64bits as u64:
 //
-//	sorted  pred rank        -> obj score
 //	page    pred rank count  -> count × (obj score)
 //	random  pred obj         -> score
 //	batch   n × (pred obj)   -> n × score
 //
+// (Code 1, a single sorted entry, is retired: it is a page of one.)
 // and a reply whose status is not ok carries a retry-after hint in
 // milliseconds (u32, zero when none) and the refusal's text.
 const (
@@ -58,16 +58,13 @@ const (
 
 // The operations, as the request's code byte.
 const (
-	opSorted byte = 1 + iota
-	opPage
+	opPage byte = 2 + iota
 	opRandom
 	opBatch
 )
 
 func opName(op byte) string {
 	switch op {
-	case opSorted:
-		return "sorted"
 	case opPage:
 		return "page"
 	case opRandom:
@@ -82,8 +79,6 @@ func opName(op byte) string {
 // obj 17" — as far as its payload can be read.
 func describeRequest(op byte, p []byte) string {
 	switch {
-	case op == opSorted && len(p) == 2*4:
-		return fmt.Sprintf("sorted p%d rank %d", u32(p), u32(p[4:]))
 	case op == opPage && len(p) == 3*4:
 		return fmt.Sprintf("page p%d ranks [%d,%d)", u32(p), u32(p[4:]), u32(p[4:])+u32(p[8:]))
 	case op == opRandom && len(p) == probeSize:
@@ -208,25 +203,18 @@ func decodeEntry(b []byte, n int) (access.Entry, error) {
 	return access.Entry{Obj: obj, Score: score}, err
 }
 
-func decodeEntryReply(payload []byte, n int) (access.Entry, error) {
-	if len(payload) != entrySize {
-		return access.Entry{}, fmt.Errorf("entry reply of %d bytes, want %d", len(payload), entrySize)
+// decodePageReply decodes a page of len(page) entries into page.
+func decodePageReply(payload []byte, page []access.Entry, n int) error {
+	if len(page) == 0 || len(page) > maxBatchProbes || len(payload) != len(page)*entrySize {
+		return fmt.Errorf("page reply of %d bytes for %d entries", len(payload), len(page))
 	}
-	return decodeEntry(payload, n)
-}
-
-func decodePageReply(payload []byte, count, n int) ([]access.Entry, error) {
-	if count <= 0 || count > maxBatchProbes || len(payload) != count*entrySize {
-		return nil, fmt.Errorf("page reply of %d bytes for %d entries", len(payload), count)
-	}
-	page := make([]access.Entry, count)
 	for i := range page {
 		var err error
 		if page[i], err = decodeEntry(payload[i*entrySize:], n); err != nil {
-			return nil, fmt.Errorf("entry %d: %w", i, err)
+			return fmt.Errorf("entry %d: %w", i, err)
 		}
 	}
-	return page, nil
+	return nil
 }
 
 func decodeScoreReply(payload []byte) (float64, error) {

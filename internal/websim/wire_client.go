@@ -332,21 +332,18 @@ func (w *Wire) dropBrokenLocked(idleToo bool) {
 type wireCall struct {
 	w           *Wire
 	op          byte
-	pred, a, b  int   // sorted: rank; page: rank, count; random: obj
-	preds, objs []int // batch
-	entry       access.Entry
-	page        []access.Entry
+	pred, a     int            // page: rank; random: obj
+	page        []access.Entry // page: the caller's buffer, len(page) entries asked for
+	preds, objs []int          // batch
 	score       float64
 	scores      []float64
 }
 
-// Reset drops the call's arguments and results before it is pooled again.
+// Reset drops the call's arguments, the caller's buffer and the results
+// before it is pooled again.
 func (q *wireCall) Reset() {
-	q.w, q.op = nil, 0
-	q.pred, q.a, q.b = 0, 0, 0
-	q.preds, q.objs = nil, nil
-	q.entry, q.page = access.Entry{}, nil
-	q.score, q.scores = 0, nil
+	q.w, q.op, q.pred, q.a, q.page = nil, 0, 0, 0, nil
+	q.preds, q.objs, q.score, q.scores = nil, nil, 0, nil
 }
 
 // attempt is one round trip on one pooled connection.
@@ -389,7 +386,7 @@ func (q *wireCall) attempt(ctx context.Context) (err error, retryable bool, retr
 func (q *wireCall) appendRequest(b []byte, id uint64) []byte {
 	switch q.op {
 	case opPage:
-		return appendU32s(appendHeader(b, q.op, id, 3*4), q.pred, q.a, q.b)
+		return appendU32s(appendHeader(b, q.op, id, 3*4), q.pred, q.a, len(q.page))
 	case opBatch:
 		b = appendHeader(b, q.op, id, len(q.preds)*probeSize)
 		for i, pred := range q.preds {
@@ -402,10 +399,8 @@ func (q *wireCall) appendRequest(b []byte, id uint64) []byte {
 
 func (q *wireCall) decode(payload []byte) (err error) {
 	switch q.op {
-	case opSorted:
-		q.entry, err = decodeEntryReply(payload, q.w.n)
 	case opPage:
-		q.page, err = decodePageReply(payload, q.b, q.w.n)
+		err = decodePageReply(payload, q.page, q.w.n)
 	case opRandom:
 		q.score, err = decodeScoreReply(payload)
 	case opBatch:
@@ -422,8 +417,8 @@ func (w *Wire) run(ctx context.Context, call wireCall) (wireCall, error) {
 	if call.pred < 0 || call.pred >= w.m {
 		return call, fmt.Errorf("websim: predicate %d out of range [0,%d)", call.pred, w.m)
 	}
-	if !fitsU32(call.a, call.b) {
-		return call, fmt.Errorf("websim: %s p%d: argument %d or %d cannot ride the wire", opName(call.op), call.pred, call.a, call.b)
+	if !fitsU32(call.a) {
+		return call, fmt.Errorf("websim: %s p%d: argument %d cannot ride the wire", opName(call.op), call.pred, call.a)
 	}
 	q := w.calls.Get().(*wireCall)
 	*q = call
@@ -435,21 +430,24 @@ func (w *Wire) run(ctx context.Context, call wireCall) (wireCall, error) {
 	return call, err
 }
 
-// Sorted fetches the rank-th entry of the shard's local descending list
-// for pred, as a global object id.
-func (w *Wire) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	r, err := w.run(ctx, wireCall{op: opSorted, pred: pred, a: rank})
-	return r.entry.Obj, r.entry.Score, err
+// Page fetches entries of pred's local list from rank from, as global
+// object ids, in one round trip: as many as buf holds, up to a frame's
+// limit and the end of the list. Replies are decoded into buf on the
+// caller's goroutine, so nothing writes to buf once Page has returned.
+func (w *Wire) Page(ctx context.Context, pred, from int, buf []access.Entry) (int, error) {
+	if from < 0 || from >= w.localN || len(buf) == 0 {
+		return 0, fmt.Errorf("websim: page of %d at rank %d beyond list end (%d entries)", len(buf), from, w.localN)
+	}
+	n := min(len(buf), maxBatchProbes, w.localN-from)
+	if _, err := w.run(ctx, wireCall{op: opPage, pred: pred, a: from, page: buf[:n]}); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
-// SortedPage fetches count consecutive entries of pred's local list
-// starting at rank, in one round trip. The page is the caller's to keep.
-func (w *Wire) SortedPage(ctx context.Context, pred, rank, count int) ([]access.Entry, error) {
-	if count < 1 || count > maxBatchProbes {
-		return nil, fmt.Errorf("websim: page of %d entries outside limit [1,%d]", count, maxBatchProbes)
-	}
-	r, err := w.run(ctx, wireCall{op: opPage, pred: pred, a: rank, b: count})
-	return r.page, err
+// Sorted implements access.Backend as a page of one.
+func (w *Wire) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	return access.Fields(access.SortedAt(ctx, w, pred, rank))
 }
 
 // Random fetches the exact score of one object the shard holds, addressed

@@ -84,12 +84,6 @@ func (s *Server) serveFrame(out []byte, h frameHeader, p []byte) []byte {
 		return s.refuseFrame(out, h, p, errBusy)
 	}
 	switch {
-	case h.code == opSorted && len(p) == 2*4:
-		e, oe := s.sorted(u32(p), u32(p[4:]))
-		if oe != nil {
-			return s.refuseFrame(out, h, p, oe)
-		}
-		return appendEntry(appendHeader(out, byte(statusOK), h.id, entrySize), e)
 	case h.code == opPage && len(p) == 3*4:
 		rank, count := u32(p[4:]), u32(p[8:])
 		dsPred, oe := s.page(u32(p), rank, count)

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,23 +45,47 @@ func (w bareWrapper) Unwrap() Backend { return w.Backend }
 
 // ctxContract is the test-only top of every stack TestStackCompositionOracle
 // builds. It hands each access a child context of its own and records any
-// Err, Done, Deadline or Value call on it after the access returned — PR
-// 14's rule that a Backend must not use ctx past the access, which the
-// deadlines recycled across requests (access.Deadline) rely on: a layer that
-// broke it would read another request's deadline.
+// Err, Done, Deadline or Value call on it after the access returned — the
+// rule that a Backend must not use ctx past the access, which the deadlines
+// recycled across requests (access.Deadline) rely on: a layer that broke it
+// would read another request's deadline. A page gets a buffer of its own
+// too, copied out and poisoned when the page returns: a layer that wrote it
+// afterwards would be writing into the next refill's window.
 type ctxContract struct {
 	Backend
 	broken *atomic.Value // the first violation's description (string)
+	lent   *lentPages
 }
 
-func newCtxContract(b Backend) ctxContract { return ctxContract{b, new(atomic.Value)} }
+// lentPages keeps every buffer ctxContract lent a page, poisoned.
+type lentPages struct {
+	mu    sync.Mutex
+	pages [][]access.Entry
+}
+
+var poisoned = access.Entry{Obj: -1, Score: -1}
+
+func newCtxContract(b Backend) ctxContract { return ctxContract{b, new(atomic.Value), new(lentPages)} }
 
 func (w ctxContract) Unwrap() Backend { return w.Backend }
 
-func (w ctxContract) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	c := &accessCtx{parent: ctx, broken: w.broken, access: fmt.Sprintf("sorted(p%d, rank %d)", pred+1, rank)}
+func (w ctxContract) Page(ctx context.Context, pred, from int, buf []access.Entry) (int, error) {
+	c := &accessCtx{parent: ctx, broken: w.broken, access: fmt.Sprintf("page(p%d, rank %d)", pred+1, from)}
 	defer c.returned.Store(true)
-	return w.Backend.Sorted(c, pred, rank)
+	lent := make([]access.Entry, len(buf))
+	n, err := access.Pages(w.Backend).Page(c, pred, from, lent)
+	copy(buf, lent[:n])
+	for i := range lent {
+		lent[i] = poisoned
+	}
+	w.lent.mu.Lock()
+	w.lent.pages = append(w.lent.pages, lent)
+	w.lent.mu.Unlock()
+	return n, err
+}
+
+func (w ctxContract) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	return access.Fields(access.SortedAt(ctx, w, pred, rank))
 }
 
 func (w ctxContract) Random(ctx context.Context, pred, obj int) (float64, error) {
@@ -69,10 +94,22 @@ func (w ctxContract) Random(ctx context.Context, pred, obj int) (float64, error)
 	return w.Backend.Random(c, pred, obj)
 }
 
-// violation reports the first use of an access's context after it returned.
+// violation reports the first use of an access's context, or write to a
+// page's buffer, after the access returned.
 func (w ctxContract) violation() string {
-	s, _ := w.broken.Load().(string)
-	return s
+	if s, _ := w.broken.Load().(string); s != "" {
+		return s
+	}
+	w.lent.mu.Lock()
+	defer w.lent.mu.Unlock()
+	for _, page := range w.lent.pages {
+		for _, e := range page {
+			if e != poisoned {
+				return fmt.Sprintf("a page's buffer was written after the page returned: %+v", e)
+			}
+		}
+	}
+	return ""
 }
 
 // accessCtx is one access's child context.

@@ -1017,8 +1017,8 @@ func (x *execution) install(p Plan) error {
 
 // close ends the run and returns the pooled state to the engine. The
 // session lets go of the run's context first — its access deadline is
-// re-pointed, not dropped — so nothing pooled stays tied to the caller's
-// request.
+// re-pointed, not dropped, and what its windows read ahead goes back to the
+// backend — so nothing pooled stays tied to the caller's request.
 func (x *execution) close() {
 	if x.pager != nil {
 		x.pager.Close()
