@@ -50,8 +50,7 @@ func woundedCluster(t *testing.T, ds *Dataset, victim int, faults fault.Config) 
 		}
 	}
 	coord, err := cluster.New(members, cluster.Options{
-		FailureThreshold: 2,
-		Cooldown:         20 * time.Millisecond,
+		Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +301,7 @@ func TestChaosShardWire(t *testing.T) {
 	}{{"shard-blips", 3, 11}, {"shard-dies", 3, 1 << 30}} {
 		t.Run(window.name, func(t *testing.T) {
 			tr := obs.NewQueryTrace()
-			coord, _ := newRemoteTestCluster(t, ds, 3, cluster.Options{Prefetch: 2, FailureThreshold: 2, Cooldown: 20 * time.Millisecond},
+			coord, _ := newRemoteTestCluster(t, ds, 3, cluster.Options{Prefetch: 2, Breaker: BreakerConfig{FailureThreshold: 2, Cooldown: 20 * time.Millisecond}},
 				func(shard int) []websim.ServerOption {
 					if shard != 1 {
 						return nil

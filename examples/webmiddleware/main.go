@@ -20,6 +20,7 @@ import (
 	topk "repro"
 	"repro/internal/catalog"
 	"repro/internal/data"
+	"repro/internal/store"
 	"repro/internal/websim"
 )
 
@@ -57,7 +58,8 @@ func main() {
 	register("dineme.com", "rating", dineme.URL)
 	register("superpages.com", "closeness", superpages.URL)
 
-	scn, err := cat.Calibrate(context.Background(), "calibrated-http", 5)
+	// A few short timed batches per access type: each access is a round trip.
+	scn, _, err := cat.CalibrateIO(context.Background(), "calibrated-http", store.MeasureOptions{Probes: 5, Batches: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/sqlq"
+	"repro/internal/store"
 	"repro/internal/websim"
 )
 
@@ -71,7 +72,7 @@ func TestFullStackOverHTTP(t *testing.T) {
 		t.Fatalf("binding = %v", cols)
 	}
 
-	scn, err := cat.Calibrate(context.Background(), "http", 3)
+	scn, _, err := cat.CalibrateIO(context.Background(), "http", store.MeasureOptions{Probes: 3, Batches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

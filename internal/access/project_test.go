@@ -1,8 +1,8 @@
 package access_test
 
-// One projection, one validation rule: access.Project must behave the same
-// over every base the system stacks it on. External test package, because
-// the bases import access.
+// One column map, one validation rule: a session's column selection
+// (Option.Cols) must behave the same over every base the system serves
+// from. External test package, because the bases import access.
 
 import (
 	"context"
@@ -17,13 +17,12 @@ import (
 )
 
 type projectBase struct {
-	name    string
-	b       access.Backend
-	batches bool
-	// shares checks, after the projection served Sorted(0, 0) and
-	// Random(1, 9) over cols {2, 0}, that it did so out of the base's own
-	// state rather than a copy.
-	shares func(t *testing.T)
+	name string
+	b    access.Backend
+	// shares checks, after a session over cols {2, 0} read predicate 2's
+	// first entry obj and probed obj on predicate 0, that it did so out of
+	// the base's own state rather than a copy.
+	shares func(t *testing.T, obj int)
 }
 
 func projectBases(t *testing.T, ds *data.Dataset) []projectBase {
@@ -56,24 +55,24 @@ func projectBases(t *testing.T, ds *data.Dataset) []projectBase {
 	layer := share.New(access.DatasetBackend{DS: ds}, share.Options{})
 
 	return []projectBase{
-		{"memory", access.DatasetBackend{DS: ds}, false, func(*testing.T) {}},
-		{"store", st, true, func(t *testing.T) {
+		{"memory", access.DatasetBackend{DS: ds}, func(*testing.T, int) {}},
+		{"store", st, func(t *testing.T, _ int) {
 			if got := st.Stats(); got.SortedReads != 1 || got.RandomReads != 1 {
-				t.Errorf("store counters %+v: the projection's accesses are not the store's", got)
+				t.Errorf("store counters %+v: the session's accesses are not the store's", got)
 			}
 		}},
-		{"cluster", coord, true, func(t *testing.T) {
+		{"cluster", coord, func(t *testing.T, _ int) {
 			if got := coord.Stats(); got.RandomRouted != 1 {
-				t.Errorf("coordinator counters %+v: the projection's probe was not routed by it", got)
+				t.Errorf("coordinator counters %+v: the session's probe was not routed by it", got)
 			}
 		}},
-		{"share", layer, false, func(t *testing.T) {
+		{"share", layer, func(t *testing.T, obj int) {
 			// The same accesses straight through the layer are hits: the
-			// projection and the layer share one cursor and one cache.
+			// session and the layer share one cursor and one cache.
 			if _, _, err := layer.Sorted(ctx, 2, 0); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := layer.Random(ctx, 0, 9); err != nil {
+			if _, err := layer.Random(ctx, 0, obj); err != nil {
 				t.Fatal(err)
 			}
 			if got := layer.Stats(); got.SortedHits != 1 || got.BackendSorted != 1 || got.RandomHits != 1 || got.RandomMisses != 1 {
@@ -85,67 +84,32 @@ func projectBases(t *testing.T, ds *data.Dataset) []projectBase {
 
 func TestProject(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 40, 3, 11)
-	ctx := context.Background()
+	scn := access.Uniform(3, 1, 1)
 	for _, base := range projectBases(t, ds) {
 		t.Run(base.name, func(t *testing.T) {
 			for name, cols := range map[string][]int{
 				"empty": {}, "negative": {0, -1}, "out-of-range": {0, 3}, "duplicate": {1, 1},
 			} {
-				if p, err := access.Project(base.b, cols); err == nil {
-					t.Errorf("%s projection %v accepted: %T", name, cols, p)
+				if _, err := access.NewSession(base.b, scn, access.Option{Cols: cols}); err == nil {
+					t.Errorf("%s selection %v accepted", name, cols)
 				}
 			}
-			if id, err := access.Project(base.b, []int{0, 1, 2}); err != nil || id != base.b {
-				t.Errorf("identity projection = %T, %v; want the base itself", id, err)
-			}
 
-			p, err := access.Project(base.b, []int{2, 0})
+			s, err := access.NewSession(base.b, scn, access.Option{Cols: []int{2, 0}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.N() != ds.N() || p.M() != 2 {
-				t.Fatalf("projection is %dx%d, want %dx2", p.N(), p.M(), ds.N())
+			if s.N() != ds.N() || s.M() != 2 {
+				t.Fatalf("session over cols {2, 0} is %dx%d, want %dx2", s.N(), s.M(), ds.N())
 			}
-			obj, sc, err := p.Sorted(ctx, 0, 0)
+			obj, sc, err := s.SortedNext(0)
 			if wantObj, wantSc := ds.SortedAt(2, 0); err != nil || obj != wantObj || sc != wantSc {
-				t.Errorf("Sorted(0,0) = (%d, %g, %v), want predicate 2's (%d, %g)", obj, sc, err, wantObj, wantSc)
+				t.Errorf("SortedNext(0) = (%d, %g, %v), want predicate 2's (%d, %g)", obj, sc, err, wantObj, wantSc)
 			}
-			if sc, err := p.Random(ctx, 1, 9); err != nil || sc != ds.Score(9, 0) {
-				t.Errorf("Random(1,9) = (%g, %v), want predicate 0's %g", sc, err, ds.Score(9, 0))
+			if sc, err := s.Random(1, obj); err != nil || sc != ds.Score(obj, 0) {
+				t.Errorf("Random(1, %d) = (%g, %v), want predicate 0's %g", obj, sc, err, ds.Score(obj, 0))
 			}
-			base.shares(t)
-
-			for _, pred := range []int{-1, 2} {
-				if _, _, err := p.Sorted(ctx, pred, 0); err == nil {
-					t.Errorf("Sorted accepted predicate %d of a 2-column projection", pred)
-				}
-				if _, err := p.Random(ctx, pred, 0); err == nil {
-					t.Errorf("Random accepted predicate %d of a 2-column projection", pred)
-				}
-			}
-
-			if found, ok := access.As[access.Backend](p); !ok || found != p {
-				t.Error("As[Backend] must find the projection itself")
-			}
-			bb, ok := p.(access.BatchBackend)
-			if ok != base.batches {
-				t.Fatalf("projection batches = %v, base batches = %v", ok, base.batches)
-			}
-			// Over a base that cannot batch the capability must be absent, not
-			// emulated, so the sharing layer never batches into a probe loop.
-			if share.New(p, share.Options{MaxBatch: 8}).Batching() != base.batches {
-				t.Errorf("sharing layer over the projection batches = %v, want %v", !base.batches, base.batches)
-			}
-			if !ok {
-				return
-			}
-			scores, err := bb.BatchRandom(ctx, []int{0, 1}, []int{7, 12})
-			if err != nil || len(scores) != 2 || scores[0] != ds.Score(7, 2) || scores[1] != ds.Score(12, 0) {
-				t.Errorf("BatchRandom = %v, %v; want [%g %g]", scores, err, ds.Score(7, 2), ds.Score(12, 0))
-			}
-			if _, err := bb.BatchRandom(ctx, []int{2}, []int{0}); err == nil {
-				t.Error("BatchRandom accepted a predicate beyond the projection")
-			}
+			base.shares(t, obj)
 		})
 	}
 }
@@ -156,12 +120,9 @@ func TestProject(t *testing.T) {
 func TestAsWalksUnwrap(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 2, 3)
 	layer := share.New(access.DatasetBackend{DS: ds}, share.Options{})
-	p, err := access.Project(layer, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := unwrapper{layer}
 	if found, ok := access.As[*share.Layer](p); !ok || found != layer {
-		t.Errorf("As[*share.Layer] through a projection = %v, %v", found, ok)
+		t.Errorf("As[*share.Layer] through a wrapper = %v, %v", found, ok)
 	}
 	if _, ok := access.As[access.DatasetBackend](p); !ok {
 		t.Error("As does not reach the base two hops down")
@@ -176,6 +137,11 @@ func TestAsWalksUnwrap(t *testing.T) {
 		t.Error("As found a layer in a nil backend")
 	}
 }
+
+// unwrapper forwards by embedding and declares Unwrap.
+type unwrapper struct{ access.Backend }
+
+func (w unwrapper) Unwrap() access.Backend { return w.Backend }
 
 // opaque forwards by embedding but declares no Unwrap.
 type opaque struct{ access.Backend }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,6 +109,39 @@ func TestBreakerRelease(t *testing.T) {
 	b.Release(RandomAccess, 0)
 	if !b.Acquire(RandomAccess, 0) {
 		t.Fatal("released probe slot still occupied")
+	}
+}
+
+// TestCircuitsOneProbeAtATime: however many goroutines race for a
+// half-open circuit, at most one holds its probe slot at a time, and a
+// released slot is taken again.
+func TestCircuitsOneProbeAtATime(t *testing.T) {
+	clk := newFakeClock()
+	c := NewCircuits(1, BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Now: clk.Now})
+	c.Record(0, false)
+	clk.Advance(time.Second)
+	var inFlight, probes atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if !c.Acquire(0) {
+					continue
+				}
+				if n := inFlight.Add(1); n != 1 {
+					t.Errorf("%d probes in flight on a half-open circuit", n)
+				}
+				probes.Add(1)
+				inFlight.Add(-1)
+				c.Release(0) // a cancelled probe: no verdict
+			}
+		}()
+	}
+	wg.Wait()
+	if probes.Load() < 2 || c.State(0) != BreakerHalfOpen {
+		t.Errorf("%d probes granted, circuit %s; want the slot taken again after each release, still half-open", probes.Load(), c.State(0))
 	}
 }
 

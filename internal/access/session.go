@@ -656,7 +656,7 @@ func (s *Session) FailureBudget() int {
 	}
 	threshold := 3
 	if s.res.Breakers != nil {
-		threshold = s.res.Breakers.cfg.FailureThreshold
+		threshold = s.res.Breakers.c.cfg.FailureThreshold
 	}
 	return 16 + 8*threshold*s.M()
 }

@@ -10,9 +10,7 @@ package catalog
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/store"
@@ -88,11 +86,21 @@ func (c *Catalog) PredicateNames() []string {
 }
 
 // routed composes the registrations into one Backend: query predicate i is
-// served by registration i, paged by pages[i].
+// served by registration i, paged by pages[i]. It is the catalog's own
+// column map — each registration names its source's predicate — so it maps
+// the predicates of many backends, where a query's Cols select among one's.
 type routed struct {
 	regs  []Registration
 	pages []access.Pager
 	n     int
+}
+
+func newRouted(regs []Registration, n int) routed {
+	b := routed{regs: regs, pages: make([]access.Pager, len(regs)), n: n}
+	for i, r := range regs {
+		b.pages[i] = access.Pages(r.Backend)
+	}
+	return b
 }
 
 func (b routed) N() int { return b.n }
@@ -123,17 +131,24 @@ func (b routed) Random(ctx context.Context, pred, obj int) (float64, error) {
 	return r.Backend.Random(ctx, r.LocalPred, obj)
 }
 
+// DropCaches implements store.CacheDropper: it drops the caches found
+// anywhere below each registration's backend, so a cold measurement
+// through the catalog reaches its sources.
+func (b routed) DropCaches() {
+	for _, r := range b.regs {
+		if d, ok := access.As[store.CacheDropper](r.Backend); ok {
+			d.DropCaches()
+		}
+	}
+}
+
 // Backend returns the composed multi-source backend. It requires at least
 // one registration.
 func (c *Catalog) Backend() (access.Backend, error) {
 	if len(c.regs) == 0 {
 		return nil, fmt.Errorf("catalog: no predicates registered")
 	}
-	b := routed{regs: append([]Registration(nil), c.regs...), pages: make([]access.Pager, len(c.regs)), n: c.n}
-	for i, r := range b.regs {
-		b.pages[i] = access.Pages(r.Backend)
-	}
-	return b, nil
+	return newRouted(append([]Registration(nil), c.regs...), c.n), nil
 }
 
 // DeclaredScenario builds the cost scenario from the registrations'
@@ -144,7 +159,7 @@ func (c *Catalog) DeclaredScenario(name string) (access.Scenario, error) {
 		var pc access.PredCost
 		if r.Sorted {
 			if r.SortedCost == 0 {
-				return access.Scenario{}, fmt.Errorf("catalog: predicate %q has no declared sorted cost; use Calibrate", r.PredName)
+				return access.Scenario{}, fmt.Errorf("catalog: predicate %q has no declared sorted cost; use CalibrateIO", r.PredName)
 			}
 			c, err := access.CostFromUnits(r.SortedCost)
 			if err != nil {
@@ -154,7 +169,7 @@ func (c *Catalog) DeclaredScenario(name string) (access.Scenario, error) {
 		}
 		if r.Random {
 			if r.RandomCost == 0 {
-				return access.Scenario{}, fmt.Errorf("catalog: predicate %q has no declared random cost; use Calibrate", r.PredName)
+				return access.Scenario{}, fmt.Errorf("catalog: predicate %q has no declared random cost; use CalibrateIO", r.PredName)
 			}
 			c, err := access.CostFromUnits(r.RandomCost)
 			if err != nil {
@@ -167,105 +182,46 @@ func (c *Catalog) DeclaredScenario(name string) (access.Scenario, error) {
 	return access.Scenario{Name: name, Preds: preds}, nil
 }
 
-// Calibrate measures per-access latency by timing `probes` real accesses
-// of each supported type on every predicate (walking ranks/objects
-// round-robin) and returns a scenario whose unit costs are the median
-// latency in milliseconds. Declared non-zero costs are kept as-is;
-// calibration only fills the unknowns. Calibration traffic does not count
-// toward any query's ledger — it is the middleware's startup cost. The
-// context bounds the calibration probes (they hit real sources).
-func (c *Catalog) Calibrate(ctx context.Context, name string, probes int) (access.Scenario, error) {
-	if len(c.regs) == 0 {
-		return access.Scenario{}, fmt.Errorf("catalog: no predicates registered")
-	}
-	if probes < 1 {
-		probes = 3
-	}
-	preds := make([]access.PredCost, len(c.regs))
-	for i, r := range c.regs {
-		var pc access.PredCost
-		if r.Sorted {
-			pc.SortedOK = true
-			ms := r.SortedCost
-			if ms <= 0 {
-				var err error
-				ms, err = c.timeAccesses(probes, func(j int) error {
-					//topklint:allow billedaccess calibration probes are middleware startup cost, not query traffic
-					_, _, err := r.Backend.Sorted(ctx, r.LocalPred, j%c.n)
-					return err
-				})
-				if err != nil {
-					return access.Scenario{}, fmt.Errorf("catalog: calibrating sorted %q: %w", r.PredName, err)
-				}
-			}
-			cost, err := access.CostFromUnits(ms)
-			if err != nil {
-				return access.Scenario{}, fmt.Errorf("catalog: predicate %q sorted cost: %w", r.PredName, err)
-			}
-			pc.Sorted = cost
-		}
-		if r.Random {
-			pc.RandomOK = true
-			ms := r.RandomCost
-			if ms <= 0 {
-				var err error
-				ms, err = c.timeAccesses(probes, func(j int) error {
-					//topklint:allow billedaccess calibration probes are middleware startup cost, not query traffic
-					_, err := r.Backend.Random(ctx, r.LocalPred, j%c.n)
-					return err
-				})
-				if err != nil {
-					return access.Scenario{}, fmt.Errorf("catalog: calibrating random %q: %w", r.PredName, err)
-				}
-			}
-			cost, err := access.CostFromUnits(ms)
-			if err != nil {
-				return access.Scenario{}, fmt.Errorf("catalog: predicate %q random cost: %w", r.PredName, err)
-			}
-			pc.Random = cost
-		}
-		preds[i] = pc
-	}
-	return access.Scenario{Name: name, Preds: preds}, nil
-}
-
 // CalibrateIO measures per-access cost from timed IO using the store
 // measurement harness: batched probes per predicate and access type,
 // median across batches, quantized to two significant figures (see
-// store.QuantizeUnits). Unlike Calibrate — one timed access at a time,
-// raw medians — the batched protocol resolves the sub-microsecond
-// per-access costs a disk store serves (a warm sorted access is a map
-// lookup plus a 12-byte decode), which single-probe timing rounds to
-// noise, and the quantization keeps repeat calibrations keying the plan
-// cache identically. opts.Cold drops backend caches between batches for
-// worst-case pricing. Declared non-zero costs are kept as-is, like
-// Calibrate. The returned key (one predicate calibration per clause,
-// "-" for declared costs) is what topk.WithStore folds into the
-// plan-cache fingerprint.
+// store.QuantizeUnits). Batching resolves the sub-microsecond per-access
+// costs a disk store serves (a warm sorted access is a map lookup plus a
+// 12-byte decode), which single-probe timing rounds to noise, and the
+// quantization keeps repeat calibrations keying the plan cache
+// identically. Each registration is measured through a catalog view
+// holding it alone, so only its own predicate is touched; opts.Cold drops
+// its source's caches between batches for worst-case pricing. Only what
+// the scenario needs is timed: a capability the registration supports and
+// declares no cost for. Declared costs are kept as they are. Measurement
+// traffic counts toward no query's ledger — it is the middleware's
+// startup cost — and ctx bounds it. The returned key, one clause per
+// predicate, is a measured registration's store.Calibration key, in which
+// a half not timed spells 0ms (a measurement never quantizes to 0), or "-"
+// for a registration with nothing to time; topk.WithStore folds such keys
+// into the plan-cache fingerprint.
 func (c *Catalog) CalibrateIO(ctx context.Context, name string, opts store.MeasureOptions) (access.Scenario, string, error) {
 	if len(c.regs) == 0 {
 		return access.Scenario{}, "", fmt.Errorf("catalog: no predicates registered")
 	}
 	preds := make([]access.PredCost, len(c.regs))
-	keys := make([]string, 0, len(c.regs))
+	keys := make([]string, len(c.regs))
 	for i, r := range c.regs {
-		var pc access.PredCost
-		var cal store.Calibration
-		measured := false
-		if r.Sorted && r.SortedCost <= 0 || r.Random && r.RandomCost <= 0 {
-			one, err := access.Project(r.Backend, []int{r.LocalPred})
-			if err == nil {
-				cal, err = store.Measure(ctx, one, opts)
-			}
-			if err != nil {
-				return access.Scenario{}, "", fmt.Errorf("catalog: calibrating %q: %w", r.PredName, err)
-			}
-			measured = true
+		one := newRouted([]Registration{r}, c.n)
+		cal := store.Calibration{Mode: "warm"}
+		if opts.Cold {
+			cal.Mode = "cold"
 		}
+		var pc access.PredCost
 		if r.Sorted {
 			ms := r.SortedCost
 			if ms <= 0 {
-				ms = cal.SortedMS
+				raw, err := store.MeasureSorted(ctx, one, opts)
+				if err != nil {
+					return access.Scenario{}, "", fmt.Errorf("catalog: calibrating %q: %w", r.PredName, err)
+				}
+				ms = store.QuantizeUnits(raw)
+				cal.SortedMS = ms
 			}
 			cost, err := access.CostFromUnits(ms)
 			if err != nil {
@@ -276,7 +232,12 @@ func (c *Catalog) CalibrateIO(ctx context.Context, name string, opts store.Measu
 		if r.Random {
 			ms := r.RandomCost
 			if ms <= 0 {
-				ms = cal.RandomMS
+				raw, err := store.MeasureRandom(ctx, one, opts)
+				if err != nil {
+					return access.Scenario{}, "", fmt.Errorf("catalog: calibrating %q: %w", r.PredName, err)
+				}
+				ms = store.QuantizeUnits(raw)
+				cal.RandomMS = ms
 			}
 			cost, err := access.CostFromUnits(ms)
 			if err != nil {
@@ -285,30 +246,10 @@ func (c *Catalog) CalibrateIO(ctx context.Context, name string, opts store.Measu
 			pc.Random, pc.RandomOK = cost, true
 		}
 		preds[i] = pc
-		if measured {
-			keys = append(keys, cal.Key())
-		} else {
-			keys = append(keys, "-")
+		keys[i] = "-"
+		if cal.SortedMS > 0 || cal.RandomMS > 0 {
+			keys[i] = cal.Key()
 		}
 	}
 	return access.Scenario{Name: name, Preds: preds}, strings.Join(keys, ","), nil
-}
-
-// timeAccesses returns the median latency, in milliseconds, of running fn
-// `probes` times.
-func (c *Catalog) timeAccesses(probes int, fn func(j int) error) (float64, error) {
-	lat := make([]float64, 0, probes)
-	for j := 0; j < probes; j++ {
-		start := time.Now()
-		if err := fn(j); err != nil {
-			return 0, err
-		}
-		lat = append(lat, float64(time.Since(start).Microseconds())/1000)
-	}
-	sort.Float64s(lat)
-	med := lat[len(lat)/2]
-	if med <= 0 {
-		med = 0.001 // sub-microsecond local backends: charge a nominal cost
-	}
-	return med, nil
 }

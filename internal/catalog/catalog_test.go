@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -161,7 +162,7 @@ func TestCalibrateOrdersLatencies(t *testing.T) {
 	if err := c.Register(Registration{Source: "fast", PredName: "b", Backend: fast, LocalPred: 1, Sorted: true, Random: true}); err != nil {
 		t.Fatal(err)
 	}
-	scn, err := c.Calibrate(context.Background(), "measured", 3)
+	scn, _, err := c.CalibrateIO(context.Background(), "measured", store.MeasureOptions{Probes: 3, Batches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestCalibrateKeepsDeclaredCosts(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	scn, err := c.Calibrate(context.Background(), "mixed", 2)
+	scn, _, err := c.CalibrateIO(context.Background(), "mixed", store.MeasureOptions{Probes: 2, Batches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +205,62 @@ func TestEmptyCatalog(t *testing.T) {
 	if _, err := c.Backend(); err == nil {
 		t.Error("empty backend should fail")
 	}
-	if _, err := c.Calibrate(context.Background(), "x", 1); err == nil {
+	if _, _, err := c.CalibrateIO(context.Background(), "x", store.MeasureOptions{Probes: 1, Batches: 1}); err == nil {
 		t.Error("empty calibrate should fail")
+	}
+}
+
+// oneAccessType is a source serving one access type: the other fails.
+type oneAccessType struct {
+	access.Backend // a DatasetBackend, paged entry by entry through Sorted
+	sorted         bool
+}
+
+func (b oneAccessType) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	if !b.sorted {
+		return 0, 0, errors.New("source has no sorted interface")
+	}
+	return b.Backend.Sorted(ctx, pred, rank)
+}
+
+func (b oneAccessType) Random(ctx context.Context, pred, obj int) (float64, error) {
+	if b.sorted {
+		return 0, errors.New("source has no random interface")
+	}
+	return b.Backend.Random(ctx, pred, obj)
+}
+
+// TestCalibrateIOTimesDeclaredAccessTypes: calibration times only the
+// access types a registration declares, so a probe-only or a sorted-only
+// source calibrates, its key spelling the half it never timed as 0ms.
+func TestCalibrateIOTimesDeclaredAccessTypes(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 32, 1, 5)
+	for _, row := range []struct {
+		name           string
+		sorted, random bool
+		key            string // the half never timed
+	}{
+		{"probe-only", false, true, "io(cs=0ms,"},
+		{"sorted-only", true, false, "ms,cr=0ms,warm)"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			c := New()
+			if err := c.Register(Registration{Source: "s", PredName: "p", Backend: oneAccessType{access.DatasetBackend{DS: ds}, row.sorted},
+				Sorted: row.sorted, Random: row.random}); err != nil {
+				t.Fatal(err)
+			}
+			scn, key, err := c.CalibrateIO(context.Background(), "io", store.MeasureOptions{Probes: 8, Batches: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := scn.Preds[0]
+			if p.SortedOK != row.sorted || p.RandomOK != row.random || row.sorted && p.Sorted <= 0 || row.random && p.Random <= 0 {
+				t.Errorf("priced %+v", p)
+			}
+			if !strings.Contains(key, row.key) {
+				t.Errorf("key %q, want it to contain %q", key, row.key)
+			}
+		})
 	}
 }
 
@@ -229,9 +284,9 @@ func (b *predCounter) Random(ctx context.Context, pred, obj int) (float64, error
 func (b *predCounter) DropCaches() { b.drops++ }
 
 // TestCalibrateIOMeasuresOnePredicate: IO calibration times exactly the
-// registered predicate of a multi-predicate source — through a
-// one-column projection — and cold mode still reaches the source's caches
-// below that projection.
+// registered predicate of a multi-predicate source — through a catalog
+// view holding that registration alone — and cold mode still reaches the
+// source's caches below that view.
 func TestCalibrateIOMeasuresOnePredicate(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 64, 3, 9)
 	src := &predCounter{Backend: access.DatasetBackend{DS: ds}, touched: map[int]int{}}

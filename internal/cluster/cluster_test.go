@@ -332,8 +332,8 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.prefetch != 16 || c.threshold != 3 || c.cooldown != time.Second {
-		t.Errorf("defaults prefetch=%d threshold=%d cooldown=%v", c.prefetch, c.threshold, c.cooldown)
+	if c.prefetch != 16 {
+		t.Errorf("default prefetch=%d", c.prefetch)
 	}
 	if c.N() != 10 || c.M() != 2 || c.Shards() != 1 {
 		t.Errorf("dims N=%d M=%d Shards=%d", c.N(), c.M(), c.Shards())
@@ -622,13 +622,12 @@ func TestCoordinatorFencing(t *testing.T) {
 			members = append(members, local)
 		}
 	}
-	c, err := New(members, Options{FailureThreshold: 2, Cooldown: time.Minute})
+	// The fake clock makes cooldown expiry a statement, not a sleep.
+	clock := time.Unix(0, 0)
+	c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Now: func() time.Time { return clock }}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fake clock makes cooldown expiry a statement, not a sleep.
-	clock := time.Unix(0, 0)
-	c.now = func() time.Time { return clock }
 
 	ring, _ := NewRing(3)
 	probe := -1
@@ -706,7 +705,7 @@ func TestCoordinatorFencing(t *testing.T) {
 
 func TestCoordinatorCancellationDoesNotFence(t *testing.T) {
 	ds := uniformDataset(t, 60, 1, 37)
-	c := localCluster(t, ds, 2, Options{FailureThreshold: 1})
+	c := localCluster(t, ds, 2, Options{Breaker: access.BreakerConfig{FailureThreshold: 1}})
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -764,12 +763,11 @@ func TestCancelledProbeReleasesFence(t *testing.T) {
 					members[i] = flaky
 				}
 			}
-			c, err := New(members, Options{FailureThreshold: 1, Cooldown: time.Minute})
+			clock := time.Unix(0, 0)
+			c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, Now: func() time.Time { return clock }}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			clock := time.Unix(0, 0)
-			c.now = func() time.Time { return clock }
 			obj := parts[victim].Global[0]
 
 			flaky.fail.Store(true)

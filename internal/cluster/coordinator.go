@@ -8,15 +8,14 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/access"
 	"repro/internal/kit"
 )
 
 // ErrShardDown marks an access refused because the owning shard is
-// fenced: it failed FailureThreshold consecutive accesses and its
-// cooldown has not elapsed. The error reaches the engine as an ordinary
+// fenced: its circuit (Options.Breaker) is open, or half-open with its one
+// probe already in flight. The error reaches the engine as an ordinary
 // access failure, so the session's resilience machinery (breakers →
 // scenario change → re-plan/degrade) absorbs a lost shard exactly like a
 // lost source — the answer degrades honestly instead of silently
@@ -29,12 +28,10 @@ type Options struct {
 	// entries one shard round trip pulls ahead of the merge frontier.
 	// Defaults to 16.
 	Prefetch int
-	// FailureThreshold is how many consecutive failed accesses fence a
-	// shard. Defaults to 3.
-	FailureThreshold int
-	// Cooldown is how long a fenced shard stays fenced before a single
-	// half-open probe is let through. Defaults to 1s.
-	Cooldown time.Duration
+	// Breaker fences shards: FailureThreshold consecutive failed accesses
+	// open a shard's circuit, and after Cooldown one half-open probe is let
+	// through (access.Circuits; defaults 3 and 1s).
+	Breaker access.BreakerConfig
 }
 
 // Coordinator presents a set of shards as one access.Backend in global
@@ -44,15 +41,12 @@ type Options struct {
 // random and batched probes route to the owning shard via the same ring
 // that partitioned the data. All methods are safe for concurrent use.
 type Coordinator struct {
-	shards    []Shard
-	ring      *Ring
-	n, m      int
-	prefetch  int
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	shards   []Shard
+	ring     *Ring
+	n, m     int
+	prefetch int
 
-	health    []shardHealth
+	fence     *access.Circuits // one circuit per shard
 	epoch     atomic.Uint64
 	up        atomic.Int64
 	memberKey atomic.Pointer[string] // the last MembershipKey built
@@ -60,19 +54,6 @@ type Coordinator struct {
 	merges []mergeState
 
 	stats stats
-}
-
-// shardHealth is one shard's failure-fencing state. The healthy flag is
-// the lock-free fast path: while it holds, allow and success recording
-// are one atomic load each.
-type shardHealth struct {
-	healthy atomic.Bool
-
-	mu        sync.Mutex
-	fails     int
-	down      bool
-	downSince time.Time
-	probing   bool
 }
 
 // mergeState is one predicate's scatter-gather merge: the globally
@@ -110,28 +91,16 @@ func New(shards []Shard, opts Options) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: shard slices hold %d objects, dataset has %d", sum, n)
 	}
 	c := &Coordinator{
-		shards:    shards,
-		ring:      ring,
-		n:         n,
-		m:         m,
-		prefetch:  opts.Prefetch,
-		threshold: opts.FailureThreshold,
-		cooldown:  opts.Cooldown,
-		now:       time.Now,
-		health:    make([]shardHealth, len(shards)),
-		merges:    make([]mergeState, m),
+		shards:   shards,
+		ring:     ring,
+		n:        n,
+		m:        m,
+		prefetch: opts.Prefetch,
+		fence:    access.NewCircuits(len(shards), opts.Breaker),
+		merges:   make([]mergeState, m),
 	}
 	if c.prefetch <= 0 {
 		c.prefetch = 16
-	}
-	if c.threshold <= 0 {
-		c.threshold = 3
-	}
-	if c.cooldown <= 0 {
-		c.cooldown = time.Second
-	}
-	for i := range c.health {
-		c.health[i].healthy.Store(true)
 	}
 	c.up.Store(int64(len(shards)))
 	for p := range c.merges {
@@ -239,7 +208,7 @@ func (c *Coordinator) refill(ctx context.Context, pred int, ms *mergeState, need
 // Entries fetched before a mid-page failure are kept — they were paid for
 // — and the cursor resumes after them on retry.
 func (c *Coordinator) fill(ctx context.Context, pred int, ms *mergeState, i int) error {
-	if !c.allow(i) {
+	if !c.fence.Acquire(i) {
 		return fmt.Errorf("%w: shard %d fenced, sorted stream for p%d unavailable", ErrShardDown, i, pred)
 	}
 	h := &ms.heads[i]
@@ -344,7 +313,7 @@ func (c *Coordinator) Random(ctx context.Context, pred, obj int) (float64, error
 		return 0, fmt.Errorf("cluster: object %d out of range [0,%d)", obj, c.n)
 	}
 	i := c.ring.Owner(obj)
-	if !c.allow(i) {
+	if !c.fence.Acquire(i) {
 		return 0, fmt.Errorf("%w: shard %d fenced, probe for object %d refused", ErrShardDown, i, obj)
 	}
 	score, err := c.shards[i].Random(ctx, pred, obj)
@@ -412,7 +381,7 @@ func (c *Coordinator) BatchRandom(ctx context.Context, preds, objs []int) ([]flo
 // shardBatch serves one shard's slice of a batched probe set, writing
 // scores into the shared result at their original positions.
 func (c *Coordinator) shardBatch(ctx context.Context, s int, preds, objs, idx []int, out []float64) error {
-	if !c.allow(s) {
+	if !c.fence.Acquire(s) {
 		return fmt.Errorf("%w: shard %d fenced, batched probes refused", ErrShardDown, s)
 	}
 	sh := c.shards[s]
@@ -445,91 +414,33 @@ func (c *Coordinator) shardBatch(ctx context.Context, s int, preds, objs, idx []
 	return nil
 }
 
-// allow reports whether shard i may be accessed: healthy shards always,
-// fenced shards only as a single half-open probe after the cooldown.
-func (c *Coordinator) allow(i int) bool {
-	h := &c.health[i]
-	if h.healthy.Load() {
-		return true
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.down {
-		// Failures below the threshold never fence the shard.
-		return true
-	}
-	if h.probing || c.now().Sub(h.downSince) < c.cooldown {
-		return false
-	}
-	h.probing = true
-	return true
-}
-
-// settle records the outcome of an access allow let through to shard i. A
-// failure under a caller's context that has ended says nothing about the
-// shard — the session's breakers follow the same rule — so it is not
-// counted; it only hands back a half-open probe slot it may hold, as
-// access.BreakerSet.Release does, or the shard would stay fenced for good.
+// settle reports the outcome of an access the fence let through to shard
+// i. A failure under a caller's context that has ended says nothing about
+// the shard — the session's breakers follow the same rule — so it only
+// releases the grant. A fence (closed → open) and a recovery (half-open →
+// closed) bump the membership epoch so cached plans re-key; open ↔
+// half-open moves neither, as a half-open shard still reads as down.
 func (c *Coordinator) settle(ctx context.Context, i int, ok bool) {
-	switch {
-	case ok:
-		c.recordSuccess(i)
-	case ctx.Err() == nil:
-		c.recordFailure(i)
-	default:
-		h := &c.health[i]
-		h.mu.Lock()
-		h.probing = false
-		h.mu.Unlock()
+	if !ok {
+		if ctx.Err() != nil {
+			c.fence.Release(i)
+			return
+		}
+		c.stats.shardFailures.Add(1)
 	}
-}
-
-// recordSuccess clears shard i's failure state; a fenced shard coming
-// back bumps the membership epoch so cached plans re-key.
-func (c *Coordinator) recordSuccess(i int) {
-	h := &c.health[i]
-	if h.healthy.Load() {
-		return
-	}
-	h.mu.Lock()
-	wasDown := h.down
-	h.fails = 0
-	h.down = false
-	h.probing = false
-	h.healthy.Store(true)
-	h.mu.Unlock()
-	if wasDown {
+	switch from, to := c.fence.Record(i, ok); {
+	case from == access.BreakerClosed && to == access.BreakerOpen:
+		c.epoch.Add(1)
+		c.up.Add(-1)
+	case from == access.BreakerHalfOpen && to == access.BreakerClosed:
 		c.epoch.Add(1)
 		c.up.Add(1)
 	}
 }
 
-// recordFailure counts one failed access against shard i, fencing it at
-// the threshold (and restarting the cooldown while it stays fenced).
-func (c *Coordinator) recordFailure(i int) {
-	c.stats.shardFailures.Add(1)
-	h := &c.health[i]
-	h.mu.Lock()
-	h.healthy.Store(false)
-	h.fails++
-	h.probing = false
-	wentDown := false
-	if h.down {
-		h.downSince = c.now()
-	} else if h.fails >= c.threshold {
-		h.down = true
-		h.downSince = c.now()
-		wentDown = true
-	}
-	h.mu.Unlock()
-	if wentDown {
-		c.epoch.Add(1)
-		c.up.Add(-1)
-	}
-}
-
 // MembershipKey fingerprints the cluster's live membership: the epoch
-// (bumped on every fence and recovery) plus the up/down mask. The
+// (bumped on every fence and recovery) plus the up/down mask, a shard
+// whose circuit is not closed reading as down. The
 // optimizer folds it into the plan-cache key so plans chosen against one
 // membership are never replayed against another. The key is spelled into a
 // stack buffer and the last string built is kept, so while the membership
@@ -539,12 +450,8 @@ func (c *Coordinator) MembershipKey() string {
 	key := append(buf[:0], 'e')
 	key = strconv.AppendUint(key, c.epoch.Load(), 10)
 	key = append(key, ':')
-	for i := range c.health {
-		h := &c.health[i]
-		h.mu.Lock()
-		down := h.down
-		h.mu.Unlock()
-		if down {
+	for i := range c.shards {
+		if c.fence.State(i) != access.BreakerClosed {
 			key = append(key, '0')
 		} else {
 			key = append(key, '1')

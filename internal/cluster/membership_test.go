@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/access"
 )
 
 // TestMembershipKeyAllocFree: every optimizer call reads the membership key
@@ -24,7 +26,7 @@ func TestMembershipKeyAllocFree(t *testing.T) {
 			members = append(members, local)
 		}
 	}
-	c, err := New(members, Options{FailureThreshold: 1, Cooldown: time.Minute})
+	c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}

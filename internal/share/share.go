@@ -95,10 +95,10 @@ type Layer struct {
 }
 
 // New builds a sharing layer over the backend. The returned Layer is the
-// Backend queries should run against — directly, or under access.Project
-// for column-projected queries, which then share the layer's cursors and
-// caches for the predicates they have in common: the keying is (backend,
-// backend predicate), exactly the granularity the sources see.
+// Backend queries should run against, whatever columns each selects
+// (Query.Cols): queries share the layer's cursors and caches for the
+// predicates they have in common, as the keying is (backend, backend
+// predicate), exactly the granularity the sources see.
 func New(b access.Backend, opts Options) *Layer {
 	l := &Layer{
 		backend:  b,

@@ -155,13 +155,6 @@ func TestPageContract(t *testing.T) {
 		{"share-warm", func(t *testing.T) access.Pager { return warm(t, share.New(base, share.Options{})) }, n, dsAt, block, full(n)},
 		{"guard", func(*testing.T) access.Pager { return adapt.NewGuard(base) }, n, dsAt, block, one},
 		{"fault", func(*testing.T) access.Pager { return fault.Wrap(base, fault.Config{Seed: 1}) }, n, dsAt, block, one},
-		{"project", func(t *testing.T) access.Pager {
-			p, err := access.Project(base, []int{1, 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p.(access.Pager)
-		}, n, func(pred, rank int) access.Entry { return dsAt(1-pred, rank) }, block, full(n)},
 		{"catalog", func(t *testing.T) access.Pager {
 			c := catalog.New()
 			for i, name := range []string{"q", "p"} {

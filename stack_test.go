@@ -131,15 +131,6 @@ func (c *accessCtx) Done() <-chan struct{}       { c.check("Done"); return c.par
 func (c *accessCtx) Err() error                  { c.check("Err"); return c.parent.Err() }
 func (c *accessCtx) Value(key any) any           { c.check("Value"); return c.parent.Value(key) }
 
-func mustProject(t *testing.T, b Backend, cols []int) Backend {
-	t.Helper()
-	p, err := access.Project(b, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // TestClusterPlanCacheKeying is the cluster sibling of
 // TestStorePlanCacheKeying: a plan chosen against one shard membership
 // must not be replayed against another, however the coordinator is reached.
@@ -151,16 +142,16 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 90, 3, 17)
 	rows := []struct {
 		name  string
-		m     int
+		cols  []int // Query.Cols
 		stack func(c *cluster.Coordinator) Backend
 		opts  []EngineOption
 	}{
-		{"direct", 3, func(c *cluster.Coordinator) Backend { return c }, nil},
-		{"projected", 2, func(c *cluster.Coordinator) Backend { return mustProject(t, c, []int{2, 0}) }, nil},
-		{"shared", 3, func(c *cluster.Coordinator) Backend { return NewSharedAccess(c, SharingOptions{}) }, nil},
-		{"guarded", 3, func(c *cluster.Coordinator) Backend { return c }, []EngineOption{WithContractGuard()}},
-		{"fault-wrapped", 3, func(c *cluster.Coordinator) Backend { return fault.Wrap(c, fault.Config{}) }, nil},
-		{"bare-wrapper", 3, func(c *cluster.Coordinator) Backend { return bareWrapper{c} }, nil},
+		{"direct", nil, func(c *cluster.Coordinator) Backend { return c }, nil},
+		{"projected", []int{2, 0}, func(c *cluster.Coordinator) Backend { return c }, nil},
+		{"shared", nil, func(c *cluster.Coordinator) Backend { return NewSharedAccess(c, SharingOptions{}) }, nil},
+		{"guarded", nil, func(c *cluster.Coordinator) Backend { return c }, []EngineOption{WithContractGuard()}},
+		{"fault-wrapped", nil, func(c *cluster.Coordinator) Backend { return fault.Wrap(c, fault.Config{}) }, nil},
+		{"bare-wrapper", nil, func(c *cluster.Coordinator) Backend { return bareWrapper{c} }, nil},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -170,18 +161,18 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 			}
 			victim := &unplugShard{Shard: cluster.NewLocalShard(parts[1])}
 			coord, err := cluster.New([]cluster.Shard{cluster.NewLocalShard(parts[0]), victim, cluster.NewLocalShard(parts[2])},
-				cluster.Options{FailureThreshold: 1})
+				cluster.Options{Breaker: BreakerConfig{FailureThreshold: 1}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			cache := NewPlanCache(0)
-			eng, err := NewEngine(row.stack(coord), UniformScenario(row.m, 1, 8), append(row.opts, WithPlanCache(cache))...)
+			eng, err := NewEngine(row.stack(coord), UniformScenario(3, 1, 8), append(row.opts, WithPlanCache(cache))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// An explicit discount pins the one other part of the key a stack
 			// can move (the sharing layer's observed hit rates).
-			q, cfg := Query{F: Avg(), K: 5}, OptimizerConfig{SortedDiscount: 0.1}
+			q, cfg := Query{F: Avg(), K: 5, Cols: row.cols}, OptimizerConfig{SortedDiscount: 0.1}
 			for i := 0; i < 2; i++ {
 				if _, err := eng.Run(q, WithOptimizer(cfg)); err != nil {
 					t.Fatal(err)
@@ -209,16 +200,17 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 }
 
 // TestStackCompositionOracle is the seed corpus of the every-composition
-// oracle: every stack of {base} × {projection, as an access.Project layer
-// or on the query (Query.Cols)} × {sharing, under or over the projection}
+// oracle: every stack of {base} × {column selection on the query
+// (Query.Cols): none, a full-width reordering, the identity list, a
+// narrowing reordering} × {sharing, under or over the zero-fault injector}
 // × {zero-fault injector} × {contract guard} answers byte-identically to
 // single-node memory over the same columns — items, ledger, and every
 // prefix a cursor emits on the way (the any-k criterion: each prefix is
 // itself a correct answer) — with trace == ledger, and from the top of
 // every stack access.As still finds the base, the sharing layer and the
-// shard membership. A Query.Cols row therefore matches the access.Project
-// row over the same columns. With no projection layer in its stack, its
-// sharing layer sits over the base alone: only the service's order runs.
+// shard membership. The query's Cols are the one column map: no layer of
+// any stack renumbers predicates. Without the injector, sharing under and
+// over it is the same stack.
 func TestStackCompositionOracle(t *testing.T) {
 	const n, m, page = 60, 3, 3
 	ds := mustGenerateDataset(t, "uniform", n, m, 29)
@@ -238,12 +230,12 @@ func TestStackCompositionOracle(t *testing.T) {
 		b    Backend
 	}{{"memory", DataBackend(ds)}, {"store", st}, {"cluster", coord}}
 	projections := []struct {
-		name    string
-		cols    []int
-		onQuery bool // Query.Cols selects them, not an access.Project layer
+		name  string
+		cols  []int // the reference's columns
+		query []int // Query.Cols
 	}{
-		{"identity", []int{0, 1, 2}, false}, {"reordered", []int{2, 0}, false},
-		{"cols-identity", []int{0, 1, 2}, true}, {"cols-reordered", []int{2, 0}, true},
+		{"identity", []int{0, 1, 2}, nil}, {"reordered", []int{1, 2, 0}, []int{1, 2, 0}},
+		{"cols-identity", []int{0, 1, 2}, []int{0, 1, 2}}, {"cols-reordered", []int{2, 0}, []int{2, 0}},
 	}
 
 	for _, proj := range projections {
@@ -263,16 +255,10 @@ func TestStackCompositionOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := stackRun(t, ref, q, h, page)
-			engScn := scn
-			if proj.onQuery {
-				q.Cols, engScn = proj.cols, UniformScenario(m, 1, 4)
-			}
+			q.Cols = proj.query
 
 			for _, base := range bases {
 				for _, sharing := range []string{"", "share-under", "share-over"} {
-					if proj.onQuery && sharing == "share-over" {
-						continue
-					}
 					for _, faulted := range []bool{false, true} {
 						for _, guarded := range []bool{false, true} {
 							name := fmt.Sprintf("%s/%s/%s/%s/fault=%v/guard=%v", base.name, proj.name, f.Name(), sharing, faulted, guarded)
@@ -281,14 +267,11 @@ func TestStackCompositionOracle(t *testing.T) {
 								if sharing == "share-under" { // the service's order
 									b = NewSharedAccess(b, SharingOptions{})
 								}
-								if !proj.onQuery {
-									b = mustProject(t, b, proj.cols)
+								if faulted {
+									b = fault.Wrap(b, fault.Config{})
 								}
 								if sharing == "share-over" {
 									b = NewSharedAccess(b, SharingOptions{})
-								}
-								if faulted {
-									b = fault.Wrap(b, fault.Config{})
 								}
 								contract := newCtxContract(b)
 								b = contract
@@ -296,7 +279,7 @@ func TestStackCompositionOracle(t *testing.T) {
 								if guarded {
 									opts = append(opts, WithContractGuard())
 								}
-								eng, err := NewEngine(b, engScn, opts...)
+								eng, err := NewEngine(b, UniformScenario(m, 1, 4), opts...)
 								if err != nil {
 									t.Fatal(err)
 								}
