@@ -12,9 +12,9 @@
 // The package has three layers:
 //
 //   - Ring: a deterministic consistent-hash ring assigning each object
-//     id to its owning shard. Both partitioning (Partition) and probe
-//     routing (Coordinator.Random) consult the same ring, so ownership
-//     is a pure function of (object id, shard count).
+//     id to its owning shard. Both slicing (Slice, and Partition over
+//     it) and probe routing (Coordinator.Random) consult the same ring,
+//     so ownership is a pure function of (object id, shard count).
 //   - Shard: the coordinator-facing contract of one shard node —
 //     access.Backend in *global* object ids plus the size of the local
 //     slice. LocalShard serves an in-process partition; RemoteShard

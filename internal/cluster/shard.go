@@ -51,40 +51,98 @@ func Partition(ds *data.Dataset, shards int) ([]*ShardData, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, m := ds.N(), ds.M()
-	owned := make([][]int, shards)
-	for u := 0; u < n; u++ {
-		s := ring.Owner(u)
-		owned[s] = append(owned[s], u) // ascending u: preserves the tie-break order
-	}
 	out := make([]*ShardData, shards)
-	for s := 0; s < shards; s++ {
-		sd := &ShardData{
-			Index:   s,
-			Global:  owned[s],
-			toLocal: make([]int32, n),
-			globalN: n,
-			m:       m,
+	for s := range out {
+		if out[s], err = Slice(ring, s, ds.Name(), ds.N(), ds.M(), DatasetRows(ds)); err != nil {
+			return nil, err
 		}
-		for i := range sd.toLocal {
-			sd.toLocal[i] = -1
-		}
-		for local, global := range owned[s] {
-			sd.toLocal[global] = int32(local)
-		}
-		if len(owned[s]) > 0 {
-			rows := make([][]float64, len(owned[s]))
-			for local, global := range owned[s] {
-				rows[local] = ds.Scores(global)
-			}
-			sd.Local, err = data.New(fmt.Sprintf("%s/shard%d-of-%d", ds.Name(), s, shards), rows)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out[s] = sd
 	}
 	return out, nil
+}
+
+// Rows draws every row of an n × m dataset once, in ascending object
+// order, handing each to emit; the scores slice may be reused between
+// calls, and an error from emit ends the draw with that error. A bound
+// data.Stream is one; DatasetRows reads a loaded dataset.
+type Rows func(emit func(obj int, scores []float64) error) error
+
+// DatasetRows returns the rows of a loaded dataset.
+func DatasetRows(ds *data.Dataset) Rows {
+	return func(emit func(int, []float64) error) error {
+		row := make([]float64, ds.M())
+		for u := 0; u < ds.N(); u++ {
+			for i := range row {
+				row[i] = ds.Score(u, i)
+			}
+			if err := emit(u, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// Slice builds shard idx's slice of the n × m dataset named name in one
+// pass over its rows, keeping only those the ring assigns to idx: it holds
+// the shard's rows and an n-sized id map, never the dataset or another
+// shard's slice. Partition and a topkd -shard node both build their
+// shards here, so the two agree byte for byte. A shard that owns no
+// objects gets no Local dataset, and no row is drawn for it.
+func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, error) {
+	if idx < 0 || idx >= ring.Shards() {
+		return nil, fmt.Errorf("cluster: shard %d outside [0,%d)", idx, ring.Shards())
+	}
+	if n <= 0 || m <= 0 {
+		return nil, fmt.Errorf("cluster: cannot slice a %d × %d dataset", n, m)
+	}
+	sd := &ShardData{Index: idx, toLocal: make([]int32, n), globalN: n, m: m}
+	// Ownership is a pure function of the id, so the slice is sized before
+	// a row is drawn. Local ids ascend with global ids: the tie-break order.
+	localN := 0
+	for u := range sd.toLocal {
+		sd.toLocal[u] = -1
+		if ring.Owner(u) == idx {
+			sd.toLocal[u] = int32(localN)
+			localN++
+		}
+	}
+	if localN == 0 {
+		return sd, nil
+	}
+	sd.Global = make([]int, 0, localN)
+	for u, local := range sd.toLocal {
+		if local >= 0 {
+			sd.Global = append(sd.Global, u)
+		}
+	}
+	flat := make([]float64, localN*m)
+	kept := make([][]float64, localN)
+	prev, drawn := -1, 0
+	err := rows(func(u int, scores []float64) error {
+		if u <= prev || u >= n || len(scores) != m {
+			return fmt.Errorf("cluster: row %d of %d scores after row %d does not fit a %d × %d dataset drawn in order", u, len(scores), prev, n, m)
+		}
+		prev = u
+		local := int(sd.toLocal[u])
+		if local < 0 {
+			return nil
+		}
+		kept[local] = flat[local*m : (local+1)*m : (local+1)*m]
+		copy(kept[local], scores)
+		drawn++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if drawn != localN {
+		return nil, fmt.Errorf("cluster: %s drew %d of shard %d's %d rows", name, drawn, idx, localN)
+	}
+	sd.Local, err = data.New(fmt.Sprintf("%s/shard%d-of-%d", name, idx, ring.Shards()), kept)
+	if err != nil {
+		return nil, err
+	}
+	return sd, nil
 }
 
 // LocalN returns how many objects the shard owns.

@@ -198,7 +198,13 @@ func Generate(dist Distribution, n, m int, seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(fmt.Sprintf("%s(n=%d,m=%d,seed=%d)", dist, n, m, seed), scores)
+	return New(GeneratedName(dist, n, m, seed), scores)
+}
+
+// GeneratedName is the name Generate gives its dataset, for the builders
+// that draw the same rows through Stream instead.
+func GeneratedName(dist Distribution, n, m int, seed int64) string {
+	return fmt.Sprintf("%s(n=%d,m=%d,seed=%d)", dist, n, m, seed)
 }
 
 // Sample draws a without-replacement random sample of s objects from ds,

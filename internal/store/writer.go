@@ -330,7 +330,7 @@ func writeManifest(dir string, man Manifest) error {
 // to data.Generate(dist, n, m, seed) — the property the disk-vs-memory
 // oracle tests pin — without ever materializing the dataset.
 func WriteStream(dir string, dist data.Distribution, n, m int, seed int64, opts WriterOptions) error {
-	name := fmt.Sprintf("%s(n=%d,m=%d,seed=%d)", dist, n, m, seed)
+	name := data.GeneratedName(dist, n, m, seed)
 	if opts.GeneratorVersion == 0 {
 		opts.GeneratorVersion = data.GeneratorVersion
 	}
