@@ -129,3 +129,32 @@ func TestVerifyShapeCatchesViolations(t *testing.T) {
 		t.Error("garbage row should fail")
 	}
 }
+
+// TestVerifyShapeE6WarmStart: E6's drift rows fail the shape check when the
+// warm start costs as many estimator runs as the cold search, or realizes a
+// worse plan within the neighbour radius; beyond the radius a worse plan
+// is expected.
+func TestVerifyShapeE6WarmStart(t *testing.T) {
+	rows := func(d string, warmRuns, warmCost string) *Table {
+		scn := "S4: wsum sa-cheap/ra-cheap, d=" + d
+		return &Table{ID: "E6", Rows: [][]string{
+			{scn, "HClimb", "560.0", "876.0", "39", "480", "1.000"},
+			{scn, "HClimb warm", "560.0", warmCost, warmRuns, "90", "-"},
+			{scn, "Greedy", "120.0", "754.0", "0", "0", "0.861"},
+		}}
+	}
+	for _, tc := range []struct {
+		name string
+		tab  *Table
+		ok   bool
+	}{
+		{"warm matches cold", rows("0.001", "7", "876.0"), true},
+		{"warm worse beyond the radius", rows("0.2", "7", "1000.0"), true},
+		{"warm worse within the radius", rows("0.05", "7", "900.0"), false},
+		{"warm as dear as cold", rows("0.001", "39", "876.0"), false},
+	} {
+		if err := VerifyShape(tc.tab); (err == nil) != tc.ok {
+			t.Errorf("%s: VerifyShape = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -62,7 +62,10 @@ func VerifyShape(t *Table) error {
 		}
 	case "E6":
 		// Naive must spend strictly more estimator runs than HClimb on
-		// every scenario, at no better realized cost.
+		// every scenario it plans, at no better realized cost. The warm
+		// start must spend fewer runs than cold HClimb at every drift, and
+		// realize cold HClimb's cost within 1% at every drift up to the plan
+		// cache's neighbour radius, 0.05.
 		runs := map[string]map[string]float64{}
 		costs := map[string]map[string]float64{}
 		for _, row := range t.Rows {
@@ -83,11 +86,26 @@ func VerifyShape(t *Table) error {
 			costs[scn][scheme] = c
 		}
 		for scn := range runs {
-			if runs[scn]["Naive"] <= runs[scn]["HClimb"] {
-				return fmt.Errorf("E6: %s: Naive ran %v estimates vs HClimb %v", scn, runs[scn]["Naive"], runs[scn]["HClimb"])
+			if naive, ok := runs[scn]["Naive"]; ok {
+				if naive <= runs[scn]["HClimb"] {
+					return fmt.Errorf("E6: %s: Naive ran %v estimates vs HClimb %v", scn, naive, runs[scn]["HClimb"])
+				}
+				if costs[scn]["HClimb"] > 1.25*costs[scn]["Naive"] {
+					return fmt.Errorf("E6: %s: HClimb realized cost %v too far above Naive %v", scn, costs[scn]["HClimb"], costs[scn]["Naive"])
+				}
 			}
-			if costs[scn]["HClimb"] > 1.25*costs[scn]["Naive"] {
-				return fmt.Errorf("E6: %s: HClimb realized cost %v too far above Naive %v", scn, costs[scn]["HClimb"], costs[scn]["Naive"])
+			if warm, ok := runs[scn]["HClimb warm"]; ok {
+				if warm >= runs[scn]["HClimb"] {
+					return fmt.Errorf("E6: %s: the warm start ran %v estimates vs cold HClimb %v", scn, warm, runs[scn]["HClimb"])
+				}
+				_, ds, _ := strings.Cut(scn, "d=")
+				d, err := strconv.ParseFloat(ds, 64)
+				if err != nil {
+					return fmt.Errorf("E6: %s: no drift in the scenario name", scn)
+				}
+				if d <= 0.05 && costs[scn]["HClimb warm"] > 1.01*costs[scn]["HClimb"] {
+					return fmt.Errorf("E6: %s: the warm start realized %v vs cold HClimb %v", scn, costs[scn]["HClimb warm"], costs[scn]["HClimb"])
+				}
 			}
 		}
 	case "E7":

@@ -86,6 +86,16 @@ func (c *LRU[K, V]) DeleteFunc(del func(K, V) bool) {
 	}
 }
 
+// Each calls fn on every entry, most recently used first, until fn
+// returns false. It leaves the recency order as it was.
+func (c *LRU[K, V]) Each(fn func(K, V) bool) {
+	for n := c.root.next; n != &c.root; n = n.next {
+		if !fn(n.key, n.val) {
+			return
+		}
+	}
+}
+
 // Purge removes every entry.
 func (c *LRU[K, V]) Purge() {
 	clear(c.m)

@@ -23,7 +23,7 @@ type Metrics struct {
 	failures *Counter
 	backoff  *Histogram
 
-	planCache     [2]*Counter // by Miss/Hit
+	planCache     [len(PlanSources)]*Counter // by Miss/Hit/Warm
 	planEvictions *Counter
 
 	breakerTo       [3]*Counter // transitions by resulting state
@@ -61,7 +61,7 @@ func NewMetrics(reg *Registry) *Metrics {
 	for code, result := range [2]string{Miss: "run", Hit: "memo"} {
 		m.estimator[code] = reg.Counter("topk_estimator_evals_total", "Optimizer cost estimates by result.", L("result", result))
 	}
-	for code, result := range [2]string{Miss: "miss", Hit: "hit"} {
+	for code, result := range [len(PlanSources)]string{Miss: "miss", Hit: "hit", Warm: "warm"} {
 		m.planCache[code] = reg.Counter("topk_plan_cache_requests_total", "Plan-cache lookups by result.", L("result", result))
 	}
 	for _, st := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
@@ -126,7 +126,9 @@ func (m *Metrics) Observe(ev Event) {
 	case SourceFailure:
 		m.failures.Inc()
 	case PlanCache:
-		m.planCache[ev.Code&Hit].Inc()
+		if int(ev.Code) < len(m.planCache) {
+			m.planCache[ev.Code].Inc()
+		}
 	case PlanCacheEvict:
 		m.planEvictions.Inc()
 	case BreakerTransition:

@@ -188,7 +188,9 @@ const (
 	// SourceFailure: a web-source request failed for good (retries
 	// exhausted or non-retryable).
 	SourceFailure
-	// PlanCache: a plan-cache lookup. Code is Hit or Miss.
+	// PlanCache: a plan-cache lookup, emitted once its plan is known. Code
+	// is Hit, Miss (a cold search) or Warm (a search started from a cached
+	// neighbour's plan); Value is the plan's estimator runs.
 	PlanCache
 	// PlanCacheEvict: the plan cache discarded an entry, either to make
 	// room (LRU capacity) or because its scenario fingerprint was
@@ -220,18 +222,24 @@ const (
 	numKinds = int(RequestShed) + 1
 )
 
-// Hit and Miss are the Event codes of EstimatorEval and PlanCache.
+// Hit and Miss are the Event codes of EstimatorEval and PlanCache; Warm
+// is PlanCache's third, a miss whose search started from a neighbour.
 const (
 	Miss uint8 = iota
 	Hit
+	Warm
 )
+
+// PlanSources names where a PlanCache lookup's plan came from, indexed by
+// Code: the trace's planSource and opt.Source's names.
+var PlanSources = [...]string{Miss: "cold", Hit: "hit", Warm: "warm"}
 
 // Event is one engine fact, passed by value so delivery never allocates.
 // Kind says which fact; the Kind constants say which other fields it fills.
 type Event struct {
 	Kind   Kind
 	Access AccessKind
-	// Code is the event's small enumerated payload: a DenyReason, Hit/Miss,
+	// Code is the event's small enumerated payload: a DenyReason, Hit/Miss/Warm,
 	// or a packed breaker Transition.
 	Code  uint8
 	Pred  int

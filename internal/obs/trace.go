@@ -47,6 +47,13 @@ type TraceSnapshot struct {
 	// PlanCacheHit reports the service plan-cache outcome (nil when no
 	// lookup happened, e.g. direct engine use).
 	PlanCacheHit *bool `json:"planCacheHit,omitempty"`
+	// PlanSource says where the plan-cache lookup's plan came from: "hit",
+	// "warm" (a one-start search from the cached plan of the nearest
+	// weights) or "cold" (a multi-start search); PlanEvals is the
+	// estimator runs that plan cost when it was searched, paid by this
+	// query unless it was a hit. Both are empty when no lookup happened.
+	PlanSource string `json:"planSource,omitempty"`
+	PlanEvals  int    `json:"planEvals,omitempty"`
 	// PlanCacheEvictions counts plan-cache entries discarded while this
 	// query ran (LRU capacity or scenario invalidation).
 	PlanCacheEvictions int `json:"planCacheEvictions,omitempty"`
@@ -184,6 +191,10 @@ func (t *QueryTrace) Observe(ev Event) {
 	case PlanCache:
 		t.planCacheLooked = true
 		t.planCacheHit = ev.Code == Hit
+		if int(ev.Code) < len(PlanSources) {
+			t.s.PlanSource = PlanSources[ev.Code]
+		}
+		t.s.PlanEvals = int(ev.Value)
 	case PlanCacheEvict:
 		t.s.PlanCacheEvictions++
 	case BreakerTransition:

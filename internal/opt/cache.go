@@ -2,6 +2,8 @@ package opt
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -18,10 +20,20 @@ const DefaultPlanCacheCapacity = 128
 // Hits include singleflight followers: a query that waited for a
 // concurrent identical optimization still avoided an estimator run.
 // Followers of an optimization that failed count as misses — they got no
-// plan — so hits + misses is always the number of lookups.
+// plan. Misses are cold searches and Warm the misses whose search started
+// from a cached neighbour, so hits + misses + warm is always the number of
+// lookups.
 type CacheStats struct {
-	Hits, Misses, Evictions uint64
+	Hits, Misses, Warm, Evictions uint64
 }
+
+// neighbourRadius is how far a cached plan's weights may sit from a miss's,
+// in their largest single difference (L∞), and still start its search.
+// E6's drift rows (EXPERIMENTS.md) chose it: up to a drift of 0.05 the
+// warm start realizes exactly the cold search's cost on every Figure-2
+// cell, for 7 estimator runs against 34–39; at 0.1 it is up to 22% dearer
+// on two cells.
+const neighbourRadius = 0.05
 
 // PlanCache memoizes optimizer results across queries. Optimization is
 // the serve path's dominant fixed cost — an HClimb search prices hundreds
@@ -36,6 +48,14 @@ type CacheStats struct {
 // function's identity, k, n, and the search configuration. Entries are
 // kept in LRU order up to a fixed capacity.
 //
+// A miss for a weighted sum (score.Weighter) under HClimb first looks
+// among the cached entries for a neighbour: a plan whose key differs only
+// in the weights, within neighbourRadius. The nearest one's depths are the
+// one start of the miss's search (OptimizeFrom), where a cold miss climbs
+// from five. Any SR/G plan answers exactly, so a neighbour can move only
+// the bill; only entries still cached are offered, and a miss without a
+// neighbour, or for a function without weights, searches cold.
+//
 // Concurrent lookups of the same key are deduplicated singleflight-style:
 // the first caller runs Optimize, every concurrent duplicate blocks on
 // the in-flight call and shares its result, so a stampede of identical
@@ -46,10 +66,19 @@ type CacheStats struct {
 // or observer emissions.
 type PlanCache struct {
 	mu       sync.Mutex
-	lru      *kit.LRU[string, Plan]
+	lru      *kit.LRU[string, cacheEntry]
 	inflight map[string]*planCall
 
-	hits, misses, evictions uint64
+	hits, misses, warm, evictions uint64
+}
+
+// cacheEntry is a cached plan with what the neighbour scan reads beside
+// its key: where the key's text after the scoring function's name starts,
+// and the function's weights when it is a weighted sum (nil otherwise).
+type cacheEntry struct {
+	plan    Plan
+	rest    int
+	weights []float64
 }
 
 type planCall struct {
@@ -65,7 +94,7 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity = DefaultPlanCacheCapacity
 	}
 	return &PlanCache{
-		lru:      kit.NewLRU[string, Plan](capacity),
+		lru:      kit.NewLRU[string, cacheEntry](capacity),
 		inflight: make(map[string]*planCall),
 	}
 }
@@ -82,9 +111,9 @@ func (c *PlanCache) Get(cfg Config, scn access.Scenario, f score.Func, k, n int)
 // Load writes the plan for the planning problem into dst, running Optimize
 // on a miss and caching the result. The plan is copied once, into dst's own
 // backing arrays (grown only when too short), so a hit into a recycled dst
-// allocates nothing and dst never aliases the cached entry. Lookup outcomes
-// and evictions are emitted on cfg.Observer; errors are never cached, and
-// leave dst as it was.
+// allocates nothing and dst never aliases the cached entry. Lookup outcomes,
+// once the plan is known, and evictions are emitted on cfg.Observer; errors
+// are never cached, and leave dst as it was.
 func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Func, k, n int) error {
 	// The key is built on the stack and looked up through kit.GetBytes,
 	// which never materializes it as a string: a hit allocates nothing here.
@@ -93,12 +122,10 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 
 	c.mu.Lock()
 	if cached, ok := kit.GetBytes(c.lru, key); ok {
-		dst.CopyFrom(&cached)
+		dst.CopyFrom(&cached.plan)
 		c.hits++
 		c.mu.Unlock()
-		if cfg.Observer != nil {
-			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: obs.Hit})
-		}
+		observeLookup(cfg.Observer, obs.Hit, dst)
 		return nil
 	}
 	if call, ok := c.inflight[string(key)]; ok {
@@ -113,9 +140,7 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 			outcome = obs.Miss
 		}
 		c.mu.Unlock()
-		if cfg.Observer != nil {
-			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome})
-		}
+		observeLookup(cfg.Observer, outcome, &call.plan)
 		if call.err != nil {
 			return call.err
 		}
@@ -125,21 +150,36 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	call := &planCall{done: make(chan struct{})}
 	skey := string(key)
 	c.inflight[skey] = call
-	c.misses++
-	c.mu.Unlock()
-	if cfg.Observer != nil {
-		cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: obs.Miss})
+	// The neighbour's depths are copied out under the lock, onto the stack:
+	// the search runs unlocked, and an eviction meanwhile cannot touch them.
+	var startBuf [16]float64
+	start := c.neighbour(startBuf[:0], key, cfg, f)
+	outcome := obs.Miss
+	if start != nil {
+		outcome = obs.Warm
+		c.warm++
+	} else {
+		c.misses++
 	}
+	c.mu.Unlock()
 
-	call.plan, call.err = Optimize(cfg, scn, f, k, n)
+	call.plan, call.err = OptimizeFrom(cfg, scn, f, k, n, start)
+	if call.err != nil {
+		outcome = obs.Miss
+	}
+	// Emitted before the followers are released, so a follower's event can
+	// never precede its leader's.
+	observeLookup(cfg.Observer, outcome, &call.plan)
 	close(call.done)
 
+	var entry cacheEntry // the cache's own copy: no caller can reach it
+	if call.err == nil {
+		entry = newCacheEntry(&call.plan, f)
+	}
 	c.mu.Lock()
 	delete(c.inflight, skey)
 	evicted := 0
 	if call.err == nil {
-		var entry Plan // the cache's own copy: no caller can reach it
-		entry.CopyFrom(&call.plan)
 		evicted = c.lru.Put(skey, entry)
 		c.evictions += uint64(evicted)
 	}
@@ -156,11 +196,74 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	return nil
 }
 
+// observeLookup emits a lookup's PlanCache event: its outcome and the
+// estimator runs of the plan it produced.
+func observeLookup(o obs.Observer, outcome uint8, p *Plan) {
+	if o != nil {
+		o.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome, Value: float64(p.Evals)})
+	}
+}
+
+// newCacheEntry copies p for the cache, in the two allocations a Plan copy
+// makes: the weights of f, when it is a weighted sum, share H's array.
+func newCacheEntry(p *Plan, f score.Func) cacheEntry {
+	nw := 0
+	w, ok := f.(score.Weighter)
+	if ok {
+		nw = w.Arity()
+	}
+	h := make([]float64, len(p.H)+nw)
+	e := cacheEntry{plan: *p, rest: keyRest(f)}
+	e.plan.H = h[:copy(h, p.H):len(p.H)]
+	e.plan.Omega = slices.Clone(p.Omega)
+	if ok {
+		e.weights = h[len(p.H):]
+		for i := range e.weights {
+			e.weights[i] = w.Weight(i)
+		}
+	}
+	return e
+}
+
+// neighbour appends to dst the depths of the cached plan whose weights are
+// nearest f's in L∞, among the entries whose key equals key but for the
+// scoring function, within neighbourRadius; ties go to the most recently
+// used. It returns nil when there is none, when f is not a weighted sum
+// and when the scheme is not HClimb, the one search a start can seed. The
+// caller holds c.mu. The scan reads weights through score.Weighter.Weight
+// and compares keys in place, so it allocates nothing.
+func (c *PlanCache) neighbour(dst []float64, key []byte, cfg Config, f score.Func) []float64 {
+	w, ok := f.(score.Weighter)
+	if !ok || cfg.Scheme != SchemeHClimb {
+		return nil
+	}
+	rest := key[keyRest(f):]
+	var start []float64
+	nearest := math.Inf(1)
+	c.lru.Each(func(k string, e cacheEntry) bool {
+		if len(e.weights) != w.Arity() || k[e.rest:] != string(rest) {
+			return true
+		}
+		d := 0.0
+		for i, x := range e.weights {
+			d = max(d, math.Abs(x-w.Weight(i)))
+		}
+		if d <= neighbourRadius && d < nearest {
+			nearest, start = d, e.plan.H
+		}
+		return true
+	})
+	if start == nil {
+		return nil
+	}
+	return append(dst, start...)
+}
+
 // Stats returns cumulative hit/miss/eviction counts.
 func (c *PlanCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Warm: c.warm, Evictions: c.evictions}
 }
 
 // Len returns the number of cached plans.
@@ -179,6 +282,11 @@ func (c *PlanCache) Purge() {
 	defer c.mu.Unlock()
 	c.lru.Purge()
 }
+
+// keyRest is where appendCacheKey's text after the scoring function's
+// name starts: the name is the key's first field, so from there on the
+// key is the planning problem without the function.
+func keyRest(f score.Func) int { return len("f=") + len(f.Name()) }
 
 // appendCacheKey appends the fingerprint of a planning problem to dst.
 // cfg must already be normalized (withDefaults) so a zero Config and an

@@ -126,6 +126,14 @@ func discountScenario(scn access.Scenario, sd, rd float64) access.Scenario {
 // configured H-scheme against the estimator of a pooled planning arena,
 // per Section 7.2's two-stage approximation.
 func Optimize(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, error) {
+	return OptimizeFrom(cfg, scn, f, k, n, nil)
+}
+
+// OptimizeFrom is Optimize with a prior: under SchemeHClimb a non-nil
+// start, the depths of a plan for a nearby problem, replaces the
+// multi-start search with HClimbFrom start. Other schemes, and a nil
+// start, plan exactly as Optimize.
+func OptimizeFrom(cfg Config, scn access.Scenario, f score.Func, k, n int, start []float64) (Plan, error) {
 	cfg = cfg.withDefaults()
 	scn = discountScenario(scn, cfg.SortedDiscount, cfg.RandomDiscount)
 	if cfg.Scheme == SchemeGreedy {
@@ -136,12 +144,18 @@ func Optimize(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, er
 		return Plan{}, err
 	}
 	defer a.release()
-	return a.search(cfg, scn, f)
+	return a.searchFrom(cfg, scn, f, start)
 }
 
-// search runs the configured H-scheme, then the optional exhaustive
-// Omega refinement, against the problem the arena is bound to.
+// search is searchFrom without a start.
 func (a *arena) search(cfg Config, scn access.Scenario, f score.Func) (Plan, error) {
+	return a.searchFrom(cfg, scn, f, nil)
+}
+
+// searchFrom runs the configured H-scheme, HClimb from start when one is
+// given, then the optional exhaustive Omega refinement, against the
+// problem the arena is bound to.
+func (a *arena) searchFrom(cfg Config, scn access.Scenario, f score.Func, start []float64) (Plan, error) {
 	est, omega := &a.est, a.omega(scn)
 	var plan Plan
 	var err error
@@ -151,7 +165,11 @@ func (a *arena) search(cfg Config, scn access.Scenario, f score.Func) (Plan, err
 	case SchemeStrategies:
 		plan, err = Strategies(est, f, omega, cfg.Grid)
 	case SchemeHClimb:
-		plan, err = HClimb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed)
+		if start != nil {
+			plan, err = HClimbFrom(est, omega, cfg.Grid, start)
+		} else {
+			plan, err = HClimb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed)
+		}
 	default:
 		return Plan{}, fmt.Errorf("opt: unknown scheme %v", cfg.Scheme)
 	}

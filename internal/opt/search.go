@@ -2,20 +2,50 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
 	"repro/internal/access"
+	"repro/internal/obs"
 	"repro/internal/score"
 )
 
-// Plan is a chosen SR/G configuration with its estimated cost and the
-// optimization overhead (number of simulation runs) spent finding it.
+// Plan is a chosen SR/G configuration with its estimated cost, the
+// optimization overhead (number of simulation runs) spent finding it, and
+// how that search started. A plan-cache hit returns the plan as it was
+// searched, Source included: the hit itself is the lookup's outcome, which
+// the cache reports as its PlanCache event.
 type Plan struct {
 	H             []float64
 	Omega         []int
 	EstimatedCost access.Cost
 	Evals         int
+	Source        Source
+}
+
+// Source says how a plan's search started. Its values are the codes of
+// the obs.PlanCache event that reports the plan.
+type Source uint8
+
+const (
+	// SourceCold is a search with no prior: every scheme, and HClimb's
+	// multi-start from the lattice midpoint and random points.
+	SourceCold = Source(obs.Miss)
+	// SourceWarm is HClimb from one start, the depths of the cached plan
+	// of the nearest weights of the same weighted sum.
+	SourceWarm = Source(obs.Warm)
+	// SourceHit is never recorded in a Plan; it names a lookup answered by
+	// the cache.
+	SourceHit = Source(obs.Hit)
+)
+
+// String returns "cold", "warm" or "hit".
+func (s Source) String() string {
+	if int(s) < len(obs.PlanSources) {
+		return obs.PlanSources[s]
+	}
+	return fmt.Sprintf("Source(%d)", int(s))
 }
 
 // CopyFrom makes p a copy of src that shares no memory with it, reusing p's
@@ -257,6 +287,24 @@ func Strategies(e *Estimator, f score.Func, omega []int, g int) (Plan, error) {
 // several random starting points, the scheme the paper adopts for its
 // experiments. Neighbors differ by one grid step in one dimension.
 func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error) {
+	return climb(e, omega, g, restarts, seed, nil)
+}
+
+// HClimbFrom is HClimb from one start, the grid point nearest the depths
+// start: a search with a prior, such as the plan of a nearby weighted sum,
+// needs no restarts to escape a poor anchor.
+func HClimbFrom(e *Estimator, omega []int, g int, start []float64) (Plan, error) {
+	if len(start) != e.m() {
+		return Plan{}, fmt.Errorf("opt: start has %d depths, the sample has %d predicates", len(start), e.m())
+	}
+	plan, err := climb(e, omega, g, 1, 0, start)
+	plan.Source = SourceWarm
+	return plan, err
+}
+
+// climb is HClimb's search; a non-nil start replaces its first start, the
+// lattice midpoint.
+func climb(e *Estimator, omega []int, g, restarts int, seed int64, start []float64) (Plan, error) {
 	a, m := e.a, e.m()
 	vs, h, idx := a.lattice(g, m)
 	// Re-seeding the arena's generator replays rand.NewSource(seed)'s
@@ -278,13 +326,18 @@ func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error
 		return e.Estimate(h, omega)
 	}
 	for r := 0; r < restarts; r++ {
-		if r == 0 {
+		switch {
+		case r == 0 && start != nil:
+			for i := range idx {
+				idx[i] = min(max(int(math.Round(start[i]*float64(g-1))), 0), g-1)
+			}
+		case r == 0:
 			// First start at the all-max-depth corner's midpoint, a
 			// deterministic anchor that keeps single-restart runs stable.
 			for i := range idx {
 				idx[i] = (g - 1) / 2
 			}
-		} else {
+		default:
 			for i := range idx {
 				idx[i] = a.rng.Intn(g)
 			}

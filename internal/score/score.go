@@ -220,6 +220,9 @@ func (f weighted) Weights() []float64 {
 	return out
 }
 
+// Weight returns w_i without copying the vector.
+func (f weighted) Weight(i int) float64 { return f.w[i] }
+
 func (f weighted) Eval(scores []float64) float64 {
 	sum := 0.0
 	for i, s := range scores {
@@ -232,10 +235,15 @@ func (f weighted) Derivative(scores []float64, i int) (float64, bool) {
 	return f.w[i], true
 }
 
-// Weighter is implemented by functions that expose per-predicate weights
-// (currently the weighted sum). The optimizer uses it to scale depths.
+// Weighter is implemented by weighted sums, F = sum_i w_i * x_i over
+// Arity() weights, so two Weighters with equal weights are one function.
+// The optimizer uses it to scale depths, and the plan cache to find the
+// cached plan of the nearest weights, reading them through Weight, which
+// does not allocate.
 type Weighter interface {
+	Func
 	Weights() []float64
+	Weight(i int) float64
 }
 
 // product implements F = x_1 * ... * x_m.

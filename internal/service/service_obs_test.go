@@ -177,6 +177,51 @@ func TestServiceTraceParam(t *testing.T) {
 	}
 }
 
+// TestServiceTraceNamesPlanSource: a user who nudges their weights between
+// queries misses the plan cache, but the miss warm-starts from their
+// previous plan, and ?trace=1 and /metrics say so with the plan's
+// estimator runs; a repeat is a hit that names the runs it saved.
+func TestServiceTraceNamesPlanSource(t *testing.T) {
+	ts, _ := startObsService(t, nil)
+	queries := []struct{ sql, source string }{
+		{"select name from db order by wsum(0.3*rating, 0.7*closeness) stop after 5", "cold"},
+		{"select name from db order by wsum(0.301*rating, 0.7*closeness) stop after 5", "warm"},
+		{"select name from db order by wsum(0.301*rating, 0.7*closeness) stop after 5", "hit"},
+	}
+	var warmEvals int
+	for i, q := range queries {
+		traced, code := postTo(t, ts, "/query?trace=1", QueryRequest{SQL: q.sql})
+		if code != http.StatusOK {
+			t.Fatalf("query %d: status %d", i, code)
+		}
+		tr := traced.Trace
+		if tr == nil || tr.PlanSource != q.source || tr.PlanEvals <= 0 {
+			t.Fatalf("query %d: trace %+v, want planSource %q with its evals", i, tr, q.source)
+		}
+		switch q.source {
+		case "warm":
+			warmEvals = tr.PlanEvals
+			if tr.EstimatorEvals != tr.PlanEvals {
+				t.Errorf("warm miss ran %d evals for a plan of %d", tr.EstimatorEvals, tr.PlanEvals)
+			}
+		case "hit":
+			if tr.PlanEvals != warmEvals || tr.EstimatorEvals != 0 {
+				t.Errorf("hit reports %d plan evals after running %d, want the warm plan's %d and none", tr.PlanEvals, tr.EstimatorEvals, warmEvals)
+			}
+		}
+	}
+	out := scrapeMetrics(t, ts)
+	for _, line := range []string{
+		`topk_plan_cache_requests_total{result="miss"} 1`,
+		`topk_plan_cache_requests_total{result="warm"} 1`,
+		`topk_plan_cache_requests_total{result="hit"} 1`,
+	} {
+		if !strings.Contains(out, line) {
+			t.Errorf("missing %q in /metrics", line)
+		}
+	}
+}
+
 // flakyBackend is a topk.Backend whose accesses fail when down.
 type flakyBackend struct {
 	inner topk.Backend

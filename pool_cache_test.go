@@ -1,9 +1,12 @@
 package topk
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/opt"
 )
 
 // TestPooledRunsMatchFreshEngine hammers one engine with repeated and
@@ -131,5 +134,49 @@ func TestEnginePlanCache(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Misses != 2 {
 		t.Errorf("changed k should miss, stats = %+v", st)
+	}
+}
+
+// TestWarmPlannedRunsAreExact: over the Figure-2 cells, one engine with a
+// plan cache answers a user whose weighted sum drifts 0.001 a query. Every
+// answer is the oracle's, the trace reports a warm-started plan from the
+// second query on, and a fresh engine running the same plan fixed with
+// WithNC bills the same ledger: a warm start moves only which plan runs.
+func TestWarmPlannedRunsAreExact(t *testing.T) {
+	ds := mustGenerateDataset(t, "uniform", 400, 3, 11)
+	for _, cell := range figure2Cells(3, 10) {
+		t.Run(cell.name, func(t *testing.T) {
+			eng, err := NewEngine(DataBackend(ds), cell.scn, WithPlanCache(NewPlanCache(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewEngine(DataBackend(ds), cell.scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				f := Weighted(0.3+0.001*float64(i), 0.25, 0.45)
+				ans, err := eng.Run(Query{F: f, K: 10}, WithTrace())
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertExactTopK(t, ds, f, 10, ans)
+				checkConservation(t, fmt.Sprintf("query %d", i), ans)
+				want := opt.SourceWarm
+				if i == 0 {
+					want = opt.SourceCold
+				}
+				if ans.Plan.Source != want || ans.Trace.PlanSource != want.String() {
+					t.Fatalf("query %d: plan source %v, trace %q, want %v", i, ans.Plan.Source, ans.Trace.PlanSource, want)
+				}
+				fixed, err := fresh.Run(Query{F: f, K: 10}, WithNC(ans.Plan.H, ans.Plan.Omega))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fixed.Ledger, ans.Ledger) || !reflect.DeepEqual(fixed.Items, ans.Items) {
+					t.Errorf("query %d: WithNC%v%v billed %+v, the warm-planned run %+v", i, ans.Plan.H, ans.Plan.Omega, fixed.Ledger, ans.Ledger)
+				}
+			}
+		})
 	}
 }
