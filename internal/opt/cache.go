@@ -74,12 +74,15 @@ type PlanCache struct {
 
 // cacheEntry is a cached plan with what the neighbour scan reads beside
 // its key: where the key's text after the scoring function's name starts,
-// and the function's weights when it is a weighted sum (nil otherwise).
+// and the function's weights when it is a weighted sum, kept in H's array
+// past its length.
 type cacheEntry struct {
-	plan    Plan
-	rest    int
-	weights []float64
+	plan Plan
+	rest int
 }
+
+// weights returns the entry's weights, empty for a function without.
+func (e *cacheEntry) weights() []float64 { return e.plan.H[len(e.plan.H):cap(e.plan.H)] }
 
 type planCall struct {
 	done chan struct{} // closed when plan/err are set
@@ -205,23 +208,19 @@ func observeLookup(o obs.Observer, outcome uint8, p *Plan) {
 }
 
 // newCacheEntry copies p for the cache, in the two allocations a Plan copy
-// makes: the weights of f, when it is a weighted sum, share H's array.
+// makes: the weights of f, when it is a weighted sum, follow H in its array.
 func newCacheEntry(p *Plan, f score.Func) cacheEntry {
 	nw := 0
 	w, ok := f.(score.Weighter)
 	if ok {
 		nw = w.Arity()
 	}
-	h := make([]float64, len(p.H)+nw)
-	e := cacheEntry{plan: *p, rest: keyRest(f)}
-	e.plan.H = h[:copy(h, p.H):len(p.H)]
-	e.plan.Omega = slices.Clone(p.Omega)
-	if ok {
-		e.weights = h[len(p.H):]
-		for i := range e.weights {
-			e.weights[i] = w.Weight(i)
-		}
+	h := append(make([]float64, 0, len(p.H)+nw), p.H...)
+	for i := range nw {
+		h = append(h, w.Weight(i))
 	}
+	e := cacheEntry{plan: *p, rest: keyRest(f)}
+	e.plan.H, e.plan.Omega = h[:len(p.H)], slices.Clone(p.Omega)
 	return e
 }
 
@@ -241,11 +240,12 @@ func (c *PlanCache) neighbour(dst []float64, key []byte, cfg Config, f score.Fun
 	var start []float64
 	nearest := math.Inf(1)
 	c.lru.Each(func(k string, e cacheEntry) bool {
-		if len(e.weights) != w.Arity() || k[e.rest:] != string(rest) {
+		weights := e.weights()
+		if len(weights) != w.Arity() || k[e.rest:] != string(rest) {
 			return true
 		}
 		d := 0.0
-		for i, x := range e.weights {
+		for i, x := range weights {
 			d = max(d, math.Abs(x-w.Weight(i)))
 		}
 		if d <= neighbourRadius && d < nearest {

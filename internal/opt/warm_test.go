@@ -231,6 +231,8 @@ func TestPlanCacheConcurrentWarmMisses(t *testing.T) {
 // After prime, the cache is full and every call misses and evicts.
 type driftMisses struct {
 	c     *PlanCache
+	scn   access.Scenario
+	k, n  int
 	funcs []score.Func
 	keys  []string
 	dst   Plan
@@ -238,8 +240,8 @@ type driftMisses struct {
 }
 
 func newDriftMisses(cold bool) *driftMisses {
-	_, f, _, _ := sessionShape()
-	d := &driftMisses{c: NewPlanCache(0), funcs: driftFuncs(f.(score.Weighter).Weights(), 0.001, 200)}
+	scn, f, k, n := sessionShape()
+	d := &driftMisses{c: NewPlanCache(0), scn: scn, k: k, n: n, funcs: driftFuncs(f.(score.Weighter).Weights(), 0.001, 200)}
 	d.keys = make([]string, len(d.funcs))
 	for i := range d.keys {
 		if cold {
@@ -250,10 +252,9 @@ func newDriftMisses(cold bool) *driftMisses {
 }
 
 func (d *driftMisses) next() error {
-	scn, _, k, n := sessionShape()
 	j := d.i % len(d.funcs)
 	d.i++
-	return d.c.Load(&d.dst, Config{BackendKey: d.keys[j]}, scn, d.funcs[j], k, n)
+	return d.c.Load(&d.dst, Config{BackendKey: d.keys[j]}, d.scn, d.funcs[j], d.k, d.n)
 }
 
 func (d *driftMisses) prime() error {
