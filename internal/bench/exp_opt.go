@@ -88,6 +88,8 @@ func RunE6(cfg Config) (*Table, error) {
 		drifts = []float64{0.001, 0.05, 0.2}
 	}
 	ocfg := opt.Config{Seed: cfg.Seed}
+	greedy := ocfg
+	greedy.Scheme = opt.SchemeGreedy
 	base := []float64{0.3, 0.25, 0.45}
 	for _, cell := range cells {
 		scn := access.MatrixCell(m, cell.s, cell.r, 10)
@@ -97,21 +99,15 @@ func RunE6(cfg Config) (*Table, error) {
 		}
 		for _, d := range drifts {
 			f := score.Weighted(base[0]+d, base[1], base[2])
-			plan := func(c opt.Config, start []float64) func() (opt.Plan, error) {
-				return func() (opt.Plan, error) { return opt.OptimizeFrom(c, scn, f, cfg.K, ds3.N(), start) }
-			}
-			greedy := ocfg
-			greedy.Scheme = opt.SchemeGreedy
 			var rows []planRow
 			for _, p := range []struct {
-				name string
-				run  func() (opt.Plan, error)
-			}{
-				{"HClimb", plan(ocfg, nil)},
-				{"HClimb warm", plan(ocfg, served.H)},
-				{"Greedy", plan(greedy, nil)},
-			} {
-				r, err := timePlan(p.name, ds3, scn, f, cfg.K, p.run)
+				name  string
+				cfg   opt.Config
+				start []float64
+			}{{"HClimb", ocfg, nil}, {"HClimb warm", ocfg, served.H}, {"Greedy", greedy, nil}} {
+				r, err := timePlan(p.name, ds3, scn, f, cfg.K, func() (opt.Plan, error) {
+					return opt.OptimizeFrom(p.cfg, scn, f, cfg.K, ds3.N(), p.start)
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -141,6 +137,8 @@ type planRow struct {
 // and sample set-up.
 const planRepeats = 5
 
+// timePlan runs plan planRepeats times and realizes the plan it returns
+// by running NC with it over ds.
 func timePlan(name string, ds *data.Dataset, scn access.Scenario, f score.Func, k int, plan func() (opt.Plan, error)) (planRow, error) {
 	r := planRow{name: name}
 	for i := 0; i < planRepeats; i++ {
@@ -160,6 +158,8 @@ func timePlan(name string, ds *data.Dataset, scn access.Scenario, f score.Func, 
 	return r, err
 }
 
+// addPlanRows adds one E6 row per planner of a scenario, with its realized
+// cost over cold, cold HClimb's in the same scenario.
 func addPlanRows(t *Table, scenario string, rows []planRow, cold access.Cost) {
 	for _, r := range rows {
 		ratio := "n/a"

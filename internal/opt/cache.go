@@ -167,9 +167,6 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	c.mu.Unlock()
 
 	call.plan, call.err = OptimizeFrom(cfg, scn, f, k, n, start)
-	if call.err != nil {
-		outcome = obs.Miss
-	}
 	// Emitted before the followers are released, so a follower's event can
 	// never precede its leader's.
 	observeLookup(cfg.Observer, outcome, &call.plan)

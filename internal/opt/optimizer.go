@@ -185,7 +185,7 @@ func (a *arena) searchFrom(cfg Config, scn access.Scenario, f score.Func, start 
 		if bestCost < plan.EstimatedCost {
 			plan.Omega, plan.EstimatedCost = best, bestCost
 		}
-		plan.Evals = est.Evals()
+		plan.Evals = int32(est.Evals())
 	}
 	return plan, nil
 }

@@ -15,12 +15,14 @@ import (
 // optimization overhead (number of simulation runs) spent finding it, and
 // how that search started. A plan-cache hit returns the plan as it was
 // searched, Source included: the hit itself is the lookup's outcome, which
-// the cache reports as its PlanCache event.
+// the cache reports as its PlanCache event. Evals is an int32 so that
+// Source fits beside it in a 64-byte Plan, the size that keeps a served
+// answer and its plan copy in one 208-byte allocation.
 type Plan struct {
 	H             []float64
 	Omega         []int
 	EstimatedCost access.Cost
-	Evals         int
+	Evals         int32
 	Source        Source
 }
 
@@ -35,12 +37,9 @@ const (
 	// SourceWarm is HClimb from one start, the depths of the cached plan
 	// of the nearest weights of the same weighted sum.
 	SourceWarm = Source(obs.Warm)
-	// SourceHit is never recorded in a Plan; it names a lookup answered by
-	// the cache.
-	SourceHit = Source(obs.Hit)
 )
 
-// String returns "cold", "warm" or "hit".
+// String returns "cold" or "warm".
 func (s Source) String() string {
 	if int(s) < len(obs.PlanSources) {
 		return obs.PlanSources[s]
@@ -149,7 +148,7 @@ func (b *incumbent) offer(h []float64, c access.Cost) {
 
 // plan copies the incumbent out.
 func (b *incumbent) plan(omega []int) Plan {
-	return Plan{H: slices.Clone(b.e.a.bestH), Omega: omega, EstimatedCost: b.cost, Evals: b.e.Evals()}
+	return Plan{H: slices.Clone(b.e.a.bestH), Omega: omega, EstimatedCost: b.cost, Evals: int32(b.e.Evals())}
 }
 
 // Naive exhaustively evaluates the full g^m mesh and returns the minimum.

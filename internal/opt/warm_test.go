@@ -27,13 +27,13 @@ func driftFuncs(w []float64, step float64, count int) []score.Func {
 // sourceObs records the outcome and plan evals of each PlanCache event.
 type sourceObs struct {
 	outcomes []uint8
-	evals    []int
+	evals    []int32
 }
 
 func (s *sourceObs) Observe(ev obs.Event) {
 	if ev.Kind == obs.PlanCache {
 		s.outcomes = append(s.outcomes, ev.Code)
-		s.evals = append(s.evals, int(ev.Value))
+		s.evals = append(s.evals, int32(ev.Value))
 	}
 }
 
@@ -304,7 +304,7 @@ func BenchmarkPlanCacheDrift(b *testing.B) {
 			if err := d.prime(); err != nil {
 				b.Fatal(err)
 			}
-			evals := 0
+			evals := int32(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
