@@ -131,9 +131,12 @@ func Optimize(cfg Config, scn access.Scenario, f score.Func, k, n int) (Plan, er
 
 // OptimizeFrom is Optimize with a prior: under SchemeHClimb a non-nil
 // start, the depths of a plan for a nearby problem, replaces the
-// multi-start search with HClimbFrom start. Other schemes, and a nil
+// multi-start search with one climb from start. Other schemes, and a nil
 // start, plan exactly as Optimize.
 func OptimizeFrom(cfg Config, scn access.Scenario, f score.Func, k, n int, start []float64) (Plan, error) {
+	if start != nil && len(start) != scn.M() {
+		return Plan{}, fmt.Errorf("opt: start has %d depths for %d predicates", len(start), scn.M())
+	}
 	cfg = cfg.withDefaults()
 	scn = discountScenario(scn, cfg.SortedDiscount, cfg.RandomDiscount)
 	if cfg.Scheme == SchemeGreedy {
@@ -165,11 +168,7 @@ func (a *arena) searchFrom(cfg Config, scn access.Scenario, f score.Func, start 
 	case SchemeStrategies:
 		plan, err = Strategies(est, f, omega, cfg.Grid)
 	case SchemeHClimb:
-		if start != nil {
-			plan, err = HClimbFrom(est, omega, cfg.Grid, start)
-		} else {
-			plan, err = HClimb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed)
-		}
+		plan, err = climb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed, start)
 	default:
 		return Plan{}, fmt.Errorf("opt: unknown scheme %v", cfg.Scheme)
 	}

@@ -289,20 +289,10 @@ func HClimb(e *Estimator, omega []int, g, restarts int, seed int64) (Plan, error
 	return climb(e, omega, g, restarts, seed, nil)
 }
 
-// HClimbFrom is HClimb from one start, the grid point nearest the depths
-// start: a search with a prior, such as the plan of a nearby weighted sum,
-// needs no restarts to escape a poor anchor.
-func HClimbFrom(e *Estimator, omega []int, g int, start []float64) (Plan, error) {
-	if len(start) != e.m() {
-		return Plan{}, fmt.Errorf("opt: start has %d depths, the sample has %d predicates", len(start), e.m())
-	}
-	plan, err := climb(e, omega, g, 1, 0, start)
-	plan.Source = SourceWarm
-	return plan, err
-}
-
-// climb is HClimb's search; a non-nil start replaces its first start, the
-// lattice midpoint.
+// climb is HClimb's search. A non-nil start, the depths of a plan for a
+// nearby problem, replaces the restarts with one start at the grid point
+// nearest it: a search with a prior needs no restarts to escape a poor
+// anchor.
 func climb(e *Estimator, omega []int, g, restarts int, seed int64, start []float64) (Plan, error) {
 	a, m := e.a, e.m()
 	vs, h, idx := a.lattice(g, m)
@@ -313,7 +303,7 @@ func climb(e *Estimator, omega []int, g, restarts int, seed int64, start []float
 	} else {
 		a.rng.Seed(seed)
 	}
-	if restarts < 1 {
+	if restarts < 1 || start != nil {
 		restarts = 1
 	}
 	best := newIncumbent(e)
@@ -376,5 +366,9 @@ func climb(e *Estimator, omega []int, g, restarts int, seed int64, start []float
 		}
 		best.offer(h, cur)
 	}
-	return best.plan(omega), nil
+	plan := best.plan(omega)
+	if start != nil {
+		plan.Source = SourceWarm
+	}
+	return plan, nil
 }

@@ -318,6 +318,17 @@ func BenchmarkPlanCacheDrift(b *testing.B) {
 	}
 }
 
+// TestOptimizeFromRejectsMisshapenStart: a start is a depth per
+// predicate, and any other length is the caller's error, not a plan.
+func TestOptimizeFromRejectsMisshapenStart(t *testing.T) {
+	scn, f, k, n := sessionShape()
+	for _, start := range [][]float64{{0.5}, {0.5, 0.5, 0.5, 0.5}, {}} {
+		if _, err := OptimizeFrom(Config{}, scn, f, k, n, start); err == nil {
+			t.Errorf("start %v over 3 predicates: no error", start)
+		}
+	}
+}
+
 // ExampleOptimizeFrom shows a warm start's price next to a cold search's.
 func ExampleOptimizeFrom() {
 	scn, f, k, n := sessionShape()
