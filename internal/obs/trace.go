@@ -128,10 +128,8 @@ type QueryTrace struct {
 	mu sync.Mutex
 	s  TraceSnapshot // Denied and PlanCacheHit are filled in by Snapshot
 
-	denied          [numDenyReasons]int
-	inflight        int
-	planCacheHit    bool
-	planCacheLooked bool
+	denied   [numDenyReasons]int
+	inflight int
 }
 
 // NewQueryTrace returns an empty trace. Per-predicate slices grow on
@@ -189,8 +187,6 @@ func (t *QueryTrace) Observe(ev Event) {
 	case SourceFailure:
 		t.s.SourceFailures++
 	case PlanCache:
-		t.planCacheLooked = true
-		t.planCacheHit = ev.Code == Hit
 		if int(ev.Code) < len(PlanSources) {
 			t.s.PlanSource = PlanSources[ev.Code]
 		}
@@ -242,8 +238,8 @@ func (t *QueryTrace) Snapshot() TraceSnapshot {
 			s.Denied[DenyReason(reason).String()] = n
 		}
 	}
-	if t.planCacheLooked {
-		hit := t.planCacheHit
+	if s.PlanSource != "" {
+		hit := s.PlanSource == PlanSources[Hit]
 		s.PlanCacheHit = &hit
 	}
 	return s
