@@ -53,7 +53,7 @@ type Pager interface {
 // fill.
 type Cursor struct {
 	// nc is read live on every iteration — not copied — so callers that
-	// swap nc.Sel mid-run (the adaptive re-planner's OnAccess hook, the
+	// swap nc.Sel mid-run (the adaptive layer's Monitor checkpoint, the
 	// facade's between-page re-planning) steer the very next access.
 	nc   *NC
 	sess *access.Session
@@ -423,9 +423,6 @@ func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 		}
 		if ch.Kind == access.SortedAccess {
 			q.Add(obj) // a no-op if obj is already a candidate or was emitted
-		}
-		if c.nc.OnAccess != nil {
-			c.nc.OnAccess(tab, ch)
 		}
 		if c.nc.Monitor != nil {
 			c.nc.Monitor.ObserveAccess(tab, ch, obj, sc)

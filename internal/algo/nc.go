@@ -69,13 +69,10 @@ type NC struct {
 	// accesses. Such items carry Exact=false and their final lower bound
 	// as Score. Zero means exact semantics.
 	Epsilon float64
-	// Hooks for instrumentation (may be nil): OnAccess fires after each
-	// performed access with the updated table.
-	OnAccess func(t *state.Table, rec Choice)
-	// Monitor is the adaptive layer's checkpoint hook: unlike OnAccess it
-	// also receives the access's observed (object, score), which the
-	// divergence monitor needs to track random-access score means. Fired
-	// after OnAccess on every performed access; read live like Sel, so it
+	// Monitor (may be nil) is the adaptive layer's checkpoint hook: it
+	// receives the updated table and the access's observed (object, score),
+	// which the divergence monitor needs to track random-access score
+	// means. Fired on every performed access; read live like Sel, so it
 	// may be attached to a suspended cursor between pages.
 	Monitor AccessObserver
 	// Obs, when non-nil, receives one LoopIteration event per scheduling

@@ -128,8 +128,7 @@ func RunE10(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptive := &opt.Adaptive{Cfg: opt.Config{Grid: grid, Seed: cfg.Seed}, Period: 10}
-	adaptiveCost, err := runShifted(adaptive)
+	adaptiveCost, replans, err := runAdaptive(opt.Config{Grid: grid, Seed: cfg.Seed}, ds, scn, f, k, shifts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +141,7 @@ func RunE10(cfg Config) (*Table, error) {
 	t.AddRow(fmt.Sprintf("NC static H=%s", hStr(plan.H)), costStr(staticCost), pct(staticCost, adaptiveCost))
 	t.AddRow("TA", costStr(taCost), pct(taCost, adaptiveCost))
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("cost shift after %d accesses; adaptive re-planned %d time(s)", shiftAt, adaptive.Replans),
+		fmt.Sprintf("cost shift after %d accesses; adaptive re-planned %d time(s)", shiftAt, replans),
 		"expected shape: adaptive <= static < TA once probes become expensive mid-query",
 		"paper artifact: Section 1 adaptivity motivation / dynamic cost scenarios")
 	return t, nil

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro"
 	"repro/internal/access"
 	"repro/internal/algo"
 	"repro/internal/data"
@@ -49,6 +50,21 @@ func runOptimized(cfg opt.Config, ds *data.Dataset, scn access.Scenario, f score
 		return 0, opt.Plan{}, err
 	}
 	return cost, plan, nil
+}
+
+// runAdaptive runs the optimized plan through the facade with
+// WithAdaptive(10) under mid-query cost shifts, returning the realized cost
+// and how many times the query re-planned.
+func runAdaptive(cfg opt.Config, ds *data.Dataset, scn access.Scenario, f score.Func, k int, shifts []access.CostShift) (access.Cost, int, error) {
+	eng, err := topk.NewEngine(topk.DataBackend(ds), scn, topk.WithCostShifts(shifts...))
+	if err != nil {
+		return 0, 0, err
+	}
+	ans, err := eng.Run(topk.Query{F: f, K: k}, topk.WithOptimizer(cfg), topk.WithAdaptive(10), topk.WithTrace())
+	if err != nil {
+		return 0, 0, err
+	}
+	return ans.TotalCost(), len(ans.Trace.AdaptiveReplans), nil
 }
 
 // pct formats b as a percentage of a (a = 100%).

@@ -66,8 +66,7 @@ func TestPaperShapesHold(t *testing.T) {
 		{AfterAccesses: 40, Pred: 0, RandomFactor: 25},
 		{AfterAccesses: 40, Pred: 1, RandomFactor: 25},
 	}
-	adaptive := &opt.Adaptive{Cfg: opt.Config{Grid: grid, Seed: seed}, Period: 10}
-	ac, err := runAlgo(adaptive, ds, uni, score.Avg(), k, access.WithShifts(shifts...))
+	ac, _, err := runAdaptive(opt.Config{Grid: grid, Seed: seed}, ds, uni, score.Avg(), k, shifts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,6 @@
 //     multi-start hill climbing (HClimb, the paper's pick).
 //   - Omega-optimization adopts MPro's global probe scheduling: predicates
 //     ordered by expected bound reduction per unit of probe cost.
-//
-// The package also provides Adaptive, an algo.Algorithm that re-plans
-// mid-query against the costs currently in force, demonstrating the
-// framework's runtime adaptivity on dynamic Web sources.
 package opt
 
 import (

@@ -238,80 +238,6 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 }
 
-func TestOptimizedAlgorithm(t *testing.T) {
-	ds := datatest.MustGenerate(data.Gaussian, 200, 2, 5)
-	scn := access.MatrixCell(2, access.Cheap, access.Expensive, 10)
-	sess, err := access.NewSession(access.DatasetBackend{DS: ds}, scn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := &Optimized{Cfg: Config{Grid: 6, Seed: 2}}
-	prob, _ := algo.NewProblem(score.Avg(), 5, sess)
-	res, err := o.Run(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Items) != 5 {
-		t.Fatalf("items = %d", len(res.Items))
-	}
-	if len(o.LastPlan.H) != 2 {
-		t.Error("LastPlan not recorded")
-	}
-	oracle := ds.TopK(score.Avg().Eval, 5)
-	for i := range oracle {
-		truth := score.Avg().Eval(ds.Scores(res.Items[i].Obj))
-		if math.Abs(truth-oracle[i].Score) > 1e-9 {
-			t.Fatalf("wrong answer at rank %d", i)
-		}
-	}
-}
-
-func TestAdaptiveReplansOnCostShift(t *testing.T) {
-	ds := datatest.MustGenerate(data.Uniform, 400, 2, 8)
-	// Random access on p1 becomes 50x more expensive after 30 accesses.
-	shift := access.CostShift{AfterAccesses: 30, Pred: 0, RandomFactor: 50}
-	scn := access.Uniform(2, 1, 2)
-	sess, err := access.NewSession(access.DatasetBackend{DS: ds}, scn, access.WithShifts(shift))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &Adaptive{Cfg: Config{Grid: 6, Seed: 3}, Period: 10}
-	prob, _ := algo.NewProblem(score.Min(), 10, sess)
-	res, err := a.Run(prob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Replans == 0 {
-		t.Error("adaptive run should have re-planned after the cost shift")
-	}
-	oracle := ds.TopK(score.Min().Eval, 10)
-	if len(res.Items) != 10 {
-		t.Fatalf("items = %d", len(res.Items))
-	}
-	for i := range oracle {
-		truth := score.Min().Eval(ds.Scores(res.Items[i].Obj))
-		if math.Abs(truth-oracle[i].Score) > 1e-9 {
-			t.Fatalf("wrong answer at rank %d after re-planning", i)
-		}
-	}
-}
-
-func TestAdaptiveSkipsReplanWhenStable(t *testing.T) {
-	ds := datatest.MustGenerate(data.Uniform, 200, 2, 8)
-	sess, err := access.NewSession(access.DatasetBackend{DS: ds}, access.Uniform(2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &Adaptive{Cfg: Config{Grid: 6, Seed: 3}, Period: 5}
-	prob, _ := algo.NewProblem(score.Avg(), 5, sess)
-	if _, err := a.Run(prob); err != nil {
-		t.Fatal(err)
-	}
-	if a.Replans != 0 {
-		t.Errorf("stable costs should never trigger a re-plan, got %d", a.Replans)
-	}
-}
-
 func TestSchemeNames(t *testing.T) {
 	for _, s := range []Scheme{SchemeHClimb, SchemeNaive, SchemeStrategies} {
 		got, err := SchemeByName(s.String())
@@ -321,9 +247,6 @@ func TestSchemeNames(t *testing.T) {
 	}
 	if _, err := SchemeByName("x"); err == nil {
 		t.Error("unknown scheme should fail")
-	}
-	if (&Optimized{}).Name() != "NC-Opt/HClimb" {
-		t.Errorf("Optimized name = %q", (&Optimized{}).Name())
 	}
 }
 

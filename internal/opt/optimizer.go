@@ -5,11 +5,9 @@ import (
 	"math"
 
 	"repro/internal/access"
-	"repro/internal/algo"
 	"repro/internal/data"
 	"repro/internal/obs"
 	"repro/internal/score"
-	"repro/internal/state"
 )
 
 // Config parameterizes the optimizer. The zero value is usable: HClimb
@@ -207,106 +205,4 @@ func EstimateConfiguration(cfg Config, scn access.Scenario, f score.Func, k, n i
 	}
 	defer a.release()
 	return a.est.Estimate(h, omega)
-}
-
-// Optimized is an algo.Algorithm that optimizes before executing: the
-// paper's complete pipeline (estimate, search, run the chosen NC
-// configuration). The plan chosen at run time is recorded for inspection.
-type Optimized struct {
-	Cfg      Config
-	LastPlan Plan
-}
-
-// Name returns the pipeline name with the scheme.
-func (o *Optimized) Name() string {
-	return "NC-Opt/" + o.Cfg.withDefaults().Scheme.String()
-}
-
-// Run optimizes for the problem's scenario and executes the chosen plan.
-func (o *Optimized) Run(p *algo.Problem) (*algo.Result, error) {
-	scn := p.Session.CurrentScenario()
-	plan, err := Optimize(o.Cfg, scn, p.F, p.K, p.Session.N())
-	if err != nil {
-		return nil, err
-	}
-	o.LastPlan = plan
-	sel, err := algo.NewSRG(plan.H, plan.Omega)
-	if err != nil {
-		return nil, err
-	}
-	return (&algo.NC{Sel: sel, Obs: o.Cfg.Observer}).Run(p)
-}
-
-// Adaptive is an algo.Algorithm that re-plans mid-query: every Period
-// accesses it re-reads the costs currently in force (which dynamic
-// scenarios may have shifted) and re-optimizes the SR/G configuration,
-// swapping the selector while NC's state carries over — sound because
-// SR/G selectors are stateless over the shared score state. It
-// demonstrates the adaptivity motivation of Section 1 on dynamic sources.
-type Adaptive struct {
-	Cfg    Config
-	Period int // accesses between re-plans (default 25)
-	// Replans counts how many re-optimizations the last run performed.
-	Replans int
-}
-
-// Name returns "NC-Adaptive".
-func (a *Adaptive) Name() string { return "NC-Adaptive" }
-
-// Run executes the adaptive pipeline.
-func (a *Adaptive) Run(p *algo.Problem) (*algo.Result, error) {
-	period := a.Period
-	if period <= 0 {
-		period = 25
-	}
-	a.Replans = 0
-	plan, err := Optimize(a.Cfg, p.Session.CurrentScenario(), p.F, p.K, p.Session.N())
-	if err != nil {
-		return nil, err
-	}
-	sel, err := algo.NewSRG(plan.H, plan.Omega)
-	if err != nil {
-		return nil, err
-	}
-	nc := &algo.NC{Sel: sel, Obs: a.Cfg.Observer}
-	accesses := 0
-	lastScn := p.Session.CurrentScenario()
-	nc.OnAccess = func(_ *state.Table, _ algo.Choice) {
-		accesses++
-		if accesses%period != 0 {
-			return
-		}
-		cur := p.Session.CurrentScenario()
-		if scenarioEqual(cur, lastScn) {
-			return // nothing changed; skip the re-plan
-		}
-		lastScn = cur
-		// Seed shifted per re-plan so dummy samples differ across plans
-		// only deterministically.
-		cfg := a.Cfg
-		cfg.Seed += int64(accesses)
-		newPlan, err := Optimize(cfg, cur, p.F, p.K, p.Session.N())
-		if err != nil {
-			return // keep the current plan; re-planning is best-effort
-		}
-		newSel, err := algo.NewSRG(newPlan.H, newPlan.Omega)
-		if err != nil {
-			return
-		}
-		nc.Sel = newSel
-		a.Replans++
-	}
-	return nc.Run(p)
-}
-
-func scenarioEqual(a, b access.Scenario) bool {
-	if len(a.Preds) != len(b.Preds) {
-		return false
-	}
-	for i := range a.Preds {
-		if a.Preds[i] != b.Preds[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -726,9 +726,8 @@ func WithOptimizer(cfg OptimizerConfig) RunOption {
 // while all paid-for score state carries over. When the divergence is
 // extreme the estimator's sample is flagged stale and the re-plan routes
 // to the statistics-free greedy planner instead. Scenario changes (cost
-// shifts, breaker flips) also trigger checkpoint re-plans, subsuming the
-// earlier costs-only adaptivity. On TA and MPro, which have no plan to
-// change, the monitor attaches telemetry-only.
+// shifts, breaker flips) also trigger checkpoint re-plans. On TA and MPro,
+// which have no plan to change, the monitor attaches telemetry-only.
 func WithAdaptive(period int) RunOption {
 	return func(r *runSpec) { r.adaptive, r.period = true, period }
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -126,18 +127,47 @@ func TestEngineParallel(t *testing.T) {
 }
 
 func TestEngineAdaptiveWithShifts(t *testing.T) {
-	ds := exampleDataset(t)
-	eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1),
-		WithCostShifts(CostShift{AfterAccesses: 20, Pred: 0, RandomFactor: 30},
-			CostShift{AfterAccesses: 20, Pred: 1, RandomFactor: 30}))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		n       int
+		seed    int64
+		scn     Scenario
+		shifts  []CostShift
+		f       ScoreFunc
+		k       int
+		period  int
+		cfg     OptimizerConfig
+		replans []string // the triggers Trace.AdaptiveReplans must record
+	}{
+		{name: "avg_probes_30x", n: 300, seed: 42, scn: UniformScenario(2, 1, 1),
+			shifts: []CostShift{{AfterAccesses: 20, Pred: 0, RandomFactor: 30}, {AfterAccesses: 20, Pred: 1, RandomFactor: 30}},
+			f:      Avg(), k: 5, period: 10, replans: []string{"scenario_change"}},
+		{name: "min_p1_probes_50x", n: 400, seed: 8, scn: UniformScenario(2, 1, 2),
+			shifts: []CostShift{{AfterAccesses: 30, Pred: 0, RandomFactor: 50}},
+			f:      Min(), k: 10, period: 10, cfg: OptimizerConfig{Grid: 6, Seed: 3}, replans: []string{"scenario_change"}},
+		{name: "stable", n: 200, seed: 8, scn: UniformScenario(2, 1, 1),
+			f: Avg(), k: 5, period: 5, cfg: OptimizerConfig{Grid: 6, Seed: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := mustGenerateDataset(t, "uniform", tc.n, 2, tc.seed)
+			eng, err := NewEngine(DataBackend(ds), tc.scn, WithCostShifts(tc.shifts...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := eng.Run(Query{F: tc.f, K: tc.k}, WithOptimizer(tc.cfg), WithAdaptive(tc.period), WithTrace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scoresMatchOracle(t, ds, tc.f, tc.k, ans.Items)
+			var got []string
+			for _, ev := range ans.Trace.AdaptiveReplans {
+				got = append(got, ev.Trigger)
+			}
+			if !slices.Equal(got, tc.replans) {
+				t.Errorf("re-plan triggers %q, want %q", got, tc.replans)
+			}
+		})
 	}
-	ans, err := eng.Run(Query{F: Avg(), K: 5}, WithAdaptive(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scoresMatchOracle(t, ds, Avg(), 5, ans.Items)
 }
 
 func TestEngineValidation(t *testing.T) {
