@@ -23,10 +23,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	topk "repro"
+	"repro/internal/access"
 	"repro/internal/data"
 )
 
@@ -90,7 +92,7 @@ func q2() {
 	fmt.Printf("Q2: top-5 hotels by avg(closeness, rating, cheap), budget $%.0f\n", bench.Budget)
 	// A deployed travel middleware keeps statistics: give the optimizer a
 	// real sample so the chosen depths respect the actual distributions.
-	sample, err := data.Sample(ds, 100, 1)
+	sample, err := access.Sample(context.Background(), access.DatasetBackend{DS: ds}, 100, 1, "hotels/sample(100)")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -335,15 +335,11 @@ func TestResultHelpers(t *testing.T) {
 }
 
 func TestKthBest(t *testing.T) {
-	items := []Item{{Score: 0.2}, {Score: 0.9}, {Score: 0.5}, {Score: 0.7}}
-	if got := kthBest(items, 1); got != 0.9 {
-		t.Errorf("kthBest(1) = %g", got)
-	}
-	if got := kthBest(items, 3); got != 0.5 {
-		t.Errorf("kthBest(3) = %g", got)
-	}
-	if got := kthBest(items, 4); got != 0.2 {
-		t.Errorf("kthBest(4) = %g", got)
+	items := []Item{{Obj: 0, Score: 0.2}, {Obj: 1, Score: 0.9}, {Obj: 2, Score: 0.5}, {Obj: 3, Score: 0.7}, {Obj: 4, Score: 0.5}}
+	for _, c := range []struct{ k, obj int }{{1, 1}, {3, 4}, {4, 2}, {5, 0}} {
+		if got := kthBest(items, c.k); got.Obj != c.obj {
+			t.Errorf("kthBest(%d) = %+v, want object %d (equal scores rank higher id first)", c.k, got, c.obj)
+		}
 	}
 }
 

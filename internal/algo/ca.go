@@ -146,7 +146,7 @@ func completeHalt(tab *state.Table, k int) ([]Item, bool) {
 	for _, c := range top {
 		inTop[c.obj] = true
 	}
-	if !tab.AllSeen() && data.Less(kth.ex, kth.obj, tab.UnseenUpper(), state.UnseenID) {
+	if !tab.UnseenBelow(kth.ex, kth.obj) {
 		return nil, false
 	}
 	for u := 0; u < tab.N(); u++ {

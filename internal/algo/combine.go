@@ -165,7 +165,7 @@ func (QuickCombine) Run(p *Problem) (*Result, error) {
 			exact, _ := tab.Exact(obj)
 			done = append(done, Item{Obj: obj, Score: exact, Exact: true})
 		}
-		if len(done) >= p.K && kthBest(done, p.K) >= tab.UnseenUpper() {
+		if provenTop(tab, done, p.K) {
 			break
 		}
 	}

@@ -58,9 +58,9 @@ func (NRA) Run(p *Problem) (*Result, error) {
 }
 
 // nraHalt evaluates the NRA stopping rule: take the k seen objects with
-// the best lower bounds (ties by higher OID); halt when the k-th best
-// lower bound is at least the maximal upper bound among all other objects,
-// seen or unseen. It returns the answer items when the rule fires.
+// the best lower bounds (ties by higher OID); halt when the k-th of them
+// outranks the upper bound of every other object, seen or unseen, equal
+// scores by id. It returns the answer items when the rule fires.
 func nraHalt(tab *state.Table, k int) ([]Item, bool) {
 	if k == 0 {
 		return nil, true
@@ -92,26 +92,20 @@ func nraHalt(tab *state.Table, k int) ([]Item, bool) {
 			top[pos] = c
 		}
 	}
-	wk := top[len(top)-1].lo
+	kth := top[len(top)-1]
+	if !tab.UnseenBelow(kth.lo, kth.obj) {
+		return nil, false
+	}
 	inTop := make(map[int]bool, k)
 	for _, c := range top {
 		inTop[c.obj] = true
 	}
-	// Maximal upper bound among everything outside the candidate set.
-	maxOther := 0.0
-	if !tab.AllSeen() {
-		maxOther = tab.UnseenUpper()
-	}
+	// Every other seen object must rank below the k-th lower bound, equal
+	// scores by id as data.Less ranks them.
 	for u := 0; u < tab.N(); u++ {
-		if !tab.Seen(u) || inTop[u] {
-			continue
+		if tab.Seen(u) && !inTop[u] && !data.Less(tab.Upper(u), u, kth.lo, kth.obj) {
+			return nil, false
 		}
-		if up := tab.Upper(u); up > maxOther {
-			maxOther = up
-		}
-	}
-	if wk < maxOther {
-		return nil, false
 	}
 	items := make([]Item, len(top))
 	for i, c := range top {

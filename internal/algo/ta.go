@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/access"
+	"repro/internal/data"
 	"repro/internal/state"
 )
 
@@ -105,7 +106,7 @@ func (tc *TACursor) Page(res *Result, delta int) error {
 		return nil
 	}
 	target := tc.emittedN + delta
-	for !tc.drained && !(len(tc.done) >= target && kthBest(tc.done, target) >= tc.tab.UnseenUpper()) {
+	for !tc.drained && !provenTop(tc.tab, tc.done, target) {
 		if err := tc.round(); err != nil {
 			return err
 		}
@@ -191,24 +192,35 @@ func (tc *TACursor) SetRelease(fn func()) { tc.release = fn }
 var _ Pager = (*TACursor)(nil)
 var _ Pager = (*Cursor)(nil)
 
-// kthBest returns the k-th largest score among items (k <= len(items)).
-func kthBest(items []Item, k int) float64 {
+// provenTop is the threshold stop of TA and Quick-Combine over done, the
+// fully probed objects: its k-th best outranks every unseen object, equal
+// scores included.
+func provenTop(tab *state.Table, done []Item, k int) bool {
+	if len(done) < k {
+		return false
+	}
+	kth := kthBest(done, k)
+	return tab.UnseenBelow(kth.Score, kth.Obj)
+}
+
+// kthBest returns the k-th best of items (k <= len(items)) under
+// data.Less's order: higher score first, then higher id.
+func kthBest(items []Item, k int) Item {
 	// Selection by partial copy; n stays small enough that an O(n log n)
 	// approach is irrelevant to access-cost experiments, but we avoid
 	// sorting the caller's slice.
-	top := make([]float64, 0, k)
+	top := make([]Item, 0, k)
 	for _, it := range items {
-		s := it.Score
 		pos := len(top)
-		for pos > 0 && top[pos-1] < s {
+		for pos > 0 && data.Less(top[pos-1].Score, top[pos-1].Obj, it.Score, it.Obj) {
 			pos--
 		}
 		if pos < k {
 			if len(top) < k {
-				top = append(top, 0)
+				top = append(top, Item{})
 			}
 			copy(top[pos+1:], top[pos:len(top)-1])
-			top[pos] = s
+			top[pos] = it
 		}
 	}
 	return top[len(top)-1]

@@ -194,7 +194,7 @@ func addBenchmarkRows(t *Table, label string, ds *data.Dataset, scn access.Scena
 	if err != nil {
 		return err
 	}
-	sample, err := data.Sample(ds, 100, seed)
+	sample, err := realSample(ds, 100, seed)
 	if err != nil {
 		return err
 	}

@@ -112,7 +112,7 @@ func RunE12(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		realSample, err := data.Sample(ds, sampleSize, cfg.Seed)
+		sampled, err := realSample(ds, sampleSize, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +122,7 @@ func RunE12(cfg Config) (*Table, error) {
 		}{
 			{"dummy uniform", opt.Config{Grid: grid, Seed: cfg.Seed, SampleSize: sampleSize}},
 			{"histogram-synthesized", opt.Config{Grid: grid, Seed: cfg.Seed, Sample: histSample}},
-			{"real sample", opt.Config{Grid: grid, Seed: cfg.Seed, Sample: realSample}},
+			{"real sample", opt.Config{Grid: grid, Seed: cfg.Seed, Sample: sampled}},
 		}
 		costs := make([]access.Cost, len(variants))
 		best := access.Cost(-1)

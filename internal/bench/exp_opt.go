@@ -242,7 +242,7 @@ func RunE8(cfg Config) (*Table, error) {
 		{Sorted: 0, SortedOK: false, Random: access.CostOf(1), RandomOK: true},
 		{Sorted: 0, SortedOK: false, Random: access.CostOf(2), RandomOK: true},
 	}}
-	hetSample, err := data.Sample(hets, 50, cfg.Seed)
+	hetSample, err := realSample(hets, 50, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -304,11 +304,11 @@ func RunE8(cfg Config) (*Table, error) {
 	}
 	cNames = append(cNames, "histogram sample, s=50")
 	cCosts = append(cCosts, c)
-	realSample, err := data.Sample(ds, 50, cfg.Seed)
+	sampled, err := realSample(ds, 50, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	c, _, err = runOptimized(opt.Config{Grid: grid, Seed: cfg.Seed, Sample: realSample}, ds, scn, score.Min(), cfg.K)
+	c, _, err = runOptimized(opt.Config{Grid: grid, Seed: cfg.Seed, Sample: sampled}, ds, scn, score.Min(), cfg.K)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro"
@@ -10,6 +11,12 @@ import (
 	"repro/internal/opt"
 	"repro/internal/score"
 )
+
+// realSample draws s of ds's rows for the optimizer's estimator: the real
+// distribution, as a deployment that keeps statistics would plan on.
+func realSample(ds *data.Dataset, s int, seed int64) (*data.Dataset, error) {
+	return access.Sample(context.Background(), access.DatasetBackend{DS: ds}, s, seed, fmt.Sprintf("%s/sample(%d,seed=%d)", ds.Name(), s, seed))
+}
 
 // runAlgo executes one algorithm on a fresh session and returns its total
 // access cost.

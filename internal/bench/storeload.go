@@ -235,7 +235,7 @@ func RunStoreLoad(cfg StoreLoad) (StoreLoadResult, error) {
 
 	// One real sample serves both optimizations: the only difference
 	// between the two plans is the cost model.
-	sample, err := s.SampleDataset(cfg.SampleSize, cfg.Seed)
+	sample, err := access.Sample(ctx, s, cfg.SampleSize, cfg.Seed, fmt.Sprintf("%s/sample(%d,seed=%d)", s.Name(), cfg.SampleSize, cfg.Seed))
 	if err != nil {
 		return StoreLoadResult{}, err
 	}

@@ -10,8 +10,10 @@
 package data
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -70,15 +72,14 @@ func (d *Dataset) buildSorted() {
 		for u := range ids {
 			ids[u] = u
 		}
-		pred := i
-		sort.SliceStable(ids, func(a, b int) bool {
-			sa, sb := d.scores[ids[a]][pred], d.scores[ids[b]][pred]
-			if sa != sb {
-				return sa > sb
+		// Score descending, then — the deterministic tie-break within a
+		// sorted list, consistent with the overall-score tie-breaker —
+		// higher OID first: a total order, so an unstable sort is exact.
+		slices.SortFunc(ids, func(a, b int) int {
+			if sa, sb := d.scores[a][i], d.scores[b][i]; sa != sb {
+				return cmp.Compare(sb, sa)
 			}
-			// Deterministic tie-break within a sorted list: higher OID
-			// first, consistent with the overall-score tie-breaker.
-			return ids[a] > ids[b]
+			return cmp.Compare(b, a)
 		})
 		d.sorted[i] = ids
 	}

@@ -28,15 +28,6 @@ func MustNew(name string, scores [][]float64) *data.Dataset {
 	return d
 }
 
-// MustSample is data.Sample that panics on error.
-func MustSample(ds *data.Dataset, s int, seed int64) *data.Dataset {
-	out, err := data.Sample(ds, s, seed)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // MustDummySample is data.DummySample that panics on error.
 func MustDummySample(s, m int, seed int64) *data.Dataset {
 	d, err := data.DummySample(s, m, seed)

@@ -207,27 +207,6 @@ func GeneratedName(dist Distribution, n, m int, seed int64) string {
 	return fmt.Sprintf("%s(n=%d,m=%d,seed=%d)", dist, n, m, seed)
 }
 
-// Sample draws a without-replacement random sample of s objects from ds,
-// deterministically for a given seed, and returns it as a new dataset.
-// It is used by the optimizer's cost estimator (Section 7.3) when real
-// samples are available. s is clamped to ds.N().
-func Sample(ds *Dataset, s int, seed int64) (*Dataset, error) {
-	n := ds.N()
-	if s > n {
-		s = n
-	}
-	if s <= 0 {
-		s = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)[:s]
-	scores := make([][]float64, s)
-	for j, u := range perm {
-		scores[j] = ds.Scores(u)
-	}
-	return New(fmt.Sprintf("%s/sample(%d,seed=%d)", ds.Name(), s, seed), scores)
-}
-
 // DummySample synthesizes a sample of s objects and m predicates from an
 // assumed uniform distribution, as Section 7.3 prescribes "when samples
 // are unavailable or too costly to obtain online". Such samples cannot

@@ -142,44 +142,6 @@ func TestDistributionNames(t *testing.T) {
 	}
 }
 
-func mustSample(t *testing.T, d *Dataset, s int, seed int64) *Dataset {
-	t.Helper()
-	out, err := Sample(d, s, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestSample(t *testing.T) {
-	d := MustGenerate(Uniform, 100, 2, 1)
-	s := mustSample(t, d, 10, 2)
-	if s.N() != 10 || s.M() != 2 {
-		t.Fatalf("sample size %dx%d", s.N(), s.M())
-	}
-	// Every sampled row must exist in the original.
-	rows := make(map[[2]float64]bool)
-	for u := 0; u < d.N(); u++ {
-		rows[[2]float64{d.Score(u, 0), d.Score(u, 1)}] = true
-	}
-	for u := 0; u < s.N(); u++ {
-		if !rows[[2]float64{s.Score(u, 0), s.Score(u, 1)}] {
-			t.Fatal("sample contains a row not in the source")
-		}
-	}
-	// Determinism and clamping.
-	s2 := mustSample(t, d, 10, 2)
-	if s2.Score(0, 0) != s.Score(0, 0) {
-		t.Error("sample not deterministic")
-	}
-	if mustSample(t, d, 1000, 3).N() != 100 {
-		t.Error("oversized sample should clamp to N")
-	}
-	if mustSample(t, d, 0, 3).N() != 1 {
-		t.Error("non-positive sample size should clamp to 1")
-	}
-}
-
 func TestDummySample(t *testing.T) {
 	s, err := DummySample(25, 3, 11)
 	if err != nil {

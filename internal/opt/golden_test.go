@@ -2,6 +2,7 @@ package opt
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -76,7 +77,10 @@ func figure2Scenarios(m int) []namedScenario {
 // Observed-warped dummy, RefineOmega}.
 func goldenCells() []goldenCell {
 	const m = 3
-	real := datatest.MustSample(datatest.MustGenerate(data.Correlated, 4000, m, 11), 500, 5)
+	real, err := access.Sample(context.Background(), access.DatasetBackend{DS: datatest.MustGenerate(data.Correlated, 4000, m, 11)}, 500, 5, "real500")
+	if err != nil {
+		panic(err)
+	}
 	observed := &ObservedStats{Slopes: []float64{2, 0.5, 1}, ProbeMeans: []float64{0, 0.25, 0}}
 	schemes := []struct {
 		name string

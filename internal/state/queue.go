@@ -11,23 +11,19 @@ type Entry struct {
 	Upper float64
 }
 
-// Before reports whether e ranks strictly ahead of o under the
-// deterministic order: higher upper first, then higher id. UnseenID (-1)
-// therefore loses ties against every real object, which keeps runs
-// deterministic and lets seen objects surface first.
-func (e Entry) Before(o Entry) bool {
-	if e.Upper != o.Upper {
-		return e.Upper > o.Upper
-	}
-	return e.ID > o.ID
-}
-
 // Queue is a priority queue of candidate objects ordered by
 // maximal-possible score, the "search mechanism for finding unsatisfied
 // tasks" suggested by Section 6.1. Because upper bounds only ever
 // decrease, the queue revalidates lazily: an entry popped with a stale
 // (too-high) cached bound is recomputed and reinserted; an entry whose
 // cached bound matches its current bound is genuinely the maximum.
+//
+// Candidates rank as data.Less ranks answers: higher upper bound first,
+// then higher id. The virtual unseen object ranks by its bound and
+// Table.UnseenTieID, the highest id an unseen object tying that bound
+// could have, and below a real object of exactly that id: so a complete
+// head is emitted only once no unseen object can outrank it, equal scores
+// included. The pair only falls over a run, as lazy revalidation needs.
 //
 // Under the no-wild-guesses rule the queue starts holding only the virtual
 // unseen object (Figure 10); real objects are added as sorted accesses
@@ -57,16 +53,36 @@ type Queue struct {
 // revalidating the root — the queue's inner loop — reads the table's slot
 // arrays directly instead of going through its object index. It is sixteen
 // bytes, like Entry: ids and slots are int32, which NewTable's bound on n
-// guarantees they fit.
+// guarantees they fit. The unseen entry has slot -1 and carries its tie id
+// in id: an upper bound on UnseenTieID, as its upper is on UnseenUpper.
 type node struct {
 	upper float64
 	id    int32
-	slot  int32 // unused by the UnseenID entry
+	slot  int32
 }
 
-func (a node) entry() Entry { return Entry{ID: int(a.id), Upper: a.upper} }
+const unseenSlot = -1
 
-func (a node) before(b node) bool { return a.entry().Before(b.entry()) }
+func (a node) entry() Entry {
+	if a.slot == unseenSlot {
+		return Entry{ID: UnseenID, Upper: a.upper}
+	}
+	return Entry{ID: int(a.id), Upper: a.upper}
+}
+
+// before reports whether a ranks strictly ahead of b: higher upper, then
+// higher id, then a real object ahead of the unseen entry's equal tie id.
+//
+//topklint:hotpath
+func (a node) before(b node) bool {
+	if a.upper != b.upper {
+		return a.upper > b.upper
+	}
+	if a.id != b.id {
+		return a.id > b.id
+	}
+	return a.slot > b.slot
+}
 
 // NewQueue builds the candidate queue. If nwg is true, only the virtual
 // unseen object is enqueued initially; otherwise every object is.
@@ -184,9 +200,17 @@ func (q *Queue) push(id, slot int, upper float64) {
 	q.siftUp(len(q.h) - 1)
 }
 
+// pushRaw claims and pushes e; the unseen entry goes in with no tie bound,
+// which its first revalidation at the head tightens.
+//
 //topklint:hotpath
 func (q *Queue) pushRaw(e Entry) {
-	if slot, ok := q.claim(e.ID); ok {
+	slot, ok := q.claim(e.ID)
+	switch {
+	case !ok:
+	case e.ID == UnseenID:
+		q.push(NoTieID, unseenSlot, e.Upper)
+	default:
 		q.push(e.ID, slot, e.Upper)
 	}
 }
@@ -203,7 +227,7 @@ func (q *Queue) popTop() node {
 	if last > 0 {
 		q.siftDown(0)
 	}
-	if e.id == UnseenID {
+	if e.slot == unseenSlot {
 		q.hasUnsn = false
 	} else {
 		q.t.meta[e.slot].mark = absent
@@ -245,28 +269,54 @@ func (q *Queue) Contains(id int) bool {
 func (q *Queue) Retire(u int) { q.t.meta[q.t.touch(u)].mark = retired }
 
 // revalidateTop restores the invariant that the heap root carries its
-// current (not stale) upper bound, dropping the unseen entry once all
-// objects have been seen. Returns false when the queue is empty.
+// current (not stale) key, dropping the unseen entry once all objects have
+// been seen. Returns false when the queue is empty.
 //
 //topklint:hotpath
 func (q *Queue) revalidateTop() bool {
 	for len(q.h) > 0 {
 		top := q.h[0]
-		var cur float64
-		if top.id != UnseenID {
-			cur = q.t.upperAt(int(top.slot))
-		} else if q.t.AllSeen() {
+		if top.slot != unseenSlot {
+			if cur := q.t.upperAt(int(top.slot)); cur < top.upper {
+				q.h[0].upper = cur
+				q.siftDown(0)
+				continue
+			}
+			return true
+		}
+		if q.t.AllSeen() {
 			q.popTop()
 			continue
-		} else {
-			cur = q.t.UnseenUpper()
 		}
-		if cur < top.upper {
-			q.h[0].upper = cur
+		if cur := q.t.UnseenUpper(); cur < top.upper {
+			q.h[0].upper, q.h[0].id = cur, NoTieID
+			q.siftDown(0)
+			continue
+		}
+		// The bound holds. The tie id only decides against a child of
+		// equal bound — no other entry can tie a root none of its children
+		// ties — so it is derived only then.
+		if !q.tiesChild(top.upper) {
+			return true
+		}
+		if tie := int32(q.t.UnseenTieID()); tie < top.id {
+			q.h[0].id = tie
 			q.siftDown(0)
 			continue
 		}
 		return true
+	}
+	return false
+}
+
+// tiesChild reports whether a child of the root has the given upper bound.
+//
+//topklint:hotpath
+func (q *Queue) tiesChild(upper float64) bool {
+	for c := 1; c <= 2 && c < len(q.h); c++ {
+		if q.h[c].upper == upper {
+			return true
+		}
 	}
 	return false
 }

@@ -47,7 +47,8 @@ type Table struct {
 	meta  []slotMeta //topklint:allow resetcomplete slot fact: unreachable once Reset empties the index, zeroed by touch on reuse
 
 	lastSeen []float64
-	depth    []int // sorted accesses performed per predicate
+	lastID   []int32 //topklint:allow resetcomplete read only where depth > 0, and written by the access that raised it
+	depth    []int   // sorted accesses performed per predicate
 	nseen    int
 
 	buf []float64 //topklint:allow resetcomplete Eval scratch, fully overwritten before every read
@@ -78,6 +79,7 @@ func NewTable(n, m int, f score.Func) (*Table, error) {
 		m:        m,
 		idx:      kit.NewObjIndex(n),
 		lastSeen: make([]float64, m),
+		lastID:   make([]int32, m),
 		depth:    make([]int, m),
 		buf:      make([]float64, m),
 	}
@@ -120,6 +122,7 @@ func (t *Table) Rearm(m int, f score.Func) error {
 	if m != t.m {
 		t.m = m
 		t.lastSeen = slices.Grow(t.lastSeen[:0], m)[:m]
+		t.lastID = slices.Grow(t.lastID[:0], m)[:m]
 		t.depth = slices.Grow(t.depth[:0], m)[:m]
 		t.buf = slices.Grow(t.buf[:0], m)[:m]
 		w := len(t.meta) * m
@@ -179,6 +182,7 @@ func (t *Table) ObserveSorted(i, u int, s float64) {
 	slot := t.touch(u)
 	t.setKnown(slot, i, s)
 	t.lastSeen[i] = s
+	t.lastID[i] = int32(u)
 	t.depth[i]++
 	if !t.meta[slot].seen {
 		t.meta[slot].seen = true
@@ -334,6 +338,60 @@ func (t *Table) Exact(u int) (float64, bool) {
 func (t *Table) UnseenUpper() float64 {
 	copy(t.buf, t.lastSeen)
 	return t.f.Eval(t.buf)
+}
+
+// NoTieID is UnseenTieID's answer when no id bound is known: above every
+// object id, which NewTable holds to 32 bits.
+const NoTieID = math.MaxInt32
+
+// UnseenTieID returns the highest id an unseen object scoring exactly
+// UnseenUpper could have, NoTieID when nothing bounds it. Every layer
+// serves equal scores higher-id-first, so an unseen object tying list j's
+// bound ell_j ranks below the last id read from list j. Such a tie is
+// forced wherever lowering ell_j to the next float below lowers
+// F(ell): any lower p_j would lower the object's score by monotonicity.
+// For ell_j = 0 it is forced outright, scores being non-negative.
+//
+// The pair (UnseenUpper, UnseenTieID) never rises over a run: a read that
+// leaves F(ell) unchanged lowered an ell_j that did not force a tie, and
+// every tie it forced before it still forces at the lower ell.
+//
+//topklint:hotpath
+func (t *Table) UnseenTieID() int {
+	copy(t.buf, t.lastSeen)
+	top := t.f.Eval(t.buf)
+	tie := NoTieID
+	for i, l := range t.lastSeen {
+		if t.depth[i] == 0 || int(t.lastID[i]) > tie {
+			continue
+		}
+		if l > 0 {
+			t.buf[i] = math.Nextafter(l, 0)
+			forced := t.f.Eval(t.buf) < top
+			t.buf[i] = l
+			if !forced {
+				continue
+			}
+		}
+		tie = int(t.lastID[i]) - 1
+	}
+	return tie
+}
+
+// UnseenBelow reports whether every unseen object ranks strictly below an
+// object scoring s with id u under data.Less's order: higher score first,
+// then higher id. It is the halting test against the virtual unseen object
+// of every algorithm that compares a proven answer with it.
+func (t *Table) UnseenBelow(s float64, u int) bool {
+	if t.AllSeen() {
+		return true
+	}
+	if up := t.UnseenUpper(); s != up {
+		return s > up
+	}
+	// u itself may be the object at the tie bound; any other unseen one
+	// ranks below it.
+	return u >= t.UnseenTieID()
 }
 
 // UpperOf returns Upper(u) for real objects and UnseenUpper for UnseenID.

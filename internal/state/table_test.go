@@ -201,6 +201,7 @@ type denseTable struct {
 	known    []bool
 	nknown   []int
 	lastSeen []float64
+	lastID   []int
 	depth    []int
 	seen     []bool
 	nseen    int
@@ -214,6 +215,7 @@ func newDenseTable(n, m int, f score.Func) *denseTable {
 		known:    make([]bool, n*m),
 		nknown:   make([]int, n),
 		lastSeen: make([]float64, m),
+		lastID:   make([]int, m),
 		depth:    make([]int, m),
 		seen:     make([]bool, n),
 		buf:      make([]float64, m),
@@ -248,6 +250,7 @@ func (t *denseTable) setKnown(i, u int, s float64) {
 func (t *denseTable) ObserveSorted(i, u int, s float64) {
 	t.setKnown(i, u, s)
 	t.lastSeen[i] = s
+	t.lastID[i] = u
 	t.depth[i]++
 	if !t.seen[u] {
 		t.seen[u] = true
@@ -279,6 +282,24 @@ func (t *denseTable) Lower(u int) float64 {
 func (t *denseTable) UnseenUpper() float64 {
 	copy(t.buf, t.lastSeen)
 	return t.f.Eval(t.buf)
+}
+
+// unseenTie is the highest id an unseen object scoring exactly
+// UnseenUpper can have: below the last id of every read list whose bound
+// such an object must equal.
+func (t *denseTable) unseenTie() int {
+	tie := NoTieID
+	for i := range t.lastSeen {
+		if t.depth[i] == 0 {
+			continue
+		}
+		lower := append([]float64(nil), t.lastSeen...)
+		lower[i] = math.Nextafter(lower[i], math.Inf(-1))
+		if t.lastSeen[i] == 0 || t.f.Eval(lower) < t.UnseenUpper() {
+			tie = min(tie, t.lastID[i]-1)
+		}
+	}
+	return tie
 }
 
 func (t *denseTable) Exact(u int) (float64, bool) {
@@ -334,24 +355,30 @@ func (q *denseQueue) Len() int {
 	return n
 }
 
-// Peek returns the member with the highest current bound. Once every
-// object has been seen the unseen entry no longer competes; when the real
-// queue gets round to dropping it is its own business.
+// Peek returns the member with the highest current bound, ties to the
+// higher id, the unseen entry ranking as its tie id and below a real object
+// of that id. Once every object has been seen the unseen entry no longer
+// competes; when the real queue gets round to dropping it is its own
+// business.
 func (q *denseQueue) Peek() (Entry, bool) {
 	var best Entry
-	found := false
-	consider := func(e Entry) {
-		if !found || e.Before(best) {
-			best, found = e, true
+	bestRank, found := 0, false
+	consider := func(e Entry, rank int) {
+		better := !found || e.Upper > best.Upper
+		if found && e.Upper == best.Upper {
+			better = rank > bestRank || (rank == bestRank && best.ID == UnseenID)
+		}
+		if better {
+			best, bestRank, found = e, rank, true
 		}
 	}
 	for u, in := range q.in {
 		if in {
-			consider(Entry{ID: u, Upper: q.t.Upper(u)})
+			consider(Entry{ID: u, Upper: q.t.Upper(u)}, u)
 		}
 	}
 	if q.unseen && q.t.nseen < q.t.n {
-		consider(Entry{ID: UnseenID, Upper: q.t.UnseenUpper()})
+		consider(Entry{ID: UnseenID, Upper: q.t.UnseenUpper()}, q.t.unseenTie())
 	}
 	return best, found
 }
@@ -372,11 +399,23 @@ func (q *denseQueue) Pop() (Entry, bool) {
 // tableOps interprets ops as a program over a sparse Table and Queue and
 // their dense references, failing on the first observable difference. Every
 // byte pair is one operation; sorted observations walk a real dataset's
-// lists so bounds only ever fall, as the queue requires.
-func tableOps(t *testing.T, n, m int, ops []byte) {
+// lists so bounds only ever fall, as the queue requires. With levels > 0
+// every score is rounded to one of levels+1 values, so equal bounds — and
+// the unseen entry's tie id — decide most comparisons.
+func tableOps(t *testing.T, n, m, levels int, ops []byte) {
 	t.Helper()
 	funcs := []score.Func{score.Min(), score.Avg(), score.Max(), score.Product()}
 	ds := datatest.MustGenerate(data.Uniform, n, m, int64(n*31+m))
+	if levels > 0 {
+		rows := make([][]float64, n)
+		for u := range rows {
+			rows[u] = ds.Scores(u)
+			for i, s := range rows[u] {
+				rows[u][i] = math.Round(s*float64(levels)) / float64(levels)
+			}
+		}
+		ds = datatest.MustNew("tied", rows)
+	}
 	tab := MustNewTable(n, m, funcs[0])
 	ref := newDenseTable(n, m, funcs[0])
 	q, rq := NewQueue(tab, true), newDenseQueue(ref, true)
@@ -454,6 +493,7 @@ func tableOps(t *testing.T, n, m int, ops []byte) {
 		}
 		check(u)
 		same("UnseenUpper", tab.UnseenUpper(), ref.UnseenUpper())
+		same("UnseenTieID", tab.UnseenTieID(), ref.unseenTie())
 		same("SeenCount", tab.SeenCount(), ref.nseen)
 		same("AllSeen", tab.AllSeen(), ref.nseen == n)
 		same("Depth", tab.Depth(i), ref.depth[i])
@@ -479,7 +519,8 @@ func TestTableMatchesDenseReference(t *testing.T) {
 		for round := 0; round < shape.rounds; round++ {
 			ops := make([]byte, 2*(200+rng.Intn(2000)))
 			rng.Read(ops)
-			tableOps(t, shape.n, shape.m, ops)
+			tableOps(t, shape.n, shape.m, 0, ops)
+			tableOps(t, shape.n, shape.m, 1+round%4, ops)
 		}
 	}
 }
@@ -496,6 +537,6 @@ func FuzzTableOps(f *testing.F) {
 			return
 		}
 		n, m := 1+2*int(prog[0]), 1+int(prog[1])%4
-		tableOps(t, n, m, prog[2:])
+		tableOps(t, n, m, int(prog[1])/4%5, prog[2:])
 	})
 }

@@ -10,6 +10,7 @@
 package store
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -17,12 +18,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/rand"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/access"
-	"repro/internal/data"
 	"repro/internal/kit"
 	"repro/internal/obs"
 )
@@ -420,11 +420,7 @@ func (s *Store) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, 
 	offset := func(i int) int64 {
 		return int64(objs[i])*int64(s.man.M) + int64(preds[i])
 	}
-	for a := 1; a < len(order); a++ { // insertion sort: batches are small
-		for b := a; b > 0 && offset(order[b]) < offset(order[b-1]); b-- {
-			order[b], order[b-1] = order[b-1], order[b]
-		}
-	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(offset(a), offset(b)) })
 	out := make([]float64, len(preds))
 	for _, i := range order {
 		v, err := s.Random(ctx, preds[i], objs[i])
@@ -476,29 +472,4 @@ func (s *Store) Row(obj int, dst []float64) ([]float64, error) {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
 	return dst, nil
-}
-
-// SampleDataset draws a without-replacement sample of size sz from the
-// store's real rows, deterministically for a seed, as an in-memory
-// dataset for the optimizer's cost estimator (Section 7.3). Unlike
-// data.DummySample this reflects the true score distribution — the whole
-// point of running the optimizer against a physical source.
-func (s *Store) SampleDataset(sz int, seed int64) (*data.Dataset, error) {
-	n := s.man.N
-	if sz > n {
-		sz = n
-	}
-	if sz <= 0 {
-		sz = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	scores := make([][]float64, sz)
-	for j, u := range rng.Perm(n)[:sz] {
-		row, err := s.Row(u, nil)
-		if err != nil {
-			return nil, err
-		}
-		scores[j] = row
-	}
-	return data.New(fmt.Sprintf("%s/storesample(%d,seed=%d)", s.man.Name, sz, seed), scores)
 }

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/access"
 	"repro/internal/data"
 )
 
@@ -204,22 +205,24 @@ func TestStoreRowAndSample(t *testing.T) {
 			t.Fatalf("Row(17)[%d] = %v, want %v", i, row[i], ds.Score(17, i))
 		}
 	}
-	sample, err := s.SampleDataset(10, 99)
+	// The store batches the sample's probes; the dataset answers them one
+	// by one. The same seed must draw the same rows from both.
+	ctx := context.Background()
+	sample, err := access.Sample(ctx, s, 10, 99, "store")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sample.N() != 10 || sample.M() != 3 {
 		t.Fatalf("sample dims %dx%d", sample.N(), sample.M())
 	}
-	// Every sampled row must be some real object's row.
-	direct, err := data.Sample(ds, 10, 99)
+	direct, err := access.Sample(ctx, access.DatasetBackend{DS: ds}, 10, 99, "dataset")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < 10; u++ {
 		for i := 0; i < 3; i++ {
 			if sample.Score(u, i) != direct.Score(u, i) {
-				t.Fatalf("sample[%d][%d] = %v, data.Sample has %v", u, i, sample.Score(u, i), direct.Score(u, i))
+				t.Fatalf("sample[%d][%d] = %v, the dataset's sample has %v", u, i, sample.Score(u, i), direct.Score(u, i))
 			}
 		}
 	}

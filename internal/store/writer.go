@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/data"
 )
@@ -202,11 +203,11 @@ func writeSegment(dir string, pred, n, m, blockEntries int) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	sort.Slice(col, func(a, b int) bool {
-		if col[a].score != col[b].score {
-			return col[a].score > col[b].score
+	slices.SortFunc(col, func(a, b segEntry) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		return col[a].obj > col[b].obj
+		return cmp.Compare(b.obj, a.obj)
 	})
 
 	path := segmentPath(dir, pred)

@@ -6,6 +6,7 @@ package topk
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -14,11 +15,31 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
+	"repro/internal/data"
 	"repro/internal/fault"
 	"repro/internal/share"
 	"repro/internal/store"
 	"repro/internal/websim"
 )
+
+// tiedDataset is a uniform n×m dataset with every score rounded to one of
+// levels+1 values: most neighbours in a sorted list tie.
+func tiedDataset(t *testing.T, n, m, levels int, seed int64) *Dataset {
+	t.Helper()
+	ds := mustGenerateDataset(t, "uniform", n, m, seed)
+	rows := make([][]float64, n)
+	for u := range rows {
+		rows[u] = ds.Scores(u)
+		for i, s := range rows[u] {
+			rows[u][i] = math.Round(s*float64(levels)) / float64(levels)
+		}
+	}
+	tied, err := data.New(fmt.Sprintf("tied(%d)", levels), rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tied
+}
 
 // pageLayer is one row of TestPageContract: a freshly built layer, the
 // list it pages (its length and its entry at each rank, in the layer's own
@@ -41,13 +62,16 @@ type pageLayer struct {
 // — the whole request, the rest of a block, one entry, or a prefix read
 // that a cold layer serves as the one entry asked for — and a buf the layer
 // does not keep: it is poisoned after every read and the page read again.
+// Scores take one of five values, so most neighbours tie: every layer must
+// serve equal scores higher-id-first, the order the unseen object's tie id
+// (state.Table.UnseenTieID) relies on.
 func TestPageContract(t *testing.T) {
 	const (
 		n, m     = 200, 2
 		block    = 16 // store block entries
 		prefetch = 8  // coordinator shard page
 	)
-	ds := mustGenerateDataset(t, "uniform", n, m, 43)
+	ds := tiedDataset(t, n, m, 4, 43)
 	ctx := context.Background()
 	dsAt := func(pred, rank int) access.Entry {
 		obj, s := ds.SortedAt(pred, rank)
@@ -191,6 +215,9 @@ func TestPageContract(t *testing.T) {
 						for i, e := range buf[:k] {
 							if want := l.at(pred, from+i); e != want {
 								t.Fatalf("%s: rank %d = %+v, want %+v", read, from+i, e, want)
+							}
+							if i > 0 && !data.Less(e.Score, e.Obj, buf[i-1].Score, buf[i-1].Obj) {
+								t.Fatalf("%s: rank %d = %+v does not rank below %+v: equal scores come higher id first", read, from+i, e, buf[i-1])
 							}
 						}
 						for i := range buf {
