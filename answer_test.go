@@ -96,6 +96,58 @@ func TestRunAllocGateAcrossColumns(t *testing.T) {
 	}
 }
 
+// TestRunAllocGateOnPlanSample is TestRunAllocGateAcrossColumns on an
+// engine that plans on rows of its own base: the sample is drawn once, by
+// NewEngine, straight from the base — no query pays an access for it — and
+// each column list gets one projection of it, built by its first plan, so
+// a warm plan-cache hit over any column list allocates only its answer.
+func TestRunAllocGateOnPlanSample(t *testing.T) {
+	ds := mustGenerateDataset(t, "uniform", 5000, 3, 42)
+	above := &belowCounter{countingBackend{Backend: DataBackend(ds)}}
+	eng, err := NewEngine(above, UniformScenario(3, 1, 1), WithPlanCache(NewPlanCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := eng.samples.base
+	if base == nil || base.N() != 50 || base.M() != 3 || eng.PlanSample(OptimizerConfig{}) != "base(50)" {
+		t.Fatalf("engine over n = 5000 plans on %q, want base(50)", eng.PlanSample(OptimizerConfig{}))
+	}
+	if above.n.Load() != 0 {
+		t.Fatalf("drawing the sample made %d accesses through the stack above the base", above.n.Load())
+	}
+	queries := []Query{
+		{F: Min(), K: 10, Cols: []int{2, 0}}, {F: Avg(), K: 10}, {F: Min(), K: 10, Cols: []int{1}},
+		{F: Avg(), K: 10, Cols: []int{2, 0}},
+	}
+	run := func() {
+		for _, q := range queries {
+			if _, err := eng.Run(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	run()
+	if eng.samples.base != base || len(eng.samples.views) != 2 {
+		t.Fatalf("the sample was redrawn or projected per query: %d views for 2 column lists", len(eng.samples.views))
+	}
+	if testing.Short() || raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs > float64(5*len(queries)) {
+		t.Errorf("%d warm runs planned on the engine's sample allocate %v, their answers own %d blocks", len(queries), allocs, 5*len(queries))
+	}
+}
+
+// belowCounter counts the accesses that pass through it to the layer
+// below, which it exposes the access.As way, as a wrapper over the base
+// does.
+type belowCounter struct {
+	countingBackend
+}
+
+func (b *belowCounter) Unwrap() Backend { return b.Backend }
+
 // TestAnswersOutliveTheirState takes an Answer and a Page, recycles their
 // pooled state, runs 100 more queries of other shapes on the same engine
 // and requires both unchanged, compared by deep equality against copies

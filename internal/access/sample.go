@@ -18,7 +18,7 @@ import (
 func Sample(ctx context.Context, b Backend, s int, seed int64, name string) (*data.Dataset, error) {
 	n, m := b.N(), b.M()
 	s = max(1, min(s, n))
-	rows := rand.New(rand.NewSource(seed)).Perm(n)[:s]
+	rows := permPrefix(rand.New(rand.NewSource(seed)), n, s)
 	preds, objs := make([]int, 0, s*m), make([]int, 0, s*m)
 	for _, u := range rows {
 		for i := 0; i < m; i++ {
@@ -46,4 +46,22 @@ func Sample(ctx context.Context, b Backend, s int, seed int64, name string) (*da
 		scores[j] = flat[j*m : (j+1)*m : (j+1)*m]
 	}
 	return data.New(name, scores)
+}
+
+// permPrefix returns r.Perm(n)[:s] in O(s) memory: Perm's inside-out
+// shuffle moves value i into a position j ≤ i drawn at step i, so past
+// step s it only ever writes i into the prefix, and the prefix never reads
+// what lies beyond it. It consumes r exactly as Perm does.
+func permPrefix(r *rand.Rand, n, s int) []int {
+	m := make([]int, s)
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		if i < s {
+			m[i] = m[j]
+		}
+		if j < s {
+			m[j] = i
+		}
+	}
+	return m
 }

@@ -212,7 +212,8 @@ func GeneratedName(dist Distribution, n, m int, seed int64) string {
 // are unavailable or too costly to obtain online". Such samples cannot
 // reflect the real score distribution but still let the optimizer adapt to
 // the scoring function, k, and the cost scenario — the paper's worst-case
-// validation setting, and our default.
+// validation setting, and what an engine without a sample of its own
+// base plans on.
 func DummySample(s, m int, seed int64) (*Dataset, error) {
 	return Generate(Uniform, s, m, seed)
 }

@@ -190,7 +190,8 @@ const (
 	SourceFailure
 	// PlanCache: a plan-cache lookup, emitted once its plan is known. Code
 	// is Hit, Miss (a cold search) or Warm (a search started from a cached
-	// neighbour's plan); Value is the plan's estimator runs.
+	// neighbour's plan); Value is the plan's estimator runs; Label names
+	// the sample it was searched on.
 	PlanCache
 	// PlanCacheEvict: the plan cache discarded an entry, either to make
 	// room (LRU capacity) or because its scenario fingerprint was

@@ -54,6 +54,10 @@ type TraceSnapshot struct {
 	// query unless it was a hit. Both are empty when no lookup happened.
 	PlanSource string `json:"planSource,omitempty"`
 	PlanEvals  int    `json:"planEvals,omitempty"`
+	// PlanSample names the sample the plan was searched on: "dummy(50)"
+	// for the synthesized uniform one, "base(<rows>)" for rows drawn from
+	// the engine's own data, else the given sample's name.
+	PlanSample string `json:"planSample,omitempty"`
 	// PlanCacheEvictions counts plan-cache entries discarded while this
 	// query ran (LRU capacity or scenario invalidation).
 	PlanCacheEvictions int `json:"planCacheEvictions,omitempty"`
@@ -191,6 +195,7 @@ func (t *QueryTrace) Observe(ev Event) {
 			t.s.PlanSource = PlanSources[ev.Code]
 		}
 		t.s.PlanEvals = int(ev.Value)
+		t.s.PlanSample = ev.Label
 	case PlanCacheEvict:
 		t.s.PlanCacheEvictions++
 	case BreakerTransition:

@@ -1,11 +1,11 @@
 package opt
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/access"
 	"repro/internal/kit"
@@ -128,7 +128,7 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 		dst.CopyFrom(&cached.plan)
 		c.hits++
 		c.mu.Unlock()
-		observeLookup(cfg.Observer, obs.Hit, dst)
+		observeLookup(cfg, obs.Hit, dst)
 		return nil
 	}
 	if call, ok := c.inflight[string(key)]; ok {
@@ -143,7 +143,7 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 			outcome = obs.Miss
 		}
 		c.mu.Unlock()
-		observeLookup(cfg.Observer, outcome, &call.plan)
+		observeLookup(cfg, outcome, &call.plan)
 		if call.err != nil {
 			return call.err
 		}
@@ -169,7 +169,7 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	call.plan, call.err = OptimizeFrom(cfg, scn, f, k, n, start)
 	// Emitted before the followers are released, so a follower's event can
 	// never precede its leader's.
-	observeLookup(cfg.Observer, outcome, &call.plan)
+	observeLookup(cfg, outcome, &call.plan)
 	close(call.done)
 
 	var entry cacheEntry // the cache's own copy: no caller can reach it
@@ -196,11 +196,11 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	return nil
 }
 
-// observeLookup emits a lookup's PlanCache event: its outcome and the
-// estimator runs of the plan it produced.
-func observeLookup(o obs.Observer, outcome uint8, p *Plan) {
-	if o != nil {
-		o.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome, Value: float64(p.Evals)})
+// observeLookup emits a lookup's PlanCache event: its outcome, the
+// estimator runs of the plan it produced and the sample it was searched on.
+func observeLookup(cfg Config, outcome uint8, p *Plan) {
+	if cfg.Observer != nil {
+		cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome, Value: float64(p.Evals), Label: SampleName(cfg)})
 	}
 }
 
@@ -342,9 +342,13 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 		dst = append(dst, fp...)
 	}
 	if cfg.Sample != nil {
-		// A caller-supplied sample changes the estimator's input; identity
-		// (not content) is the practical discriminator for shared datasets.
-		dst = fmt.Appendf(dst, " sample=%p", cfg.Sample)
+		// A given sample changes the estimator's input; identity (not
+		// content) is the practical discriminator for shared datasets. An
+		// engine's own sample is one dataset per column list, so its
+		// identity carries the columns too. Spelled like %p, without
+		// fmt's allocation.
+		dst = append(dst, " sample=0x"...)
+		dst = strconv.AppendUint(dst, uint64(uintptr(unsafe.Pointer(cfg.Sample))), 16)
 	}
 	return dst
 }

@@ -7,7 +7,10 @@
 //     proportionally (k' = k*|sample|/n) and the resulting cost scaled back
 //     up. Samples may come from the real data or be "dummy" samples from
 //     an assumed uniform distribution when real statistics are
-//     unavailable, the paper's worst-case setting and our default.
+//     unavailable, the paper's worst-case setting. An engine over a
+//     single-node base plans on min(1000, n/100) rows drawn from it
+//     (topk.NewEngine); the dummy is left for small bases and the
+//     cluster coordinator.
 //   - H-optimization (Section 7.2) offers the paper's three schemes:
 //     Naive exhaustive grid search, query-driven Strategies, and
 //     multi-start hill climbing (HClimb, the paper's pick).

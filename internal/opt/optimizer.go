@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -12,10 +13,12 @@ import (
 
 // Config parameterizes the optimizer. The zero value is usable: HClimb
 // over an 11-point grid with a 50-object dummy sample and 5 restarts.
+// An engine over a single-node base fills Sample with rows of its own
+// data (topk.NewEngine); the dummy is what remains without one.
 type Config struct {
 	Scheme     Scheme
 	Grid       int   // grid points per dimension (default 11)
-	SampleSize int   // dummy-sample size when no sample is given (default 50)
+	SampleSize int   // dummy-sample size when no sample is given (default DefaultSampleSize)
 	Restarts   int   // HClimb restarts (default 5)
 	MaxEvals   int   // Naive mesh budget (default 20000)
 	Seed       int64 // randomness for HClimb starts and dummy samples
@@ -68,6 +71,28 @@ type Config struct {
 	Observer obs.Observer
 }
 
+// DefaultSampleSize is the dummy sample's size when Config.SampleSize is
+// zero.
+const DefaultSampleSize = 50
+
+// defaultDummyName is SampleName's answer for the default dummy, kept so
+// naming it allocates nothing.
+var defaultDummyName = dummyName(DefaultSampleSize)
+
+func dummyName(size int) string { return "dummy(" + strconv.Itoa(size) + ")" }
+
+// SampleName names the sample a plan under cfg is searched on: the given
+// sample's name, or "dummy(<size>)" for the synthesized uniform one.
+func SampleName(cfg Config) string {
+	switch {
+	case cfg.Sample != nil:
+		return cfg.Sample.Name()
+	case cfg.SampleSize == 0 || cfg.SampleSize == DefaultSampleSize:
+		return defaultDummyName
+	}
+	return dummyName(cfg.SampleSize)
+}
+
 // maxDiscount caps sharing discounts: even a near-perfect cache must not
 // price accesses at zero, or the optimizer would treat the source as free.
 const maxDiscount = 0.95
@@ -87,7 +112,7 @@ func (c Config) withDefaults() Config {
 		c.Grid = 11
 	}
 	if c.SampleSize == 0 {
-		c.SampleSize = 50
+		c.SampleSize = DefaultSampleSize
 	}
 	if c.Restarts == 0 {
 		c.Restarts = 5

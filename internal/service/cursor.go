@@ -28,9 +28,10 @@ import (
 // the request-independent context a page response needs (trace,
 // pagination counters).
 type liveCursor struct {
-	id    string
-	query string
-	tr    *obs.QueryTrace
+	id     string
+	query  string
+	sample string // the estimator sample of its plan, "" without one
+	tr     *obs.QueryTrace
 
 	// mu serializes pages — concurrent /query/next calls on the same id
 	// queue up rather than interleave accesses — and guards page/cur
@@ -76,7 +77,7 @@ func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	lc := &liveCursor{id: h.nextCursorID(), query: st.query, tr: tr, cur: cur}
+	lc := &liveCursor{id: h.nextCursorID(), query: st.query, sample: h.planSample(&st.req), tr: tr, cur: cur}
 	lc.touch()
 	if err := h.register(lc); err != nil {
 		_ = cur.Close()
@@ -126,7 +127,7 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, http.StatusOK, buf.Bytes())
 		return
 	}
-	h.serve(w, r, buf, "cursor page", lc.query, func(traced bool) (int, error) {
+	h.serve(w, r, buf, "cursor page", lc.query, lc.sample, func(traced bool) (int, error) {
 		err := lc.produce(h, buf, req.K, req.Tau, traced)
 		if errors.Is(err, topk.ErrCursorClosed) {
 			// The reaper or a concurrent close won the race after lookup.

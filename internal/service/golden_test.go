@@ -275,3 +275,20 @@ func TestServedGoldens(t *testing.T) {
 		})
 	}
 }
+
+// TestServedPlanSampleGolden pins the estimator sample a served plan names
+// in ?trace=1 once the base is large enough to sample (n/100 ≥ 50 rows):
+// rows of the engine's own dataset or store — below the sharing layer —
+// and the dummy behind a coordinator.
+func TestServedPlanSampleGolden(t *testing.T) {
+	for _, mode := range goldenModes {
+		t.Run(mode.name, func(t *testing.T) {
+			srv := goldenServer{h: newGoldenHandler(t, mode, 5000)}
+			code, body := srv.post("/query?trace=1", QueryRequest{SQL: "select name from db order by min(p1, p3) stop after 5"})
+			if code != 200 {
+				t.Fatalf("traced query: status %d: %s", code, body)
+			}
+			checkGolden(t, mode.name+".sampled.trace.json", maskTrace(t, body))
+		})
+	}
+}

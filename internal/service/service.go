@@ -264,6 +264,9 @@ type Handler struct {
 	// run: built once, not as a closure per request.
 	eng       *topk.Engine
 	resilient topk.RunOption
+	// sample names the estimator sample optimizer plans are searched on:
+	// the engine's own rows of the base, or the dummy (topk.Engine.PlanSample).
+	sample string
 
 	// stmts caches prepared statements by the request body that spelled
 	// them, most recently used first: a repeated POST /query finds its
@@ -423,6 +426,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 	if h.eng, err = topk.NewEngine(backend, cfg.Scenario, engOpts...); err != nil {
 		return nil, err
 	}
+	h.sample = h.eng.PlanSample(cfg.Optimizer)
 	res := &topk.Resilience{Breakers: h.breakers}
 	if cfg.AccessTimeout > 0 {
 		res.AccessTimeout = cfg.AccessTimeout
@@ -678,8 +682,10 @@ func (h *Handler) reject(w http.ResponseWriter, status int, msg string) {
 // serve is the back half of both POST endpoints: shed past MaxInflight,
 // run the engine work — which leaves the encoded answer in buf — under the
 // latency histogram and the slow-query log (what names the unit of work,
-// query the SQL it belongs to), count the outcome and write the response.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, what, query string, run func(traced bool) (int, error)) {
+// query the SQL it belongs to, sample the estimator sample its plan was
+// searched on, "" for a run without one), count the outcome and write the
+// response.
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, what, query, sample string, run func(traced bool) (int, error)) {
 	if max := h.cfg.MaxInflight; max > 0 {
 		if h.inflight.Add(1) > int64(max) {
 			h.inflight.Add(-1)
@@ -698,7 +704,11 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 	h.querySec.Observe(elapsed.Seconds())
 	if t := h.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
 		h.slowTotal.Inc()
-		h.logger.Printf("service: slow %s (%v >= %v): %.120q", what, elapsed, t, query)
+		if sample != "" {
+			h.logger.Printf("service: slow %s (%v >= %v): %.120q planSample=%s", what, elapsed, t, query, sample)
+		} else {
+			h.logger.Printf("service: slow %s (%v >= %v): %.120q", what, elapsed, t, query)
+		}
 	}
 	if err != nil {
 		h.reject(w, status, err.Error())
@@ -730,7 +740,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			st.key = buf.String()
 		}
 	}
-	h.serve(w, r, buf, "query", st.req.SQL, func(traced bool) (int, error) {
+	h.serve(w, r, buf, "query", st.req.SQL, h.planSample(&st.req), func(traced bool) (int, error) {
 		if st.req.Cursor {
 			return h.openCursor(buf, st, traced)
 		}
@@ -826,6 +836,15 @@ func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (opt
 	opts = append(append(dst, observed, h.resilient), st.opts...)
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
 	return opts, tr, nil
+}
+
+// planSample names the estimator sample a request's plan is searched on,
+// "" when the request runs no optimizer.
+func (h *Handler) planSample(req *QueryRequest) string {
+	if req.Algorithm != "" && req.Algorithm != "opt" {
+		return ""
+	}
+	return h.sample
 }
 
 // requestOptions assembles the run options a request's own fields fix:

@@ -320,7 +320,7 @@ func TestServiceSlowQueryLog(t *testing.T) {
 	mu.Lock()
 	logged := buf.String()
 	mu.Unlock()
-	if !strings.Contains(logged, "slow query") || !strings.Contains(logged, "stop after 3") {
+	if !strings.Contains(logged, "slow query") || !strings.Contains(logged, "stop after 3") || !strings.Contains(logged, "planSample=dummy(50)") {
 		t.Errorf("slow-query log = %q", logged)
 	}
 	if got := h.reg.Counter("topk_slow_queries_total", "").Value(); got != 1 {

@@ -247,6 +247,9 @@ type Engine struct {
 	lastKey   atomic.Pointer[membersKey]
 	guardOpts []GuardOption
 	useGuard  bool
+	// samples is what the optimizer plans on (plansample.go): rows of the
+	// engine's own base, drawn once by NewEngine, or nothing — the dummy.
+	samples planSamples
 
 	// pool recycles per-query state (access session, framework scratch and
 	// everything a run assembles over them) across Runs and Opens. Pooled
@@ -374,7 +377,7 @@ func (e *Engine) resolvePlan(dst *Plan, sel *algo.SRG, preds []PredCost, spec *r
 	}
 	h, omega := spec.h, spec.omega
 	if h == nil {
-		cfg := spec.optCfg
+		cfg := e.planConfig(spec.optCfg, q.Cols)
 		cfg.DisableNWG = !e.nwg
 		if o != nil {
 			cfg.Observer = o
@@ -409,6 +412,7 @@ func (e *Engine) newAdapter(x *execution) *adapt.Adapter {
 		Scenario:        sess.CurrentScenario,
 		ScenarioChanged: x.scenarioChanged,
 	}
+	a.Base = e.planConfig(a.Base, q.Cols)
 	a.Base.DisableNWG = !e.nwg
 	a.Base.Observer = x.obsv
 	if spec.algorithm != nil {
@@ -515,6 +519,10 @@ func NewEngine(b Backend, scn Scenario, opts ...EngineOption) (*Engine, error) {
 	// Resolved once: the stack below an engine never changes.
 	e.share, _ = access.As[*share.Layer](b)
 	e.members, _ = access.As[interface{ MembershipKey() string }](b)
+	var err error
+	if e.samples.base, err = drawPlanSample(b); err != nil {
+		return nil, fmt.Errorf("topk: drawing the planning sample: %w", err)
+	}
 	return e, nil
 }
 
