@@ -65,6 +65,19 @@ func TestOptimizeAllocGate(t *testing.T) {
 	if got := testing.AllocsPerRun(50, hit); got > 3 {
 		t.Errorf("PlanCache.Get hit allocates %.0f/op, gate is 3 (the returned plan's two slices + 1)", got)
 	}
+	// Into a recycled plan a hit allocates nothing, with a given sample
+	// too — the key spells its identity — as every served plan has one.
+	sampled := Config{Sample: datatest.MustDummySample(60, scn.M(), 3)}
+	var dst Plan
+	load := func() {
+		if err := cache.Load(&dst, sampled, scn, f, k, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load() // the miss
+	if got := testing.AllocsPerRun(50, load); got != 0 {
+		t.Errorf("PlanCache.Load hit on a given sample allocates %.0f/op, want 0", got)
+	}
 
 	price := func() {
 		if _, err := EstimateConfiguration(Config{}, scn, f, k, n, h, omega); err != nil {

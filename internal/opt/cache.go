@@ -1,11 +1,11 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"sync"
-	"unsafe"
 
 	"repro/internal/access"
 	"repro/internal/kit"
@@ -345,10 +345,8 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 		// A given sample changes the estimator's input; identity (not
 		// content) is the practical discriminator for shared datasets. An
 		// engine's own sample is one dataset per column list, so its
-		// identity carries the columns too. Spelled like %p, without
-		// fmt's allocation.
-		dst = append(dst, " sample=0x"...)
-		dst = strconv.AppendUint(dst, uint64(uintptr(unsafe.Pointer(cfg.Sample))), 16)
+		// identity carries the columns too.
+		dst = fmt.Appendf(dst, " sample=%p", cfg.Sample)
 	}
 	return dst
 }
