@@ -293,14 +293,15 @@ func (q *Queue) revalidateTop() bool {
 			q.siftDown(0)
 			continue
 		}
-		// The bound holds. The tie id only decides against a child of
-		// equal bound — no other entry can tie a root none of its children
-		// ties — so it is derived only then.
-		if !q.tiesChild(top.upper) {
+		// The bound holds. The tie id only decides against a child of equal
+		// bound — any entry tying the root is, or ranks below, one — and
+		// only whether it falls to that child's id.
+		c, ok := q.tyingChild(top.upper)
+		if !ok {
 			return true
 		}
-		if tie := int32(q.t.UnseenTieID()); tie < top.id {
-			q.h[0].id = tie
+		if tie, ok := q.t.unseenTieAtMost(c, top.upper); ok {
+			q.h[0].id = int32(tie)
 			q.siftDown(0)
 			continue
 		}
@@ -309,16 +310,19 @@ func (q *Queue) revalidateTop() bool {
 	return false
 }
 
-// tiesChild reports whether a child of the root has the given upper bound.
+// tyingChild returns the highest id among the root's children whose upper
+// bound equals upper, false when neither's does. Only real entries are
+// children of the unseen root.
 //
 //topklint:hotpath
-func (q *Queue) tiesChild(upper float64) bool {
+func (q *Queue) tyingChild(upper float64) (int, bool) {
+	id, ok := -1, false
 	for c := 1; c <= 2 && c < len(q.h); c++ {
 		if q.h[c].upper == upper {
-			return true
+			id, ok = max(id, int(q.h[c].id)), true
 		}
 	}
-	return false
+	return id, ok
 }
 
 // Peek returns the current best candidate without removing it.

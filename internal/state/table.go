@@ -358,24 +358,47 @@ const NoTieID = math.MaxInt32
 //
 //topklint:hotpath
 func (t *Table) UnseenTieID() int {
-	copy(t.buf, t.lastSeen)
-	top := t.f.Eval(t.buf)
+	top := t.UnseenUpper() // leaves buf holding ell
 	tie := NoTieID
-	for i, l := range t.lastSeen {
-		if t.depth[i] == 0 || int(t.lastID[i]) > tie {
-			continue
+	for i := range t.lastSeen {
+		if t.depth[i] > 0 && int(t.lastID[i])-1 < tie && t.tieForced(i, top) {
+			tie = int(t.lastID[i]) - 1
 		}
-		if l > 0 {
-			t.buf[i] = math.Nextafter(l, 0)
-			forced := t.f.Eval(t.buf) < top
-			t.buf[i] = l
-			if !forced {
-				continue
-			}
-		}
-		tie = int(t.lastID[i]) - 1
 	}
 	return tie
+}
+
+// unseenTieAtMost returns a bound of at most c on UnseenTieID — the last
+// id but one of a read list whose tie is forced, the list last read at or
+// below id c+1 — or false when there is none, and so UnseenTieID > c. top
+// is UnseenUpper. It is the queue's question of whether the unseen entry
+// outranks a candidate of id c at its own bound, at one evaluation of F
+// per list it asks about rather than UnseenTieID's full derivation.
+//
+//topklint:hotpath
+func (t *Table) unseenTieAtMost(c int, top float64) (int, bool) {
+	copy(t.buf, t.lastSeen)
+	for i := range t.lastSeen {
+		if t.depth[i] > 0 && int(t.lastID[i]) <= c+1 && t.tieForced(i, top) {
+			return int(t.lastID[i]) - 1, true
+		}
+	}
+	return 0, false
+}
+
+// tieForced reports whether an unseen object scoring exactly top = F(ell)
+// must score exactly ell_i on list i. buf must hold ell, as it is left.
+//
+//topklint:hotpath
+func (t *Table) tieForced(i int, top float64) bool {
+	l := t.lastSeen[i]
+	if l == 0 {
+		return true
+	}
+	t.buf[i] = math.Nextafter(l, 0)
+	forced := t.f.Eval(t.buf) < top
+	t.buf[i] = l
+	return forced
 }
 
 // UnseenBelow reports whether every unseen object ranks strictly below an
