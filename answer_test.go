@@ -7,6 +7,7 @@ package topk
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -126,7 +127,20 @@ func TestRunAllocGateOnPlanSample(t *testing.T) {
 			}
 		}
 	}
-	run()
+	// Column lists first seen by concurrent plans: each gets one view.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, q := range queries {
+				if _, err := eng.Run(q); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	run()
 	if eng.samples.base != base || len(eng.samples.views) != 2 {
 		t.Fatalf("the sample was redrawn or projected per query: %d views for 2 column lists", len(eng.samples.views))
