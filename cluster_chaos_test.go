@@ -261,7 +261,7 @@ func TestChaosShardWire(t *testing.T) {
 			coord, nodes := newRemoteTestCluster(t, ds, 3, cluster.Options{},
 				func(int) []websim.ServerOption { return tc.serverOpts },
 				websim.WithRetries(6, 4*time.Millisecond), websim.WithObserver(obs.Multi(tr, obs.NewMetrics(reg))))
-			before := coord.MembershipKey()
+			before := coord.Stats().Epoch
 			eng, err := NewEngine(&tripwire{Backend: coord, at: tc.wound(nodes)}, scn)
 			if err != nil {
 				t.Fatal(err)
@@ -285,8 +285,8 @@ func TestChaosShardWire(t *testing.T) {
 			if got := reg.Counter("topk_source_retries_total", "").Value(); got != int64(s.SourceRetries) {
 				t.Errorf("topk_source_retries_total = %d on the coordinator's registry, the wires retried %d times", got, s.SourceRetries)
 			}
-			if after := coord.MembershipKey(); after != before {
-				t.Errorf("an absorbed fault moved the membership from %s to %s", before, after)
+			if st := coord.Stats(); st.Epoch != before || st.ShardsUp != st.Shards {
+				t.Errorf("an absorbed fault moved the membership: epoch %d → %d, %d of %d shards up", before, st.Epoch, st.ShardsUp, st.Shards)
 			}
 		})
 	}
@@ -309,7 +309,7 @@ func TestChaosShardWire(t *testing.T) {
 					return []websim.ServerOption{websim.WithOutageWindow(window.from, window.to), websim.WithRetryAfter(time.Millisecond)}
 				},
 				websim.WithRetries(1, time.Millisecond), websim.WithObserver(tr))
-			before := coord.MembershipKey()
+			before := coord.Stats().Epoch
 			eng, err := NewEngine(coord, scn)
 			if err != nil {
 				t.Fatal(err)
@@ -329,7 +329,7 @@ func TestChaosShardWire(t *testing.T) {
 			if s := tr.Snapshot(); s.SourceRetries == 0 || s.SourceFailures < 2 {
 				t.Errorf("observed %d retries and %d failed accesses: the outage never exhausted a retry budget", s.SourceRetries, s.SourceFailures)
 			}
-			if coord.MembershipKey() == before {
+			if coord.Stats().Epoch == before {
 				t.Error("two failed accesses in a row did not fence the shard")
 			}
 			if window.name == "shard-dies" && !ans.Truncated {

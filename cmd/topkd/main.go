@@ -93,7 +93,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.Int64Var(&c.seed, "seed", 1, "synthetic dataset seed")
 	fs.StringVar(&c.dataFile, "data", "", "serve a dataset from this JSON file")
 	fs.StringVar(&c.storeDir, "store", "", "serve a disk store directory (built with topk.BuildStore or the topkbench -store workload)")
-	fs.BoolVar(&c.coldCal, "calibrate-cold", false, "calibrate the store with caches dropped between batches (cold mode)")
+	fs.BoolVar(&c.coldCal, "calibrate-cold", false, "calibrate the store with caches dropped between batches (cold mode; needs -store and no -scenario)")
 	fs.StringVar(&c.scnFile, "scenario", "", "load the cost scenario from this JSON file")
 	fs.Float64Var(&c.cs, "cs", 1, "sorted access unit cost (without -scenario; ignored with -store, which prices accesses from timed IO)")
 	fs.Float64Var(&c.cr, "cr", 1, "random access unit cost (without -scenario)")
@@ -132,6 +132,14 @@ func parseFlags(args []string) (*config, error) {
 			return nil, fmt.Errorf("-shard requires -shards >= 1")
 		case c.shardIdx < 0 || c.shardIdx >= c.shardCount:
 			return nil, fmt.Errorf("-shard index %d outside [0,%d)", c.shardIdx, c.shardCount)
+		}
+	}
+	if c.coldCal {
+		switch {
+		case c.storeDir == "":
+			return nil, fmt.Errorf("-calibrate-cold times the IO of a -store; there is none")
+		case c.scnFile != "":
+			return nil, fmt.Errorf("-calibrate-cold prices a -store, but -scenario pins the prices; pick one")
 		}
 	}
 	return c, nil
@@ -174,7 +182,6 @@ func newHandler(c *config) (h *service.Handler, closeDB func(), err error) {
 		ds      *data.Dataset
 		coord   *cluster.Coordinator
 		st      *topk.Store
-		cal     topk.StoreCalibration
 		columns []string
 		// reg backs /metrics. It exists before the database does so that a
 		// coordinator's shard wires report their retries into it.
@@ -198,16 +205,6 @@ func newHandler(c *config) (h *service.Handler, closeDB func(), err error) {
 			}
 		}()
 		columns = genericColumns(st.M())
-		// Price the scenario from the store's own physics: timed IO at
-		// startup, quantized so repeated boots of unchanged hardware key
-		// to the same cached plans.
-		calCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cal, err = topk.MeasureStore(calCtx, st, topk.StoreMeasureOptions{Cold: c.coldCal})
-		cancel()
-		if err != nil {
-			return nil, nil, fmt.Errorf("calibrating %s: %w", c.storeDir, err)
-		}
-		log.Printf("topkd: calibrated %s: %s (cr/cs %.1fx)", st.Name(), cal.Key(), cal.Ratio())
 	} else {
 		ds, columns, err = loadDataset(c)
 		if err != nil {
@@ -216,9 +213,8 @@ func newHandler(c *config) (h *service.Handler, closeDB func(), err error) {
 	}
 
 	var scn access.Scenario
-	if c.scnFile == "" && st != nil {
-		scn = topk.CalibratedScenario(st.M(), cal)
-	} else if c.scnFile != "" {
+	switch {
+	case c.scnFile != "":
 		f, err := os.Open(c.scnFile)
 		if err != nil {
 			return nil, nil, err
@@ -228,7 +224,19 @@ func newHandler(c *config) (h *service.Handler, closeDB func(), err error) {
 		if err != nil {
 			return nil, nil, err
 		}
-	} else {
+	case st != nil:
+		// Price the scenario from the store's own physics: timed IO at
+		// startup, quantized so repeated boots of unchanged hardware price
+		// accesses, and so key cached plans, identically.
+		calCtx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cal, err := topk.MeasureStore(calCtx, st, topk.StoreMeasureOptions{Cold: c.coldCal})
+		cancel()
+		if err != nil {
+			return nil, nil, fmt.Errorf("calibrating %s: %w", c.storeDir, err)
+		}
+		log.Printf("topkd: calibrated %s: %s (cr/cs %.1fx)", st.Name(), cal.Key(), cal.Ratio())
+		scn = topk.CalibratedScenario(st.M(), cal)
+	default:
 		scn = access.Uniform(len(columns), c.cs, c.cr)
 	}
 
@@ -245,7 +253,6 @@ func newHandler(c *config) (h *service.Handler, closeDB func(), err error) {
 		Dataset:            ds,
 		Cluster:            coord,
 		Store:              st,
-		StoreCalibration:   cal,
 		Columns:            columns,
 		Scenario:           scn,
 		Metrics:            reg,

@@ -57,6 +57,10 @@ func TestRoleChecksComeFirst(t *testing.T) {
 			"-shard index -1 outside [0,3)"},
 		{[]string{"-bench", "q1", "-shard", "0"},
 			"-shard requires -shards >= 1"},
+		{[]string{"-dist", "uniform", "-calibrate-cold"},
+			"-calibrate-cold times the IO of a -store; there is none"},
+		{[]string{"-store", "/nonexistent", "-scenario", "/nonexistent.json", "-calibrate-cold"},
+			"-calibrate-cold prices a -store, but -scenario pins the prices; pick one"},
 		{[]string{"-dist", "uniform", "-n", "1", "-shards", "3", "-shard", empty},
 			"shard " + empty + " of 3 owns no objects of uniform(n=1,m=2,seed=1); use fewer shards"},
 		{[]string{"-bench", "q1", "-n", "1", "-shards", "3", "-shard", empty},

@@ -1,7 +1,7 @@
 // Web middleware: the full stack over real HTTP. Two simulated Web
 // sources (the dineme.com / superpages.com split of Example 1) run as
-// local HTTP servers with different latencies. The middleware registers
-// them in a source catalog, *calibrates* per-access costs by timing real
+// local HTTP servers with different latencies. The middleware routes one
+// query predicate to each, *calibrates* per-access costs by timing real
 // requests, optimizes a plan for the calibrated scenario, and answers the
 // query — first sequentially, then with real bounded concurrency, where
 // every access is a concurrent HTTP request.
@@ -18,9 +18,7 @@ import (
 	"time"
 
 	topk "repro"
-	"repro/internal/catalog"
 	"repro/internal/data"
-	"repro/internal/store"
 	"repro/internal/websim"
 )
 
@@ -39,36 +37,26 @@ func main() {
 	defer superpages.Close()
 	fmt.Printf("sources up: dineme=%s superpages=%s\n", dineme.URL, superpages.URL)
 
-	// The middleware's source catalog: one HTTP-backed registration per
-	// predicate, costs unknown until calibration.
-	cat := catalog.New()
-	register := func(source, pred, url string) {
-		client, err := websim.NewClient(context.Background(), http.DefaultClient, []websim.Route{{BaseURL: url, Pred: 0}})
+	// The middleware routes one query predicate to each source and prices
+	// each route by timing real requests to that source alone: a few short
+	// timed batches per access type, each access one round trip.
+	ctx := context.Background()
+	routes := []websim.Route{{BaseURL: dineme.URL, Pred: 0}, {BaseURL: superpages.URL, Pred: 0}}
+	scn := topk.Scenario{Name: "calibrated-http", Preds: make([]topk.PredCost, len(routes))}
+	for i, name := range []string{"rating", "closeness"} {
+		source, err := websim.NewClient(ctx, http.DefaultClient, routes[i:i+1])
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := cat.Register(catalog.Registration{
-			Source: source, PredName: pred,
-			Backend: client, LocalPred: 0,
-			Sorted: true, Random: true,
-		}); err != nil {
+		cal, err := topk.MeasureStore(ctx, source, topk.StoreMeasureOptions{Probes: 5, Batches: 3})
+		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	register("dineme.com", "rating", dineme.URL)
-	register("superpages.com", "closeness", superpages.URL)
-
-	// A few short timed batches per access type: each access is a round trip.
-	scn, _, err := cat.CalibrateIO(context.Background(), "calibrated-http", store.MeasureOptions{Probes: 5, Batches: 3})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, name := range cat.PredicateNames() {
-		fmt.Printf("calibrated %-10s sorted %.1f ms, random %.1f ms\n",
-			name, scn.Preds[i].Sorted.Units(), scn.Preds[i].Random.Units())
+		scn.Preds[i] = topk.PredCost{Sorted: topk.CostOf(cal.SortedMS), SortedOK: true, Random: topk.CostOf(cal.RandomMS), RandomOK: true}
+		fmt.Printf("calibrated %-10s sorted %.1f ms, random %.1f ms\n", name, cal.SortedMS, cal.RandomMS)
 	}
 
-	backend, err := cat.Backend()
+	backend, err := websim.NewClient(ctx, http.DefaultClient, routes)
 	if err != nil {
 		log.Fatal(err)
 	}

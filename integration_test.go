@@ -1,23 +1,21 @@
 package topk
 
 // Integration tests exercising the full middleware stack across packages:
-// the SQL-like query front-end, the source catalog with cost calibration,
-// HTTP web sources, the optimizer, and both sequential and live-concurrent
-// execution — everything a deployed instance of the system would touch.
+// the SQL-like query front-end, HTTP web sources assembled into one backend
+// and priced by timing them, the optimizer, and both sequential and
+// live-concurrent execution — everything a deployed instance of the system
+// would touch.
 
 import (
 	"context"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/data"
 	"repro/internal/sqlq"
-	"repro/internal/store"
 	"repro/internal/websim"
 )
 
@@ -28,60 +26,61 @@ func TestFullStackOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Two HTTP sources with different latencies over one universe.
+	// Two HTTP sources with different latencies over one universe, one
+	// predicate each.
 	bench, _, err := data.Restaurants(150, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := bench.Dataset
-	start := func(pred int, latency time.Duration) *httptest.Server {
+	start := func(pred int, latency time.Duration) string {
 		srv, err := websim.NewServer(ds, websim.WithPredicates(pred), websim.WithLatency(latency))
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		return ts
+		return ts.URL
 	}
-	ratingSrv := start(0, 2*time.Millisecond)
-	closenessSrv := start(1, time.Millisecond)
+	sources := []struct{ name, url string }{
+		{"rating", start(0, 2*time.Millisecond)},
+		{"closeness", start(1, time.Millisecond)},
+	}
 
-	// Catalog: register, bind the query's predicates, calibrate costs.
-	cat := catalog.New()
-	register := func(source, pred, url string) {
-		client, err := websim.NewClient(context.Background(), http.DefaultClient, []websim.Route{{BaseURL: url, Pred: 0}})
+	// Route one middleware predicate to each source, and price each by
+	// timing real accesses through a client of that source alone.
+	ctx := context.Background()
+	names := make([]string, len(sources))
+	routes := make([]websim.Route, len(sources))
+	scn := Scenario{Name: "http", Preds: make([]PredCost, len(sources))}
+	for i, src := range sources {
+		names[i] = src.name
+		routes[i] = websim.Route{BaseURL: src.url, Pred: 0}
+		one, err := websim.NewClient(ctx, nil, routes[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cat.Register(catalog.Registration{
-			Source: source, PredName: pred, Backend: client, LocalPred: 0,
-			Sorted: true, Random: true,
-		}); err != nil {
+		cal, err := MeasureStore(ctx, one, StoreMeasureOptions{Probes: 3, Batches: 3})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	register("dineme", "rating", ratingSrv.URL)
-	register("superpages", "closeness", closenessSrv.URL)
-
-	cols, err := sqlq.Bind(pq, cat.PredicateNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The query lists rating first, matching registration order.
-	if cols[0] != 0 || cols[1] != 1 {
-		t.Fatalf("binding = %v", cols)
-	}
-
-	scn, _, err := cat.CalibrateIO(context.Background(), "http", store.MeasureOptions{Probes: 3, Batches: 3})
-	if err != nil {
-		t.Fatal(err)
+		scn.Preds[i] = PredCost{Sorted: CostOf(cal.SortedMS), SortedOK: true, Random: CostOf(cal.RandomMS), RandomOK: true}
 	}
 	// Calibration must notice that the rating source is slower.
 	if scn.Preds[0].Sorted <= scn.Preds[1].Sorted {
 		t.Errorf("calibration order wrong: %v vs %v", scn.Preds[0].Sorted, scn.Preds[1].Sorted)
 	}
 
-	backend, err := cat.Backend()
+	cols, err := sqlq.Bind(pq, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The query lists rating first, matching the route order.
+	if cols[0] != 0 || cols[1] != 1 {
+		t.Fatalf("binding = %v", cols)
+	}
+
+	backend, err := websim.NewClient(ctx, nil, routes)
 	if err != nil {
 		t.Fatal(err)
 	}

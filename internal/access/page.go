@@ -60,16 +60,15 @@ func SortedAt(ctx context.Context, p Pager, pred, rank int) (e Entry, err error)
 func Fields(e Entry, err error) (int, float64, error) { return e.Obj, e.Score, err }
 
 // ReadAheadCounter is implemented by the layers that count the sorted
-// entries they serve (the store, the sharing layer, the coordinator) and by
-// the layers that forward to one (Project, the catalog's router). Page
+// entries they serve (the store, the sharing layer, the coordinator). Page
 // counts only the entry at rank from, which a reader always consumes; a
-// reader that consumed more of a page reports those entries — the read-ahead
-// it used — once it is done with the page. Counts only rise, so a scrape
-// taken mid-run never sees one go back, and once every page is reported a
-// count of entries served is a count of sorted accesses billed. Read-ahead
-// is never source work of its own: it is what the work for the page's
-// first entry made available, and a page whose first entry drove a shared
-// prefix's fetch carries nothing else.
+// reader that consumed more of a page reports those entries — the
+// read-ahead it used — once it is done with the page. Counts only rise, so
+// a scrape taken mid-run never sees one go back, and once every page is
+// reported a count of entries served is a count of sorted accesses billed.
+// Read-ahead is never source work of its own: it is what the work for the
+// page's first entry made available, and a page whose first entry drove a
+// shared prefix's fetch carries nothing else.
 type ReadAheadCounter interface {
 	Consumed(pred, n int)
 }

@@ -23,7 +23,7 @@ type BatchBackend interface {
 // Unwrap() Backend; that is the whole convention. Use it for what holds
 // whatever the predicate numbering above it: a concrete layer (the sharing
 // layer and its hit rates, the disk store) or a stack-wide capability
-// (shard membership, cache eviction).
+// (cache eviction).
 func As[T any](b Backend) (T, bool) {
 	for b != nil {
 		if t, ok := b.(T); ok {

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -338,9 +337,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if c.N() != 10 || c.M() != 2 || c.Shards() != 1 {
 		t.Errorf("dims N=%d M=%d Shards=%d", c.N(), c.M(), c.Shards())
 	}
-	if got := c.MembershipKey(); got != "e0:1" {
-		t.Errorf("fresh MembershipKey %q, want e0:1", got)
-	}
+	expectFence(t, c, 0, -1)
 }
 
 func TestCoordinatorSortedMerge(t *testing.T) {
@@ -594,17 +591,22 @@ func (f *flakyShard) BatchRandom(ctx context.Context, preds, objs []int) ([]floa
 	return f.LocalShard.BatchRandom(ctx, preds, objs)
 }
 
-// expectKey asserts the membership fingerprint: epoch plus the expected
-// up/down mask with the victim shard's bit cleared when down is set.
-func expectKey(t *testing.T, c *Coordinator, epoch uint64, downShard int) {
+// expectFence asserts the membership: the epoch, and every shard's
+// circuit closed but the victim's when downShard is set, with ShardsUp
+// counting the closed ones.
+func expectFence(t *testing.T, c *Coordinator, epoch uint64, downShard int) {
 	t.Helper()
-	mask := []byte(strings.Repeat("1", c.Shards()))
+	up := c.Shards()
 	if downShard >= 0 {
-		mask[downShard] = '0'
+		up--
 	}
-	want := fmt.Sprintf("e%d:%s", epoch, mask)
-	if got := c.MembershipKey(); got != want {
-		t.Fatalf("MembershipKey %q, want %q", got, want)
+	if st := c.Stats(); st.Epoch != epoch || st.ShardsUp != up {
+		t.Fatalf("epoch %d with %d shards up, want epoch %d with %d up", st.Epoch, st.ShardsUp, epoch, up)
+	}
+	for i := range c.Shards() {
+		if closed := c.fence.State(i) == access.BreakerClosed; closed != (i != downShard) {
+			t.Fatalf("shard %d circuit closed = %v, want %v", i, closed, i != downShard)
+		}
 	}
 }
 
@@ -645,7 +647,7 @@ func TestCoordinatorFencing(t *testing.T) {
 	if _, err := c.Random(ctx, 0, probe); err != nil {
 		t.Fatalf("healthy probe: %v", err)
 	}
-	expectKey(t, c, 0, -1)
+	expectFence(t, c, 0, -1)
 
 	// Two consecutive failures reach the threshold and fence the shard;
 	// the access that fences still reports the underlying error, the next
@@ -663,7 +665,7 @@ func TestCoordinatorFencing(t *testing.T) {
 	if _, err := c.Random(ctx, 0, probe); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("fenced probe: %v", err)
 	}
-	expectKey(t, c, 1, victim)
+	expectFence(t, c, 1, victim)
 	st := c.Stats()
 	if st.ShardsUp != 2 || st.ShardFailures != 2 || st.Epoch != 1 {
 		t.Fatalf("post-fence stats: up=%d failures=%d epoch=%d", st.ShardsUp, st.ShardFailures, st.Epoch)
@@ -687,7 +689,7 @@ func TestCoordinatorFencing(t *testing.T) {
 	if _, err := c.Random(ctx, 0, probe); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("probe inside the restarted cooldown: %v", err)
 	}
-	expectKey(t, c, 1, victim)
+	expectFence(t, c, 1, victim)
 
 	// Recovery: the shard heals, the next half-open probe succeeds, and
 	// membership flips back with a fresh epoch so cached plans re-key.
@@ -696,7 +698,7 @@ func TestCoordinatorFencing(t *testing.T) {
 	if got, err := c.Random(ctx, 0, probe); err != nil || got != ds.Score(probe, 0) {
 		t.Fatalf("recovery probe: (%g, %v)", got, err)
 	}
-	expectKey(t, c, 2, -1)
+	expectFence(t, c, 2, -1)
 	if st := c.Stats(); st.ShardsUp != 3 || st.Epoch != 2 {
 		t.Fatalf("post-recovery stats: up=%d epoch=%d", st.ShardsUp, st.Epoch)
 	}
@@ -717,7 +719,7 @@ func TestCoordinatorCancellationDoesNotFence(t *testing.T) {
 	if _, err := c.Random(cancelled, 0, 0); err == nil {
 		t.Fatal("random under cancelled ctx succeeded")
 	}
-	expectKey(t, c, 0, -1)
+	expectFence(t, c, 0, -1)
 	if st := c.Stats(); st.ShardFailures != 0 || st.ShardsUp != 2 {
 		t.Fatalf("cancellation billed as failure: %+v", st)
 	}

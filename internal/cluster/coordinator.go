@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -46,10 +45,9 @@ type Coordinator struct {
 	n, m     int
 	prefetch int
 
-	fence     *access.Circuits // one circuit per shard
-	epoch     atomic.Uint64
-	up        atomic.Int64
-	memberKey atomic.Pointer[string] // the last MembershipKey built
+	fence *access.Circuits // one circuit per shard
+	epoch atomic.Uint64
+	up    atomic.Int64
 
 	merges []mergeState
 
@@ -418,7 +416,7 @@ func (c *Coordinator) shardBatch(ctx context.Context, s int, preds, objs, idx []
 // i. A failure under a caller's context that has ended says nothing about
 // the shard — the session's breakers follow the same rule — so it only
 // releases the grant. A fence (closed → open) and a recovery (half-open →
-// closed) bump the membership epoch so cached plans re-key; open ↔
+// closed) bump the membership epoch and move the shards-up count; open ↔
 // half-open moves neither, as a half-open shard still reads as down.
 func (c *Coordinator) settle(ctx context.Context, i int, ok bool) {
 	if !ok {
@@ -436,31 +434,4 @@ func (c *Coordinator) settle(ctx context.Context, i int, ok bool) {
 		c.epoch.Add(1)
 		c.up.Add(1)
 	}
-}
-
-// MembershipKey fingerprints the cluster's live membership: the epoch
-// (bumped on every fence and recovery) plus the up/down mask, a shard
-// whose circuit is not closed reading as down. The
-// optimizer folds it into the plan-cache key so plans chosen against one
-// membership are never replayed against another. The key is spelled into a
-// stack buffer and the last string built is kept, so while the membership
-// stands still — every plan-cache hit — reading it allocates nothing.
-func (c *Coordinator) MembershipKey() string {
-	var buf [64]byte
-	key := append(buf[:0], 'e')
-	key = strconv.AppendUint(key, c.epoch.Load(), 10)
-	key = append(key, ':')
-	for i := range c.shards {
-		if c.fence.State(i) != access.BreakerClosed {
-			key = append(key, '0')
-		} else {
-			key = append(key, '1')
-		}
-	}
-	if last := c.memberKey.Load(); last != nil && *last == string(key) {
-		return *last
-	}
-	s := string(key)
-	c.memberKey.Store(&s)
-	return s
 }

@@ -12,12 +12,12 @@
 // packages — internal/access, internal/share, internal/fault. Forwarding
 // is exempt: a call made inside a same-named method of a type that itself
 // implements the interface is one composed backend delegating to another
-// (the catalog's router, fault wrappers), not an unbilled access — the
+// (fault wrappers, the contract guard), not an unbilled access — the
 // outermost wrapper is still driven through a session. Such a forwarder
 // owes the stack two things in return. When what it forwards to is held as
 // an interface, it must declare Unwrap() access.Backend, or everything
 // access.As looks for below it — the sharing layer's planning discounts,
-// the shard membership in the plan-cache key, cache eviction — silently
+// the base the planning sample is drawn from, cache eviction — silently
 // disappears. And a wrapper that forwards Sorted must forward Page too:
 // the session reads pages, so a wrapper without Page is read one entry per
 // call through access.Pages' adapter, whatever the layers below it serve.

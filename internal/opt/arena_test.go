@@ -299,11 +299,11 @@ func TestPlanCacheConcurrentMisses(t *testing.T) {
 // built cannot silently merge or split entries.
 func TestPlanCacheKeyText(t *testing.T) {
 	scn := access.MatrixCell(2, access.Cheap, access.Impossible, 10)
-	cfg := Config{Seed: -3, RefineOmega: true, SortedDiscount: 0.25, BackendKey: "e7|s1",
+	cfg := Config{Seed: -3, RefineOmega: true, SortedDiscount: 0.25,
 		Observed: &ObservedStats{Slopes: []float64{2, 1}}}.withDefaults()
 	got := string(appendCacheKey(nil, scn, score.Avg(), 5, 1000, cfg))
 	want := "f=avg k=5 n=1000 m=2|s:true:1000000 r:false:0|s:true:1000000 r:false:0" +
-		"|cfg=0:11:50:5:20000:-3:false:true disc=0.25:0 backend=e7|s1 obs=2,1;"
+		"|cfg=0:11:50:5:20000:-3:false:true disc=0.25:0 obs=2,1;"
 	if got != want {
 		t.Errorf("key =\n %s\nwant\n %s", got, want)
 	}

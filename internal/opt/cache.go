@@ -327,13 +327,6 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 		dst = append(dst, ':')
 		dst = strconv.AppendFloat(dst, cfg.RandomDiscount, 'g', -1, 64)
 	}
-	if cfg.BackendKey != "" {
-		// Shard membership and storage calibration decide which backend
-		// serves a plan's accesses and at what measured price; fences,
-		// recoveries and re-calibrations re-key.
-		dst = append(dst, " backend="...)
-		dst = append(dst, cfg.BackendKey...)
-	}
 	if fp := cfg.Observed.Key(); fp != "" {
 		// Mid-query observations reshape the sample Optimize plans against,
 		// exactly like the sharing discounts reshape costs; quantized values

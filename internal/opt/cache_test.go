@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/data/datatest"
 	"repro/internal/obs"
 	"repro/internal/score"
 )
@@ -106,6 +107,43 @@ func TestPlanCacheKeyDiscriminates(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 5 {
 		t.Errorf("stats = %+v, want 1 hit / 5 misses", st)
+	}
+}
+
+// TestPlanCacheKeyIsThePlanningInputs: the key holds exactly what Optimize
+// reads. Setting any one Config field moves it, except Observer, which
+// only watches the search. A field added to Config fails here until it is
+// given a case.
+func TestPlanCacheKeyIsThePlanningInputs(t *testing.T) {
+	scn, f, k, n := sessionShape()
+	set := map[string]func(*Config){
+		"Scheme":         func(c *Config) { c.Scheme = SchemeNaive },
+		"Grid":           func(c *Config) { c.Grid = 5 },
+		"SampleSize":     func(c *Config) { c.SampleSize = 20 },
+		"Restarts":       func(c *Config) { c.Restarts = 2 },
+		"MaxEvals":       func(c *Config) { c.MaxEvals = 100 },
+		"Seed":           func(c *Config) { c.Seed = 7 },
+		"Sample":         func(c *Config) { c.Sample = datatest.MustDummySample(4, 3, 1) },
+		"DisableNWG":     func(c *Config) { c.DisableNWG = true },
+		"RefineOmega":    func(c *Config) { c.RefineOmega = true },
+		"SortedDiscount": func(c *Config) { c.SortedDiscount = 0.25 },
+		"RandomDiscount": func(c *Config) { c.RandomDiscount = 0.25 },
+		"Observed":       func(c *Config) { c.Observed = &ObservedStats{Slopes: []float64{2, 1, 1}} },
+		"Observer":       func(c *Config) { c.Observer = obs.NewQueryTrace() },
+	}
+	base := string(appendCacheKey(nil, scn, f, k, n, Config{}.withDefaults()))
+	for _, field := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		setField, ok := set[field.Name]
+		if !ok {
+			t.Errorf("Config.%s has no case: key it, or name it as watching the search", field.Name)
+			continue
+		}
+		var cfg Config
+		setField(&cfg)
+		keyed := string(appendCacheKey(nil, scn, f, k, n, cfg.withDefaults())) != base
+		if want := field.Name != "Observer"; keyed != want {
+			t.Errorf("setting Config.%s moves the key = %v, want %v", field.Name, keyed, want)
+		}
 	}
 }
 

@@ -54,18 +54,6 @@ type Config struct {
 	// warped: real samples are ground truth, observations only correct
 	// the dummy uniform assumption.
 	Observed *ObservedStats
-	// BackendKey fingerprints what the plan's accesses will actually run
-	// against beyond the scenario: live shard membership
-	// (cluster.Coordinator.MembershipKey — plans chosen while one shard set
-	// was live must not be replayed against another; breakers re-key the
-	// scenario on their own, this covers the window before they trip and
-	// the recovery after they close) and a disk store's identity with its
-	// IO-measured calibration (store.Calibration.Key, quantized to two
-	// significant figures so repeat calibrations of unchanged physics stay
-	// cache hits). The engine composes it from its backend stack; it joins
-	// the plan-cache key and does not change the optimization itself.
-	// Empty for single-node backends under declared costs.
-	BackendKey string
 	// Observer, when non-nil, receives optimizer events: one
 	// EstimatorEval per priced configuration (memoized or simulated).
 	Observer obs.Observer

@@ -114,7 +114,6 @@ func TestPlanCacheNeighbourMustMatchAllButWeights(t *testing.T) {
 		{"other n", Config{}, Config{}, scn, near, k, 2 * n, false},
 		{"other costs", Config{}, Config{}, other, near, k, n, false},
 		{"other seed", Config{}, Config{Seed: 7}, scn, near, k, n, false},
-		{"other backend", Config{}, Config{BackendKey: "shards=2"}, scn, near, k, n, false},
 		{"observations", Config{}, Config{Observed: &ObservedStats{Slopes: []float64{2, 1, 1}}}, scn, near, k, n, false},
 		{"other arity", Config{}, Config{}, access.Uniform(4, 1, 1), score.Weighted(0.301, 0.25, 0.45, 0.1), k, n, false},
 		{"Naive scheme", Config{Scheme: SchemeNaive, Grid: 5}, Config{Scheme: SchemeNaive, Grid: 5}, scn, near, k, n, false},
@@ -226,35 +225,32 @@ func TestPlanCacheConcurrentWarmMisses(t *testing.T) {
 // driftMisses is mem_session's miss path on one cache: a weighted sum over
 // three predicates, k=10, n=1000, whose first weight rises 0.001 a call
 // for 200 calls and wraps. Warm, each miss finds the previous call's plan
-// as its neighbour. Cold, each call plans for a backend of its own, so no
-// cached plan is a neighbour and every miss searches from five starts.
+// as its neighbour. Cold, each call plans for a base of its own size, so
+// no cached plan is a neighbour and every miss searches from five starts.
 // After prime, the cache is full and every call misses and evicts.
 type driftMisses struct {
 	c     *PlanCache
 	scn   access.Scenario
 	k, n  int
 	funcs []score.Func
-	keys  []string
+	cold  bool
 	dst   Plan
 	i     int
 }
 
 func newDriftMisses(cold bool) *driftMisses {
 	scn, f, k, n := sessionShape()
-	d := &driftMisses{c: NewPlanCache(0), scn: scn, k: k, n: n, funcs: driftFuncs(f.(score.Weighter).Weights(), 0.001, 200)}
-	d.keys = make([]string, len(d.funcs))
-	for i := range d.keys {
-		if cold {
-			d.keys[i] = fmt.Sprintf("backend-%d", i)
-		}
-	}
-	return d
+	return &driftMisses{c: NewPlanCache(0), scn: scn, k: k, n: n, funcs: driftFuncs(f.(score.Weighter).Weights(), 0.001, 200), cold: cold}
 }
 
 func (d *driftMisses) next() error {
 	j := d.i % len(d.funcs)
 	d.i++
-	return d.c.Load(&d.dst, Config{BackendKey: d.keys[j]}, d.scn, d.funcs[j], d.k, d.n)
+	n := d.n
+	if d.cold {
+		n += j
+	}
+	return d.c.Load(&d.dst, Config{}, d.scn, d.funcs[j], d.k, n)
 }
 
 func (d *driftMisses) prime() error {

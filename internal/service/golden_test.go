@@ -52,7 +52,6 @@ var goldenModes = []goldenMode{
 		}
 		t.Cleanup(func() { st.Close() })
 		cfg.Store = st
-		cfg.StoreCalibration = topk.StoreCalibration{SortedMS: 1, RandomMS: 2, Mode: "warm", Probes: 1}
 	}},
 }
 

@@ -108,11 +108,6 @@ type Config struct {
 	// series register on the service's metrics registry. Exactly one of
 	// Dataset, Cluster, and Store must be set.
 	Store *topk.Store
-	// StoreCalibration carries the store's IO-measured (cs, cr) — it
-	// fingerprints every store-mode plan into the shared plan cache
-	// (topk.WithStore) so plans priced under one calibration are not
-	// replayed after the physics moves. Ignored without Store.
-	StoreCalibration topk.StoreCalibration
 	// Columns names the dataset's predicates for SQL binding.
 	Columns []string
 	// Scenario is the access cost configuration.
@@ -168,9 +163,9 @@ type Config struct {
 	// shared layer, so injected faults hit each query's session (and its
 	// breakers) without poisoning the shared caches. A wrapper should
 	// declare Unwrap() topk.Backend returning b: the engine finds the
-	// sharing layer (for its planning discounts) and the cluster membership
-	// (for the plan-cache key) by walking the stack, and a wrapper without
-	// it hides both.
+	// sharing layer (for its planning discounts) and the dataset or store
+	// it draws its planning sample from by walking the stack, and a wrapper
+	// without it hides both.
 	WrapBackend func(b topk.Backend) topk.Backend
 
 	// AdaptivePeriod, when > 0, runs every default-pipeline query with
@@ -414,11 +409,6 @@ func NewHandler(cfg Config) (*Handler, error) {
 		backend = cfg.WrapBackend(backend)
 	}
 	engOpts := []topk.EngineOption{topk.WithPlanCache(h.plans)}
-	if cfg.Store != nil {
-		// Fingerprint the store identity and its measured calibration into
-		// the plan cache: a re-calibration re-keys every plan.
-		engOpts = append(engOpts, topk.WithStore(cfg.Store, cfg.StoreCalibration))
-	}
 	if cfg.ContractGuard {
 		engOpts = append(engOpts, topk.WithContractGuard())
 	}

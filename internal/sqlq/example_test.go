@@ -7,7 +7,7 @@ import (
 )
 
 // ExampleParse parses the paper's Query Q1 and binds its predicates to a
-// source catalog's column order.
+// database's column order.
 func ExampleParse() {
 	q, err := sqlq.Parse(
 		"select name from restaurants order by min(rating, closeness) stop after 5")
@@ -21,7 +21,7 @@ func ExampleParse() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("columns:", cols) // rating is catalog column 1, closeness 0
+	fmt.Println("columns:", cols) // rating is column 1, closeness 0
 	// Output:
 	// function: min
 	// k: 5

@@ -46,11 +46,10 @@ type Calibration struct {
 // Ratio returns cr/cs, the asymmetry the optimizer's plan shape turns on.
 func (c Calibration) Ratio() float64 { return c.RandomMS / c.SortedMS }
 
-// Key renders the calibration for the plan-cache fingerprint. Because
-// the cost figures are quantized, the key is stable across repeat
-// calibrations of the same store on the same hardware — and changes
-// whenever the measured physics does, which must invalidate cached
-// plans.
+// Key renders the calibration as text, the name of the scenario it
+// prices. Because the cost figures are quantized, the key is stable across
+// repeat calibrations of the same store on the same hardware, and changes
+// whenever the measured physics does.
 func (c Calibration) Key() string {
 	return fmt.Sprintf("io(cs=%gms,cr=%gms,%s)", c.SortedMS, c.RandomMS, c.Mode)
 }
@@ -77,17 +76,17 @@ func (o MeasureOptions) mode() string {
 }
 
 // Measure times sorted and random accesses against a backend and returns
-// the quantized per-access costs. It works on any access.Backend — the
-// catalog calls it on one-predicate projections of declared sources too —
-// but it is only as honest as the backend is physical. Measurement probes are raw, unbilled
-// accesses by design: they are the instrument, not the query. The
-// context bounds the probes (they may hit real sources).
+// the quantized per-access costs. It works on any access.Backend — a
+// websim client of one Web source too — but it is only as honest as the
+// backend is physical. Measurement probes are raw, unbilled accesses by
+// design: they are the instrument, not the query. The context bounds the
+// probes (they may hit real sources).
 func Measure(ctx context.Context, b access.Backend, opts MeasureOptions) (Calibration, error) {
-	cs, err := MeasureSorted(ctx, b, opts)
+	cs, err := measureSorted(ctx, b, opts)
 	if err != nil {
 		return Calibration{}, err
 	}
-	cr, err := MeasureRandom(ctx, b, opts)
+	cr, err := measureRandom(ctx, b, opts)
 	if err != nil {
 		return Calibration{}, err
 	}
@@ -99,10 +98,10 @@ func Measure(ctx context.Context, b access.Backend, opts MeasureOptions) (Calibr
 	}, nil
 }
 
-// MeasureSorted times batches of consecutive sorted accesses — the sa_i
+// measureSorted times batches of consecutive sorted accesses — the sa_i
 // pattern every algorithm issues: descend a list from some depth — and
 // returns the median per-access milliseconds (unquantized).
-func MeasureSorted(ctx context.Context, b access.Backend, opts MeasureOptions) (float64, error) {
+func measureSorted(ctx context.Context, b access.Backend, opts MeasureOptions) (float64, error) {
 	probes, batches := opts.probes(), opts.batches()
 	if probes > b.N() {
 		probes = b.N()
@@ -127,10 +126,10 @@ func MeasureSorted(ctx context.Context, b access.Backend, opts MeasureOptions) (
 	return median(samples), nil
 }
 
-// MeasureRandom times batches of scattered point probes — the ra_i
+// measureRandom times batches of scattered point probes — the ra_i
 // pattern — and returns the median per-access milliseconds (unquantized).
 // Probe targets are drawn before the clock starts.
-func MeasureRandom(ctx context.Context, b access.Backend, opts MeasureOptions) (float64, error) {
+func measureRandom(ctx context.Context, b access.Backend, opts MeasureOptions) (float64, error) {
 	probes, batches := opts.probes(), opts.batches()
 	rng := rand.New(rand.NewSource(opts.Seed + 1))
 	preds := make([]int, probes)

@@ -5,8 +5,8 @@
 // physical honesty: the cost asymmetry the paper assumes (cr > cs,
 // Section 2) here emerges from seek-vs-scan physics — one 48 KiB block
 // read amortizes over thousands of sorted accesses while every random
-// probe pays its own positioned read — and internal/catalog measures it
-// from timed IO instead of taking it as config.
+// probe pays its own positioned read — and Measure prices it from timed IO
+// instead of taking it as config.
 package store
 
 import (

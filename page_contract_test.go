@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/adapt"
-	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/data"
@@ -150,14 +149,17 @@ func TestPageContract(t *testing.T) {
 		return st
 	}
 	storeRule := func(from, size int) int { return min(size, n-from, block-from%block) }
-	jsonClient := func(t *testing.T) access.Pager {
-		srv, err := websim.NewServer(ds)
+	serve := func(t *testing.T, opts ...websim.ServerOption) string {
+		srv, err := websim.NewServer(ds, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		c, err := websim.NewClient(ctx, ts.Client(), []websim.Route{{BaseURL: ts.URL, Pred: 0}, {BaseURL: ts.URL, Pred: 1}})
+		return ts.URL
+	}
+	jsonClient := func(t *testing.T, routes ...websim.Route) access.Pager {
+		c, err := websim.NewClient(ctx, nil, routes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +172,16 @@ func TestPageContract(t *testing.T) {
 		{"store-uncached", func(t *testing.T) access.Pager { return openStore(t, -1) }, n, dsAt, block, storeRule},
 		{"local-shard", func(*testing.T) access.Pager { return cluster.NewLocalShard(sd) }, sd.LocalN(), shardAt, prefetch, full(sd.LocalN())},
 		{"remote-shard", func(t *testing.T) access.Pager { return remoteShards(t)[0] }, sd.LocalN(), shardAt, prefetch, full(sd.LocalN())},
-		{"websim-client", jsonClient, n, dsAt, block, one},
+		{"websim-client", func(t *testing.T) access.Pager {
+			url := serve(t)
+			return jsonClient(t, websim.Route{BaseURL: url, Pred: 0}, websim.Route{BaseURL: url, Pred: 1})
+		}, n, dsAt, block, one},
+		// Two sources, one predicate each, assembled with crossed routes:
+		// query predicate 0 reads the dataset's predicate 1.
+		{"websim-client-crossed", func(t *testing.T) access.Pager {
+			p1, p2 := serve(t, websim.WithPredicates(0)), serve(t, websim.WithPredicates(1))
+			return jsonClient(t, websim.Route{BaseURL: p2, Pred: 0}, websim.Route{BaseURL: p1, Pred: 0})
+		}, n, func(pred, rank int) access.Entry { return dsAt(1-pred, rank) }, block, one},
 		{"coordinator-cold", func(t *testing.T) access.Pager { return coordinator(t, localShards()) }, n, dsAt, prefetch, one},
 		{"coordinator-warm", func(t *testing.T) access.Pager { return warm(t, coordinator(t, localShards())) }, n, dsAt, prefetch, full(n)},
 		{"remote-coordinator-cold", func(t *testing.T) access.Pager { return coordinator(t, remoteShards(t)) }, n, dsAt, prefetch, one},
@@ -179,19 +190,6 @@ func TestPageContract(t *testing.T) {
 		{"share-warm", func(t *testing.T) access.Pager { return warm(t, share.New(base, share.Options{})) }, n, dsAt, block, full(n)},
 		{"guard", func(*testing.T) access.Pager { return adapt.NewGuard(base) }, n, dsAt, block, one},
 		{"fault", func(*testing.T) access.Pager { return fault.Wrap(base, fault.Config{Seed: 1}) }, n, dsAt, block, one},
-		{"catalog", func(t *testing.T) access.Pager {
-			c := catalog.New()
-			for i, name := range []string{"q", "p"} {
-				if err := c.Register(catalog.Registration{Source: "s", PredName: name, Backend: base, LocalPred: 1 - i, Sorted: true}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			b, err := c.Backend()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b.(access.Pager)
-		}, n, func(pred, rank int) access.Entry { return dsAt(1-pred, rank) }, block, full(n)},
 	}
 	poison := access.Entry{Obj: -7, Score: -7}
 	for _, l := range layers {

@@ -3,8 +3,8 @@ package topk
 // Backend-stack tests (DESIGN.md "Backend stack"): whatever layers are
 // stacked between a base and the engine, in whatever order, the query
 // layer must not be able to tell — and what the engine resolves from the
-// stack (sharing layer, shard membership) must survive every wrapper that
-// declares Unwrap.
+// stack (sharing layer, the base it samples for planning) must survive
+// every wrapper that declares Unwrap.
 
 import (
 	"context"
@@ -132,12 +132,13 @@ func (c *accessCtx) Err() error                  { c.check("Err"); return c.pare
 func (c *accessCtx) Value(key any) any           { c.check("Value"); return c.parent.Value(key) }
 
 // TestClusterPlanCacheKeying is the cluster sibling of
-// TestStorePlanCacheKeying: a plan chosen against one shard membership
-// must not be replayed against another, however the coordinator is reached.
-// Per row: a run misses, a repeat hits, a shard is fenced, and the next
-// lookup must miss under the new membership key. The last lookup is an
-// Explain — same cache, same key, no source access — because the fenced
-// shard would refuse the accesses of a run.
+// TestStorePlanCacheKeying: a plan depends only on what Optimize reads, and
+// a shard fence moves none of it, however the coordinator is reached. Per
+// row: a run misses, a repeat hits, a shard is fenced, and the next lookup
+// must hit and return the identical plan. (A session's breakers re-key
+// through the capabilities of the scenario they degrade.) The last lookup
+// is an Explain — same cache, same key, no source access — because the
+// fenced shard would refuse the accesses of a run.
 func TestClusterPlanCacheKeying(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 90, 3, 17)
 	rows := []struct {
@@ -173,27 +174,33 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 			// An explicit discount pins the one other part of the key a stack
 			// can move (the sharing layer's observed hit rates).
 			q, cfg := Query{F: Avg(), K: 5, Cols: row.cols}, OptimizerConfig{SortedDiscount: 0.1}
+			var plans []Plan
 			for i := 0; i < 2; i++ {
-				if _, err := eng.Run(q, WithOptimizer(cfg)); err != nil {
+				ans, err := eng.Run(q, WithOptimizer(cfg))
+				if err != nil {
 					t.Fatal(err)
 				}
+				plans = append(plans, *ans.Plan)
 			}
 			if got := cache.Stats(); got.Misses != 1 || got.Hits != 1 {
 				t.Fatalf("stable membership: %+v, want one miss then one hit", got)
 			}
-			before := coord.MembershipKey()
 			victim.down.Store(true)
 			if _, err := coord.Random(context.Background(), 0, parts[1].Global[0]); err == nil {
 				t.Fatal("probe of the unplugged shard succeeded")
 			}
-			if after := coord.MembershipKey(); after == before {
-				t.Fatalf("membership key %q did not move on the fence", after)
+			if st := coord.Stats(); st.Epoch != 1 || st.ShardsUp != 2 {
+				t.Fatalf("after the fence: epoch %d with %d shards up, want epoch 1 with 2 up", st.Epoch, st.ShardsUp)
 			}
-			if _, err := eng.Explain(q, cfg); err != nil {
+			fenced, err := eng.Explain(q, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cache.Stats(); got.Misses != 2 || got.Hits != 1 {
-				t.Errorf("after the fence: %+v, want a second miss (a hit replays a plan chosen for the old membership)", got)
+			if got := cache.Stats(); got.Misses != 1 || got.Hits != 2 {
+				t.Errorf("after the fence: %+v, want a second hit (the fence changed nothing the plan was searched on)", got)
+			}
+			if !reflect.DeepEqual(fenced, plans[1]) {
+				t.Errorf("after the fence the cache returned %+v, before it %+v", fenced, plans[1])
 			}
 		})
 	}
@@ -207,9 +214,9 @@ func TestClusterPlanCacheKeying(t *testing.T) {
 // single-node memory over the same columns — items, ledger, and every
 // prefix a cursor emits on the way (the any-k criterion: each prefix is
 // itself a correct answer) — with trace == ledger, and from the top of
-// every stack access.As still finds the base, the sharing layer and the
-// shard membership. The query's Cols are the one column map: no layer of
-// any stack renumbers predicates. Without the injector, sharing under and
+// every stack access.As still finds the base and the sharing layer. The
+// query's Cols are the one column map: no layer of any stack renumbers
+// predicates. Without the injector, sharing under and
 // over it is the same stack.
 func TestStackCompositionOracle(t *testing.T) {
 	const n, m, page = 60, 3, 3
@@ -306,9 +313,6 @@ func TestStackCompositionOracle(t *testing.T) {
 								case "cluster":
 									if found, ok := access.As[*cluster.Coordinator](top); !ok || found != coord {
 										t.Error("As lost the coordinator")
-									}
-									if eng.members == nil || eng.members.MembershipKey() == "" {
-										t.Error("engine resolved no membership key below the stack")
 									}
 								}
 								if _, ok := access.As[*share.Layer](top); ok != (sharing != "") {

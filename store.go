@@ -63,7 +63,8 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 
 // MeasureStore times sorted and random accesses against a backend
 // (batched, median-of-batches) and returns quantized per-access costs in
-// milliseconds. Use the result with CalibratedScenario and WithStore.
+// milliseconds. Price a scenario from the result with CalibratedScenario,
+// or one predicate of it with CostOf.
 func MeasureStore(ctx context.Context, b Backend, opts StoreMeasureOptions) (StoreCalibration, error) {
 	return store.Measure(ctx, b, opts)
 }
@@ -76,18 +77,4 @@ func CalibratedScenario(m int, cal StoreCalibration) Scenario {
 	scn := UniformScenario(m, cal.SortedMS, cal.RandomMS)
 	scn.Name = fmt.Sprintf("calibrated(%s)", cal.Key())
 	return scn
-}
-
-// WithStore declares the engine serves a disk store priced by the given
-// calibration: the store's identity and the quantized measured costs join
-// the plan-cache fingerprint (OptimizerConfig.BackendKey), so plans
-// priced under one calibration are not replayed after a re-calibration —
-// new hardware, warm vs cold mode — moves the physics, while repeat
-// calibrations of unchanged physics stay cache hits. It does not replace
-// the engine's backend; pass the store (or a layer over it) to NewEngine
-// as usual.
-func WithStore(s *Store, cal StoreCalibration) EngineOption {
-	return func(e *Engine) {
-		e.storageKey = fmt.Sprintf("%s@%s", s.Name(), cal.Key())
-	}
 }

@@ -194,38 +194,40 @@ func TestStoreCrashRefusal(t *testing.T) {
 	assertExactTopK(t, ds, Min(), 4, ans)
 }
 
-// TestStorePlanCacheKeying pins the fingerprint interaction: two engines
-// over the same store sharing one plan cache must share plans when their
-// calibrations match and must NOT when the measured physics differs —
-// the calibration key re-keys the entry.
+// TestStorePlanCacheKeying pins how a store's calibration reaches the plan
+// cache: only through the scenario it prices. Engines over one store that
+// share a plan cache share plans under one pinned scenario, whatever the
+// store measured, and re-key exactly when two calibrations price
+// different scenarios.
 func TestStorePlanCacheKeying(t *testing.T) {
 	st := newTestStore(t, "uniform", 100, 2, 5)
 	cache := NewPlanCache(0)
 	q := Query{F: Avg(), K: 5}
-	scn := UniformScenario(2, 1, 8)
-
 	calA := StoreCalibration{SortedMS: 0.001, RandomMS: 0.02, Mode: "warm", Probes: 512}
 	calB := StoreCalibration{SortedMS: 0.001, RandomMS: 0.08, Mode: "cold", Probes: 512}
 
-	run := func(cal StoreCalibration) {
-		eng, err := NewEngine(st, scn, WithPlanCache(cache), WithStore(st, cal))
+	run := func(scn Scenario, misses, hits uint64) {
+		t.Helper()
+		eng, err := NewEngine(st, scn, WithPlanCache(cache))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := eng.Run(q, WithOptimizer(OptimizerConfig{})); err != nil {
 			t.Fatal(err)
 		}
+		if got := cache.Stats(); got.Misses != misses || got.Hits != hits {
+			t.Fatalf("under %s: %+v, want %d misses and %d hits", scn.Name, got, misses, hits)
+		}
 	}
-	run(calA)
-	if got := cache.Stats(); got.Misses != 1 {
-		t.Fatalf("first calibrated run: %d misses, want 1", got.Misses)
-	}
-	run(calA) // same calibration: hit
-	if got := cache.Stats(); got.Hits != 1 || got.Misses != 1 {
-		t.Fatalf("repeat calibration must hit: %+v", got)
-	}
-	run(calB) // different measured physics: new entry
-	if got := cache.Stats(); got.Misses != 2 {
-		t.Fatalf("re-calibration must re-key: %+v", got)
-	}
+	// A pinned scenario prices nothing from a calibration: the engine a
+	// boot measuring calA builds and the one a boot measuring calB builds
+	// plan the same problem.
+	pinned := UniformScenario(2, 1, 8)
+	run(pinned, 1, 0)
+	run(pinned, 1, 1)
+	// Calibrated scenarios key by the costs they price: a repeat
+	// calibration of unchanged physics hits, moved physics re-keys.
+	run(CalibratedScenario(2, calA), 2, 1)
+	run(CalibratedScenario(2, calA), 2, 2)
+	run(CalibratedScenario(2, calB), 3, 2)
 }

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/access"
@@ -234,17 +233,9 @@ type Engine struct {
 	shifts    []CostShift
 	planCache *PlanCache
 	guard     *adapt.Guard
-	// share and members are what NewEngine found in the backend stack
-	// (access.As): the sharing layer whose hit rates discount planning,
-	// and the holder of a live shard-membership fingerprint. storageKey
-	// fingerprints a disk store and its IO calibration (see WithStore).
-	// Together the last two make the plan cache's BackendKey.
-	share      *share.Layer
-	members    interface{ MembershipKey() string }
-	storageKey string
-	// lastKey keeps the last membership-and-storage key beside the
-	// membership string it was built from (see backendKey).
-	lastKey   atomic.Pointer[membersKey]
+	// share is the sharing layer NewEngine found in the backend stack
+	// (access.As), whose hit rates discount planning.
+	share     *share.Layer
 	guardOpts []GuardOption
 	useGuard  bool
 	// samples is what the optimizer plans on (plansample.go): rows of the
@@ -257,10 +248,6 @@ type Engine struct {
 	// into it.
 	pool sync.Pool // of *queryState
 }
-
-// membersKey pairs a membership key with the plan-cache backend key made
-// from it.
-type membersKey struct{ members, key string }
 
 // queryState is the per-query allocation unit the engine recycles: the
 // access session, the framework scratch, and everything begin assembles
@@ -320,14 +307,10 @@ func (e *Engine) shareDiscounts(cfg OptimizerConfig) OptimizerConfig {
 }
 
 // optimize resolves a plan into dst through the attached cache, or
-// directly, priced under the sharing discounts and keyed by the cluster
-// membership and storage calibration the engine runs against. A cache hit
-// copies the plan into dst's own arrays; an error leaves dst as it was.
+// directly, priced under the sharing discounts. A cache hit copies the
+// plan into dst's own arrays; an error leaves dst as it was.
 func (e *Engine) optimize(dst *Plan, cfg OptimizerConfig, scn Scenario, f ScoreFunc, k, n int) error {
 	cfg = e.shareDiscounts(cfg)
-	if cfg.BackendKey == "" {
-		cfg.BackendKey = e.backendKey()
-	}
 	if e.planCache != nil {
 		return e.planCache.Load(dst, cfg, scn, f, k, n)
 	}
@@ -338,37 +321,16 @@ func (e *Engine) optimize(dst *Plan, cfg OptimizerConfig, scn Scenario, f ScoreF
 	return err
 }
 
-// backendKey is the plan-cache fingerprint of what serves a plan's
-// accesses and at what price: the shard membership, the storage
-// calibration, or both joined by "|". The coordinator keeps its membership
-// string until the membership moves, and the joined key is kept beside the
-// string it was made from, so a steady membership costs no allocation.
-func (e *Engine) backendKey() string {
-	if e.members == nil {
-		return e.storageKey
-	}
-	members := e.members.MembershipKey()
-	if e.storageKey == "" {
-		return members
-	}
-	if last := e.lastKey.Load(); last != nil && last.members == members {
-		return last.key
-	}
-	k := &membersKey{members: members, key: members + "|" + e.storageKey}
-	e.lastKey.Store(k)
-	return k.key
-}
-
 // resolvePlan is the one plan-resolution step every entry point shares
 // (Run, Open, page-boundary re-plans, Explain): it points sel at the fixed
 // WithNC configuration or at the optimizer's choice — written into dst
-// through optimize, so sharing discounts, fingerprint keys and the plan
-// cache always apply, and reported as planned — and does nothing for a
-// named algorithm. The optimizer prices preds: the capabilities and costs
-// the session currently sees — breaker degradation and cost shifts
-// included, refreshed into the execution's own buffer — or, without a
-// session (Explain), the engine's. An optimizer plan always passes
-// Reconfigure's validation; only a WithNC configuration can fail it.
+// through optimize, so sharing discounts and the plan cache always apply,
+// and reported as planned — and does nothing for a named algorithm. The
+// optimizer prices preds: the capabilities and costs the session currently
+// sees — breaker degradation and cost shifts included, refreshed into the
+// execution's own buffer — or, without a session (Explain), the engine's.
+// An optimizer plan always passes Reconfigure's validation; only a WithNC
+// configuration can fail it.
 //
 //topklint:hotpath
 func (e *Engine) resolvePlan(dst *Plan, sel *algo.SRG, preds []PredCost, spec *runSpec, o obs.Observer, q Query) (planned bool, err error) {
@@ -518,7 +480,6 @@ func NewEngine(b Backend, scn Scenario, opts ...EngineOption) (*Engine, error) {
 	}
 	// Resolved once: the stack below an engine never changes.
 	e.share, _ = access.As[*share.Layer](b)
-	e.members, _ = access.As[interface{ MembershipKey() string }](b)
 	var err error
 	if e.samples.base, err = drawPlanSample(b); err != nil {
 		return nil, fmt.Errorf("topk: drawing the planning sample: %w", err)
