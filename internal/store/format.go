@@ -103,14 +103,14 @@ func getEntry(buf []byte) (obj uint32, score float64) {
 		math.Float64frombits(binary.LittleEndian.Uint64(buf[4:]))
 }
 
-// QuantizeUnits rounds a measured unit cost (milliseconds per access) to
+// quantizeUnits rounds a measured unit cost (milliseconds per access) to
 // two significant figures. Calibrated costs feed the optimizer's scenario
 // and, through it, the plan-cache fingerprint; raw medians jitter run to
 // run, so quantization is what keeps repeat calibrations keying to the
 // same cached plans. Non-positive and non-finite inputs quantize to the
 // smallest representable cost so a sub-resolution measurement still
 // prices accesses above zero.
-func QuantizeUnits(ms float64) float64 {
+func quantizeUnits(ms float64) float64 {
 	const floor = 1e-6 // 1 nanosecond in milliseconds
 	if math.IsNaN(ms) || math.IsInf(ms, 0) || ms <= floor {
 		return floor

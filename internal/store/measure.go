@@ -28,14 +28,14 @@ type MeasureOptions struct {
 	Cold bool
 }
 
-// CacheDropper is implemented by backends whose caches cold-mode
+// cacheDropper is implemented by backends whose caches cold-mode
 // measurement can evict (the Store's decoded-block cache); it is found
 // anywhere below the measured backend (access.As).
-type CacheDropper interface{ DropCaches() }
+type cacheDropper interface{ DropCaches() }
 
 // Calibration is a measured access cost model: milliseconds per sorted
 // and per random access, quantized to two significant figures so repeat
-// measurements of the same hardware key identically (see QuantizeUnits).
+// measurements of the same hardware key identically (see quantizeUnits).
 type Calibration struct {
 	SortedMS float64 // cs: ms per sorted access
 	RandomMS float64 // cr: ms per random access
@@ -91,8 +91,8 @@ func Measure(ctx context.Context, b access.Backend, opts MeasureOptions) (Calibr
 		return Calibration{}, err
 	}
 	return Calibration{
-		SortedMS: QuantizeUnits(cs),
-		RandomMS: QuantizeUnits(cr),
+		SortedMS: quantizeUnits(cs),
+		RandomMS: quantizeUnits(cr),
 		Mode:     opts.mode(),
 		Probes:   opts.probes(),
 	}, nil
@@ -156,7 +156,7 @@ func dropCaches(b access.Backend, opts MeasureOptions) {
 	if !opts.Cold {
 		return
 	}
-	if d, ok := access.As[CacheDropper](b); ok {
+	if d, ok := access.As[cacheDropper](b); ok {
 		d.DropCaches()
 	}
 }

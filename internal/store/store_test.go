@@ -418,13 +418,13 @@ func TestQuantizeUnits(t *testing.T) {
 		{math.Inf(1), 1e-6},
 	}
 	for _, c := range cases {
-		if got := QuantizeUnits(c.in); math.Abs(got-c.want) > c.want*1e-9 {
-			t.Fatalf("QuantizeUnits(%v) = %v, want %v", c.in, got, c.want)
+		if got := quantizeUnits(c.in); math.Abs(got-c.want) > c.want*1e-9 {
+			t.Fatalf("quantizeUnits(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	// Quantized values print as clean two-digit decimals: they are spliced
 	// verbatim into calibration keys and plan-cache fingerprints.
-	if s := fmt.Sprintf("%g", QuantizeUnits(0.000407)); s != "0.00041" {
+	if s := fmt.Sprintf("%g", quantizeUnits(0.000407)); s != "0.00041" {
 		t.Fatalf("quantized value prints as %q, want 0.00041", s)
 	}
 }
