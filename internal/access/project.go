@@ -6,7 +6,7 @@ import (
 )
 
 // BatchBackend is the optional capability a backend may advertise to
-// receive coalesced random accesses: one call resolves every (preds[i],
+// resolve many random accesses at once: one call resolves every (preds[i],
 // objs[i]) probe, in order, into the returned scores. A batch maps to one
 // round trip, which succeeds or fails as a unit; partial results are not
 // modeled. Its predicates are in the advertising backend's own numbering,

@@ -79,6 +79,9 @@ func (b DatasetBackend) Random(ctx context.Context, pred, obj int) (float64, err
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	if pred < 0 || pred >= b.DS.M() || obj < 0 || obj >= b.DS.N() {
+		return 0, fmt.Errorf("access: probe of p%d object %d outside %d x %d", pred+1, obj, b.DS.N(), b.DS.M())
+	}
 	return b.DS.Score(obj, pred), nil
 }
 

@@ -15,33 +15,6 @@ import (
 // and a random result within it of the sorted sighting is consistent.
 const orderSlack = 1e-9
 
-// GuardOption configures a Guard.
-type GuardOption func(*Guard)
-
-// WithClampRange makes out-of-[0,1] finite scores a soft violation: the
-// guard counts and reports it but serves the clamped score instead of
-// failing the access. NaN/Inf are always hard failures — no clamp makes
-// the threshold math meaningful.
-func WithClampRange() GuardOption {
-	return func(g *Guard) { g.clampRange = true }
-}
-
-// WithFailFast poisons a predicate's sorted stream on its first violation:
-// every subsequent sorted access fails immediately without consulting the
-// backend. Default behaviour retries through — the access fails, nothing
-// is billed, and the resilience breaker quarantines the capability only if
-// the source keeps lying.
-func WithFailFast() GuardOption {
-	return func(g *Guard) { g.failFast = true }
-}
-
-// WithViolationCallback registers a hook fired once per detected violation
-// (after guard state is updated, outside the guard's lock). The facade
-// uses it to emit obs.ContractViolation events on the engine observer.
-func WithViolationCallback(fn func(kind access.Kind, pred int, reason string)) GuardOption {
-	return func(g *Guard) { g.onViolation = fn }
-}
-
 // guardStream is the rank-indexed half of a predicate's witness state:
 // what the source served at each rank, as deep as any rank served so far.
 // With the guard's object-indexed half it lets each new claim be checked
@@ -49,7 +22,6 @@ func WithViolationCallback(fn func(kind access.Kind, pred int, reason string)) G
 type guardStream struct {
 	rankScore []float64 // score served at each rank; NaN = not yet served
 	rankObj   []int32   // object served at each rank; -1 = not yet served
-	poisoned  bool      // fail-fast tripped: stream is quarantined
 }
 
 // at returns what was served at rank: (-1, NaN) if nothing was.
@@ -83,16 +55,10 @@ func (st *guardStream) record(rank, obj int, score float64) {
 // The guard wraps any Backend: everything above the wrap point sees only
 // vetted responses (the facade installs it as the engine's outermost
 // backend, so every session — and the plan the optimizer prices — works
-// from vetted scores). It is safe for concurrent use; the violation
-// callback is always invoked outside the guard's lock per the lock
-// discipline.
+// from vetted scores). It is safe for concurrent use.
 type Guard struct {
 	inner access.Backend
 	pages access.Pager // inner's paged read
-
-	clampRange  bool
-	failFast    bool
-	onViolation func(kind access.Kind, pred int, reason string)
 
 	mu      sync.Mutex
 	streams []guardStream
@@ -109,18 +75,14 @@ type Guard struct {
 var _ access.Backend = (*Guard)(nil)
 
 // NewGuard wraps the backend with contract enforcement.
-func NewGuard(inner access.Backend, opts ...GuardOption) *Guard {
-	g := &Guard{
+func NewGuard(inner access.Backend) *Guard {
+	return &Guard{
 		inner:      inner,
 		pages:      access.Pages(inner),
 		streams:    make([]guardStream, inner.M()),
 		idx:        kit.NewObjIndex(inner.N()),
 		violations: make(map[string]int),
 	}
-	for _, o := range opts {
-		o(g)
-	}
-	return g
 }
 
 // Unwrap returns the wrapped backend (the access.As convention), so the
@@ -160,8 +122,7 @@ func (g *Guard) witness(pred, obj int) int {
 	return slot*len(g.streams) + pred
 }
 
-// reject records the violation and builds the error; the callback fires
-// from the deferred hook the callers set up, outside g.mu.
+// reject records the violation and builds the error. Caller holds g.mu.
 func (g *Guard) reject(kind access.Kind, pred int, reason, detail string) error {
 	g.violations[reason]++
 	return &access.ContractViolationError{Kind: kind, Pred: pred, Reason: reason, Detail: detail}
@@ -174,16 +135,9 @@ func (g *Guard) reject(kind access.Kind, pred int, reason, detail string) error 
 // entry per page: its witness must record entries in the order a session
 // consumes them, and it vets nothing the session has not asked for.
 func (g *Guard) Page(ctx context.Context, pred, rank int, buf []access.Entry) (int, error) {
-	g.mu.Lock()
-	if g.streams[pred].poisoned {
-		g.mu.Unlock()
-		return 0, &access.ContractViolationError{
-			Kind: access.SortedAccess, Pred: pred,
-			Reason: "unsorted", Detail: "stream quarantined after earlier violation (fail-fast)",
-		}
+	if pred < 0 || pred >= len(g.streams) || rank < 0 || rank >= g.idx.N() {
+		return 0, fmt.Errorf("adapt: page of p%d at rank %d outside %d x %d", pred+1, rank, g.idx.N(), len(g.streams))
 	}
-	g.mu.Unlock()
-
 	if _, err := g.pages.Page(ctx, pred, rank, buf[:1]); err != nil {
 		return 0, err
 	}
@@ -191,22 +145,15 @@ func (g *Guard) Page(ctx context.Context, pred, rank int, buf []access.Entry) (i
 
 	g.mu.Lock()
 	st := &g.streams[pred]
-	if g.clampRange && !math.IsNaN(e.Score) && !math.IsInf(e.Score, 0) && (e.Score < 0 || e.Score > 1) {
-		g.violations["range"]++ // soft: counted, served clamped
-		e.Score = math.Min(1, math.Max(0, e.Score))
-	}
 	w, verr := g.vetSorted(st, pred, rank, e.Obj, e.Score)
 	if verr == nil {
 		st.record(rank, e.Obj, e.Score)
 		g.seenRank[w] = int32(rank)
 		g.value[w] = e.Score
-	} else if g.failFast {
-		st.poisoned = true
 	}
 	g.mu.Unlock()
 
 	if verr != nil {
-		g.fire(access.SortedAccess, pred, verr)
 		return 0, verr
 	}
 	return 1, nil
@@ -218,9 +165,7 @@ func (g *Guard) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 }
 
 // vetSorted checks one sorted response against the witness state and
-// returns the object's witness position. Caller holds g.mu and has already
-// applied the WithClampRange soft clamp, so an out-of-range score reaching
-// the range check here is always a hard violation.
+// returns the object's witness position. Caller holds g.mu.
 func (g *Guard) vetSorted(st *guardStream, pred, rank, obj int, s float64) (int, error) {
 	if math.IsNaN(s) || math.IsInf(s, 0) {
 		return 0, g.reject(access.SortedAccess, pred, "nan",
@@ -260,40 +205,33 @@ func (g *Guard) vetSorted(st *guardStream, pred, rank, obj int, s float64) (int,
 	return w, nil
 }
 
-// Random fetches p_pred[obj] and vets it: finite, in [0,1] (clamped under
-// WithClampRange), and consistent with the score any earlier sorted
+// Random fetches p_pred[obj] and vets it: finite, in [0,1], and consistent with the score any earlier sorted
 // sighting or probe attributed to the same object.
 func (g *Guard) Random(ctx context.Context, pred, obj int) (float64, error) {
+	if pred < 0 || pred >= len(g.streams) || obj < 0 || obj >= g.idx.N() {
+		return 0, fmt.Errorf("adapt: probe of p%d object %d outside %d x %d", pred+1, obj, g.idx.N(), len(g.streams))
+	}
 	v, err := g.inner.Random(ctx, pred, obj)
 	if err != nil {
 		return 0, err
 	}
 
 	g.mu.Lock()
-	if g.clampRange && !math.IsNaN(v) && !math.IsInf(v, 0) && (v < 0 || v > 1) {
-		g.violations["range"]++ // soft: counted, served clamped
-		v = math.Min(1, math.Max(0, v))
-	}
 	verr := g.vetRandom(pred, obj, v)
 	g.mu.Unlock()
 
 	if verr != nil {
-		g.fire(access.RandomAccess, pred, verr)
 		return 0, verr
 	}
 	return v, nil
 }
 
 // vetRandom checks one probe result against the witness state and, when it
-// holds up, records it. Caller holds g.mu and has applied the soft clamp.
+// holds up, records it. Caller holds g.mu.
 func (g *Guard) vetRandom(pred, obj int, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return g.reject(access.RandomAccess, pred, "nan",
 			fmt.Sprintf("probe of object %d returned non-finite score %v", obj, v))
-	}
-	if n := g.idx.N(); obj < 0 || obj >= n {
-		return g.reject(access.RandomAccess, pred, "range",
-			fmt.Sprintf("probe target %d outside universe [0,%d)", obj, n))
 	}
 	if v < 0 || v > 1 {
 		return g.reject(access.RandomAccess, pred, "range",
@@ -306,14 +244,4 @@ func (g *Guard) vetRandom(pred, obj int, v float64) error {
 	}
 	g.value[w] = v
 	return nil
-}
-
-// fire invokes the violation callback (outside the lock).
-func (g *Guard) fire(kind access.Kind, pred int, err error) {
-	if g.onViolation == nil {
-		return
-	}
-	if cve, ok := err.(*access.ContractViolationError); ok {
-		g.onViolation(kind, pred, cve.Reason)
-	}
 }

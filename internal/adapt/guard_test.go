@@ -167,77 +167,11 @@ func TestGuardDetectsInconsistentProbe(t *testing.T) {
 	wantViolation(t, err, "inconsistent")
 }
 
-func TestGuardRangeViolationAndClamp(t *testing.T) {
-	lie := func(pred, rank, obj int, s float64) (int, float64) { return obj, 1.5 }
-	// Hard by default.
-	g := NewGuard(&lyingBackend{Backend: honest(t), sorted: lie})
+func TestGuardRangeViolation(t *testing.T) {
+	g := NewGuard(&lyingBackend{Backend: honest(t),
+		sorted: func(pred, rank, obj int, s float64) (int, float64) { return obj, 1.5 }})
 	_, _, err := g.Sorted(context.Background(), 0, 0)
 	wantViolation(t, err, "range")
-
-	// Soft under WithClampRange: served clamped, counted, stream stays up.
-	g2 := NewGuard(&lyingBackend{Backend: honest(t), sorted: lie}, WithClampRange())
-	_, s, err := g2.Sorted(context.Background(), 0, 0)
-	if err != nil {
-		t.Fatalf("clamped access failed: %v", err)
-	}
-	if s != 1 {
-		t.Fatalf("clamped score = %g, want 1", s)
-	}
-	if g2.Violations()["range"] != 1 {
-		t.Fatalf("soft violation not counted: %v", g2.Violations())
-	}
-}
-
-func TestGuardFailFastPoisonsStream(t *testing.T) {
-	calls := 0
-	inner := &lyingBackend{Backend: honest(t),
-		sorted: func(pred, rank, obj int, s float64) (int, float64) {
-			calls++
-			if rank == 2 {
-				return obj, math.Inf(1)
-			}
-			return obj, s
-		}}
-	g := NewGuard(inner, WithFailFast())
-	ctx := context.Background()
-	g.Sorted(ctx, 0, 0)
-	g.Sorted(ctx, 0, 1)
-	if _, _, err := g.Sorted(ctx, 0, 2); err == nil {
-		t.Fatalf("violation not detected")
-	}
-	before := calls
-	if _, _, err := g.Sorted(ctx, 0, 2); err == nil {
-		t.Fatalf("poisoned stream served an access")
-	}
-	if calls != before {
-		t.Fatalf("poisoned stream still consulted the backend")
-	}
-	// Other predicates are unaffected.
-	if _, _, err := g.Sorted(ctx, 1, 0); err != nil {
-		t.Fatalf("unrelated stream poisoned: %v", err)
-	}
-}
-
-func TestGuardCallbackOutsideLock(t *testing.T) {
-	var g *Guard
-	fired := 0
-	g = NewGuard(&lyingBackend{Backend: honest(t),
-		sorted: func(pred, rank, obj int, s float64) (int, float64) {
-			return obj, math.NaN()
-		}},
-		WithViolationCallback(func(kind access.Kind, pred int, reason string) {
-			fired++
-			// Re-entering the guard deadlocks if the callback were invoked
-			// under the lock.
-			g.Violations()
-			if kind != access.SortedAccess || reason != "nan" {
-				t.Errorf("callback got (%v,%q)", kind, reason)
-			}
-		}))
-	g.Sorted(context.Background(), 0, 0)
-	if fired != 1 {
-		t.Fatalf("callback fired %d times, want 1", fired)
-	}
 }
 
 func TestGuardRejectsForeignObject(t *testing.T) {

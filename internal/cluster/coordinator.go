@@ -307,8 +307,8 @@ func (c *Coordinator) UnseenBound(pred int) float64 {
 //
 //topklint:hotpath
 func (c *Coordinator) Random(ctx context.Context, pred, obj int) (float64, error) {
-	if obj < 0 || obj >= c.n {
-		return 0, fmt.Errorf("cluster: object %d out of range [0,%d)", obj, c.n)
+	if pred < 0 || pred >= c.m || obj < 0 || obj >= c.n {
+		return 0, fmt.Errorf("cluster: probe of p%d object %d outside %d x %d", pred+1, obj, c.n, c.m)
 	}
 	i := c.ring.Owner(obj)
 	if !c.fence.Acquire(i) {
@@ -338,8 +338,8 @@ func (c *Coordinator) BatchRandom(ctx context.Context, preds, objs []int) ([]flo
 	owners := make([]int, len(objs))
 	counts := make([]int, len(c.shards))
 	for j, obj := range objs {
-		if obj < 0 || obj >= c.n {
-			return nil, fmt.Errorf("cluster: object %d out of range [0,%d)", obj, c.n)
+		if pred := preds[j]; pred < 0 || pred >= c.m || obj < 0 || obj >= c.n {
+			return nil, fmt.Errorf("cluster: probe of p%d object %d outside %d x %d", pred+1, obj, c.n, c.m)
 		}
 		o := c.ring.Owner(obj)
 		owners[j] = o

@@ -208,6 +208,9 @@ func (s *LocalShard) Random(ctx context.Context, pred, obj int) (float64, error)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
+	if pred < 0 || pred >= s.d.m {
+		return 0, fmt.Errorf("cluster: shard %d has no predicate p%d", s.d.Index, pred+1)
+	}
 	local := s.d.ToLocal(obj)
 	if local < 0 {
 		return 0, fmt.Errorf("cluster: shard %d does not own object %d", s.d.Index, obj)
@@ -225,6 +228,9 @@ func (s *LocalShard) BatchRandom(ctx context.Context, preds, objs []int) ([]floa
 	}
 	scores := make([]float64, len(preds))
 	for i := range preds {
+		if preds[i] < 0 || preds[i] >= s.d.m {
+			return nil, fmt.Errorf("cluster: shard %d has no predicate p%d", s.d.Index, preds[i]+1)
+		}
 		local := s.d.ToLocal(objs[i])
 		if local < 0 {
 			return nil, fmt.Errorf("cluster: shard %d does not own object %d", s.d.Index, objs[i])

@@ -84,7 +84,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/kit"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/sqlq"
 )
 
@@ -112,8 +111,6 @@ type Config struct {
 	Columns []string
 	// Scenario is the access cost configuration.
 	Scenario topk.Scenario
-	// Optimizer tunes the default cost-based pipeline.
-	Optimizer opt.Config
 
 	// Metrics is the registry behind GET /metrics. When nil the handler
 	// creates a private one, so the endpoint always serves; pass a shared
@@ -267,7 +264,7 @@ type Handler struct {
 	// them, most recently used first: a repeated POST /query finds its
 	// decoded request, parsed and bound query, canonical string and run
 	// options in one lookup. Everything a statement is built from — the
-	// body, Config.Columns, Config.Optimizer, Config.AdaptivePeriod — is
+	// body, Config.Columns, Config.AdaptivePeriod — is
 	// fixed for the handler's life, so entries never go stale and eviction
 	// is the only removal. stmtHits and stmtMisses count lookups, read at
 	// scrape.
@@ -416,7 +413,7 @@ func NewHandler(cfg Config) (*Handler, error) {
 	if h.eng, err = topk.NewEngine(backend, cfg.Scenario, engOpts...); err != nil {
 		return nil, err
 	}
-	h.sample = h.eng.PlanSample(cfg.Optimizer)
+	h.sample = h.eng.PlanSample(topk.OptimizerConfig{})
 	res := &topk.Resilience{Breakers: h.breakers}
 	if cfg.AccessTimeout > 0 {
 		res.AccessTimeout = cfg.AccessTimeout
@@ -776,7 +773,7 @@ func (h *Handler) cachedStatement(body []byte) *statement {
 
 // maxRunOptions is the most options a served run carries: observer,
 // resilience and context around a statement's own, which are at most
-// optimizer, budget, epsilon and parallel together. Callers of prepare
+// algorithm (or adaptivity), budget, epsilon and parallel together. Callers of prepare
 // hand it a stack array of this size to assemble them in.
 const maxRunOptions = 8
 
@@ -849,7 +846,6 @@ func (h *Handler) requestOptions(req *QueryRequest) ([]topk.RunOption, error) {
 		// the cache, so the trace and metrics see the real outcome. With
 		// sharing on, the engine finds the layer in its stack and discounts
 		// the expected costs by the observed hit rates itself.
-		opts = append(opts, topk.WithOptimizer(h.cfg.Optimizer))
 		if h.cfg.AdaptivePeriod > 0 && req.Parallel == 0 && req.Epsilon == 0 {
 			opts = append(opts, topk.WithAdaptive(h.cfg.AdaptivePeriod))
 		}

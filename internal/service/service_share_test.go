@@ -156,7 +156,7 @@ func TestServedPlanMatchesExplainUnderSharing(t *testing.T) {
 	if s, r := h.ShareStats().Discounts(); s == 0 && r == 0 {
 		t.Fatalf("sharing layer not warm (%+v): the test would not exercise the discounts", h.ShareStats())
 	}
-	plan, err := h.eng.Explain(topk.Query{F: topk.Avg(), K: 10, Cols: cols}, topk.OptimizerConfig(h.cfg.Optimizer))
+	plan, err := h.eng.Explain(topk.Query{F: topk.Avg(), K: 10, Cols: cols}, topk.OptimizerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

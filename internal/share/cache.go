@@ -126,22 +126,3 @@ func (s *scoreShard) commit(key uint64, gen uint64, score float64, err error) {
 		close(call.done)
 	}
 }
-
-// put caches a score fetched outside the shard's own singleflight (the
-// batcher resolves probes through its own pending set). gen guards late
-// inserts the same way commit does.
-func (s *scoreShard) put(key uint64, gen uint64, score float64) {
-	s.mu.Lock()
-	if gen == s.gen {
-		s.lru.Put(key, score)
-	}
-	s.mu.Unlock()
-}
-
-// generation snapshots the shard generation for a later put.
-func (s *scoreShard) generation() uint64 {
-	s.mu.Lock()
-	g := s.gen
-	s.mu.Unlock()
-	return g
-}

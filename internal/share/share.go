@@ -6,7 +6,7 @@
 // optimizer minimizes them per query. Under production traffic the same
 // sorted prefixes and probed scores are fetched over and over by
 // near-identical queries, so the next lever after per-query optimization
-// is aggregate: share the access results themselves. The layer has three
+// is aggregate: share the access results themselves. The layer has two
 // parts:
 //
 //   - A shared sorted-access cursor per backend predicate. Concurrent
@@ -18,11 +18,6 @@
 //   - A random-access score cache: a sharded LRU keyed by
 //     (predicate, object) with singleflight on concurrent identical
 //     probes, so a score probed by one query is free for every later one.
-//   - Batched random access: when the wrapped backend advertises the
-//     access.BatchBackend capability (the websim client does, via POST
-//     /batch), cache misses from concurrent queries coalesce into one
-//     round trip of up to MaxBatch probes, amortizing per-request latency
-//     across queries the way the parallel executor amortizes it within one.
 //
 // Billing is deliberately untouched: the layer sits below access.Session,
 // so every query's ledger still prices its logical accesses exactly as if
@@ -58,11 +53,6 @@ type Options struct {
 	// ScoreCapacity bounds the random-access score cache in entries
 	// (DefaultScoreCapacity when 0; negative disables score caching).
 	ScoreCapacity int
-	// MaxBatch enables batched random access: up to MaxBatch concurrent
-	// cache misses are coalesced into one BatchRandom round trip. Values
-	// <= 1 disable batching, as does a backend without the
-	// access.BatchBackend capability.
-	MaxBatch int
 	// Breakers, when non-nil, ties shared state to the circuit breakers:
 	// a breaker opening for (kind, predicate) invalidates that predicate's
 	// shared cursor (sorted) or cached scores (random). Share the same set
@@ -79,12 +69,10 @@ type Options struct {
 // own predicate space) and share it across queries.
 type Layer struct {
 	backend access.Backend
-	batch   access.BatchBackend // nil unless enabled and supported
 	n, m    int
 
 	cursors []*kit.Prefix[access.Entry]
 	scores  *scoreCache // nil when disabled
-	batcher *batcher    // nil unless batching enabled
 
 	breakers *access.BreakerSet
 	brMu     sync.Mutex               // serializes breaker-state folds
@@ -128,10 +116,6 @@ func New(b access.Backend, opts Options) *Layer {
 		}
 		l.scores = newScoreCache(capacity)
 	}
-	if bb, ok := b.(access.BatchBackend); ok && opts.MaxBatch > 1 {
-		l.batch = bb
-		l.batcher = newBatcher(l, opts.MaxBatch)
-	}
 	if opts.Metrics != nil {
 		l.stats.register(opts.Metrics)
 	}
@@ -155,9 +139,6 @@ func (l *Layer) M() int { return l.m }
 
 // Unwrap returns the wrapped backend (the access.As convention).
 func (l *Layer) Unwrap() access.Backend { return l.backend }
-
-// Batching reports whether batched random access is active.
-func (l *Layer) Batching() bool { return l.batcher != nil }
 
 // Page implements access.Pager: ranks inside the shared prefix are served
 // from it without a source access, as much of it as buf holds; a rank at
@@ -196,11 +177,13 @@ func (l *Layer) Sorted(ctx context.Context, pred, rank int) (int, float64, error
 func (l *Layer) Consumed(_, n int) { l.stats.sortedHits.Add(uint64(n)) }
 
 // Random implements access.Backend: cached scores are served without a
-// source access; misses are singleflighted and, when batching is enabled,
-// coalesced with concurrent misses into one round trip.
+// source access; concurrent identical misses share one backend access.
 //
 //topklint:hotpath
 func (l *Layer) Random(ctx context.Context, pred, obj int) (float64, error) {
+	if pred < 0 || pred >= l.m || obj < 0 || obj >= l.n {
+		return 0, fmt.Errorf("share: Random(pred=%d, obj=%d) out of range (n=%d, m=%d)", pred, obj, l.n, l.m)
+	}
 	l.syncBreakers()
 	if l.scores == nil {
 		l.stats.randomMisses.Add(1)
@@ -214,9 +197,6 @@ func (l *Layer) Random(ctx context.Context, pred, obj int) (float64, error) {
 		return score, nil
 	}
 	l.stats.randomMisses.Add(1)
-	if l.batcher != nil {
-		return l.batcher.probe(ctx, pred, obj)
-	}
 	return l.probeDirect(ctx, shard, key, pred, obj)
 }
 

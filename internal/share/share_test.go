@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,6 +82,25 @@ func (b *mutableBackend) Random(ctx context.Context, pred, obj int) (float64, er
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.scores[obj][pred], nil
+}
+
+// gatedBackend holds every random access until the test hands it an
+// outcome on release, announcing the access on started first, so a test
+// decides when — and whether — a driving probe returns.
+type gatedBackend struct {
+	access.DatasetBackend
+	started chan struct{}
+	release chan error
+	random  atomic.Int64
+}
+
+func (b *gatedBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
+	b.random.Add(1)
+	b.started <- struct{}{}
+	if err := <-b.release; err != nil {
+		return 0, err
+	}
+	return b.DatasetBackend.Random(ctx, pred, obj)
 }
 
 func e1Dataset(t *testing.T) *data.Dataset {
@@ -305,4 +326,118 @@ func TestScoreCapacityIsExact(t *testing.T) {
 			t.Errorf("ScoreCapacity %d cached %d scores", capacity, hits)
 		}
 	}
+}
+
+// TestProbeSingleflight drives the score cache's singleflight, the path
+// every -share miss takes: identical concurrent misses make one backend
+// access, a failed driver hands the access to one of its followers, and a
+// follower whose context ends leaves while the driver is still blocked.
+func TestProbeSingleflight(t *testing.T) {
+	ds := e1Dataset(t)
+	const probes = 8
+	const pred, obj = 1, 7
+	want := ds.Score(obj, pred)
+	type result struct {
+		score float64
+		err   error
+	}
+	// start builds a fresh layer and sends one probe into it, returning
+	// once that probe is blocked in the backend as the driver. Every probe
+	// of the layer reports on results.
+	start := func() (*share.Layer, *gatedBackend, func(context.Context), chan result) {
+		b := &gatedBackend{
+			DatasetBackend: access.DatasetBackend{DS: ds},
+			started:        make(chan struct{}, probes),
+			release:        make(chan error, probes),
+		}
+		l := share.New(b, share.Options{})
+		results := make(chan result, probes)
+		probe := func(ctx context.Context) {
+			go func() {
+				s, err := l.Random(ctx, pred, obj)
+				results <- result{s, err}
+			}()
+		}
+		probe(context.Background())
+		<-b.started
+		return l, b, probe, results
+	}
+	// followers sends the other probes and returns once each has missed.
+	followers := func(t *testing.T, l *share.Layer, probe func(context.Context)) {
+		for range probes - 1 {
+			probe(context.Background())
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for l.Stats().RandomMisses < probes {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d probes missed", l.Stats().RandomMisses, probes)
+			}
+			runtime.Gosched()
+		}
+	}
+
+	t.Run("coalesce", func(t *testing.T) {
+		l, b, probe, results := start()
+		followers(t, l, probe)
+		b.release <- nil
+		for range probes {
+			if r := <-results; r.err != nil || r.score != want {
+				t.Errorf("probe = %g, %v; want %g", r.score, r.err, want)
+			}
+		}
+		if got := b.random.Load(); got != 1 {
+			t.Errorf("backend random accesses = %d, want 1", got)
+		}
+		if st := l.Stats(); st.Coalesced != probes-1 || st.BackendRandom != 1 {
+			t.Errorf("stats = %+v, want %d coalesced and 1 backend access", st, probes-1)
+		}
+	})
+
+	t.Run("failed driver", func(t *testing.T) {
+		l, b, probe, results := start()
+		followers(t, l, probe)
+		down := errors.New("source down")
+		b.release <- down // the driver's access
+		b.release <- nil  // the retry one follower drives
+		failed := 0
+		for range probes {
+			switch r := <-results; {
+			case errors.Is(r.err, down):
+				failed++
+			case r.err != nil || r.score != want:
+				t.Errorf("probe = %g, %v; want %g", r.score, r.err, want)
+			}
+		}
+		if failed != 1 {
+			t.Errorf("%d probes saw the driver's failure, want only the driver", failed)
+		}
+		if got := b.random.Load(); got != 2 {
+			t.Errorf("backend random accesses = %d, want 2: the failed one and one retry", got)
+		}
+		if st := l.Stats(); st.Coalesced != probes-2 {
+			t.Errorf("coalesced = %d, want %d: every follower but the new driver", st.Coalesced, probes-2)
+		}
+	})
+
+	t.Run("follower leaves", func(t *testing.T) {
+		_, b, probe, results := start()
+		ctx, cancel := context.WithCancel(context.Background())
+		probe(ctx)
+		cancel()
+		if r := <-results; !errors.Is(r.err, context.Canceled) {
+			t.Fatalf("cancelled follower = %g, %v; want context.Canceled", r.score, r.err)
+		}
+		select {
+		case r := <-results:
+			t.Fatalf("the driver returned (%g, %v) before its access did", r.score, r.err)
+		default:
+		}
+		b.release <- nil
+		if r := <-results; r.err != nil || r.score != want {
+			t.Errorf("driver = %g, %v; want %g", r.score, r.err, want)
+		}
+		if got := b.random.Load(); got != 1 {
+			t.Errorf("backend random accesses = %d, want 1", got)
+		}
+	})
 }

@@ -16,15 +16,11 @@ type Stats struct {
 	// SortedMisses drove a backend access extending a frontier.
 	SortedHits, SortedMisses uint64
 	// RandomHits are probes served from the score cache; RandomMisses
-	// went to the backend (directly or batched).
+	// went to the backend.
 	RandomHits, RandomMisses uint64
 	// Coalesced are probes that piggybacked on a concurrent identical
-	// in-flight probe (singleflight or batch join) instead of issuing
-	// their own backend access.
+	// in-flight probe instead of issuing their own backend access.
 	Coalesced uint64
-	// Batches counts BatchRandom round trips; BatchedProbes the probes
-	// they carried.
-	Batches, BatchedProbes uint64
 	// BackendSorted and BackendRandom count accesses that reached the
 	// wrapped backend.
 	BackendSorted, BackendRandom uint64
@@ -32,8 +28,8 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// HitRate returns the fraction of accesses of the given totals served
-// without a backend access, or 0 below a minimum sample size.
+// hitRate returns the fraction of accesses of the given totals served
+// without a backend access, or 0 when there were none.
 func hitRate(hits, misses uint64) float64 {
 	total := hits + misses
 	if total == 0 {
@@ -83,7 +79,6 @@ type stats struct {
 	sortedHits, sortedMisses     atomic.Uint64
 	randomHits, randomMisses     atomic.Uint64
 	coalesced                    atomic.Uint64
-	batches, batchedProbes       atomic.Uint64
 	backendSorted, backendRandom atomic.Uint64
 	invalidations                atomic.Uint64
 }
@@ -96,8 +91,6 @@ func (l *Layer) Stats() Stats {
 		RandomHits:    l.stats.randomHits.Load(),
 		RandomMisses:  l.stats.randomMisses.Load(),
 		Coalesced:     l.stats.coalesced.Load(),
-		Batches:       l.stats.batches.Load(),
-		BatchedProbes: l.stats.batchedProbes.Load(),
 		BackendSorted: l.stats.backendSorted.Load(),
 		BackendRandom: l.stats.backendRandom.Load(),
 		Invalidations: l.stats.invalidations.Load(),
@@ -113,6 +106,5 @@ func (s *stats) register(reg *obs.Registry) {
 	reg.CounterFunc("topk_share_random_total", "Random accesses through the sharing layer by outcome.", s.randomHits.Load, obs.L("result", "hit"))
 	reg.CounterFunc("topk_share_random_total", "Random accesses through the sharing layer by outcome.", s.randomMisses.Load, obs.L("result", "miss"))
 	reg.CounterFunc("topk_share_coalesced_total", "Probes that joined a concurrent identical in-flight probe.", s.coalesced.Load)
-	reg.CounterFunc("topk_share_batches_total", "Batched random-access round trips.", s.batches.Load)
 	reg.CounterFunc("topk_share_invalidations_total", "Shared-state drops on breaker transitions.", s.invalidations.Load)
 }

@@ -404,8 +404,8 @@ func (s *Store) Random(ctx context.Context, pred, obj int) (float64, error) {
 
 // BatchRandom resolves a batch of probes in one call, issuing the preads
 // in ascending file-offset order so a spinning disk sweeps once instead
-// of seeking per probe. It succeeds or fails as a unit, matching the
-// share layer's batching contract.
+// of seeking per probe. It succeeds or fails as a unit, as the
+// access.BatchBackend contract asks.
 func (s *Store) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error) {
 	if len(preds) != len(objs) {
 		return nil, fmt.Errorf("store: BatchRandom got %d preds, %d objs", len(preds), len(objs))

@@ -241,3 +241,98 @@ func TestPageContract(t *testing.T) {
 		})
 	}
 }
+
+// TestRawAccessRangeChecks: a raw caller (no session in front) handing a
+// layer an out-of-range predicate, rank or object gets an error from Page,
+// Random and BatchRandom alike — never an index panic, and never a wedged
+// layer: the same bad access fails again, and a valid one afterwards still
+// succeeds.
+func TestRawAccessRangeChecks(t *testing.T) {
+	const n, m = 60, 2
+	ds := mustGenerateDataset(t, "uniform", n, m, 7)
+	ctx := context.Background()
+	base := access.DatasetBackend{DS: ds}
+	parts, err := cluster.Partition(ds, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localShards := func() []cluster.Shard {
+		members := make([]cluster.Shard, len(parts))
+		for i, p := range parts {
+			members[i] = cluster.NewLocalShard(p)
+		}
+		return members
+	}
+	dir := t.TempDir()
+	if err := store.WriteDataset(dir, ds, store.WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
+	layers := []struct {
+		name  string
+		build func(t *testing.T) access.Backend
+		ranks int // length of each sorted list the layer pages
+		obj   int // an object the layer can probe
+	}{
+		{"dataset", func(*testing.T) access.Backend { return base }, n, 0},
+		{"store", func(t *testing.T) access.Backend {
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() })
+			return st
+		}, n, 0},
+		{"local-shard", func(*testing.T) access.Backend { return cluster.NewLocalShard(parts[0]) }, parts[0].LocalN(), parts[0].Global[0]},
+		{"coordinator", func(t *testing.T) access.Backend {
+			c, err := cluster.New(localShards(), cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}, n, 0},
+		{"share", func(*testing.T) access.Backend { return share.New(base, share.Options{}) }, n, 0},
+		{"guard", func(*testing.T) access.Backend { return adapt.NewGuard(base) }, n, 0},
+	}
+	for _, l := range layers {
+		t.Run(l.name, func(t *testing.T) {
+			b := l.build(t)
+			pages := access.Pages(b)
+			bb, batches := b.(access.BatchBackend)
+			buf := make([]access.Entry, 4)
+			for range 2 {
+				for _, a := range [][2]int{{-1, 0}, {m, 0}, {0, -1}, {0, l.ranks}} {
+					if k, err := pages.Page(ctx, a[0], a[1], buf); k != 0 || err == nil {
+						t.Errorf("Page(pred=%d, from=%d) = %d, %v; want 0 and an error", a[0], a[1], k, err)
+					}
+				}
+				for _, a := range [][2]int{{-1, l.obj}, {m, l.obj}, {0, -1}, {0, n}} {
+					if _, err := b.Random(ctx, a[0], a[1]); err == nil {
+						t.Errorf("Random(pred=%d, obj=%d): no error", a[0], a[1])
+					}
+					if !batches {
+						continue
+					}
+					if _, err := bb.BatchRandom(ctx, []int{0, a[0]}, []int{l.obj, a[1]}); err == nil {
+						t.Errorf("BatchRandom with (pred=%d, obj=%d): no error", a[0], a[1])
+					}
+				}
+			}
+			if k, err := pages.Page(ctx, 0, 0, buf); k < 1 || err != nil {
+				t.Errorf("valid Page after the bad ones = %d, %v", k, err)
+			}
+			for pred := 0; pred < m; pred++ {
+				want := ds.Score(l.obj, pred)
+				if s, err := b.Random(ctx, pred, l.obj); s != want || err != nil {
+					t.Errorf("valid Random(pred=%d, obj=%d) after the bad ones = %g, %v; want %g", pred, l.obj, s, err, want)
+				}
+				if !batches {
+					continue
+				}
+				if s, err := bb.BatchRandom(ctx, []int{pred}, []int{l.obj}); err != nil || len(s) != 1 || s[0] != want {
+					t.Errorf("valid BatchRandom(pred=%d, obj=%d) after the bad ones = %v, %v; want [%g]", pred, l.obj, s, err, want)
+				}
+			}
+		})
+	}
+}

@@ -88,15 +88,15 @@ type (
 	// run (see WithResilience).
 	Resilience = access.Resilience
 	// SharedAccess is the cross-query access-sharing layer: shared sorted
-	// cursors, a score cache, and batched random access over any Backend
-	// (see NewSharedAccess).
+	// cursors and a score cache over any Backend (see NewSharedAccess).
 	SharedAccess = share.Layer
 	// SharingOptions tunes a SharedAccess layer.
 	SharingOptions = share.Options
 	// SharingStats snapshots a sharing layer's effectiveness.
 	SharingStats = share.Stats
-	// BatchBackend is the capability a backend advertises to receive
-	// coalesced random accesses (the websim client implements it).
+	// BatchBackend is the capability a backend advertises to resolve many
+	// random accesses in one call (the websim client, the store and the
+	// cluster coordinator implement it).
 	BatchBackend = access.BatchBackend
 )
 
@@ -119,8 +119,8 @@ var (
 	// NewSharedAccess builds a cross-query sharing layer over a backend.
 	// The layer is itself the Backend to hand NewEngine: sorted accesses hit
 	// its shared per-predicate cursors, random accesses its score cache,
-	// and — when the wrapped backend batches — cache misses coalesce into
-	// batched round trips. Share one layer across engines (and services)
+	// where concurrent identical misses share one source access. Share one
+	// layer across engines (and services)
 	// to amortize accesses across all their queries; per-query ledgers are
 	// unaffected, sharing only reduces the accesses that reach the sources.
 	// An engine that finds a layer anywhere in its backend stack discounts
@@ -235,9 +235,8 @@ type Engine struct {
 	guard     *adapt.Guard
 	// share is the sharing layer NewEngine found in the backend stack
 	// (access.As), whose hit rates discount planning.
-	share     *share.Layer
-	guardOpts []GuardOption
-	useGuard  bool
+	share    *share.Layer
+	useGuard bool
 	// samples is what the optimizer plans on (plansample.go): rows of the
 	// engine's own base, drawn once by NewEngine, or nothing — the dummy.
 	samples planSamples
@@ -433,19 +432,6 @@ func WithPlanCache(c *PlanCache) EngineOption {
 	return func(e *Engine) { e.planCache = c }
 }
 
-// GuardOption tunes the source contract guard (see WithContractGuard).
-type GuardOption = adapt.GuardOption
-
-// Contract-guard tuning options, usable with WithContractGuard:
-// GuardClampRange serves finite out-of-[0,1] scores clamped (counted as
-// soft violations) instead of failing the access; GuardFailFast poisons a
-// sorted stream on its first violation instead of letting the resilience
-// breaker quarantine a persistent liar.
-var (
-	GuardClampRange = adapt.WithClampRange
-	GuardFailFast   = adapt.WithFailFast
-)
-
 // WithContractGuard wraps the engine's backend — whatever stack it was
 // handed, a sharing layer included — with the source contract guard: every response is vetted — descending sorted order, finite
 // scores in [0,1], distinct ids per stream, random results consistent with
@@ -454,11 +440,8 @@ var (
 // a persistently lying capability exactly like a failing one, so answers
 // degrade honestly (Truncated + Degraded) instead of going silently wrong.
 // GuardViolations reports the cumulative counts.
-func WithContractGuard(opts ...GuardOption) EngineOption {
-	return func(e *Engine) {
-		e.useGuard = true
-		e.guardOpts = append(e.guardOpts, opts...)
-	}
+func WithContractGuard() EngineOption {
+	return func(e *Engine) { e.useGuard = true }
 }
 
 // NewEngine validates the scenario against the backend and builds an
@@ -475,7 +458,7 @@ func NewEngine(b Backend, scn Scenario, opts ...EngineOption) (*Engine, error) {
 		return nil, err
 	}
 	if e.useGuard {
-		e.guard = adapt.NewGuard(b, e.guardOpts...)
+		e.guard = adapt.NewGuard(b)
 		e.backend = e.guard
 	}
 	// Resolved once: the stack below an engine never changes.
