@@ -205,8 +205,9 @@ func (g *Guard) vetSorted(st *guardStream, pred, rank, obj int, s float64) (int,
 	return w, nil
 }
 
-// Random fetches p_pred[obj] and vets it: finite, in [0,1], and consistent with the score any earlier sorted
-// sighting or probe attributed to the same object.
+// Random fetches p_pred[obj] and vets it: finite, in [0,1], and
+// consistent with the score any earlier sorted sighting or probe
+// attributed to the same object.
 func (g *Guard) Random(ctx context.Context, pred, obj int) (float64, error) {
 	if pred < 0 || pred >= len(g.streams) || obj < 0 || obj >= g.idx.N() {
 		return 0, fmt.Errorf("adapt: probe of p%d object %d outside %d x %d", pred+1, obj, g.idx.N(), len(g.streams))

@@ -264,10 +264,9 @@ type Handler struct {
 	// them, most recently used first: a repeated POST /query finds its
 	// decoded request, parsed and bound query, canonical string and run
 	// options in one lookup. Everything a statement is built from — the
-	// body, Config.Columns, Config.AdaptivePeriod — is
-	// fixed for the handler's life, so entries never go stale and eviction
-	// is the only removal. stmtHits and stmtMisses count lookups, read at
-	// scrape.
+	// body, Config.Columns, Config.AdaptivePeriod — is fixed for the
+	// handler's life, so entries never go stale and eviction is the only
+	// removal. stmtHits and stmtMisses count lookups, read at scrape.
 	stmtMu     sync.Mutex
 	stmts      *kit.LRU[string, *statement]
 	stmtHits   atomic.Uint64
@@ -773,8 +772,9 @@ func (h *Handler) cachedStatement(body []byte) *statement {
 
 // maxRunOptions is the most options a served run carries: observer,
 // resilience and context around a statement's own, which are at most
-// algorithm (or adaptivity), budget, epsilon and parallel together. Callers of prepare
-// hand it a stack array of this size to assemble them in.
+// algorithm (or adaptivity), budget, epsilon and parallel together.
+// Callers of prepare hand it a stack array of this size to assemble them
+// in.
 const maxRunOptions = 8
 
 // prepare configures one statement to run on the handler's engine —
