@@ -145,6 +145,26 @@ type Ledger struct {
 	TotalCost    Cost  // sum ns_i*cs_i + nr_i*cr_i (at the costs in force when each access ran)
 }
 
+// CopyFrom makes l a copy of src that shares no memory with it, reusing l's
+// count slices when both can hold src's width and otherwise giving them one
+// new backing array. l's slices must not overlap each other: the zero
+// Ledger, and any ledger a session or CopyFrom filled, qualifies.
+func (l *Ledger) CopyFrom(src Ledger) { l.fill(src.SortedCounts, src.RandomCounts, src.TotalCost, 0) }
+
+// fill writes the counts and cost into l, reusing its count slices when
+// both can hold the width and otherwise allocating one array with room for
+// max(room, width) counts of each kind.
+func (l *Ledger) fill(sorted, random []int, cost Cost, room int) {
+	if cap(l.SortedCounts) < len(sorted) || cap(l.RandomCounts) < len(random) {
+		room = max(room, len(sorted), len(random))
+		counts := make([]int, 2*room)
+		l.SortedCounts, l.RandomCounts = counts[:0:room], counts[room:room]
+	}
+	l.SortedCounts = append(l.SortedCounts[:0], sorted...)
+	l.RandomCounts = append(l.RandomCounts[:0], random...)
+	l.TotalCost = cost
+}
+
 // TotalAccesses returns the total number of accesses of both kinds.
 func (l Ledger) TotalAccesses() int {
 	t := 0
@@ -1103,12 +1123,16 @@ func (s *Session) TotalCost() Cost { return s.cost }
 // caller's to keep: both count slices share one fresh backing array, each
 // capped at its own length.
 func (s *Session) Ledger() Ledger {
-	m := s.M()
-	counts := make([]int, 2*m)
-	copy(counts, s.ns)
-	copy(counts[m:], s.nr)
-	return Ledger{SortedCounts: counts[:m:m], RandomCounts: counts[m:], TotalCost: s.cost}
+	var l Ledger
+	l.fill(s.ns, s.nr, s.cost, 0)
+	return l
 }
+
+// LedgerInto writes the snapshot Ledger returns into l, reusing l's count
+// slices. When they cannot hold the run's width, l gets one new array with
+// room for the backend's every predicate, so a recycled ledger is not
+// rebuilt when later runs read more columns.
+func (s *Session) LedgerInto(l *Ledger) { l.fill(s.ns, s.nr, s.cost, s.backend.M()) }
 
 // Trace returns the recorded access trace (nil unless WithTrace was set).
 func (s *Session) Trace() []Record { return s.trace }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/access"
 	"repro/internal/obs"
@@ -23,8 +24,9 @@ type Pager interface {
 	// the database, a budget, or degradation runs out first) and writes the
 	// page into res: only the new page's Items, and the cumulative session
 	// Ledger, so successive pages show monotone cost. Items and Ledger are
-	// freshly allocated — the caller's to keep — so res itself may be
-	// recycled from page to page. On error res is left as it was.
+	// written into res's own slices, whose capacity a recycled res lends to
+	// the next page: a caller that keeps a page copies it out first. On error
+	// res holds no page.
 	Page(res *Result, delta int) error
 	// Emitted reports how many answers all pages together have produced.
 	Emitted() int
@@ -179,7 +181,7 @@ func (c *Cursor) Page(res *Result, delta int) error {
 	if delta < 0 {
 		return fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
 	}
-	items := make([]Item, 0, min(delta, c.sess.N()-c.emittedN))
+	items := slices.Grow(res.Items[:0], min(delta, c.sess.N()-c.emittedN))
 	for len(items) < delta {
 		it, ok, err := c.nextItem()
 		if err != nil {
@@ -264,7 +266,7 @@ func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	if c.err != nil {
 		return c.err
 	}
-	var items []Item
+	items := res.Items[:0]
 	for !c.truncated {
 		it, ok, err := c.advance(tau, true)
 		if err != nil {
@@ -279,12 +281,14 @@ func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	return nil
 }
 
-// page writes the Result for the newly emitted items into res.
+// page writes the Result for the newly emitted items, already in res's
+// item buffer, into res.
 func (c *Cursor) page(res *Result, items []Item) {
 	c.emittedN += len(items)
-	*res = Result{Items: items, Ledger: c.sess.Ledger()}
+	res.Items = items
+	c.sess.LedgerInto(&res.Ledger)
+	res.Truncated, res.Degraded = c.truncated, nil
 	if c.truncated {
-		res.Truncated = true
 		res.Degraded = c.degraded
 	}
 }

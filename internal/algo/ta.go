@@ -102,7 +102,7 @@ func (tc *TACursor) Page(res *Result, delta int) error {
 		return fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
 	}
 	if delta == 0 {
-		*res = Result{Items: []Item{}, Ledger: tc.sess.Ledger()}
+		tc.page(res, nil)
 		return nil
 	}
 	target := tc.emittedN + delta
@@ -114,8 +114,15 @@ func (tc *TACursor) Page(res *Result, delta int) error {
 	ranked := rankItems(append([]Item(nil), tc.done...), target)
 	page := ranked[min(tc.emittedN, len(ranked)):]
 	tc.emittedN += len(page)
-	*res = Result{Items: page, Ledger: tc.sess.Ledger()}
+	tc.page(res, page)
 	return nil
+}
+
+// page writes the new answers and the cumulative ledger into res's own
+// storage.
+func (tc *TACursor) page(res *Result, items []Item) {
+	*res = Result{Items: append(res.Items[:0], items...), Ledger: res.Ledger}
+	tc.sess.LedgerInto(&res.Ledger)
 }
 
 // round performs one equal-depth sorted round with TA's exhaustive random

@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Shape classifies a scoring function for the optimizer's Strategies
@@ -194,18 +196,24 @@ func Weighted(weights ...float64) Func {
 		panic("score: Weighted requires at least one weight")
 	}
 	w := make([]float64, len(weights))
-	name := "wsum("
+	// The name is fmt's %g of each weight, built in one allocation: room
+	// for the longest shortest-form float64 (24 bytes) per weight.
+	var name strings.Builder
+	name.Grow(len("wsum()") + 25*len(weights))
+	name.WriteString("wsum(")
+	var num [32]byte
 	for i, x := range weights {
 		if x < 0 || math.IsNaN(x) {
 			panic(fmt.Sprintf("score: Weighted weight %d is %v, must be >= 0", i, x))
 		}
 		w[i] = x
 		if i > 0 {
-			name += ","
+			name.WriteByte(',')
 		}
-		name += fmt.Sprintf("%g", x)
+		name.Write(strconv.AppendFloat(num[:0], x, 'g', -1, 64))
 	}
-	return weighted{w: w, name: name + ")"}
+	name.WriteByte(')')
+	return weighted{w: w, name: name.String()}
 }
 
 func (f weighted) Name() string { return f.name }

@@ -1,6 +1,7 @@
 package score
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -246,5 +247,44 @@ func BenchmarkEvalWeighted(b *testing.B) {
 	x := []float64{0.1, 0.9, 0.5, 0.7}
 	for i := 0; i < b.N; i++ {
 		_ = f.Eval(x)
+	}
+}
+
+// TestWeightedNameIsFmtG holds the weighted sum's name, built with
+// strconv in one allocation, byte-identical to the fmt form it replaced:
+// "wsum(" and each weight's %g, comma-separated, over the weights whose
+// shortest form is longest or switches notation.
+func TestWeightedNameIsFmtG(t *testing.T) {
+	edges := []float64{
+		1e-7, 0.05, 1, 1e21, 0, math.Copysign(0, -1), 1e-4, 1e-5, 123456, 1234567, 1e20,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
+		math.MaxFloat64, 0.1 + 0.2, 1.0 / 3, 0.34271234567891234, math.Inf(1),
+	}
+	fmtName := func(w []float64) string {
+		name := "wsum("
+		for i, x := range w {
+			if i > 0 {
+				name += ","
+			}
+			name += fmt.Sprintf("%g", x)
+		}
+		return name + ")"
+	}
+	cases := [][]float64{edges}
+	for _, x := range edges {
+		cases = append(cases, []float64{x}, []float64{x, 0.5, x})
+	}
+	for _, w := range cases {
+		if got, want := Weighted(w...).Name(), fmtName(w); got != want {
+			t.Errorf("Weighted(%v).Name() = %q, fmt gives %q", w, got, want)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	w := []float64{0.3427123456789, 0.2, 0.4572876543211}
+	// The weight copy, the name and the function value itself.
+	if allocs := testing.AllocsPerRun(100, func() { Weighted(w...) }); allocs > 3 {
+		t.Errorf("Weighted allocates %v, want 3: its name is built in more than one", allocs)
 	}
 }

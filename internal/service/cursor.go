@@ -39,6 +39,9 @@ type liveCursor struct {
 	mu   sync.Mutex
 	cur  *topk.Cursor
 	page int
+	// out is the page every request fills (NextInto) and encodes before
+	// the lock is released.
+	out topk.Page
 
 	// lastUsed (unix nanos) is touched at every page boundary; the reaper
 	// compares it against the TTL cutoff.
@@ -94,9 +97,9 @@ func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int
 // page it by score threshold, or close it. Pages run under the same
 // shedding, latency, and slow-query accounting as one-shot queries.
 func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer putBuf(buf)
+	resp := getResponse()
+	defer putResponse(resp)
+	buf := &resp.buf
 	if !h.readPost(w, r, buf) {
 		return
 	}
@@ -124,10 +127,10 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 		// The acknowledgement is an empty page that says so.
 		buf.Reset()
 		h.answer(buf, lc.query, &topk.Page{}, pagination{cursor: lc.id, closed: true}, nil, nil)
-		writeBody(w, http.StatusOK, buf.Bytes())
+		writeBody(w, http.StatusOK, resp)
 		return
 	}
-	h.serve(w, r, buf, "cursor page", lc.query, lc.sample, func(traced bool) (int, error) {
+	h.serve(w, r, resp, "cursor page", lc.query, lc.sample, func(traced bool) (int, error) {
 		err := lc.produce(h, buf, req.K, req.Tau, traced)
 		if errors.Is(err, topk.ErrCursorClosed) {
 			// The reaper or a concurrent close won the race after lookup.
@@ -154,12 +157,12 @@ func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64
 		defer b.stop()
 		lc.cur.Bind(b.dl)
 	}
-	var page *topk.Page
+	page := &lc.out
 	var err error
 	if tau != nil {
-		page, err = lc.cur.NextUntil(*tau)
+		err = lc.cur.NextUntilInto(page, *tau)
 	} else {
-		page, err = lc.cur.Next(k)
+		err = lc.cur.NextInto(page, k)
 	}
 	lc.cur.Bind(nil)
 	if err != nil {

@@ -530,18 +530,40 @@ type errPayload struct {
 	Error string `json:"error"`
 }
 
-// bufPool recycles request-sized buffers: a POST's body is read into one,
-// looked up, and the same buffer then takes the encoded answer, written
-// with a single syscall-sized Write; metric expositions stream through one
-// too. Buffers that grew beyond maxPooledBuf are dropped rather than pinned
-// in the pool.
-var bufPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
+// response is one request's pooled working memory: the buffer a POST's
+// body is read into, looked up, and then overwritten with the encoded
+// answer, written with a single syscall-sized Write; the answer a one-shot
+// run fills (RunInto) and the encoder reads; and the Content-Length value
+// writeBody sends. Metric expositions stream through one too. Responses
+// whose buffer grew beyond maxPooledBuf are dropped rather than pinned in
+// the pool.
+type response struct {
+	buf  bytes.Buffer
+	ans  topk.Answer //topklint:allow resetcomplete every field is overwritten by RunInto before execute encodes it
+	plan topk.Plan   //topklint:allow resetcomplete the answer's plan storage: execute points ans.Plan at it before every run, which copies over it
+	// length is the Content-Length header's value slice. net/http copies
+	// the header map when the status line is written, so the slice is free
+	// again once the response is.
+	length [1]string //topklint:allow resetcomplete written by writeBody before it is sent
+}
+
+// Reset empties the buffer; the rest is overwritten before it is read.
+func (r *response) Reset() { r.buf.Reset() }
+
+var responses = sync.Pool{New: func() any { return new(response) }}
 
 const maxPooledBuf = 1 << 20
 
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		bufPool.Put(b)
+// getResponse draws a reset response from the pool.
+func getResponse() *response {
+	r := responses.Get().(*response)
+	r.Reset()
+	return r
+}
+
+func putResponse(r *response) {
+	if r.buf.Cap() <= maxPooledBuf {
+		responses.Put(r)
 	}
 }
 
@@ -550,41 +572,40 @@ func putBuf(b *bytes.Buffer) {
 // status line is written and never writes into them.
 var jsonContentType = []string{"application/json"}
 
-// writeBody sends a finished JSON body in one Write with an exact
-// Content-Length.
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+// writeBody sends r's finished JSON body in one Write with an exact
+// Content-Length, whose value slice is r's own: only its decimal string is
+// allocated per response.
+func writeBody(w http.ResponseWriter, status int, r *response) {
 	hdr := w.Header()
 	hdr["Content-Type"] = jsonContentType
-	hdr["Content-Length"] = []string{strconv.Itoa(len(body))}
+	r.length[0] = strconv.Itoa(r.buf.Len())
+	hdr["Content-Length"] = r.length[:]
 	w.WriteHeader(status)
-	_, _ = w.Write(body)
+	_, _ = w.Write(r.buf.Bytes())
 }
 
 // writeJSON answers with v through encoding/json: errors, /meta and every
 // other body off the query path.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	_ = json.NewEncoder(buf).Encode(v)
-	writeBody(w, status, buf.Bytes())
-	putBuf(buf)
+	r := getResponse()
+	_ = json.NewEncoder(&r.buf).Encode(v)
+	writeBody(w, status, r)
+	putResponse(r)
 }
 
 // handleMetrics serves the Prometheus exposition through a pooled buffer:
 // the registry streams into recycled memory and the response goes out in
 // one Write with an exact Content-Length.
 func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := h.reg.WritePrometheus(buf); err != nil {
-		putBuf(buf)
+	resp := getResponse()
+	defer putResponse(resp)
+	if err := h.reg.WritePrometheus(&resp.buf); err != nil {
 		w.WriteHeader(http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
-	putBuf(buf)
+	w.Header().Set("Content-Length", strconv.Itoa(resp.buf.Len()))
+	_, _ = w.Write(resp.buf.Bytes())
 }
 
 // handleHealth answers liveness, and — when a health backend is
@@ -666,12 +687,12 @@ func (h *Handler) reject(w http.ResponseWriter, status int, msg string) {
 }
 
 // serve is the back half of both POST endpoints: shed past MaxInflight,
-// run the engine work — which leaves the encoded answer in buf — under the
+// run the engine work — which leaves the encoded answer in resp — under the
 // latency histogram and the slow-query log (what names the unit of work,
 // query the SQL it belongs to, sample the estimator sample its plan was
 // searched on, "" for a run without one), count the outcome and write the
 // response.
-func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, what, query, sample string, run func(traced bool) (int, error)) {
+func (h *Handler) serve(w http.ResponseWriter, r *http.Request, resp *response, what, query, sample string, run func(traced bool) (int, error)) {
 	if max := h.cfg.MaxInflight; max > 0 {
 		if h.inflight.Add(1) > int64(max) {
 			h.inflight.Add(-1)
@@ -683,7 +704,7 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 		defer h.inflight.Add(-1)
 	}
 	start := time.Now()
-	buf.Reset()
+	resp.Reset()
 	// Most requests carry no query string: skip building its url.Values.
 	status, err := run(r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1")
 	elapsed := time.Since(start)
@@ -701,13 +722,13 @@ func (h *Handler) serve(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 		return
 	}
 	h.queryOK.Inc()
-	writeBody(w, http.StatusOK, buf.Bytes())
+	writeBody(w, http.StatusOK, resp)
 }
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer putBuf(buf)
+	resp := getResponse()
+	defer putResponse(resp)
+	buf := &resp.buf
 	if !h.readPost(w, r, buf) {
 		return
 	}
@@ -726,11 +747,11 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			st.key = buf.String()
 		}
 	}
-	h.serve(w, r, buf, "query", st.req.SQL, h.planSample(&st.req), func(traced bool) (int, error) {
+	h.serve(w, r, resp, "query", st.req.SQL, h.planSample(&st.req), func(traced bool) (int, error) {
 		if st.req.Cursor {
 			return h.openCursor(buf, st, traced)
 		}
-		return h.execute(r.Context(), buf, st, traced)
+		return h.execute(r.Context(), resp, st, traced)
 	})
 }
 
@@ -907,10 +928,11 @@ func (b *bound) stop() {
 	}
 }
 
-// execute runs one statement to completion, leaving the encoded answer in
-// buf. The context (the HTTP request's) cancels the run when the client
-// goes away; QueryTimeout bounds it through a pooled deadline.
-func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement, traced bool) (int, error) {
+// execute runs one statement to completion into resp's answer and leaves
+// the encoded answer in resp's buffer. The context (the HTTP request's)
+// cancels the run when the client goes away; QueryTimeout bounds it through
+// a pooled deadline.
+func (h *Handler) execute(ctx context.Context, resp *response, st *statement, traced bool) (int, error) {
 	var scratch [maxRunOptions]topk.RunOption
 	opts, tr, err := h.prepare(scratch[:0], st, traced)
 	if err != nil {
@@ -923,13 +945,14 @@ func (h *Handler) execute(ctx context.Context, buf *bytes.Buffer, st *statement,
 	} else {
 		opts = append(opts, topk.WithContext(ctx))
 	}
-	ans, err := h.eng.Run(st.q, opts...)
-	if err != nil {
+	ans := &resp.ans
+	ans.Plan = &resp.plan
+	if err := h.eng.RunInto(ans, st.q, opts...); err != nil {
 		return http.StatusBadRequest, err
 	}
 	// A one-shot answer is the single page of the cursor it never opened.
 	page := topk.Page{Items: ans.Items, Ledger: ans.Ledger, Truncated: ans.Truncated, Degraded: ans.Degraded, Plan: ans.Plan}
-	h.answer(buf, st.query, &page, pagination{}, tr, nil)
+	h.answer(&resp.buf, st.query, &page, pagination{}, tr, nil)
 	return http.StatusOK, nil
 }
 

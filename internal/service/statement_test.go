@@ -211,3 +211,57 @@ func TestResponseHeaders(t *testing.T) {
 		t.Errorf("the shared Content-Type value was written to: %q", jsonContentType)
 	}
 }
+
+// TestConcurrentContentLength: writeBody hands net/http the pooled
+// response's own Content-Length value slice, which is free again once
+// net/http has copied the header out at WriteHeader. Concurrent requests
+// over real connections, whose bodies differ in size, must each arrive
+// with their own body's length and their own body; under -race a value
+// slice still read after its response went back to the pool shows here.
+func TestConcurrentContentLength(t *testing.T) {
+	srv := httptest.NewServer(newStatementHandler(t))
+	defer srv.Close()
+	client := srv.Client()
+	post := func(k int) (*http.Response, []byte, error) {
+		body := fmt.Sprintf(`{"sql":"select name from db order by min(p1, p2) stop after %d"}`, k)
+		res, err := client.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, nil, err
+		}
+		defer res.Body.Close()
+		var got bytes.Buffer
+		_, err = got.ReadFrom(res.Body)
+		return res, got.Bytes(), err
+	}
+	ks := []int{1, 4, 12, 33, 90}
+	want := make(map[int]string, len(ks))
+	for _, k := range ks {
+		_, body, err := post(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = string(body)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				k := ks[(g+i)%len(ks)]
+				res, body, err := post(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if cl := res.Header.Get("Content-Length"); cl != fmt.Sprint(len(body)) || res.ContentLength != int64(len(body)) {
+					t.Errorf("k %d: Content-Length %q for a %d-byte body", k, cl, len(body))
+				}
+				if string(body) != want[k] {
+					t.Errorf("k %d: body %.120q, want %.120q", k, body, want[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

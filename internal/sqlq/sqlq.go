@@ -49,24 +49,48 @@ type Query struct {
 // in front of its predicate, in plain decimal notation (the only one the
 // grammar's number token has).
 func (q *Query) String() string {
+	w, weighted := q.Func.(score.Weighter)
+	// Built in one allocation: room for every name and separator, and 25
+	// bytes per weight (a longer decimal only grows the builder).
+	n := len("select  from  order by () stop after ") + len(q.Select) + len(q.From) + 20
+	for _, p := range q.Predicates {
+		n += len(p) + len(", ")
+	}
+	if weighted {
+		n += len("wsum") + 25*w.Arity()
+	} else {
+		n += len(q.Func.Name())
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "select %s from %s order by ", q.Select, q.From)
-	if w, ok := q.Func.(score.Weighter); ok {
+	b.Grow(n)
+	b.WriteString("select ")
+	b.WriteString(q.Select)
+	b.WriteString(" from ")
+	b.WriteString(q.From)
+	b.WriteString(" order by ")
+	var num [32]byte
+	if weighted {
 		b.WriteString("wsum(")
-		for i, wi := range w.Weights() {
+		for i := 0; i < w.Arity(); i++ {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(strconv.FormatFloat(wi, 'f', -1, 64))
+			b.Write(strconv.AppendFloat(num[:0], w.Weight(i), 'f', -1, 64))
 			b.WriteByte('*')
 			b.WriteString(q.Predicates[i])
 		}
 	} else {
 		b.WriteString(q.Func.Name())
 		b.WriteByte('(')
-		b.WriteString(strings.Join(q.Predicates, ", "))
+		for i, p := range q.Predicates {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(p)
+		}
 	}
-	fmt.Fprintf(&b, ") stop after %d", q.K)
+	b.WriteString(") stop after ")
+	b.Write(strconv.AppendInt(num[:0], int64(q.K), 10))
 	return b.String()
 }
 

@@ -1,9 +1,13 @@
 package sqlq
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/score"
 )
 
 func TestParseExample1(t *testing.T) {
@@ -138,5 +142,51 @@ func TestParseWhitespaceAndUnderscores(t *testing.T) {
 	}
 	if q.Predicates[0] != "p_1" || q.Predicates[1] != "p_2" {
 		t.Errorf("predicates = %v", q.Predicates)
+	}
+}
+
+// TestStringMatchesFormatted holds the canonical form, built in one
+// allocation, byte-identical to the fmt-assembled form it replaced, over
+// plain functions and weighted sums with edge weights.
+func TestStringMatchesFormatted(t *testing.T) {
+	formatted := func(q *Query) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "select %s from %s order by ", q.Select, q.From)
+		if w, ok := q.Func.(score.Weighter); ok {
+			b.WriteString("wsum(")
+			for i, wi := range w.Weights() {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(strconv.FormatFloat(wi, 'f', -1, 64))
+				b.WriteByte('*')
+				b.WriteString(q.Predicates[i])
+			}
+		} else {
+			b.WriteString(q.Func.Name())
+			b.WriteByte('(')
+			b.WriteString(strings.Join(q.Predicates, ", "))
+		}
+		fmt.Fprintf(&b, ") stop after %d", q.K)
+		return b.String()
+	}
+	queries := []*Query{
+		{Select: "name", From: "hotels", Func: score.Avg(), Predicates: []string{"closeness", "rating", "cheap"}, K: 5},
+		{Select: "x", From: "t", Func: score.Min(), Predicates: []string{"a"}, K: 999999999},
+		{Select: "id", From: "t", Func: score.Weighted(0.3, 0.7), Predicates: []string{"a", "b"}, K: 10},
+		{Select: "id", From: "t", Func: score.Weighted(1e-7, 0.05, 1, 1e21), Predicates: []string{"a", "b", "c", "d"}, K: 1},
+		{Select: "id", From: "t", Func: score.Weighted(math.SmallestNonzeroFloat64, 0.34271234567891234), Predicates: []string{"a", "b"}, K: 3},
+	}
+	for _, q := range queries {
+		if got, want := q.String(), formatted(q); got != want {
+			t.Errorf("String() = %q, formatted %q", got, want)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	q := queries[2]
+	if allocs := testing.AllocsPerRun(100, func() { _ = q.String() }); allocs != 1 {
+		t.Errorf("String allocates %v, want 1", allocs)
 	}
 }

@@ -193,7 +193,9 @@ type Query struct {
 // Answer is a completed execution. Everything it holds is the caller's:
 // items, ledger and plan are copied out of the engine's pooled query state
 // into memory of their own, so an Answer stays as it is however many runs
-// follow on the same engine.
+// follow on the same engine. Run copies into a fresh Answer; RunInto copies
+// into one the caller owns and reuses, and nothing it leaves there points
+// into pooled state either.
 type Answer struct {
 	// Items are the top-k, best first. Exact is false when the algorithm
 	// (e.g. NRA) proves the set without learning exact scores.
@@ -244,16 +246,18 @@ type Engine struct {
 	// pool recycles per-query state (access session, framework scratch and
 	// everything a run assembles over them) across Runs and Opens. Pooled
 	// state is reset before reuse; nothing an Answer or Page holds points
-	// into it.
+	// into it, whether Run and Next made it or RunInto and NextInto filled
+	// it.
 	pool sync.Pool // of *queryState
 }
 
 // queryState is the per-query allocation unit the engine recycles: the
 // access session, the framework scratch, and everything begin assembles
 // per run over them — the validated spec, the SR/G selector, the problem,
-// the NC frame, the executor, the plan in force and the page result — so
-// neither Run nor Open allocates the pipeline itself. What a caller keeps
-// (items, ledger, plan) is copied out of it into fresh memory.
+// the NC frame, the executor, the plan in force and the page result, whose
+// item and ledger buffers every page is written into — so neither Run nor
+// Open allocates the pipeline itself. What a caller keeps (items, ledger,
+// plan) is copied out of it into memory the caller owns.
 type queryState struct {
 	sess    *access.Session   //topklint:allow resetcomplete configured by begin (Session.Reset under the run's options) once the spec validates
 	scratch algo.Scratch      //topklint:allow resetcomplete re-prepared from the plan by every Open before use
@@ -262,7 +266,7 @@ type queryState struct {
 	nc      algo.NC           //topklint:allow resetcomplete rebuilt by build before use
 	exec    parallel.Executor //topklint:allow resetcomplete rebuilt by build before use
 	plan    Plan              //topklint:allow resetcomplete written by resolvePlan or install before execution.plan points at it
-	res     algo.Result       //topklint:allow resetcomplete overwritten by every page before it is read
+	res     algo.Result       //topklint:allow resetcomplete overwritten by every page before it is read; its item and count buffers are kept for the next
 	spec    runSpec
 	ex      execution
 }
@@ -906,7 +910,7 @@ func (x *execution) runBatch(res *algo.Result) error {
 		if err != nil {
 			return err
 		}
-		*res = *r
+		setResult(res, r)
 		return nil
 	}
 	start := time.Now()
@@ -919,8 +923,16 @@ func (x *execution) runBatch(res *algo.Result) error {
 	} else {
 		x.elapsed = r.Elapsed
 	}
-	*res = r.Result
+	setResult(res, &r.Result)
 	return nil
+}
+
+// setResult writes a batch run's result into the state's page result,
+// keeping the page result's own storage for the pages of later runs.
+func setResult(res, r *algo.Result) {
+	res.Items = append(res.Items[:0], r.Items...)
+	res.Ledger.CopyFrom(r.Ledger)
+	res.Truncated, res.Degraded = r.Truncated, r.Degraded
 }
 
 // scenarioChanged reports, once per change, that the access scenario moved
@@ -982,38 +994,62 @@ func (x *execution) close() {
 // optimize an SR/G configuration for this engine's scenario (HClimb over a
 // dummy sample unless configured otherwise), then execute Framework NC
 // with it. Whatever the options select, a run is the single full page of
-// the execution Open would suspend.
+// the execution Open would suspend. Run is RunInto a fresh Answer, whose
+// plan copy shares the answer's allocation: with the items, the ledger's
+// one count array and the plan's two slices that is all a run allocates
+// (TestRunAllocGate).
 func (e *Engine) Run(q Query, opts ...RunOption) (*Answer, error) {
-	x, err := e.begin(q, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	defer x.close()
-	res, err := x.next(q.K, 0, false)
-	if err != nil {
-		return nil, err
-	}
-	// The answer and its plan copy share one allocation; with the items,
-	// the ledger's one count array and the plan's two slices that is all a
-	// run allocates (TestRunAllocGate).
 	box := new(struct {
 		ans  Answer
 		plan Plan
 	})
-	box.ans = Answer{
-		Items:     res.Items,
-		Ledger:    res.Ledger,
-		Elapsed:   x.elapsed,
-		Wall:      x.wall,
-		Truncated: res.Truncated,
-		Degraded:  res.Degraded,
-		Trace:     snapshotTrace(x.tr),
+	box.ans.Plan = &box.plan
+	return fresh(&box.ans, e.RunInto(&box.ans, q, opts...))
+}
+
+// RunInto is Run writing the answer into dst, which the caller owns: every
+// field is overwritten, and the items, the ledger's counts and — when dst
+// already points at one — the plan are copied into dst's own storage,
+// reusing its capacity, so a warm RunInto into a reused Answer allocates
+// nothing (TestIntoAllocGate). Nothing in dst points into the engine's
+// pooled state. A run without a plan sets dst.Plan to nil; to keep a
+// plan's storage across such runs, point dst.Plan at it before each call.
+// Degraded and Trace are the run's own, as in Run. On error dst is left as
+// it was.
+func (e *Engine) RunInto(dst *Answer, q Query, opts ...RunOption) error {
+	x, err := e.begin(q, opts, false)
+	if err != nil {
+		return err
 	}
-	if x.plan != nil {
-		box.plan.CopyFrom(x.plan)
-		box.ans.Plan = &box.plan
+	defer x.close()
+	res, err := x.next(q.K, 0, false)
+	if err != nil {
+		return err
 	}
-	return &box.ans, nil
+	dst.Items = append(dst.Items[:0], res.Items...)
+	dst.Ledger.CopyFrom(res.Ledger)
+	dst.Elapsed, dst.Wall = x.elapsed, x.wall
+	dst.Truncated, dst.Degraded = res.Truncated, res.Degraded
+	dst.Trace = snapshotTrace(x.tr)
+	switch {
+	case x.plan == nil:
+		dst.Plan = nil
+	case dst.Plan == nil:
+		dst.Plan = new(Plan)
+		fallthrough
+	default:
+		dst.Plan.CopyFrom(x.plan)
+	}
+	return nil
+}
+
+// fresh returns v, or nil when err is set: Run and the Cursor's pages hand
+// out what their Into forms filled only when it was filled.
+func fresh[T any](v *T, err error) (*T, error) {
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // ErrCursorClosed reports a page request on a closed cursor.
@@ -1021,7 +1057,9 @@ var ErrCursorClosed = algo.ErrCursorClosed
 
 // Page is one batch of answers from a resumable Cursor. Everything it holds
 // is the caller's: nothing points into the cursor's pooled state, so a
-// Page stays as it is after further pages and after Close.
+// Page stays as it is after further pages and after Close. Next and
+// NextUntil copy into a fresh Page; NextInto and NextUntilInto copy into
+// one the caller owns and reuses, on the same terms.
 type Page struct {
 	// Items are the page's new answers, best first — only the answers this
 	// Next/NextUntil call proved, never earlier pages'.
@@ -1087,40 +1125,57 @@ func (e *Engine) Open(q Query, opts ...RunOption) (*Cursor, error) {
 // Truncated set) a degraded anytime fill. If the access scenario changed
 // since the last page — a breaker flipped mid- or between pages — an
 // optimizer-planned cursor first re-plans against the current scenario on
-// the preserved state.
-func (c *Cursor) Next(delta int) (*Page, error) { return c.page(delta, 0, false) }
+// the preserved state. Next is NextInto a fresh Page.
+func (c *Cursor) Next(delta int) (*Page, error) {
+	p := new(Page)
+	return fresh(p, c.NextInto(p, delta))
+}
+
+// NextInto is Next writing the page into dst, which the caller owns: every
+// field is overwritten, and the items and the ledger's counts are copied
+// into dst's own storage, reusing its capacity, so a warm NextInto into a
+// reused Page allocates nothing (TestIntoAllocGate). Nothing in dst points
+// into the cursor's pooled state; its Plan is the read-only copy
+// Cursor.Plan returns. On error dst is left as it was.
+func (c *Cursor) NextInto(dst *Page, delta int) error { return c.page(dst, delta, 0, false) }
 
 // NextUntil is score-range paging: it emits every remaining answer
 // provably scoring at least tau, best first, and suspends — without
 // consuming the boundary candidate — once no remaining object can reach
 // tau. Ordinal paging (Next) and further NextUntil calls with lower
 // thresholds continue from exactly that point. Only NC-shaped cursors
-// (default, WithNC, MPro) support it.
-func (c *Cursor) NextUntil(tau float64) (*Page, error) { return c.page(0, tau, true) }
+// (default, WithNC, MPro) support it. NextUntil is NextUntilInto a fresh
+// Page.
+func (c *Cursor) NextUntil(tau float64) (*Page, error) {
+	p := new(Page)
+	return fresh(p, c.NextUntilInto(p, tau))
+}
 
-// page produces one page and assembles the public Page from it.
-func (c *Cursor) page(delta int, tau float64, ranged bool) (*Page, error) {
+// NextUntilInto is NextUntil writing the page into dst, as NextInto is to
+// Next.
+func (c *Cursor) NextUntilInto(dst *Page, tau float64) error { return c.page(dst, 0, tau, true) }
+
+// page produces one page and copies it into dst.
+func (c *Cursor) page(dst *Page, delta int, tau float64, ranged bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	x := c.x
 	if x == nil {
-		return nil, algo.ErrCursorClosed
+		return algo.ErrCursorClosed
 	}
 	if ranged && x.nc == nil {
-		return nil, fmt.Errorf("topk: score-range paging requires an NC-based cursor (default, WithNC, or MPro)")
+		return fmt.Errorf("topk: score-range paging requires an NC-based cursor (default, WithNC, or MPro)")
 	}
 	res, err := x.next(delta, tau, ranged)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Page{
-		Items:     res.Items,
-		Ledger:    res.Ledger,
-		Truncated: res.Truncated,
-		Degraded:  res.Degraded,
-		Exhausted: x.pager.Exhausted(),
-		Plan:      c.planCopy(),
-	}, nil
+	dst.Items = append(dst.Items[:0], res.Items...)
+	dst.Ledger.CopyFrom(res.Ledger)
+	dst.Truncated, dst.Degraded = res.Truncated, res.Degraded
+	dst.Exhausted = x.pager.Exhausted()
+	dst.Plan = c.planCopy()
+	return nil
 }
 
 // planCopy returns the caller-owned copy of the plan in force, copying it
