@@ -100,7 +100,7 @@ func TestRunAllocGateAcrossColumns(t *testing.T) {
 // TestRunAllocGateOnPlanSample is TestRunAllocGateAcrossColumns on an
 // engine that plans on rows of its own base: the sample is drawn once, by
 // NewEngine, straight from the base — no query pays an access for it — and
-// each column list gets one projection of it, built by its first plan, so
+// every column list plans on that one sample, read through its columns, so
 // a warm plan-cache hit over any column list allocates only its answer.
 func TestRunAllocGateOnPlanSample(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 5000, 3, 42)
@@ -109,7 +109,7 @@ func TestRunAllocGateOnPlanSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := eng.samples.base
+	base := eng.sample
 	if base == nil || base.N() != 50 || base.M() != 3 || eng.PlanSample(OptimizerConfig{}) != "base(50)" {
 		t.Fatalf("engine over n = 5000 plans on %q, want base(50)", eng.PlanSample(OptimizerConfig{}))
 	}
@@ -127,7 +127,7 @@ func TestRunAllocGateOnPlanSample(t *testing.T) {
 			}
 		}
 	}
-	// Column lists first seen by concurrent plans: each gets one view.
+	// Column lists first seen by concurrent plans, all on the one sample.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -142,8 +142,8 @@ func TestRunAllocGateOnPlanSample(t *testing.T) {
 	}
 	wg.Wait()
 	run()
-	if eng.samples.base != base || len(eng.samples.views) != 2 {
-		t.Fatalf("the sample was redrawn or projected per query: %d views for 2 column lists", len(eng.samples.views))
+	if eng.sample != base {
+		t.Fatal("the sample was redrawn by a query")
 	}
 	if testing.Short() || raceEnabled {
 		return

@@ -29,18 +29,19 @@ import (
 // selector and problem; HClimb re-seeds the generator. No failure can
 // leave state a later run reads before overwriting.
 type arena struct {
-	id     sampleID        //topklint:allow resetcomplete identity: the sample is rebuilt only when the problem asks for a different one
-	exps   []float64       //topklint:allow resetcomplete identity: the warp exponents of sample, part of its identity
-	sample *data.Dataset   //topklint:allow resetcomplete identity: immutable, and a pure function of (id, exps)
-	means  []float64       //topklint:allow resetcomplete identity: per-predicate means of sample, for OptimizeOmega
-	sess   *access.Session //topklint:allow resetcomplete identity: the one session over sample; re-priced by Reset, reset by every run
+	id     sampleID          //topklint:allow resetcomplete identity: the sample is rebuilt only when the problem asks for a different one
+	exps   []float64         //topklint:allow resetcomplete identity: the warp exponents of sample, part of its identity
+	sample *data.Dataset     //topklint:allow resetcomplete identity: immutable, and a pure function of (id, exps)
+	means  []float64         //topklint:allow resetcomplete identity: per-column means of sample, for OptimizeOmega
+	sess   *access.Session   //topklint:allow resetcomplete identity: the one session over sample; re-priced by Reset, reset by every run
+	lifted []access.PredCost //topklint:allow resetcomplete work space: filled by lift before the session reads it
 
 	// The simulation kit: nc runs srg over prob on scratch.
 	srg     algo.SRG      //topklint:allow resetcomplete reconfigured by every simulation run before use
 	nc      algo.NC       //topklint:allow resetcomplete constant: always {Sel: &srg}
 	prob    algo.Problem  //topklint:allow resetcomplete re-armed by every simulation run before use
 	scratch algo.Scratch  //topklint:allow resetcomplete re-prepared by every simulation run before use
-	sessOpt access.Option // the session configuration of the bound problem
+	sessOpt access.Option // the session configuration of the bound problem: its columns of sample
 
 	memo memo
 	est  Estimator
@@ -83,7 +84,8 @@ func acquireArena(cfg Config, scn access.Scenario, f score.Func, k, n int) (*are
 
 // release returns the arena to the pool, dropping the problem it was
 // bound to — its observer and scoring function — so a pooled arena pins
-// nothing of a finished request but the sample and the scenario's costs.
+// nothing of a finished request but the sample, the scenario's costs and
+// the query's columns.
 func (a *arena) release() {
 	a.est = Estimator{}
 	arenas.Put(a)
@@ -96,15 +98,19 @@ func (a *arena) release() {
 func (a *arena) Reset(cfg Config, scn access.Scenario, f score.Func, k, n int) error {
 	a.memo.Reset()
 	a.est = Estimator{}
-	a.sessOpt = access.Option{AllowWildGuesses: cfg.DisableNWG}
-	if err := a.bindSample(cfg, scn); err != nil {
-		return err
-	}
+	a.sessOpt = access.Option{AllowWildGuesses: cfg.DisableNWG, Cols: cfg.Cols}
 	// Validation runs in NewEstimator's order: scenario, function, sizes.
-	if err := a.sess.ResetScenario(scn, a.sessOpt); err != nil {
+	lifted, err := a.lift(scn, cfg.Sample)
+	if err != nil {
 		return err
 	}
-	if err := score.Validate(f, a.sample.M()); err != nil {
+	if err := a.bindSample(cfg, lifted); err != nil {
+		return err
+	}
+	if err := a.sess.ResetScenario(lifted, a.sessOpt); err != nil {
+		return err
+	}
+	if err := score.Validate(f, a.sess.M()); err != nil {
 		return err
 	}
 	if k <= 0 || n <= 0 {
@@ -120,7 +126,7 @@ func (a *arena) Reset(cfg Config, scn access.Scenario, f score.Func, k, n int) e
 // bindSample points the arena at the problem's sample — cfg.Sample, or
 // the dummy uniform sample warped by cfg.Observed — keeping the one it
 // holds when the identity matches, else rebuilding sample, means and
-// session together.
+// session together. scn covers every column of the sample.
 func (a *arena) bindSample(cfg Config, scn access.Scenario) error {
 	id := sampleID{supplied: cfg.Sample}
 	a.wantExps = a.wantExps[:0]
@@ -160,9 +166,39 @@ func (a *arena) bindSample(cfg Config, scn access.Scenario) error {
 	return nil
 }
 
-// omega is OptimizeOmega over the bound sample's cached means.
+// lift returns scn, whose predicates are the query's, as a scenario over
+// every column of sample: the query's predicate i prices column
+// sessOpt.Cols[i]. The columns the query leaves out get a placeholder the
+// session never reads.
+func (a *arena) lift(scn access.Scenario, sample *data.Dataset) (access.Scenario, error) {
+	cols := a.sessOpt.Cols
+	if cols == nil {
+		return scn, nil
+	}
+	if sample == nil {
+		return access.Scenario{}, errColsWithoutSample
+	}
+	if err := scn.Validate(len(cols)); err != nil {
+		return access.Scenario{}, err
+	}
+	m := sample.M()
+	a.lifted = slices.Grow(a.lifted[:0], m)[:m]
+	for c := range a.lifted {
+		a.lifted[c] = access.PredCost{SortedOK: true, RandomOK: true}
+	}
+	for i, c := range cols {
+		if c < 0 || c >= m {
+			return access.Scenario{}, fmt.Errorf("opt: Cols[%d] = %d, the sample has %d columns", i, c, m)
+		}
+		a.lifted[c] = scn.Preds[i]
+	}
+	return access.Scenario{Name: scn.Name, Preds: a.lifted}, nil
+}
+
+// omega is OptimizeOmega over the bound sample's cached means, each
+// predicate's read from its column.
 func (a *arena) omega(scn access.Scenario) []int {
-	a.gain = appendProbeGains(a.gain[:0], a.means, scn)
+	a.gain = appendProbeGains(a.gain[:0], a.means, a.sessOpt.Cols, scn)
 	return scheduleByGain(a.gain)
 }
 

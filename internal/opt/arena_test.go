@@ -253,7 +253,7 @@ func TestArenaSurvivesFailedRuns(t *testing.T) {
 
 	// The same through the pool: failed Optimize calls, then golden cells.
 	for i, f := range []score.Func{score.Weighted(1, 2), score.Weighted(1, 2, 3, 4)} {
-		if _, err := Optimize(Config{RefineOmega: true}, scn, f, k, n); err == nil {
+		if _, err := Optimize(Config{}, scn, f, k, n); err == nil {
 			t.Fatal("arity mismatch should fail")
 		}
 		c := cells[(i*379+5)%len(cells)]
@@ -299,16 +299,20 @@ func TestPlanCacheConcurrentMisses(t *testing.T) {
 // built cannot silently merge or split entries.
 func TestPlanCacheKeyText(t *testing.T) {
 	scn := access.MatrixCell(2, access.Cheap, access.Impossible, 10)
-	cfg := Config{Seed: -3, RefineOmega: true, SortedDiscount: 0.25,
+	cfg := Config{Seed: -3, SortedDiscount: 0.25,
 		Observed: &ObservedStats{Slopes: []float64{2, 1}}}.withDefaults()
 	got := string(appendCacheKey(nil, scn, score.Avg(), 5, 1000, cfg))
 	want := "f=avg k=5 n=1000 m=2|s:true:1000000 r:false:0|s:true:1000000 r:false:0" +
-		"|cfg=0:11:50:5:20000:-3:false:true disc=0.25:0 obs=2,1;"
+		"|cfg=0:11:50:5:-3:false disc=0.25:0 obs=2,1;"
 	if got != want {
 		t.Errorf("key =\n %s\nwant\n %s", got, want)
 	}
-	if !bytes.Contains(appendCacheKey(nil, scn, score.Avg(), 5, 1000, Config{Sample: datatest.MustDummySample(4, 2, 1)}), []byte(" sample=0x")) {
+	sample := datatest.MustDummySample(4, 3, 1)
+	if !bytes.Contains(appendCacheKey(nil, scn, score.Avg(), 5, 1000, Config{Sample: sample}), []byte(" sample=0x")) {
 		t.Error("a caller's sample must key by identity")
+	}
+	if !bytes.HasSuffix(appendCacheKey(nil, scn, score.Avg(), 5, 1000, Config{Sample: sample, Cols: []int{2, 0}}), []byte(" cols=2,0")) {
+		t.Error("the columns of a sample must key as a list")
 	}
 	if reflect.DeepEqual(appendCacheKey(nil, scn, score.Avg(), 5, 1000, Config{}), appendCacheKey(nil, scn, score.Min(), 5, 1000, Config{})) {
 		t.Error("scoring function must discriminate")

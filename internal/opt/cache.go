@@ -315,10 +315,8 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 	field(":", int64(cfg.Grid))
 	field(":", int64(cfg.SampleSize))
 	field(":", int64(cfg.Restarts))
-	field(":", int64(cfg.MaxEvals))
 	field(":", cfg.Seed)
 	flag(":", cfg.DisableNWG)
-	flag(":", cfg.RefineOmega)
 	if cfg.SortedDiscount > 0 || cfg.RandomDiscount > 0 {
 		// Sharing discounts reshape the scenario Optimize plans against;
 		// quantized rates keep the key space small.
@@ -336,10 +334,18 @@ func appendCacheKey(dst []byte, scn access.Scenario, f score.Func, k, n int, cfg
 	}
 	if cfg.Sample != nil {
 		// A given sample changes the estimator's input; identity (not
-		// content) is the practical discriminator for shared datasets. An
-		// engine's own sample is one dataset per column list, so its
-		// identity carries the columns too.
+		// content) is the practical discriminator for shared datasets.
 		dst = fmt.Appendf(dst, " sample=%p", cfg.Sample)
+	}
+	if cfg.Cols != nil {
+		// The columns of the sample the query reads, in its order.
+		dst = append(dst, " cols="...)
+		for i, c := range cfg.Cols {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, int64(c), 10)
+		}
 	}
 	return dst
 }

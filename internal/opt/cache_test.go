@@ -121,11 +121,10 @@ func TestPlanCacheKeyIsThePlanningInputs(t *testing.T) {
 		"Grid":           func(c *Config) { c.Grid = 5 },
 		"SampleSize":     func(c *Config) { c.SampleSize = 20 },
 		"Restarts":       func(c *Config) { c.Restarts = 2 },
-		"MaxEvals":       func(c *Config) { c.MaxEvals = 100 },
 		"Seed":           func(c *Config) { c.Seed = 7 },
 		"Sample":         func(c *Config) { c.Sample = datatest.MustDummySample(4, 3, 1) },
+		"Cols":           func(c *Config) { c.Cols = []int{2, 0, 1} },
 		"DisableNWG":     func(c *Config) { c.DisableNWG = true },
-		"RefineOmega":    func(c *Config) { c.RefineOmega = true },
 		"SortedDiscount": func(c *Config) { c.SortedDiscount = 0.25 },
 		"RandomDiscount": func(c *Config) { c.RandomDiscount = 0.25 },
 		"Observed":       func(c *Config) { c.Observed = &ObservedStats{Slopes: []float64{2, 1, 1}} },

@@ -66,9 +66,9 @@ func (e *Estimator) Evals() int { return e.evals }
 // KPrime returns the scaled retrieval size used in simulation runs.
 func (e *Estimator) KPrime() int { return e.kPrime }
 
-// m returns the predicate count of the sample (and so of every
-// configuration the estimator can price).
-func (e *Estimator) m() int { return e.a.sample.M() }
+// m returns the predicate count of the query: the sample's columns it
+// reads (and so the width of every configuration the estimator can price).
+func (e *Estimator) m() int { return e.a.sess.M() }
 
 // Estimate returns the estimated total access cost of NC with SR/G
 // configuration (h, omega) on the full database: the simulation run's cost
@@ -102,7 +102,7 @@ func (e *Estimator) Estimate(h []float64, omega []int) (access.Cost, error) {
 func (e *Estimator) simulate(h []float64, omega []int) (access.Cost, error) {
 	a := e.a
 	if len(h) != e.m() {
-		return 0, fmt.Errorf("opt: configuration has %d depths, the sample has %d predicates", len(h), e.m())
+		return 0, fmt.Errorf("opt: configuration has %d depths, the query has %d predicates", len(h), e.m())
 	}
 	if err := a.srg.Reconfigure(h, omega); err != nil {
 		return 0, err
@@ -131,7 +131,7 @@ func (e *Estimator) simulate(h []float64, omega []int) (access.Cost, error) {
 // when the probe lands); predicates without random access go last, in
 // index order, since they can only be resolved by sorted access anyway.
 func OptimizeOmega(sample *data.Dataset, scn access.Scenario) []int {
-	return scheduleByGain(appendProbeGains(nil, appendMeans(nil, sample), scn))
+	return scheduleByGain(appendProbeGains(nil, appendMeans(nil, sample), nil, scn))
 }
 
 // appendMeans appends the sample's per-predicate mean scores to dst.
@@ -148,11 +148,15 @@ func appendMeans(dst []float64, sample *data.Dataset) []float64 {
 }
 
 // appendProbeGains appends each predicate's expected bound reduction per
-// unit of probe cost, -Inf where the scenario forbids the probe.
-func appendProbeGains(dst, means []float64, scn access.Scenario) []float64 {
-	dst = slices.Grow(dst, len(means))
-	for i, mean := range means {
-		pc := scn.Preds[i]
+// unit of probe cost, -Inf where the scenario forbids the probe. Predicate
+// i's mean is means[cols[i]], or means[i] when cols is nil.
+func appendProbeGains(dst, means []float64, cols []int, scn access.Scenario) []float64 {
+	dst = slices.Grow(dst, len(scn.Preds))
+	for i, pc := range scn.Preds {
+		mean := means[i]
+		if cols != nil {
+			mean = means[cols[i]]
+		}
 		if !pc.RandomOK {
 			dst = append(dst, math.Inf(-1))
 			continue

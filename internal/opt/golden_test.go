@@ -74,7 +74,7 @@ func figure2Scenarios(m int) []namedScenario {
 
 // goldenCells spans {HClimb, Naive(g=5), Strategies} x the Figure-2 matrix
 // x {min, avg, wsum} x k x n x {dummy sample, 500-row real sample,
-// Observed-warped dummy, RefineOmega}.
+// Observed-warped dummy}.
 func goldenCells() []goldenCell {
 	const m = 3
 	real, err := access.Sample(context.Background(), access.DatasetBackend{DS: datatest.MustGenerate(data.Correlated, 4000, m, 11)}, 500, 5, "real500")
@@ -98,7 +98,6 @@ func goldenCells() []goldenCell {
 		{"dummy", func(*Config) {}},
 		{"real500", func(c *Config) { c.Sample = real }},
 		{"observed", func(c *Config) { c.Observed = observed }},
-		{"refine", func(c *Config) { c.RefineOmega = true }},
 	}
 	var cells []goldenCell
 	for _, sch := range schemes {

@@ -210,7 +210,7 @@ func TestOptimizeSchemeGreedy(t *testing.T) {
 func TestObservedStatsRekeyPlanCache(t *testing.T) {
 	cache := NewPlanCache(8)
 	scn := access.Uniform(2, 1, 10)
-	cfg := Config{SampleSize: 20, MaxEvals: 50}
+	cfg := Config{SampleSize: 20}
 	if _, err := cache.Get(cfg, scn, score.Avg(), 5, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestOptimizeWarpsSampleUnderObservations(t *testing.T) {
 	// plan (the substantive cost assertions live in the adaptive property
 	// tests at the repo root).
 	scn := access.Uniform(2, 1, 10)
-	cfg := Config{SampleSize: 30, MaxEvals: 60, Observed: &ObservedStats{Slopes: []float64{4, 4}}}
+	cfg := Config{SampleSize: 30, Observed: &ObservedStats{Slopes: []float64{4, 4}}}
 	p, err := Optimize(cfg, scn, score.Avg(), 5, 500)
 	if err != nil {
 		t.Fatal(err)

@@ -88,28 +88,3 @@ func TestOptimizeOmegaExhaustiveCoversAllPermutations(t *testing.T) {
 		seen[p] = true
 	}
 }
-
-func TestOptimizeWithRefineOmega(t *testing.T) {
-	scn := probeScenario()
-	cfg := Config{Grid: 5, Seed: 2, RefineOmega: true}
-	plan, err := Optimize(cfg, scn, score.Min(), 5, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Omega) != 3 {
-		t.Fatalf("plan = %+v", plan)
-	}
-	// Refinement can only improve (or match) the unrefined plan's estimate.
-	base, err := Optimize(Config{Grid: 5, Seed: 2}, scn, score.Min(), 5, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.EstimatedCost > base.EstimatedCost {
-		t.Errorf("refined %v worse than unrefined %v", plan.EstimatedCost, base.EstimatedCost)
-	}
-	// m > 4 silently keeps the greedy schedule.
-	big := access.Uniform(5, 1, 1)
-	if _, err := Optimize(Config{Grid: 3, Seed: 1, RefineOmega: true, SampleSize: 20}, big, score.Min(), 3, 100); err != nil {
-		t.Fatalf("m=5 with RefineOmega should not fail: %v", err)
-	}
-}

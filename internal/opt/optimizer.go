@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -14,26 +15,25 @@ import (
 // Config parameterizes the optimizer. The zero value is usable: HClimb
 // over an 11-point grid with a 50-object dummy sample and 5 restarts.
 // An engine over a single-node base fills Sample with rows of its own
-// data (topk.NewEngine); the dummy is what remains without one.
+// data and Cols with a query's columns (topk.NewEngine); the dummy is
+// what remains without one.
 type Config struct {
 	Scheme     Scheme
 	Grid       int   // grid points per dimension (default 11)
 	SampleSize int   // dummy-sample size when no sample is given (default DefaultSampleSize)
 	Restarts   int   // HClimb restarts (default 5)
-	MaxEvals   int   // Naive mesh budget (default 20000)
 	Seed       int64 // randomness for HClimb starts and dummy samples
 	// Sample optionally supplies real sample objects (Section 7.3); when
 	// nil a dummy uniform sample is synthesized, the paper's worst case.
 	Sample *data.Dataset
+	// Cols selects the columns of Sample a query reads, in the query's
+	// order: the scenario's predicate i is Sample's column Cols[i], as
+	// access.Option.Cols maps a session's predicates onto its backend's.
+	// Nil reads every column in order. Cols without a Sample is an error.
+	Cols []int
 	// NoWildGuesses mirrors the execution session's setting so simulation
 	// runs exercise the same code path (default true).
 	DisableNWG bool
-	// RefineOmega enables the second stage of Section 7.2's two-stage
-	// approximation in exhaustive form: after the H-search, all m!
-	// probe schedules are estimated at the chosen depths and the best is
-	// kept. Only honored for m <= 4 (beyond that the greedy schedule
-	// stands, as the paper prescribes).
-	RefineOmega bool
 	// SortedDiscount and RandomDiscount scale the scenario's per-access
 	// costs down before planning, modeling expected savings from the
 	// cross-query sharing layer: a sorted access that hits a shared cursor
@@ -81,6 +81,13 @@ func SampleName(cfg Config) string {
 	return dummyName(cfg.SampleSize)
 }
 
+// naiveMeshBudget is the most mesh points SchemeNaive evaluates.
+const naiveMeshBudget = 20000
+
+// errColsWithoutSample refuses a column selection with nothing to select
+// from: the dummy is synthesized at the scenario's width.
+var errColsWithoutSample = errors.New("opt: Config.Cols selects columns of a sample, but Config.Sample is nil")
+
 // maxDiscount caps sharing discounts: even a near-perfect cache must not
 // price accesses at zero, or the optimizer would treat the source as free.
 const maxDiscount = 0.95
@@ -104,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Restarts == 0 {
 		c.Restarts = 5
-	}
-	if c.MaxEvals == 0 {
-		c.MaxEvals = 20000
 	}
 	c.SortedDiscount = clampDiscount(c.SortedDiscount)
 	c.RandomDiscount = clampDiscount(c.RandomDiscount)
@@ -148,6 +152,9 @@ func OptimizeFrom(cfg Config, scn access.Scenario, f score.Func, k, n int, start
 	if start != nil && len(start) != scn.M() {
 		return Plan{}, fmt.Errorf("opt: start has %d depths for %d predicates", len(start), scn.M())
 	}
+	if cfg.Cols != nil && cfg.Sample == nil {
+		return Plan{}, errColsWithoutSample
+	}
 	cfg = cfg.withDefaults()
 	scn = discountScenario(scn, cfg.SortedDiscount, cfg.RandomDiscount)
 	if cfg.Scheme == SchemeGreedy {
@@ -167,37 +174,18 @@ func (a *arena) search(cfg Config, scn access.Scenario, f score.Func) (Plan, err
 }
 
 // searchFrom runs the configured H-scheme, HClimb from start when one is
-// given, then the optional exhaustive Omega refinement, against the
-// problem the arena is bound to.
+// given, against the problem the arena is bound to.
 func (a *arena) searchFrom(cfg Config, scn access.Scenario, f score.Func, start []float64) (Plan, error) {
 	est, omega := &a.est, a.omega(scn)
-	var plan Plan
-	var err error
 	switch cfg.Scheme {
 	case SchemeNaive:
-		plan, err = Naive(est, omega, cfg.Grid, cfg.MaxEvals)
+		return Naive(est, omega, cfg.Grid, naiveMeshBudget)
 	case SchemeStrategies:
-		plan, err = Strategies(est, f, omega, cfg.Grid)
+		return Strategies(est, f, omega, cfg.Grid)
 	case SchemeHClimb:
-		plan, err = climb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed, start)
-	default:
-		return Plan{}, fmt.Errorf("opt: unknown scheme %v", cfg.Scheme)
+		return climb(est, omega, cfg.Grid, cfg.Restarts, cfg.Seed, start)
 	}
-	if err != nil {
-		return Plan{}, err
-	}
-	if cfg.RefineOmega && scn.M() <= 4 {
-		// Stage 2: the best schedule for the chosen depths.
-		best, bestCost, oerr := OptimizeOmegaExhaustive(est, plan.H)
-		if oerr != nil {
-			return Plan{}, oerr
-		}
-		if bestCost < plan.EstimatedCost {
-			plan.Omega, plan.EstimatedCost = best, bestCost
-		}
-		plan.Evals = int32(est.Evals())
-	}
-	return plan, nil
+	return Plan{}, fmt.Errorf("opt: unknown scheme %v", cfg.Scheme)
 }
 
 // EstimateConfiguration prices one (H, Omega) configuration under the

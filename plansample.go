@@ -2,9 +2,7 @@ package topk
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -27,20 +25,6 @@ const (
 	baseSampleSeed  = 1
 )
 
-// maxSampleViews bounds the per-column-list projections an engine keeps
-// of its sample: every ordered selection of up to four predicates fits
-// (64 of them); queries over further lists plan on the dummy.
-const maxSampleViews = 64
-
-// planSamples is an engine's own sample and its projections, one dataset
-// per column list a query has named, so the plan cache keys a column list
-// by the identity of its view.
-type planSamples struct {
-	base  *data.Dataset // every predicate, in the backend's numbering; nil: plan on the dummy
-	mu    sync.RWMutex
-	views map[string]*data.Dataset // by colsKey
-}
-
 // drawPlanSample draws the engine's sample from b's single-node base, or
 // returns nil when b has none or it is too small to beat the dummy. The
 // rows are read from the base directly: no session, no bill.
@@ -61,68 +45,12 @@ func drawPlanSample(b Backend) (*data.Dataset, error) {
 	return access.Sample(context.Background(), base, rows, baseSampleSeed, fmt.Sprintf("base(%d)", rows))
 }
 
-// forCols returns the sample a query over cols plans on: the base sample
-// for nil, else its projection onto cols, built on first use. Nil means
-// the dummy: no base sample, or no room for another view.
-func (s *planSamples) forCols(cols []int) *data.Dataset {
-	if s.base == nil || cols == nil {
-		return s.base
-	}
-	var buf [32]byte
-	key := colsKey(buf[:0], cols)
-	s.mu.RLock()
-	v, ok := s.views[string(key)]
-	s.mu.RUnlock()
-	if ok {
-		return v
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v, ok := s.views[string(key)]; ok {
-		return v
-	}
-	if len(s.views) >= maxSampleViews {
-		return nil
-	}
-	v, err := projectSample(s.base, cols)
-	if err != nil {
-		return nil // the session refuses these columns before any plan runs
-	}
-	if s.views == nil {
-		s.views = make(map[string]*data.Dataset)
-	}
-	s.views[string(key)] = v
-	return v
-}
-
-// colsKey appends a column list's map key to dst.
-func colsKey(dst []byte, cols []int) []byte {
-	for _, c := range cols {
-		dst = binary.AppendUvarint(dst, uint64(c))
-	}
-	return dst
-}
-
-// projectSample copies cols of sample into a dataset of its own, under
-// the sample's name: what a trace names is the sample, whatever columns a
-// query reads of it.
-func projectSample(sample *data.Dataset, cols []int) (*data.Dataset, error) {
-	view, err := data.Project(sample, cols)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]float64, view.N())
-	for u := range rows {
-		rows[u] = view.Scores(u)
-	}
-	return data.New(sample.Name(), rows)
-}
-
 // planConfig is cfg as a plan for a query over cols is searched: a sample
-// cfg names itself wins, else the engine's own, else the dummy.
+// cfg names itself wins, else the engine's own, read through cols, else
+// the dummy.
 func (e *Engine) planConfig(cfg OptimizerConfig, cols []int) OptimizerConfig {
-	if cfg.Sample == nil {
-		cfg.Sample = e.samples.forCols(cols)
+	if cfg.Sample == nil && e.sample != nil {
+		cfg.Sample, cfg.Cols = e.sample, cols
 	}
 	return cfg
 }
@@ -133,7 +61,7 @@ func (e *Engine) planConfig(cfg OptimizerConfig, cols []int) OptimizerConfig {
 // planSample.
 func (e *Engine) PlanSample(cfg OptimizerConfig) string {
 	if cfg.Sample == nil {
-		cfg.Sample = e.samples.base
+		cfg.Sample = e.sample
 	}
 	return opt.SampleName(cfg)
 }

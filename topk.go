@@ -239,9 +239,10 @@ type Engine struct {
 	// (access.As), whose hit rates discount planning.
 	share    *share.Layer
 	useGuard bool
-	// samples is what the optimizer plans on (plansample.go): rows of the
-	// engine's own base, drawn once by NewEngine, or nothing — the dummy.
-	samples planSamples
+	// sample is what the optimizer plans on (plansample.go): rows of the
+	// engine's own base, every predicate, drawn once by NewEngine and read
+	// through each query's columns; nil plans on the dummy.
+	sample *data.Dataset
 
 	// pool recycles per-query state (access session, framework scratch and
 	// everything a run assembles over them) across Runs and Opens. Pooled
@@ -468,7 +469,7 @@ func NewEngine(b Backend, scn Scenario, opts ...EngineOption) (*Engine, error) {
 	// Resolved once: the stack below an engine never changes.
 	e.share, _ = access.As[*share.Layer](b)
 	var err error
-	if e.samples.base, err = drawPlanSample(b); err != nil {
+	if e.sample, err = drawPlanSample(b); err != nil {
 		return nil, fmt.Errorf("topk: drawing the planning sample: %w", err)
 	}
 	return e, nil
