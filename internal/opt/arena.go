@@ -94,7 +94,8 @@ func (a *arena) release() {
 // Reset binds the arena to one planning problem under cfg (already
 // normalized): it drops the previous problem and its memo, finds or
 // builds the sample, validates the problem against it the way
-// NewEstimator always has, and re-prices the session under scn.
+// NewEstimator always has, and re-prices the session under scn over the
+// sample's columns cfg.Cols selects.
 func (a *arena) Reset(cfg Config, scn access.Scenario, f score.Func, k, n int) error {
 	a.memo.Reset()
 	a.est = Estimator{}
