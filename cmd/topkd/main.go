@@ -358,9 +358,10 @@ func dialCluster(urls string, m int, reg *obs.Registry) (*cluster.Coordinator, e
 // dial, served as the shard wire on /wire with the websim JSON protocol
 // beside it. Consistent hashing is deterministic in the shard count, so
 // peers built from identical database flags hold disjoint slices. The
-// node holds its slice and an n-sized id map: a -dist database is drawn
-// row by row and never materialized; a -bench or -data one is loaded, and
-// dropped once sliced.
+// node holds only its slice — its rows, their sorted lists and their
+// ascending global ids, which the server searches to resolve a probe — and
+// nothing sized by n: a -dist database is drawn row by row and never
+// materialized; a -bench or -data one is loaded, and dropped once sliced.
 func buildShard(c *config) (*websim.Server, error) {
 	ring, err := cluster.NewRing(c.shardCount)
 	if err != nil {

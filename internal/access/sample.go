@@ -41,11 +41,10 @@ func Sample(ctx context.Context, b Backend, s int, seed int64, name string) (*da
 			flat[j] = v
 		}
 	}
-	scores := make([][]float64, s)
-	for j := range scores {
-		scores[j] = flat[j*m : (j+1)*m : (j+1)*m]
+	if len(flat) != len(preds) {
+		return nil, fmt.Errorf("access: sampling %d rows: %d scores for %d probes", s, len(flat), len(preds))
 	}
-	return data.New(name, scores)
+	return data.FromSlab(name, m, flat)
 }
 
 // permPrefix returns r.Perm(n)[:s] in O(s) memory: Perm's inside-out

@@ -3,6 +3,7 @@ package access_test
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/access"
@@ -70,4 +71,17 @@ func TestSample(t *testing.T) {
 	if must(access.DatasetBackend{DS: d}, 0, 3).N() != 1 {
 		t.Error("non-positive sample size should clamp to 1")
 	}
+	// A batch one row short still fills whole rows; the sampler refuses it
+	// rather than plan on a smaller sample than it drew.
+	if _, err := access.Sample(ctx, shortBatcher{b}, 10, 2, "sample"); err == nil || !strings.Contains(err.Error(), "18 scores for 20 probes") {
+		t.Errorf("a batch one row short: got %v, want it refused", err)
+	}
+}
+
+// shortBatcher answers every batch one row (two scores) short.
+type shortBatcher struct{ *batcher }
+
+func (b shortBatcher) BatchRandom(ctx context.Context, preds, objs []int) ([]float64, error) {
+	out, err := b.batcher.BatchRandom(ctx, preds, objs)
+	return out[:len(out)-2], err
 }

@@ -339,16 +339,15 @@ func heterogeneousDataset(n int, seed int64) (*data.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([][]float64, n)
+	scores := make([]float64, 0, 3*n)
 	for u := 0; u < n; u++ {
-		r := base.Scores(u)
-		rows[u] = []float64{
-			r[0] * r[0] * r[0],       // mean .25: selective
-			r[1],                     // mean .5
-			1 - (1-r[2])*(1-r[2])/2., // mean ~.83: unselective
-		}
+		p1, p2, p3 := base.Score(u, 0), base.Score(u, 1), base.Score(u, 2)
+		scores = append(scores,
+			p1*p1*p1,           // mean .25: selective
+			p2,                 // mean .5
+			1-(1-p3)*(1-p3)/2.) // mean ~.83: unselective
 	}
-	return data.New(fmt.Sprintf("heterogeneous(n=%d,seed=%d)", n, seed), rows)
+	return data.FromSlab(fmt.Sprintf("heterogeneous(n=%d,seed=%d)", n, seed), 3, scores)
 }
 
 func reversed(xs []int) []int {

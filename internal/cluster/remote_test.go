@@ -310,9 +310,25 @@ func TestLyingShardObjectOutsideUniverse(t *testing.T) {
 	ds := uniformDataset(t, 400, 2, 9)
 	parts := partitioned(t, ds, 3)
 	// Shard 0 serves its fourth-best object on p1 under an id one past the
-	// universe.
-	stray, _ := parts[0].Local.SortedAt(0, 3)
-	parts[0].Global[stray] = ds.N()
+	// universe. A node searches its ids, so they must still ascend: the
+	// object's row moves to the shard's last local id, the one whose global
+	// id can become ds.N() in order.
+	sd := parts[0]
+	stray, _ := sd.Local.SortedAt(0, 3)
+	last := sd.LocalN() - 1
+	rows := make([][]float64, sd.LocalN())
+	for u := range rows {
+		rows[u] = sd.Local.Scores(u)
+	}
+	rows[stray], rows[last] = rows[last], rows[stray]
+	var err error
+	if sd.Local, err = data.New(sd.Local.Name(), rows); err != nil {
+		t.Fatal(err)
+	}
+	sd.Global[last] = ds.N()
+	if obj, _ := sd.Local.SortedAt(0, 3); obj != last {
+		t.Fatalf("p1's fourth-best object of shard 0 is %d after the swap, want %d", obj, last)
+	}
 
 	local := make([]Shard, len(parts))
 	remote := make([]Shard, len(parts))

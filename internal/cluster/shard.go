@@ -38,7 +38,6 @@ type ShardData struct {
 	// Global maps local id -> global id, ascending.
 	Global []int
 
-	toLocal []int32 // global id -> local id, -1 when not owned
 	globalN int
 	m       int
 }
@@ -84,10 +83,12 @@ func DatasetRows(ds *data.Dataset) Rows {
 
 // Slice builds shard idx's slice of the n × m dataset named name in one
 // pass over its rows, keeping only those the ring assigns to idx: it holds
-// the shard's rows and an n-sized id map, never the dataset or another
-// shard's slice. Partition and a topkd -shard node both build their
-// shards here, so the two agree byte for byte. A shard that owns no
-// objects gets no Local dataset, and no row is drawn for it.
+// the shard's rows, their sorted lists and their global ids, never the
+// dataset, another shard's slice or anything else sized by n. The kept
+// rows become the Local dataset's rows without a second copy. Partition
+// and a topkd -shard node both build their shards here, so the two agree
+// byte for byte. A shard that owns no objects gets no Local dataset, and
+// no row is drawn for it.
 func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, error) {
 	if idx < 0 || idx >= ring.Shards() {
 		return nil, fmt.Errorf("cluster: shard %d outside [0,%d)", idx, ring.Shards())
@@ -95,14 +96,12 @@ func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, e
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("cluster: cannot slice a %d × %d dataset", n, m)
 	}
-	sd := &ShardData{Index: idx, toLocal: make([]int32, n), globalN: n, m: m}
+	sd := &ShardData{Index: idx, globalN: n, m: m}
 	// Ownership is a pure function of the id, so the slice is sized before
 	// a row is drawn. Local ids ascend with global ids: the tie-break order.
 	localN := 0
-	for u := range sd.toLocal {
-		sd.toLocal[u] = -1
+	for u := 0; u < n; u++ {
 		if ring.Owner(u) == idx {
-			sd.toLocal[u] = int32(localN)
 			localN++
 		}
 	}
@@ -110,35 +109,32 @@ func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, e
 		return sd, nil
 	}
 	sd.Global = make([]int, 0, localN)
-	for u, local := range sd.toLocal {
-		if local >= 0 {
+	for u := 0; len(sd.Global) < localN; u++ {
+		if ring.Owner(u) == idx {
 			sd.Global = append(sd.Global, u)
 		}
 	}
-	flat := make([]float64, localN*m)
-	kept := make([][]float64, localN)
-	prev, drawn := -1, 0
+	// Rows arrive in ascending order, so the next owned row is always the
+	// one at the next local id.
+	flat := make([]float64, 0, localN*m)
+	prev := -1
 	err := rows(func(u int, scores []float64) error {
 		if u <= prev || u >= n || len(scores) != m {
 			return fmt.Errorf("cluster: row %d of %d scores after row %d does not fit a %d × %d dataset drawn in order", u, len(scores), prev, n, m)
 		}
 		prev = u
-		local := int(sd.toLocal[u])
-		if local < 0 {
-			return nil
+		if local := len(flat) / m; local < localN && sd.Global[local] == u {
+			flat = append(flat, scores...)
 		}
-		kept[local] = flat[local*m : (local+1)*m : (local+1)*m]
-		copy(kept[local], scores)
-		drawn++
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if drawn != localN {
+	if drawn := len(flat) / m; drawn != localN {
 		return nil, fmt.Errorf("cluster: %s drew %d of shard %d's %d rows", name, drawn, idx, localN)
 	}
-	sd.Local, err = data.New(fmt.Sprintf("%s/shard%d-of-%d", name, idx, ring.Shards()), kept)
+	sd.Local, err = data.FromSlab(fmt.Sprintf("%s/shard%d-of-%d", name, idx, ring.Shards()), m, flat)
 	if err != nil {
 		return nil, err
 	}
@@ -155,13 +151,8 @@ func (d *ShardData) GlobalN() int { return d.globalN }
 func (d *ShardData) M() int { return d.m }
 
 // ToLocal maps a global object id to the shard's local id, or -1 when
-// the shard does not own it.
-func (d *ShardData) ToLocal(global int) int {
-	if global < 0 || global >= len(d.toLocal) {
-		return -1
-	}
-	return int(d.toLocal[global])
-}
+// the shard does not own it: a binary search over Global.
+func (d *ShardData) ToLocal(global int) int { return data.LocalID(d.Global, global) }
 
 // LocalShard serves one ShardData in process: the Shard implementation
 // behind in-process clusters (tests, benchmarks) and the data source a

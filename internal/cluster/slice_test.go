@@ -26,13 +26,7 @@ func materializedPartition(t *testing.T, ds *data.Dataset, shards int) []*ShardD
 	}
 	out := make([]*ShardData, shards)
 	for s := range out {
-		sd := &ShardData{Index: s, Global: owned[s], toLocal: make([]int32, n), globalN: n, m: m}
-		for u := range sd.toLocal {
-			sd.toLocal[u] = -1
-		}
-		for local, global := range owned[s] {
-			sd.toLocal[global] = int32(local)
-		}
+		sd := &ShardData{Index: s, Global: owned[s], globalN: n, m: m}
 		if len(owned[s]) > 0 {
 			rows := make([][]float64, len(owned[s]))
 			for local, global := range owned[s] {
@@ -60,9 +54,18 @@ func sameShard(got, want *ShardData) error {
 	case (got.Local == nil) != (want.Local == nil):
 		return fmt.Errorf("Local %v, want %v", got.Local, want.Local)
 	}
+	// The n-sized id map a shard once held answers ToLocal independently of
+	// the binary search over Global that Slice's shards use.
+	toLocal := make([]int, want.GlobalN()+2)
+	for u := range toLocal {
+		toLocal[u] = -1
+	}
+	for local, global := range want.Global {
+		toLocal[global+1] = local
+	}
 	for u := -1; u <= want.GlobalN(); u++ {
-		if got.ToLocal(u) != want.ToLocal(u) {
-			return fmt.Errorf("ToLocal(%d) = %d, want %d", u, got.ToLocal(u), want.ToLocal(u))
+		if got.ToLocal(u) != toLocal[u+1] {
+			return fmt.Errorf("ToLocal(%d) = %d, want %d", u, got.ToLocal(u), toLocal[u+1])
 		}
 	}
 	if want.Local == nil {

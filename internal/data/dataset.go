@@ -24,79 +24,86 @@ import (
 // we adopt the paper's Example 9 convention that the higher OID wins.
 type Dataset struct {
 	name   string
-	scores [][]float64 // scores[obj][column]
-	sorted [][]int     // sorted[column] = object ids in descending score order
-	labels []string    // optional human-readable object labels
+	stride int       // scores per stored row
+	scores []float64 // row-major: object u's row is scores[u*stride : (u+1)*stride]
+	sorted [][]int32 // sorted[column] = object ids in descending score order
+	labels []string  // optional human-readable object labels
 	// cols maps predicate i to its column of scores and sorted; nil is the
 	// identity. A projection (Project) is a Dataset sharing its parent's
 	// scores and sorted under a different cols.
 	cols []int
 }
 
-// New constructs a dataset from a score matrix. The matrix is copied.
-// It returns an error if the matrix is empty, ragged, or contains scores
-// outside [0,1].
+// New constructs a dataset from a score matrix, copied once into the
+// dataset's own rows. It returns an error if the matrix is empty, ragged,
+// or contains scores outside [0,1].
 func New(name string, scores [][]float64) (*Dataset, error) {
-	n := len(scores)
-	if n == 0 {
+	if len(scores) == 0 {
 		return nil, fmt.Errorf("data: dataset %q has no objects", name)
 	}
 	m := len(scores[0])
-	if m == 0 {
-		return nil, fmt.Errorf("data: dataset %q has no predicates", name)
-	}
-	cp := make([][]float64, n)
-	flat := make([]float64, n*m)
+	flat := make([]float64, 0, len(scores)*m)
 	for u, row := range scores {
 		if len(row) != m {
 			return nil, fmt.Errorf("data: dataset %q is ragged: object %d has %d scores, want %d", name, u, len(row), m)
 		}
-		cp[u] = flat[u*m : (u+1)*m : (u+1)*m]
-		for i, s := range row {
-			if math.IsNaN(s) || s < 0 || s > 1 {
-				return nil, fmt.Errorf("data: dataset %q score [%d][%d] = %v outside [0,1]", name, u, i, s)
-			}
-			cp[u][i] = s
-		}
+		flat = append(flat, row...)
 	}
-	d := &Dataset{name: name, scores: cp}
-	d.buildSorted()
-	return d, nil
+	return FromSlab(name, m, flat)
 }
 
-func (d *Dataset) buildSorted() {
-	m := len(d.scores[0])
-	d.sorted = make([][]int, m)
-	for i := 0; i < m; i++ {
-		ids := make([]int, d.N())
-		for u := range ids {
-			ids[u] = u
-		}
-		// Score descending, then — the deterministic tie-break within a
-		// sorted list, consistent with the overall-score tie-breaker —
-		// higher OID first: a total order, so an unstable sort is exact.
-		slices.SortFunc(ids, func(a, b int) int {
-			if sa, sb := d.scores[a][i], d.scores[b][i]; sa != sb {
-				return cmp.Compare(sb, sa)
-			}
-			return cmp.Compare(b, a)
-		})
-		d.sorted[i] = ids
+// FromSlab constructs a dataset that owns scores, a row-major slab of m
+// scores per object (object u's are scores[u*m : (u+1)*m]), without
+// copying it: the caller hands the slab over and must not change it. It
+// returns an error if the slab holds no whole row, a partial one, more
+// than math.MaxInt32 rows (sorted views hold 32-bit ids), or a score
+// outside [0,1].
+func FromSlab(name string, m int, scores []float64) (*Dataset, error) {
+	if m <= 0 {
+		return nil, fmt.Errorf("data: dataset %q has no predicates", name)
 	}
+	n := len(scores) / m
+	switch {
+	case n == 0:
+		return nil, fmt.Errorf("data: dataset %q has no objects", name)
+	case n*m != len(scores):
+		return nil, fmt.Errorf("data: dataset %q has %d scores, not whole rows of %d", name, len(scores), m)
+	case n > math.MaxInt32:
+		return nil, fmt.Errorf("data: dataset %q has %d objects, over the %d a sorted view addresses", name, n, math.MaxInt32)
+	}
+	for j, s := range scores {
+		if math.IsNaN(s) || s < 0 || s > 1 {
+			return nil, fmt.Errorf("data: dataset %q score [%d][%d] = %v outside [0,1]", name, j/m, j%m, s)
+		}
+	}
+	d := &Dataset{name: name, stride: m, scores: scores, sorted: make([][]int32, m)}
+	ids := make([]int32, n*m)
+	for i := range d.sorted {
+		view := ids[i*n : (i+1)*n : (i+1)*n]
+		for u := range view {
+			view[u] = int32(u)
+		}
+		// A total order, so an unstable sort is exact.
+		slices.SortFunc(view, func(a, b int32) int {
+			return Descending(scores[int(a)*m+i], a, scores[int(b)*m+i], b)
+		})
+		d.sorted[i] = view
+	}
+	return d, nil
 }
 
 // Name returns the dataset's name.
 func (d *Dataset) Name() string { return d.name }
 
 // N returns the number of objects.
-func (d *Dataset) N() int { return len(d.scores) }
+func (d *Dataset) N() int { return len(d.scores) / d.stride }
 
 // M returns the number of predicates.
 func (d *Dataset) M() int {
 	if d.cols != nil {
 		return len(d.cols)
 	}
-	return len(d.scores[0])
+	return d.stride
 }
 
 // Score returns p_i[u], the exact score of object u on predicate i.
@@ -104,7 +111,7 @@ func (d *Dataset) Score(u, i int) float64 {
 	if d.cols != nil {
 		i = d.cols[i]
 	}
-	return d.scores[u][i]
+	return d.scores[u*d.stride+i]
 }
 
 // Scores returns a copy of object u's score vector.
@@ -117,11 +124,12 @@ func (d *Dataset) Scores(u int) []float64 {
 // row returns object u's score vector: the stored row itself for an
 // unprojected dataset, else the projected columns gathered into buf.
 func (d *Dataset) row(u int, buf []float64) []float64 {
+	row := d.scores[u*d.stride : (u+1)*d.stride]
 	if d.cols == nil {
-		return d.scores[u]
+		return row
 	}
 	for i, c := range d.cols {
-		buf[i] = d.scores[u][c]
+		buf[i] = row[c]
 	}
 	return buf
 }
@@ -132,8 +140,8 @@ func (d *Dataset) SortedAt(i, rank int) (obj int, s float64) {
 	if d.cols != nil {
 		i = d.cols[i]
 	}
-	obj = d.sorted[i][rank]
-	return obj, d.scores[obj][i]
+	obj = int(d.sorted[i][rank])
+	return obj, d.scores[obj*d.stride+i]
 }
 
 // Label returns the human-readable label of object u, or "u<id>" if none
@@ -174,12 +182,35 @@ func (d *Dataset) SetLabels(labels []string) {
 
 // Less reports whether object a ranks strictly below object b under the
 // deterministic total order (score desc, then OID desc) for the given
-// overall scores. It is the single source of truth for tie-breaking.
+// overall scores. It and Descending, the same order as a comparator, are
+// the single source of truth for tie-breaking.
 func Less(scoreA float64, a int, scoreB float64, b int) bool {
 	if scoreA != scoreB {
 		return scoreA < scoreB
 	}
 	return a < b
+}
+
+// Descending compares two entries of a sorted list under that order:
+// negative when (scoreA, a) comes first — it scores higher, or ties and
+// has the higher id. Every sorted list, in memory or on disk, sorts by it.
+func Descending[ID cmp.Ordered](scoreA float64, a ID, scoreB float64, b ID) int {
+	if scoreA != scoreB {
+		return cmp.Compare(scoreB, scoreA)
+	}
+	return cmp.Compare(b, a)
+}
+
+// LocalID returns the local id of the object with global id g in a slice
+// of a dataset whose global ids, indexed by local id, ascend (as
+// cluster.Slice makes them), or -1 when the slice does not hold g. It
+// binary-searches global: the lookup is the slice's own ids, whatever the
+// size of the universe they come from.
+func LocalID(global []int, g int) int {
+	if local, ok := slices.BinarySearch(global, g); ok {
+		return local
+	}
+	return -1
 }
 
 // Project returns a view of d whose predicates are the given columns of d,
@@ -216,7 +247,7 @@ func Project(d *Dataset, cols []int) (*Dataset, error) {
 	if identity {
 		return d, nil
 	}
-	return &Dataset{name: d.name + "/projected", scores: d.scores, sorted: d.sorted, labels: d.labels, cols: mapped}, nil
+	return &Dataset{name: d.name + "/projected", stride: d.stride, scores: d.scores, sorted: d.sorted, labels: d.labels, cols: mapped}, nil
 }
 
 // Ranked is one entry of an oracle ranking.

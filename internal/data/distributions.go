@@ -187,18 +187,15 @@ func Generate(dist Distribution, n, m int, seed int64) (*Dataset, error) {
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("data: Generate(n=%d, m=%d) requires positive sizes", n, m)
 	}
-	scores := make([][]float64, n)
 	flat := make([]float64, n*m)
 	err := Stream(dist, n, m, seed, func(u int, row []float64) error {
-		dst := flat[u*m : (u+1)*m : (u+1)*m]
-		copy(dst, row)
-		scores[u] = dst
+		copy(flat[u*m:], row)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return New(GeneratedName(dist, n, m, seed), scores)
+	return FromSlab(GeneratedName(dist, n, m, seed), m, flat)
 }
 
 // GeneratedName is the name Generate gives its dataset, for the builders

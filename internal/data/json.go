@@ -16,16 +16,9 @@ type datasetJSON struct {
 
 // WriteJSON serializes the dataset.
 func (d *Dataset) WriteJSON(w io.Writer) error {
-	payload := datasetJSON{Name: d.name, Scores: d.scores}
-	if d.cols != nil {
-		// A projection serializes as the matrix it presents, not its parent's.
-		payload.Scores = make([][]float64, d.N())
-		for u := range payload.Scores {
-			payload.Scores[u] = d.Scores(u)
-		}
-	}
-	if d.labels != nil {
-		payload.Labels = d.labels
+	payload := datasetJSON{Name: d.name, Scores: make([][]float64, d.N()), Labels: d.labels}
+	for u := range payload.Scores {
+		payload.Scores[u] = d.Scores(u)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

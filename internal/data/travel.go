@@ -63,7 +63,7 @@ func Restaurants(n int, seed int64) (*TravelQuery, []Restaurant, error) {
 	rng := rand.New(rand.NewSource(seed))
 	userX, userY := 3.0, 4.0 // "myaddr": fixed so runs are comparable
 	rs := make([]Restaurant, n)
-	scores := make([][]float64, n)
+	scores := make([]float64, 0, 2*n)
 	labels := make([]string, n)
 	for u := range rs {
 		// Restaurants cluster downtown (around 5,5) with spread; ratings
@@ -75,13 +75,10 @@ func Restaurants(n int, seed int64) (*TravelQuery, []Restaurant, error) {
 			Rating: math.Min(5, math.Max(0, 3.4+0.8*rng.NormFloat64())),
 		}
 		rs[u] = r
-		scores[u] = []float64{
-			r.Rating / 5,
-			closeness(r.X, r.Y, userX, userY),
-		}
+		scores = append(scores, r.Rating/5, closeness(r.X, r.Y, userX, userY))
 		labels[u] = r.Name
 	}
-	ds, err := New(fmt.Sprintf("restaurants(n=%d,seed=%d)", n, seed), scores)
+	ds, err := FromSlab(fmt.Sprintf("restaurants(n=%d,seed=%d)", n, seed), 2, scores)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -109,7 +106,7 @@ func Hotels(n int, seed int64) (*TravelQuery, []Hotel, error) {
 	userX, userY := 3.0, 4.0
 	budget := 150.0
 	hs := make([]Hotel, n)
-	scores := make([][]float64, n)
+	scores := make([]float64, 0, 3*n)
 	labels := make([]string, n)
 	for u := range hs {
 		stars := 1 + math.Floor(4*rng.Float64()+rng.Float64()) // 1..5, mild upward skew
@@ -129,14 +126,10 @@ func Hotels(n int, seed int64) (*TravelQuery, []Hotel, error) {
 			Price: price,
 		}
 		hs[u] = h
-		scores[u] = []float64{
-			closeness(h.X, h.Y, userX, userY),
-			(h.Stars - 1) / 4,
-			cheapScore(h.Price, budget),
-		}
+		scores = append(scores, closeness(h.X, h.Y, userX, userY), (h.Stars-1)/4, cheapScore(h.Price, budget))
 		labels[u] = h.Name
 	}
-	ds, err := New(fmt.Sprintf("hotels(n=%d,seed=%d)", n, seed), scores)
+	ds, err := FromSlab(fmt.Sprintf("hotels(n=%d,seed=%d)", n, seed), 3, scores)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -161,15 +161,13 @@ func (o *ObservedStats) appendWarp(dst []float64, m int) []float64 {
 // against streams shaped like the ones actually being served.
 func warpSample(sample *data.Dataset, exps []float64) (*data.Dataset, error) {
 	n, m := sample.N(), sample.M()
-	scores := make([][]float64, n)
+	scores := make([]float64, 0, n*m)
 	for u := 0; u < n; u++ {
-		row := make([]float64, m)
 		for i := 0; i < m; i++ {
-			row[i] = math.Pow(sample.Score(u, i), exps[i])
+			scores = append(scores, math.Pow(sample.Score(u, i), exps[i]))
 		}
-		scores[u] = row
 	}
-	return data.New(sample.Name()+"/warped", scores)
+	return data.FromSlab(sample.Name()+"/warped", m, scores)
 }
 
 // greedyFan is the candidate multiplier of the greedy depth rule: sorted

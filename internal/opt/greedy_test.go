@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/access"
+	"repro/internal/data/datatest"
 	"repro/internal/score"
 )
 
@@ -254,4 +255,38 @@ func TestOptimizeWarpsSampleUnderObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 	validatePlan(t, p, 2)
+}
+
+// TestWarpSampleAllocGate holds an adaptive re-plan's warped sample to
+// whole blocks, however many rows the sample has: its score slab, its
+// name, the dataset and its sorted views (one block of ids, one of their m
+// headers) are 5, under a gate of m + 4. A row per sample object would be
+// ~1,000 more.
+func TestWarpSampleAllocGate(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("alloc gate needs a build without the race detector")
+	}
+	const m = 3
+	sample := datatest.MustDummySample(1000, m, 1)
+	exps := []float64{2, 0.5, 3}
+	warped, err := warpSample(sample, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < sample.N(); u++ {
+		for i := 0; i < m; i++ {
+			if got, want := warped.Score(u, i), math.Pow(sample.Score(u, i), exps[i]); got != want {
+				t.Fatalf("warped [%d][%d] = %v, want %v", u, i, got, want)
+			}
+		}
+	}
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := warpSample(sample, exps); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warping a 1,000-row sample: %.0f allocations", got)
+	if got > m+4 {
+		t.Errorf("warping a 1,000-row sample allocates %.0f blocks, gate is m + 4 = %d", got, m+4)
+	}
 }

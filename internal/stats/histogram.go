@@ -158,13 +158,11 @@ func SynthesizeSample(hists []*Histogram, s int, seed int64) (*data.Dataset, err
 		s = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	rows := make([][]float64, s)
-	for u := range rows {
-		row := make([]float64, len(hists))
-		for i, h := range hists {
-			row[i] = h.Draw(rng)
+	scores := make([]float64, 0, s*len(hists))
+	for u := 0; u < s; u++ {
+		for _, h := range hists {
+			scores = append(scores, h.Draw(rng))
 		}
-		rows[u] = row
 	}
-	return data.New(fmt.Sprintf("histsample(s=%d,seed=%d)", s, seed), rows)
+	return data.FromSlab(fmt.Sprintf("histsample(s=%d,seed=%d)", s, seed), len(hists), scores)
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -195,20 +194,15 @@ type segEntry struct {
 
 // writeSegment builds predicate pred's descending segment by reading its
 // column back from the published scores.dat (one sequential pass), sorting
-// by (score desc, id desc) — the tie-break every in-memory sorted view
-// uses, so disk and memory serve byte-identical streams — and writing
+// by data.Descending — the order every in-memory sorted view sorts by, so
+// disk and memory serve byte-identical streams — and writing
 // header, entries, and the block fence section.
 func writeSegment(dir string, pred, n, m, blockEntries int) (uint32, error) {
 	col, err := readColumn(dir, pred, n, m)
 	if err != nil {
 		return 0, err
 	}
-	slices.SortFunc(col, func(a, b segEntry) int {
-		if a.score != b.score {
-			return cmp.Compare(b.score, a.score)
-		}
-		return cmp.Compare(b.obj, a.obj)
-	})
+	slices.SortFunc(col, func(a, b segEntry) int { return data.Descending(a.score, a.obj, b.score, b.obj) })
 
 	path := segmentPath(dir, pred)
 	f, err := os.Create(path + ".tmp")

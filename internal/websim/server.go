@@ -60,9 +60,8 @@ import (
 type Server struct {
 	ds         *data.Dataset
 	preds      []int // local predicate -> dataset predicate
-	global     []int // local object -> global id (nil = identity universe)
+	global     []int // local object -> global id, ascending (nil = identity universe)
 	globalN    int   // universe size when global is set
-	toLocal    []int32
 	latency    time.Duration
 	failery    int           // fail every n-th request with 503 (0 = never)
 	failRate   float64       // fail this fraction of requests with 503 (0 = never)
@@ -165,12 +164,11 @@ func WithDupRate(rate float64, seed int64) ServerOption {
 // universe: the dataset holds the shard's slice in local ids, global[u]
 // is local object u's global id, and globalN is the universe size. The
 // sorted endpoints then serve global ids, and the random and batch
-// endpoints resolve probes addressed by global id (unknown ids 404).
+// endpoints resolve probes addressed by global id (unknown ids 404) by a
+// binary search over global. global must ascend, as cluster.Slice makes
+// it; the server searches it in place, so the caller must not change it.
 func WithShardObjects(global []int, globalN int) ServerOption {
-	return func(s *Server) {
-		s.global = append([]int(nil), global...)
-		s.globalN = globalN
-	}
+	return func(s *Server) { s.global, s.globalN = global, globalN }
 }
 
 func (s *Server) ensureLieRng(seed int64) {
@@ -200,18 +198,13 @@ func NewServer(ds *data.Dataset, opts ...ServerOption) (*Server, error) {
 		if len(s.global) != ds.N() {
 			return nil, fmt.Errorf("websim: shard mapping covers %d objects, dataset has %d", len(s.global), ds.N())
 		}
-		s.toLocal = make([]int32, s.globalN)
-		for i := range s.toLocal {
-			s.toLocal[i] = -1
-		}
 		for local, g := range s.global {
 			if g < 0 || g >= s.globalN {
 				return nil, fmt.Errorf("websim: shard object %d has global id %d outside universe [0,%d)", local, g, s.globalN)
 			}
-			if s.toLocal[g] != -1 {
-				return nil, fmt.Errorf("websim: global id %d mapped twice", g)
+			if local > 0 && g <= s.global[local-1] {
+				return nil, fmt.Errorf("websim: shard object %d has global id %d after %d: global ids must ascend", local, g, s.global[local-1])
 			}
-			s.toLocal[g] = int32(local)
 		}
 	}
 	s.mux = http.NewServeMux()
@@ -248,10 +241,7 @@ func (s *Server) localID(global int) int {
 		}
 		return global
 	}
-	if global < 0 || global >= s.globalN {
-		return -1
-	}
-	return int(s.toLocal[global])
+	return data.LocalID(s.global, global)
 }
 
 // ServeHTTP implements http.Handler. Every JSON request passes the

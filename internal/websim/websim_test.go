@@ -93,6 +93,40 @@ func TestClientValidation(t *testing.T) {
 	}
 }
 
+// TestShardObjectsAscendWithinTheUniverse: a shard server looks its
+// objects up by binary search, so it refuses global ids that leave the
+// universe, repeat or descend, and serves the ones it holds and no others.
+func TestShardObjectsAscendWithinTheUniverse(t *testing.T) {
+	ds := datatest.MustNew("three", [][]float64{{0.1}, {0.2}, {0.3}})
+	for _, tc := range []struct {
+		global []int
+		want   string
+	}{
+		{[]int{1, 4, 9}, "outside universe [0,9)"},
+		{[]int{-1, 4, 7}, "outside universe [0,9)"},
+		{[]int{1, 4, 4}, "global ids must ascend"},
+		{[]int{1, 7, 4}, "global ids must ascend"},
+	} {
+		if _, err := NewServer(ds, WithShardObjects(tc.global, 9)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("global ids %v: got %v, want %q", tc.global, err, tc.want)
+		}
+	}
+	srv, err := NewServer(ds, WithShardObjects([]int{1, 4, 7}, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := map[int]int{1: 0, 4: 1, 7: 2}
+	for g := -1; g <= 9; g++ {
+		want, held := local[g]
+		if !held {
+			want = -1
+		}
+		if got := srv.localID(g); got != want {
+			t.Errorf("localID(%d) = %d, want %d", g, got, want)
+		}
+	}
+}
+
 // TestMultiSourceMiddleware runs the full stack of the paper's Example 1:
 // two separate HTTP sources each scoring one predicate (the dineme.com /
 // superpages.com split), a session enforcing costs and legality on top of
