@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/access"
 	"repro/internal/data"
@@ -84,7 +85,8 @@ func DatasetRows(ds *data.Dataset) Rows {
 // Slice builds shard idx's slice of the n × m dataset named name in one
 // pass over its rows, keeping only those the ring assigns to idx: it holds
 // the shard's rows, their sorted lists and their global ids, never the
-// dataset, another shard's slice or anything else sized by n. The kept
+// dataset, another shard's slice or anything else sized by n beyond a
+// one-bit-per-object ownership mark while it runs. The kept
 // rows become the Local dataset's rows without a second copy. Partition
 // and a topkd -shard node both build their shards here, so the two agree
 // byte for byte. A shard that owns no objects gets no Local dataset, and
@@ -98,10 +100,14 @@ func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, e
 	}
 	sd := &ShardData{Index: idx, globalN: n, m: m}
 	// Ownership is a pure function of the id, so the slice is sized before
-	// a row is drawn. Local ids ascend with global ids: the tie-break order.
+	// a row is drawn, in one ring lookup per object: the owned ids are
+	// marked in a bitmap (n/8 bytes, dropped on return) that counts them and
+	// then lists them. Local ids ascend with global ids: the tie-break order.
+	owned := make([]uint64, (n+63)/64)
 	localN := 0
 	for u := 0; u < n; u++ {
 		if ring.Owner(u) == idx {
+			owned[u/64] |= 1 << (u % 64)
 			localN++
 		}
 	}
@@ -109,9 +115,9 @@ func Slice(ring *Ring, idx int, name string, n, m int, rows Rows) (*ShardData, e
 		return sd, nil
 	}
 	sd.Global = make([]int, 0, localN)
-	for u := 0; len(sd.Global) < localN; u++ {
-		if ring.Owner(u) == idx {
-			sd.Global = append(sd.Global, u)
+	for w, word := range owned {
+		for ; word != 0; word &= word - 1 {
+			sd.Global = append(sd.Global, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	// Rows arrive in ascending order, so the next owned row is always the

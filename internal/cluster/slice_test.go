@@ -194,3 +194,21 @@ func TestSliceRefusesBadRows(t *testing.T) {
 		t.Errorf("a row source's error came back as %v", err)
 	}
 }
+
+// BenchmarkSlice times building one of three shards of zipf 10⁵ × 3 from
+// the generator's stream, as a topkd -shard node does: the ring lookups
+// that size and list the slice, the draw, and the sort of its lists.
+func BenchmarkSlice(b *testing.B) {
+	const n, m, seed = 100_000, 3, 1
+	ring, err := NewRing(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := func(emit func(int, []float64) error) error { return data.Stream(data.Zipf, n, m, seed, emit) }
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Slice(ring, 0, data.GeneratedName(data.Zipf, n, m, seed), n, m, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

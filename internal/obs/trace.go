@@ -140,11 +140,13 @@ type QueryTrace struct {
 // demand, so one trace works for any predicate count.
 func NewQueryTrace() *QueryTrace { return &QueryTrace{} }
 
+// growTo extends s with zeros to cover index i, in one step: the first
+// event of the highest predicate sizes the slice for every lower one.
 func growTo(s []int, i int) []int {
-	for len(s) <= i {
-		s = append(s, 0)
+	if i < len(s) {
+		return s
 	}
-	return s
+	return append(s, make([]int, i+1-len(s))...)
 }
 
 // Observe implements Observer.
@@ -170,6 +172,10 @@ func (t *QueryTrace) Observe(ev Event) {
 		t.s.SortedAccesses = growTo(t.s.SortedAccesses, ev.Pred)
 		t.s.RandomAccesses = growTo(t.s.RandomAccesses, ev.Pred)
 	case PhaseDone:
+		if t.s.Phases == nil {
+			// Room for a query's four phases and a cursor's later pages.
+			t.s.Phases = make([]PhaseSpan, 0, 8)
+		}
 		t.s.Phases = append(t.s.Phases, PhaseSpan{Phase: Phase(ev.Label), Seconds: ev.Value})
 	case EstimatorEval:
 		if ev.Code == Hit {

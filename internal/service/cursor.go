@@ -31,7 +31,9 @@ type liveCursor struct {
 	id     string
 	query  string
 	sample string // the estimator sample of its plan, "" without one
-	tr     *obs.QueryTrace
+	// run is the cursor's always-on trace and the observer that feeds it,
+	// allocated with the cursor.
+	run tracedRun
 
 	// mu serializes pages — concurrent /query/next calls on the same id
 	// queue up rather than interleave accesses — and guards page/cur
@@ -71,19 +73,19 @@ func (h *Handler) nextCursorID() string {
 // answers) into buf. Cursors always carry a trace so any later page may ask
 // for ?trace=1.
 func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int, error) {
+	lc := new(liveCursor)
 	var scratch [maxRunOptions]topk.RunOption
-	opts, tr, err := h.prepare(scratch[:0], st, true)
+	opts, err := h.prepare(scratch[:0], st, &lc.run)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	cur, err := h.eng.Open(st.q, opts...)
-	if err != nil {
+	if lc.cur, err = h.eng.Open(st.q, opts...); err != nil {
 		return http.StatusBadRequest, err
 	}
-	lc := &liveCursor{id: h.nextCursorID(), query: st.query, sample: h.planSample(&st.req), tr: tr, cur: cur}
+	lc.id, lc.query, lc.sample = h.nextCursorID(), st.query, h.planSample(&st.req)
 	lc.touch()
 	if err := h.register(lc); err != nil {
-		_ = cur.Close()
+		_ = lc.cur.Close()
 		return http.StatusServiceUnavailable, err
 	}
 	if err := lc.produce(h, buf, st.q.K, nil, traced); err != nil {
@@ -104,7 +106,7 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req NextRequest
-	if err := decodeStrict(buf.Bytes(), &req); err != nil {
+	if err := decodeNext(buf.Bytes(), &req); err != nil {
 		h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
 		return
 	}
@@ -173,7 +175,7 @@ func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64
 	lc.touch()
 	pg := pagination{cursor: lc.id, page: lc.page}
 	if traced {
-		h.answer(buf, lc.query, page, pg, lc.tr, &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted})
+		h.answer(buf, lc.query, page, pg, &lc.run, &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted})
 	} else {
 		h.answer(buf, lc.query, page, pg, nil, nil)
 	}

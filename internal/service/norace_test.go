@@ -3,6 +3,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -78,5 +79,85 @@ func TestHandlerAllocGate(t *testing.T) {
 				t.Errorf("only %d statement-cache hits: the measured requests were not the cached path", hits)
 			}
 		})
+	}
+}
+
+// TestCursorSessionAllocGate pins what one served cursor session allocates
+// through ServeHTTP: an open with "cursor":true, two /query/next pages and
+// a close, each into a fresh recorder (7 allocations each of the 4
+// requests are the recorder's). Every cycle changes the first weight of
+// its wsum, so its open misses the statement cache and the plan cache — a
+// warm-started plan search, a fresh cursor and its trace — as every open of
+// a per-user session does; the pages and the close read bodies that name
+// the cursor. Bodies are built before the measurement: ids are minted in
+// sequence, so each cycle's are known ahead.
+func TestCursorSessionAllocGate(t *testing.T) {
+	const ceiling, runs = 84, 20
+	h := newGoldenHandler(t, goldenModes[0], 1000)
+	type cycle struct{ open, next, close []byte }
+	var cycles []cycle
+	for i := range runs + 2 {
+		w := 0.2 + 0.001*float64(i)
+		sql := fmt.Sprintf("select name from db order by wsum(%.3f*p1, 0.300*p2, 0.500*p3) stop after 10", w)
+		id := fmt.Sprintf("golden-%d", i+1)
+		cycles = append(cycles, cycle{
+			open:  []byte(fmt.Sprintf(`{"sql":%q,"cursor":true}`, sql)),
+			next:  []byte(fmt.Sprintf(`{"cursor":%q,"k":10}`, id)),
+			close: []byte(fmt.Sprintf(`{"cursor":%q,"close":true}`, id)),
+		})
+	}
+	rd := bytes.NewReader(nil)
+	open := httptest.NewRequest(http.MethodPost, "/query", rd)
+	next := httptest.NewRequest(http.MethodPost, "/query/next", rd)
+	do := func(req *http.Request, body []byte) {
+		rd.Reset(body)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d: %s", req.URL.Path, body, rec.Code, rec.Body)
+		}
+	}
+	i := 0
+	session := func() {
+		c := cycles[i]
+		i++
+		do(open, c.open)
+		do(next, c.next)
+		do(next, c.next)
+		do(next, c.close)
+	}
+	session() // engine pool, pooled buffers and the first cached plan fill
+	got := testing.AllocsPerRun(runs, session)
+	t.Logf("%v allocs/session", got)
+	if got > ceiling {
+		t.Errorf("%v allocs/session, ceiling %v", got, ceiling)
+	}
+	if hits := h.stmtHits.Load(); hits != 0 {
+		t.Errorf("%d statement-cache hits: the measured opens were not misses", hits)
+	}
+	if st := h.PlanCacheStats(); st.Hits != 0 {
+		t.Errorf("%d plan-cache hits: the measured opens were not misses", st.Hits)
+	}
+	if n := h.OpenCursors(); n != 0 {
+		t.Errorf("%d cursors left open", n)
+	}
+}
+
+// TestRequestDecodingAllocGate: the direct decoders allocate only what the
+// request they fill holds — one string for a page's cursor id, one for a
+// statement's SQL — where a json.Decoder allocated 9 times for the page.
+func TestRequestDecodingAllocGate(t *testing.T) {
+	page := []byte(`{"cursor":"golden-12","k":10}`)
+	open := []byte(`{"sql":"select name from db order by wsum(0.201*p1, 0.300*p2, 0.500*p3) stop after 10","cursor":true}`)
+	var next NextRequest
+	if got := testing.AllocsPerRun(100, func() { next = NextRequest{}; _ = decodeNext(page, &next) }); got != 1 {
+		t.Errorf("a page's body: %v allocations, want 1", got)
+	}
+	var query QueryRequest
+	if got := testing.AllocsPerRun(100, func() { query = QueryRequest{}; _ = decodeQuery(open, &query) }); got != 1 {
+		t.Errorf("an open's body: %v allocations, want 1", got)
+	}
+	if next.Cursor != "golden-12" || next.K != 10 || !query.Cursor || query.SQL == "" {
+		t.Errorf("decoded %+v and %+v", next, query)
 	}
 }

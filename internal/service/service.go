@@ -672,12 +672,20 @@ func (h *Handler) readPost(w http.ResponseWriter, r *http.Request, buf *bytes.Bu
 	return false
 }
 
-// decodeStrict decodes the JSON value at the front of body into req,
-// refusing fields req does not declare.
+// decodeStrict decodes the JSON value body holds into req through
+// encoding/json, refusing fields req does not declare and anything but
+// whitespace after the value. decodeQuery and decodeNext read plain bodies
+// without it.
 func decodeStrict(body []byte, req any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(req)
+	if err := dec.Decode(req); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("invalid character %q after top-level value", rest[0])
+	}
+	return nil
 }
 
 // reject answers a failed request and counts it.
@@ -739,7 +747,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// parses and binds it inside serve, where a bad query is counted
 		// and timed like any other, and caches what it made.
 		st = new(statement)
-		if err := decodeStrict(buf.Bytes(), &st.req); err != nil {
+		if err := decodeQuery(buf.Bytes(), &st.req); err != nil {
 			h.reject(w, http.StatusBadRequest, "bad request: "+err.Error())
 			return
 		}
@@ -805,15 +813,14 @@ const maxRunOptions = 8
 // skips straight to its run options. Either way the parse and plan phases
 // are reported, so phase counts stay one per query. It returns the run
 // options appended to dst — without the context: one-shot runs attach the
-// HTTP request's, cursors rebind a fresh deadline per page — and, when
-// traced, the per-query trace riding along beside the service metrics every
-// run feeds.
-func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (opts []topk.RunOption, tr *obs.QueryTrace, err error) {
+// HTTP request's, cursors rebind a fresh deadline per page — feeding the
+// service metrics and, when tr is not nil, the per-query trace beside them.
+func (h *Handler) prepare(dst []topk.RunOption, st *statement, tr *tracedRun) (opts []topk.RunOption, err error) {
 	var o obs.Observer = h.metrics
 	observed := h.observed
-	if traced {
-		tr = obs.NewQueryTrace()
-		o = obs.Multi(h.metrics, tr)
+	if tr != nil {
+		tr.metrics = h.metrics
+		o = tr
 		observed = topk.WithObserver(o)
 	}
 	parseStart := time.Now()
@@ -821,19 +828,19 @@ func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (opt
 	if fresh {
 		pq, perr := sqlq.Parse(st.req.SQL)
 		if perr != nil {
-			return nil, nil, perr
+			return nil, perr
 		}
 		st.q, st.query = topk.Query{F: pq.Func, K: pq.K}, pq.String()
 		st.q.Cols, err = sqlq.Bind(pq, h.cfg.Columns)
 	}
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseParse), Value: time.Since(parseStart).Seconds()})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	planStart := time.Now()
 	if fresh {
 		if st.opts, err = h.requestOptions(&st.req); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if st.key != "" {
 			h.stmtMu.Lock()
@@ -843,7 +850,22 @@ func (h *Handler) prepare(dst []topk.RunOption, st *statement, traced bool) (opt
 	}
 	opts = append(append(dst, observed, h.resilient), st.opts...)
 	o.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhasePlan), Value: time.Since(planStart).Seconds()})
-	return opts, tr, nil
+	return opts, nil
+}
+
+// tracedRun is a traced run's observers allocated as one: the per-query
+// trace and the fan-out that feeds it beside the service metrics (what
+// obs.Multi of the two would be). A cursor carries one inside itself for
+// its life.
+type tracedRun struct {
+	metrics *obs.Metrics
+	trace   obs.QueryTrace
+}
+
+// Observe implements obs.Observer.
+func (t *tracedRun) Observe(ev obs.Event) {
+	t.metrics.Observe(ev)
+	t.trace.Observe(ev)
 }
 
 // planSample names the estimator sample a request's plan is searched on,
@@ -934,7 +956,11 @@ func (b *bound) stop() {
 // a pooled deadline.
 func (h *Handler) execute(ctx context.Context, resp *response, st *statement, traced bool) (int, error) {
 	var scratch [maxRunOptions]topk.RunOption
-	opts, tr, err := h.prepare(scratch[:0], st, traced)
+	var tr *tracedRun
+	if traced {
+		tr = new(tracedRun)
+	}
+	opts, err := h.prepare(scratch[:0], st, tr)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -961,13 +987,13 @@ func (h *Handler) execute(ctx context.Context, resp *response, st *statement, tr
 // builds the QueryResponse and adds the trace — tagged with cur on cursor
 // pages — and the sharing layer's and the cluster's snapshots beside it,
 // through encoding/json.
-func (h *Handler) answer(buf *bytes.Buffer, query string, page *topk.Page, pg pagination, tr *obs.QueryTrace, cur *obs.CursorTrace) {
+func (h *Handler) answer(buf *bytes.Buffer, query string, page *topk.Page, pg pagination, tr *tracedRun, cur *obs.CursorTrace) {
 	if tr == nil {
 		buf.Write(appendQueryResponse(buf.AvailableBuffer(), h.cfg.Dataset, query, page, pg))
 		return
 	}
 	resp := newQueryResponse(h.cfg.Dataset, query, page, pg)
-	snap := tr.Snapshot()
+	snap := tr.trace.Snapshot()
 	snap.Cursor = cur
 	resp.Trace = &snap
 	if h.shared != nil {

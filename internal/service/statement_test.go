@@ -8,6 +8,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,16 +24,15 @@ func newStatementHandler(t *testing.T) *Handler {
 	return newGoldenHandler(t, goldenModes[0], 300)
 }
 
-// rejectedBodies are POST /query bodies the front half refuses or, for the
-// trailing-garbage one, accepts by the decoder's rule (it reads the first
-// JSON value and stops) — each with the status it must get every time.
+// rejectedBodies are POST /query bodies the front half refuses, each with
+// the status it must get every time.
 var rejectedBodies = []struct {
 	name   string
 	status int
 	body   string
 }{
 	{"unknown field", 400, `{"sql":"select name from db order by min(p1, p2) stop after 5","limit":3}`},
-	{"trailing garbage", 200, `{"sql":"select name from db order by min(p1, p2) stop after 5"} and then some`},
+	{"trailing garbage", 400, `{"sql":"select name from db order by min(p1, p2) stop after 5"} and then some`},
 	{"over 1 MiB", 413, `{"sql":"` + strings.Repeat("x", maxBody) + `"}`},
 	{"bad SQL", 400, `{"sql":"select name from db order by min(p1, p2)"}`},
 	{"unbound column", 400, `{"sql":"select name from db order by min(p1, p9) stop after 5"}`},
@@ -74,10 +74,9 @@ func TestStatementCacheEquivalence(t *testing.T) {
 	}
 	// A pass looks up fifteen bodies: goldenScript's eight /query requests,
 	// two of them the same, and the rejected table's eight less the one
-	// over the cap, refused before any lookup. Seven end up cached: the
-	// script's six distinct statements that prepared and the
-	// trailing-garbage body (its own key, though it decodes to one of them).
-	const lookups, cached = 15, 7
+	// over the cap, refused before any lookup. Six end up cached: the
+	// script's six distinct statements that prepared.
+	const lookups, cached = 15, 6
 	if hits, misses := h.stmtHits.Load(), h.stmtMisses.Load(); hits != 1 || misses != lookups-1 {
 		t.Fatalf("first pass: %d hits, %d misses, want 1 and %d", hits, misses, lookups-1)
 	}
@@ -264,4 +263,43 @@ func TestConcurrentContentLength(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestTrailingBytesAreRefused: a body with anything but whitespace after
+// its JSON value is a 400 on both POST endpoints, whether the direct
+// decoder would read its value or only encoding/json would (an escaped
+// key); whitespace after the value is not.
+func TestTrailingBytesAreRefused(t *testing.T) {
+	h := newStatementHandler(t)
+	srv := goldenServer{h: h}
+	const sql = "select name from db order by min(p1, p2) stop after 5"
+	code, body := srv.do("POST", "/query", []byte(`{"sql":"`+sql+`","cursor":true}`))
+	var opened QueryResponse
+	if err := json.Unmarshal(body, &opened); code != 200 || err != nil {
+		t.Fatalf("open: status %d, %v: %s", code, err, body)
+	}
+	next := `{"cursor":"` + opened.Cursor + `","k":1}`
+	for _, tc := range []struct {
+		path, body string
+		status     int
+	}{
+		{"/query", `{"sql":"` + sql + `"} and then some`, 400},
+		{"/query", `{"sql":"` + sql + `"}{}`, 400},
+		{"/query", `{"s\u0071l":"` + sql + `"} x`, 400},
+		{"/query", `{"sql":"` + sql + `"}` + " \t\r\n", 200},
+		{"/query", `{"sql":"` + sql + `"}` + "\n", 200},
+		{"/query/next", next + ` and then some`, 400},
+		{"/query/next", next + `]`, 400},
+		{"/query/next", `{"curs\u006fr":"` + opened.Cursor + `","k":1} x`, 400},
+		{"/query/next", `{"curs\u006fr":"` + opened.Cursor + `","k":1}`, 200},
+		{"/query/next", next + "\n", 200},
+	} {
+		code, body := srv.do("POST", tc.path, []byte(tc.body))
+		if code != tc.status {
+			t.Errorf("%s %q: status %d, want %d: %s", tc.path, tc.body, code, tc.status, body)
+		}
+		if tc.status == 400 && !strings.Contains(string(body), "after top-level value") {
+			t.Errorf("%s %q: error does not name the trailing byte: %s", tc.path, tc.body, body)
+		}
+	}
 }
