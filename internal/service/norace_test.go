@@ -145,7 +145,7 @@ func TestCursorSessionAllocGate(t *testing.T) {
 
 // TestRequestDecodingAllocGate: the direct decoders allocate only what the
 // request they fill holds — one string for a page's cursor id, one for a
-// statement's SQL — where a json.Decoder allocated 9 times for the page.
+// statement's SQL.
 func TestRequestDecodingAllocGate(t *testing.T) {
 	page := []byte(`{"cursor":"golden-12","k":10}`)
 	open := []byte(`{"sql":"select name from db order by wsum(0.201*p1, 0.300*p2, 0.500*p3) stop after 10","cursor":true}`)
