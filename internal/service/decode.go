@@ -1,12 +1,14 @@
-// The direct request decoder: a POST /query or /query/next body that names
-// only its request's own fields, each once, spelled plainly — strings
-// without escapes, numbers, booleans, arrays of numbers — is read straight
-// into the request value without reflection. Every other body (an escape, an
-// unknown or repeated field, a null, anything malformed or trailing) is
-// declined and goes to decodeStrict, so the values accepted and the error
-// texts stay encoding/json's (FuzzRequestDecoding holds the two together).
-// A json.Decoder allocated nine times to read {"cursor":…,"k":10}: most of
-// what a cursor page's request cost besides net/http's own.
+// The direct request decoder: a POST /query body that names only sql and
+// cursor, or a POST /query/next body that names only cursor, k and close —
+// each once, spelled plainly: strings without escapes, integers, booleans —
+// is read straight into the request value without reflection. Every other
+// body (another field, an escape, a repeated field, a null, anything
+// malformed or trailing) is declined and goes to decodeStrict, so the values
+// accepted and the error texts stay encoding/json's (FuzzRequestDecoding
+// holds the two together). A json.Decoder allocated nine times to read
+// {"cursor":…,"k":10}: most of what a cursor page's request cost besides
+// net/http's own. The fields read are the ones a statement's first body and
+// a cursor's pages send; add one when traffic that sends it shows the gain.
 package service
 
 import (
@@ -20,12 +22,7 @@ func decodeQuery(body []byte, req *QueryRequest) error {
 	if decodeQueryDirect(body, req) {
 		return nil
 	}
-	// A declined body may have set some fields; the slow path's value is
-	// its own, so req does not escape on the direct one.
-	slow := new(QueryRequest)
-	err := decodeStrict(body, slow)
-	*req = *slow
-	return err
+	return decodeFresh(body, req)
 }
 
 // decodeNext reads a POST /query/next body into req, which must be zero.
@@ -33,9 +30,18 @@ func decodeNext(body []byte, req *NextRequest) error {
 	if decodeNextDirect(body, req) {
 		return nil
 	}
-	slow := new(NextRequest)
-	err := decodeStrict(body, slow)
-	*req = *slow
+	return decodeFresh(body, req)
+}
+
+// decodeFresh runs decodeStrict on a value of its own and copies it to req:
+// a declined body may have set some of req's fields, and req does not
+// escape through decodeStrict's interface on the direct path. (One generic
+// decode taking the direct decoder as a func value would not be inlined, so
+// req would escape through the indirect call on every request.)
+func decodeFresh[T any](body []byte, req *T) error {
+	var slow T
+	err := decodeStrict(body, &slow)
+	*req = slow
 	return err
 }
 
@@ -51,20 +57,8 @@ func decodeQueryDirect(body []byte, req *QueryRequest) bool {
 		switch string(key) {
 		case "sql":
 			ok = r.once(0) && r.str(&req.SQL)
-		case "algorithm":
-			ok = r.once(1) && r.str(&req.Algorithm)
-		case "h":
-			ok = r.once(2) && r.floats(&req.H)
-		case "omega":
-			ok = r.once(3) && r.ints(&req.Omega)
-		case "budget":
-			ok = r.once(4) && r.float(&req.Budget)
-		case "epsilon":
-			ok = r.once(5) && r.float(&req.Epsilon)
-		case "parallel":
-			ok = r.once(6) && r.integer(&req.Parallel)
 		case "cursor":
-			ok = r.once(7) && r.boolean(&req.Cursor)
+			ok = r.once(1) && r.boolean(&req.Cursor)
 		default:
 			ok = false
 		}
@@ -88,14 +82,8 @@ func decodeNextDirect(body []byte, req *NextRequest) bool {
 			ok = r.once(0) && r.str(&req.Cursor)
 		case "k":
 			ok = r.once(1) && r.integer(&req.K)
-		case "tau":
-			// encoding/json allocates the pointee too.
-			var tau float64
-			if ok = r.once(2) && r.float(&tau); ok {
-				req.Tau = &tau
-			}
 		case "close":
-			ok = r.once(3) && r.boolean(&req.Close)
+			ok = r.once(2) && r.boolean(&req.Close)
 		default:
 			ok = false
 		}
@@ -110,9 +98,9 @@ func decodeNextDirect(body []byte, req *NextRequest) bool {
 type reqReader struct {
 	b      []byte
 	i      int
-	opened bool   // the opening brace is read
-	closed bool   // the closing brace is read
-	seen   uint16 // fields already read, one bit each
+	opened bool  // the opening brace is read
+	closed bool  // the closing brace is read
+	seen   uint8 // fields already read, one bit each
 }
 
 // space skips JSON whitespace.
@@ -227,9 +215,12 @@ func (r *reqReader) boolean(dst *bool) bool {
 	return true
 }
 
-// number reads a number literal by JSON's grammar and reports whether it is
-// integral: without fraction or exponent.
-func (r *reqReader) number() (lit []byte, integral, ok bool) {
+// integer reads an integer literal by JSON's grammar — an optional minus,
+// then 0 or digits without a leading zero — as encoding/json does into an
+// int. A fraction or exponent is left unread, so the comma or brace the
+// object expects next is missing and the body is declined; so is a literal
+// out of range, which is encoding/json's error.
+func (r *reqReader) integer(dst *int) bool {
 	b, i := r.b, r.i
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -238,121 +229,16 @@ func (r *reqReader) number() (lit []byte, integral, ok bool) {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		return nil, false, false
-	}
-	integral = true
-	if i < len(b) && b[i] == '.' {
-		integral = false
-		j := digits(b, i+1)
-		if j == i+1 {
-			return nil, false, false
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integral = false
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
-			return nil, false, false
-		}
-		i = j
-	}
-	lit, r.i = b[r.i:i], i
-	return lit, integral, true
-}
-
-// digits returns the index past the run of decimal digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// integer reads a number as encoding/json does into an int: a literal with
-// a fraction or exponent, or one out of range, is its error, so a decline.
-func (r *reqReader) integer(dst *int) bool {
-	lit, integral, ok := r.number()
-	if !ok || !integral {
+	default:
 		return false
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	n, err := strconv.ParseInt(string(b[r.i:i]), 10, strconv.IntSize)
 	if err != nil {
 		return false
 	}
-	*dst = int(n)
+	*dst, r.i = int(n), i
 	return true
-}
-
-// float reads a number as encoding/json does into a float64: one out of
-// range is its error, so a decline.
-func (r *reqReader) float(dst *float64) bool {
-	lit, _, ok := r.number()
-	if !ok {
-		return false
-	}
-	f, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return false
-	}
-	*dst = f
-	return true
-}
-
-// floats and ints read an array of numbers into a fresh slice — an empty
-// array into an empty slice, not nil, as encoding/json does.
-func (r *reqReader) floats(dst *[]float64) bool {
-	v := []float64{}
-	ok := r.array(func() bool {
-		var f float64
-		if !r.float(&f) {
-			return false
-		}
-		v = append(v, f)
-		return true
-	})
-	*dst = v
-	return ok
-}
-
-func (r *reqReader) ints(dst *[]int) bool {
-	v := []int{}
-	ok := r.array(func() bool {
-		var n int
-		if !r.integer(&n) {
-			return false
-		}
-		v = append(v, n)
-		return true
-	})
-	*dst = v
-	return ok
-}
-
-// array reads an array whose elements elem reads.
-func (r *reqReader) array(elem func() bool) bool {
-	if !r.take('[') {
-		return false
-	}
-	if r.take(']') {
-		return true
-	}
-	for {
-		r.space()
-		if !elem() {
-			return false
-		}
-		if r.take(']') {
-			return true
-		}
-		if !r.take(',') {
-			return false
-		}
-	}
 }

@@ -13,40 +13,33 @@ var (
 	plainQueryBodies = []string{
 		`{"sql":"select name from db order by min(p1, p2) stop after 5"}`,
 		` { "sql" : "select name from db order by wsum(0.2*p1, 0.3*p2) stop after 10" , "cursor" : true } ` + "\n",
-		`{"sql":"q","algorithm":"nc","h":[0.4,1,1e-3,-0,2E+2],"omega":[1,0],"budget":25.5,"epsilon":0.1,"parallel":8,"cursor":false}`,
-		`{"sql":"q","h":[],"omega":[]}`,
-		`{"sql":"q","h":[ 1 , 2 ]}`,
-		"{\"sql\":\"héllo ☃ \u2028\"}",
+		`{"cursor":false,"sql":"q"}`,
+		"{\"sql\":\"h\u00e9llo \u2603 \u2028\"}",
 	}
 	plainNextBodies = []string{
 		`{"cursor":"abc-1","k":10}`,
 		`{"cursor":"abc-1","close":true}`,
-		`{"cursor":"abc-1","tau":0.8}`,
+		`{"k":0,"cursor":"abc-1","close":false}`,
 		`{"cursor":"abc-1","k":-3}`,
 	}
 )
 
-// requestSeeds are bodies near the direct decoders' line: edge numbers and
-// objects they read, and escapes, repeats, nulls, case-folded keys,
-// numbers encoding/json refuses for the field's type, malformed and
-// trailing bytes, which they leave to encoding/json.
+// requestSeeds are bodies near the direct decoders' line: edge integers and
+// objects they read, and escapes, repeats, nulls, case-folded keys, fields
+// they leave to encoding/json, numbers encoding/json refuses for an int,
+// malformed and trailing bytes, which they decline.
 var requestSeeds = []string{
-	`{"sql":"q","h":[1,]}`,
-	`{"sql":"q","h":null}`,
-	`{"sql":"q","omega":[1.5]}`,
-	`{"sql":"q","parallel":1e2}`,
-	`{"sql":"q","parallel":1.0}`,
-	`{"sql":"q","parallel":-0}`,
-	`{"sql":"q","parallel":9223372036854775807}`,
-	`{"sql":"q","parallel":9223372036854775808}`,
-	`{"sql":"q","budget":1e400}`,
-	`{"sql":"q","budget":1e-400}`,
-	`{"sql":"q","budget":01}`,
-	`{"sql":"q","budget":1.}`,
-	`{"sql":"q","budget":.5}`,
-	`{"sql":"q","budget":1e}`,
-	`{"sql":"q","budget":-}`,
-	`{"sql":"q","budget":"1"}`,
+	`{"sql":"q","algorithm":"nc","h":[0.4,1],"omega":[1,0],"budget":25.5,"epsilon":0.1,"parallel":8}`,
+	`{"cursor":"abc-1","tau":0.8}`,
+	`{"cursor":"abc-1","k":1e2}`,
+	`{"cursor":"abc-1","k":1.0}`,
+	`{"cursor":"abc-1","k":-0}`,
+	`{"cursor":"abc-1","k":9223372036854775807}`,
+	`{"cursor":"abc-1","k":9223372036854775808}`,
+	`{"cursor":"abc-1","k":01}`,
+	`{"cursor":"abc-1","k":.5}`,
+	`{"cursor":"abc-1","k":-}`,
+	`{"cursor":"abc-1","k":"1"}`,
 	`{"sql":"q","cursor":truex}`,
 	`{"sql":"q","cursor":tru}`,
 	`{"sql":"q","cursor":null}`,
@@ -68,33 +61,31 @@ var requestSeeds = []string{
 	`"sql"`,
 	``,
 	`{"cursor":"abc-1","k":10,"close":true}`,
-	`{"cursor":"abc-1","tau":null}`,
-	`{"cursor":"abc-1","tau":1e400}`,
 	`{"cursor":"abc-1","k":10,"k":11}`,
 	`{"cursor":"abc-1","close":false}`,
 	`{"cursor":"abc-1","k":10} x`,
 	`{"cursor":"abc-1","k":10}]`,
 }
 
-// valueFields are the members an input is also tried as the value of: a
-// field of each type the decoders read, so mutations land in the value
-// grammar instead of mostly breaking the object around it.
-var valueFields = []string{"sql", "cursor", "h", "omega", "budget", "parallel", "k", "tau", "close"}
+// valueFields are the members an input is also tried as the value of: every
+// field the direct decoders read, so mutations land in the value grammar
+// instead of mostly breaking the object around it.
+var valueFields = []string{"sql", "cursor", "k", "close"}
 
 // FuzzRequestDecoding holds the direct decoders to encoding/json: for any
 // body, each either declines or reads exactly the value decodeStrict
 // does, which then accepts the body too; and decodeQuery and decodeNext —
 // direct where they can be, strict otherwise — agree with decodeStrict on
-// the value and on the error text. Trailing bytes included: a body with
-// anything but whitespace after its value is refused by both. Each input is
-// tried as a body and as the value of every field in valueFields.
+// the value and on the error text. Trailing bytes included: a body with anything but whitespace
+// after its value is refused by both. Each input is tried as a body and as
+// the value of every field in valueFields.
 func FuzzRequestDecoding(f *testing.F) {
 	for _, seeds := range [][]string{plainQueryBodies, plainNextBodies, requestSeeds} {
 		for _, s := range seeds {
 			f.Add([]byte(s))
 		}
 	}
-	for _, v := range []string{`-0`, `1e-7`, `01`, `1.`, `2E+2`, `[1,-2.5]`, `[]`, `true`, `"p"`, `null`} {
+	for _, v := range []string{`-0`, `7`, `01`, `1.`, `2E+2`, `true`, `"p"`, `null`} {
 		f.Add([]byte(v))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
