@@ -204,8 +204,8 @@ type Option struct {
 	// it aborts in-flight source requests and fails subsequent accesses.
 	// Nil means context.Background().
 	Context context.Context
-	// Observer receives the session's access events (performed and refused
-	// accesses with their costs). Nil is a no-op at zero overhead;
+	// Observer receives the session's refusals as they happen and its
+	// billed accesses through Fold. Nil is a no-op at zero overhead;
 	// obs.QueryTrace and obs.Metrics are the standard sinks.
 	Observer obs.Observer
 	// Resilience attaches fault tolerance: per-capability circuit breakers
@@ -321,6 +321,9 @@ type Session struct {
 	trace   []Record
 
 	obs obs.Observer // nil unless WithObserver
+	// stretches are the accesses billed since the last Fold, per kind and
+	// predicate (sorted first); kept for observed runs only.
+	stretches []stretch
 
 	// Fault tolerance (nil res = none; see WithResilience).
 	res *Resilience
@@ -332,6 +335,42 @@ type Session struct {
 	resGen   uint64     // last breaker-set generation folded into current
 	orig     []PredCost // scenario capabilities before breaker degradation
 	degraded []string   // machine-readable degradation reasons, first-seen order
+}
+
+// stretch is a run of one kind's accesses on one predicate, all billed at
+// price and not yet folded: from is the ledger count before its first.
+type stretch struct {
+	price Cost
+	from  int
+}
+
+// fold reports kind's stretch on predicate i as one AccessDone and starts
+// the next at price.
+func (s *Session) fold(kind Kind, i int, price Cost) {
+	st, n := &s.stretches[int(kind)*len(s.ns)+i], s.ns[i]
+	if kind == RandomAccess {
+		n = s.nr[i]
+	}
+	if n > st.from {
+		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obsKind(kind), Pred: i, N: n - st.from, Value: st.price.Units()})
+	}
+	st.price, st.from = price, n
+}
+
+// Fold reports to the observer what the ledger billed since the last Fold:
+// one AccessDone per kind and predicate with accesses, with their count
+// and price. Settle folds a stretch whose price changed (a cost shift, or
+// accesses admitted at two prices and settled out of order) before billing
+// the new price, so the events sum to the ledger exactly. Highest
+// predicate first: a trace sizes its counts on its first event.
+func (s *Session) Fold() {
+	if s.obs == nil {
+		return
+	}
+	for i, m := len(s.ns)-1, len(s.ns); i >= 0; i-- {
+		s.fold(SortedAccess, i, s.stretches[i].price)
+		s.fold(RandomAccess, i, s.stretches[m+i].price)
+	}
 }
 
 // observeDenied reports a refused or failed access to the observer.
@@ -447,6 +486,12 @@ func (s *Session) Reset(opts ...Option) error {
 	s.nseen = 0
 	clear(s.ns)
 	clear(s.nr)
+	// Made by the first observed run, for the backend's every predicate.
+	if s.obs != nil && cap(s.stretches) < 2*mb {
+		s.stretches = make([]stretch, 2*mb)
+	}
+	s.stretches = s.stretches[:min(2*m, cap(s.stretches))]
+	clear(s.stretches)
 	s.cost, s.reserved = 0, 0
 	s.nAccess = 0
 	for i, c := range s.cols {
@@ -845,7 +890,7 @@ func rangeViolation(pred, obj, n int) error {
 //     reads only the Pending and the backend, so it may run on any
 //     goroutine;
 //   - Settle turns the reservation into a bill — ledger, seen set, trace,
-//     AccessDone, breaker success — or, for a failed access, releases it:
+//     breaker success — or, for a failed access, releases it:
 //     the rank or probe is handed back, nothing is billed, AccessDenied is
 //     emitted once and the failure is recorded against the breaker.
 //
@@ -1076,6 +1121,9 @@ func (s *Session) Settle(p *Pending) (obj int, score float64, err error) {
 	if kind == RandomAccess || p.page != nil { // a window hit passed no breaker
 		s.recordBreaker(kind, i, true)
 	}
+	if s.obs != nil && s.stretches[int(kind)*len(s.ns)+i].price != p.Cost {
+		s.fold(kind, i, p.Cost) // a new price ends the stretch at the old
+	}
 	s.cost += p.Cost
 	if kind == SortedAccess {
 		s.ns[i]++
@@ -1088,9 +1136,6 @@ func (s *Session) Settle(p *Pending) (obj int, score float64, err error) {
 	}
 	if s.traceOn {
 		s.trace = append(s.trace, Record{Kind: kind, Pred: i, Obj: p.Obj, Score: p.Score, Cost: p.Cost})
-	}
-	if s.obs != nil {
-		s.obs.Observe(obs.Event{Kind: obs.AccessDone, Access: obsKind(kind), Pred: i, Value: p.Cost.Units()})
 	}
 	return p.Obj, p.Score, nil
 }

@@ -16,8 +16,8 @@ import (
 // re-enters the optimizer — through the caller-supplied PlanFunc, which is
 // expected to route through the plan cache — with the quantized observed
 // statistics folded into the configuration, then installs the new plan via
-// ApplyFunc (typically Cursor.SetSelector, the same swap the breaker
-// scenario-change path uses).
+// ApplyFunc (the facade reconfigures the running cursor's selector, the
+// same swap its scenario-change re-plan makes).
 //
 // Re-plans are best-effort: a failing PlanFunc or ApplyFunc leaves the
 // current plan in force (the execution is still correct under any plan —

@@ -9,8 +9,9 @@
 // The layer deliberately reuses existing machinery end to end: checkpoints
 // ride the algo.AccessObserver hook, re-plans go through the plan cache
 // with the observations fingerprinted into the key (the Config.SortedDiscount
-// trick), plan swaps use Cursor.SetSelector (the breaker scenario-change
-// path), and guard quarantine flows through the resilience breakers.
+// trick), plan swaps reconfigure the running cursor's selector (as the
+// breaker scenario-change re-plan does), and guard quarantine flows through
+// the resilience breakers.
 package adapt
 
 import (

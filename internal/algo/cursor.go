@@ -66,6 +66,9 @@ type Cursor struct {
 	emittedN   int
 	consecFail int
 	failBudget int
+	// iters, peakQ and lastQ are the loop's iterations since the last page
+	// and the candidate queue's largest and last size (foldLoop).
+	iters, peakQ, lastQ int
 	// truncated is sticky: a budget exhaustion or unrecoverable
 	// degradation permanently switches the cursor to draining queue
 	// candidates (no further accesses), mirroring NC.Run's anytime fill.
@@ -74,9 +77,6 @@ type Cursor struct {
 	exhausted bool
 	closed    bool
 	err       error
-	// release, when set, runs once on Close — the facade uses it to return
-	// pooled state.
-	release func()
 }
 
 // Open suspends Framework NC over the problem before its first access.
@@ -115,46 +115,17 @@ func (nc *NC) Open(p *Problem, sc *Scratch) (*Cursor, error) {
 	return c, nil
 }
 
-// SetSelector swaps the scheduling policy for subsequent accesses. The
-// facade re-plans between pages when the access scenario changed (breaker
-// flips, degradations): the preserved score state stays valid — only the
-// choice of the next access is policy — so the cursor continues under the
-// new plan without repeating work.
-func (c *Cursor) SetSelector(sel Selector) error {
-	if sel == nil {
-		return fmt.Errorf("algo: cursor selector must be non-nil")
-	}
-	c.nc.Sel = sel
-	return nil
-}
-
-// SetRelease registers a hook run exactly once when the cursor closes.
-func (c *Cursor) SetRelease(fn func()) { c.release = fn }
-
 // Emitted reports the total answers produced across all pages.
 func (c *Cursor) Emitted() int { return c.emittedN }
 
 // Exhausted reports whether every object has been emitted.
 func (c *Cursor) Exhausted() bool { return c.exhausted }
 
-// Truncated reports whether the run degraded to anytime draining.
-func (c *Cursor) Truncated() bool { return c.truncated }
-
 // Ledger snapshots the cumulative access ledger.
 func (c *Cursor) Ledger() access.Ledger { return c.sess.Ledger() }
 
-// Close ends the run and runs the release hook. Idempotent.
-func (c *Cursor) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.release != nil {
-		fn := c.release
-		c.release = nil
-		fn()
-	}
-}
+// Close ends the run. Idempotent.
+func (c *Cursor) Close() { c.closed = true }
 
 // Next is Page into a fresh Result.
 func (c *Cursor) Next(delta int) (*Result, error) {
@@ -181,6 +152,7 @@ func (c *Cursor) Page(res *Result, delta int) error {
 	if delta < 0 {
 		return fmt.Errorf("algo: cursor page size must be >= 0, got %d", delta)
 	}
+	defer c.foldLoop()
 	items := slices.Grow(res.Items[:0], min(delta, c.sess.N()-c.emittedN))
 	for len(items) < delta {
 		it, ok, err := c.nextItem()
@@ -241,24 +213,15 @@ func (c *Cursor) nextItem() (Item, bool, error) {
 	}
 }
 
-// NextUntil is the score-range sibling of Next: it resumes the framework
-// emitting every answer provably scoring at least tau, best first, and
-// suspends — without consuming the boundary candidate — as soon as no
+// PageUntil is the score-range sibling of Page: it resumes the framework
+// writing into res every answer provably scoring at least tau, best first,
+// and suspends — without consuming the boundary candidate — as soon as no
 // remaining object (seen or unseen) can reach tau. The cursor state stays
-// live: a later Next or NextUntil with a lower tau continues deeper. Under
+// live: a later Page or PageUntil with a lower tau continues deeper. Under
 // approximation (epsilon > 0) inexact items are emitted only when their
 // lower bound already proves tau. A truncated cursor returns an empty
 // degraded page: drained candidates carry no score proof, so a score-range
 // page cannot include them.
-func (c *Cursor) NextUntil(tau float64) (*Result, error) {
-	res := new(Result)
-	if err := c.PageUntil(res, tau); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// PageUntil is NextUntil writing into res, as Page is to Next.
 func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	if c.closed {
 		return ErrCursorClosed
@@ -266,6 +229,7 @@ func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	if c.err != nil {
 		return c.err
 	}
+	defer c.foldLoop()
 	items := res.Items[:0]
 	for !c.truncated {
 		it, ok, err := c.advance(tau, true)
@@ -279,6 +243,15 @@ func (c *Cursor) PageUntil(res *Result, tau float64) error {
 	}
 	c.page(res, items)
 	return nil
+}
+
+// foldLoop reports the loop's progress since the last page as one
+// LoopIteration and starts counting the next page's.
+func (c *Cursor) foldLoop() {
+	if c.iters > 0 && c.nc.Obs != nil {
+		c.nc.Obs.Observe(obs.Event{Kind: obs.LoopIteration, N: c.iters, Value: float64(c.lastQ), Pred: c.peakQ})
+	}
+	c.iters, c.peakQ = 0, 0
 }
 
 // page writes the Result for the newly emitted items, already in res's
@@ -338,9 +311,8 @@ func (c *Cursor) beginTruncation(degraded []string) {
 func (c *Cursor) advance(tau float64, haveTau bool) (Item, bool, error) {
 	tab, q, sess := c.tab, c.q, c.sess
 	for {
-		if c.nc.Obs != nil {
-			c.nc.Obs.Observe(obs.Event{Kind: obs.LoopIteration, Value: float64(q.Len())})
-		}
+		c.iters, c.lastQ = c.iters+1, q.Len()
+		c.peakQ = max(c.peakQ, c.lastQ)
 		top, ok := q.Peek()
 		if !ok {
 			c.exhausted = true

@@ -206,12 +206,12 @@ func TestCursorNextUntil(t *testing.T) {
 	tau := oracle[9].Score // exactly 10 objects score >= tau
 
 	cur := openCursor(t, ds, scn, f, 0)
-	page, err := cur.NextUntil(tau)
-	if err != nil {
+	page := new(Result)
+	if err := cur.PageUntil(page, tau); err != nil {
 		t.Fatal(err)
 	}
 	if len(page.Items) != 10 {
-		t.Fatalf("NextUntil(%g) returned %d items, want 10", tau, len(page.Items))
+		t.Fatalf("PageUntil(%g) returned %d items, want 10", tau, len(page.Items))
 	}
 	for i, it := range page.Items {
 		if it.Obj != oracle[i].Obj {
@@ -235,8 +235,8 @@ func TestCursorNextUntil(t *testing.T) {
 			t.Fatalf("post-tau rank %d: got %d want %d", 10+i, it.Obj, oracle[10+i].Obj)
 		}
 	}
-	wider, err := cur.NextUntil(oracle[19].Score)
-	if err != nil {
+	wider := new(Result)
+	if err := cur.PageUntil(wider, oracle[19].Score); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(deeper.Items) + len(wider.Items) + 10; got != 20 {
@@ -255,8 +255,8 @@ func TestCursorNextUntilMatchesOrdinal(t *testing.T) {
 	tau := oracle[14].Score
 
 	byScore := openCursor(t, ds, scn, f, 0)
-	sp, err := byScore.NextUntil(tau)
-	if err != nil {
+	sp := new(Result)
+	if err := byScore.PageUntil(sp, tau); err != nil {
 		t.Fatal(err)
 	}
 	byRank := openCursor(t, ds, scn, f, 0)
@@ -293,18 +293,13 @@ func TestCursorCloseAndValidation(t *testing.T) {
 	if _, err := cur.Next(-1); err == nil {
 		t.Error("negative page size should fail")
 	}
-	released := 0
-	cur.SetRelease(func() { released++ })
 	cur.Close()
 	cur.Close() // idempotent
-	if released != 1 {
-		t.Errorf("release hook ran %d times, want 1", released)
-	}
 	if _, err := cur.Next(1); !errors.Is(err, ErrCursorClosed) {
 		t.Errorf("Next after Close = %v, want ErrCursorClosed", err)
 	}
-	if _, err := cur.NextUntil(0); !errors.Is(err, ErrCursorClosed) {
-		t.Errorf("NextUntil after Close = %v, want ErrCursorClosed", err)
+	if err := cur.PageUntil(new(Result), 0); !errors.Is(err, ErrCursorClosed) {
+		t.Errorf("PageUntil after Close = %v, want ErrCursorClosed", err)
 	}
 }
 

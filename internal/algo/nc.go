@@ -75,10 +75,10 @@ type NC struct {
 	// means. Fired on every performed access; read live like Sel, so it
 	// may be attached to a suspended cursor between pages.
 	Monitor AccessObserver
-	// Obs, when non-nil, receives one LoopIteration event per scheduling
-	// iteration with the candidate queue's size — the K_P working set the
-	// observability layer reports as a high-water mark. Access-level
-	// events flow from the session's own observer.
+	// Obs, when non-nil, receives one LoopIteration event per page: its
+	// scheduling iterations and the candidate queue's (the K_P working
+	// set's) last and largest size. Access-level events flow from the
+	// session's own observer.
 	Obs obs.Observer
 }
 
@@ -156,17 +156,12 @@ func deadlineReason(err error) string {
 	return "query_deadline"
 }
 
-// NecessaryChoices constructs N_j for the unsatisfied task of the given
-// object (Definition 2): every supported access that can return exact or
-// bounding scores about the object's undetermined predicates. For the
-// virtual unseen object only sorted accesses apply (Figure 10).
-func NecessaryChoices(tab *state.Table, sess *access.Session, id int) []Choice {
-	return AppendNecessaryChoices(nil, tab, sess, id)
-}
-
-// AppendNecessaryChoices is NecessaryChoices writing into a caller-owned
-// buffer: it appends the task's choices to dst and returns it. Hot loops
-// pass a recycled slice to keep choice construction allocation-free.
+// AppendNecessaryChoices constructs N_j for the unsatisfied task of the
+// given object (Definition 2): every supported access that can return
+// exact or bounding scores about the object's undetermined predicates. For
+// the virtual unseen object only sorted accesses apply (Figure 10). It
+// appends the choices to dst and returns it: hot loops pass a recycled
+// slice to keep choice construction allocation-free.
 //
 //topklint:hotpath
 func AppendNecessaryChoices(dst []Choice, tab *state.Table, sess *access.Session, id int) []Choice {

@@ -203,7 +203,7 @@ func TestNecessaryChoicesDefinition2(t *testing.T) {
 	feed(access.RandomAccess, 0, 0) // ra1(u1)=.6
 
 	// OID 1 (paper's u2): p1 known, p2 undetermined -> {sa2, ra2(u2)}.
-	choices := NecessaryChoices(tab, sess, 1)
+	choices := AppendNecessaryChoices(nil, tab, sess, 1)
 	if len(choices) != 2 {
 		t.Fatalf("choices = %v", choices)
 	}
@@ -218,16 +218,16 @@ func TestNecessaryChoicesDefinition2(t *testing.T) {
 		t.Fatalf("choices = %v, want one sa and one ra on p2", choices)
 	}
 	// OID 2 (paper's u3) is complete: no choices.
-	if got := NecessaryChoices(tab, sess, 2); len(got) != 0 {
+	if got := AppendNecessaryChoices(nil, tab, sess, 2); len(got) != 0 {
 		t.Fatalf("complete object has choices: %v", got)
 	}
 	// The virtual unseen object: sorted accesses on both lists.
-	got := NecessaryChoices(tab, sess, state.UnseenID)
+	got := AppendNecessaryChoices(nil, tab, sess, state.UnseenID)
 	if len(got) != 2 || got[0].Kind != access.SortedAccess || got[1].Kind != access.SortedAccess {
 		t.Fatalf("unseen choices = %v", got)
 	}
 	// Probed predicates are excluded: OID 0's p1 was probed; p2 remains.
-	got = NecessaryChoices(tab, sess, 0)
+	got = AppendNecessaryChoices(nil, tab, sess, 0)
 	for _, ch := range got {
 		if ch.Pred == 0 && ch.Kind == access.RandomAccess {
 			t.Fatalf("probed predicate offered again: %v", got)

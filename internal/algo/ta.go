@@ -49,7 +49,6 @@ type TACursor struct {
 	drained  bool
 	closed   bool
 	err      error
-	release  func()
 
 	// Monitor, when non-nil, receives every performed access — the same
 	// checkpoint hook NC cursors fire, so one divergence monitor covers
@@ -181,20 +180,7 @@ func (tc *TACursor) Exhausted() bool { return tc.drained && tc.emittedN >= len(t
 func (tc *TACursor) Ledger() access.Ledger { return tc.sess.Ledger() }
 
 // Close ends the run. Idempotent.
-func (tc *TACursor) Close() {
-	if tc.closed {
-		return
-	}
-	tc.closed = true
-	if tc.release != nil {
-		fn := tc.release
-		tc.release = nil
-		fn()
-	}
-}
-
-// SetRelease registers a hook run exactly once when the cursor closes.
-func (tc *TACursor) SetRelease(fn func()) { tc.release = fn }
+func (tc *TACursor) Close() { tc.closed = true }
 
 var _ Pager = (*TACursor)(nil)
 var _ Pager = (*Cursor)(nil)

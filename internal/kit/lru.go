@@ -17,9 +17,10 @@ type lruNode[K comparable, V any] struct {
 	prev, next *lruNode[K, V]
 }
 
-// NewLRU returns an empty cache bounded to capacity entries.
+// NewLRU returns an empty cache bounded to capacity entries. Its map is
+// made at that size, so filling the cache never grows it.
 func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
-	c := &LRU[K, V]{capacity: capacity, m: make(map[K]*lruNode[K, V])}
+	c := &LRU[K, V]{capacity: capacity, m: make(map[K]*lruNode[K, V], max(capacity, 0))}
 	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }

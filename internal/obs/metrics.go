@@ -3,8 +3,7 @@ package obs
 // Metrics is an Observer that folds engine events into a Registry under
 // the middleware's standard metric names (all prefixed topk_). Every
 // series is registered up front, so event delivery is one switch and a
-// handful of atomic operations with no registry lookups — safe and cheap
-// on the access hot path.
+// handful of atomic operations with no registry lookups.
 type Metrics struct {
 	accesses   [2]*Counter // by AccessKind
 	accessCost *Histogram  // per-access cost units
@@ -102,9 +101,9 @@ func (m *Metrics) Observe(ev Event) {
 	switch ev.Kind {
 	case AccessDone:
 		if int(ev.Access) < len(m.accesses) {
-			m.accesses[ev.Access].Inc()
+			m.accesses[ev.Access].Add(int64(ev.N))
 		}
-		m.accessCost.Observe(ev.Value)
+		m.accessCost.ObserveN(ev.Value, int64(ev.N))
 	case AccessDenied:
 		if int(ev.Code) < numDenyReasons {
 			m.denied[ev.Code].Inc()
@@ -114,7 +113,7 @@ func (m *Metrics) Observe(ev Event) {
 	case EstimatorEval:
 		m.estimator[ev.Code&Hit].Inc()
 	case LoopIteration:
-		m.iterations.Inc()
+		m.iterations.Add(int64(ev.N))
 		m.candidates.Set(int64(ev.Value))
 	case InflightChange:
 		m.inflight.Add(int64(ev.Value))

@@ -12,11 +12,11 @@ import "testing"
 // ordinary builds only.)
 func TestQueryTraceGrowsInOneStep(t *testing.T) {
 	events := []Event{
-		{Kind: AccessDone, Access: Sorted, Pred: 2, Value: 1},
-		{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1},
-		{Kind: AccessDone, Access: Sorted, Pred: 1, Value: 1},
-		{Kind: AccessDone, Access: Random, Pred: 2, Value: 1},
-		{Kind: AccessDone, Access: Random, Pred: 1, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 2, N: 1, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 0, N: 1, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 1, N: 1, Value: 1},
+		{Kind: AccessDone, Access: Random, Pred: 2, N: 1, Value: 1},
+		{Kind: AccessDone, Access: Random, Pred: 1, N: 1, Value: 1},
 	}
 	for _, p := range []Phase{PhaseParse, PhasePlan, PhaseOptimize, PhaseExecute, PhaseExecute, PhaseExecute} {
 		events = append(events, Event{Kind: PhaseDone, Label: string(p), Value: 0.001})

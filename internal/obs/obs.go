@@ -161,8 +161,9 @@ const (
 type Kind uint8
 
 const (
-	// AccessDone: one performed (billed) access. Access, Pred; Value is the
-	// billed cost in cost units.
+	// AccessDone: N billed accesses of one kind on one predicate, all at
+	// one price, folded from the session ledger when a page or run ends.
+	// Access, Pred, N; Value is the price of each in cost units.
 	AccessDone Kind = iota
 	// AccessDenied: an access was refused or failed; nothing was billed for
 	// it. Access, Pred; Code is the DenyReason.
@@ -173,8 +174,9 @@ const (
 	// EstimatorEval: one optimizer cost estimate. Code is Hit when the
 	// configuration was already priced (no simulation run), Miss otherwise.
 	EstimatorEval
-	// LoopIteration: one framework scheduling iteration. Value is the
-	// current candidate-queue size (the K_P working set).
+	// LoopIteration: N framework scheduling iterations, folded once per
+	// page. Value is the candidate-queue size (the K_P working set) at the
+	// last of them; Pred is the largest it reached.
 	LoopIteration
 	// InflightChange: a concurrent executor started (Value > 0) or finished
 	// (Value < 0) that many accesses.
@@ -242,8 +244,11 @@ type Event struct {
 	Access AccessKind
 	// Code is the event's small enumerated payload: a DenyReason, Hit/Miss/Warm,
 	// or a packed breaker Transition.
-	Code  uint8
-	Pred  int
+	Code uint8
+	Pred int
+	// N is how many facts a folded event stands for: the accesses of an
+	// AccessDone, the iterations of a LoopIteration.
+	N     int
 	Value float64
 	// Label is drawn from a static vocabulary (a Phase, ReplanTriggers,
 	// ViolationReasons, the engine's degradation reasons), never built per
@@ -265,8 +270,9 @@ func (e Event) Breaker() (from, to BreakerState) {
 // its one coordinating goroutine, also on a live run); Nop, Metrics and
 // QueryTrace all are.
 //
-// Observe must be cheap and non-blocking: events fire on the access hot
-// path, and a stalled observer stalls the query.
+// Observe must be cheap and non-blocking: a stalled observer stalls the
+// query. Billed accesses and loop iterations arrive folded, once per page
+// or run; refusals, breaker transitions and retries fire as they happen.
 type Observer interface {
 	Observe(Event)
 }

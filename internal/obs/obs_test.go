@@ -24,11 +24,11 @@ func TestDenyReasonStrings(t *testing.T) {
 // index. A Kind added without a sample leaves a zero slot, which
 // TestEverySinkHandlesEveryKind rejects.
 var sampleEvents = [numKinds]Event{
-	AccessDone:        {Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1},
+	AccessDone:        {Kind: AccessDone, Access: Sorted, Pred: 0, N: 1, Value: 1},
 	AccessDenied:      {Kind: AccessDenied, Access: Random, Pred: 1, Code: uint8(DenyBudget)},
 	PhaseDone:         {Kind: PhaseDone, Label: string(PhaseExecute), Value: 0.001},
 	EstimatorEval:     {Kind: EstimatorEval, Code: Hit},
-	LoopIteration:     {Kind: LoopIteration, Value: 3},
+	LoopIteration:     {Kind: LoopIteration, N: 1, Value: 3, Pred: 3},
 	InflightChange:    {Kind: InflightChange, Value: +1},
 	DispatchStall:     {Kind: DispatchStall},
 	SourceRetry:       {Kind: SourceRetry, Value: 0.001},
@@ -138,8 +138,8 @@ func TestMulti(t *testing.T) {
 		t.Error("Multi with one non-nil observer must return it directly")
 	}
 	m := Multi(a, b)
-	m.Observe(Event{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 2})
-	m.Observe(Event{Kind: LoopIteration, Value: 4})
+	m.Observe(Event{Kind: AccessDone, Access: Sorted, Pred: 0, N: 1, Value: 2})
+	m.Observe(Event{Kind: LoopIteration, N: 1, Value: 4, Pred: 4})
 	for i, tr := range []*QueryTrace{a, b} {
 		s := tr.Snapshot()
 		if s.CostUnits != 2 || s.Iterations != 1 || s.CandidatesHighWater != 4 {
@@ -152,9 +152,9 @@ func TestQueryTraceSnapshot(t *testing.T) {
 	tr := NewQueryTrace()
 	for _, ev := range []Event{
 		{Kind: PhaseDone, Label: string(PhaseParse), Value: 0.002},
-		{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1},
-		{Kind: AccessDone, Access: Sorted, Pred: 2, Value: 1}, // pred 2 forces slice growth past pred 1
-		{Kind: AccessDone, Access: Random, Pred: 1, Value: 10},
+		{Kind: AccessDone, Access: Sorted, Pred: 0, N: 1, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 2, N: 1, Value: 1}, // pred 2 forces slice growth past pred 1
+		{Kind: AccessDone, Access: Random, Pred: 1, N: 1, Value: 10},
 		{Kind: AccessDenied, Access: Random, Pred: 0, Code: uint8(DenyBudget)},
 		{Kind: AccessDenied, Access: Sorted, Pred: 0, Code: uint8(DenyExhausted)},
 		{Kind: EstimatorEval, Code: Miss},
@@ -215,7 +215,7 @@ func TestQueryTraceSnapshot(t *testing.T) {
 	}
 
 	// Snapshots are copies: later events must not mutate an earlier one.
-	tr.Observe(Event{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1})
+	tr.Observe(Event{Kind: AccessDone, Access: Sorted, Pred: 0, N: 1, Value: 1})
 	tr.Observe(Event{Kind: PhaseDone, Label: string(PhaseExecute), Value: 0.001})
 	if s.SortedAccesses[0] != 1 || len(s.Phases) != 1 {
 		t.Error("snapshot aliases live trace state")

@@ -67,13 +67,16 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v at once.
+func (h *Histogram) ObserveN(v float64, n int64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v (le semantics)
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+	h.buckets[i].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
 		if h.sumBits.CompareAndSwap(old, next) {
 			return
 		}

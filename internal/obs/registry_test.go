@@ -172,20 +172,20 @@ func TestRegistryConcurrency(t *testing.T) {
 }
 
 // TestMetricsObserver drives events through the registry observer and
-// checks the series it maintains.
+// checks the series it maintains: a folded event counts as its N facts.
 func TestMetricsObserver(t *testing.T) {
 	reg := NewRegistry()
 	m := NewMetrics(reg)
 	for _, ev := range []Event{
-		{Kind: AccessDone, Access: Sorted, Pred: 0, Value: 1},
-		{Kind: AccessDone, Access: Sorted, Pred: 1, Value: 2},
-		{Kind: AccessDone, Access: Random, Pred: 0, Value: 10},
+		{Kind: AccessDone, Access: Sorted, Pred: 0, N: 3, Value: 1},
+		{Kind: AccessDone, Access: Sorted, Pred: 1, N: 1, Value: 2},
+		{Kind: AccessDone, Access: Random, Pred: 0, N: 2, Value: 10},
 		{Kind: AccessDenied, Access: Random, Pred: 0, Code: uint8(DenyBudget)},
 		{Kind: PhaseDone, Label: string(PhaseExecute), Value: 0.010},
 		{Kind: PhaseDone, Label: "weird", Value: 0.001},
 		{Kind: EstimatorEval, Code: Miss},
 		{Kind: EstimatorEval, Code: Hit},
-		{Kind: LoopIteration, Value: 5},
+		{Kind: LoopIteration, N: 7, Value: 5, Pred: 9},
 		{Kind: InflightChange, Value: +2},
 		{Kind: InflightChange, Value: -1},
 		{Kind: DispatchStall},
@@ -203,12 +203,16 @@ func TestMetricsObserver(t *testing.T) {
 	}
 	out := b.String()
 	for _, line := range []string{
-		`topk_accesses_total{kind="sorted"} 2`,
-		`topk_accesses_total{kind="random"} 1`,
+		`topk_accesses_total{kind="sorted"} 4`,
+		`topk_accesses_total{kind="random"} 2`,
+		`topk_access_cost_units_bucket{le="1"} 3`,
+		`topk_access_cost_units_bucket{le="2"} 4`,
+		`topk_access_cost_units_sum 25`,
+		`topk_access_cost_units_count 6`,
 		`topk_access_denied_total{reason="budget"} 1`,
 		`topk_estimator_evals_total{result="run"} 1`,
 		`topk_estimator_evals_total{result="memo"} 1`,
-		`topk_nc_iterations_total 1`,
+		`topk_nc_iterations_total 7`,
 		`topk_nc_candidates 5`,
 		`topk_executor_inflight 1`,
 		`topk_executor_dispatch_stalls_total 1`,

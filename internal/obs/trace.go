@@ -127,7 +127,7 @@ type BreakerEvent struct {
 // into the TraceSnapshot it reports. It is safe for concurrent use (the
 // live executor emits from its coordinating goroutine while web-source
 // clients emit retries from request goroutines); a single short mutex
-// guards all state.
+// guards all state, taken per page for billed accesses, which arrive folded.
 type QueryTrace struct {
 	mu sync.Mutex
 	s  TraceSnapshot // Denied and PlanCacheHit are filled in by Snapshot
@@ -157,12 +157,12 @@ func (t *QueryTrace) Observe(ev Event) {
 	case AccessDone:
 		if ev.Access == Sorted {
 			t.s.SortedAccesses = growTo(t.s.SortedAccesses, ev.Pred)
-			t.s.SortedAccesses[ev.Pred]++
+			t.s.SortedAccesses[ev.Pred] += ev.N
 		} else {
 			t.s.RandomAccesses = growTo(t.s.RandomAccesses, ev.Pred)
-			t.s.RandomAccesses[ev.Pred]++
+			t.s.RandomAccesses[ev.Pred] += ev.N
 		}
-		t.s.CostUnits += ev.Value
+		t.s.CostUnits += ev.Value * float64(ev.N)
 	case AccessDenied:
 		if int(ev.Code) < numDenyReasons {
 			t.denied[ev.Code]++
@@ -184,8 +184,8 @@ func (t *QueryTrace) Observe(ev Event) {
 			t.s.EstimatorEvals++
 		}
 	case LoopIteration:
-		t.s.Iterations++
-		t.s.CandidatesHighWater = max(t.s.CandidatesHighWater, int(ev.Value))
+		t.s.Iterations += ev.N
+		t.s.CandidatesHighWater = max(t.s.CandidatesHighWater, ev.Pred)
 	case InflightChange:
 		t.inflight += int(ev.Value)
 		t.s.InflightHighWater = max(t.s.InflightHighWater, t.inflight)

@@ -210,11 +210,16 @@ func (h *Handler) lookup(id string) *liveCursor {
 // engine state; counter attributes the close (client request vs expiry).
 // Reports whether this call was the one that removed it — losers of a
 // close/expire race are no-ops, so each cursor is counted exactly once.
+// The close is counted and the open gauge dropped with the delete, under
+// curMu, so no reader sees a cursor gone from the registry but still open
+// in the metrics.
 func (h *Handler) unregister(lc *liveCursor, counter *obs.Counter) bool {
 	h.curMu.Lock()
 	_, present := h.cursors[lc.id]
 	if present {
 		delete(h.cursors, lc.id)
+		counter.Inc()
+		h.cursorOpenG.Add(-1)
 	}
 	h.curMu.Unlock()
 	if !present {
@@ -225,8 +230,6 @@ func (h *Handler) unregister(lc *liveCursor, counter *obs.Counter) bool {
 	lc.mu.Lock()
 	_ = lc.cur.Close()
 	lc.mu.Unlock()
-	counter.Inc()
-	h.cursorOpenG.Add(-1)
 	return true
 }
 
@@ -312,6 +315,8 @@ func (h *Handler) Close() {
 		open := make([]*liveCursor, 0, len(h.cursors))
 		for _, lc := range h.cursors {
 			open = append(open, lc)
+			h.cursorClosed.Inc()
+			h.cursorOpenG.Add(-1)
 		}
 		h.cursors = nil
 		h.curMu.Unlock()
@@ -319,8 +324,6 @@ func (h *Handler) Close() {
 			lc.mu.Lock()
 			_ = lc.cur.Close()
 			lc.mu.Unlock()
-			h.cursorClosed.Inc()
-			h.cursorOpenG.Add(-1)
 		}
 	})
 }

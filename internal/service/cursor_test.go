@@ -264,6 +264,33 @@ func TestServiceCursorCloseAndExpiry(t *testing.T) {
 	}
 }
 
+// TestUnregisterCountsWithTheDelete: a cursor the reaper takes out of the
+// registry while a page holds its lock is counted as expired, and is gone
+// from the open gauge, as soon as the registry no longer lists it — not
+// only once the page ends and the cursor's state goes back to the pool.
+func TestUnregisterCountsWithTheDelete(t *testing.T) {
+	ts, h := startCursorService(t, Config{})
+	open, _ := postQuery(t, ts, fixedCursorReq(cursorSQL))
+	lc := h.lookup(open.Cursor)
+	if lc == nil {
+		t.Fatalf("cursor %q not registered", open.Cursor)
+	}
+	lc.mu.Lock() // an in-flight page
+	done := make(chan bool)
+	go func() { done <- h.unregister(lc, h.cursorExpired) }()
+	for h.OpenCursors() > 0 {
+		runtime.Gosched()
+	}
+	expired, gauge := h.cursorExpired.Value(), h.cursorOpenG.Value()
+	lc.mu.Unlock()
+	if !<-done {
+		t.Error("unregister did not remove the cursor")
+	}
+	if expired != 1 || gauge != 0 {
+		t.Errorf("registry empty but expired = %d, open gauge = %d; want 1 and 0", expired, gauge)
+	}
+}
+
 // TestServiceCursorLimitAndShutdown checks the MaxCursors cap and that
 // Handler.Close refuses new cursors while one-shot queries keep working.
 func TestServiceCursorLimitAndShutdown(t *testing.T) {

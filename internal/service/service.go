@@ -1037,23 +1037,7 @@ func newQueryResponse(labels *data.Dataset, query string, page *topk.Page, pg pa
 	return resp
 }
 
-// PlanCacheHits reports how many queries were answered with a cached plan
-// (for tests and operational visibility). Singleflight followers count:
-// they reused a concurrent identical optimization.
-func (h *Handler) PlanCacheHits() int { return int(h.plans.Stats().Hits) }
-
-// PlanCacheStats reports the plan cache's cumulative hits, misses, and
-// evictions.
+// PlanCacheStats reports the plan cache's cumulative hits (singleflight
+// followers count: they reused a concurrent identical optimization),
+// misses, and evictions.
 func (h *Handler) PlanCacheStats() topk.PlanCacheStats { return h.plans.Stats() }
-
-// Sharing reports whether the cross-query sharing layer is enabled.
-func (h *Handler) Sharing() bool { return h.shared != nil }
-
-// ShareStats reports the sharing layer's cumulative counters (the zero
-// Stats when sharing is disabled).
-func (h *Handler) ShareStats() topk.SharingStats {
-	if h.shared == nil {
-		return topk.SharingStats{}
-	}
-	return h.shared.Stats()
-}

@@ -100,7 +100,7 @@ func TestSharedAccessGate(t *testing.T) {
 
 	// Unshared: every ledger entry is an access that reached the backend.
 	tsOff, hOff := startE1Service(t, false)
-	if hOff.Sharing() {
+	if hOff.shared != nil {
 		t.Fatal("sharing should be off by default")
 	}
 	offResps := runAll(tsOff)
@@ -111,7 +111,7 @@ func TestSharedAccessGate(t *testing.T) {
 
 	// Shared: ledgers must be identical, backend accesses collapse.
 	tsOn, hOn := startE1Service(t, true)
-	if !hOn.Sharing() {
+	if hOn.shared == nil {
 		t.Fatal("sharing should be enabled")
 	}
 	onResps := runAll(tsOn)
@@ -120,7 +120,7 @@ func TestSharedAccessGate(t *testing.T) {
 			t.Errorf("query %d: shared ledger bills %d accesses, unshared oracle %d", i, got, want)
 		}
 	}
-	st := hOn.ShareStats()
+	st := hOn.shared.Stats()
 	sharedBackend := int(st.BackendSorted + st.BackendRandom)
 	if sharedBackend == 0 {
 		t.Fatal("sharing layer reports zero backend accesses")
@@ -153,8 +153,8 @@ func TestServedPlanMatchesExplainUnderSharing(t *testing.T) {
 			t.Fatalf("warm-up query %d: HTTP %d", i, resp.StatusCode)
 		}
 	}
-	if s, r := h.ShareStats().Discounts(); s == 0 && r == 0 {
-		t.Fatalf("sharing layer not warm (%+v): the test would not exercise the discounts", h.ShareStats())
+	if s, r := h.shared.Stats().Discounts(); s == 0 && r == 0 {
+		t.Fatalf("sharing layer not warm (%+v): the test would not exercise the discounts", h.shared.Stats())
 	}
 	plan, err := h.eng.Explain(topk.Query{F: topk.Avg(), K: 10, Cols: cols}, topk.OptimizerConfig{})
 	if err != nil {

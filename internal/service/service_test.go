@@ -220,15 +220,15 @@ func TestServicePlanCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first: %s", first.Query)
 	}
-	if h.PlanCacheHits() != 0 {
-		t.Fatalf("hits = %d before any repeat", h.PlanCacheHits())
+	if h.PlanCacheStats().Hits != 0 {
+		t.Fatalf("hits = %d before any repeat", h.PlanCacheStats().Hits)
 	}
 	second, resp2 := postQuery(t, ts, QueryRequest{SQL: sql})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second: %s", second.Query)
 	}
-	if h.PlanCacheHits() != 1 {
-		t.Errorf("hits = %d after repeat", h.PlanCacheHits())
+	if h.PlanCacheStats().Hits != 1 {
+		t.Errorf("hits = %d after repeat", h.PlanCacheStats().Hits)
 	}
 	// Same answers and cost either way.
 	if second.Cost != first.Cost || len(second.Items) != len(first.Items) {
@@ -236,7 +236,7 @@ func TestServicePlanCache(t *testing.T) {
 	}
 	// A different query misses the cache.
 	postQuery(t, ts, QueryRequest{SQL: "select name from db order by avg(rating, closeness) stop after 5"})
-	if h.PlanCacheHits() != 1 {
-		t.Errorf("different query should not hit: %d", h.PlanCacheHits())
+	if h.PlanCacheStats().Hits != 1 {
+		t.Errorf("different query should not hit: %d", h.PlanCacheStats().Hits)
 	}
 }

@@ -3,7 +3,9 @@ package topk
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -44,13 +46,70 @@ func checkConservation(t *testing.T, label string, ans *Answer) {
 	}
 }
 
+// accessScrape is what /metrics says about billed accesses: the
+// topk_accesses_total series by kind and the access-cost histogram's count
+// and sum.
+type accessScrape struct {
+	sorted, random, count int64
+	sum                   float64
+}
+
+// scrapeAccesses reads the access series from the registry's exposition.
+func scrapeAccesses(t *testing.T, reg *MetricsRegistry) accessScrape {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var s accessScrape
+	for _, line := range strings.Split(b.String(), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		v, _ := strconv.ParseFloat(val, 64)
+		switch name {
+		case `topk_accesses_total{kind="sorted"}`:
+			s.sorted = int64(v)
+		case `topk_accesses_total{kind="random"}`:
+			s.random = int64(v)
+		case "topk_access_cost_units_count":
+			s.count = int64(v)
+		case "topk_access_cost_units_sum":
+			s.sum = v
+		}
+	}
+	return s
+}
+
+// billed is the scrape delta a ledger predicts: every access counted once
+// by kind and once in the histogram, at the price it was billed.
+func billed(l Ledger) accessScrape {
+	var s accessScrape
+	for i := range l.SortedCounts {
+		s.sorted += int64(l.SortedCounts[i])
+		s.random += int64(l.RandomCounts[i])
+	}
+	s.count = s.sorted + s.random
+	s.sum = l.TotalCost.Units()
+	return s
+}
+
+// checkScrape asserts that /metrics moved by exactly want since before.
+func checkScrape(t *testing.T, label string, reg *MetricsRegistry, before, want accessScrape) {
+	t.Helper()
+	now := scrapeAccesses(t, reg)
+	got := accessScrape{now.sorted - before.sorted, now.random - before.random, now.count - before.count, now.sum - before.sum}
+	if got.sorted != want.sorted || got.random != want.random || got.count != want.count || math.Abs(got.sum-want.sum) > 1e-6 {
+		t.Errorf("%s: /metrics moved by %+v, the ledger billed %+v", label, got, want)
+	}
+}
+
 // TestTraceConservesLedger runs every registry algorithm (plus fixed and
 // optimized NC, and fixed NC under the bounded-concurrency executor against
 // simulated and real time) across the Figure 2 scenario matrix and checks that the
-// per-query trace conserves the ledger in every cell the algorithm
-// supports. Cells an algorithm cannot run in (capability mismatch) error
-// out before completing and are skipped — conservation is a property of
-// completed runs.
+// per-query trace and the scrape delta of /metrics conserve the ledger in
+// every cell the algorithm supports. Cells an algorithm cannot run in
+// (capability mismatch) error out before completing and are skipped there;
+// the subtests hold /metrics to the ledger through a paged cursor, cost
+// shifts, and runs that fail or are cancelled after billing accesses.
 func TestTraceConservesLedger(t *testing.T) {
 	ds := mustGenerateDataset(t, "uniform", 120, 2, 7)
 	caps := []access.Capability{access.Cheap, access.Expensive, access.Impossible}
@@ -69,6 +128,8 @@ func TestTraceConservesLedger(t *testing.T) {
 		runs = append(runs, run{name, []RunOption{WithAlgorithm(name)}})
 	}
 
+	reg := NewMetricsRegistry()
+	metrics := WithObserver(NewMetricsObserver(reg))
 	completed := 0
 	for _, sc := range caps {
 		for _, rc := range caps {
@@ -78,19 +139,110 @@ func TestTraceConservesLedger(t *testing.T) {
 				continue // a cell with no legal access at all (sa=ra=impossible)
 			}
 			for _, r := range runs {
-				opts := append(append([]RunOption{}, r.opts...), WithTrace())
+				opts := append(append([]RunOption{}, r.opts...), metrics, WithTrace())
+				before := scrapeAccesses(t, reg)
 				ans, err := eng.Run(Query{F: Min(), K: 5}, opts...)
 				if err != nil {
 					continue // the cell denies an access this algorithm requires
 				}
 				completed++
 				checkConservation(t, r.name+" @ "+scn.Name, ans)
+				checkScrape(t, r.name+" @ "+scn.Name, reg, before, billed(ans.Ledger))
 			}
 		}
 	}
 	if completed < 20 {
 		t.Fatalf("only %d algorithm/cell combinations completed; the matrix sweep is not exercising the property", completed)
 	}
+
+	t.Run("cursor-three-pages", func(t *testing.T) {
+		eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := scrapeAccesses(t, reg)
+		cur, err := eng.Open(Query{F: Min(), K: 2}, WithNC([]float64{0.5, 0.5}, nil), metrics, WithTrace())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for page := 1; page <= 3; page++ {
+			p, err := cur.Next(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("page %d", page)
+			checkConservation(t, label, &Answer{Ledger: p.Ledger, Trace: cur.Trace()})
+			checkScrape(t, label, reg, before, billed(p.Ledger))
+		}
+		led := cur.Ledger()
+		cur.Close()
+		checkScrape(t, "closed", reg, before, billed(led))
+	})
+
+	// Shifted prices: the sum is exact only if every stretch of accesses
+	// reaches the histogram at the price it was billed, also when the
+	// executor settles accesses admitted at two prices out of order.
+	for _, r := range []run{
+		{"cost-shifts", []RunOption{WithNC([]float64{0.5, 0.5}, nil)}},
+		{"cost-shifts-parallel", []RunOption{WithNC([]float64{0.5, 0.5}, nil), WithParallel(4)}},
+		{"cost-shifts-optimized", nil},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			shifts := []CostShift{
+				{AfterAccesses: 10, Pred: 0, SortedFactor: 3, RandomFactor: 3},
+				{AfterAccesses: 20, Pred: 1, SortedFactor: 2, RandomFactor: 30},
+			}
+			eng, err := NewEngine(DataBackend(ds), UniformScenario(2, 1, 1), WithCostShifts(shifts...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := scrapeAccesses(t, reg)
+			ans, err := eng.Run(Query{F: Avg(), K: 10}, append(r.opts, metrics, WithTrace())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := billed(ans.Ledger)
+			if want.sum == float64(want.count) {
+				t.Fatalf("the run billed %+v at unit prices: no shift fired", want)
+			}
+			checkConservation(t, r.name, ans)
+			checkScrape(t, r.name, reg, before, want)
+		})
+	}
+
+	// A run that ends in an error after billing accesses has no ledger to
+	// return; the backend's count of what it answered is the bill.
+	t.Run("failed-and-cancelled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		outage := fault.Config{Preds: map[int]fault.PredFault{0: {OutageFrom: 5, OutageTo: -1}}}
+		for _, tc := range []struct {
+			name    string
+			backend *outcomes
+			wantErr error
+		}{
+			{"failed", &outcomes{Backend: fault.Wrap(DataBackend(ds), outage)}, fault.ErrInjected},
+			{"cancelled", &outcomes{Backend: &tripwire{Backend: DataBackend(ds), at: map[int64]func(){9: cancel}}}, context.Canceled},
+		} {
+			eng, err := NewEngine(tc.backend, UniformScenario(2, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := scrapeAccesses(t, reg)
+			_, err = eng.Run(Query{F: Avg(), K: 10}, WithNC([]float64{0.5, 0.5}, nil), WithContext(ctx), metrics)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+			}
+			ok := tc.backend.ok.Load()
+			if ok == 0 {
+				t.Fatalf("%s: the run failed before billing anything", tc.name)
+			}
+			if got := scrapeAccesses(t, reg); got.count-before.count != ok || got.sorted+got.random-before.sorted-before.random != ok ||
+				math.Abs(got.sum-before.sum-float64(ok)) > 1e-6 {
+				t.Errorf("%s: /metrics moved from %+v to %+v, the backend answered %d unit-price accesses", tc.name, before, got, ok)
+			}
+		}
+	})
 }
 
 // TestRunObserverAndTraceCompose drives the full optimized pipeline with a

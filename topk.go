@@ -724,7 +724,8 @@ func WithContext(ctx context.Context) RunOption {
 
 // WithObserver streams the run's execution events — accesses performed
 // and refused, phase timings, optimizer estimator evaluations, framework
-// iterations, executor concurrency — into the observer. Combine with a
+// iterations, executor concurrency — into the observer. Performed accesses
+// and framework iterations arrive folded, once per page. Combine with a
 // registry-backed observer (NewMetricsObserver) for service metrics.
 // Without WithObserver or WithTrace the engine emits nothing and pays no
 // instrumentation cost.
@@ -893,6 +894,8 @@ func (x *execution) next(delta int, tau float64, ranged bool) (*algo.Result, err
 	default:
 		err = x.runBatch(res)
 	}
+	// Once per page, before any trace is read, failed pages included.
+	x.st.sess.Fold()
 	if x.obsv != nil {
 		x.obsv.Observe(obs.Event{Kind: obs.PhaseDone, Label: string(obs.PhaseExecute), Value: time.Since(start).Seconds()})
 	}
@@ -980,13 +983,16 @@ func (x *execution) install(p Plan) error {
 }
 
 // close ends the run and returns the pooled state to the engine. The
-// session lets go of the run's context first — its access deadline is
-// re-pointed, not dropped, and what its windows read ahead goes back to the
-// backend — so nothing pooled stays tied to the caller's request.
+// session folds its ledger into the observers, so a run that failed
+// mid-page still reports its accesses, and lets go of the run's context
+// first — its access deadline is re-pointed, not dropped, and what its
+// windows read ahead goes back to the backend — so nothing pooled stays
+// tied to the caller's request.
 func (x *execution) close() {
 	if x.pager != nil {
 		x.pager.Close()
 	}
+	x.st.sess.Fold()
 	x.st.sess.Bind(nil)
 	x.eng.pool.Put(x.st)
 }
