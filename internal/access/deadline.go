@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/kit"
 )
 
 // deadlineFired is the terminal value of Deadline.armed.
@@ -24,7 +26,8 @@ const deadlineFired = math.MaxUint64
 // and never reads the clock: a watchdog timer samples the in-flight unit
 // every timeout/8 while the deadline is busy and expires the one it has
 // watched for a full timeout. A unit is therefore never cut short, and a
-// hung one is cut at most one sampling period late.
+// hung one is cut at most one sampling period late — of the clock the
+// Deadline is built on: its owner's breakers' (BreakerConfig.Clock).
 //
 // Who owns one, and when it moves:
 //
@@ -61,8 +64,9 @@ type Deadline struct {
 	// it finds the deadline idle, and the next arm restarts it.
 	watching atomic.Bool
 
+	clock     kit.Clock
 	mu        sync.Mutex
-	timer     *time.Timer
+	timer     kit.Timer
 	seen      uint64    // the unit the watchdog last found in flight
 	seenSince time.Time // when it first found it
 	done      chan struct{}
@@ -77,14 +81,14 @@ type Deadline struct {
 	kids         []*Deadline
 }
 
-func newAccessDeadline(parent context.Context, timeout time.Duration) *Deadline {
-	d := &Deadline{parent: parent, timeout: timeout, done: make(chan struct{})}
+func newAccessDeadline(parent context.Context, timeout time.Duration, clock kit.Clock) *Deadline {
+	d := &Deadline{parent: parent, timeout: timeout, clock: clock, done: make(chan struct{})}
 	d.onParentDone = d.parentDone
 	return d
 }
 
-// NewDeadline returns an idle Deadline for Start to arm.
-func NewDeadline() *Deadline { return newAccessDeadline(context.Background(), 0) }
+// NewDeadline returns an idle Deadline on clock for Start to arm.
+func NewDeadline(clock kit.Clock) *Deadline { return newAccessDeadline(context.Background(), 0, clock) }
 
 // Start re-points d at parent and begins one unit of work bounded by
 // timeout. It reports false, starting nothing, when d cannot be reused (see
@@ -169,7 +173,7 @@ func (d *Deadline) period() time.Duration {
 
 func (d *Deadline) scheduleLocked(wait time.Duration) {
 	if d.timer == nil {
-		d.timer = time.AfterFunc(wait, d.watch)
+		d.timer = d.clock.AfterFunc(wait, d.watch)
 	} else {
 		d.timer.Reset(wait)
 	}
@@ -194,9 +198,9 @@ func (d *Deadline) watch() {
 			return
 		}
 	case cur != d.seen:
-		d.seen, d.seenSince = cur, time.Now()
+		d.seen, d.seenSince = cur, d.clock.Now()
 	default:
-		if left := d.timeout - time.Since(d.seenSince); left > 0 {
+		if left := d.timeout - d.clock.Now().Sub(d.seenSince); left > 0 {
 			d.scheduleLocked(min(left, d.period()))
 			return
 		}

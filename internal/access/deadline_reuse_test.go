@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/kit/kittest"
 )
 
 // doneBackend asks for ctx.Done on every access, the way network backends
@@ -39,7 +40,8 @@ func TestDeadlineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pages := [2]*Deadline{NewDeadline(), NewDeadline()}
+	clk := kittest.NewClock()
+	pages := [2]*Deadline{NewDeadline(clk), NewDeadline(clk)}
 	var built *Deadline
 	for i := 0; i < 100; i++ {
 		if i%10 == 0 {
@@ -83,12 +85,13 @@ func TestDeadlineReuse(t *testing.T) {
 // one when it is re-bound and builds a fresh one for the next access, while
 // a reference retained from the spent page keeps reporting it expired.
 func TestSpentDeadlineIsNeverReused(t *testing.T) {
-	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
+	clk := kittest.NewClock()
+	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0, clk: clk}
 	sess, err := NewSession(b, Uniform(2, 1, 1), WithResilience(&Resilience{AccessTimeout: time.Minute}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := NewDeadline()
+	page := NewDeadline(clk)
 	page.Start(context.Background(), 5*time.Millisecond)
 	sess.Bind(page)
 	if _, _, err := sess.SortedNext(0); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrAccessFailed) {
@@ -122,18 +125,21 @@ func TestSpentDeadlineIsNeverReused(t *testing.T) {
 // timeout than it last ran with expires by the new one, even with the
 // watchdog still scheduled for the old.
 func TestRebindTakesTheNewTimeout(t *testing.T) {
-	d := NewDeadline()
+	clk := kittest.NewClock()
+	d := NewDeadline(clk)
 	if !d.Start(context.Background(), time.Hour) || !d.Stop() {
 		t.Fatal("an hour-long unit would not start and stop")
 	}
-	start := time.Now()
 	if !d.Start(context.Background(), 10*time.Millisecond) {
 		t.Fatal("restart")
 	}
-	for d.Err() == nil && time.Since(start) < 5*time.Second {
-		time.Sleep(time.Millisecond)
+	clk.Advance(10 * time.Millisecond)
+	if d.Err() != nil {
+		t.Fatalf("Err = %v at the new timeout, before a full timeout was watched", d.Err())
 	}
-	if took := time.Since(start); !errors.Is(d.Err(), context.DeadlineExceeded) || took > time.Second {
-		t.Fatalf("Err = %v after %v, want DeadlineExceeded about 10ms in", d.Err(), took)
+	// One sampling period (timeout/8) late at most.
+	clk.Advance(10 * time.Millisecond / 8)
+	if !errors.Is(d.Err(), context.DeadlineExceeded) {
+		t.Fatalf("Err = %v a sampling period past the new timeout, want DeadlineExceeded", d.Err())
 	}
 }

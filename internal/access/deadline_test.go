@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/kit/kittest"
 	"repro/internal/obs"
 )
 
@@ -55,29 +56,41 @@ func TestResilientAccessesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// hangBackend blocks accesses on hangPred until their context ends.
+// hangBackend blocks accesses on hangPred until their context ends. Given
+// a clock, it steps it a millisecond at a time until then, for up to an
+// hour: the time a hung source takes, passed as statements.
 type hangBackend struct {
 	Backend  // a DatasetBackend, paged entry by entry through Sorted
 	hangPred int
+	clk      *kittest.Clock
 }
 
 func (b hangBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	if pred == b.hangPred {
-		<-ctx.Done()
-		return 0, 0, ctx.Err()
+	if pred != b.hangPred {
+		return b.Backend.Sorted(ctx, pred, rank)
 	}
-	return b.Backend.Sorted(ctx, pred, rank)
+	if b.clk != nil {
+		for start := b.clk.Now(); ctx.Err() == nil; b.clk.Advance(time.Millisecond) {
+			if b.clk.Now().Sub(start) > time.Hour {
+				return 0, 0, errors.New("hang: an hour passed and the context is still live")
+			}
+		}
+	}
+	<-ctx.Done()
+	return 0, 0, ctx.Err()
 }
 
 // TestAccessTimeoutFeedsBreakerAndSparesNextAccess walks the whole chain on
 // one reused deadline context: a hung source times out as ErrAccessFailed
 // with DeadlineExceeded inside, the failures open its breaker, and neither
 // the next access on the same session nor a pooled-then-Reset session
-// inherits the expiry — even after idling past the timeout.
+// inherits the expiry — even after idling past the timeout. The deadline
+// runs on the breakers' clock, which the hung source steps.
 func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 	const timeout = 10 * time.Millisecond
-	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour})
-	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}
+	clk := kittest.NewClock()
+	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour, Clock: clk})
+	b := hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0, clk: clk}
 	opts := servedOptions(context.Background(), set, timeout)
 	sess, err := NewSession(b, Uniform(2, 1, 1), opts...)
 	if err != nil {
@@ -91,13 +104,14 @@ func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 	}
 	healthy("before any hang")
 	for i := 0; i < 2; i++ {
-		start := time.Now()
+		start := clk.Now()
 		_, _, err := sess.SortedNext(0)
 		if !errors.Is(err, ErrAccessFailed) || !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("hang %d: err = %v, want ErrAccessFailed wrapping DeadlineExceeded", i+1, err)
 		}
-		if took := time.Since(start); took < timeout || took > time.Second {
-			t.Fatalf("hang %d resolved after %v, want about %v", i+1, took, timeout)
+		// Never early, and at most one sampling period (and one step) late.
+		if took := clk.Now().Sub(start); took < timeout || took > timeout+timeout/8+time.Millisecond {
+			t.Fatalf("hang %d resolved after %v, want %v to %v", i+1, took, timeout, timeout+timeout/8+time.Millisecond)
 		}
 		healthy("right after a timeout")
 	}
@@ -110,7 +124,7 @@ func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 	if got := sess.Ledger(); got.SortedCounts[0] != 0 || got.SortedCounts[1] != 3 {
 		t.Fatalf("ledger %+v: timed-out accesses must not be billed", got)
 	}
-	time.Sleep(3 * timeout)
+	clk.Advance(3 * timeout)
 	healthy("after idling past the timeout")
 
 	// The session goes back to its pool and out again.
@@ -118,7 +132,7 @@ func TestAccessTimeoutFeedsBreakerAndSparesNextAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	healthy("after Reset")
-	time.Sleep(3 * timeout)
+	clk.Advance(3 * timeout)
 	healthy("after Reset and an idle timeout")
 	if sess.Err() != nil {
 		t.Fatalf("session context died: %v", sess.Err())
@@ -143,7 +157,9 @@ func (b *edgeBackend) Sorted(ctx context.Context, pred, rank int) (int, float64,
 
 // TestFiredDeadlineNeverLeaksIntoNextAccess races the watchdog against
 // accesses that return as their deadline fires: whichever side wins, the
-// expiry belongs to that access alone and the next one starts clean.
+// expiry belongs to that access alone and the next one starts clean. The
+// race is the point, so this test stays on the wall clock: its backend
+// sleeps for the watchdog's goroutine to run beside it.
 func TestFiredDeadlineNeverLeaksIntoNextAccess(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	ds, err := data.Generate(data.Uniform, 400, 2, 5)
@@ -192,15 +208,16 @@ func (d *denials) Observe(ev obs.Event) {
 func TestParentCancelUnderAccessTimeoutStaysTerminal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 1})
+	clk := kittest.NewClock()
+	set := NewBreakerSet(2, BreakerConfig{FailureThreshold: 1, Clock: clk})
 	var seen denials
-	sess, err := NewSession(hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0}, Uniform(2, 1, 1),
+	sess, err := NewSession(hangBackend{Backend: DatasetBackend{DS: testDataset(t)}, hangPred: 0, clk: clk}, Uniform(2, 1, 1),
 		append(servedOptions(ctx, set, time.Minute), WithObserver(&seen))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cancelled atomic.Bool
-	time.AfterFunc(5*time.Millisecond, func() { cancelled.Store(true); cancel() })
+	clk.AfterFunc(5*time.Millisecond, func() { cancelled.Store(true); cancel() })
 	_, _, aerr := sess.SortedNext(0)
 	if !cancelled.Load() {
 		t.Fatal("hung access returned before the context was cancelled")
@@ -228,7 +245,8 @@ func TestAccessDeadlineContext(t *testing.T) {
 	parentDL := time.Now().Add(time.Hour)
 	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), parentDL)
 	defer cancel()
-	d := newAccessDeadline(parent, time.Millisecond)
+	clk := kittest.NewClock()
+	d := newAccessDeadline(parent, time.Millisecond, clk)
 	defer d.retire()
 	if d.Value(key{}) != "v" {
 		t.Error("parent value hidden")
@@ -237,9 +255,11 @@ func TestAccessDeadlineContext(t *testing.T) {
 		t.Errorf("Deadline = %v %v, want the parent's", dl, ok)
 	}
 	d.arm()
-	for d.Err() == nil {
-		time.Sleep(time.Millisecond)
+	clk.Advance(time.Millisecond)
+	if d.Err() != nil {
+		t.Fatalf("Err = %v before the watchdog could have watched a full timeout", d.Err())
 	}
+	clk.Advance(time.Millisecond)
 	if !errors.Is(d.Err(), context.DeadlineExceeded) {
 		t.Fatalf("Err = %v, want DeadlineExceeded", d.Err())
 	}

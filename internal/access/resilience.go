@@ -13,9 +13,12 @@
 package access
 
 import (
+	"cmp"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/kit"
 )
 
 // BreakerState is the classic three-state circuit-breaker machine.
@@ -56,9 +59,9 @@ type BreakerConfig struct {
 	// Cooldown is how long an open circuit waits before half-opening for a
 	// probe (default 1s).
 	Cooldown time.Duration
-	// Now is the clock (default time.Now); tests inject a fake to drive
-	// cooldowns deterministically.
-	Now func() time.Time
+	// Clock times the cooldowns (nil = kit.Wall), and every deadline and
+	// TTL of the layer handed this config; tests step a kittest.Clock.
+	Clock kit.Clock
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -68,9 +71,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
+	c.Clock = cmp.Or[kit.Clock](c.Clock, kit.Wall{})
 	return c
 }
 
@@ -146,7 +147,7 @@ func (c *Circuits) Poll() []int {
 	if !c.unsettled.Load() {
 		return nil
 	}
-	now := c.cfg.Now()
+	now := c.cfg.Clock.Now()
 	var moved []int
 	c.mu.Lock()
 	for i := range c.c {
@@ -174,7 +175,7 @@ func (c *Circuits) Acquire(i int) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if c.cfg.Now().Before(cr.until) {
+		if c.cfg.Clock.Now().Before(cr.until) {
 			return false
 		}
 		c.halfOpen(cr)
@@ -236,7 +237,7 @@ func (c *Circuits) Record(i int, ok bool) (from, to BreakerState) {
 func (c *Circuits) open(cr *circuit) {
 	cr.state = BreakerOpen
 	cr.failures = 0
-	cr.until = c.cfg.Now().Add(c.cfg.Cooldown)
+	cr.until = c.cfg.Clock.Now().Add(c.cfg.Cooldown)
 }
 
 // halfOpen moves an open cr to half-open with its probe slot free (mu held).
@@ -274,6 +275,14 @@ func NewBreakerSet(m int, cfg BreakerConfig) *BreakerSet {
 
 // M returns the number of predicates covered.
 func (b *BreakerSet) M() int { return b.m }
+
+// Clock returns the set's clock; a nil set's is kit.Wall.
+func (b *BreakerSet) Clock() kit.Clock {
+	if b == nil {
+		return kit.Wall{}
+	}
+	return b.c.cfg.Clock
+}
 
 // Generation returns a counter that increments on every state change.
 // Sessions cache it and refresh their capability view only when it moves.

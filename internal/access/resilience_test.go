@@ -10,20 +10,15 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/kit/kittest"
 )
 
-// fakeClock drives breaker cooldowns deterministically.
-type fakeClock struct{ now time.Time }
-
-func (c *fakeClock) Now() time.Time          { return c.now }
-func (c *fakeClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1000, 0)} }
-func testCfg(clk *fakeClock) BreakerConfig {
-	return BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, Now: clk.Now}
+func testCfg(clk *kittest.Clock) BreakerConfig {
+	return BreakerConfig{FailureThreshold: 3, Cooldown: time.Second, Clock: clk}
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	clk := newFakeClock()
+	clk := kittest.NewClock()
 	b := NewBreakerSet(2, testCfg(clk))
 	g0 := b.Generation()
 
@@ -94,7 +89,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerRelease(t *testing.T) {
-	clk := newFakeClock()
+	clk := kittest.NewClock()
 	b := NewBreakerSet(1, testCfg(clk))
 	for i := 0; i < 3; i++ {
 		b.Record(RandomAccess, 0, false)
@@ -116,8 +111,8 @@ func TestBreakerRelease(t *testing.T) {
 // half-open circuit, at most one holds its probe slot at a time, and a
 // released slot is taken again.
 func TestCircuitsOneProbeAtATime(t *testing.T) {
-	clk := newFakeClock()
-	c := NewCircuits(1, BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Now: clk.Now})
+	clk := kittest.NewClock()
+	c := NewCircuits(1, BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Clock: clk})
 	c.Record(0, false)
 	clk.Advance(time.Second)
 	var inFlight, probes atomic.Int32
@@ -192,7 +187,7 @@ func testDataset(t *testing.T) *data.Dataset {
 // CurrentScenario — an outage becomes a scenario change, not an error
 // state — and nothing is ever billed for a failed access.
 func TestDegradationAsScenarioChange(t *testing.T) {
-	clk := newFakeClock()
+	clk := kittest.NewClock()
 	b := &flakyBackend{Backend: DatasetBackend{DS: testDataset(t)}, failPred: 1, failing: true}
 	set := NewBreakerSet(2, testCfg(clk))
 	sess, err := NewSession(b, Uniform(2, 1, 1), WithResilience(&Resilience{Breakers: set}))
@@ -328,7 +323,7 @@ func TestResilienceValidate(t *testing.T) {
 // circuit_open reasons) is in the backend's numbering, what it reports
 // (arguments, ledger, CurrentScenario) in the run's.
 func TestSessionColumns(t *testing.T) {
-	clk := newFakeClock()
+	clk := kittest.NewClock()
 	ds, err := data.Generate(data.Uniform, 20, 3, 5)
 	if err != nil {
 		t.Fatal(err)

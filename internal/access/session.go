@@ -692,17 +692,19 @@ func (s *Session) dropWindow(i int) {
 
 // bindDeadline re-points the session's access deadline at its context and
 // current access timeout (Reset, Bind). A deadline that cannot be
-// re-pointed — spent, or still out with an abandoned access — is retired,
-// and the next access that needs one builds it afresh.
+// re-pointed — spent, still out with an abandoned access, or on another
+// clock than the run's breakers — is retired, and the next access that
+// needs one builds it afresh.
 func (s *Session) bindDeadline() {
 	if s.actx == nil {
 		return
 	}
 	var timeout time.Duration
+	var clock kit.Clock = kit.Wall{}
 	if s.res != nil {
-		timeout = s.res.AccessTimeout
+		timeout, clock = s.res.AccessTimeout, s.res.Breakers.Clock()
 	}
-	if !s.actx.bind(s.ctx, timeout) {
+	if s.actx.clock != clock || !s.actx.bind(s.ctx, timeout) {
 		s.actx.retire()
 		s.actx = nil
 	}
@@ -1046,7 +1048,7 @@ func (s *Session) arm(p *Pending) {
 	d := s.actx
 	if d == nil || d.armed.Load() != 0 {
 		//topklint:allow hotpathalloc once per session life (and after a deadline is spent) when accesses run one at a time, then re-armed per access
-		d = newAccessDeadline(s.ctx, s.res.AccessTimeout)
+		d = newAccessDeadline(s.ctx, s.res.AccessTimeout, s.res.Breakers.Clock())
 		if s.actx == nil {
 			s.actx = d
 		}

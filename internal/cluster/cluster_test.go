@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/data"
+	"repro/internal/kit/kittest"
 	"repro/internal/obs"
 	"repro/internal/websim"
 )
@@ -625,8 +626,8 @@ func TestCoordinatorFencing(t *testing.T) {
 		}
 	}
 	// The fake clock makes cooldown expiry a statement, not a sleep.
-	clock := time.Unix(0, 0)
-	c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Now: func() time.Time { return clock }}})
+	clk := kittest.NewClock()
+	c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 2, Cooldown: time.Minute, Clock: clk}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +683,7 @@ func TestCoordinatorFencing(t *testing.T) {
 
 	// A half-open probe after the cooldown that fails again restarts the
 	// cooldown without another epoch bump.
-	clock = clock.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, err := c.Random(ctx, 0, probe); !errors.Is(err, errFlaky) {
 		t.Fatalf("half-open probe: %v", err)
 	}
@@ -693,7 +694,7 @@ func TestCoordinatorFencing(t *testing.T) {
 
 	// Recovery: the shard heals, the next half-open probe succeeds, and
 	// membership flips back with a fresh epoch so cached plans re-key.
-	clock = clock.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	flaky.fail.Store(false)
 	if got, err := c.Random(ctx, 0, probe); err != nil || got != ds.Score(probe, 0) {
 		t.Fatalf("recovery probe: (%g, %v)", got, err)
@@ -765,8 +766,8 @@ func TestCancelledProbeReleasesFence(t *testing.T) {
 					members[i] = flaky
 				}
 			}
-			clock := time.Unix(0, 0)
-			c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, Now: func() time.Time { return clock }}})
+			clk := kittest.NewClock()
+			c, err := New(members, Options{Breaker: access.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, Clock: clk}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -781,11 +782,11 @@ func TestCancelledProbeReleasesFence(t *testing.T) {
 				t.Fatalf("one failure at threshold 1 left %d shards up, want 2", st.ShardsUp)
 			}
 
-			clock = clock.Add(2 * time.Minute) // the cooldown elapses: one probe may pass
+			clk.Advance(2 * time.Minute) // the cooldown elapses: one probe may pass
 			if err := row.probe(c, cancelled, obj); !errors.Is(err, context.Canceled) {
 				t.Fatalf("probe under a cancelled context: %v, want context.Canceled", err)
 			}
-			clock = clock.Add(2 * time.Minute)
+			clk.Advance(2 * time.Minute)
 			if err := row.probe(c, ctx, obj); err != nil {
 				t.Fatalf("the shard is healthy again, yet after a cancelled probe: %v", err)
 			}

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"repro/internal/kit/kittest"
 )
 
 // Node is one shard node: handler served on a loopback address that stays
@@ -29,9 +31,12 @@ type Node struct {
 	cut      bool
 }
 
-// Start serves handler on a fresh loopback port until the test ends.
+// Start serves handler on a fresh loopback port until the test ends, and
+// checks then that the node, and whatever the test connected to it, left
+// no goroutine running (kittest.NoLeaks).
 func Start(tb testing.TB, handler http.Handler) *Node {
 	tb.Helper()
+	kittest.NoLeaks(tb)
 	n := &Node{tb: tb, handler: handler, addr: "127.0.0.1:0", conns: map[*conn]struct{}{}}
 	n.Up()
 	n.URL = "http://" + n.addr

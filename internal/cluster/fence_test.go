@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/access"
+	"repro/internal/kit/kittest"
 )
 
 // fenceOwner is one owner of the shared breaker state machine, driven
@@ -117,8 +118,8 @@ func (o *breakerOwner) state() access.BreakerState { return o.b.State(access.Ran
 // neither closes an open circuit nor restarts its cooldown.
 func TestOneBreakerTwoOwners(t *testing.T) {
 	const cooldown = time.Minute
-	clock := time.Unix(0, 0)
-	cfg := access.BreakerConfig{FailureThreshold: 2, Cooldown: cooldown, Now: func() time.Time { return clock }}
+	clk := kittest.NewClock()
+	cfg := access.BreakerConfig{FailureThreshold: 2, Cooldown: cooldown, Clock: clk}
 
 	ds := uniformDataset(t, 90, 2, 43)
 	parts := partitioned(t, ds, 3)
@@ -163,7 +164,7 @@ func TestOneBreakerTwoOwners(t *testing.T) {
 		{"probe at the first cooldown's end succeeds", cooldown / 2, func(o fenceOwner) bool { return o.access(ctx, true) }, true, closed},
 	}
 	for _, step := range steps {
-		clock = clock.Add(step.advance)
+		clk.Advance(step.advance)
 		for _, name := range []string{"coordinator", "breakerset"} {
 			o := owners[name]
 			if granted := step.act(o); granted != step.granted {

@@ -1,7 +1,8 @@
 // Package kit holds the shared state the backend layers have in common:
 // Prefix, the append-only head of a descending list that concurrent
-// readers extend one singleflight fetch at a time, and LRU, an intrusive
-// least-recently-used map. A leaf package (standard library only): the
+// readers extend one singleflight fetch at a time; LRU, an intrusive
+// least-recently-used map; and Clock, the one source of time for every
+// timeout, cooldown and TTL. A leaf package (standard library only): the
 // layers bring their own entry types, fetchers, counters and locks.
 package kit
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"repro/internal/algo/algotest"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/kit/kittest"
 	"repro/internal/score"
 )
 
@@ -174,17 +174,10 @@ func TestExecutorBudgetTruncates(t *testing.T) {
 // TestExecutorNoGoroutineLeak: every access a successful live run admits is
 // awaited before it returns, so no goroutine it started outlives it.
 func TestExecutorNoGoroutineLeak(t *testing.T) {
+	kittest.NoLeaks(t)
 	ds := datatest.MustGenerate(data.Uniform, 200, 2, 9)
 	backend := sleepBackend{Backend: access.DatasetBackend{DS: ds}, delay: 200 * time.Microsecond}
-	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		runOn(t, true, 8, backend, access.Uniform(2, 1, 2), score.Min(), 5, []float64{0.5, 0.5})
-	}
-	// A goroutine that has delivered its result may still be on its way out.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before the runs, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -4,7 +4,8 @@
 // the marginal access cost. The engine-level Cursor keeps the score table,
 // candidate queue, and access ledger alive between requests; this file adds
 // the service concerns — an id registry, per-page deadlines, a TTL reaper
-// that returns idle cursors' pooled state, and topk_cursor_* metrics.
+// that returns idle cursors' pooled state, and topk_cursor_* metrics. Page
+// deadlines, last use and expiry all read the handler's clock.
 package service
 
 import (
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	topk "repro"
+	"repro/internal/kit"
 	"repro/internal/obs"
 )
 
@@ -45,12 +47,12 @@ type liveCursor struct {
 	// the lock is released.
 	out topk.Page
 
-	// lastUsed (unix nanos) is touched at every page boundary; the reaper
-	// compares it against the TTL cutoff.
+	// lastUsed (unix nanos on the handler's clock) is touched at every page
+	// boundary; the reaper compares it against the TTL cutoff.
 	lastUsed atomic.Int64
 }
 
-func (lc *liveCursor) touch() { lc.lastUsed.Store(time.Now().UnixNano()) }
+func (lc *liveCursor) touch(c kit.Clock) { lc.lastUsed.Store(c.Now().UnixNano()) }
 
 // cursorPrefix mints a per-handler random id prefix, so cursor ids are not
 // guessable across restarts. crypto/rand, not math/rand: the repo's detrand
@@ -83,7 +85,7 @@ func (h *Handler) openCursor(buf *bytes.Buffer, st *statement, traced bool) (int
 		return http.StatusBadRequest, err
 	}
 	lc.id, lc.query, lc.sample = h.nextCursorID(), st.query, h.planSample(&st.req)
-	lc.touch()
+	lc.touch(h.breakers.Clock())
 	if err := h.register(lc); err != nil {
 		_ = lc.cur.Close()
 		return http.StatusServiceUnavailable, err
@@ -153,10 +155,10 @@ func (h *Handler) handleNext(w http.ResponseWriter, r *http.Request) {
 func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64, traced bool) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	lc.touch()
+	lc.touch(h.breakers.Clock())
 	if t := h.cfg.QueryTimeout; t > 0 {
-		b := startBound(context.Background(), t)
-		defer b.stop()
+		b := h.startBound(context.Background(), t)
+		defer h.stopBound(b)
 		lc.cur.Bind(b.dl)
 	}
 	page := &lc.out
@@ -172,7 +174,7 @@ func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64
 	}
 	lc.page++
 	h.cursorPages.Inc()
-	lc.touch()
+	lc.touch(h.breakers.Clock())
 	pg := pagination{cursor: lc.id, page: lc.page}
 	if traced {
 		h.answer(buf, lc.query, page, pg, &lc.run, &obs.CursorTrace{ID: lc.id, Page: lc.page, Emitted: lc.cur.Emitted(), Exhausted: page.Exhausted})
@@ -183,7 +185,7 @@ func (lc *liveCursor) produce(h *Handler, buf *bytes.Buffer, k int, tau *float64
 }
 
 // register adds a cursor to the registry, enforcing the open-cursor cap,
-// and lazily starts the TTL reaper.
+// and arms the TTL reaper with the first one.
 func (h *Handler) register(lc *liveCursor) error {
 	h.curMu.Lock()
 	defer h.curMu.Unlock()
@@ -196,7 +198,9 @@ func (h *Handler) register(lc *liveCursor) error {
 	h.cursors[lc.id] = lc
 	h.cursorOpened.Inc()
 	h.cursorOpenG.Add(1)
-	h.ensureReaperLocked()
+	if h.reaper == nil && h.cfg.CursorTTL > 0 {
+		h.reaper = h.breakers.Clock().AfterFunc(h.cfg.CursorTTL, h.reap)
+	}
 	return nil
 }
 
@@ -233,43 +237,30 @@ func (h *Handler) unregister(lc *liveCursor, counter *obs.Counter) bool {
 	return true
 }
 
-// ensureReaperLocked starts the TTL reaper the first time a cursor is
-// registered (curMu held). Handlers that never open cursors never run it.
-func (h *Handler) ensureReaperLocked() {
-	if h.cfg.CursorTTL <= 0 || h.reaperOn {
-		return
+// reap is the reaper, one timer on the handler's clock: it expires idle
+// cursors and re-arms for the next instant one can expire — the least
+// recently used cursor's last use plus the TTL, or a TTL from now when none
+// is open — until Close stops it.
+func (h *Handler) reap() {
+	h.expireIdle()
+	ttl := int64(h.cfg.CursorTTL)
+	h.curMu.Lock()
+	defer h.curMu.Unlock()
+	now := h.breakers.Clock().Now().UnixNano()
+	next := now + ttl
+	for _, lc := range h.cursors {
+		next = min(next, lc.lastUsed.Load()+ttl)
 	}
-	h.reaperOn = true
-	h.reaperStop = make(chan struct{})
-	interval := h.cfg.CursorTTL / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	go h.reap(interval)
-}
-
-func (h *Handler) reap(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-h.reaperStop:
-			return
-		case <-t.C:
-			h.expireIdle(time.Now())
-		}
+	if h.cursors != nil { // else Close ran meanwhile
+		h.reaper.Reset(time.Duration(next - now))
 	}
 }
 
-// expireIdle closes every cursor idle for at least CursorTTL, returning
-// its pooled state, and reports how many it expired. The reaper calls it
-// on a timer; tests call it directly with a synthetic clock.
-func (h *Handler) expireIdle(now time.Time) int {
-	ttl := h.cfg.CursorTTL
-	if ttl <= 0 {
-		return 0
-	}
-	cutoff := now.Add(-ttl).UnixNano()
+// expireIdle closes every cursor idle for at least CursorTTL on the
+// handler's clock, returning its pooled state, and reports how many it
+// expired. Only a positive TTL arms the reaper that calls it.
+func (h *Handler) expireIdle() int {
+	cutoff := h.breakers.Clock().Now().Add(-h.cfg.CursorTTL).UnixNano()
 	h.curMu.Lock()
 	var idle []*liveCursor
 	for _, lc := range h.cursors {
@@ -308,17 +299,15 @@ func (h *Handler) OpenCursors() int {
 func (h *Handler) Close() {
 	h.closeOnce.Do(func() {
 		h.curMu.Lock()
-		if h.reaperOn {
-			close(h.reaperStop)
-			h.reaperOn = false
+		if h.reaper != nil {
+			h.reaper.Stop()
 		}
-		open := make([]*liveCursor, 0, len(h.cursors))
-		for _, lc := range h.cursors {
-			open = append(open, lc)
-			h.cursorClosed.Inc()
-			h.cursorOpenG.Add(-1)
-		}
+		// Detached, the registry is this call's alone: register and
+		// unregister find no map to write.
+		open := h.cursors
 		h.cursors = nil
+		h.cursorClosed.Add(int64(len(open)))
+		h.cursorOpenG.Add(-int64(len(open)))
 		h.curMu.Unlock()
 		for _, lc := range open {
 			lc.mu.Lock()

@@ -11,15 +11,18 @@ import (
 	"testing"
 	"time"
 
+	topk "repro"
 	"repro/internal/access"
 	"repro/internal/data"
+	"repro/internal/kit/kittest"
 )
 
 // startCursorService boots a service with the given config defaults filled
 // in (restaurants dataset, uniform scenario) and tears the cursor
-// subsystem down with the server.
+// subsystem down with the server, leaving no goroutine behind.
 func startCursorService(t *testing.T, cfg Config) (*httptest.Server, *Handler) {
 	t.Helper()
+	kittest.NoLeaks(t)
 	bench, _, err := data.Restaurants(200, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +219,12 @@ func TestServiceCursorValidation(t *testing.T) {
 	}
 }
 
-// TestServiceCursorCloseAndExpiry exercises the explicit close, the TTL
-// sweep, and the close/expire accounting.
+// TestServiceCursorCloseAndExpiry exercises the explicit close, the
+// reaper's TTL sweep on the handler's clock, and the close/expire
+// accounting.
 func TestServiceCursorCloseAndExpiry(t *testing.T) {
-	ts, h := startCursorService(t, Config{})
+	clk := kittest.NewClock()
+	ts, h := startCursorService(t, Config{Breaker: topk.BreakerConfig{Clock: clk}})
 
 	a, _ := postQuery(t, ts, fixedCursorReq(cursorSQL))
 	b, _ := postQuery(t, ts, fixedCursorReq(cursorSQL))
@@ -235,10 +240,11 @@ func TestServiceCursorCloseAndExpiry(t *testing.T) {
 		t.Errorf("page after close: %d, want 404", code)
 	}
 
-	// Deterministic sweep: pretend the TTL has elapsed.
-	if n := h.expireIdle(time.Now().Add(h.cfg.CursorTTL + time.Second)); n != 1 {
-		t.Fatalf("expireIdle reaped %d cursors, want 1", n)
+	// Nothing is idle a TTL long yet; once b is, the reaper takes it.
+	if n := h.expireIdle(); n != 0 {
+		t.Fatalf("expireIdle reaped %d cursors before the TTL passed, want 0", n)
 	}
+	clk.Advance(h.cfg.CursorTTL)
 	if _, code := postNext(t, ts, "/query/next", NextRequest{Cursor: b.Cursor, K: 1}); code != http.StatusNotFound {
 		t.Errorf("page after expiry: %d, want 404", code)
 	}
@@ -248,19 +254,52 @@ func TestServiceCursorCloseAndExpiry(t *testing.T) {
 	if h.cursorClosed.Value() != 1 || h.cursorExpired.Value() != 1 {
 		t.Errorf("closed=%d expired=%d, want 1 and 1", h.cursorClosed.Value(), h.cursorExpired.Value())
 	}
+}
 
-	// A live reaper does the same without help: tiny TTL, fresh cursor.
-	tsr, hr := startCursorService(t, Config{CursorTTL: 20 * time.Millisecond})
-	c, _ := postQuery(t, tsr, fixedCursorReq(cursorSQL))
-	deadline := time.Now().Add(2 * time.Second)
-	for hr.OpenCursors() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+// TestCursorExpiresAtItsTTL: a cursor last touched at T is open at
+// T+TTL−1ns and expired at T+TTL, by the reaper alone — which re-arms for
+// the cursor's last use, not for when it was opened.
+func TestCursorExpiresAtItsTTL(t *testing.T) {
+	const ttl = time.Minute
+	clk := kittest.NewClock()
+	ts, h := startCursorService(t, Config{CursorTTL: ttl, Breaker: topk.BreakerConfig{Clock: clk}})
+	open, _ := postQuery(t, ts, fixedCursorReq(cursorSQL))
+	clk.Advance(ttl / 2)
+	if _, code := postNext(t, ts, "/query/next", NextRequest{Cursor: open.Cursor, K: 1}); code != http.StatusOK {
+		t.Fatalf("page at T: %d", code)
 	}
-	if hr.OpenCursors() != 0 {
-		t.Fatalf("reaper never expired cursor %s", c.Cursor)
+	clk.Advance(ttl - time.Nanosecond)
+	if h.OpenCursors() != 1 || h.cursorExpired.Value() != 0 {
+		t.Fatalf("at T+TTL-1ns: %d open, %d expired; want 1 and 0", h.OpenCursors(), h.cursorExpired.Value())
 	}
-	if hr.cursorExpired.Value() != 1 {
-		t.Errorf("reaper expired = %d, want 1", hr.cursorExpired.Value())
+	clk.Advance(time.Nanosecond)
+	if h.OpenCursors() != 0 || h.cursorExpired.Value() != 1 {
+		t.Fatalf("at T+TTL: %d open, %d expired; want 0 and 1", h.OpenCursors(), h.cursorExpired.Value())
+	}
+}
+
+// TestReaperStopsWithClose: once Handler.Close returns, no timer of the
+// handler is left on its clock, and advancing it past any TTL fires
+// nothing and starts nothing (startCursorService checks for goroutines).
+func TestReaperStopsWithClose(t *testing.T) {
+	clk := kittest.NewClock()
+	ts, h := startCursorService(t, Config{Breaker: topk.BreakerConfig{Clock: clk}})
+	if _, resp := postQuery(t, ts, fixedCursorReq(cursorSQL)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: %d", resp.StatusCode)
+	}
+	// The query's and the accesses' deadline watchdogs sample once more,
+	// find their deadlines idle and stop; the reaper stays armed.
+	clk.Advance(h.cfg.QueryTimeout)
+	if n := clk.Pending(); n != 1 {
+		t.Fatalf("%d timers pending with one cursor open and no request in flight, want the reaper alone", n)
+	}
+	h.Close()
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("%d timers pending after Close, want 0", n)
+	}
+	clk.Advance(10 * h.cfg.CursorTTL)
+	if n := clk.Pending(); n != 0 || h.cursorExpired.Value() != 0 {
+		t.Fatalf("after Close and 10 TTLs: %d timers pending, %d cursors expired; want 0 and 0", n, h.cursorExpired.Value())
 	}
 }
 
@@ -356,7 +395,9 @@ func TestServiceCursorTrace(t *testing.T) {
 // Every request must resolve to a page or a clean 404 — never a 5xx, a
 // panic, or a double-counted cursor.
 func TestServiceCursorExpiryUnderLoad(t *testing.T) {
-	ts, h := startCursorService(t, Config{CursorTTL: time.Hour})
+	// Only the reaper runs on the clock: no deadline is cut by its jumps.
+	clk := kittest.NewClock()
+	ts, h := startCursorService(t, Config{CursorTTL: time.Hour, QueryTimeout: -1, AccessTimeout: -1, Breaker: topk.BreakerConfig{Clock: clk}})
 
 	const clients = 8
 	ids := make([]string, clients)
@@ -396,7 +437,7 @@ func TestServiceCursorExpiryUnderLoad(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for s := 0; s < 20; s++ {
-			h.expireIdle(time.Now().Add(2 * time.Hour))
+			clk.Advance(2 * time.Hour)
 		}
 	}()
 	wg.Wait()
@@ -428,10 +469,13 @@ func TestServiceCursorOpenExpireCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kittest.NoLeaks(t)
+	clk := kittest.NewClock()
 	h, err := NewHandler(Config{
 		Dataset:  ds,
 		Columns:  []string{"p1", "p2"},
 		Scenario: access.Uniform(2, 1, 2),
+		Breaker:  topk.BreakerConfig{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +489,6 @@ func TestServiceCursorOpenExpireCycles(t *testing.T) {
 		Cursor: true,
 	}}
 	var buf bytes.Buffer
-	goroutinesBefore := runtime.NumGoroutine()
 	const cycles = 10_000
 	for i := 0; i < cycles; i++ {
 		buf.Reset()
@@ -455,21 +498,16 @@ func TestServiceCursorOpenExpireCycles(t *testing.T) {
 		// Expire in batches so the registry sometimes holds several
 		// cursors, exercising the sweep's selection too.
 		if i%8 == 7 {
-			h.expireIdle(time.Now().Add(h.cfg.CursorTTL + time.Second))
+			clk.Advance(h.cfg.CursorTTL)
 		}
 	}
-	h.expireIdle(time.Now().Add(h.cfg.CursorTTL + time.Second))
+	clk.Advance(h.cfg.CursorTTL)
 
 	if h.OpenCursors() != 0 || h.cursorOpenG.Value() != 0 {
 		t.Errorf("after churn: registry %d gauge %d, want 0", h.OpenCursors(), h.cursorOpenG.Value())
 	}
 	if opened, expired := h.cursorOpened.Value(), h.cursorExpired.Value(); opened != int64(cycles) || expired != opened {
 		t.Errorf("accounting after churn: opened %d expired %d", opened, expired)
-	}
-	// The reaper is one goroutine, started once — churn must not have
-	// spawned more (generous slack for runtime/test goroutines).
-	if after := runtime.NumGoroutine(); after > goroutinesBefore+3 {
-		t.Errorf("goroutines grew %d -> %d across churn", goroutinesBefore, after)
 	}
 	if status, err := h.openCursor(&buf, st, false); err != nil || status != 200 {
 		t.Errorf("handler unhealthy after churn: %d %v", status, err)

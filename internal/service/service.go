@@ -225,8 +225,10 @@ type Handler struct {
 
 	// breakers carries circuit-breaker state across queries: one breaker
 	// per (dataset predicate, access kind), consulted by every query's
-	// session through its resilience attachment.
+	// session through its resilience attachment. Its clock
+	// (Config.Breaker.Clock) also times bounds and the cursor reaper.
 	breakers *topk.BreakerSet
+	bounds   sync.Pool
 	// inflight counts queries currently executing, for load shedding.
 	inflight atomic.Int64
 
@@ -277,15 +279,14 @@ type Handler struct {
 
 	// Cursor registry: open server-side cursors by id, their pooled state
 	// alive between requests. curPrefix makes ids unguessable across
-	// handler restarts; the reaper (started lazily with the first cursor)
+	// handler restarts; the reaper (a timer armed with the first cursor)
 	// expires idle entries.
-	curMu      sync.Mutex
-	cursors    map[string]*liveCursor
-	curSeq     atomic.Uint64
-	curPrefix  string
-	reaperOn   bool
-	reaperStop chan struct{}
-	closeOnce  sync.Once
+	curMu     sync.Mutex
+	cursors   map[string]*liveCursor
+	curSeq    atomic.Uint64
+	curPrefix string
+	reaper    kit.Timer
+	closeOnce sync.Once
 
 	cursorOpened  *obs.Counter
 	cursorPages   *obs.Counter
@@ -370,6 +371,11 @@ func NewHandler(cfg Config) (*Handler, error) {
 		cursorOpenG:   reg.Gauge("topk_cursor_open", "Server-side cursors currently open."),
 	}
 	h.observed = topk.WithObserver(h.metrics)
+	h.bounds.New = func() any {
+		b := &bound{dl: access.NewDeadline(h.breakers.Clock())}
+		b.opt = topk.WithContext(b.dl)
+		return b
+	}
 	const stmtHelp = "POST /query bodies by prepared-statement cache outcome."
 	reg.CounterFunc("topk_statement_cache_total", stmtHelp, h.stmtHits.Load, obs.L("result", "hit"))
 	reg.CounterFunc("topk_statement_cache_total", stmtHelp, h.stmtMisses.Load, obs.L("result", "miss"))
@@ -614,10 +620,10 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // routing queries here.
 func (h *Handler) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if b := h.cfg.HealthBackend; b != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), h.cfg.HealthTimeout)
-		defer cancel()
+		bd := h.startBound(r.Context(), h.cfg.HealthTimeout)
+		defer h.stopBound(bd)
 		//topklint:allow billedaccess readiness probe: one unbilled access decides routability, no query pays for it
-		if _, _, err := b.Sorted(ctx, 0, 0); err != nil {
+		if _, _, err := b.Sorted(bd.dl, 0, 0); err != nil {
 			writeJSON(w, http.StatusServiceUnavailable, errPayload{Error: "backend unavailable: " + err.Error()})
 			return
 		}
@@ -923,30 +929,19 @@ type bound struct { //topklint:allow resetcomplete nothing to restore: Deadline.
 	opt topk.RunOption
 }
 
-var bounds = sync.Pool{New: func() any {
-	b := &bound{dl: access.NewDeadline()}
-	b.opt = topk.WithContext(b.dl)
-	return b
-}}
-
-// startBound draws a bound and arms it over parent for one query or cursor
-// page of at most timeout.
-func startBound(parent context.Context, timeout time.Duration) *bound {
-	b := bounds.Get().(*bound)
-	if !b.dl.Start(parent, timeout) {
-		// Unreachable for a bound that Stop let back into the pool; a fresh
-		// one always starts.
-		b = bounds.New().(*bound)
-		b.dl.Start(parent, timeout)
-	}
+// startBound draws a bound from the handler's pool, on its clock, and arms
+// it over parent for one query, cursor page or health probe of at most
+// timeout.
+func (h *Handler) startBound(parent context.Context, timeout time.Duration) *bound {
+	b := h.bounds.Get().(*bound)
+	b.dl.Start(parent, timeout) // cannot fail: Stop pooled only reusable ones
 	return b
 }
 
-// stop ends the bound's unit and pools it again unless its deadline is
-// spent.
-func (b *bound) stop() {
+// stopBound ends b's unit and pools it again unless its deadline is spent.
+func (h *Handler) stopBound(b *bound) {
 	if b.dl.Stop() {
-		bounds.Put(b)
+		h.bounds.Put(b)
 	}
 }
 
@@ -965,8 +960,8 @@ func (h *Handler) execute(ctx context.Context, resp *response, st *statement, tr
 		return http.StatusBadRequest, err
 	}
 	if t := h.cfg.QueryTimeout; t > 0 {
-		b := startBound(ctx, t)
-		defer b.stop()
+		b := h.startBound(ctx, t)
+		defer h.stopBound(b)
 		opts = append(opts, b.opt)
 	} else {
 		opts = append(opts, topk.WithContext(ctx))

@@ -21,6 +21,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/data"
 	"repro/internal/fault"
+	"repro/internal/kit/kittest"
 )
 
 // startFaultService builds a two-predicate restaurant service whose
@@ -163,13 +164,19 @@ func TestServiceChaosDegradedAndObservable(t *testing.T) {
 }
 
 // gatedBackend blocks every access until the gate closes (or the access
-// context dies), holding a query deliberately inflight.
+// context dies), holding a query deliberately inflight. Each sorted access
+// that reaches it first tells entered, when there is room.
 type gatedBackend struct {
 	topk.Backend
-	gate <-chan struct{}
+	gate    <-chan struct{}
+	entered chan<- struct{}
 }
 
 func (b gatedBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
 	select {
 	case <-b.gate:
 	case <-ctx.Done():
@@ -191,11 +198,11 @@ func (b gatedBackend) Random(ctx context.Context, pred, obj int) (float64, error
 // service sheds with 503 + Retry-After instead of queueing, and counts
 // the shed in topk_requests_shed_total.
 func TestServiceLoadShedding(t *testing.T) {
-	gate := make(chan struct{})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
 	ts, h := startFaultService(t, func(cfg *Config) {
 		cfg.MaxInflight = 1
 		cfg.WrapBackend = func(b topk.Backend) topk.Backend {
-			return gatedBackend{Backend: b, gate: gate}
+			return gatedBackend{Backend: b, gate: gate, entered: entered}
 		}
 	})
 
@@ -206,14 +213,8 @@ func TestServiceLoadShedding(t *testing.T) {
 		})
 		first <- resp.StatusCode
 	}()
-	// Wait until the first query holds the inflight slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for h.inflight.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never became inflight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The first query holds the inflight slot once it reaches the backend.
+	<-entered
 
 	resp, payload := postRaw(t, ts, "/query", QueryRequest{
 		SQL: "select name from db order by min(rating, closeness) stop after 2",
@@ -237,20 +238,21 @@ func TestServiceLoadShedding(t *testing.T) {
 	}
 }
 
-// slowBackend delays every access, forcing the query deadline to fire
-// mid-run.
+// slowBackend takes delay of the handler's clock over every access,
+// forcing the query deadline to fire mid-run.
 type slowBackend struct {
 	topk.Backend
+	clk   *kittest.Clock
 	delay time.Duration
 }
 
 func (b slowBackend) Sorted(ctx context.Context, pred, rank int) (int, float64, error) {
-	time.Sleep(b.delay)
+	b.clk.Advance(b.delay)
 	return b.Backend.Sorted(ctx, pred, rank)
 }
 
 func (b slowBackend) Random(ctx context.Context, pred, obj int) (float64, error) {
-	time.Sleep(b.delay)
+	b.clk.Advance(b.delay)
 	return b.Backend.Random(ctx, pred, obj)
 }
 
@@ -258,17 +260,21 @@ func (b slowBackend) Random(ctx context.Context, pred, obj int) (float64, error)
 // mid-run, the service still answers 200 with the work already paid for,
 // flagged "query_deadline" — it does not hang or return a 5xx.
 func TestServiceQueryDeadlineDegrades(t *testing.T) {
+	clk := kittest.NewClock()
 	ts, _ := startFaultService(t, func(cfg *Config) {
 		cfg.QueryTimeout = 60 * time.Millisecond
+		cfg.Breaker.Clock = clk
 		cfg.WrapBackend = func(b topk.Backend) topk.Backend {
-			return slowBackend{Backend: b, delay: 10 * time.Millisecond}
+			return slowBackend{Backend: b, clk: clk, delay: 10 * time.Millisecond}
 		}
 	})
-	start := time.Now()
+	start := clk.Now()
 	resp, payload := postRaw(t, ts, "/query", QueryRequest{
 		SQL: "select name from db order by min(rating, closeness) stop after 5",
 	})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
+	// The query is cut within one sampling period (timeout/8) and one
+	// access of its deadline.
+	if elapsed := clk.Now().Sub(start); elapsed > 60*time.Millisecond+60*time.Millisecond/8+10*time.Millisecond {
 		t.Fatalf("deadline did not bound the query: %v", elapsed)
 	}
 	if resp.StatusCode != http.StatusOK {
