@@ -252,7 +252,7 @@ func TestChaosShardWire(t *testing.T) {
 			}
 			return map[int64]func(){5: cut, 14: cut, 23: cut}
 		}},
-		{"every-fifth-frame-refused", []websim.ServerOption{websim.WithFailEvery(5), websim.WithRetryAfter(2 * time.Millisecond)},
+		{"every-other-frame-refused", []websim.ServerOption{websim.WithFaults(fault.PredFault{FlapPeriod: 1}, 0), websim.WithRetryAfter(2 * time.Millisecond)},
 			func([]*clustertest.Node) map[int64]func() { return nil }},
 	}
 	for _, tc := range absorbed {
@@ -306,7 +306,7 @@ func TestChaosShardWire(t *testing.T) {
 					if shard != 1 {
 						return nil
 					}
-					return []websim.ServerOption{websim.WithOutageWindow(window.from, window.to), websim.WithRetryAfter(time.Millisecond)}
+					return []websim.ServerOption{websim.WithFaults(fault.PredFault{OutageFrom: window.from, OutageTo: window.to}, 0), websim.WithRetryAfter(time.Millisecond)}
 				},
 				websim.WithRetries(1, time.Millisecond), websim.WithObserver(tr))
 			before := coord.Stats().Epoch

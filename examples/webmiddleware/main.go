@@ -19,6 +19,7 @@ import (
 
 	topk "repro"
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/websim"
 )
 
@@ -93,7 +94,7 @@ func main() {
 }
 
 func startSource(ds *data.Dataset, pred int, latency time.Duration) *httptest.Server {
-	srv, err := websim.NewServer(ds, websim.WithPredicates(pred), websim.WithLatency(latency))
+	srv, err := websim.NewServer(ds, websim.WithPredicates(pred), websim.WithFaults(fault.PredFault{SlowRate: 1, SlowDelay: latency}, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/sqlq"
 	"repro/internal/websim"
 )
@@ -34,7 +35,7 @@ func TestFullStackOverHTTP(t *testing.T) {
 	}
 	ds := bench.Dataset
 	start := func(pred int, latency time.Duration) string {
-		srv, err := websim.NewServer(ds, websim.WithPredicates(pred), websim.WithLatency(latency))
+		srv, err := websim.NewServer(ds, websim.WithPredicates(pred), websim.WithFaults(fault.PredFault{SlowRate: 1, SlowDelay: latency}, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/cluster/clustertest"
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/websim"
 )
 
@@ -109,7 +110,7 @@ func TestRemoteProbeAllocGate(t *testing.T) {
 func TestRemoteCancelMidRoundTrip(t *testing.T) {
 	ds := uniformDataset(t, 40, 2, 5)
 	const latency = 200 * time.Millisecond
-	nodes, remotes := remoteNodes(t, ds, 1, []websim.ServerOption{websim.WithLatency(latency)})
+	nodes, remotes := remoteNodes(t, ds, 1, []websim.ServerOption{websim.WithFaults(fault.PredFault{SlowRate: 1, SlowDelay: latency}, 0)})
 	node, sh := nodes[0], remotes[0]
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -4,11 +4,12 @@
 // flapping availability — from a fixed seed, so every chaos run is exactly
 // replayable: same seed, same accesses, same faults.
 //
-// Faults are configured per (predicate, access kind). Decisions are drawn
-// from a seeded *rand.Rand plus per-capability access counters, both
-// guarded by a mutex; the injected delay/hang itself happens outside the
-// lock so concurrent accesses to healthy predicates never stall behind a
-// slow one.
+// Faults are configured per predicate. A Schedule draws each access's
+// Verdict from a seeded *rand.Rand plus per-predicate access counters,
+// both guarded by a mutex; the injected delay/hang itself happens outside
+// the lock so concurrent accesses to healthy predicates never stall behind
+// a slow one. The same Schedule gates websim's server, so one profile and
+// one seed give one fault sequence in-process and over HTTP or the wire.
 package fault
 
 import (
@@ -67,22 +68,19 @@ type Config struct {
 	Preds map[int]PredFault
 }
 
-// Backend wraps an access.Backend, injecting configured faults before
-// delegating. It serves one sorted entry per page: a fault schedule counts
-// accesses, so each entry passes the gate on its own, in the order it is
-// consumed. It is safe for concurrent use.
-type Backend struct {
-	inner access.Backend
-	pages access.Pager // inner's paged read
-
+// Schedule is the decision half of the injector: one seeded verdict
+// stream over per-predicate profiles. Backend applies it in-process; a
+// websim server applies it once per request or wire frame. It is safe
+// for concurrent use.
+type Schedule struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	preds map[int]PredFault
-	count map[int]int // accesses issued per predicate, both kinds
+	count map[int]int // accesses decided per predicate, both kinds
 }
 
-// Wrap builds the fault-injecting wrapper around a backend.
-func Wrap(inner access.Backend, cfg Config) *Backend {
+// NewSchedule seeds the verdict stream of cfg.
+func NewSchedule(cfg Config) *Schedule {
 	preds := make(map[int]PredFault, len(cfg.Preds))
 	for p, f := range cfg.Preds {
 		if f.SlowRate > 0 && f.SlowDelay <= 0 {
@@ -90,23 +88,12 @@ func Wrap(inner access.Backend, cfg Config) *Backend {
 		}
 		preds[p] = f
 	}
-	return &Backend{
-		inner: inner,
-		pages: access.Pages(inner),
+	return &Schedule{
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		preds: preds,
 		count: make(map[int]int),
 	}
 }
-
-// Unwrap returns the wrapped backend (the access.As convention).
-func (b *Backend) Unwrap() access.Backend { return b.inner }
-
-// N returns the object count of the wrapped backend.
-func (b *Backend) N() int { return b.inner.N() }
-
-// M returns the predicate count of the wrapped backend.
-func (b *Backend) M() int { return b.inner.M() }
 
 // action is the outcome of one fault decision.
 type action int
@@ -118,65 +105,107 @@ const (
 	actHang
 )
 
-// decide draws the fault decision for one access to pred. The lock covers
-// only the rng and counters; sleeping and hanging happen in the caller.
-func (b *Backend) decide(pred int) (action, time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, ok := b.preds[pred]
+// Verdict is what one access suffers before it may proceed.
+type Verdict struct {
+	act   action
+	delay time.Duration
+}
+
+// Decide draws the verdict for the next access to pred. The lock covers
+// only the rng and counters; Inject sleeps and hangs outside it.
+func (s *Schedule) Decide(pred int) Verdict {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.preds[pred]
 	if !ok {
-		return actPass, 0
+		return Verdict{}
 	}
-	n := b.count[pred]
-	b.count[pred] = n + 1
+	n := s.count[pred]
+	s.count[pred] = n + 1
 	if f.OutageTo < 0 && n >= f.OutageFrom {
-		return actError, 0
+		return Verdict{act: actError}
 	}
 	if f.OutageFrom < f.OutageTo && n >= f.OutageFrom && n < f.OutageTo {
-		return actError, 0
+		return Verdict{act: actError}
 	}
 	if f.FlapPeriod > 0 && (n/f.FlapPeriod)%2 == 1 {
-		return actError, 0
+		return Verdict{act: actError}
 	}
 	// Draw the random gates in a fixed order so the consumed rng stream is
 	// identical regardless of which gate fires.
-	hang := b.rng.Float64() < f.HangRate
-	fail := b.rng.Float64() < f.ErrorRate
-	slow := b.rng.Float64() < f.SlowRate
+	hang := s.rng.Float64() < f.HangRate
+	fail := s.rng.Float64() < f.ErrorRate
+	slow := s.rng.Float64() < f.SlowRate
 	switch {
 	case hang:
-		return actHang, 0
+		return Verdict{act: actHang}
 	case fail:
-		return actError, 0
+		return Verdict{act: actError}
 	case slow:
-		return actSlow, f.SlowDelay
+		return Verdict{act: actSlow, delay: f.SlowDelay}
 	default:
-		return actPass, 0
+		return Verdict{}
 	}
 }
 
-// inject applies the decided fault. It returns a non-nil error when the
-// access must fail without reaching the inner backend.
-func (b *Backend) inject(ctx context.Context, kind access.Kind, pred int) error {
-	act, delay := b.decide(pred)
-	switch act {
+// Hangs reports whether the verdict holds its access until ctx ends.
+func (v Verdict) Hangs() bool { return v.act == actHang }
+
+// Inject carries the verdict out on one access. It returns a non-nil
+// error, wrapping ErrInjected, when the access must fail: at once for an
+// injected error, when ctx ends for a hang or mid-delay for a slow access.
+func (v Verdict) Inject(ctx context.Context) error {
+	switch v.act {
 	case actError:
-		return fmt.Errorf("%w: %s access on p%d", ErrInjected, kind, pred+1)
+		return ErrInjected
 	case actSlow:
-		t := time.NewTimer(delay)
+		t := time.NewTimer(v.delay)
 		defer t.Stop()
 		select {
 		case <-t.C:
 			return nil
 		case <-ctx.Done():
-			return fmt.Errorf("%w: %s access on p%d cut off mid-spike: %w", ErrInjected, kind, pred+1, ctx.Err())
+			return fmt.Errorf("%w: cut off mid-spike: %w", ErrInjected, ctx.Err())
 		}
 	case actHang:
 		<-ctx.Done()
-		return fmt.Errorf("%w: %s access on p%d hung: %w", ErrInjected, kind, pred+1, ctx.Err())
+		return fmt.Errorf("%w: hung: %w", ErrInjected, ctx.Err())
 	default:
 		return nil
 	}
+}
+
+// Backend wraps an access.Backend, injecting configured faults before
+// delegating. It serves one sorted entry per page: a fault schedule counts
+// accesses, so each entry passes the gate on its own, in the order it is
+// consumed. It is safe for concurrent use.
+type Backend struct {
+	inner access.Backend
+	pages access.Pager // inner's paged read
+	sched *Schedule
+}
+
+// Wrap builds the fault-injecting wrapper around a backend.
+func Wrap(inner access.Backend, cfg Config) *Backend {
+	return &Backend{inner: inner, pages: access.Pages(inner), sched: NewSchedule(cfg)}
+}
+
+// Unwrap returns the wrapped backend (the access.As convention).
+func (b *Backend) Unwrap() access.Backend { return b.inner }
+
+// N returns the object count of the wrapped backend.
+func (b *Backend) N() int { return b.inner.N() }
+
+// M returns the predicate count of the wrapped backend.
+func (b *Backend) M() int { return b.inner.M() }
+
+// inject decides and applies one access's fault. It returns a non-nil
+// error when the access must fail without reaching the inner backend.
+func (b *Backend) inject(ctx context.Context, kind access.Kind, pred int) error {
+	if err := b.sched.Decide(pred).Inject(ctx); err != nil {
+		return fmt.Errorf("%s access on p%d: %w", kind, pred+1, err)
+	}
+	return nil
 }
 
 // Page injects one access's faults, then serves the one entry at rank from

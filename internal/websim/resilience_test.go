@@ -2,14 +2,18 @@ package websim
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/access"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -51,36 +55,6 @@ func TestAttemptTimeoutConvertsHang(t *testing.T) {
 	}
 }
 
-// TestJitterDeterministic checks seeded jitter replays identically and
-// stays within [backoff/2, backoff].
-func TestJitterDeterministic(t *testing.T) {
-	draw := func(seed int64) []time.Duration {
-		c := &retrier{backoff: 16 * time.Millisecond}
-		WithJitterSeed(seed)(c)
-		var out []time.Duration
-		b := c.backoff
-		for i := 0; i < 8; i++ {
-			out = append(out, c.retrySleep(b, 0))
-			b *= 2
-		}
-		return out
-	}
-	a, b := draw(7), draw(7)
-	base := 16 * time.Millisecond
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d differs across identically-seeded clients: %v vs %v", i, a[i], b[i])
-		}
-		if a[i] < base/2 || a[i] > base {
-			t.Fatalf("draw %d = %v outside [%v, %v]", i, a[i], base/2, base)
-		}
-		base *= 2
-	}
-	if c := draw(8); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
-		t.Fatal("different seeds produced identical jitter prefixes")
-	}
-}
-
 // TestRetrySleepHonorsRetryAfter checks the server's hint floors the
 // backoff sleep.
 func TestRetrySleepHonorsRetryAfter(t *testing.T) {
@@ -116,14 +90,14 @@ func TestParseRetryAfter(t *testing.T) {
 // emitting Retry-After and checks the observed backoff respects it.
 func TestClientWaitsForRetryAfter(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
-	ts := startSource(t, ds, WithFailEvery(2), WithRetryAfter(time.Second))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{FlapPeriod: 1}, 0), WithRetryAfter(time.Second))
 	tr := obs.NewQueryTrace()
 	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}},
 		WithRetries(2, time.Millisecond), WithObserver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Issue accesses until one hits the fail-every-2 rhythm and retries.
+	// Issue accesses until one hits the flapping rhythm and retries.
 	deadline := time.Now().Add(10 * time.Second)
 	for tr.Snapshot().SourceRetries == 0 && time.Now().Before(deadline) {
 		if _, _, err := c.Sorted(context.Background(), 0, 0); err != nil {
@@ -144,7 +118,7 @@ func TestClientWaitsForRetryAfter(t *testing.T) {
 // with 503 and carry Retry-After, while the rest succeed.
 func TestServerOutageWindow(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
-	ts := startSource(t, ds, WithOutageWindow(1, 3), WithRetryAfter(2*time.Second))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{OutageFrom: 1, OutageTo: 3}, 0), WithRetryAfter(2*time.Second))
 	for n := 0; n < 5; n++ {
 		resp, err := ts.Client().Get(ts.URL + "/meta")
 		if err != nil {
@@ -170,7 +144,7 @@ func TestServerOutageWindow(t *testing.T) {
 func TestServerFailRateDeterministic(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
 	run := func() []int {
-		ts := startSource(t, ds, WithFailRate(0.5, 11))
+		ts := startSource(t, ds, WithFaults(fault.PredFault{ErrorRate: 0.5}, 11))
 		var codes []int
 		for n := 0; n < 20; n++ {
 			resp, err := ts.Client().Get(ts.URL + "/meta")
@@ -194,5 +168,110 @@ func TestServerFailRateDeterministic(t *testing.T) {
 	}
 	if fails == 0 || fails == len(a) {
 		t.Fatalf("fail rate 0.5 produced %d/%d failures", fails, len(a))
+	}
+}
+
+// attemptFunc is one attempt of a request the test runs through the
+// clients' retry loop itself.
+type attemptFunc func(ctx context.Context) (err error, retryable bool, retryAfter time.Duration)
+
+func (f attemptFunc) attempt(ctx context.Context) (error, bool, time.Duration) { return f(ctx) }
+
+// TestFaultScheduleAcrossPlacements: one fault profile and one seed give
+// the same pass/fail sequence, with the same retries, in each of its three
+// placements — fault.Wrap in-process, the JSON server and a wire frame
+// stream — behind one retry policy. A hang is cut by the attempt timeout
+// and retried in all three.
+func TestFaultScheduleAcrossPlacements(t *testing.T) {
+	ds := datatest.MustGenerate(data.Uniform, 40, 1, 9)
+	profile := fault.PredFault{ErrorRate: 0.3, SlowRate: 0.2, SlowDelay: time.Millisecond, HangRate: 0.05,
+		FlapPeriod: 8, OutageFrom: 30, OutageTo: 34}
+	const seed = 5
+	policy := func(tr *obs.QueryTrace) []ClientOption {
+		return []ClientOption{WithRetries(2, time.Millisecond), WithAttemptTimeout(250 * time.Millisecond), WithObserver(tr)}
+	}
+	ctx := context.Background()
+
+	type outcome struct {
+		ok      bool
+		retries int
+	}
+	// record runs a placement's first gated access — the JSON client's dial
+	// reads /meta through the gate; the others probe object 0 — and then a
+	// probe of every object, noting each one's verdict and retries.
+	record := func(tr *obs.QueryTrace, first func() error, probe func(obj int) (float64, error)) []outcome {
+		var out []outcome
+		var seen int
+		note := func(err error) {
+			retries := tr.Snapshot().SourceRetries
+			out = append(out, outcome{err == nil, retries - seen})
+			seen = retries
+		}
+		note(first())
+		for obj := 0; obj < ds.N(); obj++ {
+			got, err := probe(obj)
+			if err == nil && got != ds.Score(obj, 0) {
+				t.Fatalf("object %d: score %v, want %v", obj, got, ds.Score(obj, 0))
+			}
+			note(err)
+		}
+		return out
+	}
+
+	// In-process: the clients' retry loop over fault.Wrap, an injected
+	// failure transient and each attempt bounded as theirs are.
+	trIn := obs.NewQueryTrace()
+	var loop retrier
+	loop.configure(policy(trIn))
+	fb := fault.Wrap(access.DatasetBackend{DS: ds}, fault.Config{Seed: seed, Preds: map[int]fault.PredFault{0: profile}})
+	var hangs int
+	inProcess := func(obj int) (score float64, err error) {
+		err = loop.do(ctx, attemptFunc(func(ctx context.Context) (error, bool, time.Duration) {
+			actx, cancel := context.WithTimeout(ctx, loop.attemptTimeout)
+			defer cancel()
+			var err error
+			score, err = fb.Random(actx, 0, obj)
+			if errors.Is(err, context.DeadlineExceeded) {
+				hangs++
+			}
+			return err, errors.Is(err, fault.ErrInjected), 0
+		}))
+		return score, err
+	}
+	want := record(trIn, func() error { _, err := inProcess(0); return err }, inProcess)
+
+	trJSON := obs.NewQueryTrace()
+	ts := startSource(t, ds, WithFaults(profile, seed))
+	var c *Client
+	gotJSON := record(trJSON, func() (err error) {
+		c, err = NewClient(ctx, ts.Client(), []Route{{ts.URL, 0}}, policy(trJSON)...)
+		return err
+	}, func(obj int) (float64, error) { return c.Random(ctx, 0, obj) })
+
+	trWire := obs.NewQueryTrace()
+	w := dialWire(t, startSource(t, ds, WithFaults(profile, seed)), 1, policy(trWire)...)
+	wireProbe := func(obj int) (float64, error) { return w.Random(ctx, 0, obj) }
+	gotWire := record(trWire, func() error { _, err := wireProbe(0); return err }, wireProbe)
+
+	t.Logf("in-process: %v (%d hangs)", want, hangs)
+	if !reflect.DeepEqual(gotJSON, want) {
+		t.Errorf("JSON server:\n got  %v\n want %v", gotJSON, want)
+	}
+	if !reflect.DeepEqual(gotWire, want) {
+		t.Errorf("wire frames:\n got  %v\n want %v", gotWire, want)
+	}
+	var passed, retriedPass, failed int
+	for _, o := range want {
+		switch {
+		case !o.ok:
+			failed++
+		case o.retries > 0:
+			retriedPass++
+		default:
+			passed++
+		}
+	}
+	if passed == 0 || retriedPass == 0 || failed == 0 || hangs == 0 {
+		t.Errorf("the profile drew %d passes, %d passes after retries, %d failures and %d hangs: want each", passed, retriedPass, failed, hangs)
 	}
 }

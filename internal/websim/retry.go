@@ -3,8 +3,6 @@ package websim
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -18,9 +16,6 @@ type retrier struct {
 	backoff        time.Duration
 	attemptTimeout time.Duration
 	obs            obs.Observer // nil unless WithObserver
-
-	jmu    sync.Mutex
-	jitter *rand.Rand // nil unless WithJitterSeed
 }
 
 // ClientOption configures a client's retry policy.
@@ -38,14 +33,6 @@ func WithRetries(n int, backoff time.Duration) ClientOption {
 // disables the bound.
 func WithAttemptTimeout(d time.Duration) ClientOption {
 	return func(r *retrier) { r.attemptTimeout = d }
-}
-
-// WithJitterSeed randomizes each retry's backoff sleep uniformly within
-// [backoff/2, backoff] from a private seeded generator, de-synchronizing
-// the retry storms of concurrent clients hammering a recovering source.
-// Equal seeds reproduce equal jitter sequences.
-func WithJitterSeed(seed int64) ClientOption {
-	return func(r *retrier) { r.jitter = rand.New(rand.NewSource(seed)) }
 }
 
 // WithObserver streams the client's retry storms and terminal request
@@ -106,19 +93,10 @@ func (r *retrier) do(ctx context.Context, a attempter) error {
 	}
 }
 
-// retrySleep computes the pause before the next attempt: the (optionally
-// jittered) exponential backoff, but never less than the server's
-// Retry-After hint — an overloaded source knows best when it will
-// recover, and hammering it earlier only prolongs the outage.
+// retrySleep computes the pause before the next attempt: the exponential
+// backoff, but never less than the server's Retry-After hint — an
+// overloaded source knows best when it will recover, and hammering it
+// earlier only prolongs the outage.
 func (r *retrier) retrySleep(backoff, retryAfter time.Duration) time.Duration {
-	d := backoff
-	if r.jitter != nil && backoff > 1 {
-		r.jmu.Lock()
-		d = backoff/2 + time.Duration(r.jitter.Int63n(int64(backoff-backoff/2)+1))
-		r.jmu.Unlock()
-	}
-	if retryAfter > d {
-		d = retryAfter
-	}
-	return d
+	return max(backoff, retryAfter)
 }

@@ -11,14 +11,15 @@ import (
 	"repro/internal/algo"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/score"
 )
 
 func TestClientRetriesTransientFailures(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 9)
-	// Every 3rd request fails with 503; retries must absorb it.
-	ts := startSource(t, ds, WithFailEvery(3))
+	// Requests fail with 503 in runs of two; retries must absorb them.
+	ts := startSource(t, ds, WithFaults(fault.PredFault{FlapPeriod: 2}, 0))
 	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}, {ts.URL, 1}},
 		WithRetries(3, time.Millisecond))
 	if err != nil {
@@ -33,7 +34,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 func TestClientGivesUpWithoutRetries(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
-	ts := startSource(t, ds, WithFailEvery(1)) // always failing
+	ts := startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0)) // always failing
 	// NewClient itself retries the /meta probe; with zero retries it must
 	// surface the failure.
 	if _, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}}, WithRetries(0, time.Millisecond)); err == nil {
@@ -66,7 +67,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 func TestClientObserverSeesRetries(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 9)
 	tr := obs.NewQueryTrace()
-	ts := startSource(t, ds, WithFailEvery(3))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{FlapPeriod: 2}, 0))
 	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}, {ts.URL, 1}},
 		WithRetries(3, time.Millisecond), WithObserver(tr))
 	if err != nil {
@@ -79,7 +80,7 @@ func TestClientObserverSeesRetries(t *testing.T) {
 	}
 	s := tr.Snapshot()
 	if s.SourceRetries == 0 {
-		t.Error("a fail-every-3 source must have triggered retries")
+		t.Error("a flapping source must have triggered retries")
 	}
 	if s.BackoffSeconds <= 0 {
 		t.Error("retries must accumulate backoff time")
@@ -89,7 +90,7 @@ func TestClientObserverSeesRetries(t *testing.T) {
 	}
 
 	// Exhausted retries surface as a terminal failure.
-	always := startSource(t, ds, WithFailEvery(1))
+	always := startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0))
 	tr2 := obs.NewQueryTrace()
 	if _, err := NewClient(context.Background(), always.Client(), []Route{{always.URL, 0}},
 		WithRetries(1, time.Millisecond), WithObserver(tr2)); err == nil {
@@ -100,16 +101,16 @@ func TestClientObserverSeesRetries(t *testing.T) {
 	}
 }
 
-// TestQueryOverFlakySources runs a whole query against sources that drop
-// every 5th request: the middleware must still produce the oracle answer,
-// paying only latency for the retries.
+// TestQueryOverFlakySources runs a whole query against a source that
+// drops requests in runs of two: the middleware must still produce the
+// oracle answer, paying only latency for the retries.
 func TestQueryOverFlakySources(t *testing.T) {
 	q, _, err := data.Restaurants(60, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := q.Dataset
-	ts := startSource(t, ds, WithFailEvery(5))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{FlapPeriod: 2}, 0))
 	client, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}, {ts.URL, 1}},
 		WithRetries(4, time.Millisecond))
 	if err != nil {

@@ -2,8 +2,10 @@
 // sorted and random access endpoints for the predicates they score (as
 // superpages.com, dineme.com, and hotels.com do in the paper's travel
 // scenario), and a client-side Backend lets the middleware run any
-// algorithm in this repository against them unchanged. Network and server
-// time can be simulated with a configurable per-request latency.
+// algorithm in this repository against them unchanged. A source's
+// latency and failures are an internal/fault profile (WithFaults) that
+// every request passes once, so a chaos run injects the same seeded fault
+// sequence over HTTP as fault.Wrap does in-process.
 //
 // Protocol (JSON over GET):
 //
@@ -36,45 +38,32 @@
 //
 // after which the connection carries the binary frame protocol of
 // wire.go — the same three operations, resolved by the same server
-// functions as the JSON endpoints, with the latency and fault gate
-// applied per frame. DialWire is its client.
+// functions as the JSON endpoints, with the fault gate applied per frame.
+// DialWire is its client.
 package websim
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/access"
 	"repro/internal/data"
+	"repro/internal/fault"
 )
 
 // Server is an http.Handler serving one Web source: a dataset restricted
 // to the predicates the source can score.
 type Server struct {
 	ds         *data.Dataset
-	preds      []int // local predicate -> dataset predicate
-	global     []int // local object -> global id, ascending (nil = identity universe)
-	globalN    int   // universe size when global is set
-	latency    time.Duration
-	failery    int           // fail every n-th request with 503 (0 = never)
-	failRate   float64       // fail this fraction of requests with 503 (0 = never)
-	outFrom    int           // outage window in request ordinals, half-open
-	outTo      int           // [outFrom, outTo); outTo <= outFrom disables
-	retryAfter time.Duration // Retry-After hint attached to 503s (0 = none)
-	drift      float64       // score drift exponent (0 = honest)
-	unsorted   float64       // fraction of sorted responses served out of order
-	dupRate    float64       // fraction of sorted responses replaying the previous rank
-	mu         sync.Mutex
-	requests   uint64                                   // request counter for deterministic failure injection
-	rng        *rand.Rand                               // nil unless WithFailRate; guarded by mu
-	lieRng     *rand.Rand                               // nil unless WithUnsortedRate/WithDupRate; guarded by mu
+	preds      []int                                    // local predicate -> dataset predicate
+	global     []int                                    // local object -> global id, ascending (nil = identity universe)
+	globalN    int                                      // universe size when global is set
+	faults     *fault.Schedule                          // nil unless WithFaults
+	retryAfter time.Duration                            // Retry-After hint attached to 503s (0 = none)
 	logf       func(format string, args ...interface{}) // nil unless WithLogf
 	mux        *http.ServeMux
 }
@@ -82,40 +71,23 @@ type Server struct {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithLatency makes every request sleep for d before answering,
-// simulating network plus server time.
-func WithLatency(d time.Duration) ServerOption {
-	return func(s *Server) { s.latency = d }
-}
-
 // WithPredicates restricts the source to the given dataset predicates (in
 // the order the source exposes them). Default: all predicates.
 func WithPredicates(preds ...int) ServerOption {
 	return func(s *Server) { s.preds = append([]int(nil), preds...) }
 }
 
-// WithFailEvery makes every n-th request fail with 503 Service
-// Unavailable (deterministically), simulating the intermittent
-// availability of real Web sources. n <= 0 disables failures.
-func WithFailEvery(n int) ServerOption {
-	return func(s *Server) { s.failery = n }
-}
-
-// WithFailRate makes each request fail with 503 with the given
-// probability, drawn from a private generator seeded for replayability:
-// equal seeds and request sequences produce equal failure sequences.
-func WithFailRate(rate float64, seed int64) ServerOption {
+// WithFaults passes every JSON request and every wire frame through the
+// fault profile f, seeded with seed: one verdict per request, drawn as
+// fault.Wrap draws one per access, so equal seeds and request sequences
+// give equal verdicts. An injected failure is answered busy (a 503, or a
+// busy frame); a slow verdict delays the reply; a hang lasts until the
+// client gives up — its request's context ends, or it hangs up the wire
+// connection. The profile's windows count requests in arrival order.
+func WithFaults(f fault.PredFault, seed int64) ServerOption {
 	return func(s *Server) {
-		s.failRate = rate
-		s.rng = rand.New(rand.NewSource(seed))
+		s.faults = fault.NewSchedule(fault.Config{Seed: seed, Preds: map[int]fault.PredFault{0: f}})
 	}
-}
-
-// WithOutageWindow fails every request whose ordinal n (0-based arrival
-// order) satisfies from <= n < to with 503, simulating a hard outage that
-// starts and ends at deterministic points. to <= from disables the window.
-func WithOutageWindow(from, to int) ServerOption {
-	return func(s *Server) { s.outFrom, s.outTo = from, to }
 }
 
 // WithRetryAfter attaches a Retry-After header (in whole seconds, rounded
@@ -123,41 +95,6 @@ func WithOutageWindow(from, to int) ServerOption {
 // come back.
 func WithRetryAfter(d time.Duration) ServerOption {
 	return func(s *Server) { s.retryAfter = d }
-}
-
-// WithScoreDrift warps every served score through s -> s^gamma (gamma > 0,
-// 1 = honest). The transform is monotone and applied consistently across
-// the sorted, random, and batch endpoints, so the source still honors the
-// access contract — its score *distribution* just no longer matches any
-// sample taken before the drift. This is the "wrong statistics" chaos mode
-// the adaptive layer exists for: gamma > 1 collapses scores early (steep
-// descent), gamma < 1 flattens the head.
-func WithScoreDrift(gamma float64) ServerOption {
-	return func(s *Server) { s.drift = gamma }
-}
-
-// WithUnsortedRate makes the sorted endpoint lie: each response (beyond
-// rank 0) is, with the given probability, served with its score inflated
-// above the previous rank's — a descending-order violation the contract
-// guard must catch. The true object id is kept, so a later random access
-// to it also contradicts the lie ("inconsistent"). Draws come from a
-// private seeded generator for replayability.
-func WithUnsortedRate(rate float64, seed int64) ServerOption {
-	return func(s *Server) {
-		s.unsorted = rate
-		s.ensureLieRng(seed)
-	}
-}
-
-// WithDupRate makes the sorted endpoint replay: each response (beyond rank
-// 0) is, with the given probability, the previous rank's entry again — the
-// same object at two ranks, a duplicate-id violation. Seeded like
-// WithUnsortedRate; when both are set they share one generator.
-func WithDupRate(rate float64, seed int64) ServerOption {
-	return func(s *Server) {
-		s.dupRate = rate
-		s.ensureLieRng(seed)
-	}
 }
 
 // WithShardObjects declares the server one shard of a larger object
@@ -169,12 +106,6 @@ func WithDupRate(rate float64, seed int64) ServerOption {
 // it; the server searches it in place, so the caller must not change it.
 func WithShardObjects(global []int, globalN int) ServerOption {
 	return func(s *Server) { s.global, s.globalN = global, globalN }
-}
-
-func (s *Server) ensureLieRng(seed int64) {
-	if s.lieRng == nil {
-		s.lieRng = rand.New(rand.NewSource(seed))
-	}
 }
 
 // NewServer builds a source server over the dataset.
@@ -244,15 +175,15 @@ func (s *Server) localID(global int) int {
 	return data.LocalID(s.global, global)
 }
 
-// ServeHTTP implements http.Handler. Every JSON request passes the
-// latency and fault gate once; the upgrade route does not — on an upgraded
-// connection the gate applies to each frame instead.
+// ServeHTTP implements http.Handler. Every JSON request passes the fault
+// gate once; the upgrade route does not — on an upgraded connection the
+// gate applies to each frame instead.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == WirePath {
 		s.handleWire(w, r)
 		return
 	}
-	if s.gate() {
+	if s.faults != nil && s.faults.Decide(0).Inject(r.Context()) != nil {
 		if s.retryAfter > 0 {
 			secs := int64((s.retryAfter + time.Second - 1) / time.Second)
 			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
@@ -261,35 +192,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mux.ServeHTTP(w, r)
-}
-
-// gate is the price and the hazard of one operation, whichever protocol
-// carried it: the simulated latency, then the fault injector's verdict
-// (true = this operation fails as "temporarily overloaded").
-func (s *Server) gate() bool {
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
-	return s.failRequest()
-}
-
-// failRequest advances the request counter and decides whether this
-// request is a simulated failure under any configured fault mode.
-func (s *Server) failRequest() bool {
-	if s.failery <= 0 && s.failRate <= 0 && s.outTo <= s.outFrom {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ordinal := s.requests // 0-based arrival order
-	s.requests++
-	if s.failery > 0 && s.requests%uint64(s.failery) == 0 {
-		return true
-	}
-	if s.outFrom < s.outTo && int(ordinal) >= s.outFrom && int(ordinal) < s.outTo {
-		return true
-	}
-	return s.failRate > 0 && s.rng.Float64() < s.failRate
 }
 
 // status is how an operation ended. It is the frame protocol's status
@@ -345,9 +247,9 @@ func refuse(st status, format string, args ...interface{}) *opError {
 var errBusy = &opError{st: statusBusy, msg: "source temporarily overloaded"}
 
 // The operations. Each is the single implementation of one access —
-// validation, local/global id mapping, contract-violating chaos and score
-// drift included — that the JSON handlers and the frame loop both call,
-// addressed by the server's local predicate index.
+// validation and local/global id mapping included — that the JSON
+// handlers and the frame loop both call, addressed by the server's local
+// predicate index.
 
 // dsPred resolves a local predicate index to the dataset's.
 func (s *Server) dsPred(local int) (int, *opError) {
@@ -360,8 +262,7 @@ func (s *Server) dsPred(local int) (int, *opError) {
 // entryAt serves one rank of a validated predicate's sorted list.
 func (s *Server) entryAt(dsPred, rank int) access.Entry {
 	obj, sc := s.ds.SortedAt(dsPred, rank)
-	obj, sc = s.lieSorted(dsPred, rank, obj, sc)
-	return access.Entry{Obj: s.globalID(obj), Score: s.warp(sc)}
+	return access.Entry{Obj: s.globalID(obj), Score: sc}
 }
 
 // page validates one prefetch window — count consecutive ranks from rank
@@ -390,7 +291,7 @@ func (s *Server) random(pred, obj int) (float64, *opError) {
 	if local < 0 {
 		return 0, refuse(statusNotFound, "object %d unknown", obj)
 	}
-	return s.warp(s.ds.Score(local, dsPred)), nil
+	return s.ds.Score(local, dsPred), nil
 }
 
 // batchSize validates a batch's probe count; its probes are random
@@ -408,35 +309,6 @@ func batchSize(n int) *opError {
 // inBatch names the probe a batch was refused at.
 func (e *opError) inBatch(i int) *opError {
 	return &opError{st: e.st, msg: fmt.Sprintf("probe %d: %s", i, e.msg)}
-}
-
-// warp applies the configured score drift (identity when unset).
-func (s *Server) warp(sc float64) float64 {
-	if s.drift <= 0 || s.drift == 1 {
-		return sc
-	}
-	return math.Pow(sc, s.drift)
-}
-
-// lieSorted applies the configured contract-violating chaos modes to one
-// sorted response: an inflated out-of-order score (WithUnsortedRate) or a
-// replay of the previous rank's entry (WithDupRate). Rank 0 has no
-// previous entry and is always served honestly.
-func (s *Server) lieSorted(pred, rank, obj int, sc float64) (int, float64) {
-	if (s.unsorted <= 0 && s.dupRate <= 0) || rank == 0 {
-		return obj, sc
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.unsorted > 0 && s.lieRng.Float64() < s.unsorted {
-		_, prev := s.ds.SortedAt(pred, rank-1)
-		return obj, math.Min(1, prev*1.05+0.01) // jumps above the previous rank
-	}
-	if s.dupRate > 0 && s.lieRng.Float64() < s.dupRate {
-		prevObj, prevSc := s.ds.SortedAt(pred, rank-1)
-		return prevObj, prevSc // the previous entry again: duplicate id
-	}
-	return obj, sc
 }
 
 // The JSON protocol: parameter parsing and payload shapes around the
@@ -519,8 +391,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSortedPage serves count consecutive entries of the sorted list in
-// one round trip: the whole page passes the fault-injection gate (and
-// pays the simulated latency) once, like a batched probe.
+// one round trip: the whole page passes the fault gate once, like a
+// batched probe.
 func (s *Server) handleSortedPage(w http.ResponseWriter, r *http.Request) {
 	v, oe := intParams(r, "pred", "rank", "count")
 	if oe != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/fault"
 	"repro/internal/score"
 )
 
@@ -181,7 +182,7 @@ func TestMultiSourceMiddleware(t *testing.T) {
 
 func TestLatencyOption(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 5, 1, 1)
-	ts := startSource(t, ds, WithLatency(30*time.Millisecond))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{SlowRate: 1, SlowDelay: 30 * time.Millisecond}, 0))
 	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestServerRejectsBadParams(t *testing.T) {
 // race-free under -race.
 func TestServerConcurrentClients(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 50, 2, 31)
-	ts := startSource(t, ds, WithFailEvery(7))
+	ts := startSource(t, ds, WithFaults(fault.PredFault{ErrorRate: 1.0 / 7}, 7))
 	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}, {ts.URL, 1}},
 		WithRetries(5, time.Millisecond))
 	if err != nil {

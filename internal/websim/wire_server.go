@@ -1,6 +1,8 @@
 package websim
 
 import (
+	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -53,7 +55,7 @@ func (s *Server) handleWire(w http.ResponseWriter, r *http.Request) {
 // serveFrames answers request frames from r on w, one at a time, until
 // the stream ends. A frame whose announced length is over the limit ends
 // it too: past that header the stream cannot be trusted to be in sync.
-func (s *Server) serveFrames(w io.Writer, r io.Reader) {
+func (s *Server) serveFrames(w io.Writer, r *bufio.Reader) {
 	var (
 		hdr     [frameHeaderSize]byte
 		in, out []byte
@@ -69,20 +71,39 @@ func (s *Server) serveFrames(w io.Writer, r io.Reader) {
 		if in, err = readPayload(r, in, h.n); err != nil {
 			return
 		}
-		out = s.serveFrame(out[:0], h, in)
+		if s.faults != nil && s.refuseByFault(r) {
+			out = s.refuseFrame(out[:0], h, in, errBusy)
+		} else {
+			out = s.serveFrame(out[:0], h, in)
+		}
 		if _, err := w.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// serveFrame appends the reply to one request frame: the gate first, as
-// for a JSON request, then the shape of the payload, then the operation
-// itself. Whatever is wrong with a frame, the answer is a refusal.
-func (s *Server) serveFrame(out []byte, h frameHeader, p []byte) []byte {
-	if s.gate() {
-		return s.refuseFrame(out, h, p, errBusy)
+// refuseByFault passes one frame through the fault gate. The client sends
+// nothing more on the connection until it has the reply, so a hang lasts
+// until a read of r returns: the client hung up. Only that read ends it,
+// so the frame loop never reads r beside it.
+func (s *Server) refuseByFault(r *bufio.Reader) bool {
+	v := s.faults.Decide(0)
+	ctx := context.Background()
+	if v.Hangs() {
+		var hangUp context.CancelFunc
+		ctx, hangUp = context.WithCancel(ctx)
+		go func() {
+			_, _ = r.Peek(1)
+			hangUp()
+		}()
 	}
+	return v.Inject(ctx) != nil
+}
+
+// serveFrame appends the reply to one request frame that passed the gate:
+// the shape of the payload, then the operation itself. Whatever is wrong
+// with a frame, the answer is a refusal.
+func (s *Server) serveFrame(out []byte, h frameHeader, p []byte) []byte {
 	switch {
 	case h.code == opPage && len(p) == 3*4:
 		rank, count := u32(p[4:]), u32(p[8:])

@@ -1,6 +1,7 @@
 package websim
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/access"
 	"repro/internal/data"
 	"repro/internal/data/datatest"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -197,30 +199,32 @@ func TestWireDial(t *testing.T) {
 	}
 }
 
-// TestWireGatePerFrame: the latency and fault gate that a JSON request
-// passes once is passed once per frame, a busy reply is retried like a
-// 503, and its Retry-After hint floors the backoff.
+// TestWireGatePerFrame: the fault gate that a JSON request passes once is
+// passed once per frame, a busy reply is retried like a 503, its
+// Retry-After hint floors the backoff, and a frame the shard sits on or
+// hangs is cut by the attempt timeout and retried.
 func TestWireGatePerFrame(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 30, 2, 9)
 	ctx := context.Background()
 
 	tr := obs.NewQueryTrace()
-	w := dialWire(t, startSource(t, ds, WithFailEvery(3)), 2, WithRetries(3, time.Millisecond), WithObserver(tr))
+	w := dialWire(t, startSource(t, ds, WithFaults(fault.PredFault{FlapPeriod: 2}, 0)), 2, WithRetries(3, time.Millisecond), WithObserver(tr))
 	one := make([]access.Entry, 1)
 	for r := 0; r < 12; r++ {
 		if _, err := w.Page(ctx, 0, r, one); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 12 accesses through a gate that fails every third frame: frames
-	// 3, 6, 9, 12, 15 are refused and retried, 17 frames in all.
-	if s := tr.Snapshot(); s.SourceRetries != 5 || s.SourceFailures != 0 {
-		t.Errorf("fail-every-3 over 12 accesses: %d retries, %d failures, want 5 and 0", s.SourceRetries, s.SourceFailures)
+	// 12 accesses through a gate that flaps every two frames: frames 2–3,
+	// 6–7, 10–11, 14–15 and 18–19 (0-based) are refused, so accesses 3, 5,
+	// 7, 9 and 11 are retried twice each, 22 frames in all.
+	if s := tr.Snapshot(); s.SourceRetries != 10 || s.SourceFailures != 0 {
+		t.Errorf("flap-2 over 12 accesses: %d retries, %d failures, want 10 and 0", s.SourceRetries, s.SourceFailures)
 	}
 
 	// Retries exhausted: the refusal surfaces, named busy, with the frame.
 	tr = obs.NewQueryTrace()
-	w = dialWire(t, startSource(t, ds, WithFailEvery(1)), 2, WithRetries(1, time.Millisecond), WithObserver(tr))
+	w = dialWire(t, startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0)), 2, WithRetries(1, time.Millisecond), WithObserver(tr))
 	_, err := w.Random(ctx, 1, 17)
 	if err == nil || !strings.Contains(err.Error(), "random p1 obj 17: shard said busy") || !strings.Contains(err.Error(), "frame 0x") {
 		t.Errorf("always-busy shard: %v", err)
@@ -231,7 +235,7 @@ func TestWireGatePerFrame(t *testing.T) {
 
 	// The hint, in milliseconds on this wire, floors the 1ms backoff.
 	tr = obs.NewQueryTrace()
-	w = dialWire(t, startSource(t, ds, WithOutageWindow(0, 1), WithRetryAfter(40*time.Millisecond)), 2,
+	w = dialWire(t, startSource(t, ds, WithFaults(fault.PredFault{OutageTo: 1}, 0), WithRetryAfter(40*time.Millisecond)), 2,
 		WithRetries(2, time.Millisecond), WithObserver(tr))
 	start := time.Now()
 	if _, err := w.Random(ctx, 0, 2); err != nil {
@@ -244,14 +248,27 @@ func TestWireGatePerFrame(t *testing.T) {
 	// A shard that sits on a frame past the attempt timeout is a
 	// retryable failure, and the connection it sat on is not used again.
 	tr = obs.NewQueryTrace()
-	w = dialWire(t, startSource(t, ds, WithLatency(150*time.Millisecond)), 2,
+	w = dialWire(t, startSource(t, ds, WithFaults(fault.PredFault{SlowRate: 1, SlowDelay: 150 * time.Millisecond}, 0)), 2,
 		WithRetries(1, time.Millisecond), WithAttemptTimeout(20*time.Millisecond), WithObserver(tr))
 	_, err = w.Random(ctx, 0, 2)
 	if err == nil || !strings.Contains(err.Error(), "no reply within 20ms") {
-		t.Errorf("hung shard: %v", err)
+		t.Errorf("slow shard: %v", err)
 	}
 	if s := tr.Snapshot(); s.SourceRetries != 1 || s.SourceFailures != 1 {
-		t.Errorf("hung shard: %d retries, %d failures, want 1 and 1", s.SourceRetries, s.SourceFailures)
+		t.Errorf("slow shard: %d retries, %d failures, want 1 and 1", s.SourceRetries, s.SourceFailures)
+	}
+
+	// A hang holds its frame until the client hangs up: the attempt timeout
+	// cuts it and the retry, on a new connection, draws the next verdict.
+	// Seed 4 draws a hang, then a pass.
+	tr = obs.NewQueryTrace()
+	w = dialWire(t, startSource(t, ds, WithFaults(fault.PredFault{HangRate: 0.5}, 4)), 2,
+		WithRetries(1, time.Millisecond), WithAttemptTimeout(20*time.Millisecond), WithObserver(tr))
+	if got, err := w.Random(ctx, 0, 2); err != nil || got != ds.Score(2, 0) {
+		t.Errorf("hang, then a pass: %v, %v", got, err)
+	}
+	if s := tr.Snapshot(); s.SourceRetries != 1 || s.SourceFailures != 0 {
+		t.Errorf("hang, then a pass: %d retries, %d failures, want 1 and 0", s.SourceRetries, s.SourceFailures)
 	}
 }
 
@@ -427,7 +444,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		// The shard's side.
 		var replies bytes.Buffer
-		srv.serveFrames(&replies, bytes.NewReader(stream))
+		srv.serveFrames(&replies, bufio.NewReader(bytes.NewReader(stream)))
 		var hdr [frameHeaderSize]byte
 		var reqBuf, repBuf []byte
 		reqs, reps := bytes.NewReader(stream), bytes.NewReader(replies.Bytes())
