@@ -14,6 +14,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/data/datatest"
 	"repro/internal/fault"
+	"repro/internal/kit/kittest"
 	"repro/internal/obs"
 )
 
@@ -183,6 +184,7 @@ func (f attemptFunc) attempt(ctx context.Context) (error, bool, time.Duration) {
 // stream — behind one retry policy. A hang is cut by the attempt timeout
 // and retried in all three.
 func TestFaultScheduleAcrossPlacements(t *testing.T) {
+	kittest.NoLeaks(t) // a hang on the wire ends when its client hangs up
 	ds := datatest.MustGenerate(data.Uniform, 40, 1, 9)
 	profile := fault.PredFault{ErrorRate: 0.3, SlowRate: 0.2, SlowDelay: time.Millisecond, HangRate: 0.05,
 		FlapPeriod: 8, OutageFrom: 30, OutageTo: 34}
@@ -225,12 +227,13 @@ func TestFaultScheduleAcrossPlacements(t *testing.T) {
 	loop.configure(policy(trIn))
 	fb := fault.Wrap(access.DatasetBackend{DS: ds}, fault.Config{Seed: seed, Preds: map[int]fault.PredFault{0: profile}})
 	var hangs int
-	inProcess := func(obj int) (score float64, err error) {
-		err = loop.do(ctx, attemptFunc(func(ctx context.Context) (error, bool, time.Duration) {
-			actx, cancel := context.WithTimeout(ctx, loop.attemptTimeout)
+	inProcess := func(obj int) (float64, error) {
+		var score float64
+		err := loop.do(ctx, attemptFunc(func(ctx context.Context) (error, bool, time.Duration) {
+			ctx, cancel := context.WithTimeout(ctx, loop.attemptTimeout)
 			defer cancel()
 			var err error
-			score, err = fb.Random(actx, 0, obj)
+			score, err = fb.Random(ctx, 0, obj)
 			if errors.Is(err, context.DeadlineExceeded) {
 				hangs++
 			}
@@ -246,7 +249,12 @@ func TestFaultScheduleAcrossPlacements(t *testing.T) {
 	gotJSON := record(trJSON, func() (err error) {
 		c, err = NewClient(ctx, ts.Client(), []Route{{ts.URL, 0}}, policy(trJSON)...)
 		return err
-	}, func(obj int) (float64, error) { return c.Random(ctx, 0, obj) })
+	}, func(obj int) (float64, error) {
+		if c == nil {
+			t.Fatal("the JSON client's dial failed; the profile must let it through")
+		}
+		return c.Random(ctx, 0, obj)
+	})
 
 	trWire := obs.NewQueryTrace()
 	w := dialWire(t, startSource(t, ds, WithFaults(profile, seed)), 1, policy(trWire)...)
