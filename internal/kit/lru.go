@@ -3,8 +3,9 @@ package kit
 // LRU is a fixed-capacity least-recently-used map. It is not safe for
 // concurrent use: every holder already owns a mutex guarding state of its
 // own (counters, in-flight calls, a generation), so the cache takes none.
-// Entries are nodes of an intrusive list — one allocation per new key,
-// none per hit — and a capacity of zero or less stores nothing.
+// Entries are nodes of an intrusive list — one allocation per new key
+// until the cache is full, when the evicted entry's node carries the new
+// one; none per hit — and a capacity of zero or less stores nothing.
 type LRU[K comparable, V any] struct {
 	capacity int
 	m        map[K]*lruNode[K, V]
@@ -56,7 +57,8 @@ func (c *LRU[K, V]) touch(n *lruNode[K, V]) (V, bool) {
 }
 
 // Put caches val under key as the most recently used entry and returns
-// how many entries it evicted to stay within capacity.
+// how many entries it evicted to stay within capacity: at capacity, the
+// least recently used one, whose node then holds the new entry.
 func (c *LRU[K, V]) Put(key K, val V) (evicted int) {
 	if n, ok := c.m[key]; ok {
 		n.val = val
@@ -66,13 +68,16 @@ func (c *LRU[K, V]) Put(key K, val V) (evicted int) {
 	if c.capacity <= 0 {
 		return 0
 	}
-	n := &lruNode[K, V]{key: key, val: val}
+	var n *lruNode[K, V]
+	if len(c.m) < c.capacity {
+		n = new(lruNode[K, V])
+	} else {
+		n, evicted = c.root.prev, 1
+		c.remove(n)
+	}
+	n.key, n.val = key, val
 	c.m[key] = n
 	c.pushFront(n)
-	for len(c.m) > c.capacity {
-		c.remove(c.root.prev)
-		evicted++
-	}
 	return evicted
 }
 

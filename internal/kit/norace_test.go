@@ -9,7 +9,8 @@ import (
 
 // TestAllocGates pins what the layers' own gates rely on: hits allocate
 // nothing — including a string-keyed lookup from a stack-built key — and
-// a new key costs its one node. (The race detector instruments
+// a new key costs its one node until the cache is full, and none after:
+// the evicted entry's node holds it. (The race detector instruments
 // allocations, so the gates run in ordinary builds only.)
 func TestAllocGates(t *testing.T) {
 	ctx := context.Background()
@@ -29,6 +30,7 @@ func TestAllocGates(t *testing.T) {
 		byInt.Put(i, i)
 	}
 	next := 64
+	roomy := NewLRU[int, int](1000)
 
 	for _, g := range []struct {
 		name string
@@ -54,7 +56,13 @@ func TestAllocGates(t *testing.T) {
 				t.Fatal("miss on a cached key")
 			}
 		}},
-		{"LRU.Put of a new key at capacity", 1, func() {
+		{"LRU.Put of a new key below capacity", 1, func() {
+			if roomy.Put(next, next) != 0 {
+				t.Fatal("eviction below capacity")
+			}
+			next++
+		}},
+		{"LRU.Put of a new key at capacity", 0, func() {
 			if byInt.Put(next, next) != 1 {
 				t.Fatal("no eviction at capacity")
 			}

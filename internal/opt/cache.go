@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -61,6 +60,11 @@ const neighbourRadius = 0.05
 // the in-flight call and shares its result, so a stampede of identical
 // queries costs exactly one estimator run.
 //
+// A miss allocates what its search does, the key string and, until the
+// cache is full, the LRU node: the entry keeps the search's plan itself,
+// the weights stay with the scoring function, and the in-flight call is
+// recycled.
+//
 // PlanCache is safe for concurrent use. Per the lock discipline, the
 // cache lock is never held across the optimizer run, the in-flight wait,
 // or observer emissions.
@@ -68,26 +72,31 @@ type PlanCache struct {
 	mu       sync.Mutex
 	lru      *kit.LRU[string, cacheEntry]
 	inflight map[string]*planCall
+	spare    *planCall // an idle call, the next miss's
 
 	hits, misses, warm, evictions uint64
 }
 
 // cacheEntry is a cached plan with what the neighbour scan reads beside
 // its key: where the key's text after the scoring function's name starts,
-// and the function's weights when it is a weighted sum, kept in H's array
-// past its length.
+// and the function, when it is a weighted sum, whose weights a Func never
+// changes. The plan is the search's own result, whose slices no caller
+// holds: callers get copies.
 type cacheEntry struct {
 	plan Plan
+	w    score.Weighter
 	rest int
 }
 
-// weights returns the entry's weights, empty for a function without.
-func (e *cacheEntry) weights() []float64 { return e.plan.H[len(e.plan.H):cap(e.plan.H)] }
-
+// planCall is one in-flight search. Its leader sets plan and err and
+// calls wg.Done under PlanCache.mu; each follower waits on wg unlocked and
+// reads the result under the lock. The last reader, follower or leader,
+// hands the call back as the cache's spare.
 type planCall struct {
-	done chan struct{} // closed when plan/err are set
-	plan Plan
-	err  error
+	wg      sync.WaitGroup
+	plan    Plan
+	err     error
+	waiters int // followers yet to read plan and err
 }
 
 // NewPlanCache builds a plan cache bounded to capacity entries
@@ -128,29 +137,36 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 		dst.CopyFrom(&cached.plan)
 		c.hits++
 		c.mu.Unlock()
-		observeLookup(cfg, obs.Hit, dst)
+		observeLookup(cfg, obs.Hit, dst.Evals)
 		return nil
 	}
 	if call, ok := c.inflight[string(key)]; ok {
+		call.waiters++
 		c.mu.Unlock()
-		<-call.done
+		call.wg.Wait()
 		c.mu.Lock()
+		err, evals := call.err, call.plan.Evals
 		outcome := obs.Hit
-		if call.err == nil {
+		if err == nil {
 			c.hits++
+			dst.CopyFrom(&call.plan)
 		} else {
 			c.misses++
 			outcome = obs.Miss
 		}
-		c.mu.Unlock()
-		observeLookup(cfg, outcome, &call.plan)
-		if call.err != nil {
-			return call.err
+		if call.waiters--; call.waiters == 0 {
+			c.recycle(call)
 		}
-		dst.CopyFrom(&call.plan)
-		return nil
+		c.mu.Unlock()
+		observeLookup(cfg, outcome, evals)
+		return err
 	}
-	call := &planCall{done: make(chan struct{})}
+	call := c.spare
+	if call == nil {
+		call = new(planCall)
+	}
+	c.spare = nil
+	call.wg.Add(1)
 	skey := string(key)
 	c.inflight[skey] = call
 	// The neighbour's depths are copied out under the lock, onto the stack:
@@ -166,22 +182,25 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 	}
 	c.mu.Unlock()
 
-	call.plan, call.err = OptimizeFrom(cfg, scn, f, k, n, start)
+	plan, err := OptimizeFrom(cfg, scn, f, k, n, start)
 	// Emitted before the followers are released, so a follower's event can
 	// never precede its leader's.
-	observeLookup(cfg, outcome, &call.plan)
-	close(call.done)
+	observeLookup(cfg, outcome, plan.Evals)
 
-	var entry cacheEntry // the cache's own copy: no caller can reach it
-	if call.err == nil {
-		entry = newCacheEntry(&call.plan, f)
-	}
 	c.mu.Lock()
 	delete(c.inflight, skey)
 	evicted := 0
-	if call.err == nil {
-		evicted = c.lru.Put(skey, entry)
+	if err == nil {
+		// OptimizeFrom's plan owns its slices, so the entry keeps it and
+		// dst, like every later reader, gets a copy.
+		w, _ := f.(score.Weighter)
+		evicted = c.lru.Put(skey, cacheEntry{plan: plan, w: w, rest: keyRest(f)})
 		c.evictions += uint64(evicted)
+	}
+	call.plan, call.err = plan, err
+	call.wg.Done()
+	if call.waiters == 0 {
+		c.recycle(call)
 	}
 	c.mu.Unlock()
 	for i := 0; i < evicted; i++ {
@@ -189,36 +208,26 @@ func (c *PlanCache) Load(dst *Plan, cfg Config, scn access.Scenario, f score.Fun
 			cfg.Observer.Observe(obs.Event{Kind: obs.PlanCacheEvict})
 		}
 	}
-	if call.err != nil {
-		return call.err
+	if err != nil {
+		return err
 	}
-	dst.CopyFrom(&call.plan)
+	dst.CopyFrom(&plan)
 	return nil
+}
+
+// recycle keeps a call whose result every reader has read as the spare
+// (c.mu held), dropping what it held.
+func (c *PlanCache) recycle(call *planCall) {
+	call.plan, call.err = Plan{}, nil
+	c.spare = call
 }
 
 // observeLookup emits a lookup's PlanCache event: its outcome, the
 // estimator runs of the plan it produced and the sample it was searched on.
-func observeLookup(cfg Config, outcome uint8, p *Plan) {
+func observeLookup(cfg Config, outcome uint8, evals int32) {
 	if cfg.Observer != nil {
-		cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome, Value: float64(p.Evals), Label: SampleName(cfg)})
+		cfg.Observer.Observe(obs.Event{Kind: obs.PlanCache, Code: outcome, Value: float64(evals), Label: SampleName(cfg)})
 	}
-}
-
-// newCacheEntry copies p for the cache, in the two allocations a Plan copy
-// makes: the weights of f, when it is a weighted sum, follow H in its array.
-func newCacheEntry(p *Plan, f score.Func) cacheEntry {
-	nw := 0
-	w, ok := f.(score.Weighter)
-	if ok {
-		nw = w.Arity()
-	}
-	h := append(make([]float64, 0, len(p.H)+nw), p.H...)
-	for i := range nw {
-		h = append(h, w.Weight(i))
-	}
-	e := cacheEntry{plan: *p, rest: keyRest(f)}
-	e.plan.H, e.plan.Omega = h[:len(p.H)], slices.Clone(p.Omega)
-	return e
 }
 
 // neighbour appends to dst the depths of the cached plan whose weights are
@@ -237,13 +246,12 @@ func (c *PlanCache) neighbour(dst []float64, key []byte, cfg Config, f score.Fun
 	var start []float64
 	nearest := math.Inf(1)
 	c.lru.Each(func(k string, e cacheEntry) bool {
-		weights := e.weights()
-		if len(weights) != w.Arity() || k[e.rest:] != string(rest) {
+		if e.w == nil || e.w.Arity() != w.Arity() || k[e.rest:] != string(rest) {
 			return true
 		}
 		d := 0.0
-		for i, x := range weights {
-			d = max(d, math.Abs(x-w.Weight(i)))
+		for i := range w.Arity() {
+			d = max(d, math.Abs(e.w.Weight(i)-w.Weight(i)))
 		}
 		if d <= neighbourRadius && d < nearest {
 			nearest, start = d, e.plan.H

@@ -55,6 +55,9 @@ func TestPlanCacheHitIsByteForByte(t *testing.T) {
 	for i := range first.H {
 		first.H[i] = -1
 	}
+	for i := range first.Omega {
+		first.Omega[i] = -1
+	}
 	second, err := c.Get(quickCfg(nil), scn, score.Avg(), 5, 500)
 	if err != nil {
 		t.Fatal(err)

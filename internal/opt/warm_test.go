@@ -262,11 +262,14 @@ func (d *driftMisses) prime() error {
 	return nil
 }
 
-// TestPlanCacheWarmMissAllocGate holds a warm miss to the allocations of a
-// cold one: the neighbour scan reads weights and keys in place and copies
-// the start onto the stack, so a warm miss allocates what a cold one does,
-// the cache entry and the plan.
+// TestPlanCacheWarmMissAllocGate holds a miss on a full cache, warm or
+// cold, to what it keeps: the search's plan (H and Ω), which the new entry
+// holds, and the key string. The LRU node is the evicted entry's, the
+// in-flight call the cache's spare, and the neighbour scan reads weights
+// and keys in place and copies the start onto the stack, so a warm miss
+// allocates what a cold one does.
 func TestPlanCacheWarmMissAllocGate(t *testing.T) {
+	const ceiling = 3
 	if testing.Short() || raceEnabled {
 		t.Skip("alloc gate needs steady-state measurement on a pool that keeps what it is given")
 	}
@@ -286,6 +289,11 @@ func TestPlanCacheWarmMissAllocGate(t *testing.T) {
 		}
 	}
 	t.Logf("allocs per miss: cold %.0f, warm %.0f", allocs[true], allocs[false])
+	for cold, got := range allocs {
+		if got > ceiling {
+			t.Errorf("cold=%v: a miss allocates %.0f/op, ceiling %d", cold, got, ceiling)
+		}
+	}
 	if allocs[false] > allocs[true] {
 		t.Errorf("a warm miss allocates %.0f/op, a cold one %.0f", allocs[false], allocs[true])
 	}

@@ -184,6 +184,10 @@ func (avgFunc) Derivative(scores []float64, i int) (float64, bool) {
 type weighted struct {
 	w    []float64
 	name string
+	// inline holds w when it has no more than len(inline) weights, so a
+	// weighted sum over a handful of predicates is one block beside its
+	// name.
+	inline [8]float64
 }
 
 // Weighted returns a weighted-sum scoring function with the given
@@ -195,7 +199,12 @@ func Weighted(weights ...float64) Func {
 	if len(weights) == 0 {
 		panic("score: Weighted requires at least one weight")
 	}
-	w := make([]float64, len(weights))
+	f := &weighted{}
+	if len(weights) <= len(f.inline) {
+		f.w = f.inline[:len(weights):len(weights)]
+	} else {
+		f.w = make([]float64, len(weights))
+	}
 	// The name is fmt's %g of each weight, built in one allocation: room
 	// for the longest shortest-form float64 (24 bytes) per weight.
 	var name strings.Builder
@@ -206,32 +215,33 @@ func Weighted(weights ...float64) Func {
 		if x < 0 || math.IsNaN(x) {
 			panic(fmt.Sprintf("score: Weighted weight %d is %v, must be >= 0", i, x))
 		}
-		w[i] = x
+		f.w[i] = x
 		if i > 0 {
 			name.WriteByte(',')
 		}
 		name.Write(strconv.AppendFloat(num[:0], x, 'g', -1, 64))
 	}
 	name.WriteByte(')')
-	return weighted{w: w, name: name.String()}
+	f.name = name.String()
+	return f
 }
 
-func (f weighted) Name() string { return f.name }
-func (f weighted) Arity() int   { return len(f.w) }
-func (f weighted) Shape() Shape { return ShapeMeanLike }
+func (f *weighted) Name() string { return f.name }
+func (f *weighted) Arity() int   { return len(f.w) }
+func (f *weighted) Shape() Shape { return ShapeMeanLike }
 
 // Weights returns a copy of the weight vector. It is used by the
 // Strategies scheme to bias depths proportionally to weights.
-func (f weighted) Weights() []float64 {
+func (f *weighted) Weights() []float64 {
 	out := make([]float64, len(f.w))
 	copy(out, f.w)
 	return out
 }
 
 // Weight returns w_i without copying the vector.
-func (f weighted) Weight(i int) float64 { return f.w[i] }
+func (f *weighted) Weight(i int) float64 { return f.w[i] }
 
-func (f weighted) Eval(scores []float64) float64 {
+func (f *weighted) Eval(scores []float64) float64 {
 	sum := 0.0
 	for i, s := range scores {
 		sum += f.w[i] * s
@@ -239,7 +249,7 @@ func (f weighted) Eval(scores []float64) float64 {
 	return sum
 }
 
-func (f weighted) Derivative(scores []float64, i int) (float64, bool) {
+func (f *weighted) Derivative(scores []float64, i int) (float64, bool) {
 	return f.w[i], true
 }
 

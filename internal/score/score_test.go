@@ -232,6 +232,16 @@ func TestWeighterInterface(t *testing.T) {
 	if f.Eval([]float64{1, 0}) != 0.25 {
 		t.Error("Weights() must return a copy")
 	}
+	// Weights past the inline block live in their own array, copied too.
+	in := make([]float64, 12)
+	for i := range in {
+		in[i] = float64(i)
+	}
+	w = Weighted(in...).(Weighter)
+	in[11] = 99
+	if w.Arity() != 12 || w.Weight(11) != 11 || w.Eval(in) != 11*99+10*10+9*9+8*8+7*7+6*6+5*5+4*4+3*3+2*2+1 {
+		t.Errorf("12 weights: arity %d, w_11 %v, F = %v", w.Arity(), w.Weight(11), w.Eval(in))
+	}
 }
 
 func BenchmarkEvalAvg(b *testing.B) {
@@ -283,8 +293,8 @@ func TestWeightedNameIsFmtG(t *testing.T) {
 		return
 	}
 	w := []float64{0.3427123456789, 0.2, 0.4572876543211}
-	// The weight copy, the name and the function value itself.
-	if allocs := testing.AllocsPerRun(100, func() { Weighted(w...) }); allocs > 3 {
-		t.Errorf("Weighted allocates %v, want 3: its name is built in more than one", allocs)
+	// The function value with its weights inline, and the name.
+	if allocs := testing.AllocsPerRun(100, func() { Weighted(w...) }); allocs > 2 {
+		t.Errorf("Weighted allocates %v, want 2: its weights or its name take more than one each", allocs)
 	}
 }

@@ -73,6 +73,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -885,9 +886,11 @@ func (h *Handler) planSample(req *QueryRequest) string {
 
 // requestOptions assembles the run options a request's own fields fix:
 // algorithm, budget, epsilon and parallel. Observer, resilience and context
-// belong to the run, not the statement, and are added around these.
+// belong to the run, not the statement, and are added around these. A
+// request that fixes none gets nil; the others one slice of what they fix.
 func (h *Handler) requestOptions(req *QueryRequest) ([]topk.RunOption, error) {
-	opts := make([]topk.RunOption, 0, 4)
+	var buf [4]topk.RunOption
+	opts := buf[:0]
 	switch alg := req.Algorithm; {
 	case alg == "" || alg == "opt":
 		// The engine's plan cache (shared across queries via h.plans)
@@ -915,7 +918,10 @@ func (h *Handler) requestOptions(req *QueryRequest) ([]topk.RunOption, error) {
 	if req.Parallel > 0 {
 		opts = append(opts, topk.WithParallel(req.Parallel))
 	}
-	return opts, nil
+	if len(opts) == 0 {
+		return nil, nil
+	}
+	return slices.Clone(opts), nil
 }
 
 // bound is one request's deadline — the stack's one deadline mechanism,

@@ -24,6 +24,11 @@ func FuzzParse(f *testing.F) {
 		"select x from t order by min(0.5*a) stop after 1",
 		"select x from t order by min(a;b) stop after 1",
 		"select x from t order by min(a) stop after 999999999999999999999",
+		"select x from t order by min(café, b) stop after 1",
+		"select x from t order by min(Ã, µa) stop after 1",
+		"select x from t order by wsum(0.5*Café, 0.5*café) stop after 1",
+		"select x from t order by min(a\xff, b) stop after 1",
+		"select\u00a0x from t order by avg(日本, größe) stop after 1 \xc3",
 	}
 	for _, s := range seeds {
 		f.Add(s)

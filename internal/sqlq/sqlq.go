@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/score"
 )
@@ -114,31 +115,56 @@ type lexer struct {
 	pos int
 }
 
+// peek decodes the rune at the lexer's position: its width, and 0 for an
+// invalid encoding, whose rune is utf8.RuneError.
+func (l *lexer) peek() (rune, int) {
+	if c := l.in[l.pos]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	r, size := utf8.DecodeRuneInString(l.in[l.pos:])
+	if r == utf8.RuneError && size == 1 {
+		return r, 0
+	}
+	return r, size
+}
+
+// next returns the next token. Every token's text is a substring of the
+// input, so lexing allocates nothing but an error.
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.in) && unicode.IsSpace(rune(l.in[l.pos])) {
-		l.pos++
+	for l.pos < len(l.in) {
+		r, size := l.peek()
+		if size == 0 || !unicode.IsSpace(r) {
+			break
+		}
+		l.pos += size
 	}
 	if l.pos >= len(l.in) {
 		return token{kind: tokEOF, pos: l.pos}, nil
 	}
 	start := l.pos
-	c := l.in[l.pos]
+	r, size := l.peek()
 	switch {
-	case c == '(' || c == ')' || c == ',' || c == '*':
+	case size == 0:
+		return token{}, fmt.Errorf("sqlq: invalid UTF-8 at position %d", start)
+	case r == '(' || r == ')' || r == ',' || r == '*':
 		l.pos++
-		return token{kind: tokPunct, text: string(c), pos: start}, nil
-	case c >= '0' && c <= '9' || c == '.':
+		return token{kind: tokPunct, text: l.in[start:l.pos], pos: start}, nil
+	case r >= '0' && r <= '9' || r == '.':
 		for l.pos < len(l.in) && (l.in[l.pos] >= '0' && l.in[l.pos] <= '9' || l.in[l.pos] == '.') {
 			l.pos++
 		}
 		return token{kind: tokNumber, text: l.in[start:l.pos], pos: start}, nil
-	case isIdentRune(rune(c)):
-		for l.pos < len(l.in) && isIdentRune(rune(l.in[l.pos])) {
-			l.pos++
+	case isIdentRune(r):
+		for l.pos < len(l.in) {
+			r, size := l.peek()
+			if size == 0 || !isIdentRune(r) {
+				break
+			}
+			l.pos += size
 		}
 		return token{kind: tokIdent, text: l.in[start:l.pos], pos: start}, nil
 	default:
-		return token{}, fmt.Errorf("sqlq: unexpected character %q at position %d", c, start)
+		return token{}, fmt.Errorf("sqlq: unexpected character %q at position %d", r, start)
 	}
 }
 
@@ -146,8 +172,9 @@ func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.'
 }
 
+// parser holds its lexer by value: both live on Parse's stack.
 type parser struct {
-	lex *lexer
+	lex lexer
 	tok token
 }
 
@@ -187,7 +214,7 @@ func (p *parser) expectPunct(s string) error {
 
 // Parse parses one query.
 func Parse(input string) (*Query, error) {
-	p := &parser{lex: &lexer{in: input}}
+	p := parser{lex: lexer{in: input}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -218,8 +245,17 @@ func Parse(input string) (*Query, error) {
 	if err = p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	var weights []float64
+	// Every comma of a statement separates two arguments, so their count
+	// bounds the predicates, and the weights, which stay on the stack up to
+	// len(wbuf): Weighted copies them.
+	args := strings.Count(input, ",") + 1
+	q.Predicates = make([]string, 0, args)
+	var wbuf [16]float64
+	weights := wbuf[:0]
 	weighted := strings.EqualFold(fname, "wsum")
+	if weighted && args > len(wbuf) {
+		weights = make([]float64, 0, args)
+	}
 	for {
 		if weighted && p.tok.kind == tokNumber {
 			w, perr := strconv.ParseFloat(p.tok.text, 64)
@@ -289,8 +325,10 @@ func Parse(input string) (*Query, error) {
 		return nil, err
 	}
 	// Duplicate predicates would make per-predicate access bookkeeping
-	// ambiguous.
-	seen := make(map[string]bool, len(q.Predicates))
+	// ambiguous. The set is sized by a constant, so up to 8 names it lives
+	// on the stack; ToLower allocates only for a name with an upper-case
+	// letter.
+	seen := make(map[string]bool, 8)
 	for _, pred := range q.Predicates {
 		key := strings.ToLower(pred)
 		if seen[key] {

@@ -87,6 +87,14 @@ func TestParseErrors(t *testing.T) {
 		{"select x from t order by min(0.3*a, b) stop after 2", "only allowed in wsum"},
 		{"select x from t order by wsum(0.3*) stop after 2", "predicate name"},
 		{"select x from t order by min(a; b) stop after 2", "unexpected character"},
+		// Identifiers are read as runes: the error names the character,
+		// not one byte of its encoding, and a malformed encoding is its
+		// own error.
+		{"select x from t order by min(a, b©) stop after 2", `unexpected character '©' at position 33`},
+		{"select x from t order by min(a, b€) stop after 2", `unexpected character '€' at position 33`},
+		{"select x from t order by min(a, b\xff) stop after 2", "invalid UTF-8 at position 33"},
+		{"select x from t order by min(a, b) stop after 2 \xc3", "invalid UTF-8 at position 48"},
+		{"select x from t order by min(Café, café) stop after 2", "duplicate predicate"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.in)
@@ -129,6 +137,34 @@ func TestBind(t *testing.T) {
 	}
 	if _, err := Bind(q, []string{"rating", "price"}); err == nil {
 		t.Error("unknown predicate should fail to bind")
+	}
+	// Case-insensitive beyond ASCII.
+	q, err = Parse("select name from cafés order by min(Café, Ähnlichkeit) stop after 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols, err := Bind(q, []string{"ähnlichkeit", "café"}); err != nil || cols[0] != 1 || cols[1] != 0 {
+		t.Errorf("bind = %v, %v", cols, err)
+	}
+}
+
+// TestParseUTF8Identifiers: whether a non-ASCII name is an identifier
+// depends on its characters, never on the bytes that encode them.
+func TestParseUTF8Identifiers(t *testing.T) {
+	for _, name := range []string{"café", "µa", "Ã", "größe", "日本", "p_ü.1"} {
+		sql := "select x from t order by min(" + name + ", b) stop after 1"
+		q, err := Parse(sql)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", sql, err)
+			continue
+		}
+		if q.Predicates[0] != name {
+			t.Errorf("Parse(%q) read predicate %q", sql, q.Predicates[0])
+		}
+	}
+	// A non-breaking space separates tokens like any other space.
+	if _, err := Parse("select\u00a0x from t order by min(a,\u00a0b) stop after 1"); err != nil {
+		t.Errorf("non-breaking space: %v", err)
 	}
 }
 

@@ -115,13 +115,23 @@ func TestClientWaitsForRetryAfter(t *testing.T) {
 	}
 }
 
-// TestServerOutageWindow checks request ordinals inside the window fail
-// with 503 and carry Retry-After, while the rest succeed.
+// TestServerOutageWindow checks access ordinals inside the window fail
+// with 503 and carry Retry-After, while the rest succeed. /meta, read
+// before each access, passes no gate: it is served throughout and moves
+// no ordinal.
 func TestServerOutageWindow(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
 	ts := startSource(t, ds, WithFaults(fault.PredFault{OutageFrom: 1, OutageTo: 3}, 0), WithRetryAfter(2*time.Second))
 	for n := 0; n < 5; n++ {
-		resp, err := ts.Client().Get(ts.URL + "/meta")
+		meta, err := ts.Client().Get(ts.URL + "/meta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta.Body.Close()
+		if meta.StatusCode != http.StatusOK {
+			t.Errorf("/meta before access %d: status %d, want 200", n, meta.StatusCode)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/random?pred=0&obj=3")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +158,7 @@ func TestServerFailRateDeterministic(t *testing.T) {
 		ts := startSource(t, ds, WithFaults(fault.PredFault{ErrorRate: 0.5}, 11))
 		var codes []int
 		for n := 0; n < 20; n++ {
-			resp, err := ts.Client().Get(ts.URL + "/meta")
+			resp, err := ts.Client().Get(ts.URL + "/random?pred=0&obj=3")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,24 +208,20 @@ func TestFaultScheduleAcrossPlacements(t *testing.T) {
 		ok      bool
 		retries int
 	}
-	// record runs a placement's first gated access — the JSON client's dial
-	// reads /meta through the gate; the others probe object 0 — and then a
-	// probe of every object, noting each one's verdict and retries.
-	record := func(tr *obs.QueryTrace, first func() error, probe func(obj int) (float64, error)) []outcome {
+	// record probes every object through a placement, noting each probe's
+	// verdict and retries. A client's dial passes no gate, so the first
+	// probe draws each placement's first verdict.
+	record := func(tr *obs.QueryTrace, probe func(obj int) (float64, error)) []outcome {
 		var out []outcome
 		var seen int
-		note := func(err error) {
-			retries := tr.Snapshot().SourceRetries
-			out = append(out, outcome{err == nil, retries - seen})
-			seen = retries
-		}
-		note(first())
 		for obj := 0; obj < ds.N(); obj++ {
 			got, err := probe(obj)
 			if err == nil && got != ds.Score(obj, 0) {
 				t.Fatalf("object %d: score %v, want %v", obj, got, ds.Score(obj, 0))
 			}
-			note(err)
+			retries := tr.Snapshot().SourceRetries
+			out = append(out, outcome{err == nil, retries - seen})
+			seen = retries
 		}
 		return out
 	}
@@ -241,25 +247,19 @@ func TestFaultScheduleAcrossPlacements(t *testing.T) {
 		}))
 		return score, err
 	}
-	want := record(trIn, func() error { _, err := inProcess(0); return err }, inProcess)
+	want := record(trIn, inProcess)
 
 	trJSON := obs.NewQueryTrace()
 	ts := startSource(t, ds, WithFaults(profile, seed))
-	var c *Client
-	gotJSON := record(trJSON, func() (err error) {
-		c, err = NewClient(ctx, ts.Client(), []Route{{ts.URL, 0}}, policy(trJSON)...)
-		return err
-	}, func(obj int) (float64, error) {
-		if c == nil {
-			t.Fatal("the JSON client's dial failed; the profile must let it through")
-		}
-		return c.Random(ctx, 0, obj)
-	})
+	c, err := NewClient(ctx, ts.Client(), []Route{{ts.URL, 0}}, policy(trJSON)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON := record(trJSON, func(obj int) (float64, error) { return c.Random(ctx, 0, obj) })
 
 	trWire := obs.NewQueryTrace()
 	w := dialWire(t, startSource(t, ds, WithFaults(profile, seed)), 1, policy(trWire)...)
-	wireProbe := func(obj int) (float64, error) { return w.Random(ctx, 0, obj) }
-	gotWire := record(trWire, func() error { _, err := wireProbe(0); return err }, wireProbe)
+	gotWire := record(trWire, func(obj int) (float64, error) { return w.Random(ctx, 0, obj) })
 
 	t.Logf("in-process: %v (%d hangs)", want, hangs)
 	if !reflect.DeepEqual(gotJSON, want) {

@@ -34,11 +34,15 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 
 func TestClientGivesUpWithoutRetries(t *testing.T) {
 	ds := datatest.MustGenerate(data.Uniform, 10, 1, 9)
-	ts := startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0)) // always failing
-	// NewClient itself retries the /meta probe; with zero retries it must
-	// surface the failure.
-	if _, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}}, WithRetries(0, time.Millisecond)); err == nil {
-		t.Fatal("always-failing source should not dial")
+	ts := startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0)) // every access fails
+	// The dial's /meta passes no gate; the first access, with zero
+	// retries, must surface the failure.
+	c, err := NewClient(context.Background(), ts.Client(), []Route{{ts.URL, 0}}, WithRetries(0, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Sorted(context.Background(), 0, 0); err == nil || !strings.Contains(err.Error(), "overloaded") {
+		t.Fatalf("first access to an always-failing source: %v", err)
 	}
 }
 
@@ -92,11 +96,15 @@ func TestClientObserverSeesRetries(t *testing.T) {
 	// Exhausted retries surface as a terminal failure.
 	always := startSource(t, ds, WithFaults(fault.PredFault{OutageTo: -1}, 0))
 	tr2 := obs.NewQueryTrace()
-	if _, err := NewClient(context.Background(), always.Client(), []Route{{always.URL, 0}},
-		WithRetries(1, time.Millisecond), WithObserver(tr2)); err == nil {
-		t.Fatal("always-failing source should not dial")
+	c2, err := NewClient(context.Background(), always.Client(), []Route{{always.URL, 0}},
+		WithRetries(1, time.Millisecond), WithObserver(tr2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s2 := tr2.Snapshot(); s2.SourceFailures == 0 || s2.SourceRetries == 0 {
+	if _, err := c2.Random(context.Background(), 0, 3); err == nil {
+		t.Fatal("an access to an always-failing source should fail")
+	}
+	if s2 := tr2.Snapshot(); s2.SourceFailures != 1 || s2.SourceRetries != 1 {
 		t.Errorf("terminal failure not observed: %+v", s2)
 	}
 }

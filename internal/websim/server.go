@@ -17,9 +17,10 @@
 //
 //	POST /batch  {"probes":[{"pred":0,"obj":17},...]} -> {"scores":[0.83,...]}
 //
-// Every request pays one round trip and passes the fault-injection gate
+// Every access pays one round trip and passes the fault-injection gate
 // once: a sorted access is a page of one (count=1), and a longer page or a
-// batch succeeds or fails as a unit.
+// batch succeeds or fails as a unit. /meta, the dial's handshake, passes
+// no gate, like the wire's upgrade.
 //
 // Predicates in URLs are zero-based and local to the server; a middleware
 // Route maps each query predicate to (server, local predicate).
@@ -77,13 +78,15 @@ func WithPredicates(preds ...int) ServerOption {
 	return func(s *Server) { s.preds = append([]int(nil), preds...) }
 }
 
-// WithFaults passes every JSON request and every wire frame through the
-// fault profile f, seeded with seed: one verdict per request, drawn as
-// fault.Wrap draws one per access, so equal seeds and request sequences
-// give equal verdicts. An injected failure is answered busy (a 503, or a
-// busy frame); a slow verdict delays the reply; a hang lasts until the
-// client gives up — its request's context ends, or it hangs up the wire
-// connection. The profile's windows count requests in arrival order.
+// WithFaults passes every access — a JSON page, probe or batch request, or
+// a wire frame — through the fault profile f, seeded with seed: one
+// verdict per access, drawn as fault.Wrap draws one, so equal seeds and
+// access sequences give equal verdicts behind a JSON client, a wire and
+// in-process. The dial's handshake (/meta or the wire upgrade) passes no
+// gate. An injected failure is answered busy (a 503, or a busy frame); a
+// slow verdict delays the reply; a hang lasts until the client gives up —
+// its request's context ends, or it hangs up the wire connection. The
+// profile's windows count accesses in arrival order.
 func WithFaults(f fault.PredFault, seed int64) ServerOption {
 	return func(s *Server) {
 		s.faults = fault.NewSchedule(fault.Config{Seed: seed, Preds: map[int]fault.PredFault{0: f}})
@@ -140,10 +143,29 @@ func NewServer(ds *data.Dataset, opts ...ServerOption) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/meta", s.handleMeta)
-	s.mux.HandleFunc("/sortedpage", s.handleSortedPage)
-	s.mux.HandleFunc("/random", s.handleRandom)
-	s.mux.HandleFunc("/batch", s.handleBatch)
+	s.mux.HandleFunc("/sortedpage", s.gated(s.handleSortedPage))
+	s.mux.HandleFunc("/random", s.gated(s.handleRandom))
+	s.mux.HandleFunc("/batch", s.gated(s.handleBatch))
 	return s, nil
+}
+
+// gated passes an access endpoint's requests through the fault gate, one
+// verdict each, as the frame loop passes each frame.
+func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
+	if s.faults == nil {
+		return h
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.faults.Decide(0).Inject(r.Context()) != nil {
+			if s.retryAfter > 0 {
+				secs := int64((s.retryAfter + time.Second - 1) / time.Second)
+				w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+			}
+			writeError(w, errBusy)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // universeN is the object count the server advertises: the global
@@ -175,20 +197,12 @@ func (s *Server) localID(global int) int {
 	return data.LocalID(s.global, global)
 }
 
-// ServeHTTP implements http.Handler. Every JSON request passes the fault
-// gate once; the upgrade route does not — on an upgraded connection the
-// gate applies to each frame instead.
+// ServeHTTP implements http.Handler. Every JSON access passes the fault
+// gate once, and on an upgraded connection every frame; /meta and the
+// upgrade itself do not.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == WirePath {
 		s.handleWire(w, r)
-		return
-	}
-	if s.faults != nil && s.faults.Decide(0).Inject(r.Context()) != nil {
-		if s.retryAfter > 0 {
-			secs := int64((s.retryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		}
-		writeError(w, errBusy)
 		return
 	}
 	s.mux.ServeHTTP(w, r)

@@ -199,7 +199,7 @@ func TestWireDial(t *testing.T) {
 	}
 }
 
-// TestWireGatePerFrame: the fault gate that a JSON request passes once is
+// TestWireGatePerFrame: the fault gate that a JSON access passes once is
 // passed once per frame, a busy reply is retried like a 503, its
 // Retry-After hint floors the backoff, and a frame the shard sits on or
 // hangs is cut by the attempt timeout and retried.

@@ -16,7 +16,7 @@
 set -e
 export LC_ALL=C
 cd "$(dirname "$0")/.."
-for pkg in internal/state internal/access internal/algo internal/opt internal/kit internal/obs internal/share internal/cluster internal/store internal/websim internal/service .; do
+for pkg in internal/state internal/access internal/algo internal/opt internal/sqlq internal/score internal/kit internal/obs internal/share internal/cluster internal/store internal/websim internal/service .; do
 	go build -gcflags='-m -m' "./$pkg" 2>&1 |
 		grep -E 'escapes to heap$|moved to heap' |
 		grep -v '^/' |

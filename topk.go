@@ -1106,8 +1106,13 @@ type Cursor struct {
 	tr *obs.QueryTrace
 	// plan is the caller-owned copy of the plan in force, made once per
 	// plan generation (planGen) and never written after it is handed out.
-	plan    *Plan
-	planGen int
+	// The first generation's is first, whose H and Ω are firstH and
+	// firstOmega up to their length; a re-plan's is a new Plan.
+	plan       *Plan
+	planGen    int
+	first      Plan
+	firstH     [4]float64
+	firstOmega [4]int
 }
 
 // Open suspends a query as a resumable cursor: the first Next(k) performs
@@ -1194,7 +1199,12 @@ func (c *Cursor) planCopy() *Plan {
 		return nil
 	}
 	if c.plan == nil || c.planGen != x.planGen {
-		p := new(Plan)
+		p := &c.first
+		if c.plan == nil {
+			p.H, p.Omega = c.firstH[:0], c.firstOmega[:0]
+		} else {
+			p = new(Plan)
+		}
 		p.CopyFrom(x.plan)
 		c.plan, c.planGen = p, x.planGen
 	}
